@@ -1,4 +1,4 @@
-"""E40 — Service gate: warm tenants are fast, memory is bounded, shm is clean.
+"""E40 — Service gate: warm tenants are fast and memory is bounded.
 
 The service's reason to exist is cross-request cache residency, so this
 bench drives a real ``ThreadingHTTPServer`` (in-process, ephemeral port)
@@ -14,11 +14,7 @@ through the stdlib client and gates on the resident-state contract:
 3. **bounded RSS** — sustained identical batches must not grow resident
    memory beyond a fixed slack over the post-cold baseline (per-tenant
    budgets + the eviction ladder, not per-request accumulation, own
-   memory);
-4. **zero shm leak after shutdown** — the run includes a
-   ``backend="process"`` batch (shared-memory arenas published and
-   unlinked); after server shutdown the ``/dev/shm/psm_*`` census equals
-   the census before the service started.
+   memory).
 
 Results are recorded to ``BENCH_E40.json`` via the shared writer. Runnable
 standalone (``python benchmarks/bench_e40_service.py [--rows N]``,
@@ -27,7 +23,6 @@ size-independent).
 """
 
 import argparse
-import glob
 import os
 import sys
 import tempfile
@@ -42,7 +37,7 @@ from repro.core.io import write_csv
 from repro.core.table import Column, Table
 from repro.service import AnonymizationService, ServiceClient, create_server
 
-#: Two QI environments (two engine groups for the process-tier batch).
+#: Two QI environments, so each batch fills two tenant stores.
 ENVIRONMENTS = (["zip", "sector"], ["zip", "edu"])
 K_SWEEP = (5, 10, 25, 50)
 
@@ -107,10 +102,6 @@ def _rss_bytes():
         return int(handle.read().split()[1]) * os.sysconf("SC_PAGESIZE")
 
 
-def _shm_segments():
-    return set(glob.glob("/dev/shm/psm_*"))
-
-
 def _run_round(client, jobs, data, **options):
     start = time.perf_counter()
     out = client.submit_batch(jobs, data, **options)
@@ -139,7 +130,6 @@ def run_bench(n_rows=100_000, seed=42):
     }
     jobs = _sweep()
 
-    shm_before = _shm_segments()
     service = AnonymizationService(queue_workers=2, queue_depth=16)
     server = create_server(service, port=0)
     port = server.server_address[1]
@@ -163,11 +153,6 @@ def run_bench(n_rows=100_000, seed=42):
         after_warm = _tenant_counters(client, "bench")
         rss_after = _rss_bytes()
 
-        # Process-tier batch (multi-environment): publishes shm arenas.
-        process_seconds = _run_round(
-            client, jobs, data, backend="process", workers=2
-        )
-
         health = client.healthz()
     finally:
         server.shutdown()
@@ -183,8 +168,6 @@ def run_bench(n_rows=100_000, seed=42):
     )
     rss_growth = rss_after - rss_baseline
     rss_ok = rss_growth <= RSS_SLACK_BYTES
-    shm_leaked = _shm_segments() - shm_before
-    shm_clean = not shm_leaked
 
     print_series(
         f"E40: service gate (n={n_rows}, {len(jobs)}-job "
@@ -197,7 +180,6 @@ def run_bench(n_rows=100_000, seed=42):
                 sum(warm_seconds),
                 warm_jps,
             ),
-            ("process backend", process_seconds, len(jobs) / process_seconds),
         ],
     )
     print(
@@ -209,11 +191,10 @@ def run_bench(n_rows=100_000, seed=42):
     print(
         f"sustained RSS growth: {rss_growth / 2**20:.1f} MiB "
         f"(gate: <= {RSS_SLACK_BYTES / 2**20:.0f} MiB); "
-        f"shm leaked after shutdown: {len(shm_leaked)} (gate: 0); "
         f"service version: {health['version']}"
     )
 
-    ok = speedup_ok and no_rescan and rss_ok and shm_clean
+    ok = speedup_ok and no_rescan and rss_ok
     elapsed = time.perf_counter() - bench_start
     write_results(
         "E40",
@@ -222,17 +203,14 @@ def run_bench(n_rows=100_000, seed=42):
             "n_jobs": len(jobs),
             "cold_seconds": cold_seconds,
             "warm_seconds": sum(warm_seconds),
-            "process_seconds": process_seconds,
             "cold_jobs_per_sec": cold_jps,
             "warm_jobs_per_sec": warm_jps,
             "warm_speedup": speedup,
             "rss_growth_bytes": rss_growth,
-            "shm_leaked": len(shm_leaked),
             "total_seconds": elapsed,
             "speedup_ok": speedup_ok,
             "no_rescan": no_rescan,
             "rss_ok": rss_ok,
-            "shm_clean": shm_clean,
             "ok": ok,
         },
     )

@@ -1,7 +1,7 @@
 """Shared benchmark fixtures: datasets sized for quick, stable runs.
 
 Also home to the machine-readable results writer: every executor-tier
-experiment (E34-E38) calls :func:`write_results` with its wall clocks and
+experiment (E34-E37, E39-E41) calls :func:`write_results` with its wall clocks and
 counters, producing ``BENCH_<EXP>.json`` next to the scripts (or under
 ``$BENCH_RESULTS_DIR``). Shrunken pytest-tier runs skip the write so test
 invocations never churn committed baselines; set ``BENCH_RESULTS_DIR`` to

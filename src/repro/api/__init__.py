@@ -29,7 +29,6 @@ serving anonymization as a multi-tenant service.
 
 from .config import AnonymizationConfig, build_hierarchies, build_schema
 from .executor import (
-    BACKENDS,
     ON_ERROR,
     PLANS,
     AnonymizationResult,
@@ -54,7 +53,6 @@ from .registry import (
 __all__ = [
     "AnonymizationConfig",
     "AnonymizationResult",
-    "BACKENDS",
     "BatchPlan",
     "BatchPlanner",
     "FailurePolicy",

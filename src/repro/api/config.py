@@ -96,11 +96,6 @@ class AnonymizationConfig:
     #: global ``run_batch(cache_bytes=...)`` budget further, but never
     #: above this cap.
     cache_bytes: int | None = None
-    #: Batch execution backend this job asks for: "thread" (shared-engine
-    #: thread pool), "process" (shared-memory worker processes), or None to
-    #: accept the batch default. A ``run_batch(backend=...)`` argument
-    #: overrides; jobs in one batch must agree.
-    backend: str | None = None
     #: Row-slice size for streaming node evaluation (and chunked packing);
     #: None evaluates in one shot. Bounds the engine's per-QI intermediate
     #: arrays to ``chunk_rows`` elements without changing any result.
@@ -200,22 +195,6 @@ class AnonymizationConfig:
                 # bound the algorithm can never consume must not validate.
                 raise ConfigError(
                     f"key 'cache_bytes' does not apply to algorithm "
-                    f"{algorithm_registry.name_of(algorithm)!r} (no lattice "
-                    "engine); remove the key or pick a full-domain algorithm"
-                )
-        if self.backend is not None:
-            if self.backend not in ("thread", "process"):
-                raise ConfigError(
-                    f"key 'backend' must be one of thread, process; "
-                    f"got {self.backend!r}"
-                )
-            if self.backend == "process" and not getattr(
-                type(algorithm), "uses_evaluator", False
-            ):
-                # The process tier exists to parallelize lattice-engine
-                # work; an engine-less job asking for it is a silent knob.
-                raise ConfigError(
-                    f"key 'backend' = 'process' does not apply to algorithm "
                     f"{algorithm_registry.name_of(algorithm)!r} (no lattice "
                     "engine); remove the key or pick a full-domain algorithm"
                 )

@@ -28,25 +28,21 @@ finished wave's caches are released before the next fills. That keeps an
 over-budget sweep byte-identical to sequential execution with zero
 ``recomputed_after_evict`` thrash, instead of silently re-computing evicted
 nodes mid-run. ``run_batch(plan="auto"|"waves"|"shared", cache_bytes=...)``
-are the knobs; the planner can also shard a wave into per-worker evaluator
-clones whose memos merge back between waves (``BatchPlanner(shard=True)``).
+are the knobs.
 """
 
 from __future__ import annotations
 
 import math
-import signal
-import threading
 import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .._version import __version__
-from ..core import faults
 from ..core.cache import (
     DEFAULT_CACHE_BYTES,
     EngineCacheStore,
@@ -75,7 +71,6 @@ from .registry import (
 
 __all__ = [
     "AnonymizationResult",
-    "BACKENDS",
     "BatchPlan",
     "BatchPlanner",
     "FailurePolicy",
@@ -90,9 +85,6 @@ __all__ = [
 
 #: Recognized ``plan=`` values for :func:`run_batch`.
 PLANS = ("auto", "waves", "shared")
-
-#: Recognized ``backend=`` values for :func:`run_batch`.
-BACKENDS = ("thread", "process")
 
 #: Recognized ``on_error=`` values for :func:`run_batch`.
 ON_ERROR = ("raise", "collect")
@@ -504,7 +496,7 @@ def _effective_deadline(
     """Tightest of the job's own timeout(s) and the batch deadline.
 
     Per-job timeouts restart on every attempt (a fresh :class:`Deadline`
-    each call); the batch deadline is one shared absolute instant.
+    each call); the batch deadline is one budget shared by every job.
     """
     job_seconds = [
         s for s in (config.job_timeout, policy.job_timeout) if s is not None
@@ -523,11 +515,11 @@ def _attempt_job(
 ) -> "AnonymizationResult | JobFailure":
     """Run one batch job under the failure policy: deadlines, retries, backoff.
 
-    The shared job runner of every execution tier — the in-parent
-    sequential loop, the thread pool, and the process-backend worker all
-    funnel through it, so retry/timeout semantics cannot drift between
-    backends. Under ``on_error="raise"`` the first failure propagates
-    unchanged (the historic contract); under ``"collect"`` the job's final
+    The shared job runner of both execution paths — the sequential loop
+    and the thread pool funnel through it, so retry/timeout semantics
+    cannot drift between them. Under ``on_error="raise"`` the first
+    failure propagates unchanged (the historic contract); under
+    ``"collect"`` the job's final
     failure comes back as a :class:`JobFailure` carrying every attempt's
     timing and error record.
     """
@@ -613,7 +605,6 @@ def run_batch(
     workers: int = 1,
     plan: str = "auto",
     cache_bytes: int | None = None,
-    backend: str | None = None,
     on_error: str = "raise",
     job_timeout: float | None = None,
     batch_deadline: float | None = None,
@@ -631,29 +622,15 @@ def run_batch(
     ``hierarchies`` overrides spec-built hierarchies with live objects for
     the whole batch, exactly as in :func:`run`.
 
-    ``workers > 1`` dispatches the jobs across a worker pool. With the
-    default ``backend="thread"`` jobs still share evaluators exactly as in
-    sequential mode — the engine's cache is thread-safe with single-flight
+    ``workers > 1`` dispatches the jobs across a thread pool. Jobs still
+    share evaluators exactly as in sequential mode — the engine's cache is
+    thread-safe with single-flight
     computation, so concurrent searches never evaluate one lattice node
     twice (the ``coalesced`` counter of
     :meth:`LatticeEvaluator.cache_info` shows how often a worker waited on
     another's in-flight node instead). Every job's computation is
     deterministic and isolated apart from that cache, so the returned
     releases are byte-identical to ``workers=1`` regardless of scheduling.
-
-    ``backend="process"`` sidesteps the GIL entirely: the table's code
-    columns and every environment's hierarchy LUTs are published once into
-    shared memory (:mod:`repro.core.shm`), each environment group's jobs
-    run sequentially inside one worker process against zero-copy views,
-    and the per-process memo stores merge back into the parent's canonical
-    evaluators between waves. Releases and per-environment ``cache_info``
-    profiles stay byte-identical to sequential at any worker count (only
-    ``merged`` — the adopted-entry tally — and the approximate ``bytes``
-    occupancy reflect the merge itself). Parallelism is across environment
-    groups, so the process backend pays off on multi-environment sweeps;
-    it requires every job's algorithm to use the lattice engine, and jobs
-    may also request it declaratively via ``AnonymizationConfig.backend``
-    (an explicit ``backend=`` argument overrides; jobs must agree).
 
     ``cache_bytes`` sets a *global* engine-cache budget for the whole
     batch, and ``plan`` chooses how the :class:`BatchPlanner` spends it:
@@ -668,19 +645,15 @@ def run_batch(
     pays (``cache_info()["recomputed_after_evict"]``).
 
     The failure-policy arguments make a batch survive bad jobs (see
-    :class:`FailurePolicy` and ``docs/architecture.md`` — *Fault tolerance
-    & the degradation ladder*). ``on_error="raise"`` (default) keeps the
+    :class:`FailurePolicy` and ``docs/architecture.md`` — *Fault
+    tolerance*). ``on_error="raise"`` (default) keeps the
     historic all-or-nothing contract; ``on_error="collect"`` returns a
     structured :class:`JobFailure` in the failed job's slot instead of
     aborting its siblings, optionally retrying each failed job
     ``retries`` times with exponential ``retry_backoff``. ``job_timeout``
     and ``batch_deadline`` are cooperative budgets (seconds) enforced
     between node evaluations; the tighter of ``job_timeout`` and a job's
-    own ``AnonymizationConfig.job_timeout`` wins. On the process backend a
-    crashed worker does not kill the batch either way: its group's
-    unfinished jobs are requeued down the degradation ladder (fresh
-    process pool → thread tier → in-parent sequential) and completed
-    releases stay byte-identical to sequential execution.
+    own ``AnonymizationConfig.job_timeout`` wins.
 
     Example (doctested)::
 
@@ -724,7 +697,6 @@ def run_batch(
         workers=workers,
         plan=plan,
         cache_bytes=cache_bytes,
-        backend=backend,
         on_error=on_error,
         job_timeout=job_timeout,
         batch_deadline=batch_deadline,
@@ -780,7 +752,7 @@ def _make_evaluator(
     )
 
 
-@dataclass(eq=False)  # identity semantics: groups key shard maps
+@dataclass
 class _EnvGroup:
     """One shared-evaluator environment inside a batch plan."""
 
@@ -858,19 +830,9 @@ class BatchPlanner:
     pressure the store sheds nodes reconstructible by O(n_groups) roll-up
     before the O(n_rows) roots.
 
-    ``shard=True`` additionally splits each wave's same-environment jobs
-    across per-worker evaluator clones (no cache-lock contention at all)
-    and merges the shard memos back into the environment's canonical store
-    between waves (:meth:`LatticeEvaluator.adopt`); results then report
-    the canonical engine. Every shard — the canonical store included, for
-    the wave's duration — gets an equal slice of the environment's budget,
-    so the mid-wave total stays inside the planned ceiling. Sharding
-    trades duplicate node evaluations across shards for zero contention,
-    so the single-flight accounting identity ``from_rows + rollups ==
-    entries`` does not hold for merged stores (``merged`` counts the
-    adopted entries).
-
-    Releases are byte-identical across every plan/shard/worker combination
+    Execution is sequential for ``workers=1`` and otherwise one thread pool
+    per wave, every job running on its environment's shared evaluator.
+    Releases are byte-identical across every plan/worker combination
     — job outputs are pure functions of (config, table, hierarchies); the
     planner only decides cache residency and scheduling.
     """
@@ -883,8 +845,6 @@ class BatchPlanner:
         workers: int = 1,
         plan: str = "auto",
         cache_bytes: int | None = None,
-        shard: bool = False,
-        backend: str | None = None,
         on_error: str = "raise",
         job_timeout: float | None = None,
         batch_deadline: float | None = None,
@@ -910,58 +870,18 @@ class BatchPlanner:
                 check_cache_bytes(cache_bytes)
             except ValueError as exc:
                 raise ConfigError(f"key 'cache_bytes' {exc}") from None
-        if backend is not None and backend not in BACKENDS:
-            raise ConfigError(
-                f"key 'backend' must be one of {', '.join(BACKENDS)}; got {backend!r}"
-            )
         self.configs = list(configs)
         self.table = table
         self.hierarchy_overrides = hierarchies
         self.workers = int(workers)
         self.requested_plan = plan
         self.cache_bytes = cache_bytes
-        self.shard = bool(shard)
         self.cache_stores = dict(cache_stores) if cache_stores else {}
-        self.backend = self._resolve_backend(backend)
         self._plan: BatchPlan | None = None
         self._groups: list[_EnvGroup] = []
         self._wave_groups: list[list[_EnvGroup]] = []
         self._jobs: list[tuple[AnonymizationConfig, tuple[Schema, dict], _EnvGroup]] = []
         self._batch_deadline: Deadline | None = None
-        #: Supervision audit trail of the last :meth:`execute` — one dict
-        #: per recovery action the process tier took (worker crash detected,
-        #: rung changes). Empty on a healthy run.
-        self.supervision_events: list[dict[str, Any]] = []
-
-    def _resolve_backend(self, backend: str | None) -> str:
-        """One backend for the whole batch, argument over declarations.
-
-        Jobs may each declare ``AnonymizationConfig.backend``; a batch runs
-        on exactly one, so conflicting declarations are an error unless the
-        ``run_batch(backend=...)`` argument settles it. The process backend
-        only parallelizes lattice-engine work — config validation already
-        rejects ``backend="process"`` on engine-less jobs, and the same
-        guard here catches the argument-level override.
-        """
-        declared = {c.backend for c in self.configs if c.backend is not None}
-        if backend is not None:
-            resolved = backend
-        elif len(declared) > 1:
-            raise ConfigError(
-                f"jobs disagree on key 'backend' ({', '.join(sorted(declared))}); "
-                "pass run_batch(backend=...) to settle it"
-            )
-        else:
-            resolved = next(iter(declared)) if declared else "thread"
-        if resolved == "process":
-            for config in self.configs:
-                if not _uses_evaluator(config):
-                    raise ConfigError(
-                        f"key 'backend' = 'process' does not apply to algorithm "
-                        f"{config.algorithm['algorithm']!r} (no lattice engine); "
-                        "remove the key or pick a full-domain algorithm"
-                    )
-        return resolved
 
     # -- planning --------------------------------------------------------------
 
@@ -1139,38 +1059,26 @@ class BatchPlanner:
                 chunk_rows=group.chunk_rows,
             )
 
-    def _run_job(
-        self, index: int, evaluator: LatticeEvaluator | None
-    ) -> "AnonymizationResult | JobFailure":
-        """One in-parent job under the batch's failure policy."""
-        config, environment, _ = self._jobs[index]
+    def _run_job(self, index: int) -> "AnonymizationResult | JobFailure":
+        """One job on its group's evaluator under the batch's failure policy."""
+        config, environment, group = self._jobs[index]
         return _attempt_job(
             config,
             self.table,
             self.policy,
             self._batch_deadline,
-            evaluator=evaluator,
+            evaluator=group.evaluator,
             environment=environment,
         )
 
     def execute(self) -> "list[AnonymizationResult | JobFailure]":
         """Run the batch per the plan; results come back in input order."""
         plan = self.plan()
-        self.supervision_events = []
         self._batch_deadline = (
-            Deadline(
-                walltime=time.time() + self.policy.batch_deadline,
-                kind="batch-deadline",
-            )
+            Deadline(self.policy.batch_deadline, kind="batch-deadline")
             if self.policy.batch_deadline is not None
             else None
         )
-        if self.backend == "process" and self.workers > 1 and len(self._groups) > 1:
-            return self._execute_process(plan)
-        # Process requests that cannot parallelize anything (one worker, or
-        # a single environment whose jobs must run in order anyway) take
-        # the in-parent path below — byte-identical by construction, minus
-        # a pool and a shared-memory block that would buy nothing.
         results: list[AnonymizationResult | JobFailure | None] = [None] * len(
             self.configs
         )
@@ -1181,37 +1089,18 @@ class BatchPlanner:
             jobs = sorted(
                 (index for g in wave for index in g.job_indices)
             )
-            assignments, shards = self._assign_evaluators(jobs, wave)
-            # A process request that fell back to in-parent execution runs
-            # sequentially: the process tier's contract includes sequential
-            # per-environment cache profiles, which thread scheduling of a
-            # shared store would scramble.
-            if self.workers <= 1 or len(jobs) <= 1 or self.backend == "process":
+            if self.workers <= 1 or len(jobs) <= 1:
                 for index in jobs:
-                    results[index] = self._run_job(index, assignments[index])
+                    results[index] = self._run_job(index)
             else:
                 with ThreadPoolExecutor(
                     max_workers=min(self.workers, len(jobs))
                 ) as pool:
                     futures = {
-                        index: pool.submit(self._run_job, index, assignments[index])
-                        for index in jobs
+                        index: pool.submit(self._run_job, index) for index in jobs
                     }
                     for index, future in futures.items():
                         results[index] = future.result()
-            # Memo merge step: shard caches empty into the canonical store,
-            # and sharded results report the canonical engine.
-            for group, clones in shards.items():
-                assert group.evaluator is not None
-                # The wave is over: the merged union may occupy the full
-                # slice again.
-                group.evaluator.cache.cache_bytes = max(group.budget, 1)
-                for clone in clones:
-                    group.evaluator.adopt(clone)
-                for index in group.job_indices:
-                    result = results[index]
-                    if result is not None and result.engine is not None:
-                        result.engine = group.evaluator
             if plan.mode == "waves" and wave_index != last_wave:
                 # Release the finished wave's working sets so the next
                 # wave's evaluators fill into a freed budget (counters and
@@ -1222,484 +1111,3 @@ class BatchPlanner:
                     if group.evaluator is not None and not group.external_store:
                         group.evaluator.cache.clear()
         return results  # type: ignore[return-value]
-
-    def _assign_evaluators(
-        self, jobs: list[int], wave: list[_EnvGroup]
-    ) -> tuple[dict[int, LatticeEvaluator | None], dict[_EnvGroup, list[LatticeEvaluator]]]:
-        """Per-job evaluator map, with optional per-worker shard clones."""
-        assignments: dict[int, LatticeEvaluator | None] = {
-            index: self._jobs[index][2].evaluator for index in jobs
-        }
-        shards: dict[_EnvGroup, list[LatticeEvaluator]] = {}
-        if not self.shard or self.workers <= 1:
-            return assignments, shards
-        for group in wave:
-            if group.evaluator is None or len(group.job_indices) <= 1:
-                continue
-            n_shards = min(self.workers, len(group.job_indices))
-            # The group's budget covers the whole environment, shards
-            # included: each shard (the canonical store too, for the wave's
-            # duration) gets an equal slice so the mid-wave total never
-            # exceeds the ceiling the planner promised. The canonical
-            # budget is restored before the merge step.
-            slice_budget = max(1, group.evaluator.cache.cache_bytes // n_shards)
-            clones = [
-                group.evaluator.clone(
-                    cache=EngineCacheStore(
-                        cache_limit=group.evaluator.cache.cache_limit,
-                        cache_bytes=slice_budget,
-                        policy=group.evaluator.cache.policy,
-                    )
-                )
-                for _ in range(n_shards - 1)
-            ]
-            group.evaluator.cache.cache_bytes = slice_budget
-            shards[group] = clones
-            pool = [group.evaluator, *clones]
-            for slot, index in enumerate(sorted(group.job_indices)):
-                assignments[index] = pool[slot % n_shards]
-        return assignments, shards
-
-    # -- the process tier ------------------------------------------------------
-
-    def _note_supervision(self, event: str, **details: Any) -> None:
-        self.supervision_events.append({"event": event, **jsonable(details)})
-
-    def _deliver_group_payload(
-        self,
-        group: _EnvGroup,
-        payload: Mapping[str, Any],
-        results: "list[AnonymizationResult | JobFailure | None]",
-    ) -> None:
-        """Fold one worker's payload into the batch: merge memos, re-point
-        engines, and reassemble releases around this process's arrays."""
-        self._ensure_evaluator(group)
-        if payload["snapshot"] is not None:
-            assert group.evaluator is not None
-            group.evaluator.import_cache(payload["snapshot"])
-        for index, result, used_engine, order, shipped in payload["results"]:
-            if isinstance(result, JobFailure):
-                results[index] = result
-                continue
-            if used_engine:
-                result.engine = group.evaluator
-            # Reassemble the release around this process's own arrays for
-            # passthrough columns (the worker shipped only rewritten ones).
-            have = {col.name: col for col in shipped}
-            result.release.table = Table(
-                [
-                    self.table.column(name) if passthrough else have[name]
-                    for name, passthrough in order
-                ]
-            )
-            results[index] = result
-
-    def _run_group_in_parent(
-        self,
-        group: _EnvGroup,
-        results: "list[AnonymizationResult | JobFailure | None]",
-    ) -> None:
-        """Run one environment group in this process, jobs in ascending order.
-
-        The bottom rungs of the degradation ladder. Idempotent per job —
-        each result slot is simply rewritten — so a group interrupted
-        halfway down one rung can be re-run whole on the next.
-        """
-        self._ensure_evaluator(group)
-        for index in sorted(group.job_indices):
-            results[index] = self._run_job(index, group.evaluator)
-
-    def _run_groups_degraded(
-        self,
-        groups: "list[_EnvGroup]",
-        results: "list[AnonymizationResult | JobFailure | None]",
-    ) -> str:
-        """Thread rung of the ladder, in-parent sequential as the last rung.
-
-        Returns the rung that completed the groups (``"thread"`` or
-        ``"sequential"``). Job-level errors are the failure policy's domain
-        and propagate (under ``on_error="raise"``) — only infrastructure
-        trouble inside the thread tier drops to the sequential rung.
-        """
-        from ..errors import ReproError
-
-        if self.workers > 1 and len(groups) > 1:
-            try:
-                with ThreadPoolExecutor(
-                    max_workers=min(self.workers, len(groups))
-                ) as pool:
-                    futures = [
-                        pool.submit(self._run_group_in_parent, group, results)
-                        for group in groups
-                    ]
-                    for future in futures:
-                        future.result()
-                return "thread"
-            except ReproError:
-                raise  # a job's own verdict, not a crash — don't degrade
-            except Exception as exc:  # pragma: no cover - thread-tier failure
-                self._note_supervision(
-                    "thread-rung-failed", error=_failure_record(exc)["message"]
-                )
-        for group in groups:
-            self._run_group_in_parent(group, results)
-        return "sequential"
-
-    def _execute_process(
-        self, plan: BatchPlan
-    ) -> "list[AnonymizationResult | JobFailure]":
-        """Dispatch environment groups across supervised worker processes.
-
-        Determinism comes from the dispatch granularity: one worker runs a
-        whole environment group's jobs **sequentially in ascending job
-        order** — exactly the per-environment subsequence the in-parent
-        path executes — so each group's store sees the identical request
-        stream and its ``cache_info()`` profile (hits, misses, from_rows,
-        rollups, evictions, entries) matches sequential execution
-        byte-for-byte. Parallelism is across groups within a wave.
-
-        Data travels once: the table's code columns and every group's
-        hierarchy LUTs are published to shared memory before any pool
-        starts, and the ``try``/``finally`` guarantees the block is
-        unlinked on every exit — worker crashes included. Workers ship
-        back pickled results plus an :meth:`LatticeEvaluator.export_cache`
-        snapshot; the parent rebuilds each group's canonical evaluator,
-        adopts the snapshot (``merge_from`` semantics, counters folded),
-        and re-points ``result.engine`` so batch callers see the same
-        object graph as every other execution mode.
-
-        **Supervision.** A crashed worker (``BrokenProcessPool`` / dead
-        pipe) cannot be told apart from its pool-mates' fates, so the
-        whole broken pool is retired and every group whose payload had not
-        yet arrived is requeued down the degradation ladder: once more on
-        a **fresh process pool**, then the **thread tier**, then
-        **in-parent sequential**. Completed groups keep their delivered
-        results; requeued groups re-run whole (their jobs are pure
-        functions of config + table, so re-execution is byte-identical —
-        only cache *counters* can differ after recovery, since the dead
-        worker's memo snapshot died with it). Each recovery action is
-        recorded in :attr:`supervision_events`.
-        """
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        from ..core.shm import SharedDataset
-
-        crash_types = (BrokenProcessPool, BrokenPipeError, EOFError, OSError)
-        results: list[AnonymizationResult | JobFailure | None] = [None] * len(
-            self.configs
-        )
-        group_ids = {id(group): i for i, group in enumerate(self._groups)}
-        dataset: SharedDataset | None = None
-        last_wave = len(self._wave_groups) - 1
-        max_workers = min(self.workers, max(len(wave) for wave in self._wave_groups))
-        pool: ProcessPoolExecutor | None = None
-        deadline_walltime = (
-            self._batch_deadline.walltime if self._batch_deadline is not None else None
-        )
-
-        def ensure_pool() -> ProcessPoolExecutor:
-            nonlocal pool
-            if pool is None:
-                pool = ProcessPoolExecutor(
-                    max_workers=max_workers,
-                    initializer=_process_worker_init,
-                    # Forward the armed fault plan so chaos drills reach
-                    # workers under any start method, not just fork.
-                    initargs=(dataset.descriptor(), faults.export_plan()),
-                )
-            return pool
-
-        def retire_pool(kill: bool = False) -> None:
-            nonlocal pool
-            if pool is not None:
-                if kill:
-                    # Abnormal exit: live workers may be mid-job with no
-                    # one left to collect their results. shutdown(wait=
-                    # False) alone would leave them running (and holding
-                    # shm mappings) after the parent returns — terminate
-                    # them so a SIGTERM'd batch leaves no orphans behind.
-                    for proc in list(getattr(pool, "_processes", {}).values()):
-                        try:
-                            proc.terminate()
-                        except Exception:  # pragma: no cover - already dead
-                            pass
-                # The pool may be broken: don't wait on dead workers, and
-                # drop anything still queued — requeued groups re-run on a
-                # lower rung instead.
-                pool.shutdown(wait=False, cancel_futures=True)
-                pool = None
-
-        def submit_group(group: _EnvGroup):
-            jobs = [
-                (index, self.configs[index]) for index in sorted(group.job_indices)
-            ]
-            return ensure_pool().submit(
-                _process_worker_run,
-                group_ids[id(group)],
-                jobs,
-                max(group.budget, 1),
-                group.chunk_rows,
-                self.policy,
-                deadline_walltime,
-            )
-
-        interrupted = False
-        # Arm before publishing: a SIGTERM landing between the arena
-        # publish and the arming would take the default disposition, skip
-        # the ``finally`` below, and leak the segment in /dev/shm.
-        restore_signals = _arm_signal_conversion()
-        try:
-            dataset = SharedDataset(
-                self.table,
-                {i: group.hierarchies for i, group in enumerate(self._groups)},
-            )
-            for wave_index, wave in enumerate(self._wave_groups):
-                pending = list(wave)
-                # Process rungs: the planned pool, then one fresh pool for
-                # groups orphaned by a crash.
-                for rung in ("process", "process-retry"):
-                    if not pending:
-                        break
-                    survivors: list[_EnvGroup] = []
-                    try:
-                        futures = [(group, submit_group(group)) for group in pending]
-                    except crash_types as exc:
-                        # The pool broke before/while submitting (e.g. an
-                        # initializer crash): every pending group survives
-                        # to the next rung.
-                        self._note_supervision(
-                            "worker-pool-broken",
-                            rung=rung,
-                            wave=wave_index,
-                            phase="submit",
-                            error=str(exc) or type(exc).__name__,
-                        )
-                        retire_pool()
-                        continue
-                    # Submitting may have forked pool workers; a signal
-                    # converted inside an at-fork callback is latched, not
-                    # raised — re-check before blocking on results.
-                    _raise_if_signalled()
-                    for group, future in futures:
-                        try:
-                            payload = future.result()
-                        except crash_types as exc:
-                            survivors.append(group)
-                            self._note_supervision(
-                                "worker-crashed",
-                                rung=rung,
-                                wave=wave_index,
-                                group=group_ids[id(group)],
-                                jobs=sorted(group.job_indices),
-                                error=str(exc) or type(exc).__name__,
-                            )
-                            continue
-                        # Any other exception is a job's own error escaping
-                        # under on_error="raise" (workers collect failures
-                        # otherwise) — the historic abort contract; the
-                        # finally below still unlinks the arena.
-                        self._deliver_group_payload(group, payload, results)
-                        _raise_if_signalled()
-                    pending = survivors
-                    if pending:
-                        retire_pool()
-                if pending:
-                    _raise_if_signalled()
-                    rung = self._run_groups_degraded(pending, results)
-                    self._note_supervision(
-                        "groups-recovered",
-                        rung=rung,
-                        wave=wave_index,
-                        groups=[group_ids[id(g)] for g in pending],
-                    )
-                if plan.mode == "waves" and wave_index != last_wave:
-                    for group in wave:
-                        if group.evaluator is not None and not group.external_store:
-                            group.evaluator.cache.clear()
-        except BaseException:
-            # Abnormal exit (a job error escaping under on_error="raise",
-            # KeyboardInterrupt, or SIGTERM converted by the armed handler):
-            # the batch is aborted, so don't leave orphaned workers running
-            # jobs nobody will collect — terminate them before unlinking.
-            interrupted = True
-            raise
-        finally:
-            restore_signals()
-            retire_pool(kill=interrupted)
-            if dataset is not None:
-                dataset.unlink()
-        return results  # type: ignore[return-value]
-
-
-def _arm_signal_conversion() -> "Callable[[], None]":
-    """Convert SIGTERM/SIGINT into exceptions for the process tier's scope.
-
-    ``_execute_process`` guarantees cleanup (pool retirement, shm unlink)
-    through a ``finally`` — which only runs if termination arrives as an
-    exception. SIGINT already does (``KeyboardInterrupt``); SIGTERM's
-    default disposition kills the interpreter outright, skipping every
-    ``finally`` and leaking the arena in ``/dev/shm``. While a process
-    batch is running, both signals raise ``KeyboardInterrupt`` in the main
-    thread instead, so a terminated batch walks the same abort path as ^C:
-    workers killed, arena unlinked, exception propagated.
-
-    Raising from the handler alone is not enough: Python may invoke it
-    inside a context that cannot propagate exceptions — most notably
-    ``os.register_at_fork`` callbacks while the pool is forking workers
-    (logging's after-fork hook, for instance), where CPython prints
-    "Exception ignored in" and drops the ``KeyboardInterrupt`` on the
-    floor. The handler therefore *also* latches the signal number in
-    ``_SIGNAL_TRIPPED``; :func:`_raise_if_signalled` re-checks the latch
-    at safe points in the dispatch loop so a swallowed conversion still
-    aborts the batch.
-
-    Returns a restore callable (idempotent) that reinstates the previous
-    handlers. Off the main thread — where Python forbids ``signal.signal``
-    — this is a no-op and the embedding application (e.g. the service,
-    which runs batches on queue worker threads) owns signal handling.
-    """
-    if threading.current_thread() is not threading.main_thread():
-        return lambda: None
-    _SIGNAL_TRIPPED.clear()
-
-    def _raise(signum: int, frame: Any) -> None:
-        _SIGNAL_TRIPPED.append(signum)
-        raise KeyboardInterrupt(f"terminated by signal {signum}")
-
-    previous: dict[int, Any] = {}
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        try:
-            previous[sig] = signal.signal(sig, _raise)
-        except (ValueError, OSError):  # pragma: no cover - exotic embeddings
-            pass
-
-    def restore() -> None:
-        while previous:
-            sig, handler = previous.popitem()
-            try:
-                signal.signal(sig, handler)
-            except (ValueError, OSError):  # pragma: no cover
-                pass
-
-    return restore
-
-
-#: Signal numbers latched by the armed conversion handler (main thread
-#: only; cleared on each arming).
-_SIGNAL_TRIPPED: "list[int]" = []
-
-
-def _raise_if_signalled() -> None:
-    """Re-raise a converted signal whose ``KeyboardInterrupt`` was lost.
-
-    See :func:`_arm_signal_conversion`: when the armed handler fires in an
-    unraisable context (an at-fork callback during worker spawn), the
-    exception is discarded but the latch survives. The process-tier
-    dispatch loop calls this between blocking stretches so the batch still
-    walks the abort path.
-    """
-    if _SIGNAL_TRIPPED:
-        raise KeyboardInterrupt(f"terminated by signal {_SIGNAL_TRIPPED[-1]}")
-
-
-# -- process-tier worker half (module level: importable under any start method)
-
-_WORKER_DATASET = None
-
-
-def _process_worker_init(
-    descriptor: Mapping[str, Any], fault_plan: Mapping[str, Any] | None = None
-) -> None:
-    """Pool initializer: arm any forwarded fault plan, then attach the
-    shared dataset once. Arming comes first so ``shm-attach`` drills hit
-    the attach below; an initializer crash surfaces in the parent as a
-    broken pool and rides the degradation ladder like any worker crash."""
-    global _WORKER_DATASET
-    from ..core.shm import attach_dataset
-
-    if fault_plan is not None:
-        faults.arm(fault_plan)  # fresh per-process counters, by design
-    _WORKER_DATASET = attach_dataset(descriptor)
-
-
-def _process_worker_run(
-    env_id: int,
-    jobs: Sequence[tuple[int, AnonymizationConfig]],
-    cache_budget: int,
-    chunk_rows: int | None,
-    policy: FailurePolicy | None = None,
-    deadline_walltime: float | None = None,
-) -> dict[str, Any]:
-    """Run one environment group's jobs sequentially against shared arrays.
-
-    Builds the group's evaluator over zero-copy views (same store shape as
-    the parent's canonical one: byte-bounded, stratum policy), executes the
-    jobs in ascending index order, and returns a picklable payload: the
-    results (engines stripped — the parent re-points them at the canonical
-    evaluator) plus the memo-store snapshot for the parent-side merge.
-
-    The failure policy runs *inside* the worker through the same
-    :func:`_attempt_job` path as every other tier: under ``"collect"`` a
-    bad job becomes a :class:`JobFailure` entry in the payload and its
-    siblings keep running, so only genuine crashes break the future.
-    ``deadline_walltime`` is the batch deadline as an absolute
-    ``time.time()`` instant — the one clock both sides of the process
-    boundary agree on.
-    """
-    dataset = _WORKER_DATASET
-    assert dataset is not None, "worker pool initializer must run first"
-    if policy is None:
-        policy = FailurePolicy()
-    batch_deadline = (
-        Deadline(walltime=deadline_walltime, kind="batch-deadline")
-        if deadline_walltime is not None
-        else None
-    )
-    table = dataset.table
-    hierarchies = dataset.hierarchies(env_id)
-    evaluator: LatticeEvaluator | None = None
-    out = []
-    for ordinal, (index, config) in enumerate(jobs, start=1):
-        # Chaos drills kill workers here — "at the Nth job", per process.
-        if faults.any_armed():
-            faults.fire("worker-kill", env=env_id, job=index, ordinal=ordinal)
-        schema = build_schema(config, table)
-        if evaluator is None and _uses_evaluator(config):
-            store = EngineCacheStore(
-                cache_limit=None, cache_bytes=cache_budget, policy="stratum"
-            )
-            evaluator = _make_evaluator(
-                table, schema, hierarchies, cache=store, chunk_rows=chunk_rows
-            )
-        result = _attempt_job(
-            config,
-            table,
-            policy,
-            batch_deadline,
-            evaluator=evaluator,
-            environment=(schema, hierarchies),
-        )
-        if isinstance(result, JobFailure):
-            out.append((index, result, False, None, None))
-            continue
-        used_engine = result.engine is not None
-        result.engine = None  # engines don't pickle; the parent re-points
-        # Ship only the columns this job actually rewrote. Columns that
-        # pass through an algorithm untouched are the *same objects* as the
-        # shared table's (generalization replaces columns, suppression
-        # masks into fresh ones), so pickling them would push the arena's
-        # arrays back through the result pipe — per job. The parent holds
-        # identical arrays and splices them back in by name.
-        order = []
-        shipped = []
-        for col in result.release.table:
-            passthrough = col.name in table and col is table.column(col.name)
-            order.append((col.name, passthrough))
-            if not passthrough:
-                shipped.append(col)
-        result.release.table = None  # type: ignore[assignment] # rebuilt by parent
-        result.release._partition = None  # lazily recomputable; don't pickle
-        out.append((index, result, used_engine, order, shipped))
-    snapshot = evaluator.export_cache() if evaluator is not None else None
-    return {"results": out, "snapshot": snapshot}

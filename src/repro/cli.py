@@ -21,11 +21,10 @@ output path (``output.1.csv``, ``output.2.csv``, ... in job order), shares
 lattice evaluation across jobs exactly like the library API, and with
 ``--report`` prints a JSON array of per-job reports to stderr.
 ``--cache-bytes`` budgets the engine cache (per-job for a single job,
-globally via the batch planner in batch mode), ``--plan
-auto|waves|shared`` picks the batch cache plan, and ``--backend
-thread|process`` picks the batch execution tier — outputs are identical at
-any budget, plan, backend, or worker count. ``--chunk-rows`` streams
-lattice group packing through fixed-size row chunks in either mode.
+globally via the batch planner in batch mode) and ``--plan
+auto|waves|shared`` picks the batch cache plan — outputs are identical at
+any budget, plan, or worker count. ``--chunk-rows`` streams lattice group
+packing through fixed-size row chunks in either mode.
 
 Batch failure handling mirrors :func:`repro.api.run_batch`: with
 ``--on-error collect`` a failing job is recorded instead of aborting its
@@ -39,6 +38,8 @@ A third form runs the long-lived anonymization service (HTTP job API with
 per-tenant warm caches — see :mod:`repro.service`)::
 
     python -m repro serve --port 8035 --queue-workers 2
+
+It serves until SIGINT or SIGTERM, then shuts down cleanly and exits 0.
 
 Flags are parsed into the same :class:`repro.api.AnonymizationConfig` a
 ``--config`` file deserializes to, and both run through
@@ -56,11 +57,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 from pathlib import Path
+from typing import Any, Callable
 
 from .api import (
-    BACKENDS,
     ON_ERROR,
     PLANS,
     AnonymizationConfig,
@@ -116,12 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "keeps every engine alive at once, 'auto' picks "
                              "waves when the estimated footprint overflows "
                              "--cache-bytes (batch mode only)")
-    parser.add_argument("--backend", choices=list(BACKENDS), default=None,
-                        help="batch execution tier: 'thread' (default) runs "
-                             "workers in-process, 'process' runs each "
-                             "environment group in a worker process against "
-                             "shared-memory column arrays; outputs are "
-                             "identical either way (batch mode only)")
     parser.add_argument("--on-error", choices=list(ON_ERROR), default=None,
                         help="batch failure policy: 'raise' (default) aborts "
                              "the whole batch on the first failing job, "
@@ -302,7 +298,7 @@ def _reject_job_flags_with_config(parser: argparse.ArgumentParser,
         parser.error(
             f"{', '.join(conflicting)} cannot be combined with --config "
             "(the job file describes the whole job; only --max-suppression, "
-            "--cache-bytes, --chunk-rows, --plan, --backend, --workers, "
+            "--cache-bytes, --chunk-rows, --plan, --workers, "
             "--on-error, --job-timeout, --retries and --report apply on top)"
         )
 
@@ -358,8 +354,27 @@ def build_serve_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _arm_signal_conversion() -> Callable[[], None]:
+    """Make SIGINT and SIGTERM raise ``KeyboardInterrupt`` until restored.
+
+    Returns a callable that reinstates the previous handlers.
+    """
+
+    def _raise(signum: int, frame: Any) -> None:
+        raise KeyboardInterrupt(f"terminated by signal {signum}")
+
+    previous = {
+        sig: signal.signal(sig, _raise) for sig in (signal.SIGINT, signal.SIGTERM)
+    }
+
+    def restore() -> None:
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
+
+    return restore
+
+
 def _serve(argv: list[str]) -> int:
-    from .api.executor import _arm_signal_conversion
     from .service import AnonymizationService, create_server
 
     parser = build_serve_parser()
@@ -424,8 +439,6 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--workers requires --config with a JSON list of jobs")
         if args.plan != parser.get_default("plan"):
             parser.error("--plan requires --config with a JSON list of jobs")
-        if args.backend is not None:
-            parser.error("--backend requires --config with a JSON list of jobs")
         if args.on_error is not None:
             parser.error("--on-error requires --config with a JSON list of jobs")
         if args.retries:
@@ -452,11 +465,6 @@ def main(argv: list[str] | None = None) -> int:
                     "--plan applies to batch mode: --config must hold a "
                     "JSON list of jobs, got a single job object"
                 )
-            if not is_batch and args.backend is not None:
-                raise ConfigError(
-                    "--backend applies to batch mode: --config must hold a "
-                    "JSON list of jobs, got a single job object"
-                )
             if not is_batch and args.on_error is not None:
                 raise ConfigError(
                     "--on-error applies to batch mode: --config must hold a "
@@ -479,7 +487,6 @@ def main(argv: list[str] | None = None) -> int:
                 workers=args.workers,
                 plan=args.plan,
                 cache_bytes=args.cache_bytes,
-                backend=args.backend,
                 on_error=args.on_error or "raise",
                 job_timeout=args.job_timeout,
                 retries=args.retries,

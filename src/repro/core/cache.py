@@ -45,8 +45,6 @@ Cumulative (never reset by eviction, and surviving :meth:`clear`):
 ``recomputed_after_evict`` computations of a key that had been cached before
                           and was evicted — the budget-thrash signal the
                           batch planner's wave scheduling drives to zero
-``merged``                entries adopted from another store
-                          (:meth:`merge_from`, the shard merge step)
 ========================  ====================================================
 
 :func:`estimate_cache_footprint` is the planner's sizing oracle: an upper
@@ -160,7 +158,6 @@ class EngineCacheStore:
             "evictions": 0,
             "coalesced": 0,
             "recomputed_after_evict": 0,
-            "merged": 0,
         }
         # One mutex guards every structure above plus the in-flight table;
         # stats computation itself runs outside it (single-flight).
@@ -483,49 +480,6 @@ class EngineCacheStore:
             self._accounted.clear()
             self._stratum_index.clear()
             self._cached_bytes = 0
-
-    def merge_from(
-        self, source: "EngineCacheStore | None", engine: Any = None
-    ) -> int:
-        """Destructively adopt ``source``'s entries; returns the count adopted.
-
-        The memo merge step of sharded batch execution: a per-worker shard
-        store empties into the environment's canonical store between waves.
-        Entries the target already holds are dropped (that duplication is
-        exactly the sharing a shard gave up); adopted stats are re-homed to
-        ``engine`` (the canonical evaluator) when one is given, so their
-        lazy growth is accounted against *this* store from now on.
-        ``source`` is emptied and its counters are folded into this store's
-        — it must be discarded afterwards.
-
-        ``source=None`` merges nothing and returns 0: a worker that died
-        before shipping its snapshot simply contributes no memo entries,
-        and the supervised merge-back loop need not special-case it.
-        """
-        if source is None:
-            return 0
-        with source._mutex:
-            items = list(source._entries.items())
-            footprints = dict(source._accounted)
-            source_counters = dict(source.counters)
-            source._entries.clear()
-            source._accounted.clear()
-            source._stratum_index.clear()
-            source._cached_bytes = 0
-        adopted = 0
-        for key, stats in items:
-            with self._mutex:
-                if key in self._entries:
-                    continue
-                if engine is not None:
-                    stats._engine = engine
-                self._insert(key, stats, footprints[key])
-                adopted += 1
-        with self._mutex:
-            for name, value in source_counters.items():
-                self.counters[name] += value
-            self.counters["merged"] += adopted
-        return adopted
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -9,15 +9,10 @@ interrupted at the next checkpoint with :class:`~repro.errors.JobTimeoutError`
 or :class:`~repro.errors.BatchDeadlineError` depending on which budget
 expired.
 
-Two clocks are used deliberately:
-
-- per-job timeouts run on ``time.monotonic()`` (immune to wall-clock steps,
-  never crosses a process boundary — each attempt re-arms it locally);
-- batch deadlines are an absolute ``time.time()`` timestamp so the same
-  instant can be shipped to process-backend workers and enforced there.
-
-The scope is a :class:`contextvars.ContextVar`, so concurrent jobs on the
-thread backend each see only their own deadline.
+Every deadline runs on ``time.monotonic()``, so wall-clock steps never
+shorten or stretch a budget. The scope is a
+:class:`contextvars.ContextVar`, so concurrent jobs on a batch's thread
+pool each see only their own deadline.
 """
 
 from __future__ import annotations
@@ -45,49 +40,26 @@ _KIND_ERRORS: dict[str, type[ExecutionError]] = {
 
 
 class Deadline:
-    """One cooperative time budget: a relative monotonic one or an absolute
-    wall-clock one.
+    """One cooperative time budget of ``seconds`` from construction.
 
-    Exactly one of ``seconds`` (relative, monotonic clock) or ``walltime``
-    (absolute ``time.time()`` timestamp) must be given. ``kind`` selects the
-    exception raised on expiry and is part of the failure taxonomy.
+    ``kind`` selects the exception raised on expiry and is part of the
+    failure taxonomy.
     """
 
-    __slots__ = ("kind", "budget", "_monotonic_expiry", "_wall_expiry")
+    __slots__ = ("kind", "budget", "_expiry")
 
-    def __init__(
-        self,
-        seconds: Optional[float] = None,
-        *,
-        walltime: Optional[float] = None,
-        kind: str = "job-timeout",
-    ) -> None:
+    def __init__(self, seconds: float, *, kind: str = "job-timeout") -> None:
         if kind not in _KIND_ERRORS:
             raise ValueError(
                 f"deadline kind must be one of {sorted(_KIND_ERRORS)}; got {kind!r}"
             )
-        if (seconds is None) == (walltime is None):
-            raise ValueError("exactly one of 'seconds' or 'walltime' is required")
         self.kind = kind
-        if seconds is not None:
-            self.budget = float(seconds)
-            self._monotonic_expiry: Optional[float] = time.monotonic() + self.budget
-            self._wall_expiry: Optional[float] = None
-        else:
-            self.budget = max(0.0, float(walltime) - time.time())
-            self._monotonic_expiry = None
-            self._wall_expiry = float(walltime)
-
-    @property
-    def walltime(self) -> Optional[float]:
-        """The absolute expiry timestamp, or ``None`` for monotonic deadlines."""
-        return self._wall_expiry
+        self.budget = float(seconds)
+        self._expiry = time.monotonic() + self.budget
 
     def remaining(self) -> float:
         """Seconds left before expiry (negative once expired)."""
-        if self._monotonic_expiry is not None:
-            return self._monotonic_expiry - time.monotonic()
-        return self._wall_expiry - time.time()
+        return self._expiry - time.monotonic()
 
     def expired(self) -> bool:
         return self.remaining() <= 0.0

@@ -48,7 +48,7 @@ packed signature, rows within a group ascend by index.
 eviction policy ("lru" default, or the stratum-aware policy that prefers
 evicting nodes reconstructible by roll-up), the single-flight in-flight
 table, and the counter set — hits, misses, from_rows, rollups, evictions,
-coalesced, recomputed_after_evict, merged. The evaluator owns one store but
+coalesced, recomputed_after_evict. The evaluator owns one store but
 accepts a pre-built one (``cache=``), which is how
 :class:`repro.api.BatchPlanner` sizes budgets across a sweep.
 
@@ -452,136 +452,11 @@ class LatticeEvaluator:
         rollups == entries`` proves no node was ever evaluated twice,
         sequentially or under parallel workers. ``recomputed_after_evict``
         counts computations of keys that had been cached and were evicted —
-        the budget-thrash signal wave planning drives to zero — and
-        ``merged`` entries adopted from shard evaluators.
+        the budget-thrash signal wave planning drives to zero.
         """
         info = self.cache.info()
         del info["policy"]  # keep the historic cache_info shape numeric-only
         return info
-
-    def clone(self, cache: EngineCacheStore | None = None) -> "LatticeEvaluator":
-        """A shard evaluator over the same table/hierarchies.
-
-        Read-only precomputation — QI encodings, composed level maps,
-        column codes, external grounds — is shared by reference (their
-        memo writes are idempotent, see :meth:`_level_map_between`), so a
-        clone costs O(1) instead of re-encoding the table. The clone gets
-        its own (empty) cache store unless one is handed in; merge it back
-        with :meth:`adopt` when the shard is done.
-        """
-        shard = object.__new__(LatticeEvaluator)
-        shard.table = self.table
-        shard.qi_names = self.qi_names
-        shard.hierarchies = self.hierarchies
-        shard.cache = cache if cache is not None else EngineCacheStore(
-            cache_limit=self.cache.cache_limit,
-            cache_bytes=self.cache.cache_bytes,
-            policy=self.cache.policy,
-        )
-        shard.chunk_rows = self.chunk_rows
-        shard._encodings = self._encodings
-        shard._level_maps = self._level_maps
-        shard._columns = self._columns
-        shard._external_grounds = self._external_grounds
-        shard._last_materialized = None
-        return shard
-
-    def adopt(self, shard: "LatticeEvaluator") -> int:
-        """Merge a shard's memo cache into this evaluator's store.
-
-        The memo merge step between batch waves: entries this store lacks
-        are re-homed here (their lazy growth is accounted against this
-        store from now on), duplicates are dropped, and the shard's
-        counters fold into this store's. The shard must be discarded
-        afterwards. Returns the number of entries adopted.
-        """
-        return self.cache.merge_from(shard.cache, engine=self)
-
-    def export_cache(self) -> dict:
-        """Picklable snapshot of the memo store — the process tier's merge seam.
-
-        Each cached :class:`GroupStats` becomes a flat record of its arrays
-        plus, when the roll-up parent is itself still cached, a parent link
-        by cache key (the group map rides along, the per-row labels do
-        not). Entries whose parent was evicted have their row labels
-        materialized first, so no record ever references stats outside the
-        snapshot. Locks, engine references, partitions and external-table
-        memos are dropped: partitions rebuild on demand from row labels and
-        the rest re-derives. Entries keep store (recency) order; the
-        store's counters come along so :meth:`import_cache` can fold them
-        exactly like a live :meth:`adopt`.
-        """
-        with self.cache._mutex:
-            items = list(self.cache._entries.items())
-            counters = dict(self.cache.counters)
-        live = dict(items)
-        records = []
-        for key, stats in items:
-            parent_key = None
-            group_map = None
-            if stats._parent is not None:
-                parent, candidate_map = stats._parent
-                if live.get(parent._cache_key) is parent:
-                    parent_key, group_map = parent._cache_key, candidate_map
-                else:
-                    stats.row_labels  # resolve through the chain before the link drops
-            records.append(
-                {
-                    "key": key,
-                    "sizes": stats.sizes,
-                    "group_codes": stats.group_codes,
-                    "n_rows": stats.n_rows,
-                    "row_labels": stats._row_labels,
-                    "hists": dict(stats._hists),
-                    "parent_key": parent_key,
-                    "group_map": group_map,
-                }
-            )
-        return {"entries": records, "counters": counters}
-
-    def import_cache(self, snapshot: dict | None) -> int:
-        """Adopt an :meth:`export_cache` snapshot into this evaluator's store.
-
-        Rebuilds the records into :class:`GroupStats` homed on this
-        evaluator (parent links rewired by key), stages them in a shard
-        store preserving the source's insertion order and counters, and
-        merges via :meth:`EngineCacheStore.merge_from` — so budgets,
-        counter folding, and the ``merged`` tally behave exactly like a
-        live thread-shard :meth:`adopt`. Returns the entries adopted.
-
-        ``None`` (a crashed worker shipped no snapshot) merges nothing and
-        returns 0, mirroring :meth:`EngineCacheStore.merge_from`.
-        """
-        if snapshot is None:
-            return 0
-        shard_store = EngineCacheStore(
-            cache_limit=None, cache_bytes=2**62, policy=self.cache.policy
-        )
-        rebuilt: dict[tuple, tuple[GroupStats, dict]] = {}
-        for record in snapshot["entries"]:
-            key = record["key"]
-            rebuilt[key] = (
-                GroupStats(
-                    names=key[0],
-                    node=key[1],
-                    sizes=record["sizes"],
-                    group_codes=record["group_codes"],
-                    n_rows=int(record["n_rows"]),
-                    _engine=self,
-                    _row_labels=record["row_labels"],
-                    _hists=dict(record["hists"]),
-                ),
-                record,
-            )
-        for key, (stats, record) in rebuilt.items():
-            if record["parent_key"] is not None:
-                parent = rebuilt.get(record["parent_key"])
-                assert parent is not None, "exported parent links stay inside the snapshot"
-                stats._parent = (parent[0], record["group_map"])
-            with shard_store._mutex:
-                shard_store._insert(key, stats, shard_store.footprint(stats))
-        shard_store.counters.update(snapshot["counters"])
-        return self.cache.merge_from(shard_store, engine=self)
 
     # -- backwards-compatible views into the cache store ----------------------
 

@@ -1,22 +1,13 @@
 """Deterministic, seedable fault injection for chaos testing.
 
-Production code is instrumented with a handful of *named injection points*:
-
-- ``evaluate-node`` — fired by :meth:`LatticeEvaluator.stats` before each
-  node evaluation (context: ``names``, ``node``);
-- ``worker-kill`` — fired by the process-backend worker loop before each
-  job (context: ``env``, ``job``); a ``kill`` spec turns it into
-  ``os._exit``, simulating a crashed worker;
-- ``shm-attach`` — fired by :meth:`ShmArena.attach` before mapping a
-  segment (context: ``name``).
+Production code is instrumented with one *named injection point*:
+``evaluate-node``, fired by :meth:`LatticeEvaluator.stats` before each node
+evaluation (context: ``names``, ``node``).
 
 A :class:`FaultPlan` maps points to trigger specs and is armed either
 programmatically (:func:`arm` / the :func:`injection` context manager) or
 through the ``REPRO_FAULTS`` environment variable holding the plan as JSON
-— the channel that reaches subprocesses started outside our control. The
-batch executor additionally forwards the parent's armed plan to process
-workers through the pool initializer, so programmatic arming works under
-any multiprocessing start method.
+— the channel that reaches subprocesses started outside our control.
 
 Everything is deterministic: ``at``/``every`` triggers count eligible calls
 per point *per process*, and ``rate`` triggers hash ``(seed, point, n)``
@@ -46,7 +37,6 @@ __all__ = [
     "any_armed",
     "arm",
     "disarm",
-    "export_plan",
     "fire",
     "fired",
     "injection",
@@ -56,7 +46,7 @@ __all__ = [
 ENV_VAR = "REPRO_FAULTS"
 
 #: The injection points compiled into production code.
-POINTS = ("evaluate-node", "worker-kill", "shm-attach")
+POINTS = ("evaluate-node",)
 
 #: ``error`` spec values → exception class raised by the point.
 _ERROR_CLASSES: dict[str, type[BaseException]] = {
@@ -66,9 +56,7 @@ _ERROR_CLASSES: dict[str, type[BaseException]] = {
     "memory": MemoryError,
 }
 
-_SPEC_KEYS = frozenset(
-    {"at", "every", "rate", "delay", "error", "kill", "exit_code", "once_file", "match"}
-)
+_SPEC_KEYS = frozenset({"at", "every", "rate", "delay", "error", "match"})
 
 
 def _require(condition: bool, message: str) -> None:
@@ -85,15 +73,10 @@ class FaultPlan:
     ``every``      fire on every Nth eligible call
     ``rate``       fire with probability ``rate``, decided by a seeded hash
                    of the call ordinal (deterministic, not sampled)
-    ``delay``      sleep this many seconds when fired; with no ``error`` or
-                   ``kill`` the point then returns normally (a slow fault)
+    ``delay``      sleep this many seconds when fired; with no ``error`` the
+                   point then returns normally (a slow fault)
     ``error``      exception family to raise (default ``"fault"`` →
                    :class:`FaultInjectedError`)
-    ``kill``       ``os._exit`` the process instead of raising
-    ``exit_code``  status for ``kill`` (default 130)
-    ``once_file``  path used as a cross-process latch: the fault fires only
-                   for whichever process creates the file first, so a
-                   retried attempt succeeds
     ``match``      only calls whose context equals these key/value pairs are
                    eligible (and counted)
 
@@ -189,7 +172,7 @@ class FaultPlan:
 
 class _ArmedState:
     """Per-process mutable state behind an armed plan: call counters and the
-    log of fired faults, guarded by a lock for the thread backend."""
+    log of fired faults, guarded by a lock for concurrent batch workers."""
 
     __slots__ = ("plan", "lock", "counts", "fired")
 
@@ -246,12 +229,6 @@ def reset() -> None:
     _STATE = _UNSET
 
 
-def export_plan() -> Optional[dict[str, Any]]:
-    """The armed plan as a plain dict (for shipping to worker initializers)."""
-    state = _resolve_state()
-    return state.plan.to_dict() if state is not None else None
-
-
 def fired() -> list[tuple[str, int]]:
     """The ``(point, call_ordinal)`` log of faults fired in this process."""
     state = _resolve_state()
@@ -296,7 +273,7 @@ def _decide(spec: Mapping[str, Any], seed: int, point: str, ordinal: int) -> boo
 
 
 def fire(point: str, **context: Any) -> None:
-    """Evaluate injection point ``point``; raise/sleep/exit if its spec fires.
+    """Evaluate injection point ``point``; raise or sleep if its spec fires.
 
     No-op unless a plan arming ``point`` is active and the call is eligible
     (``match`` filter) and selected (``at``/``every``/``rate``).
@@ -315,20 +292,11 @@ def fire(point: str, **context: Any) -> None:
         state.counts[point] = ordinal
     if not _decide(spec, state.plan.seed, point, ordinal):
         return
-    once_file = spec.get("once_file")
-    if once_file is not None:
-        try:
-            fd = os.open(once_file, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return  # another process (or attempt) already spent this fault
-        os.close(fd)
     with state.lock:
         state.fired.append((point, ordinal))
     delay = spec.get("delay")
     if delay:
         time.sleep(float(delay))
-    if spec.get("kill"):
-        os._exit(int(spec.get("exit_code", 130)))
     if delay is not None and "error" not in spec:
         return  # pure slow fault
     error_class = _ERROR_CLASSES[spec.get("error", "fault")]

@@ -71,7 +71,11 @@ class BatchDeadlineError(ExecutionError):
 
 
 class WorkerCrashError(ExecutionError):
-    """A process-backend worker died abnormally (killed, segfault, OOM)."""
+    """A batch worker died abnormally (killed, segfault, OOM).
+
+    No executor raises it today; it keeps its ``"worker-crash"`` label
+    because taxonomy labels are additive-only.
+    """
 
 
 class FaultInjectedError(ExecutionError):

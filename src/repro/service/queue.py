@@ -34,7 +34,6 @@ __all__ = ["BatchWork", "JobQueue", "JobRecord", "QueueFull"]
 BATCH_OPTIONS = (
     "workers",
     "plan",
-    "backend",
     "job_timeout",
     "batch_deadline",
     "retries",

@@ -33,8 +33,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
 from .._version import __version__
-from ..api import AnonymizationConfig
-from ..api.executor import BACKENDS, PLANS
+from ..api import AnonymizationConfig, FailurePolicy
+from ..api.executor import PLANS
 from ..errors import ConfigError, ReproError, SchemaError
 from .data import TableCache, release_csv_bytes
 from .metrics import ServiceMetrics
@@ -116,10 +116,10 @@ class AnonymizationService:
         if not isinstance(jobs, list) or not jobs:
             raise ConfigError("'jobs' must be a non-empty list of configs")
         configs = [AnonymizationConfig.from_dict(job) for job in jobs]
+        options = self._batch_options(payload)
         table, digest, normalized = self.tables.load(
             payload.get("data"), data_root=self.data_root
         )
-        options = self._batch_options(payload)
         with self._lock:
             self._counter += 1
             batch_id = f"b{self._counter:08d}"
@@ -171,22 +171,23 @@ class AnonymizationService:
                 f"unknown batch keys {sorted(unknown)}; "
                 f"options: {', '.join(BATCH_OPTIONS)}"
             )
-        options: dict[str, Any] = {}
-        for key in BATCH_OPTIONS:
-            if key not in payload or payload[key] is None:
-                continue
-            value = payload[key]
-            if key in ("workers", "retries"):
-                if not isinstance(value, int) or value < 0 or key == "workers" and value < 1:
-                    raise ConfigError(f"'{key}' must be a positive integer")
-            elif key in ("job_timeout", "batch_deadline", "retry_backoff"):
-                if not isinstance(value, (int, float)) or value < 0:
-                    raise ConfigError(f"'{key}' must be a non-negative number")
-            elif key == "plan" and value not in PLANS:
-                raise ConfigError(f"'plan' must be one of {sorted(PLANS)}")
-            elif key == "backend" and value not in BACKENDS:
-                raise ConfigError(f"'backend' must be one of {sorted(BACKENDS)}")
-            options[key] = value
+        options = {
+            key: payload[key]
+            for key in BATCH_OPTIONS
+            if payload.get(key) is not None
+        }
+        workers = options.get("workers", 1)
+        if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+            raise ConfigError("'workers' must be a positive integer")
+        if options.get("plan", "auto") not in PLANS:
+            raise ConfigError(f"'plan' must be one of {sorted(PLANS)}")
+        # The queue runs every batch with on_error="collect"; validating the
+        # same policy here turns a bad combination into a 400 at admission
+        # instead of a whole-batch failure on the worker.
+        FailurePolicy(
+            on_error="collect",
+            **{k: v for k, v in options.items() if k not in ("workers", "plan")},
+        )
         return options
 
     # -- lookup ----------------------------------------------------------------

@@ -4,8 +4,8 @@ Pins the contracts of the pluggable cache layer and the planner on top:
 
 * :class:`~repro.core.cache.EngineCacheStore` — budget validation, the LRU
   and stratum-aware eviction policies, the full counter set
-  (hits / misses / evictions / coalesced / recomputed_after_evict / merged),
-  ``clear`` and the destructive shard ``merge_from``;
+  (hits / misses / evictions / coalesced / recomputed_after_evict) and
+  ``clear``;
 * eviction-under-pressure correctness: a deliberately tiny byte budget
   yields byte-identical releases to an unconstrained run for all four
   full-domain algorithms, sequential and at ``workers=4``;
@@ -14,8 +14,8 @@ Pins the contracts of the pluggable cache layer and the planner on top:
 * deterministic parallel cache fill: Incognito's pre-seeded subset bottoms
   make the engine's from_rows/rollups profile identical at any worker count;
 * the :class:`~repro.api.BatchPlanner`: wave scheduling on over-budget
-  sweeps (zero ``recomputed_after_evict``), plan resolution, sharding with
-  the memo merge step, and the CLI knobs (``--cache-bytes``, ``--plan``).
+  sweeps (zero ``recomputed_after_evict``), plan resolution, and the CLI
+  knobs (``--cache-bytes``, ``--plan``).
 """
 
 import itertools
@@ -182,25 +182,6 @@ class TestEngineCacheStore:
         # Recomputing a cleared key is budget thrash, and counted as such.
         evaluator.stats((0, 0, 0))
         assert evaluator.counters["recomputed_after_evict"] == 1
-
-    def test_adopt_merges_shard_memo_and_rehomes_entries(self):
-        table, qi, hierarchies = _scenario(5)
-        primary = LatticeEvaluator(table, qi, hierarchies)
-        lattice = GeneralizationLattice.from_hierarchies(hierarchies, qi)
-        nodes = list(lattice.nodes())
-        primary.stats(nodes[0])
-        shard = primary.clone()
-        assert shard.cache is not primary.cache
-        shard.stats(nodes[0])  # duplicate: dropped at merge
-        stats = shard.stats(nodes[1])
-        adopted = primary.adopt(shard)
-        assert adopted == 1
-        assert primary.counters["merged"] == 1
-        assert len(shard.cache) == 0
-        assert primary.cache._entries[(tuple(qi), nodes[1])] is stats
-        assert stats._engine is primary
-        # The shard's activity is folded into the primary's counters.
-        assert primary.counters["misses"] >= 3
 
     def test_footprint_estimate_bounds_actual_usage(self):
         table, qi, hierarchies = _scenario(6, n_rows=300)
@@ -473,44 +454,6 @@ class TestBatchPlanner:
         for key, budget in plan.budgets.items():
             assert 0 < budget <= 20_000
         planner.execute()  # runs through the wave path without error
-
-    def test_sharded_execution_matches_and_merges(self, table):
-        configs = [
-            AnonymizationConfig.from_dict(
-                {**JOB, "models": [{"model": "k-anonymity", "k": k}]}
-            )
-            for k in (2, 3, 4)
-        ]
-        baseline = run_batch(configs, table)
-        sharded = BatchPlanner(configs, table, workers=3, shard=True).execute()
-        for base, result in zip(baseline, sharded):
-            assert base.release.node == result.release.node
-            assert _fingerprint(base.release.table) == _fingerprint(
-                result.release.table
-            )
-        # All sharded results report the canonical (merged) engine, and the
-        # canonical budget is restored after the wave's equal slicing.
-        engines = {id(result.engine) for result in sharded}
-        assert len(engines) == 1
-        assert sharded[0].engine.counters["merged"] > 0
-        assert sharded[0].engine.cache.cache_bytes >= 1
-
-    def test_sharding_slices_the_environment_budget(self, table):
-        configs = [
-            AnonymizationConfig.from_dict(
-                {**JOB, "models": [{"model": "k-anonymity", "k": k}]}
-            )
-            for k in (2, 3, 4)
-        ]
-        budget = 300_000
-        planner = BatchPlanner(
-            configs, table, workers=3, shard=True, cache_bytes=budget
-        )
-        results = planner.execute()
-        group = planner._jobs[0][2]
-        # Restored to the group's resolved slice, never the workers-fold.
-        assert results[0].engine.cache.cache_bytes == max(group.budget, 1)
-        assert group.budget <= budget
 
 
 class TestCLICacheKnobs:

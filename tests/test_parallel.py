@@ -10,16 +10,14 @@ Pins the concurrency contracts of this repo's parallel executor:
   engine-sharing pattern;
 * the CLI batch mode (``--config`` with a JSON job list, ``--workers``)
   writes numbered outputs identical at any worker count;
-* the process tier (``backend="process"``) publishes the table and
-  hierarchy LUTs through shared memory, runs per-process evaluators, and
-  still releases byte-identical tables with the sequential cache profile;
 * chunked packing (``chunk_rows=``) streams group signatures through row
-  windows without changing a single label.
+  windows without changing a single label, and bounds the memory peak.
 """
 
 import itertools
 import json
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -29,7 +27,6 @@ from repro.api import AnonymizationConfig, run_batch
 from repro.cli import main as cli_main
 from repro.core.engine import LatticeEvaluator
 from repro.core.io import read_csv
-from repro.core.shm import ShmArena, SharedDataset, attach_dataset
 from repro.core.table import (
     Column,
     Table,
@@ -313,67 +310,6 @@ class TestCLIBatch:
         assert "empty job list" in capsys.readouterr().err
 
 
-class TestSharedMemory:
-    """shm.py: publish/attach round-trips and ownership rules."""
-
-    def _arrays(self):
-        rng = np.random.default_rng(3)
-        return {
-            "codes": rng.integers(0, 50, size=101),
-            "values": rng.normal(size=33),
-            "lut": rng.integers(0, 4, size=(7, 3)).astype(np.int32),
-        }
-
-    def test_arena_round_trip_values_and_dtypes(self):
-        arrays = self._arrays()
-        with ShmArena.publish(arrays) as arena:
-            reader = ShmArena.attach(arena.descriptor())
-            for key, expected in arrays.items():
-                view = reader.get(key)
-                assert view.dtype == expected.dtype
-                assert view.shape == expected.shape
-                np.testing.assert_array_equal(view, expected)
-            reader.close()
-
-    def test_attached_views_are_read_only(self):
-        with ShmArena.publish({"codes": np.arange(8)}) as arena:
-            reader = ShmArena.attach(arena.descriptor())
-            view = reader.get("codes")
-            with pytest.raises(ValueError):
-                view[0] = 99
-            reader.close()
-
-    def test_unlink_retires_the_block(self):
-        arena = ShmArena.publish({"codes": np.arange(4)})
-        descriptor = arena.descriptor()
-        arena.unlink()
-        with pytest.raises(FileNotFoundError):
-            ShmArena.attach(descriptor)
-        arena.unlink()  # idempotent
-
-    def test_shared_dataset_round_trips_table_and_hierarchies(self, table):
-        from repro.api import build_hierarchies, build_schema
-
-        config = AnonymizationConfig.from_dict(JOB)
-        hierarchies = build_hierarchies(config, table)
-        with SharedDataset(table, {0: hierarchies}) as dataset:
-            attached = attach_dataset(dataset.descriptor())
-            assert attached.table.fingerprint() == table.fingerprint()
-            rebuilt = attached.hierarchies(0)
-            assert set(rebuilt) == set(hierarchies)
-            for name, hierarchy in hierarchies.items():
-                twin = rebuilt[name]
-                if hasattr(hierarchy, "level_map"):
-                    assert twin.ground == hierarchy.ground
-                    assert twin.height == hierarchy.height
-                    for level in range(hierarchy.height + 1):
-                        np.testing.assert_array_equal(
-                            twin.level_map(level), hierarchy.level_map(level)
-                        )
-                        assert twin.labels(level) == hierarchy.labels(level)
-            attached.close()
-
-
 class TestChunkedPacking:
     """chunk_rows: streamed group signatures equal the one-shot ones."""
 
@@ -456,133 +392,35 @@ class TestChunkedPacking:
             )
 
 
-#: Counters that must match sequential execution exactly in process mode.
-#: ``merged`` (adopted snapshot entries) and ``bytes`` (footprints are
-#: re-measured on import) legitimately differ and are asserted separately.
-PROFILE_KEYS = (
-    "hits",
-    "misses",
-    "from_rows",
-    "rollups",
-    "entries",
-    "evictions",
-    "coalesced",
-    "recomputed_after_evict",
-)
-
-
-class TestProcessBackendRunBatch:
-    """backend="process": worker processes, byte-identical releases."""
-
-    ALGORITHMS = ("flash", "ola", "incognito", "datafly")
-
-    def _two_env_sweep(self, algorithm):
-        """Two QI environments so the planner actually fans out processes
-        (a single environment group runs in-parent by design)."""
-        base = {**JOB, "algorithm": {"algorithm": algorithm},
-                "max_suppression": 0.25}
-        return [
-            AnonymizationConfig.from_dict(base),
-            AnonymizationConfig.from_dict(
-                {**base, "models": [{"model": "k-anonymity", "k": 3}]}
-            ),
-            AnonymizationConfig.from_dict(
-                {**base, "quasi_identifiers": ["zipcode"]}
-            ),
-        ]
-
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_process_backend_byte_identical(self, table, algorithm, workers):
-        configs = self._two_env_sweep(algorithm)
-        sequential = run_batch(configs, table)
-        process = run_batch(configs, table, workers=workers, backend="process")
-        for seq, par in zip(sequential, process):
-            assert seq.release.node == par.release.node
-            assert _fingerprint(seq.release.table) == _fingerprint(par.release.table)
-
-    def test_process_backend_cache_profile_equals_sequential(self, table):
-        configs = self._two_env_sweep("flash")
-        sequential = run_batch(configs, table)
-        process = run_batch(configs, table, workers=2, backend="process")
-
-        def profiles(results):
-            engines = []
-            for result in results:
-                if result.engine is not None and result.engine not in engines:
-                    engines.append(result.engine)
-            return [
-                tuple(engine.cache_info()[key] for key in PROFILE_KEYS)
-                for engine in engines
+    def test_chunked_group_signature_bounds_the_memory_peak(self):
+        """chunk_rows exists to bound memory: packing a categorical group
+        signature in row chunks must peak well below the one-shot pass."""
+        rng = np.random.default_rng(42)
+        n_rows = 20_000
+        domains = {"zip": 64, "job": 32, "edu": 16, "city": 32}
+        big = Table(
+            [
+                Column.from_codes(
+                    name,
+                    rng.integers(0, domain, size=n_rows),
+                    [f"{name}_{i}" for i in range(domain)],
+                )
+                for name, domain in domains.items()
             ]
-
-        assert profiles(process) == profiles(sequential)
-        # The process tier's stores are fed by adopted worker snapshots.
-        merged = sum(
-            r.engine.cache_info()["merged"]
-            for r in process
-            if r.engine is not None
         )
-        assert merged > 0
+        names = list(domains)
+        peaks = []
+        for chunk_rows in (None, n_rows // 8):
+            tracemalloc.start()
+            try:
+                big.group_signature(names, chunk_rows=chunk_rows)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        unchunked, chunked = peaks
+        assert chunked < 0.5 * unchunked
 
-    def test_process_backend_engine_sharing_pattern(self, table):
-        configs = self._two_env_sweep("flash")
-        results = run_batch(configs, table, workers=2, backend="process")
-        assert results[0].engine is results[1].engine
-        assert results[2].engine is not None
-        assert results[2].engine is not results[0].engine
-
-    def test_process_backend_single_worker_falls_back_in_parent(self, table):
-        configs = self._two_env_sweep("flash")
-        sequential = run_batch(configs, table)
-        fallback = run_batch(configs, table, workers=1, backend="process")
-        for seq, res in zip(sequential, fallback):
-            assert _fingerprint(seq.release.table) == _fingerprint(res.release.table)
-
-    def test_process_backend_rejects_engine_less_algorithms(self, table):
-        configs = [
-            AnonymizationConfig.from_dict(JOB),
-            AnonymizationConfig.from_dict(
-                {**JOB, "algorithm": {"algorithm": "mondrian"}}
-            ),
-        ]
-        with pytest.raises(ConfigError, match="process"):
-            run_batch(configs, table, workers=2, backend="process")
-
-    def test_invalid_backend_rejected(self, table):
-        with pytest.raises(ConfigError, match="'backend'"):
-            run_batch(
-                [AnonymizationConfig.from_dict(JOB)], table, backend="fiber"
-            )
-
-    def test_config_declared_backend_is_honored(self, table):
-        declared = [
-            AnonymizationConfig.from_dict({**JOB, "backend": "process"}),
-            AnonymizationConfig.from_dict(
-                {**JOB, "quasi_identifiers": ["zipcode"], "backend": "process"}
-            ),
-        ]
-        plain = [
-            AnonymizationConfig.from_dict(JOB),
-            AnonymizationConfig.from_dict({**JOB, "quasi_identifiers": ["zipcode"]}),
-        ]
-        reference = run_batch(plain, table)
-        results = run_batch(declared, table, workers=2)
-        for ref, res in zip(reference, results):
-            assert _fingerprint(ref.release.table) == _fingerprint(res.release.table)
-
-    def test_conflicting_declared_backends_rejected(self, table):
-        configs = [
-            AnonymizationConfig.from_dict({**JOB, "backend": "process"}),
-            AnonymizationConfig.from_dict({**JOB, "backend": "thread"}),
-        ]
-        with pytest.raises(ConfigError, match="disagree"):
-            run_batch(configs, table, workers=2)
-        # An explicit run_batch argument settles the disagreement.
-        results = run_batch(configs, table, workers=2, backend="thread")
-        assert len(results) == 2
-
-    def test_chunked_configs_byte_identical_through_every_backend(self, table):
+    def test_chunked_configs_byte_identical_at_any_worker_count(self, table):
         chunked = [
             AnonymizationConfig.from_dict({**JOB, "chunk_rows": 3}),
             AnonymizationConfig.from_dict(
@@ -594,103 +432,12 @@ class TestProcessBackendRunBatch:
             AnonymizationConfig.from_dict({**JOB, "quasi_identifiers": ["zipcode"]}),
         ]
         reference = run_batch(plain, table)
-        for kwargs in (
-            {},
-            {"workers": 2},
-            {"workers": 2, "backend": "process"},
-        ):
-            results = run_batch(chunked, table, **kwargs)
+        for workers in (1, 2):
+            results = run_batch(chunked, table, workers=workers)
             for ref, res in zip(reference, results):
                 assert _fingerprint(ref.release.table) == _fingerprint(
                     res.release.table
                 )
-
-
-class TestConfigProcessKeys:
-    """Config-time validation for the new backend / chunk_rows keys."""
-
-    def test_backend_must_be_known(self):
-        with pytest.raises(ConfigError, match="key 'backend'"):
-            AnonymizationConfig.from_dict({**JOB, "backend": "mpi"})
-
-    def test_process_backend_requires_an_engine_algorithm(self):
-        with pytest.raises(ConfigError, match="no lattice engine"):
-            AnonymizationConfig.from_dict(
-                {**JOB, "algorithm": {"algorithm": "mondrian"},
-                 "backend": "process"}
-            )
-
-    def test_thread_backend_allowed_everywhere(self):
-        config = AnonymizationConfig.from_dict(
-            {**JOB, "algorithm": {"algorithm": "mondrian"}, "backend": "thread"}
-        )
-        assert config.backend == "thread"
-
-    @pytest.mark.parametrize("bad", [0, -1, 2.5, True, "64k"])
-    def test_chunk_rows_must_be_a_positive_integer(self, bad):
-        with pytest.raises(ConfigError, match="key 'chunk_rows'"):
-            AnonymizationConfig.from_dict({**JOB, "chunk_rows": bad})
-
-    def test_chunk_rows_requires_an_engine_algorithm(self):
-        with pytest.raises(ConfigError, match="does not apply"):
-            AnonymizationConfig.from_dict(
-                {**JOB, "algorithm": {"algorithm": "mondrian"}, "chunk_rows": 64}
-            )
-
-    def test_round_trips_through_to_dict(self):
-        config = AnonymizationConfig.from_dict(
-            {**JOB, "backend": "process", "chunk_rows": 1024}
-        )
-        twin = AnonymizationConfig.from_dict(config.to_dict())
-        assert twin.backend == "process"
-        assert twin.chunk_rows == 1024
-
-
-class TestCLIProcessBackend:
-    def _jobs(self):
-        return [
-            {**JOB, "max_suppression": 0.25},
-            {**JOB, "quasi_identifiers": ["zipcode"], "max_suppression": 0.25},
-        ]
-
-    def test_backend_outputs_identical_to_thread(self, csv_path, tmp_path):
-        job_path = tmp_path / "jobs.json"
-        job_path.write_text(json.dumps(self._jobs()))
-        out_thread = tmp_path / "thread" / "anon.csv"
-        out_process = tmp_path / "process" / "anon.csv"
-        out_thread.parent.mkdir()
-        out_process.parent.mkdir()
-        assert cli_main(
-            [str(csv_path), str(out_thread), "--config", str(job_path),
-             "--workers", "2"]
-        ) == 0
-        assert cli_main(
-            [str(csv_path), str(out_process), "--config", str(job_path),
-             "--workers", "2", "--backend", "process"]
-        ) == 0
-        for index in (1, 2):
-            thread = out_thread.with_name(f"anon.{index}.csv")
-            process = out_process.with_name(f"anon.{index}.csv")
-            assert thread.read_bytes() == process.read_bytes()
-
-    def test_backend_without_config_is_rejected(self, csv_path, tmp_path):
-        with pytest.raises(SystemExit):
-            cli_main(
-                [str(csv_path), str(tmp_path / "out.csv"),
-                 "--qi", "zipcode", "--backend", "process"]
-            )
-
-    def test_backend_with_single_job_config_is_rejected(
-        self, csv_path, tmp_path, capsys
-    ):
-        job_path = tmp_path / "job.json"
-        job_path.write_text(json.dumps(JOB))
-        rc = cli_main(
-            [str(csv_path), str(tmp_path / "anon.csv"), "--config",
-             str(job_path), "--backend", "process"]
-        )
-        assert rc == 2
-        assert "JSON list of jobs" in capsys.readouterr().err
 
     def test_chunk_rows_does_not_change_single_job_output(
         self, csv_path, tmp_path
@@ -707,3 +454,29 @@ class TestCLIProcessBackend:
              "--chunk-rows", "3"]
         ) == 0
         assert plain.read_bytes() == chunked.read_bytes()
+
+
+class TestConfigProcessKeys:
+    """Config-time validation for the chunk_rows key; backend is not a key."""
+
+    def test_backend_must_be_known(self):
+        for value in ("mpi", "thread", "process"):
+            with pytest.raises(ConfigError, match="unknown key 'backend'"):
+                AnonymizationConfig.from_dict({**JOB, "backend": value})
+
+    @pytest.mark.parametrize("bad", [0, -1, 2.5, True, "64k"])
+    def test_chunk_rows_must_be_a_positive_integer(self, bad):
+        with pytest.raises(ConfigError, match="key 'chunk_rows'"):
+            AnonymizationConfig.from_dict({**JOB, "chunk_rows": bad})
+
+    def test_chunk_rows_requires_an_engine_algorithm(self):
+        with pytest.raises(ConfigError, match="does not apply"):
+            AnonymizationConfig.from_dict(
+                {**JOB, "algorithm": {"algorithm": "mondrian"}, "chunk_rows": 64}
+            )
+
+    def test_round_trips_through_to_dict(self):
+        config = AnonymizationConfig.from_dict({**JOB, "chunk_rows": 1024})
+        twin = AnonymizationConfig.from_dict(config.to_dict())
+        assert twin == config
+        assert twin.chunk_rows == 1024

@@ -13,11 +13,9 @@ What must hold:
 * the replay log re-runs to byte-identical releases;
 * ``cache_stores`` warm-starts work at the executor level across two
   separate :func:`run_batch` calls;
-* SIGTERM during a process-backend batch leaves zero ``/dev/shm`` residue
-  (the graceful-shutdown satellite), verified by a subprocess leak census.
+* ``repro serve`` shuts down cleanly and exits 0 on SIGINT and SIGTERM.
 """
 
-import glob
 import json
 import os
 import re
@@ -492,6 +490,27 @@ class TestHTTP:
             client.release_csv("j77777777")
         assert excinfo.value.status == 409
 
+    @pytest.mark.parametrize(
+        ("option", "key"),
+        [
+            ({"job_timeout": 0}, "job_timeout"),
+            ({"batch_deadline": float("nan")}, "batch_deadline"),
+            ({"retry_backoff": 1.0}, "retry_backoff"),
+            ({"backend": "thread"}, "backend"),
+        ],
+        ids=["job_timeout", "batch_deadline", "retry_backoff", "backend"],
+    )
+    def test_bad_batch_option_is_400_with_no_job_record(
+        self, http_service, option, key
+    ):
+        svc, base = http_service
+        client = ServiceClient(base, tenant="acme")
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit_batch([JOB], DATA, **option)
+        assert excinfo.value.status == 400
+        assert f"'{key}'" in excinfo.value.message
+        assert svc._jobs == {} and svc._batches == {}
+
     def test_unknown_path_404(self, http_service):
         _, base = http_service
         client = ServiceClient(base)
@@ -510,7 +529,10 @@ class TestServeCLI:
         args = build_serve_parser().parse_args([])
         assert args.port == 8035 and args.queue_workers == 2
 
-    def test_serve_subprocess_round_trip(self, tmp_path):
+    @pytest.mark.parametrize(
+        "signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"]
+    )
+    def test_serve_subprocess_round_trip(self, tmp_path, signum):
         tenants = tmp_path / "tenants.json"
         tenants.write_text(json.dumps({"acme": {"cache_bytes": 64 << 20}}))
         env = {**os.environ, "PYTHONPATH": "src"}
@@ -531,78 +553,17 @@ class TestServeCLI:
             record = client.wait(out["job_id"], timeout=30)
             assert record["status"] == "done"
         finally:
-            proc.send_signal(signal.SIGINT)
+            proc.send_signal(signum)
             assert proc.wait(timeout=15) == 0
 
 
 # ---------------------------------------------------------------------------
-# graceful shutdown: SIGTERM mid process-backend batch leaks no shm
-
-
-_SIGTERM_SCRIPT = """
-import sys
-sys.path.insert(0, {src!r})
-from repro.api import AnonymizationConfig, run_batch
-from repro.core.io import read_csv
-
-table = read_csv({csv_path!r},
-                 categorical=["zipcode", "job", "disease"], numeric=["age"])
-# Two distinct environments: the process tier only engages with more than
-# one environment group (one worker process per group).
-configs = [AnonymizationConfig.from_dict(job) for job in ({job!r}, {other!r})]
-print("READY", flush=True)
-try:
-    run_batch(configs * 2, table, backend="process", workers=2)
-except KeyboardInterrupt:
-    print("INTERRUPTED", flush=True)
-    raise SystemExit(3)
-print("DONE", flush=True)
-"""
+# graceful shutdown: the serve loop's signal conversion
 
 
 class TestGracefulShutdown:
-    def test_sigterm_mid_process_batch_leaves_no_shm(self, tmp_path):
-        csv_path = tmp_path / "data.csv"
-        csv_path.write_text(CSV_TEXT)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        script = _SIGTERM_SCRIPT.format(
-            src=src, csv_path=str(csv_path), job=JOB, other=JOB_OTHER_ENV
-        )
-        env = {
-            **os.environ,
-            # slow every node evaluation so SIGTERM lands mid-batch
-            "REPRO_FAULTS": json.dumps(
-                {"points": {"evaluate-node": {"every": 1, "delay": 0.05}}}
-            ),
-        }
-        before = set(glob.glob("/dev/shm/psm_*"))
-        proc = subprocess.Popen(
-            [sys.executable, "-c", script],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
-        )
-        try:
-            assert proc.stdout.readline().strip() == "READY"
-            # wait until the shared dataset is actually published
-            deadline = time.monotonic() + 20
-            while time.monotonic() < deadline:
-                if set(glob.glob("/dev/shm/psm_*")) - before:
-                    break
-                time.sleep(0.01)
-            else:
-                pytest.fail("shared dataset never appeared in /dev/shm")
-            proc.send_signal(signal.SIGTERM)
-            out, err = proc.communicate(timeout=30)
-        except Exception:
-            proc.kill()
-            raise
-        assert proc.returncode == 3, f"stdout={out!r} stderr={err!r}"
-        assert "INTERRUPTED" in out
-        # the leak census: nothing new survives the interrupted batch
-        leaked = set(glob.glob("/dev/shm/psm_*")) - before
-        assert not leaked, f"leaked shm segments: {sorted(leaked)}"
-
     def test_sigint_equivalent_conversion(self):
-        from repro.api.executor import _arm_signal_conversion
+        from repro.cli import _arm_signal_conversion
         restore = _arm_signal_conversion()
         try:
             with pytest.raises(KeyboardInterrupt, match="terminated by signal"):
