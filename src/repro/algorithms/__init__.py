@@ -9,8 +9,7 @@ Two execution substrates back the family:
 * The **local-recoding** algorithms (Mondrian, TopDownSpecialization,
   MDAVMicroaggregation, KMemberClustering, Anatomy, Slicing) refine explicit
   row partitions; those with per-candidate feasibility checks run on
-  :class:`~repro.core.partition_engine.PartitionEngine` (selectable per
-  instance via ``engine="partition" | "legacy"``), the rest share its
+  :class:`~repro.core.partition_engine.PartitionEngine`, the rest share its
   flattened grouped-histogram kernel.
 
 BottomUpGeneralization stays on the lattice/legacy full-domain path by

@@ -7,6 +7,7 @@ more privacy models; it returns a :class:`~repro.core.Release`.
 Shared here:
 
 * :func:`prepare_input` — validates the schema, strips identifying columns.
+* :func:`check_int` — constructor validation of integer parameters.
 * :func:`suppress_failing` — standard record-suppression step: drop the rows
   of equivalence classes that still violate the models, within a suppression
   budget.
@@ -15,6 +16,7 @@ Shared here:
 
 from __future__ import annotations
 
+from numbers import Integral
 from typing import Mapping, Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -29,6 +31,7 @@ from ..privacy.base import PrivacyModel, failing_rows
 
 __all__ = [
     "AnonymizationAlgorithm",
+    "check_int",
     "prepare_input",
     "suppress_failing",
     "suppress_rows",
@@ -51,6 +54,20 @@ class AnonymizationAlgorithm(Protocol):
         models: Sequence[PrivacyModel],
     ) -> Release:
         ...
+
+
+def check_int(name: str, value, minimum: int) -> int:
+    """Return ``value`` as an ``int`` if it is a non-bool integer ``>= minimum``.
+
+    Raises ``TypeError``/``ValueError`` naming ``name`` otherwise, so a bad
+    spec fails when it is parsed (``Registry.from_spec`` turns both into a
+    ``ConfigError``) instead of being truncated or failing mid-run.
+    """
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
 
 
 def prepare_input(table: Table, schema: Schema, hierarchies: Mapping[str, HierarchyLike]) -> Table:

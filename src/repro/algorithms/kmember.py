@@ -26,7 +26,7 @@ from ..core.schema import Schema
 from ..core.table import Table
 from ..errors import InfeasibleError
 from ..privacy.base import PrivacyModel
-from .base import prepare_input
+from .base import check_int, prepare_input
 
 __all__ = ["KMemberClustering"]
 
@@ -34,25 +34,13 @@ __all__ = ["KMemberClustering"]
 class KMemberClustering:
     """Greedy loss-minimizing clusters of exactly k records."""
 
-    def __init__(self, k: int, sample_candidates: int = 64, seed: int = 0,
-                 engine: str = "partition"):
-        if k < 2:
-            raise ValueError(f"k must be >= 2, got {k}")
-        if engine not in ("partition", "legacy"):
-            raise ValueError(
-                f"engine must be 'partition' or 'legacy', got {engine!r}"
-            )
-        self.k = int(k)
+    def __init__(self, k: int, sample_candidates: int = 64, seed: int = 0):
+        self.k = check_int("k", k, minimum=2)
         # Evaluating every remaining record per addition is O(n^2 k); we
         # evaluate a random sample of candidates instead, which preserves
         # the greedy quality on real data at a fraction of the cost.
-        self.sample_candidates = int(sample_candidates)
-        self.seed = seed
-        # "partition": marginal losses come from cached per-cluster running
-        # aggregates (min/max, sorted distinct codes + covering level)
-        # instead of rescanning the cluster per candidate — same floats,
-        # same rng call sequence, byte-identical releases.
-        self.engine = engine
+        self.sample_candidates = check_int("sample_candidates", sample_candidates, minimum=1)
+        self.seed = check_int("seed", seed, minimum=0)
         self.name = f"kmember[k={k}]"
 
     def anonymize(
@@ -66,8 +54,7 @@ class KMemberClustering:
         if original.n_rows < self.k:
             raise InfeasibleError(f"table has fewer than k={self.k} rows")
 
-        loss_cls = _CachedLossModel if self.engine == "partition" else _LossModel
-        loss_model = loss_cls(original, schema, hierarchies)
+        loss_model = _LossModel(original, schema, hierarchies)
         rng = np.random.default_rng(self.seed)
 
         remaining = list(range(original.n_rows))
@@ -121,7 +108,22 @@ class KMemberClustering:
 
 
 class _LossModel:
-    """Cluster information loss over mixed QIs (Byun et al.'s IL)."""
+    """Cluster information loss over mixed QIs (Byun et al.'s IL).
+
+    ``marginal_loss`` (the inner loop of cluster growth) costs
+    O(attributes), not O(cluster × attributes): each live cluster list
+    carries running numeric min/max, a sorted distinct-code array per
+    categorical QI, and its cached covering level. Losses are computed from
+    the aggregates in the same accumulation order as :meth:`cluster_loss`,
+    and running min/max equals ``subset.min()``/``subset.max()`` exactly,
+    so ``marginal_loss`` returns the same float as the difference of two
+    ``cluster_loss`` calls.
+
+    Aggregates are keyed by ``id(cluster)``: safe because every cluster
+    list the algorithm passes here stays alive in ``clusters`` for the
+    whole run (no id reuse), and clusters only ever grow (missing rows are
+    folded in from ``cluster[seen:]``).
+    """
 
     def __init__(self, table: Table, schema: Schema, hierarchies: Mapping[str, HierarchyLike]):
         self.numeric: dict[str, np.ndarray] = {}
@@ -140,6 +142,7 @@ class _LossModel:
             index = {value: code for code, value in enumerate(hierarchy.ground)}
             translate = np.array([index[v] for v in col.categories], dtype=np.int64)
             self.categorical[name] = (translate[col.codes], hierarchy)
+        self._stats: dict[int, _ClusterAggregates] = {}
 
     def cluster_loss(self, rows: Sequence[int]) -> float:
         rows_arr = np.asarray(rows, dtype=np.int64)
@@ -151,43 +154,6 @@ class _LossModel:
             distinct = np.unique(codes[rows_arr])
             loss += _covering_level(hierarchy, distinct) / max(hierarchy.height, 1)
         return loss
-
-    def marginal_loss(self, cluster: Sequence[int], candidate: int) -> float:
-        return self.cluster_loss(list(cluster) + [candidate]) - self.cluster_loss(cluster)
-
-    def cheapest_addition(self, cluster, remaining_set, rng, sample_size) -> int:
-        candidates = _sample(remaining_set, rng, sample_size)
-        return min(candidates, key=lambda row: self.marginal_loss(cluster, row))
-
-    def farthest_from(self, anchor: int, remaining_set, rng, sample_size) -> int:
-        candidates = _sample(remaining_set, rng, sample_size)
-        return max(candidates, key=lambda row: self.cluster_loss([anchor, row]))
-
-    def total(self, groups: Sequence[np.ndarray]) -> float:
-        return sum(self.cluster_loss(list(g)) * len(g) for g in groups)
-
-
-class _CachedLossModel(_LossModel):
-    """Drop-in :class:`_LossModel` with per-cluster running aggregates.
-
-    ``marginal_loss`` (the inner loop of cluster growth) degrades from
-    O(cluster × attributes) rescans to O(attributes) updates: each live
-    cluster list carries running numeric min/max, a sorted distinct-code
-    array per categorical QI, and its cached covering level. Losses are
-    recomputed from the aggregates in the same accumulation order as
-    :meth:`_LossModel.cluster_loss`, and running min/max equals
-    ``subset.min()``/``subset.max()`` exactly, so every float — and thus
-    every greedy choice — is identical to the uncached model's.
-
-    Aggregates are keyed by ``id(cluster)``: safe because every cluster
-    list the algorithm passes here stays alive in ``clusters`` for the
-    whole run (no id reuse), and clusters only ever grow (missing rows are
-    folded in from ``cluster[seen:]``).
-    """
-
-    def __init__(self, table: Table, schema: Schema, hierarchies: Mapping[str, HierarchyLike]):
-        super().__init__(table, schema, hierarchies)
-        self._stats: dict[int, "_ClusterAggregates"] = {}
 
     def _aggregates(self, cluster: Sequence[int]) -> "_ClusterAggregates":
         stats = self._stats.get(id(cluster))
@@ -201,6 +167,17 @@ class _CachedLossModel(_LossModel):
     def marginal_loss(self, cluster: Sequence[int], candidate: int) -> float:
         stats = self._aggregates(cluster)
         return stats.loss_with(candidate) - stats.loss()
+
+    def cheapest_addition(self, cluster, remaining_set, rng, sample_size) -> int:
+        candidates = _sample(remaining_set, rng, sample_size)
+        return min(candidates, key=lambda row: self.marginal_loss(cluster, row))
+
+    def farthest_from(self, anchor: int, remaining_set, rng, sample_size) -> int:
+        candidates = _sample(remaining_set, rng, sample_size)
+        return max(candidates, key=lambda row: self.cluster_loss([anchor, row]))
+
+    def total(self, groups: Sequence[np.ndarray]) -> float:
+        return sum(self.cluster_loss(list(g)) * len(g) for g in groups)
 
 
 class _ClusterAggregates:

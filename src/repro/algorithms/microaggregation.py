@@ -36,7 +36,7 @@ from ..core.schema import Schema
 from ..core.table import Column, Table
 from ..errors import InfeasibleError
 from ..privacy.base import PrivacyModel
-from .base import prepare_input
+from .base import check_int, prepare_input
 
 __all__ = ["MDAVMicroaggregation", "within_group_sse"]
 
@@ -44,23 +44,13 @@ __all__ = ["MDAVMicroaggregation", "within_group_sse"]
 class MDAVMicroaggregation:
     """Fixed-size MDAV clustering with centroid replacement.
 
-    ``engine="partition"`` (default) vectorizes the two group-local loops —
-    k-nearest selection via ``np.argpartition`` instead of a full stable
-    sort, and modal categorical replacement via one flattened grouped
-    bincount instead of a bincount per group. Both are provably
-    set/argmax-identical to the historic code, so releases are byte-equal;
-    ``engine="legacy"`` keeps the original loops as the benchmark baseline.
+    Both group-local steps are vectorized: k-nearest selection via
+    ``np.argpartition`` instead of a full sort, and modal categorical
+    replacement via one flattened grouped bincount for all groups.
     """
 
-    def __init__(self, k: int, engine: str = "partition"):
-        if k < 2:
-            raise ValueError(f"k must be >= 2, got {k}")
-        if engine not in ("partition", "legacy"):
-            raise ValueError(
-                f"engine must be 'partition' or 'legacy', got {engine!r}"
-            )
-        self.k = int(k)
-        self.engine = engine
+    def __init__(self, k: int):
+        self.k = check_int("k", k, minimum=2)
         self.name = f"mdav[k={k}]"
 
     def anonymize(
@@ -87,26 +77,18 @@ class MDAVMicroaggregation:
         new_columns = [
             Column.numeric(name, replaced[:, j]) for j, name in enumerate(numeric)
         ]
-        # Categorical QIs: modal value per group.
-        group_labels = None
-        if self.engine == "partition" and schema.categorical_quasi_identifiers:
+        # Categorical QIs: modal value per group (first maximum on ties),
+        # from one flattened bincount over all groups.
+        if schema.categorical_quasi_identifiers:
             group_labels = np.empty(original.n_rows, dtype=np.int64)
             for gid, group in enumerate(groups):
                 group_labels[group] = gid
         for name in schema.categorical_quasi_identifiers:
-            codes = original.codes(name).copy()
-            if group_labels is not None:
-                # One flattened bincount for all groups; per-group argmax
-                # matches the per-group loop exactly (padding a histogram
-                # with zero bins cannot displace a first-maximum winner).
-                n_cats = len(original.column(name).categories)
-                hists = grouped_histograms(group_labels, codes, len(groups), n_cats)
-                modal = hists.argmax(axis=1).astype(codes.dtype)
-                codes = modal[group_labels]
-            else:
-                for group in groups:
-                    histogram = np.bincount(codes[group])
-                    codes[group] = int(histogram.argmax())
+            codes = original.codes(name)
+            n_cats = len(original.column(name).categories)
+            hists = grouped_histograms(group_labels, codes, len(groups), n_cats)
+            modal = hists.argmax(axis=1).astype(codes.dtype)
+            codes = modal[group_labels]
             new_columns.append(
                 Column.from_codes(name, codes, original.column(name).categories)
             )
@@ -138,7 +120,7 @@ class MDAVMicroaggregation:
             points = z[remaining]
             centroid = points.mean(axis=0)
             far_r = int(np.argmax(_sq_dist(points, centroid)))
-            group_r = _nearest(points, far_r, self.k, fast=self.engine == "partition")
+            group_r = _nearest(points, far_r, self.k)
             first = remaining[group_r]
 
             mask = np.ones(remaining.size, dtype=bool)
@@ -146,7 +128,7 @@ class MDAVMicroaggregation:
             rest = remaining[mask]
             points_rest = z[rest]
             far_s = int(np.argmax(_sq_dist(points_rest, points[far_r])))
-            group_s = _nearest(points_rest, far_s, self.k, fast=self.engine == "partition")
+            group_s = _nearest(points_rest, far_s, self.k)
             second = rest[group_s]
 
             groups.extend([np.sort(first), np.sort(second)])
@@ -185,17 +167,17 @@ def _sq_dist(points: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return ((points - reference) ** 2).sum(axis=1)
 
 
-def _nearest(points: np.ndarray, anchor: int, k: int, fast: bool = False) -> np.ndarray:
+def _nearest(points: np.ndarray, anchor: int, k: int) -> np.ndarray:
     """Indices (into ``points``) of ``anchor`` plus its k-1 nearest others.
 
-    ``fast`` selects the same *set* via ``np.argpartition`` (O(n) instead of
-    O(n log n)): every index strictly inside the k-th smallest distance,
-    plus the lowest-indexed ties at that distance — exactly what the stable
-    full sort's first k entries contain. Callers only consume the set (the
-    result is masked and re-sorted), so the orderings need not match.
+    Selected via ``np.argpartition`` (O(n) instead of O(n log n)): every
+    index strictly inside the k-th smallest distance, plus the
+    lowest-indexed ties at that distance — exactly the set a stable full
+    sort's first k entries contain. Callers only consume the set (the
+    result is masked and re-sorted), so its order does not matter.
     """
     distances = _sq_dist(points, points[anchor])
-    if not fast or k >= distances.size:
+    if k >= distances.size:
         return np.argsort(distances, kind="stable")[:k]
     nearest_k = np.argpartition(distances, k - 1)[:k]
     threshold = distances[nearest_k].max()

@@ -18,24 +18,17 @@ Numeric QIs split on the value median; categorical QIs split on the ordered
 category-code median (a standard, hierarchy-free treatment; the hierarchy is
 still used to label the recoded regions).
 
-Two execution engines produce byte-identical releases:
-
-* ``engine="partition"`` (default) runs on
-  :class:`~repro.core.partition_engine.PartitionEngine`: feasibility checks
-  go through the privacy models' ``check_stats`` fast path with sensitive
-  histograms derived incrementally (child = parent − sibling), the median
-  and the parent label entropy are computed once per node, and the relaxed
-  median-balancing assignment is closed-form vectorized. Range-scored runs
-  (``target=None``) additionally use a frontier-vectorized BFS driver that
-  derives every per-(group, QI) quantity — spans, medians, cut sizes, child
-  histograms, batched k/l/t verdicts — from fused bincounts and cumulative
-  sums over a whole tree level at once, then re-emits leaves in legacy DFS
-  order; InfoGain runs stay on the per-node fast path. Cache counters ride
-  in ``release.info["partition_cache"]``.
-* ``engine="legacy"`` preserves the historic per-node path — a fresh
-  :class:`EquivalenceClasses` plus ``model.check`` per candidate cut, the
-  per-row Python append loop in relaxed mode, double median computation in
-  InfoGain mode — as the parity and benchmark baseline (``bench_e41``).
+Partitioning runs on :class:`~repro.core.partition_engine.PartitionEngine`:
+feasibility checks go through the privacy models' ``check_stats`` fast path
+with sensitive histograms derived incrementally (child = parent − sibling),
+the median and the parent label entropy are computed once per node, and the
+relaxed median-balancing assignment is closed-form vectorized. Range-scored
+runs (``target=None``) use a frontier-vectorized BFS driver that derives
+every per-(group, QI) quantity — spans, medians, cut sizes, child
+histograms, batched k/l/t verdicts — from fused bincounts and cumulative
+sums over a whole tree level at once, then re-emits leaves in DFS stack
+order; InfoGain runs stay on the per-node DFS. Cache counters ride in
+``release.info["partition_cache"]``.
 """
 
 from __future__ import annotations
@@ -45,8 +38,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..core.generalize import HierarchyLike, apply_partition_recoding
-from ..core.hierarchy import Hierarchy
-from ..core.partition import classes_from_groups
 from ..core.partition_engine import (
     PartitionEngine,
     PartitionGroup,
@@ -129,17 +120,11 @@ class Mondrian:
     trading a little geometric balance for classification utility.
     """
 
-    def __init__(self, mode: str = "strict", target: str | None = None,
-                 engine: str = "partition"):
+    def __init__(self, mode: str = "strict", target: str | None = None):
         if mode not in ("strict", "relaxed"):
             raise ValueError(f"mode must be 'strict' or 'relaxed', got {mode!r}")
-        if engine not in ("partition", "legacy"):
-            raise ValueError(
-                f"engine must be 'partition' or 'legacy', got {engine!r}"
-            )
         self.mode = mode
         self.target = target
-        self.engine = engine
         suffix = ",infogain" if target else ""
         self.name = f"mondrian[{mode}{suffix}]"
 
@@ -166,17 +151,7 @@ class Mondrian:
                 span = float(col.values.max() - col.values.min())  # type: ignore[union-attr]
                 spans[name] = span if span > 0 else 1.0
 
-        label_codes = original.codes(self.target) if self.target else None
-
-        cache_info = None
-        if self.engine == "partition":
-            leaves, cache_info = self._partition_fast(
-                original, qi_names, views, spans, models
-            )
-        else:
-            leaves = self._partition_legacy(
-                original, qi_names, views, spans, models, label_codes
-            )
+        leaves, cache_info = self._partition(original, qi_names, views, spans, models)
 
         categorical = {
             name: hierarchies[name]
@@ -188,9 +163,6 @@ class Mondrian:
             categorical_qis=categorical,  # type: ignore[arg-type]
             numeric_qis=schema.numeric_quasi_identifiers,
         )
-        info = {"n_leaves": len(leaves), "mode": self.mode}
-        if cache_info is not None:
-            info["partition_cache"] = cache_info
         return Release(
             table=recoded,
             schema=schema,
@@ -199,12 +171,14 @@ class Mondrian:
             suppressed=0,
             original_n_rows=original.n_rows,
             kept_rows=None,
-            info=info,
+            info={
+                "n_leaves": len(leaves),
+                "mode": self.mode,
+                "partition_cache": cache_info,
+            },
         )
 
-    # -- partition-engine path ----------------------------------------------
-
-    def _partition_fast(self, original, qi_names, views, spans, models):
+    def _partition(self, original, qi_names, views, spans, models):
         engine = PartitionEngine(original)
         root = engine.root()
         if not engine.check([root], models):
@@ -217,7 +191,7 @@ class Mondrian:
         else:
             # InfoGain scoring needs per-candidate label entropies whose
             # float summation order the level-batched layer cannot
-            # reproduce bit-for-bit; it stays on the per-node fast path.
+            # reproduce bit-for-bit; it stays on the per-node DFS.
             leaves = self._partition_dfs(engine, root, qi_names, views, spans, models)
         return leaves, engine.cache_info()
 
@@ -226,7 +200,7 @@ class Mondrian:
         stack = [root]
         while stack:
             group = stack.pop()
-            split = self._best_split_fast(engine, group, qi_names, views, spans, models)
+            split = self._best_split(engine, group, qi_names, views, spans, models)
             if split is None:
                 leaves.append(np.sort(group.rows))
             else:
@@ -244,9 +218,9 @@ class Mondrian:
         the whole level. The per-group Python loop only resolves candidate
         order and materializes the accepted cut (via the same
         ``_cut_positions`` closed form as the per-node path), so releases
-        stay byte-identical to ``engine="legacy"`` while per-node overhead
-        amortizes away. Leaves are finally re-emitted in the legacy DFS
-        stack order, which recoded-category order depends on.
+        stay byte-identical to the per-node DFS while per-node overhead
+        amortizes away. Leaves are finally re-emitted in DFS stack order,
+        which recoded-category order depends on.
         """
         batched: list[tuple] = []
         other_models: list = []
@@ -262,7 +236,7 @@ class Mondrian:
         qi_idx = {name: i for i, name in enumerate(qi_names)}
         # Value-space encodings: sorted distinct values per QI plus per-row
         # codes into them, so medians/spans/cut counts are exact in the same
-        # float64 value space the legacy path compares in.
+        # float64 value space the per-node path compares in.
         enc_vals: list[np.ndarray] = []
         enc_codes: list[np.ndarray] = []
         for name in qi_names:
@@ -419,9 +393,9 @@ class Mondrian:
                     next_frontier.extend(split)
             frontier = next_frontier
 
-        # Re-emit leaves in the exact order the legacy DFS stack produces
-        # them — recoded category order (hence the byte-level fingerprint)
-        # depends on which leaf is labeled first.
+        # Re-emit leaves in the exact order a DFS stack produces them — the
+        # recoded columns' category order depends on which leaf is labeled
+        # first (the decoded values, and so the CSV bytes, do not).
         leaves: list[np.ndarray] = []
         stack = [root]
         while stack:
@@ -433,7 +407,7 @@ class Mondrian:
                 stack.extend(kids)
         return leaves
 
-    def _best_split_fast(
+    def _best_split(
         self,
         engine: PartitionEngine,
         group: PartitionGroup,
@@ -444,10 +418,11 @@ class Mondrian:
     ) -> tuple[PartitionGroup, PartitionGroup] | None:
         """Try QIs in priority order; first feasible cut wins.
 
-        Same ordering rule as the legacy path, but medians and the parent
-        label entropy are computed once per node, child label histograms are
-        derived by subtraction, and feasibility goes through the engine's
-        stats fast path.
+        Priority: normalized range (classic), or label information gain of
+        the median cut (InfoGain variant when ``target`` is set). Medians
+        and the parent label entropy are computed once per node, child
+        label histograms are derived by subtraction, and feasibility goes
+        through the engine's stats fast path.
         """
         if group.size < 2:
             return None
@@ -524,109 +499,6 @@ class Mondrian:
             return None
         return left, right
 
-    # -- legacy path ---------------------------------------------------------
-
-    def _partition_legacy(self, original, qi_names, views, spans, models, label_codes):
-        all_rows = np.arange(original.n_rows)
-        if not self._allowable(original, [all_rows], models):
-            raise InfeasibleError(_INFEASIBLE_MSG)
-
-        leaves: list[np.ndarray] = []
-        stack = [all_rows]
-        while stack:
-            rows = stack.pop()
-            split = self._best_split(
-                original, rows, qi_names, views, spans, models, label_codes
-            )
-            if split is None:
-                leaves.append(np.sort(rows))
-            else:
-                stack.extend(split)
-        return leaves
-
-    def _best_split(
-        self,
-        table: Table,
-        rows: np.ndarray,
-        qi_names: Sequence[str],
-        views: Mapping[str, np.ndarray],
-        spans: Mapping[str, float],
-        models: Sequence[PrivacyModel],
-        label_codes: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Try QIs in priority order; first feasible cut wins.
-
-        Priority: normalized range (classic), or label information gain of
-        the median cut (InfoGain variant when ``label_codes`` is given).
-        """
-        scores = []
-        for name in qi_names:
-            values = views[name][rows]
-            if label_codes is None:
-                scores.append((float(values.max() - values.min()) / spans[name], name))
-            else:
-                scores.append((self._cut_gain(values, label_codes[rows]), name))
-        for _, name in sorted(scores, reverse=True):
-            halves = self._cut(views[name][rows], rows)
-            if halves is None:
-                continue
-            left, right = halves
-            if self._allowable(table, [left, right], models):
-                return left, right
-        return None
-
-    @staticmethod
-    def _cut_gain(values: np.ndarray, labels: np.ndarray) -> float:
-        """Label-entropy reduction of the median cut on ``values``."""
-        median = float(np.median(values))
-        left_mask = values <= median
-        if left_mask.all() or not left_mask.any():
-            left_mask = values < median
-            if left_mask.all() or not left_mask.any():
-                return -np.inf
-
-        def entropy(mask: np.ndarray) -> float:
-            counts = np.bincount(labels[mask])
-            probs = counts[counts > 0] / counts.sum()
-            return float(-(probs * np.log2(probs)).sum())
-
-        n = labels.shape[0]
-        n_left = int(left_mask.sum())
-        parent = entropy(np.ones(n, dtype=bool))
-        children = (n_left * entropy(left_mask) + (n - n_left) * entropy(~left_mask)) / n
-        return parent - children
-
-    def _cut(self, values: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-        """Median cut of ``rows`` by ``values``; None if degenerate."""
-        if rows.size < 2:
-            return None
-        median = float(np.median(values))
-        if self.mode == "strict":
-            left_mask = values <= median
-            # All median-valued records stay left; degenerate if one side empty.
-            if left_mask.all() or not left_mask.any():
-                # Try strictly-less cut for heavily repeated medians.
-                left_mask = values < median
-                if left_mask.all() or not left_mask.any():
-                    return None
-            return rows[left_mask], rows[~left_mask]
-        # relaxed: split median-valued records to balance halves
-        less = values < median
-        more = values > median
-        equal = ~less & ~more
-        left = list(rows[less])
-        right = list(rows[more])
-        for row in rows[equal]:
-            (left if len(left) <= len(right) else right).append(row)
-        if not left or not right:
-            return None
-        return np.array(left, dtype=rows.dtype), np.array(right, dtype=rows.dtype)
-
-    def _allowable(self, table: Table, groups: list[np.ndarray], models: Sequence[PrivacyModel]) -> bool:
-        """Would these groups, as equivalence classes, satisfy the models?"""
-        partition = classes_from_groups(groups, table.n_rows)
-        return all(model.check(table, partition) for model in models)
-
     def __repr__(self) -> str:
         return f"Mondrian(mode={self.mode!r})"
 
@@ -641,10 +513,9 @@ def _cut_gain_from_hist(
     """InfoGain score of the median cut, from the node's cached label counts.
 
     The right half's histogram is the parent's minus the left's — no second
-    bincount — and the parent entropy arrives precomputed (the legacy path
-    rebuilt it per QI). Identical floats to :meth:`Mondrian._cut_gain`: the
-    histograms differ from the legacy bincounts only in trailing zero bins,
-    which the entropy filters out.
+    bincount — and the parent entropy arrives precomputed once per node.
+    Trailing zero bins in the histograms do not change the entropy, which
+    filters them out.
     """
     left_mask = values <= median
     if left_mask.all() or not left_mask.any():

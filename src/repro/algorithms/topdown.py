@@ -15,19 +15,15 @@ equivalence-class size. A ``target`` label column drives the gain term; when
 no target is supplied the gain term falls back to the number of distinct
 values exposed (pure utility refinement).
 
-Two execution engines produce byte-identical releases. ``engine="legacy"``
-re-materializes the candidate table and its EC partition for every trial
-specialization at every step (``apply_node`` + ``partition_by_qi`` +
-``model.check``). ``engine="partition"`` (default) keeps the current
-partition as live :class:`~repro.core.partition_engine.PartitionGroup` sets
-and *refines* them: a candidate is a multiway split of each group by the
-QI's next-level codes (memoized per level through the engine), feasibility
-goes through the models' stats fast path, and per-level conditional label
-entropies are computed once from a joint flattened bincount and cached for
-the whole run. The fast path also handles a case the legacy one cannot:
-scoring a numeric QI at hierarchy level 0 (the raw column), which
-``Table.codes`` rejects — level-0 numeric candidates are rank-encoded
-instead of crashing.
+The search keeps the current partition as live
+:class:`~repro.core.partition_engine.PartitionGroup` sets and *refines*
+them instead of re-materializing the candidate table per trial: a
+candidate is a multiway split of each group by the QI's next-level codes
+(memoized per level through the engine), feasibility goes through the
+models' stats fast path, and per-level conditional label entropies are
+computed once from a joint flattened bincount and cached for the whole run.
+A numeric QI scored at hierarchy level 0 (the raw column, which
+``Table.codes`` rejects) is rank-encoded by the engine.
 """
 
 from __future__ import annotations
@@ -37,14 +33,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..core.generalize import HierarchyLike, apply_node
-from ..core.partition import partition_by_qi
 from ..core.partition_engine import PartitionEngine, grouped_histograms
 from ..core.release import Release
 from ..core.schema import Schema
 from ..core.table import Table
 from ..errors import InfeasibleError
 from ..privacy.base import PrivacyModel
-from .base import check_models, prepare_input
+from .base import check_int, prepare_input
 
 __all__ = ["TopDownSpecialization"]
 
@@ -62,15 +57,9 @@ def _entropy(counts: np.ndarray) -> float:
 class TopDownSpecialization:
     """Greedy top-down specialization guided by information gain."""
 
-    def __init__(self, target: str | None = None, max_steps: int = 10_000,
-                 engine: str = "partition"):
-        if engine not in ("partition", "legacy"):
-            raise ValueError(
-                f"engine must be 'partition' or 'legacy', got {engine!r}"
-            )
+    def __init__(self, target: str | None = None, max_steps: int = 10_000):
         self.target = target
-        self.max_steps = int(max_steps)
-        self.engine = engine
+        self.max_steps = check_int("max_steps", max_steps, minimum=0)
         self.name = "tds"
 
     def anonymize(
@@ -84,20 +73,9 @@ class TopDownSpecialization:
         qi_names = schema.quasi_identifiers
         heights = [hierarchies[name].height for name in qi_names]
 
-        cache_info = None
-        if self.engine == "partition":
-            node, cache_info = self._specialize_fast(
-                original, qi_names, heights, hierarchies, models
-            )
-        else:
-            node = self._specialize_legacy(
-                original, qi_names, heights, hierarchies, models
-            )
+        node, cache_info = self._specialize(original, qi_names, heights, hierarchies, models)
 
         final = apply_node(original, hierarchies, qi_names, node)
-        info = {"target": self.target}
-        if cache_info is not None:
-            info["partition_cache"] = cache_info
         return Release(
             table=final,
             schema=schema,
@@ -106,12 +84,10 @@ class TopDownSpecialization:
             suppressed=0,
             original_n_rows=original.n_rows,
             kept_rows=None,
-            info=info,
+            info={"target": self.target, "partition_cache": cache_info},
         )
 
-    # -- partition-engine path ----------------------------------------------
-
-    def _specialize_fast(self, original, qi_names, heights, hierarchies, models):
+    def _specialize(self, original, qi_names, heights, hierarchies, models):
         engine = PartitionEngine(original, hierarchies)
         node = list(heights)
         groups = [engine.root()]
@@ -138,7 +114,7 @@ class TopDownSpecialization:
                 cand_stats = engine.stats(cand_groups)
                 if not engine.check(cand_stats, models):
                     continue
-                gain = self._gain_fast(
+                gain = self._gain(
                     engine, name, node[i], label_codes, n_labels, gain_cache
                 )
                 anonymity_loss = max(current_min - cand_stats.min_size(), 0)
@@ -167,13 +143,13 @@ class TopDownSpecialization:
             refined.extend(engine.split_by_codes(group, codes[group.rows]))
         return refined
 
-    def _gain_fast(self, engine, name, level, label_codes, n_labels, gain_cache):
+    def _gain(self, engine, name, level, label_codes, n_labels, gain_cache):
         """Gain of specializing ``name`` from ``level`` to ``level - 1``.
 
-        Matches :meth:`_information_gain` float-for-float: the per-value
-        label counts come from one joint flattened bincount instead of a
-        mask per distinct value, and each (name, level) conditional entropy
-        is computed once per run instead of once per step.
+        With a target, the reduction in conditional label entropy; without
+        one, the number of distinct values exposed. Per-value label counts
+        come from one joint flattened bincount, and each (name, level)
+        conditional entropy is computed once per run.
         """
         if label_codes is None:
             key = (name, level - 1)
@@ -202,84 +178,6 @@ class TopDownSpecialization:
             value = total
             gain_cache[key] = value
         return value
-
-    # -- legacy path ---------------------------------------------------------
-
-    def _specialize_legacy(self, original, qi_names, heights, hierarchies, models):
-        node = list(heights)  # start fully generalized
-
-        top_table = apply_node(original, hierarchies, qi_names, node)
-        if not check_models(top_table, partition_by_qi(top_table, qi_names), models):
-            raise InfeasibleError(_INFEASIBLE_MSG)
-
-        label_codes = None
-        if self.target is not None:
-            label_codes = original.codes(self.target)
-
-        for _ in range(self.max_steps):
-            best = self._best_specialization(
-                original, qi_names, node, hierarchies, models, label_codes
-            )
-            if best is None:
-                break
-            node[best] -= 1
-        return node
-
-    def _best_specialization(
-        self,
-        original: Table,
-        qi_names: Sequence[str],
-        node: list[int],
-        hierarchies: Mapping[str, HierarchyLike],
-        models: Sequence[PrivacyModel],
-        label_codes: np.ndarray | None,
-    ) -> int | None:
-        """Index of the best feasible one-step specialization, or None."""
-        current = apply_node(original, hierarchies, qi_names, node)
-        current_partition = partition_by_qi(current, qi_names)
-        current_min = current_partition.min_size()
-
-        best_index, best_score = None, -np.inf
-        for i, name in enumerate(qi_names):
-            if node[i] == 0:
-                continue
-            trial = list(node)
-            trial[i] -= 1
-            candidate = apply_node(original, hierarchies, qi_names, trial)
-            partition = partition_by_qi(candidate, qi_names)
-            if not check_models(candidate, partition, models):
-                continue
-            gain = self._information_gain(candidate, current, name, label_codes)
-            anonymity_loss = max(current_min - partition.min_size(), 0)
-            score = gain / (anonymity_loss + 1.0)
-            if score > best_score:
-                best_index, best_score = i, score
-        return best_index
-
-    def _information_gain(
-        self,
-        candidate: Table,
-        current: Table,
-        name: str,
-        label_codes: np.ndarray | None,
-    ) -> float:
-        """Entropy reduction of the label when ``name`` is specialized."""
-        fine = candidate.codes(name)
-        if label_codes is None:
-            # Utility-only fallback: prefer exposing more distinct values.
-            return float(np.unique(fine).size)
-        coarse = current.codes(name)
-        n_labels = int(label_codes.max()) + 1
-
-        def conditional_entropy(group_codes: np.ndarray) -> float:
-            total = 0.0
-            for code in np.unique(group_codes):
-                mask = group_codes == code
-                counts = np.bincount(label_codes[mask], minlength=n_labels)
-                total += (mask.sum() / group_codes.size) * _entropy(counts)
-            return total
-
-        return conditional_entropy(coarse) - conditional_entropy(fine)
 
     def __repr__(self) -> str:
         return f"TopDownSpecialization(target={self.target!r})"

@@ -270,8 +270,8 @@ model_registry.register("ke-anonymity", KEAnonymity, params=("k", "e", "sensitiv
 algorithm_registry.register(
     "mondrian",
     Mondrian,
-    params=("mode", "target", "engine"),
-    defaults={"mode": "strict", "target": None, "engine": "partition"},
+    params=("mode", "target"),
+    defaults={"mode": "strict", "target": None},
 )
 algorithm_registry.register(
     "datafly",
@@ -297,20 +297,15 @@ algorithm_registry.register(
 algorithm_registry.register(
     "tds",
     TopDownSpecialization,
-    params=("target", "max_steps", "engine"),
-    defaults={"target": None, "max_steps": 10_000, "engine": "partition"},
+    params=("target", "max_steps"),
+    defaults={"target": None, "max_steps": 10_000},
 )
-algorithm_registry.register(
-    "mdav",
-    MDAVMicroaggregation,
-    params=("k", "engine"),
-    defaults={"engine": "partition"},
-)
+algorithm_registry.register("mdav", MDAVMicroaggregation, params=("k",))
 algorithm_registry.register(
     "kmember",
     KMemberClustering,
-    params=("k", "sample_candidates", "seed", "engine"),
-    defaults={"sample_candidates": 64, "seed": 0, "engine": "partition"},
+    params=("k", "sample_candidates", "seed"),
+    defaults={"sample_candidates": 64, "seed": 0},
 )
 algorithm_registry.register(
     "anatomy",

@@ -234,8 +234,7 @@ class PartitionEngine:
         translation ``apply_node`` uses — and memoized per (name, level).
         Numeric identity levels (IntervalHierarchy level 0 returns the raw
         numeric column) are rank-encoded so they partition like any code
-        column; the legacy table-based path cannot represent that case at
-        all (``Table.codes`` rejects numeric columns).
+        column (``Table.codes`` rejects numeric columns).
         """
         key = (name, int(level))
         entry = self._levels.get(key)

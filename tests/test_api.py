@@ -89,7 +89,6 @@ _PARAM_STRATEGIES = {
     "mode": st.sampled_from(["strict", "relaxed"]),
     "target": st.none(),
     "max_steps": st.integers(1, 10_000),
-    "engine": st.sampled_from(["partition", "legacy"]),
     "sample_candidates": st.integers(1, 256),
     "seed": st.integers(0, 2**31 - 1),
     "max_column_width": st.integers(1, 4),

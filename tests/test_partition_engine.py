@@ -1,26 +1,30 @@
-"""The partition engine: byte-identity to the legacy paths + cache counters.
+"""The partition engine: golden release digests + cache counters.
 
-Every algorithm rewired onto :class:`~repro.core.partition_engine.PartitionEngine`
-keeps its seed implementation behind ``engine="legacy"``; these tests pin the
-contract that makes the fast path trustworthy:
+Mondrian, TopDownSpecialization, MDAV, and k-member run on
+:class:`~repro.core.partition_engine.PartitionEngine`; these tests pin the
+contract that makes it trustworthy:
 
-* **byte-identical releases** — ``engine="partition"`` and ``engine="legacy"``
-  produce the same table fingerprint for Mondrian (strict/relaxed/InfoGain),
-  TopDownSpecialization, MDAV, and k-member across k/l/t model mixes;
+* **golden releases** — every case of the grid (Mondrian strict/relaxed/
+  InfoGain, TDS, MDAV, k-member across k/l/t model mixes) publishes the
+  exact CSV bytes recorded in :data:`GOLDEN_DIGESTS`;
 * **no raw rescans** — after the root materialization every feasibility check
   is served from cached counts (``raw_rescans == 0``), and sensitive-model
   mixes exercise the delta-histogram path (``histogram_splits > 0``);
 * **batch identity** — the newly registered algorithms run through
   ``run_batch`` JSON configs with ``workers=2`` byte-identical to sequential;
 * **closed-form relaxed cut** — ``Mondrian._cut_positions`` reproduces the
-  legacy one-row-at-a-time balancing append loop exactly, row for row.
+  one-row-at-a-time balancing append loop exactly, row for row.
 """
+
+import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from repro.api import AnonymizationConfig, run_batch
 from repro.api.registry import algorithm_registry
+from repro.cli import main as cli_main
 from repro.algorithms import (
     Anatomy,
     KMemberClustering,
@@ -32,6 +36,7 @@ from repro.algorithms import (
 from repro.core.partition_engine import PartitionEngine, grouped_histograms
 from repro.data import adult_hierarchies, adult_schema, load_adult
 from repro.errors import ConfigError
+from repro.service.data import release_csv_bytes
 from repro.privacy import (
     DistinctLDiversity,
     EntropyLDiversity,
@@ -71,25 +76,52 @@ def _model_mix(name):
             EntropyLDiversity(2.0, SENSITIVE),
             TCloseness(0.5, SENSITIVE),
         ],
+        "k4": [KAnonymity(4)],
     }[name]
 
 
-def _parity(make, table, schema, hierarchies, models):
-    """Release fingerprints of legacy vs partition engines must agree."""
-    legacy = make("legacy").anonymize(table, schema, hierarchies, models)
-    fast = make("partition").anonymize(table, schema, hierarchies, models)
-    assert fast.table.fingerprint() == legacy.table.fingerprint()
-    return fast
+#: sha256 of each case's release CSV bytes (exactly what the CLI writes).
+#: Recorded while the per-row reference implementations of these four
+#: algorithms still shipped beside the partition engine, with both
+#: producing these bytes under two ``PYTHONHASHSEED`` values.
+GOLDEN_DIGESTS = {
+    "mondrian-strict-k": "c6261ddf8ea883ce9fd2a028b88c37d7192590f5e10eee0a80260a7080cf6771",
+    "mondrian-strict-k+l": "c98eecb858c5388dedc61a1e1e206dee9968776c381eb7ce898e82bc3a30a0a8",
+    "mondrian-strict-k+el+t": "48b72c4d66a6aa52bab00d6bf3ca12aa215f3d5a7c8ba57a11fc3e9c86f2d04d",
+    "mondrian-strict-k4": "c98eecb858c5388dedc61a1e1e206dee9968776c381eb7ce898e82bc3a30a0a8",
+    "mondrian-relaxed-k": "7f8477db9b9f565d45bfc4da6c16e71afc003301f91f017b8c90c9a00bc5fe43",
+    "mondrian-relaxed-k+l": "b5ea2fd8ea1a6bf84c2cb33270caadc57b97a058b6a6de9b9ee5556112100b12",
+    "mondrian-relaxed-k+el+t": "8a38657fbb2cb52461d34dfd2c478311cbf5c8e8d1078b31c29931c3fb212622",
+    "mondrian-relaxed-k4": "b5ea2fd8ea1a6bf84c2cb33270caadc57b97a058b6a6de9b9ee5556112100b12",
+    "mondrian-infogain-k": "a0b2d9411de422f3bea6cd2ec35748bd35be197cf91d330bbfd879351c75cca9",
+    "mondrian-infogain-k+l": "63bfaef5d24231879537114ac70de4b43f7a3b5a0d7aa9d5f80ff836ce5f209f",
+    "mondrian-infogain-k4": "63bfaef5d24231879537114ac70de4b43f7a3b5a0d7aa9d5f80ff836ce5f209f",
+    "tds-k": "f60526fc12ecda47fc73e29cbe70ec7039aefb6f5c259fc075575b6c3c958c81",
+    "tds-k+l": "296a6fc98e67796ee03a60da949ce71936882e796711a7c84d065af28bb17085",
+    "tds-k+el+t": "3a8d345cf1870200679704df734f9721ed4de036e30750000580b60e8314e6ac",
+    "tds-k4": "296a6fc98e67796ee03a60da949ce71936882e796711a7c84d065af28bb17085",
+    "tds-infogain-k": "cb1ed06e4d6548536c3fddc51d3121938b668eb634621dfdd23de6413f49426a",
+    "mdav-k5": "c8bca0f0d75ceafc70573a86fa1ac4bc58944c0581e11c3101466bcb4ea26646",
+    "kmember-k4": "96b84a516fc7b2251f9b4142a0ece7b543e07b342151d61aec5cfd3d86328749",
+}
 
 
-# -- byte-identity across the rewired family ---------------------------------
+def _parity(case, algorithm, table, schema, hierarchies, models):
+    """The release must reproduce the case's golden digest byte for byte."""
+    release = algorithm.anonymize(table, schema, hierarchies, models)
+    digest = hashlib.sha256(release_csv_bytes(release.table)).hexdigest()
+    assert digest == GOLDEN_DIGESTS[case], case
+    return release
 
 
-@pytest.mark.parametrize("mix", ["k", "k+l", "k+el+t"])
+# -- golden releases across the family ----------------------------------------
+
+
+@pytest.mark.parametrize("mix", ["k", "k+l", "k+el+t", "k4"])
 @pytest.mark.parametrize("mode", ["strict", "relaxed"])
 def test_mondrian_parity(table, schema, hierarchies, mode, mix):
     release = _parity(
-        lambda e: Mondrian(mode=mode, engine=e),
+        f"mondrian-{mode}-{mix}", Mondrian(mode=mode),
         table, schema, hierarchies, _model_mix(mix),
     )
     cache = release.info["partition_cache"]
@@ -97,19 +129,19 @@ def test_mondrian_parity(table, schema, hierarchies, mode, mix):
     assert cache["checks_legacy"] == 0
 
 
-@pytest.mark.parametrize("mix", ["k", "k+l"])
+@pytest.mark.parametrize("mix", ["k", "k+l", "k4"])
 def test_mondrian_infogain_parity(table, schema, hierarchies, mix):
     release = _parity(
-        lambda e: Mondrian(target=SENSITIVE, engine=e),
+        f"mondrian-infogain-{mix}", Mondrian(target=SENSITIVE),
         table, schema, hierarchies, _model_mix(mix),
     )
     assert release.info["partition_cache"]["raw_rescans"] == 0
 
 
-@pytest.mark.parametrize("mix", ["k", "k+l", "k+el+t"])
+@pytest.mark.parametrize("mix", ["k", "k+l", "k+el+t", "k4"])
 def test_tds_parity(table, schema, hierarchies, mix):
     release = _parity(
-        lambda e: TopDownSpecialization(engine=e),
+        f"tds-{mix}", TopDownSpecialization(),
         table, schema, hierarchies, _model_mix(mix),
     )
     assert release.info["partition_cache"]["raw_rescans"] == 0
@@ -117,27 +149,27 @@ def test_tds_parity(table, schema, hierarchies, mix):
 
 def test_tds_infogain_parity(table, schema, hierarchies):
     _parity(
-        lambda e: TopDownSpecialization(target=SENSITIVE, engine=e),
+        "tds-infogain-k", TopDownSpecialization(target=SENSITIVE),
         table, schema, hierarchies, _model_mix("k"),
     )
 
 
 def test_mdav_parity(table, schema, hierarchies):
     _parity(
-        lambda e: MDAVMicroaggregation(5, engine=e),
+        "mdav-k5", MDAVMicroaggregation(5),
         table, schema, hierarchies, [KAnonymity(5)],
     )
 
 
 def test_kmember_parity(small_table, schema, hierarchies):
     _parity(
-        lambda e: KMemberClustering(4, engine=e),
+        "kmember-k4", KMemberClustering(4),
         small_table, schema, hierarchies, [KAnonymity(4)],
     )
 
 
 def test_anatomy_and_slicing_deterministic(small_table, schema, hierarchies):
-    # No engine flag — their vectorized internals must be self-consistent.
+    # No golden digests — their vectorized internals must be self-consistent.
     a1, _ = Anatomy(3).anatomize(small_table, schema)
     a2, _ = Anatomy(3).anatomize(small_table, schema)
     assert a1.qit.fingerprint() == a2.qit.fingerprint()
@@ -243,7 +275,7 @@ def test_split_by_codes_single_value_returns_group_unchanged(table):
     assert children[0] is root
 
 
-# -- relaxed-cut closed form vs the legacy append loop ------------------------
+# -- relaxed-cut closed form vs the one-row-at-a-time append loop -------------
 
 
 def _legacy_relaxed_assignment(values, median):
@@ -278,7 +310,7 @@ def test_relaxed_cut_positions_match_legacy_loop(seed):
 
 
 def test_relaxed_cut_splits_all_equal_block_like_legacy():
-    # The legacy loop alternates all-median rows between halves; the closed
+    # The append loop alternates all-median rows between halves; the closed
     # form must reproduce that, not bail out as degenerate.
     values = np.ones(10)
     expected = _legacy_relaxed_assignment(values, 1.0)
@@ -301,8 +333,8 @@ def test_strict_cut_degenerate_returns_none():
         {"algorithm": "kmember", "k": 4},
         {"algorithm": "anatomy", "l": 3},
         {"algorithm": "slicing", "k": 4},
-        {"algorithm": "mondrian", "mode": "relaxed", "engine": "legacy"},
-        {"algorithm": "tds", "engine": "legacy"},
+        {"algorithm": "mondrian", "mode": "relaxed", "target": SENSITIVE},
+        {"algorithm": "tds", "max_steps": 0},
     ],
 )
 def test_registry_round_trip(spec):
@@ -314,12 +346,64 @@ def test_registry_round_trip(spec):
 
 
 def test_bad_engine_rejected():
-    with pytest.raises(ValueError, match="engine"):
-        Mondrian(engine="bogus")
-    with pytest.raises(ValueError, match="engine"):
-        TopDownSpecialization(engine="bogus")
-    with pytest.raises(ConfigError):
-        algorithm_registry.from_spec({"algorithm": "mondrian", "engine": "bogus"})
+    # The engine= knob is gone: old specs carrying it fail at parse time.
+    for spec in (
+        {"algorithm": "mondrian", "engine": "partition"},
+        {"algorithm": "tds", "engine": "legacy"},
+        {"algorithm": "mdav", "k": 4, "engine": "partition"},
+        {"algorithm": "kmember", "k": 4, "engine": "legacy"},
+    ):
+        with pytest.raises(ConfigError, match="unknown key 'engine'"):
+            algorithm_registry.from_spec(spec)
+    with pytest.raises(TypeError, match="engine"):
+        Mondrian(engine="partition")
+
+
+_CLI_CSV = (
+    "zipcode,job,age,disease\n"
+    "13053,engineer,29,flu\n"
+    "13068,teacher,31,hiv\n"
+    "13053,engineer,35,ulcer\n"
+    "13068,nurse,40,flu\n"
+)
+
+
+@pytest.mark.parametrize(
+    "spec, key",
+    [
+        ({"algorithm": "kmember", "k": 2, "sample_candidates": 0}, "sample_candidates"),
+        ({"algorithm": "kmember", "k": 2, "sample_candidates": -1}, "sample_candidates"),
+        ({"algorithm": "kmember", "k": 2, "sample_candidates": 8.0}, "sample_candidates"),
+        ({"algorithm": "kmember", "k": 2, "sample_candidates": True}, "sample_candidates"),
+        ({"algorithm": "kmember", "k": 2, "seed": "a"}, "seed"),
+        ({"algorithm": "kmember", "k": 2, "seed": -1}, "seed"),
+        ({"algorithm": "kmember", "k": 2.5}, "k"),
+        ({"algorithm": "mdav", "k": 2.5}, "k"),
+        ({"algorithm": "tds", "max_steps": -1}, "max_steps"),
+        ({"algorithm": "tds", "max_steps": 1.5}, "max_steps"),
+        ({"algorithm": "tds", "max_steps": True}, "max_steps"),
+    ],
+)
+def test_bad_algorithm_params_fail_at_config_time(spec, key, tmp_path, capsys):
+    message = f"'{spec['algorithm']}': {key} must be"
+    with pytest.raises(ConfigError, match=message):
+        algorithm_registry.from_spec(spec)
+    # The CLI reports it as a usage error (exit 2) before touching the data.
+    (tmp_path / "in.csv").write_text(_CLI_CSV)
+    (tmp_path / "job.json").write_text(json.dumps({
+        "quasi_identifiers": ["zipcode", "job"],
+        "numeric_quasi_identifiers": ["age"],
+        "sensitive": ["disease"],
+        "models": [{"model": "k-anonymity", "k": 2}],
+        "algorithm": spec,
+    }))
+    out = tmp_path / "out.csv"
+    code = cli_main([
+        str(tmp_path / "in.csv"), str(out), "--config", str(tmp_path / "job.json"),
+    ])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _job(schema, algorithm):

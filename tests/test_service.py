@@ -471,6 +471,13 @@ class TestHTTP:
         with pytest.raises(ServiceError) as excinfo:
             client.submit_job({**JOB, "models": [{"model": "nope"}]}, DATA)
         assert excinfo.value.status == 400
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit_job(
+                {**JOB, "algorithm": {"algorithm": "mondrian", "engine": "legacy"}},
+                DATA,
+            )
+        assert excinfo.value.status == 400
+        assert "unknown key 'engine'" in excinfo.value.message
         bad_tenant = ServiceClient(base, tenant="..")
         with pytest.raises(ServiceError) as excinfo:
             bad_tenant.healthz()
