@@ -1,7 +1,7 @@
 """Single source of the package version.
 
 Kept in a dependency-free module so ``setup.py`` can read it without
-importing the package (and its numpy/scipy requirements). Everything else
+importing the package (and its numpy requirement). Everything else
 imports it from here: ``repro.__version__``,
 :meth:`repro.api.AnonymizationResult.to_dict` (so archived job reports name
 the code that produced them), and the service ``/healthz`` payload (so a

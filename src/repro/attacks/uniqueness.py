@@ -13,13 +13,14 @@ sample equivalence-class sizes:
   f == 1 and the Poisson posterior concentrates at 1.
 
 Both take only the sample's EC-size histogram plus the sampling fraction,
-so they run on any release.
+so they run on any release. They import ``scipy.stats`` when they run, so
+importing this module — which the stock metric registry does through
+:mod:`repro.attacks` — needs only numpy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from ..core.release import Release
 
@@ -47,6 +48,8 @@ def zayatz_population_uniques(class_sizes: np.ndarray, sampling_fraction: float)
         return 0.0
     max_size = int(class_sizes.max())
     size_counts = np.bincount(class_sizes, minlength=max_size + 1).astype(np.float64)
+
+    from scipy import stats
 
     # P(sample size = 1 | population size = j) under binomial thinning.
     population_sizes = np.arange(1, max_size + 1)
@@ -77,6 +80,8 @@ def poisson_population_uniques(class_sizes: np.ndarray, sampling_fraction: float
     mean_population_size = max(class_sizes.mean() / sampling_fraction, 1.0)
     lam = mean_population_size
     j = np.arange(1, max(int(lam * 6), 20))
+    from scipy import stats
+
     prior = stats.poisson.pmf(j, lam)
     likelihood = j * sampling_fraction * (1 - sampling_fraction) ** (j - 1)
     posterior = prior * likelihood

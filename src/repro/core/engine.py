@@ -67,6 +67,7 @@ lock. See ``docs/architecture.md`` for the full design.
 from __future__ import annotations
 
 import threading
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
@@ -129,7 +130,7 @@ class GroupStats:
     sizes: np.ndarray
     group_codes: np.ndarray
     n_rows: int
-    _engine: "LatticeEvaluator"
+    _context: "_StatsContext"
     _row_labels: np.ndarray | None = None
     _parent: tuple["GroupStats", np.ndarray] | None = None
     _hists: dict = field(default_factory=dict)
@@ -153,7 +154,7 @@ class GroupStats:
                 assert self._parent is not None, "root stats always carry row labels"
                 parent, group_map = self._parent
                 self._row_labels = group_map[parent.row_labels]
-                self._engine._note_bytes(self, self._row_labels.nbytes)
+                self._context.note_bytes(self, self._row_labels.nbytes)
             return self._row_labels
 
     def histogram(self, sensitive: str) -> np.ndarray:
@@ -162,19 +163,18 @@ class GroupStats:
             hist = self._hists.get(sensitive)
             if hist is not None:
                 return hist
-            n_cats = self._engine._column_categories(sensitive)
+            codes, n_cats = self._context.column(sensitive)
             if self._parent is not None:
                 parent, group_map = self._parent
                 hist = np.zeros((self.n_groups, n_cats), dtype=np.int64)
                 np.add.at(hist, group_map, parent.histogram(sensitive))
             else:
-                codes = self._engine._column_codes(sensitive)
                 flat = np.bincount(
                     self.row_labels * n_cats + codes, minlength=self.n_groups * n_cats
                 )
                 hist = flat.reshape(self.n_groups, n_cats)
             self._hists[sensitive] = hist
-            self._engine._note_bytes(self, hist.nbytes)
+            self._context.note_bytes(self, hist.nbytes)
             return hist
 
     def global_distribution(self, sensitive: str) -> np.ndarray:
@@ -191,7 +191,7 @@ class GroupStats:
                     self.row_labels, self.names, self.n_rows
                 )
                 # The group arrays are views over one O(n_rows) order array.
-                self._engine._note_bytes(self, self.n_rows * 8)
+                self._context.note_bytes(self, self.n_rows * 8)
             return self._partition
 
     def external_counts(self, table: Table) -> np.ndarray:
@@ -205,9 +205,9 @@ class GroupStats:
         """
         with self._lock:
             if self._external is None or self._external[0] is not table:
-                counts = self._engine.external_group_counts(self, table)
+                counts = self._context.external_group_counts(self, table)
                 self._external = (table, counts)
-                self._engine._note_bytes(self, counts.nbytes)
+                self._context.note_bytes(self, counts.nbytes)
                 return counts
             return self._external[1]
 
@@ -234,6 +234,123 @@ class _QIEncoding:
         self.luts = luts
         self.n_labels = n_labels
         self.uniques = uniques
+
+
+class _StatsContext:
+    """The table-side lookups a :class:`GroupStats` grows lazily through.
+
+    Stats point here rather than at their :class:`LatticeEvaluator`, so
+    evaluator → store → stats → context holds no reference cycle: an
+    evaluator, its store and its stats are freed by reference counting as
+    soon as the last outside reference goes. The lookups are held strongly,
+    so stats keep working after their evaluator is dropped; the store is
+    held weakly, because growth of stats no store holds needs no accounting.
+    """
+
+    def __init__(
+        self,
+        table: Table,
+        hierarchies: Mapping[str, HierarchyLike],
+        encodings: dict[str, _QIEncoding],
+        store: EngineCacheStore,
+    ):
+        self.table = table
+        self.hierarchies = hierarchies
+        self.encodings = encodings
+        self._store = weakref.ref(store)
+        self._columns: dict[str, tuple[np.ndarray, int]] = {}
+        # External-table ground codes, one slot per QI name: the domain
+        # translation is node-independent, so a lattice search re-evaluating
+        # δ-presence at every node pays for it once per table. Single-slot
+        # so a long-lived evaluator seeing refreshed population tables never
+        # pins retired ones; the entry stores the table for identity checks.
+        self._external_grounds: dict[str, tuple[Table, np.ndarray]] = {}
+
+    def note_bytes(self, stats: GroupStats, n_bytes: int) -> None:
+        store = self._store()
+        if store is not None:
+            store.note_bytes(stats, n_bytes)
+
+    def column(self, name: str) -> tuple[np.ndarray, int]:
+        """(int64 codes, category count) of a categorical column."""
+        cached = self._columns.get(name)
+        if cached is None:
+            column = self.table.column(name)
+            if not column.is_categorical:
+                raise SchemaError(
+                    f"column {name!r} must be categorical for group histograms"
+                )
+            assert column.codes is not None
+            cached = (column.codes.astype(np.int64), len(column.categories))
+            self._columns[name] = cached
+        return cached
+
+    def _external_ground(
+        self, name: str, table: Table, column, hierarchy: Hierarchy
+    ) -> np.ndarray:
+        """External rows as research-domain ground codes (-1 = no match)."""
+        entry = self._external_grounds.get(name)
+        if entry is not None and entry[0] is table:
+            return entry[1]
+        ground_index = {value: code for code, value in enumerate(hierarchy.ground)}
+        translate = np.array(
+            [ground_index.get(v, -1) for v in column.categories], dtype=np.int64
+        )
+        ground = translate[column.codes]
+        self._external_grounds[name] = (table, ground)
+        return ground
+
+    def external_group_counts(self, stats: GroupStats, table: Table) -> np.ndarray:
+        """Rows of an external table matching each of ``stats``' groups.
+
+        The external table (e.g. δ-presence's population) is generalized
+        through the same hierarchies at ``stats.node`` and its rows are
+        matched against the groups' representative codes. Values outside the
+        research table's domain — an unseen category, or (at level 0) a
+        numeric value absent from the research column — match no group.
+        Returns int64 counts aligned with ``stats``' group order.
+        """
+        code_columns: list[np.ndarray] = []
+        radices: list[int] = []
+        valid = np.ones(table.n_rows, dtype=bool)
+        for i, (name, level) in enumerate(zip(stats.names, stats.node)):
+            enc = self.encodings[name]
+            column = table.column(name)
+            hierarchy = self.hierarchies[name]
+            if column.is_categorical:
+                assert isinstance(hierarchy, Hierarchy) and column.codes is not None
+                ground = self._external_ground(name, table, column, hierarchy)
+                valid &= ground >= 0
+                codes = enc.luts[level][np.where(ground >= 0, ground, 0)]
+            else:
+                assert column.values is not None and enc.uniques is not None
+                if level == 0:
+                    ranks = np.searchsorted(enc.uniques, column.values)
+                    ranks = np.clip(ranks, 0, enc.uniques.size - 1)
+                    valid &= enc.uniques[ranks] == column.values
+                    codes = ranks.astype(np.int64)
+                else:
+                    codes = hierarchy.bin_values(column.values, level).astype(np.int64)
+            code_columns.append(codes)
+            radices.append(enc.n_labels[level])
+        # Pack external rows and group representatives in ONE call: the
+        # int64-overflow fallback labels by np.unique(axis=0), and labels
+        # from separate pack calls would not be comparable.
+        joint = [
+            np.concatenate([codes, stats.group_codes[:, i]])
+            for i, codes in enumerate(code_columns)
+        ]
+        packed = pack_code_columns(joint, radices)
+        external_sig = packed[: table.n_rows][valid]
+        group_sig = packed[table.n_rows :]
+        uniques, match_counts = np.unique(external_sig, return_counts=True)
+        slots = np.searchsorted(uniques, group_sig)
+        slots = np.clip(slots, 0, max(uniques.size - 1, 0))
+        counts = np.zeros(stats.n_groups, dtype=np.int64)
+        if uniques.size:
+            matched = uniques[slots] == group_sig
+            counts[matched] = match_counts[slots[matched]]
+        return counts
 
 
 class LatticeEvaluator:
@@ -322,13 +439,9 @@ class LatticeEvaluator:
         )
         self._encodings = {name: self._encode_qi(name) for name in self.qi_names}
         self._level_maps: dict[tuple[str, int, int], np.ndarray] = {}
-        self._columns: dict[str, tuple[np.ndarray, int]] = {}
-        # External-table ground codes, one slot per QI name: the domain
-        # translation is node-independent, so a lattice search re-evaluating
-        # δ-presence at every node pays for it once per table. Single-slot
-        # so a long-lived evaluator seeing refreshed population tables never
-        # pins retired ones; the entry stores the table for identity checks.
-        self._external_grounds: dict[str, tuple[Table, np.ndarray]] = {}
+        #: What this evaluator's stats grow lazily through; handed to
+        #: :meth:`EngineCacheStore.rebind` when a warm store changes hands.
+        self.context = _StatsContext(table, hierarchies, self._encodings, self.cache)
         # Single-entry materialization cache: callers typically ask for the
         # same node's table twice in a row (check -> suppression count), and
         # full tables are too large to memoize per node.
@@ -364,27 +477,6 @@ class LatticeEvaluator:
             n_labels.append(len(hierarchy.intervals(lv)))
         return _QIEncoding(base.astype(np.int64), luts, n_labels, uniques=uniques)
 
-    def _column_codes(self, name: str) -> np.ndarray:
-        """int64 codes of a categorical (usually sensitive) column."""
-        return self._column(name)[0]
-
-    def _column_categories(self, name: str) -> int:
-        """Category count of a categorical column."""
-        return self._column(name)[1]
-
-    def _column(self, name: str) -> tuple[np.ndarray, int]:
-        cached = self._columns.get(name)
-        if cached is None:
-            column = self.table.column(name)
-            if not column.is_categorical:
-                raise SchemaError(
-                    f"column {name!r} must be categorical for group histograms"
-                )
-            assert column.codes is not None
-            cached = (column.codes.astype(np.int64), len(column.categories))
-            self._columns[name] = cached
-        return cached
-
     def _level_map_between(self, name: str, low: int, high: int) -> np.ndarray:
         """Composed LUT mapping level-``low`` codes to level-``high`` codes.
 
@@ -395,7 +487,7 @@ class LatticeEvaluator:
         Unlocked on purpose: the memo write is idempotent (two racing
         threads compute identical arrays and either may win), so the worst
         case is one wasted recomputation, never a wrong value. The same
-        holds for the ``_columns`` and ``_external_grounds`` memos.
+        holds for the context's ``_columns`` and ``_external_grounds`` memos.
         """
         key = (name, low, high)
         comp = self._level_maps.get(key)
@@ -488,9 +580,6 @@ class LatticeEvaluator:
     def _accounted(self) -> dict:
         return self.cache._accounted
 
-    def _note_bytes(self, stats: GroupStats, n_bytes: int) -> None:
-        self.cache.note_bytes(stats, n_bytes)
-
     def _group(
         self, code_columns: list[np.ndarray], radices: list[int]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -549,7 +638,7 @@ class LatticeEvaluator:
             sizes=sizes,
             group_codes=group_codes,
             n_rows=n_rows,
-            _engine=self,
+            _context=self.context,
             _row_labels=labels,
         )
 
@@ -569,76 +658,9 @@ class LatticeEvaluator:
             sizes=sizes,
             group_codes=group_codes,
             n_rows=parent.n_rows,
-            _engine=self,
+            _context=self.context,
             _parent=(parent, group_map),
         )
-
-    def _external_ground(
-        self, name: str, table: Table, column, hierarchy: Hierarchy
-    ) -> np.ndarray:
-        """External rows as research-domain ground codes (-1 = no match)."""
-        entry = self._external_grounds.get(name)
-        if entry is not None and entry[0] is table:
-            return entry[1]
-        ground_index = {value: code for code, value in enumerate(hierarchy.ground)}
-        translate = np.array(
-            [ground_index.get(v, -1) for v in column.categories], dtype=np.int64
-        )
-        ground = translate[column.codes]
-        self._external_grounds[name] = (table, ground)
-        return ground
-
-    def external_group_counts(self, stats: GroupStats, table: Table) -> np.ndarray:
-        """Rows of an external table matching each of ``stats``' groups.
-
-        The external table (e.g. δ-presence's population) is generalized
-        through the same hierarchies at ``stats.node`` and its rows are
-        matched against the groups' representative codes. Values outside the
-        research table's domain — an unseen category, or (at level 0) a
-        numeric value absent from the research column — match no group.
-        Returns int64 counts aligned with ``stats``' group order.
-        """
-        code_columns: list[np.ndarray] = []
-        radices: list[int] = []
-        valid = np.ones(table.n_rows, dtype=bool)
-        for i, (name, level) in enumerate(zip(stats.names, stats.node)):
-            enc = self._encodings[name]
-            column = table.column(name)
-            hierarchy = self.hierarchies[name]
-            if column.is_categorical:
-                assert isinstance(hierarchy, Hierarchy) and column.codes is not None
-                ground = self._external_ground(name, table, column, hierarchy)
-                valid &= ground >= 0
-                codes = enc.luts[level][np.where(ground >= 0, ground, 0)]
-            else:
-                assert column.values is not None and enc.uniques is not None
-                if level == 0:
-                    ranks = np.searchsorted(enc.uniques, column.values)
-                    ranks = np.clip(ranks, 0, enc.uniques.size - 1)
-                    valid &= enc.uniques[ranks] == column.values
-                    codes = ranks.astype(np.int64)
-                else:
-                    codes = hierarchy.bin_values(column.values, level).astype(np.int64)
-            code_columns.append(codes)
-            radices.append(enc.n_labels[level])
-        # Pack external rows and group representatives in ONE call: the
-        # int64-overflow fallback labels by np.unique(axis=0), and labels
-        # from separate pack calls would not be comparable.
-        joint = [
-            np.concatenate([codes, stats.group_codes[:, i]])
-            for i, codes in enumerate(code_columns)
-        ]
-        packed = pack_code_columns(joint, radices)
-        external_sig = packed[: table.n_rows][valid]
-        group_sig = packed[table.n_rows :]
-        uniques, match_counts = np.unique(external_sig, return_counts=True)
-        slots = np.searchsorted(uniques, group_sig)
-        slots = np.clip(slots, 0, max(uniques.size - 1, 0))
-        counts = np.zeros(stats.n_groups, dtype=np.int64)
-        if uniques.size:
-            matched = uniques[slots] == group_sig
-            counts[matched] = match_counts[slots[matched]]
-        return counts
 
     # -- model evaluation ----------------------------------------------------
 

@@ -6,18 +6,38 @@ users without pandas) can anonymize real files:
 * :func:`read_csv` — header-based load with optional explicit column kinds;
   unspecified columns are sniffed (all-numeric → numeric, else categorical).
 * :func:`write_csv` — writes decoded values.
+* :func:`parse_csv` / :func:`format_csv` — the same two over in-memory
+  bytes, decoded and encoded exactly as a file would be (the service
+  parses request payloads and serializes releases through them).
+
+Ingest reads the text once. Text holding no quote character and no CR —
+every plain export of codes, numbers and labels — is split into lines and
+then into cells with ``str.split``: plain string lists, one cell-count
+check per line, columns taken by stride slicing. Anything else keeps the
+``csv`` module parse. Both paths yield the same cells, so the same table.
+
+Egress renders each category, or each distinct numeric value, once and
+hands per-column label lists to ``csv.writer.writerows``, so quoting stays
+the ``csv`` module's.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import os
-from typing import Sequence
+from itertools import repeat
+from typing import Sequence, TextIO
+
+import numpy as np
 
 from ..errors import SchemaError
 from .table import Column, Table
 
-__all__ = ["read_csv", "write_csv"]
+__all__ = ["format_csv", "parse_csv", "read_csv", "write_csv"]
+
+#: The ASCII characters ``str.strip()`` removes, less the line ends.
+_ASCII_BLANKS = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
 
 
 def read_csv(
@@ -33,47 +53,141 @@ def read_csv(
     categorical. Values are stripped of surrounding whitespace.
     """
     with open(path, newline="") as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
-        try:
-            header = [name.strip() for name in next(reader)]
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        rows = [[cell.strip() for cell in row] for row in reader if row]
-    if not rows:
-        raise SchemaError(f"{path}: no data rows")
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise SchemaError(
-                f"{path}: row {i + 2} has {len(row)} cells, header has {len(header)}"
-            )
+        text = handle.read()
+    return _table(text, path, categorical, numeric, delimiter)
 
-    columns: list[Column] = []
-    by_name = {name: [row[j] for row in rows] for j, name in enumerate(header)}
-    declared = set(categorical) | set(numeric)
-    unknown = declared - set(header)
-    if unknown:
-        raise SchemaError(f"declared columns {sorted(unknown)} not in CSV header {header}")
-    for name in header:
-        values = by_name[name]
-        if name in categorical:
-            columns.append(Column.categorical(name, values))
-        elif name in numeric:
-            columns.append(Column.numeric(name, [_parse_number(name, v) for v in values]))
-        elif all(_is_number(v) for v in values):
-            columns.append(Column.numeric(name, [float(v) for v in values]))
-        else:
-            columns.append(Column.categorical(name, values))
-    return Table(columns)
+
+def parse_csv(
+    data: bytes,
+    categorical: Sequence[str] = (),
+    numeric: Sequence[str] = (),
+    delimiter: str = ",",
+    source: str = "<csv>",
+) -> Table:
+    """:func:`read_csv` over in-memory bytes; ``source`` names them in errors."""
+    with io.TextIOWrapper(io.BytesIO(data), newline="") as handle:
+        text = handle.read()
+    return _table(text, source, categorical, numeric, delimiter)
 
 
 def write_csv(table: Table, path: str | os.PathLike, delimiter: str = ",") -> None:
     """Write a table (decoded values) to a CSV file with a header row."""
-    decoded = {name: table.column(name).decode() for name in table.column_names}
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, delimiter=delimiter)
-        writer.writerow(table.column_names)
-        for i in range(table.n_rows):
-            writer.writerow([_render(decoded[name][i]) for name in table.column_names])
+        _write(table, handle, delimiter)
+
+
+def format_csv(table: Table, delimiter: str = ",") -> bytes:
+    """The bytes :func:`write_csv` would write for ``table``."""
+    buffer = io.BytesIO()
+    with io.TextIOWrapper(buffer, newline="") as handle:
+        _write(table, handle, delimiter)
+        handle.flush()
+        return buffer.getvalue()
+
+
+def _table(
+    text: str,
+    source: str | os.PathLike,
+    categorical: Sequence[str],
+    numeric: Sequence[str],
+    delimiter: str,
+) -> Table:
+    header, cells = _cells(text, source, delimiter)
+    declared = set(categorical) | set(numeric)
+    unknown = declared - set(header)
+    if unknown:
+        raise SchemaError(f"declared columns {sorted(unknown)} not in CSV header {header}")
+    # A repeated name keeps its last column here; Table then rejects it.
+    by_name = dict(zip(header, cells))
+    columns: list[Column] = []
+    for name in header:
+        values = by_name[name]
+        if name in categorical:
+            columns.append(Column.categorical(name, values))
+            continue
+        try:
+            numbers = np.fromiter(map(float, values), dtype=np.float64, count=len(values))
+        except ValueError:
+            if name in numeric:
+                bad = next(v for v in values if not _is_number(v))
+                raise SchemaError(f"column {name!r}: {bad!r} is not numeric") from None
+            columns.append(Column.categorical(name, values))
+        else:
+            columns.append(Column.numeric(name, numbers))
+    return Table(columns)
+
+
+def _cells(
+    text: str, source: str | os.PathLike, delimiter: str
+) -> tuple[list[str], list[list[str]]]:
+    """The stripped header and one list of stripped cells per column."""
+    if len(delimiter) != 1 or '"' in text or "\r" in text:
+        return _csv_cells(text, source, delimiter)
+    if not text:
+        raise SchemaError(f"{source}: empty file")
+    # Each intermediate (lines, rows, the joined text) is dropped as soon as
+    # the next exists: these, not the table, set a CLI run's peak memory.
+    lines = text.split("\n")
+    # csv.reader reads a blank line as an empty row and skips blank data rows.
+    header = [name.strip() for name in lines[0].split(delimiter)] if lines[0] else []
+    rows = list(filter(None, lines[1:]))
+    del lines
+    if not rows:
+        raise SchemaError(f"{source}: no data rows")
+    width = len(header)
+    counts = list(map(str.count, rows, repeat(delimiter)))
+    if counts.count(width - 1) != len(counts):
+        i = next(i for i, count in enumerate(counts) if count != width - 1)
+        raise SchemaError(
+            f"{source}: row {i + 2} has {counts[i] + 1} cells, header has {width}"
+        )
+    joined = delimiter.join(rows)
+    del rows
+    cells = joined.split(delimiter)
+    del joined
+    columns = [cells[j::width] for j in range(width)]
+    # Stripping blank-free ASCII text is a no-op: skip the per-cell pass.
+    if not text.isascii() or any(blank in text for blank in _ASCII_BLANKS):
+        columns = [list(map(str.strip, column)) for column in columns]
+    return header, columns
+
+
+def _csv_cells(
+    text: str, source: str | os.PathLike, delimiter: str
+) -> tuple[list[str], list[list[str]]]:
+    """:func:`_cells` through the ``csv`` module (quoted fields, CR line ends)."""
+    reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
+    try:
+        header = [name.strip() for name in next(reader)]
+    except StopIteration:
+        raise SchemaError(f"{source}: empty file") from None
+    rows = [[cell.strip() for cell in row] for row in reader if row]
+    if not rows:
+        raise SchemaError(f"{source}: no data rows")
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise SchemaError(
+                f"{source}: row {i + 2} has {len(row)} cells, header has {len(header)}"
+            )
+    return header, [[row[j] for row in rows] for j in range(len(header))]
+
+
+def _write(table: Table, handle: TextIO, delimiter: str) -> None:
+    writer = csv.writer(handle, delimiter=delimiter)
+    writer.writerow(table.column_names)
+    writer.writerows(zip(*map(_labels, table)))
+
+
+def _labels(column: Column) -> list[str]:
+    """The column's rendered cells, each distinct value rendered once."""
+    if column.is_categorical:
+        values, codes = column.categories, column.codes
+    else:
+        # Iterating the array yields the same numpy scalars decode() does.
+        values, codes = np.unique(column.values, return_inverse=True)
+    labels = np.empty(len(values), dtype=object)
+    labels[:] = [_render(value) for value in values]
+    return labels[codes].tolist()
 
 
 def _is_number(text: str) -> bool:
@@ -82,13 +196,6 @@ def _is_number(text: str) -> bool:
         return True
     except ValueError:
         return False
-
-
-def _parse_number(name: str, text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise SchemaError(f"column {name!r}: {text!r} is not numeric") from None
 
 
 def _render(value) -> str:

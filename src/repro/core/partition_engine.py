@@ -79,14 +79,17 @@ class PartitionGroup:
     table.
     """
 
-    __slots__ = ("rows", "_engine", "_parent", "_positions", "_sibling", "_codes", "_hists")
+    __slots__ = ("rows", "_engine", "_parent", "_positions", "_sibling_hists", "_codes", "_hists")
 
     def __init__(self, engine, rows, parent=None, positions=None):
         self.rows = rows
         self._engine = engine
         self._parent = parent
         self._positions = positions
-        self._sibling = None
+        # The sibling's histogram memo rather than the sibling itself: two
+        # groups pointing at each other would be a reference cycle, left
+        # for the cyclic collector instead of freed by reference counting.
+        self._sibling_hists: dict[str, np.ndarray] | None = None
         self._codes: dict[str, np.ndarray] = {}
         self._hists: dict[str, np.ndarray] = {}
 
@@ -109,14 +112,14 @@ class PartitionGroup:
         """Category counts of ``name`` over this group (int64, n_cats wide)."""
         hist = self._hists.get(name)
         if hist is None:
-            parent, sibling = self._parent, self._sibling
+            parent, sibling_hists = self._parent, self._sibling_hists
             if (
                 parent is not None
-                and sibling is not None
+                and sibling_hists is not None
                 and name in parent._hists
-                and name in sibling._hists
+                and name in sibling_hists
             ):
-                hist = parent._hists[name] - sibling._hists[name]
+                hist = parent._hists[name] - sibling_hists[name]
                 self._engine.counters["histogram_splits"] += 1
             else:
                 hist = np.bincount(
@@ -270,8 +273,8 @@ class PartitionEngine:
         """
         left = PartitionGroup(self, group.rows[left_positions], group, left_positions)
         right = PartitionGroup(self, group.rows[right_positions], group, right_positions)
-        left._sibling = right
-        right._sibling = left
+        left._sibling_hists = right._hists
+        right._sibling_hists = left._hists
         self.counters["groups_materialized"] += 2
         return left, right
 

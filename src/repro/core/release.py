@@ -52,6 +52,12 @@ class Release:
         return self._partition
 
     def equivalence_class_sizes(self) -> np.ndarray:
+        """Per-class row counts, in :meth:`partition` group order."""
+        if self._partition is None and self.n_rows:
+            # Counting the QI signatures gives the same sizes without one
+            # row-index array per class; a job summary needs only these.
+            signature = self.table.group_signature(self.schema.quasi_identifiers)
+            return np.unique(signature, return_counts=True)[1]
         return self.partition().sizes()
 
     def summary(self) -> dict:

@@ -152,7 +152,7 @@ class Column:
             categories = sorted(set(data), key=str)
         index = {value: code for code, value in enumerate(categories)}
         try:
-            codes = np.fromiter((index[v] for v in data), dtype=np.int32, count=len(data))
+            codes = np.fromiter(map(index.__getitem__, data), dtype=np.int32, count=len(data))
         except KeyError as exc:
             raise SchemaError(
                 f"value {exc.args[0]!r} of column {name!r} not in its category list"

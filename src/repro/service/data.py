@@ -10,11 +10,12 @@ A job or batch payload carries a ``data`` object in one of two forms:
   resolved path must stay inside that root (no ``..`` escapes, no symlink
   tricks — both sides are resolved before the containment check).
 
-Both forms load through :func:`repro.core.io.read_csv` — the same parser the
-CLI uses — so a job submitted over HTTP sees exactly the table the CLI would
-build, and :func:`release_csv_bytes` serializes through
-:func:`repro.core.io.write_csv` so the streamed release is byte-identical to
-a CLI output file.
+Both forms parse in memory through :func:`repro.core.io.parse_csv` — the
+parser behind the CLI's :func:`~repro.core.io.read_csv` — so a job submitted
+over HTTP sees exactly the table the CLI would build, and
+:func:`release_csv_bytes` serializes through :func:`repro.core.io.format_csv`
+— the writer behind :func:`~repro.core.io.write_csv` — so the streamed
+release is byte-identical to a CLI output file.
 
 The digest returned by :func:`load_data_spec` is a sha256 over the raw CSV
 bytes plus the declared column roles. It namespaces warm-cache stores: cached
@@ -27,14 +28,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import threading
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-from ..core.io import read_csv, write_csv
+from ..core.io import format_csv, parse_csv
 from ..core.table import Table
 from ..errors import ConfigError
 
@@ -82,19 +82,6 @@ def _resolve_raw(
     return raw, categorical, numeric, normalized
 
 
-def _parse(raw: bytes, categorical: list[str], numeric: list[str]) -> Table:
-    # read_csv is path-based by contract; round-trip through a temp file
-    # rather than forking a second parser for file-like objects.
-    handle = tempfile.NamedTemporaryFile("wb", suffix=".csv", delete=False)
-    try:
-        handle.write(raw)
-        handle.close()
-        return read_csv(handle.name, categorical=categorical, numeric=numeric)
-    finally:
-        handle.close()
-        os.unlink(handle.name)
-
-
 def _digest(raw: bytes, categorical: list[str], numeric: list[str]) -> str:
     return hashlib.sha256(
         raw + json.dumps([sorted(categorical), sorted(numeric)]).encode()
@@ -111,7 +98,7 @@ def load_data_spec(
     relative path (a replay then needs the same ``--data-root``).
     """
     raw, categorical, numeric, normalized = _resolve_raw(spec, data_root)
-    table = _parse(raw, categorical, numeric)
+    table = parse_csv(raw, categorical, numeric, source="'data'")
     return table, _digest(raw, categorical, numeric), normalized
 
 
@@ -143,7 +130,7 @@ class TableCache:
             if table is not None:
                 self._tables[digest] = table  # LRU touch
                 return table, digest, normalized
-        table = _parse(raw, categorical, numeric)
+        table = parse_csv(raw, categorical, numeric, source="'data'")
         with self._lock:
             self._tables[digest] = table
             while len(self._tables) > self.capacity:
@@ -173,13 +160,7 @@ def table_sha256(table: Table) -> str:
 
 def release_csv_bytes(table: Table) -> bytes:
     """Serialize a release table exactly as ``repro anonymize -o out.csv`` would."""
-    handle = tempfile.NamedTemporaryFile("w", suffix=".csv", delete=False)
-    try:
-        handle.close()
-        write_csv(table, handle.name)
-        return Path(handle.name).read_bytes()
-    finally:
-        os.unlink(handle.name)
+    return format_csv(table)
 
 
 def _roles(spec: dict, key: str) -> list[str]:

@@ -13,7 +13,9 @@ Pins the api_redesign contracts:
   engine, so nodes evaluated by one job are cache hits for the next.
 """
 
+import gc
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -447,6 +449,40 @@ class TestExecutor:
         # jobs (node stats don't depend on sensitive roles).
         assert batch[0].engine is batch[1].engine
         assert batch[1].engine.cache_info()["hits"] > 0
+
+    def test_run_batch_frees_engines_by_reference_counting(self, table):
+        """Dropping a batch's results frees every engine object at once.
+
+        With the cyclic collector off, a batch mixing the lattice engine
+        (Flash, Incognito) and the partition engine (relaxed Mondrian) must
+        leave no ``repro.core`` object behind in a reference cycle.
+        """
+        jobs = [
+            JOB,
+            {**JOB, "algorithm": {"algorithm": "incognito"}},
+            {**JOB, "algorithm": {"algorithm": "mondrian", "mode": "relaxed"}},
+        ]
+        configs = [AnonymizationConfig.from_dict(job) for job in jobs]
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            results = run_batch(configs, table, workers=2)
+            assert [r.release.table.n_rows for r in results] == [8, 8, 8]
+            del results
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            leaked = Counter(
+                type(o).__qualname__
+                for o in gc.garbage
+                if type(o).__module__.startswith("repro.core")
+            )
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            if was_enabled:
+                gc.enable()
+        assert not leaked, leaked
 
     def test_homogeneity_metric_requires_sensitive(self, table):
         config = AnonymizationConfig.from_dict(

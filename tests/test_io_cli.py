@@ -1,11 +1,13 @@
 """Tests for CSV I/O and the command-line interface."""
 
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from repro.core.io import read_csv, write_csv
+from repro.core import io as rio
+from repro.core.io import format_csv, parse_csv, read_csv, write_csv
 from repro.core.table import Column, Table
 from repro.cli import main
 from repro.errors import SchemaError
@@ -85,6 +87,267 @@ class TestWriteCSV:
         path = tmp_path / "out.csv"
         write_csv(table, path)
         assert path.read_text().splitlines()[1] == "3"
+
+
+# -- reference: the csv-module reader and per-cell writer ----------------------
+
+
+def reference_read_csv(path, categorical=(), numeric=(), delimiter=","):
+    """read_csv as one csv.reader list per row, then per-cell sniffing."""
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle, delimiter=delimiter)
+        try:
+            header = [name.strip() for name in next(reader)]
+        except StopIteration:
+            raise SchemaError(f"{path}: empty file") from None
+        rows = [[cell.strip() for cell in row] for row in reader if row]
+    if not rows:
+        raise SchemaError(f"{path}: no data rows")
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise SchemaError(
+                f"{path}: row {i + 2} has {len(row)} cells, header has {len(header)}"
+            )
+    columns = []
+    by_name = {name: [row[j] for row in rows] for j, name in enumerate(header)}
+    unknown = (set(categorical) | set(numeric)) - set(header)
+    if unknown:
+        raise SchemaError(f"declared columns {sorted(unknown)} not in CSV header {header}")
+    for name in header:
+        values = by_name[name]
+        if name in categorical:
+            columns.append(_reference_categorical(name, values))
+        elif name in numeric:
+            columns.append(Column.numeric(name, [_reference_number(name, v) for v in values]))
+        elif all(_reference_is_number(v) for v in values):
+            columns.append(Column.numeric(name, [float(v) for v in values]))
+        else:
+            columns.append(_reference_categorical(name, values))
+    return Table(columns)
+
+
+def reference_write_csv(table, path, delimiter=","):
+    """write_csv as decode() plus one rendered list per row."""
+    decoded = {name: table.column(name).decode() for name in table.column_names}
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle, delimiter=delimiter)
+        writer.writerow(table.column_names)
+        for i in range(table.n_rows):
+            writer.writerow([_reference_render(decoded[name][i]) for name in table.column_names])
+
+
+def _reference_categorical(name, values):
+    categories = sorted(set(values), key=str)
+    index = {value: code for code, value in enumerate(categories)}
+    codes = np.array([index[value] for value in values], dtype=np.int32)
+    return Column.from_codes(name, codes, categories)
+
+
+def _reference_is_number(text):
+    try:
+        float(text)
+        return True
+    except ValueError:
+        return False
+
+
+def _reference_number(name, text):
+    try:
+        return float(text)
+    except ValueError:
+        raise SchemaError(f"column {name!r}: {text!r} is not numeric") from None
+
+
+def _reference_render(value):
+    if isinstance(value, float) and value.is_integer():
+        return str(int(value))
+    return str(value)
+
+
+def assert_same_table(got, expected):
+    """Same names, column kinds, category order and values, bit for bit."""
+    assert got.column_names == expected.column_names
+    for mine, theirs in zip(got, expected):
+        assert mine.is_categorical == theirs.is_categorical, mine.name
+        if theirs.is_categorical:
+            assert mine.categories == theirs.categories, mine.name
+            assert [type(c) for c in mine.categories] == [type(c) for c in theirs.categories]
+            assert mine.codes.dtype == theirs.codes.dtype
+            assert np.array_equal(mine.codes, theirs.codes), mine.name
+        else:
+            assert mine.values.dtype == theirs.values.dtype, mine.name
+            assert mine.values.tobytes() == theirs.values.tobytes(), mine.name
+
+
+#: (text, read_csv keyword arguments). Cases without a quote or CR take the
+#: split-based parse; TestReferenceParity also reruns them with CRLF line
+#: ends, which sends the same cells through the csv-module parse.
+READ_CASES = {
+    "plain": ("zip,job,age\n02134,nurse,31\n00501,clerk,44\n", {}),
+    "zipcodes-declared": (
+        "zip,job,age\n02134,nurse,31\n00501,clerk,44\n02134,clerk,50\n",
+        {"categorical": ["zip"], "numeric": ["age"]},
+    ),
+    "quoted": (
+        'name,note,n\n"Smith, J","said ""hi""",1\n"multi\nline",plain,2\n',
+        {},
+    ),
+    "quoted-declared": (
+        'a,b\n"x,1","2"\n"y\ny","3"\n',
+        {"categorical": ["a"], "numeric": ["b"]},
+    ),
+    "crlf": ("a,b\r\n1,x\r\n\r\n2,y\r\n", {}),
+    "blank-lines-and-whitespace": (
+        " a , b \n 1 , x \n\n\n2,\ty\t\n  3  , z\n\n", {}
+    ),
+    "numeric-sniffing": (
+        "e,nan,inf,negzero,padded,underscore,mixed\n"
+        "1e3,nan,inf,-0, 7 ,1_000,1\n"
+        "2E-2,NaN,-Infinity,0, 8,2_5,x\n",
+        {},
+    ),
+    "declared-numeric-nan": ("a,b\nnan,1\n-0,2\n", {"numeric": ["a"], "categorical": ["b"]}),
+    "all-declared-categorical": (
+        "a,b\n1.0,1\n1,01\n", {"categorical": ["a", "b"]}
+    ),
+    "tab-delimited": ("a\tb\n1\tx\n2\ty\n", {"delimiter": "\t"}),
+    "no-trailing-newline": ("a,b\n1,x\n2,y", {}),
+    "one-column": ("a\nx\n\ny\n", {}),
+    "empty-cells": ("a,b,c\n,,\n1,,z\n", {}),
+    "non-ascii": ("städt,wert\nmünchen,1\nköln,2\n", {}),
+    "ascii-control-blanks": ("a,b\n\x0b1\x0c,\x1cx\x1f\n2,\x1dy\x1e\n", {}),
+    "unicode-blanks": ("a,b\n\u00a01\u2003,\x85x\u3000\n2,y\n", {}),
+}
+
+#: Inputs both readers must reject with the same SchemaError message.
+BAD_CASES = {
+    "ragged-short": ("a,b\n1,2\n3\n", {}),
+    "ragged-after-blank-lines": ("a,b\n\n1,2\n\n\n3,4,5\n", {}),
+    "ragged-quoted": ('a,b\n"1,2"\n', {}),
+    "blank-header": ("\na,b\n1,2\n", {}),
+    "empty": ("", {}),
+    "newline-only": ("\n", {}),
+    "header-only": ("a,b\n", {}),
+    "header-and-blank-lines": ("a,b\n\n\n", {}),
+    "declared-missing": ("a,b\n1,2\n", {"categorical": ["ghost"]}),
+    "declared-numeric-text": ("a,b\n1,x\n2,y\n", {"numeric": ["b"]}),
+}
+
+
+class TestReferenceParity:
+    """read_csv/write_csv equal the csv-module reference, table and bytes."""
+
+    @staticmethod
+    def _write(tmp_path, text, name="in.csv"):
+        path = tmp_path / name
+        path.write_bytes(text.encode())
+        return path
+
+    @staticmethod
+    def _spy_csv_path(monkeypatch):
+        calls = []
+        original = rio._csv_cells
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(rio, "_csv_cells", spy)
+        return calls
+
+    @pytest.mark.parametrize("case", sorted(READ_CASES))
+    def test_read_matches_reference(self, case, tmp_path, monkeypatch):
+        text, kwargs = READ_CASES[case]
+        csv_calls = self._spy_csv_path(monkeypatch)
+        variants = [text]
+        if '"' not in text and "\r" not in text:
+            variants.append(text.replace("\n", "\r\n"))
+        for index, variant in enumerate(variants):
+            path = self._write(tmp_path, variant, f"in{index}.csv")
+            expected = reference_read_csv(path, **kwargs)
+            before = len(csv_calls)
+            assert_same_table(read_csv(path, **kwargs), expected)
+            assert_same_table(parse_csv(path.read_bytes(), **kwargs), expected)
+            # Only quoted or CR text goes through the csv module.
+            assert (len(csv_calls) > before) == ('"' in variant or "\r" in variant)
+
+    @pytest.mark.parametrize("case", sorted(BAD_CASES))
+    def test_errors_match_reference(self, case, tmp_path):
+        text, kwargs = BAD_CASES[case]
+        variants = [text]
+        if text and '"' not in text and "\r" not in text:
+            variants.append(text.replace("\n", "\r\n"))
+        for index, variant in enumerate(variants):
+            path = self._write(tmp_path, variant, f"bad{index}.csv")
+            with pytest.raises(SchemaError) as expected:
+                reference_read_csv(path, **kwargs)
+            with pytest.raises(SchemaError) as got:
+                read_csv(path, **kwargs)
+            assert str(got.value) == str(expected.value)
+
+    def test_ragged_row_number_counts_non_blank_rows(self, tmp_path):
+        path = self._write(tmp_path, "a,b\n\n1,2\n\n3\n")
+        with pytest.raises(SchemaError, match=r"row 3 has 1 cells, header has 2"):
+            read_csv(path)
+
+    def test_sniffed_numbers(self, tmp_path):
+        text, kwargs = READ_CASES["numeric-sniffing"]
+        table = read_csv(self._write(tmp_path, text), **kwargs)
+        assert table.values("e").tolist() == [1000.0, 0.02]
+        assert np.isnan(table.values("nan")).all()
+        assert table.values("inf").tolist() == [np.inf, -np.inf]
+        assert np.signbit(table.values("negzero")).tolist() == [True, False]
+        assert table.values("padded").tolist() == [7.0, 8.0]
+        assert table.values("underscore").tolist() == [1000.0, 25.0]
+        assert table.column("mixed").is_categorical
+
+    def test_leading_zero_zipcodes_stay_categorical(self, tmp_path):
+        text, kwargs = READ_CASES["zipcodes-declared"]
+        table = read_csv(self._write(tmp_path, text), **kwargs)
+        assert table.column("zip").categories == ("00501", "02134")
+        assert table.column("zip").decode() == ["02134", "00501", "02134"]
+
+    @pytest.mark.parametrize("case", sorted(READ_CASES))
+    def test_roundtrip_bytes_match_reference(self, case, tmp_path):
+        text, kwargs = READ_CASES[case]
+        table = read_csv(self._write(tmp_path, text), **kwargs)
+        delimiter = kwargs.get("delimiter", ",")
+        reference_write_csv(table, tmp_path / "ref.csv", delimiter)
+        write_csv(table, tmp_path / "out.csv", delimiter)
+        expected = (tmp_path / "ref.csv").read_bytes()
+        assert (tmp_path / "out.csv").read_bytes() == expected
+        assert format_csv(table, delimiter) == expected
+
+    @pytest.mark.parametrize(
+        "column",
+        [
+            Column.categorical("floats", [1.0, 2.5, 1.0, -0.0]),
+            Column.categorical("ints", [3, 1, 2, 3]),
+            Column.categorical("tuples", [(1, 2), (3, 4), (1, 2), (5, "x")]),
+            Column.categorical("mixed", ["a,b", 'say "hi"', "two\nlines", ""]),
+            Column.numeric("int64", np.array([3, -1, 0, 3], dtype=np.int64)),
+            Column.numeric("float64", [1.0, 2.5, float("nan"), -0.0]),
+            Column.numeric("float32", np.array([1.0, 2.5, 3.0, -0.0], dtype=np.float32)),
+            Column.numeric("large", [1e20, 1e-7, 123456789.0, float("inf")]),
+        ],
+        ids=lambda column: column.name,
+    )
+    def test_write_matches_reference(self, column, tmp_path):
+        table = Table([column, Column.categorical("tag", ["p", "q", "p", "r"])])
+        reference_write_csv(table, tmp_path / "ref.csv")
+        write_csv(table, tmp_path / "out.csv")
+        expected = (tmp_path / "ref.csv").read_bytes()
+        assert (tmp_path / "out.csv").read_bytes() == expected
+        assert format_csv(table) == expected
+
+    def test_one_column_empty_string_is_quoted(self, tmp_path):
+        table = Table([Column.categorical("a", ["", "x", ""])])
+        reference_write_csv(table, tmp_path / "ref.csv")
+        write_csv(table, tmp_path / "out.csv")
+        assert (tmp_path / "out.csv").read_bytes() == b'a\r\n""\r\nx\r\n""\r\n'
+        assert (tmp_path / "ref.csv").read_bytes() == (tmp_path / "out.csv").read_bytes()
+        back = read_csv(tmp_path / "out.csv", categorical=["a"])
+        assert back.column("a").decode() == ["", "x", ""]
 
 
 class TestCLI:

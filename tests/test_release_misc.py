@@ -15,6 +15,7 @@ from repro import (
     TopDownSpecialization,
 )
 from repro.core.generalize import apply_node
+from repro.core.partition import partition_by_qi
 from repro.core.release import Release
 from repro.data import load_adult_file
 
@@ -42,6 +43,27 @@ class TestRelease:
         table, schema, hierarchies = adult_setup
         release = Mondrian().anonymize(table, schema, hierarchies, [KAnonymity(5)])
         assert release.partition() is release.partition()
+
+    @pytest.mark.parametrize("rows", ["all", "none"])
+    def test_class_sizes_match_partition_without_building_it(self, adult_setup, rows):
+        table, schema, hierarchies = adult_setup
+        qi = schema.quasi_identifiers
+        published = [
+            apply_node(table, hierarchies, qi, [0] * len(qi)),
+            apply_node(table, hierarchies, qi, [1] * len(qi)),
+            Mondrian().anonymize(table, schema, hierarchies, [KAnonymity(5)]).table,
+        ]
+        for released in published:
+            if rows == "none":
+                released = released.take(np.array([], dtype=np.int64))
+            expected = partition_by_qi(released, qi).sizes()
+            release = Release(table=released, schema=schema, algorithm="any")
+            sizes = release.equivalence_class_sizes()
+            assert sizes.dtype == expected.dtype
+            assert sizes.tolist() == expected.tolist()
+            assert release.summary()["equivalence_classes"] == len(expected)
+            if rows == "all":
+                assert release._partition is None
 
     def test_suppressed_release_rates(self, adult_setup):
         table, schema, hierarchies = adult_setup

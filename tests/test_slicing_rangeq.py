@@ -1,6 +1,12 @@
 """Tests for Slicing, DP range queries, uniqueness estimators, and InfoGain
 Mondrian."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -187,6 +193,38 @@ class TestUniqueness:
         report = uniqueness_report(release, sampling_fraction=0.1)
         assert report["sample_uniques"] == 0  # k=2 leaves no sample uniques
         assert report["zayatz_population_uniques"] == 0.0
+
+    def test_scipy_stays_off_the_import_path(self):
+        """The library imports without scipy; the estimators load it on use.
+
+        Runs in a fresh interpreter, so modules the pytest process already
+        imported cannot hide an eager import. The expected report was
+        recorded while ``scipy.stats`` was still imported at module level.
+        """
+        script = (
+            "import json, sys\n"
+            "import repro, repro.api, repro.cli, repro.service\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "from repro.attacks import uniqueness_report\n"
+            "from repro.core.release import Release\n"
+            "from repro.data import adult_schema, load_adult\n"
+            "release = Release(load_adult(n_rows=400, seed=3), adult_schema(), 'identity')\n"
+            "print(json.dumps({'loaded': loaded, 'report': uniqueness_report(release, 0.3)}))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        inherited = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + inherited if inherited else "")}
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        out = json.loads(done.stdout.strip().splitlines()[-1])
+        assert out["loaded"] == []
+        assert out["report"] == {
+            "sample_uniques": 351,
+            "sample_unique_fraction": pytest.approx(0.8775),
+            "zayatz_population_uniques": pytest.approx(320.2771206488679, rel=1e-12),
+            "poisson_population_uniques": pytest.approx(29.133751125424883, rel=1e-12),
+        }
 
 
 class TestInfoGainMondrian:
