@@ -1042,7 +1042,7 @@ class BatchPlanner:
                     cache=store,
                     chunk_rows=group.chunk_rows,
                 )
-                store.rebind(group.evaluator.context)
+                store.rebind(group.evaluator)
                 return
             # Bytes are the planner's contract: no entry cap, so an
             # ample byte budget can never thrash on a huge lattice.

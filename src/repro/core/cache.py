@@ -446,20 +446,21 @@ class EngineCacheStore:
                 evicted += 1
             return evicted
 
-    def rebind(self, context: Any) -> int:
-        """Re-home every cached entry's lazy-growth hooks onto ``context``.
+    def rebind(self, engine: Any) -> int:
+        """Re-home every cached entry's lazy-growth hooks onto ``engine``.
 
         The cross-request warm-start seam: a store that outlives the
         evaluator it was filled through (the service keeps one per tenant ×
         environment) is handed to the next request's fresh evaluator, and
         its entries' ``_context`` references — used for lazy histogram /
         row-label growth and byte accounting — must point at the live
-        evaluator's ``context``, not the retired one (which would otherwise
-        pin the previous request's table). Safe exactly when the new
-        evaluator is built over a byte-identical table and equal
+        evaluator's ``context``, not the retired one's (which would
+        otherwise pin the previous request's table). Safe exactly when the
+        new evaluator is built over a byte-identical table and equal
         hierarchies, which is what the environment fingerprint guarantees.
         Returns the number of entries rebound.
         """
+        context = engine.context
         with self._mutex:
             for stats in self._entries.values():
                 stats._context = context

@@ -439,8 +439,8 @@ class LatticeEvaluator:
         )
         self._encodings = {name: self._encode_qi(name) for name in self.qi_names}
         self._level_maps: dict[tuple[str, int, int], np.ndarray] = {}
-        #: What this evaluator's stats grow lazily through; handed to
-        #: :meth:`EngineCacheStore.rebind` when a warm store changes hands.
+        #: What this evaluator's stats grow lazily through;
+        #: :meth:`EngineCacheStore.rebind` re-homes a warm store's stats onto it.
         self.context = _StatsContext(table, hierarchies, self._encodings, self.cache)
         # Single-entry materialization cache: callers typically ask for the
         # same node's table twice in a row (check -> suppression count), and

@@ -6,15 +6,19 @@ users without pandas) can anonymize real files:
 * :func:`read_csv` — header-based load with optional explicit column kinds;
   unspecified columns are sniffed (all-numeric → numeric, else categorical).
 * :func:`write_csv` — writes decoded values.
-* :func:`parse_csv` / :func:`format_csv` — the same two over in-memory
-  bytes, decoded and encoded exactly as a file would be (the service
-  parses request payloads and serializes releases through them).
+* :func:`parse_csv` / :func:`format_csv` — the same two over in-memory,
+  comma-separated bytes, decoded and encoded exactly as a file would be
+  (the service parses request payloads and serializes releases through
+  them).
 
-Ingest reads the text once. Text holding no quote character and no CR —
-every plain export of codes, numbers and labels — is split into lines and
-then into cells with ``str.split``: plain string lists, one cell-count
-check per line, columns taken by stride slicing. Anything else keeps the
-``csv`` module parse. Both paths yield the same cells, so the same table.
+Ingest reads the text once to pick a parse. Text holding no quote
+character and no CR is split into lines and then into cells with
+``str.split``: plain string lists, one cell-count check per line, columns
+taken by stride slicing. Anything else — quoted fields, and CRLF line ends
+such as :func:`write_csv` itself emits — drops that text and is parsed by
+the ``csv`` module streaming from the source again (a pipe, which cannot
+rewind, is parsed from the text). Both paths yield the same cells, so the
+same table.
 
 Egress renders each category, or each distinct numeric value, once and
 hands per-column label lists to ``csv.writer.writerows``, so quoting stays
@@ -36,8 +40,8 @@ from .table import Column, Table
 
 __all__ = ["format_csv", "parse_csv", "read_csv", "write_csv"]
 
-#: The ASCII characters ``str.strip()`` removes, less the line ends.
-_ASCII_BLANKS = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
+#: How :func:`parse_csv` errors name the bytes they reject.
+_PAYLOAD = "'data'"
 
 
 def read_csv(
@@ -53,21 +57,17 @@ def read_csv(
     categorical. Values are stripped of surrounding whitespace.
     """
     with open(path, newline="") as handle:
-        text = handle.read()
-    return _table(text, path, categorical, numeric, delimiter)
+        header, cells = _cells(handle, path, delimiter)
+    return _table(header, cells, categorical, numeric)
 
 
 def parse_csv(
-    data: bytes,
-    categorical: Sequence[str] = (),
-    numeric: Sequence[str] = (),
-    delimiter: str = ",",
-    source: str = "<csv>",
+    data: bytes, categorical: Sequence[str] = (), numeric: Sequence[str] = ()
 ) -> Table:
-    """:func:`read_csv` over in-memory bytes; ``source`` names them in errors."""
+    """:func:`read_csv` over in-memory, comma-separated bytes."""
     with io.TextIOWrapper(io.BytesIO(data), newline="") as handle:
-        text = handle.read()
-    return _table(text, source, categorical, numeric, delimiter)
+        header, cells = _cells(handle, _PAYLOAD, ",")
+    return _table(header, cells, categorical, numeric)
 
 
 def write_csv(table: Table, path: str | os.PathLike, delimiter: str = ",") -> None:
@@ -76,23 +76,21 @@ def write_csv(table: Table, path: str | os.PathLike, delimiter: str = ",") -> No
         _write(table, handle, delimiter)
 
 
-def format_csv(table: Table, delimiter: str = ",") -> bytes:
+def format_csv(table: Table) -> bytes:
     """The bytes :func:`write_csv` would write for ``table``."""
     buffer = io.BytesIO()
     with io.TextIOWrapper(buffer, newline="") as handle:
-        _write(table, handle, delimiter)
+        _write(table, handle, ",")
         handle.flush()
         return buffer.getvalue()
 
 
 def _table(
-    text: str,
-    source: str | os.PathLike,
+    header: list[str],
+    cells: list[list[str]],
     categorical: Sequence[str],
     numeric: Sequence[str],
-    delimiter: str,
 ) -> Table:
-    header, cells = _cells(text, source, delimiter)
     declared = set(categorical) | set(numeric)
     unknown = declared - set(header)
     if unknown:
@@ -118,16 +116,25 @@ def _table(
 
 
 def _cells(
-    text: str, source: str | os.PathLike, delimiter: str
+    handle: TextIO, source: str | os.PathLike, delimiter: str
 ) -> tuple[list[str], list[list[str]]]:
     """The stripped header and one list of stripped cells per column."""
+    text = handle.read()
     if len(delimiter) != 1 or '"' in text or "\r" in text:
-        return _csv_cells(text, source, delimiter)
+        # The csv module streams from the source again. Only a source that
+        # cannot rewind, such as a pipe, is parsed from the text read here.
+        if handle.seekable():
+            handle.seek(0)
+        else:
+            handle = io.StringIO(text, newline="")
+        del text
+        return _csv_cells(handle, source, delimiter)
     if not text:
         raise SchemaError(f"{source}: empty file")
     # Each intermediate (lines, rows, the joined text) is dropped as soon as
     # the next exists: these, not the table, set a CLI run's peak memory.
     lines = text.split("\n")
+    del text
     # csv.reader reads a blank line as an empty row and skips blank data rows.
     header = [name.strip() for name in lines[0].split(delimiter)] if lines[0] else []
     rows = list(filter(None, lines[1:]))
@@ -145,18 +152,14 @@ def _cells(
     del rows
     cells = joined.split(delimiter)
     del joined
-    columns = [cells[j::width] for j in range(width)]
-    # Stripping blank-free ASCII text is a no-op: skip the per-cell pass.
-    if not text.isascii() or any(blank in text for blank in _ASCII_BLANKS):
-        columns = [list(map(str.strip, column)) for column in columns]
-    return header, columns
+    return header, [list(map(str.strip, cells[j::width])) for j in range(width)]
 
 
 def _csv_cells(
-    text: str, source: str | os.PathLike, delimiter: str
+    handle: TextIO, source: str | os.PathLike, delimiter: str
 ) -> tuple[list[str], list[list[str]]]:
     """:func:`_cells` through the ``csv`` module (quoted fields, CR line ends)."""
-    reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
+    reader = csv.reader(handle, delimiter=delimiter)
     try:
         header = [name.strip() for name in next(reader)]
     except StopIteration:
@@ -183,8 +186,11 @@ def _labels(column: Column) -> list[str]:
     if column.is_categorical:
         values, codes = column.categories, column.codes
     else:
+        # Distinct bit patterns, so -0.0 and 0.0 keep their own text.
         # Iterating the array yields the same numpy scalars decode() does.
-        values, codes = np.unique(column.values, return_inverse=True)
+        bits = column.values.view(f"u{column.values.itemsize}")
+        _, first, codes = np.unique(bits, return_index=True, return_inverse=True)
+        values = column.values[first]
     labels = np.empty(len(values), dtype=object)
     labels[:] = [_render(value) for value in values]
     return labels[codes].tolist()

@@ -98,7 +98,7 @@ def load_data_spec(
     relative path (a replay then needs the same ``--data-root``).
     """
     raw, categorical, numeric, normalized = _resolve_raw(spec, data_root)
-    table = parse_csv(raw, categorical, numeric, source="'data'")
+    table = parse_csv(raw, categorical, numeric)
     return table, _digest(raw, categorical, numeric), normalized
 
 
@@ -130,7 +130,7 @@ class TableCache:
             if table is not None:
                 self._tables[digest] = table  # LRU touch
                 return table, digest, normalized
-        table = parse_csv(raw, categorical, numeric, source="'data'")
+        table = parse_csv(raw, categorical, numeric)
         with self._lock:
             self._tables[digest] = table
             while len(self._tables) > self.capacity:

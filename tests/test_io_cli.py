@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -267,7 +268,8 @@ class TestReferenceParity:
             expected = reference_read_csv(path, **kwargs)
             before = len(csv_calls)
             assert_same_table(read_csv(path, **kwargs), expected)
-            assert_same_table(parse_csv(path.read_bytes(), **kwargs), expected)
+            if "delimiter" not in kwargs:
+                assert_same_table(parse_csv(path.read_bytes(), **kwargs), expected)
             # Only quoted or CR text goes through the csv module.
             assert (len(csv_calls) > before) == ('"' in variant or "\r" in variant)
 
@@ -284,6 +286,20 @@ class TestReferenceParity:
             with pytest.raises(SchemaError) as got:
                 read_csv(path, **kwargs)
             assert str(got.value) == str(expected.value)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("case", ["plain", "quoted", "crlf"])
+    def test_read_from_pipe_matches_reference(self, case, tmp_path):
+        # A pipe cannot rewind, so the csv path parses the text read once.
+        text, kwargs = READ_CASES[case]
+        expected = reference_read_csv(self._write(tmp_path, text), **kwargs)
+        read_end, write_end = os.pipe()
+        with os.fdopen(write_end, "wb") as writer:
+            writer.write(text.encode())
+        try:
+            assert_same_table(read_csv(f"/dev/fd/{read_end}", **kwargs), expected)
+        finally:
+            os.close(read_end)
 
     def test_ragged_row_number_counts_non_blank_rows(self, tmp_path):
         path = self._write(tmp_path, "a,b\n\n1,2\n\n3\n")
@@ -316,7 +332,8 @@ class TestReferenceParity:
         write_csv(table, tmp_path / "out.csv", delimiter)
         expected = (tmp_path / "ref.csv").read_bytes()
         assert (tmp_path / "out.csv").read_bytes() == expected
-        assert format_csv(table, delimiter) == expected
+        if delimiter == ",":
+            assert format_csv(table) == expected
 
     @pytest.mark.parametrize(
         "column",
@@ -328,6 +345,8 @@ class TestReferenceParity:
             Column.numeric("int64", np.array([3, -1, 0, 3], dtype=np.int64)),
             Column.numeric("float64", [1.0, 2.5, float("nan"), -0.0]),
             Column.numeric("float32", np.array([1.0, 2.5, 3.0, -0.0], dtype=np.float32)),
+            Column.numeric("float32-zeros", np.array([0.0, -0.0, 0.0, 1.0], dtype=np.float32)),
+            Column.numeric("float64-zeros", [0.0, -0.0, 0.0, 1.0]),
             Column.numeric("large", [1e20, 1e-7, 123456789.0, float("inf")]),
         ],
         ids=lambda column: column.name,
