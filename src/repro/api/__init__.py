@@ -30,7 +30,6 @@ serving anonymization as a multi-tenant service.
 from .config import AnonymizationConfig, build_hierarchies, build_schema
 from .executor import (
     ON_ERROR,
-    PLANS,
     AnonymizationResult,
     BatchPlan,
     BatchPlanner,
@@ -60,7 +59,6 @@ __all__ = [
     "MetricContext",
     "MetricRegistry",
     "ON_ERROR",
-    "PLANS",
     "Registry",
     "algorithm_registry",
     "build_hierarchies",

@@ -92,9 +92,8 @@ class AnonymizationConfig:
     #: Base bin count for ``auto``/bin-count ``interval`` hierarchies.
     bins: int = 16
     #: Engine-cache byte budget for this job's lattice evaluator; None
-    #: keeps the engine default (256 MiB). Batch planning may slice a
-    #: global ``run_batch(cache_bytes=...)`` budget further, but never
-    #: above this cap.
+    #: keeps the engine default (256 MiB). In a batch it bounds the
+    #: evaluator shared by the jobs of this job's environment.
     cache_bytes: int | None = None
     #: Row-slice size for streaming node evaluation (and chunked packing);
     #: None evaluates in one shot. Bounds the engine's per-QI intermediate

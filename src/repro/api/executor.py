@@ -18,17 +18,11 @@ whose cache is thread-safe and single-flight — two workers never evaluate
 the same lattice node twice, and results are byte-identical to sequential
 execution (see ``docs/architecture.md``).
 
-Batches are laid out by the cache-aware :class:`BatchPlanner`. It estimates
-each environment's engine-cache footprint from the hierarchy LUTs and the
-lattice size (:func:`repro.core.cache.estimate_cache_footprint`), and —
-when a global ``cache_bytes`` budget is set and the sweep's combined
-working set overflows it — schedules environments in **waves**: each wave's
-evaluators get budget slices large enough to hold their working sets, and a
-finished wave's caches are released before the next fills. That keeps an
-over-budget sweep byte-identical to sequential execution with zero
-``recomputed_after_evict`` thrash, instead of silently re-computing evicted
-nodes mid-run. ``run_batch(plan="auto"|"waves"|"shared", cache_bytes=...)``
-are the knobs.
+The grouping is done by :class:`BatchPlanner`: each environment's evaluator
+gets one :class:`~repro.core.cache.EngineCacheStore` holding its jobs' own
+``cache_bytes`` budget (256 MiB by default) under the stratum-aware
+eviction policy, so a batch's engine memory is bounded per environment,
+exactly as a single :func:`run` is.
 """
 
 from __future__ import annotations
@@ -43,12 +37,7 @@ from typing import Any, Iterable, Mapping, Sequence
 import numpy as np
 
 from .._version import __version__
-from ..core.cache import (
-    DEFAULT_CACHE_BYTES,
-    EngineCacheStore,
-    check_cache_bytes,
-    estimate_cache_footprint,
-)
+from ..core.cache import DEFAULT_CACHE_BYTES, EngineCacheStore
 from ..core.deadline import Deadline, current_deadline, deadline_scope, tightest
 from ..core.engine import LatticeEvaluator
 from ..core.release import Release
@@ -76,15 +65,11 @@ __all__ = [
     "FailurePolicy",
     "JobFailure",
     "ON_ERROR",
-    "PLANS",
     "execute",
     "run",
     "run_batch",
     "jsonable",
 ]
-
-#: Recognized ``plan=`` values for :func:`run_batch`.
-PLANS = ("auto", "waves", "shared")
 
 #: Recognized ``on_error=`` values for :func:`run_batch`.
 ON_ERROR = ("raise", "collect")
@@ -112,6 +97,13 @@ def _check_seconds(key: str, value: Any) -> None:
         raise ConfigError(
             f"key {key!r} must be a positive number of seconds, got {value!r}"
         )
+
+
+def _check_workers(value: Any) -> int:
+    """Reject a worker count that is not a positive int (bools included)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"key 'workers' must be a positive integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -461,16 +453,16 @@ def run(
     ):
         # A config-level engine budget (or chunking request) only binds if
         # the evaluator is built out here — the algorithm's own fallback
-        # evaluator would use the library defaults. Budgeted evaluators get
-        # the stratum-aware eviction policy: pressure is expected, so shed
-        # nodes that roll back up in O(n_groups) instead of O(n_rows)
-        # recomputations.
+        # evaluator would use the library defaults.
         evaluator = _make_evaluator(
             table,
             schema,
             built,
-            cache_bytes=config.cache_bytes,
-            cache_policy="stratum" if config.cache_bytes is not None else "lru",
+            cache=(
+                _budgeted_store(config.cache_bytes)
+                if config.cache_bytes is not None
+                else None
+            ),
             chunk_rows=config.chunk_rows,
         )
     timings["prepare"] = time.perf_counter() - start
@@ -603,8 +595,6 @@ def run_batch(
     table: Table,
     hierarchies: Mapping[str, Any] | None = None,
     workers: int = 1,
-    plan: str = "auto",
-    cache_bytes: int | None = None,
     on_error: str = "raise",
     job_timeout: float | None = None,
     batch_deadline: float | None = None,
@@ -622,6 +612,7 @@ def run_batch(
     ``hierarchies`` overrides spec-built hierarchies with live objects for
     the whole batch, exactly as in :func:`run`.
 
+    ``workers`` must be a positive integer (else :class:`ConfigError`);
     ``workers > 1`` dispatches the jobs across a thread pool. Jobs still
     share evaluators exactly as in sequential mode — the engine's cache is
     thread-safe with single-flight
@@ -631,18 +622,8 @@ def run_batch(
     another's in-flight node instead). Every job's computation is
     deterministic and isolated apart from that cache, so the returned
     releases are byte-identical to ``workers=1`` regardless of scheduling.
-
-    ``cache_bytes`` sets a *global* engine-cache budget for the whole
-    batch, and ``plan`` chooses how the :class:`BatchPlanner` spends it:
-    ``"shared"`` keeps every environment's evaluator alive at once (each
-    gets a budget slice proportional to its estimated footprint);
-    ``"waves"`` schedules environments in budget-sized waves, releasing a
-    finished wave's caches before the next fills, so each working set gets
-    a slice it actually fits in; ``"auto"`` (default) picks waves exactly
-    when the estimated combined footprint overflows the budget. Releases
-    are byte-identical across all three plans at any worker count — the
-    plan only decides how much silent recomputation an over-budget sweep
-    pays (``cache_info()["recomputed_after_evict"]``).
+    Each shared evaluator's cache holds its jobs' own ``cache_bytes``
+    budget (256 MiB by default); there is no batch-wide budget.
 
     The failure-policy arguments make a batch survive bad jobs (see
     :class:`FailurePolicy` and ``docs/architecture.md`` — *Fault
@@ -685,8 +666,7 @@ def run_batch(
     earlier batch over a byte-identical table are memo hits here
     (``hits`` grow, ``from_rows`` stays put), and this batch's entries stay
     behind in the store for the next. Injected stores keep their own byte
-    budgets (the planner never re-slices them) and are never cleared
-    between waves; the caller owns their lifecycle. This is the hook the
+    budgets; the caller owns their lifecycle. This is the hook the
     multi-tenant service (:mod:`repro.service`) keeps per-tenant caches
     warm through.
     """
@@ -695,8 +675,6 @@ def run_batch(
         table,
         hierarchies=hierarchies,
         workers=workers,
-        plan=plan,
-        cache_bytes=cache_bytes,
         on_error=on_error,
         job_timeout=job_timeout,
         batch_deadline=batch_deadline,
@@ -713,128 +691,77 @@ def _uses_evaluator(config: AnonymizationConfig) -> bool:
     return bool(getattr(entry.cls, "uses_evaluator", False))
 
 
+def _budgeted_store(cache_bytes: int | None) -> EngineCacheStore:
+    """A byte-budgeted store for an explicit or batch-built evaluator.
+
+    Bytes are the whole contract — no entry cap, so an ample budget can
+    never thrash on a huge lattice — and the stratum-aware policy sheds
+    nodes that roll back up in O(n_groups) before the O(n_rows) roots.
+    """
+    return EngineCacheStore(
+        cache_limit=None,
+        cache_bytes=DEFAULT_CACHE_BYTES if cache_bytes is None else cache_bytes,
+        policy="stratum",
+    )
+
+
 def _make_evaluator(
     table: Table,
     schema: Schema,
     hierarchies: Mapping[str, Any],
     cache: EngineCacheStore | None = None,
-    cache_bytes: int | None = None,
-    cache_policy: str = "lru",
     chunk_rows: int | None = None,
 ) -> LatticeEvaluator:
     """Evaluator over the identifier-stripped table, with an optional store."""
     prepared = table.drop(*schema.identifying) if schema.identifying else table
-    if cache is not None:
-        return LatticeEvaluator(
-            prepared,
-            schema.quasi_identifiers,
-            hierarchies,
-            cache=cache,
-            chunk_rows=chunk_rows,
-        )
-    if cache_bytes is not None:
-        # An explicit byte budget is the whole contract — no entry cap.
-        return LatticeEvaluator(
-            prepared,
-            schema.quasi_identifiers,
-            hierarchies,
-            cache=EngineCacheStore(
-                cache_limit=None, cache_bytes=int(cache_bytes), policy=cache_policy
-            ),
-            chunk_rows=chunk_rows,
-        )
     return LatticeEvaluator(
         prepared,
         schema.quasi_identifiers,
         hierarchies,
-        cache_policy=cache_policy,
+        cache=cache,
         chunk_rows=chunk_rows,
     )
 
 
 @dataclass
 class _EnvGroup:
-    """One shared-evaluator environment inside a batch plan."""
+    """One shared-evaluator environment of a batch."""
 
     evaluator_key: str
     schema: Schema
     hierarchies: dict
+    # Both are part of the evaluator key, so every job of the group agrees.
+    cache_bytes: int | None = None
+    chunk_rows: int | None = None
     job_indices: list[int] = field(default_factory=list)
     uses_evaluator: bool = False
-    includes_incognito: bool = False
-    sensitive_categories: tuple[int, ...] = ()
-    base_budget: int = DEFAULT_CACHE_BYTES
-    footprint: int = 0
-    demand: int = 0
-    budget: int = 0
-    chunk_rows: int | None = None
     evaluator: LatticeEvaluator | None = None
-    #: True when the canonical store was injected via ``cache_stores`` —
-    #: the store is externally owned: its budget is not re-sliced and it is
-    #: never cleared between waves (its warmth is the whole point).
-    external_store: bool = False
 
 
 @dataclass(frozen=True)
 class BatchPlan:
-    """The planner's resolved layout, inspectable before execution.
+    """The planner's grouping, inspectable before execution.
 
-    ``waves`` holds job indices per wave (input order within a wave);
-    ``footprints`` and ``budgets`` map evaluator keys to estimated working
-    sets and resolved store budgets. ``mode`` is ``"shared"`` or
-    ``"waves"`` — what ``plan="auto"`` resolved to.
+    ``environments`` holds the job indices served by each shared
+    evaluator, environments in first-appearance order and jobs in input
+    order within one.
     """
 
-    mode: str
-    waves: tuple[tuple[int, ...], ...]
-    footprints: Mapping[str, int]
-    budgets: Mapping[str, int]
-    cache_bytes: int | None
-
-    def to_dict(self) -> dict[str, Any]:
-        return jsonable(
-            {
-                "mode": self.mode,
-                "waves": [list(wave) for wave in self.waves],
-                "footprints": dict(self.footprints),
-                "budgets": dict(self.budgets),
-                "cache_bytes": self.cache_bytes,
-            }
-        )
+    environments: tuple[tuple[int, ...], ...]
 
 
 class BatchPlanner:
-    """Cache-aware layout and dispatch of a job batch.
+    """Grouping and dispatch of a job batch.
 
-    The planner groups jobs into shared-evaluator environments (same QI
-    roles + hierarchy specs), estimates each environment's engine-cache
-    footprint from its hierarchy LUT label counts and lattice size
-    (:func:`repro.core.cache.estimate_cache_footprint` — Incognito jobs add
-    their projected sub-lattices), and lays the batch out against the
-    global ``cache_bytes`` budget:
-
-    * ``plan="shared"`` — every environment's evaluator is alive for the
-      whole batch; with a global budget, each gets a slice proportional to
-      its estimated footprint (capped at its configured per-job budget).
-    * ``plan="waves"`` — environments are next-fit packed, in first-
-      appearance order, into waves whose combined demand fits the budget;
-      a finished wave's caches are released (entries dropped, counters
-      kept) before the next wave fills. Each evaluator's slice therefore
-      covers its estimated working set, which is what drives
-      ``recomputed_after_evict`` to zero on sweeps whose *combined*
-      working set overflows the budget.
-    * ``plan="auto"`` — ``"waves"`` exactly when a global budget is set
-      and the summed demand overflows it, else ``"shared"``.
-
-    Planner-built evaluators use the stratum-aware eviction policy: under
-    pressure the store sheds nodes reconstructible by O(n_groups) roll-up
-    before the O(n_rows) roots.
-
-    Execution is sequential for ``workers=1`` and otherwise one thread pool
-    per wave, every job running on its environment's shared evaluator.
-    Releases are byte-identical across every plan/worker combination
-    — job outputs are pure functions of (config, table, hierarchies); the
-    planner only decides cache residency and scheduling.
+    :meth:`plan` groups jobs into shared-evaluator environments (same QI
+    roles + hierarchy specs, see :func:`_environment_key`), building each
+    distinct hierarchy set and schema once. :meth:`execute` gives every
+    environment whose jobs consume an engine one evaluator, backed by an
+    injected ``cache_stores`` entry if there is one, else by a fresh
+    stratum-policy store holding the jobs' own ``cache_bytes`` (256 MiB by
+    default). Jobs run in input order for ``workers=1`` and otherwise on
+    one thread pool. Releases are byte-identical at every worker count —
+    job outputs are pure functions of (config, table, hierarchies).
     """
 
     def __init__(
@@ -843,8 +770,6 @@ class BatchPlanner:
         table: Table,
         hierarchies: Mapping[str, Any] | None = None,
         workers: int = 1,
-        plan: str = "auto",
-        cache_bytes: int | None = None,
         on_error: str = "raise",
         job_timeout: float | None = None,
         batch_deadline: float | None = None,
@@ -861,39 +786,20 @@ class BatchPlanner:
             retries=retries,
             retry_backoff=retry_backoff,
         )
-        if plan not in PLANS:
-            raise ConfigError(
-                f"key 'plan' must be one of {', '.join(PLANS)}; got {plan!r}"
-            )
-        if cache_bytes is not None:
-            try:
-                check_cache_bytes(cache_bytes)
-            except ValueError as exc:
-                raise ConfigError(f"key 'cache_bytes' {exc}") from None
+        self.workers = _check_workers(workers)
         self.configs = list(configs)
         self.table = table
         self.hierarchy_overrides = hierarchies
-        self.workers = int(workers)
-        self.requested_plan = plan
-        self.cache_bytes = cache_bytes
         self.cache_stores = dict(cache_stores) if cache_stores else {}
         self._plan: BatchPlan | None = None
         self._groups: list[_EnvGroup] = []
-        self._wave_groups: list[list[_EnvGroup]] = []
         self._jobs: list[tuple[AnonymizationConfig, tuple[Schema, dict], _EnvGroup]] = []
         self._batch_deadline: Deadline | None = None
 
-    # -- planning --------------------------------------------------------------
-
     def plan(self) -> BatchPlan:
-        """Resolve (and memoize) the batch layout without executing it."""
-        if self._plan is None:
-            self._analyze()
-            self._plan = self._layout()
-        return self._plan
-
-    def _analyze(self) -> None:
-        """Group jobs into environments and estimate their cache demand."""
+        """Group the jobs into environments (memoized) without executing."""
+        if self._plan is not None:
+            return self._plan
         hierarchy_builds: dict[str, dict] = {}
         environments: dict[str, tuple[Schema, dict]] = {}
         groups: dict[str, _EnvGroup] = {}
@@ -913,151 +819,41 @@ class BatchPlanner:
             if group is None:
                 schema, built = environment
                 group = _EnvGroup(
-                    evaluator_key=evaluator_key, schema=schema, hierarchies=built
+                    evaluator_key=evaluator_key,
+                    schema=schema,
+                    hierarchies=built,
+                    cache_bytes=config.cache_bytes,
+                    chunk_rows=config.chunk_rows,
                 )
-                if config.cache_bytes is not None:
-                    group.base_budget = config.cache_bytes
-                if evaluator_key in self.cache_stores:
-                    # An injected warm store brings its own budget contract.
-                    group.external_store = True
-                    group.base_budget = self.cache_stores[evaluator_key].cache_bytes
-                group.chunk_rows = config.chunk_rows  # part of the env key
                 groups[evaluator_key] = group
                 self._groups.append(group)
             group.job_indices.append(index)
             if _uses_evaluator(config):
                 group.uses_evaluator = True
-            if config.algorithm.get("algorithm") == "incognito":
-                group.includes_incognito = True
-            if config.sensitive:
-                cats = set(group.sensitive_categories)
-                for name in config.sensitive:
-                    column = self.table.column(name)
-                    if column.is_categorical:
-                        cats.add(len(column.categories))
-                group.sensitive_categories = tuple(sorted(cats))
             self._jobs.append((config, environment, group))
-        for group in self._groups:
-            if not group.uses_evaluator:
-                continue
-            group.footprint = estimate_cache_footprint(
-                group.hierarchies,
-                group.schema.quasi_identifiers,
-                self.table.n_rows,
-                sensitive_categories=group.sensitive_categories,
-                include_subsets=group.includes_incognito,
-            )
-            group.demand = min(group.footprint, group.base_budget)
-
-    def _layout(self) -> BatchPlan:
-        """Pick the mode, pack waves, and slice budgets."""
-        budget = self.cache_bytes
-        total_demand = sum(group.demand for group in self._groups)
-        if self.requested_plan == "auto":
-            mode = "waves" if budget is not None and total_demand > budget else "shared"
-        else:
-            mode = self.requested_plan
-        if mode == "waves" and budget is None:
-            # Without a global budget every environment already gets its
-            # full base budget, so "waves" would be shared execution with a
-            # misleading label — resolve to the truth rather than report a
-            # wave plan that never releases anything.
-            mode = "shared"
-
-        if mode == "shared":
-            wave_groups = [list(self._groups)] if self._groups else []
-        else:
-            # Next-fit packing in first-appearance order (a group that
-            # does not fit closes the current wave): deterministic, order-
-            # preserving, and same-environment jobs always land in one
-            # wave together. First-fit could sometimes pack tighter, but
-            # it would pull later environments into earlier waves.
-            wave_groups = []
-            current: list[_EnvGroup] = []
-            current_demand = 0
-            for group in self._groups:
-                demand = min(group.demand, budget)
-                if current and current_demand + demand > budget:
-                    wave_groups.append(current)
-                    current, current_demand = [], 0
-                current.append(group)
-                current_demand += demand
-            if current:
-                wave_groups.append(current)
-
-        for wave in wave_groups:
-            wave_demand = sum(min(g.demand, budget or g.demand) for g in wave)
-            for group in wave:
-                if not group.uses_evaluator:
-                    continue
-                if group.external_store:
-                    # Externally-owned stores are budgeted by their owner
-                    # (the tenant cache ladder); the planner reports but
-                    # never re-slices them.
-                    group.budget = self.cache_stores[group.evaluator_key].cache_bytes
-                elif budget is None:
-                    group.budget = group.base_budget
-                else:
-                    # Scale the wave's leftover budget out proportionally,
-                    # never exceeding the per-job configured cap.
-                    share = (
-                        budget * min(group.demand, budget) // wave_demand
-                        if wave_demand
-                        else budget
-                    )
-                    group.budget = min(group.base_budget, max(1, share))
-
-        self._wave_groups = wave_groups
-        return BatchPlan(
-            mode=mode,
-            waves=tuple(
-                tuple(sorted(i for g in wave for i in g.job_indices))
-                for wave in wave_groups
-            ),
-            footprints={g.evaluator_key: g.footprint for g in self._groups},
-            budgets={
-                g.evaluator_key: g.budget
-                for g in self._groups
-                if g.uses_evaluator
-            },
-            cache_bytes=budget,
+        self._plan = BatchPlan(
+            environments=tuple(tuple(g.job_indices) for g in self._groups)
         )
+        return self._plan
 
-    # -- execution -------------------------------------------------------------
-
-    def _ensure_evaluator(self, group: _EnvGroup) -> None:
-        """Build the group's canonical evaluator on its planned budget."""
-        if group.uses_evaluator and group.evaluator is None:
-            if group.external_store:
-                # Warm start: the injected store is the canonical store.
-                # Its entries were filled through a previous evaluator over
-                # a byte-identical table, so they are re-homed onto this
-                # batch's evaluator (lazy growth accounting and column
-                # lookups must not pin the retired request's objects).
-                store = self.cache_stores[group.evaluator_key]
-                group.evaluator = _make_evaluator(
-                    self.table,
-                    group.schema,
-                    group.hierarchies,
-                    cache=store,
-                    chunk_rows=group.chunk_rows,
-                )
-                store.rebind(group.evaluator)
-                return
-            # Bytes are the planner's contract: no entry cap, so an
-            # ample byte budget can never thrash on a huge lattice.
-            store = EngineCacheStore(
-                cache_limit=None,
-                cache_bytes=max(group.budget, 1),
-                policy="stratum",
-            )
-            group.evaluator = _make_evaluator(
-                self.table,
-                group.schema,
-                group.hierarchies,
-                cache=store,
-                chunk_rows=group.chunk_rows,
-            )
+    def _build_evaluator(self, group: _EnvGroup) -> LatticeEvaluator:
+        """The group's shared evaluator, on an injected store if given."""
+        store = self.cache_stores.get(group.evaluator_key)
+        evaluator = _make_evaluator(
+            self.table,
+            group.schema,
+            group.hierarchies,
+            cache=_budgeted_store(group.cache_bytes) if store is None else store,
+            chunk_rows=group.chunk_rows,
+        )
+        if store is not None:
+            # Warm start: the injected store keeps its own budget. Its
+            # entries were filled through a previous evaluator over a
+            # byte-identical table, so they are re-homed onto this batch's
+            # evaluator (lazy growth accounting and column lookups must not
+            # pin the retired request's objects).
+            store.rebind(evaluator)
+        return evaluator
 
     def _run_job(self, index: int) -> "AnonymizationResult | JobFailure":
         """One job on its group's evaluator under the batch's failure policy."""
@@ -1072,42 +868,18 @@ class BatchPlanner:
         )
 
     def execute(self) -> "list[AnonymizationResult | JobFailure]":
-        """Run the batch per the plan; results come back in input order."""
-        plan = self.plan()
+        """Run the batch; results come back in input order."""
+        self.plan()
         self._batch_deadline = (
             Deadline(self.policy.batch_deadline, kind="batch-deadline")
             if self.policy.batch_deadline is not None
             else None
         )
-        results: list[AnonymizationResult | JobFailure | None] = [None] * len(
-            self.configs
-        )
-        last_wave = len(self._wave_groups) - 1
-        for wave_index, wave in enumerate(self._wave_groups):
-            for group in wave:
-                self._ensure_evaluator(group)
-            jobs = sorted(
-                (index for g in wave for index in g.job_indices)
-            )
-            if self.workers <= 1 or len(jobs) <= 1:
-                for index in jobs:
-                    results[index] = self._run_job(index)
-            else:
-                with ThreadPoolExecutor(
-                    max_workers=min(self.workers, len(jobs))
-                ) as pool:
-                    futures = {
-                        index: pool.submit(self._run_job, index) for index in jobs
-                    }
-                    for index, future in futures.items():
-                        results[index] = future.result()
-            if plan.mode == "waves" and wave_index != last_wave:
-                # Release the finished wave's working sets so the next
-                # wave's evaluators fill into a freed budget (counters and
-                # result.engine telemetry survive the clear). Injected warm
-                # stores are exempt: they are budgeted by their owner and
-                # their residency is the next request's warm start.
-                for group in wave:
-                    if group.evaluator is not None and not group.external_store:
-                        group.evaluator.cache.clear()
-        return results  # type: ignore[return-value]
+        for group in self._groups:
+            if group.uses_evaluator and group.evaluator is None:
+                group.evaluator = self._build_evaluator(group)
+        indices = range(len(self.configs))
+        if self.workers == 1 or len(indices) <= 1:
+            return [self._run_job(index) for index in indices]
+        with ThreadPoolExecutor(max_workers=min(self.workers, len(indices))) as pool:
+            return list(pool.map(self._run_job, indices))

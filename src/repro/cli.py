@@ -20,11 +20,10 @@ Batch mode writes one release per job to numbered outputs derived from the
 output path (``output.1.csv``, ``output.2.csv``, ... in job order), shares
 lattice evaluation across jobs exactly like the library API, and with
 ``--report`` prints a JSON array of per-job reports to stderr.
-``--cache-bytes`` budgets the engine cache (per-job for a single job,
-globally via the batch planner in batch mode) and ``--plan
-auto|waves|shared`` picks the batch cache plan — outputs are identical at
-any budget, plan, or worker count. ``--chunk-rows`` streams lattice group
-packing through fixed-size row chunks in either mode.
+``--cache-bytes`` budgets each job's engine cache and ``--chunk-rows``
+streams lattice group packing through fixed-size row chunks; in batch mode
+both apply to every job with a lattice engine. Outputs are identical at
+any budget, chunk size, or worker count.
 
 Batch failure handling mirrors :func:`repro.api.run_batch`: with
 ``--on-error collect`` a failing job is recorded instead of aborting its
@@ -64,13 +63,13 @@ from typing import Any, Callable
 
 from .api import (
     ON_ERROR,
-    PLANS,
     AnonymizationConfig,
     JobFailure,
     algorithm_registry,
     run,
     run_batch,
 )
+from .api.executor import _uses_evaluator
 from .core.io import read_csv, write_csv
 from .errors import ConfigError, ReproError
 
@@ -107,17 +106,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "JSON list of jobs); jobs share one lattice "
                              "engine and outputs are identical at any N")
     parser.add_argument("--cache-bytes", type=int, default=None, metavar="BYTES",
-                        help="engine-cache budget: per-job evaluator budget "
-                             "for a single job, global batch-planner budget "
-                             "in batch mode; outputs are identical at any "
+                        help="per-job engine-cache budget (full-domain "
+                             "algorithms; in batch mode every job with a "
+                             "lattice engine); outputs are identical at any "
                              "budget")
-    parser.add_argument("--plan", choices=list(PLANS),
-                        default="auto",
-                        help="batch cache plan: 'waves' schedules "
-                             "environments in budget-sized waves, 'shared' "
-                             "keeps every engine alive at once, 'auto' picks "
-                             "waves when the estimated footprint overflows "
-                             "--cache-bytes (batch mode only)")
     parser.add_argument("--on-error", choices=list(ON_ERROR), default=None,
                         help="batch failure policy: 'raise' (default) aborts "
                              "the whole batch on the first failing job, "
@@ -137,8 +129,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="stream lattice group packing through chunks of "
                              "this many rows instead of materializing "
                              "full-size intermediate label arrays (full-"
-                             "domain algorithms; outputs are identical at "
-                             "any chunk size)")
+                             "domain algorithms; in batch mode every job "
+                             "with a lattice engine); outputs are identical "
+                             "at any chunk size")
     parser.add_argument("--qi", action="append", default=[],
                         help="categorical quasi-identifier column (repeatable)")
     parser.add_argument("--numeric-qi", action="append", default=[],
@@ -202,19 +195,21 @@ def config_from_args(args: argparse.Namespace) -> AnonymizationConfig:
 
 
 def _apply_cli_overrides(
-    config: AnonymizationConfig, args: argparse.Namespace, batch: bool = False
+    config: AnonymizationConfig,
+    args: argparse.Namespace,
+    batch: bool,
+    engine_flags: bool,
 ) -> AnonymizationConfig:
     overrides: dict = {}
     if args.max_suppression is not None:
         overrides["max_suppression"] = args.max_suppression
-    if args.cache_bytes is not None and not batch:
-        # In batch mode --cache-bytes is the planner's *global* budget
-        # (passed to run_batch), not a per-job engine override.
-        overrides["cache_bytes"] = args.cache_bytes
-    if args.chunk_rows is not None:
-        # Chunking is a per-environment execution knob, so unlike
-        # --cache-bytes it applies per job in batch mode too.
-        overrides["chunk_rows"] = args.chunk_rows
+    if engine_flags:
+        # Per-job engine overrides; the config rejects them for a job
+        # without a lattice engine.
+        if args.cache_bytes is not None:
+            overrides["cache_bytes"] = args.cache_bytes
+        if args.chunk_rows is not None:
+            overrides["chunk_rows"] = args.chunk_rows
     if args.job_timeout is not None and not batch:
         # In batch mode --job-timeout goes to run_batch, where the tighter
         # of it and a job's own 'job_timeout' key wins — overriding the
@@ -244,10 +239,17 @@ def _load_configs(args: argparse.Namespace) -> tuple[list[AnonymizationConfig], 
     jobs = data if is_batch else [data]
     if not jobs:
         raise ConfigError("config file holds an empty job list")
+    configs = [AnonymizationConfig.from_dict(job) for job in jobs]
+    # --cache-bytes / --chunk-rows bind only the jobs with a lattice engine,
+    # so a mixed batch can take them. When no job has one they bind every
+    # job, and the config's own guard rejects them as for a single job.
+    engine_jobs = [_uses_evaluator(config) for config in configs]
+    if not any(engine_jobs):
+        engine_jobs = [True] * len(configs)
     return (
         [
-            _apply_cli_overrides(AnonymizationConfig.from_dict(job), args, is_batch)
-            for job in jobs
+            _apply_cli_overrides(config, args, is_batch, engine)
+            for config, engine in zip(configs, engine_jobs)
         ],
         is_batch,
     )
@@ -298,7 +300,7 @@ def _reject_job_flags_with_config(parser: argparse.ArgumentParser,
         parser.error(
             f"{', '.join(conflicting)} cannot be combined with --config "
             "(the job file describes the whole job; only --max-suppression, "
-            "--cache-bytes, --chunk-rows, --plan, --workers, "
+            "--cache-bytes, --chunk-rows, --workers, "
             "--on-error, --job-timeout, --retries and --report apply on top)"
         )
 
@@ -437,8 +439,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.config is None:
         if args.workers != 1:
             parser.error("--workers requires --config with a JSON list of jobs")
-        if args.plan != parser.get_default("plan"):
-            parser.error("--plan requires --config with a JSON list of jobs")
         if args.on_error is not None:
             parser.error("--on-error requires --config with a JSON list of jobs")
         if args.retries:
@@ -458,11 +458,6 @@ def main(argv: list[str] | None = None) -> int:
                 # what the flag promises; say what shape the file needs.
                 raise ConfigError(
                     "--workers applies to batch mode: --config must hold a "
-                    "JSON list of jobs, got a single job object"
-                )
-            if not is_batch and args.plan != parser.get_default("plan"):
-                raise ConfigError(
-                    "--plan applies to batch mode: --config must hold a "
                     "JSON list of jobs, got a single job object"
                 )
             if not is_batch and args.on_error is not None:
@@ -485,8 +480,6 @@ def main(argv: list[str] | None = None) -> int:
                 configs,
                 table,
                 workers=args.workers,
-                plan=args.plan,
-                cache_bytes=args.cache_bytes,
                 on_error=args.on_error or "raise",
                 job_timeout=args.job_timeout,
                 retries=args.retries,

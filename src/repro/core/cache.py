@@ -7,8 +7,9 @@ accounting, the level-sum stratum index that makes roll-up candidate lookup
 cheap, the single-flight in-flight table that keeps concurrent workers from
 ever deriving one node's stats twice, and the full telemetry counter set.
 An evaluator owns exactly one store, but a store can be constructed first
-and handed in (``LatticeEvaluator(..., cache=store)``) — which is how the
-batch planner sizes and shares budgets across a sweep.
+and handed in (``LatticeEvaluator(..., cache=store)``) — which is how a
+batch gives each environment's shared evaluator its jobs' budget, and how
+the service keeps a warm store across requests.
 
 Eviction policies
 -----------------
@@ -25,12 +26,12 @@ reconstructible by an O(n_groups) roll-up, while a bottom node costs a full
 O(n_rows) pass — so under pressure the store sheds the cheap-to-rebuild top
 of the lattice and pins the expensive roots. Only when nothing cached is
 reconstructible does it fall back to LRU order (recency is maintained under
-every policy). The batch planner uses this policy for the evaluators it
-builds.
+every policy). Evaluators built for a ``cache_bytes`` budget, including
+every evaluator :func:`repro.api.run_batch` builds, use this policy.
 
 Counters
 --------
-Cumulative (never reset by eviction, and surviving :meth:`clear`):
+Cumulative (never reset by eviction):
 
 ========================  ====================================================
 ``hits``                  requests served from the memo table
@@ -43,28 +44,16 @@ Cumulative (never reset by eviction, and surviving :meth:`clear`):
                           computation of the same node instead of recomputing
 ``evictions``             entries dropped by the entry/byte budget
 ``recomputed_after_evict`` computations of a key that had been cached before
-                          and was evicted — the budget-thrash signal the
-                          batch planner's wave scheduling drives to zero
+                          and was evicted — the budget-thrash signal
 ========================  ====================================================
-
-:func:`estimate_cache_footprint` is the planner's sizing oracle: an upper
-bound on the bytes a full-lattice search will pin in the store, derived
-from the hierarchy LUT label counts and the lattice size alone — no
-evaluator needs to be built to plan a batch.
 """
 
 from __future__ import annotations
 
 import threading
-from itertools import product
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator
 
-__all__ = [
-    "EngineCacheStore",
-    "FOOTPRINT_CALIBRATION",
-    "check_cache_bytes",
-    "estimate_cache_footprint",
-]
+__all__ = ["EngineCacheStore", "check_cache_bytes"]
 
 Node = tuple[int, ...]
 Key = tuple[tuple[str, ...], Node]
@@ -81,7 +70,7 @@ def check_cache_bytes(value: Any) -> int:
 
     Raises :class:`ValueError` whose message starts after the field name,
     so callers prepend their own naming style (``"cache_bytes ..."`` here,
-    ``"key 'cache_bytes' ..."`` at the config/planner layer).
+    ``"key 'cache_bytes' ..."`` at the config layer).
     """
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"must be a positive integer (bytes), got {value!r}")
@@ -97,10 +86,9 @@ class EngineCacheStore:
     ----------
     cache_limit:
         maximum number of cached entries; ``None`` disables the entry cap
-        so the byte budget alone governs (what the batch planner uses —
-        its guarantees are stated in bytes, and an entry cap firing under
-        an ample byte budget would silently reintroduce eviction thrash
-        on huge lattices).
+        so the byte budget alone governs (what budgeted and batch
+        evaluators use — an entry cap firing under an ample byte budget
+        would silently reintroduce eviction thrash on huge lattices).
     cache_bytes:
         approximate payload-byte budget. Payload grown lazily after
         insertion (histograms, row labels, partitions) is accounted via
@@ -288,9 +276,8 @@ class EngineCacheStore:
         eviction is cheap: the highest occupied stratum is probed first and
         ``_has_ancestor`` short-circuits on a cached bottom, so the scan
         usually ends at its first candidate. The worst case (no bottoms
-        resident, many strata) degrades toward O(entries) per eviction —
-        acceptable because eviction storms are exactly what wave planning
-        prevents; LRU order is the O(1) fallback policy.
+        resident, many strata) degrades toward O(entries) per eviction;
+        LRU order is the O(1) fallback policy.
         """
         if self.policy == "stratum":
             # Most general reconstructible node first: walk the strata from
@@ -466,22 +453,6 @@ class EngineCacheStore:
                 stats._context = context
             return len(self._entries)
 
-    def clear(self) -> None:
-        """Drop every cached entry (counters survive; they are cumulative).
-
-        The batch planner calls this between waves so a finished wave's
-        working set does not stay pinned while the next wave fills its own.
-        Cleared keys count as evicted for ``recomputed_after_evict``
-        purposes — recomputing them later is still budget thrash.
-        """
-        with self._mutex:
-            for key in self._entries:
-                self._remember_evicted(key)
-            self._entries.clear()
-            self._accounted.clear()
-            self._stratum_index.clear()
-            self._cached_bytes = 0
-
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -496,114 +467,3 @@ class EngineCacheStore:
             f"EngineCacheStore({len(self._entries)} entries, "
             f"{self._cached_bytes} bytes, policy={self.policy!r})"
         )
-
-
-#: Safety multiplier applied to the modeled bytes of
-#: :func:`estimate_cache_footprint`. The group-count model is an *expected
-#: uniform occupancy*; real datasets are skewed and correlated, which only
-#: lowers distinct-group counts, so a modest margin suffices where the old
-#: ``min(domain, n_rows)`` cap needed ~15x of slack. Calibrated against
-#: measured ``EngineCacheStore`` bytes on the Adult schema — the regression
-#: test ``test_footprint_estimate_calibrated_on_adult`` pins the estimate
-#: within a small factor of measured usage in both directions.
-FOOTPRINT_CALIBRATION = 1.3
-
-#: Full-length label arrays priced beyond each names-space bottom: labels
-#: lazily resolved for winner / suppression nodes.
-_LABEL_SLACK = 2
-
-
-def _expected_groups(domain: float, n_rows: int) -> float:
-    """Expected distinct groups when ``n_rows`` rows land in ``domain`` cells.
-
-    The uniform-occupancy expectation ``D * (1 - (1 - 1/D)**n)``: a smooth
-    bound that approaches ``min(D, n)`` at both extremes but tightens it
-    most exactly where the old hard cap overshot worst — domains within a
-    few orders of magnitude of the row count. Skew and correlation in real
-    data only push the realized count further below it.
-    """
-    if domain <= 1.0:
-        return min(max(domain, 0.0), float(n_rows))
-    if domain > 2**53:  # 1 - 1/D rounds to 1.0; the expectation is ~n anyway
-        return float(n_rows)
-    return domain * (1.0 - (1.0 - 1.0 / domain) ** n_rows)
-
-
-def estimate_cache_footprint(
-    hierarchies: Mapping[str, Any],
-    qi_names: Sequence[str],
-    n_rows: int,
-    sensitive_categories: Sequence[int] = (),
-    include_subsets: bool = False,
-    node_limit: int = 200_000,
-) -> int:
-    """Upper bound on the memo bytes a full-lattice search pins in the store.
-
-    Derived from the hierarchy LUT label counts and the lattice size alone —
-    no evaluator (and no O(n_rows) encoding pass) is needed, which is what
-    lets the batch planner size waves before building anything. Terms:
-
-    * every lattice node's group payload: the expected-occupancy group
-      count (see :func:`_expected_groups`) of its label-domain product,
-      each group costing sizes + representative codes + one histogram row
-      per sensitive category requested;
-    * row labels: the bottom node of every names-space is computed from rows
-      and pins an ``n_rows``-long label array (searches pre-seed the bottom,
-      so other nodes roll up); a slack of a few more covers labels lazily
-      resolved for winner/suppression nodes;
-    * ``include_subsets`` adds Incognito's projected sub-lattices (one per
-      non-empty QI subset) to both terms.
-
-    The modeled bytes are scaled by :data:`FOOTPRINT_CALIBRATION` — the
-    exposed calibration constant that keeps the estimate a true upper bound
-    while letting ``plan="auto"`` pack waves far tighter than the old
-    ``min(domain, n_rows)`` cap allowed.
-
-    Lattices larger than ``node_limit`` nodes are priced as if every node
-    held ``n_rows`` groups — a deliberate overestimate; the planner then
-    simply gives that environment the whole budget.
-    """
-    names = list(qi_names)
-    level_counts: list[list[int]] = []
-    for name in names:
-        hierarchy = hierarchies[name]
-        height = hierarchy.height
-        if hasattr(hierarchy, "labels"):
-            counts = [len(hierarchy.labels(lv)) for lv in range(height + 1)]
-        else:
-            # Numeric QI: level 0 is the distinct-value domain (unknown
-            # without the data, bounded by n_rows), higher levels intervals.
-            counts = [int(n_rows)] + [
-                len(hierarchy.intervals(lv)) for lv in range(1, height + 1)
-            ]
-        level_counts.append(counts)
-
-    per_group = 8 * (1 + len(names) + sum(int(c) for c in sensitive_categories))
-
-    def lattice_groups(counts: list[list[int]]) -> int:
-        size = 1
-        for levels in counts:
-            size *= len(levels)
-        if size > node_limit:
-            return size * int(n_rows)
-        total = 0.0
-        for combo in product(*counts):
-            domain = 1.0
-            for c in combo:
-                domain *= max(c, 1)
-            total += _expected_groups(domain, n_rows)
-        return int(total)
-
-    groups_total = lattice_groups(level_counts)
-    label_arrays = 1
-    if include_subsets:
-        # Every non-empty QI subset gets its own projected lattice and its
-        # own from-rows bottom node (Incognito's subset phases).
-        from itertools import combinations
-
-        label_arrays = 2 ** len(names) - 1
-        for size in range(1, len(names)):
-            for subset in combinations(range(len(names)), size):
-                groups_total += lattice_groups([level_counts[i] for i in subset])
-    labels_bytes = int(n_rows) * 8 * (label_arrays + _LABEL_SLACK)
-    return int(FOOTPRINT_CALIBRATION * (groups_total * per_group + labels_bytes))

@@ -50,7 +50,8 @@ evicting nodes reconstructible by roll-up), the single-flight in-flight
 table, and the counter set — hits, misses, from_rows, rollups, evictions,
 coalesced, recomputed_after_evict. The evaluator owns one store but
 accepts a pre-built one (``cache=``), which is how
-:class:`repro.api.BatchPlanner` sizes budgets across a sweep.
+:class:`repro.api.BatchPlanner` gives each environment its jobs' budget
+and the service injects a tenant's warm store.
 
 **Concurrency.** One evaluator may serve several worker threads at once
 (:func:`repro.api.run_batch` with ``workers > 1``). The store's cache is
@@ -427,7 +428,7 @@ class LatticeEvaluator:
         self.chunk_rows = chunk_rows
         # The store carries the memo table, budget accounting, stratum
         # index, single-flight table, and counters; a pre-built store may
-        # be handed in (the batch planner sizes budgets per environment).
+        # be handed in (a batch's per-environment store, a warm one).
         self.cache = (
             cache
             if cache is not None
@@ -544,7 +545,7 @@ class LatticeEvaluator:
         rollups == entries`` proves no node was ever evaluated twice,
         sequentially or under parallel workers. ``recomputed_after_evict``
         counts computations of keys that had been cached and were evicted —
-        the budget-thrash signal wave planning drives to zero.
+        the budget-thrash signal.
         """
         info = self.cache.info()
         del info["policy"]  # keep the historic cache_info shape numeric-only

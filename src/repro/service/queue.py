@@ -8,7 +8,9 @@ as threads. A fixed pool of worker threads drains the queue; each item
 runs as one ``run_batch`` call with ``on_error="collect"`` (a failing job
 yields a recorded failure, never a crashed worker) and with the tenant's
 warm stores injected via ``cache_stores`` — the hand-off point between
-the service's resident state and the executor's planner.
+the service's resident state and the executor, which uses each injected
+store as its environment's cache and leaves its budget to the tenant
+ladder.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ __all__ = ["BatchWork", "JobQueue", "JobRecord", "QueueFull"]
 #: the service (notably ``on_error`` — always "collect").
 BATCH_OPTIONS = (
     "workers",
-    "plan",
     "job_timeout",
     "batch_deadline",
     "retries",

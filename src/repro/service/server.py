@@ -34,7 +34,7 @@ from typing import Any
 
 from .._version import __version__
 from ..api import AnonymizationConfig, FailurePolicy
-from ..api.executor import PLANS
+from ..api.executor import _check_workers
 from ..errors import ConfigError, ReproError, SchemaError
 from .data import TableCache, release_csv_bytes
 from .metrics import ServiceMetrics
@@ -176,17 +176,13 @@ class AnonymizationService:
             for key in BATCH_OPTIONS
             if payload.get(key) is not None
         }
-        workers = options.get("workers", 1)
-        if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-            raise ConfigError("'workers' must be a positive integer")
-        if options.get("plan", "auto") not in PLANS:
-            raise ConfigError(f"'plan' must be one of {sorted(PLANS)}")
         # The queue runs every batch with on_error="collect"; validating the
-        # same policy here turns a bad combination into a 400 at admission
-        # instead of a whole-batch failure on the worker.
+        # same knobs here turns a bad value into a 400 at admission instead
+        # of a whole-batch failure on the worker.
+        _check_workers(options.get("workers", 1))
         FailurePolicy(
             on_error="collect",
-            **{k: v for k, v in options.items() if k not in ("workers", "plan")},
+            **{k: v for k, v in options.items() if k != "workers"},
         )
         return options
 

@@ -1,11 +1,10 @@
-"""Engine cache store + cache-aware batch planning.
+"""Engine cache store + batch grouping.
 
 Pins the contracts of the pluggable cache layer and the planner on top:
 
 * :class:`~repro.core.cache.EngineCacheStore` — budget validation, the LRU
-  and stratum-aware eviction policies, the full counter set
-  (hits / misses / evictions / coalesced / recomputed_after_evict) and
-  ``clear``;
+  and stratum-aware eviction policies, and the full counter set
+  (hits / misses / evictions / coalesced / recomputed_after_evict);
 * eviction-under-pressure correctness: a deliberately tiny byte budget
   yields byte-identical releases to an unconstrained run for all four
   full-domain algorithms, sequential and at ``workers=4``;
@@ -13,9 +12,9 @@ Pins the contracts of the pluggable cache layer and the planner on top:
   time with the key-naming error style;
 * deterministic parallel cache fill: Incognito's pre-seeded subset bottoms
   make the engine's from_rows/rollups profile identical at any worker count;
-* the :class:`~repro.api.BatchPlanner`: wave scheduling on over-budget
-  sweeps (zero ``recomputed_after_evict``), plan resolution, and the CLI
-  knobs (``--cache-bytes``, ``--plan``).
+* the :class:`~repro.api.BatchPlanner`: environment grouping and
+  ``workers`` validation, and the CLI engine flags (``--cache-bytes``,
+  ``--chunk-rows``), which bind only the engine jobs of a mixed batch.
 """
 
 import itertools
@@ -25,11 +24,7 @@ import pytest
 
 from repro.api import AnonymizationConfig, BatchPlanner, run, run_batch
 from repro.cli import main as cli_main
-from repro.core.cache import (
-    FOOTPRINT_CALIBRATION,
-    EngineCacheStore,
-    estimate_cache_footprint,
-)
+from repro.core.cache import EngineCacheStore
 from repro.core.engine import LatticeEvaluator
 from repro.core.io import read_csv
 from repro.core.lattice import GeneralizationLattice
@@ -169,63 +164,6 @@ class TestEngineCacheStore:
         for node in nodes:  # the early nodes were evicted by the later ones
             evaluator.stats(node)
         assert evaluator.counters["recomputed_after_evict"] > 0
-
-    def test_clear_drops_entries_keeps_counters(self):
-        table, qi, hierarchies = _scenario(4)
-        evaluator = LatticeEvaluator(table, qi, hierarchies)
-        evaluator.stats((0, 0, 0))
-        before = dict(evaluator.counters)
-        evaluator.cache.clear()
-        info = evaluator.cache_info()
-        assert info["entries"] == 0 and info["bytes"] == 0
-        assert info["misses"] == before["misses"]
-        # Recomputing a cleared key is budget thrash, and counted as such.
-        evaluator.stats((0, 0, 0))
-        assert evaluator.counters["recomputed_after_evict"] == 1
-
-    def test_footprint_estimate_bounds_actual_usage(self):
-        table, qi, hierarchies = _scenario(6, n_rows=300)
-        evaluator = LatticeEvaluator(table, qi, hierarchies)
-        lattice = GeneralizationLattice.from_hierarchies(hierarchies, qi)
-        for node in lattice.nodes():
-            evaluator.stats(node).histogram("sensitive")
-        estimate = estimate_cache_footprint(
-            hierarchies,
-            qi,
-            table.n_rows,
-            sensitive_categories=(len(table.column("sensitive").categories),),
-        )
-        assert estimate >= evaluator.cache_info()["bytes"]
-
-    def test_footprint_estimate_calibrated_on_adult(self):
-        """The estimate must stay a *tight* upper bound, not just an upper
-        bound — the planner sizes waves from it, so a wildly conservative
-        estimate (the pre-calibration model was ~15x) forces needless
-        serialization. Calibrated against measured bytes on the Adult
-        schema: within a small constant factor."""
-        table = load_adult(n_rows=2000, seed=42)
-        qi = ["workclass", "education", "marital_status"]
-        hierarchies = {
-            name: hierarchy
-            for name, hierarchy in adult_hierarchies().items()
-            if name in qi
-        }
-        evaluator = LatticeEvaluator(table, qi, hierarchies)
-        lattice = GeneralizationLattice.from_hierarchies(hierarchies, qi)
-        for node in lattice.nodes():
-            evaluator.stats(node).histogram("occupation")
-        measured = evaluator.cache_info()["bytes"]
-        estimate = estimate_cache_footprint(
-            hierarchies,
-            qi,
-            table.n_rows,
-            sensitive_categories=(
-                len(table.column("occupation").categories),
-            ),
-        )
-        assert measured <= estimate <= 6 * measured
-        # The tightness knob is public: doubling it scales the estimate.
-        assert FOOTPRINT_CALIBRATION > 0
 
 
 class TestConfigCacheBytes:
@@ -376,87 +314,43 @@ class TestIncognitoDeterministicCacheFill:
 
 
 class TestBatchPlanner:
-    def _two_env_configs(self, cache_bytes=None):
-        env_a = dict(JOB)
+    @pytest.mark.parametrize(
+        "bad", [0, -3, 2.7, True, "2"], ids=["zero", "negative", "float", "bool", "str"]
+    )
+    def test_rejects_bad_workers(self, table, bad):
+        with pytest.raises(
+            ConfigError, match=r"key 'workers' must be a positive integer, got"
+        ):
+            BatchPlanner([AnonymizationConfig.from_dict(JOB)], table, workers=bad)
+        with pytest.raises(ConfigError, match="'workers'"):
+            run_batch([AnonymizationConfig.from_dict(JOB)], table, workers=bad)
+
+    def test_plan_groups_jobs_by_environment(self, table):
+        """Jobs sharing QI roles and hierarchy specs share one evaluator;
+        the plan lists each environment's jobs in first-appearance order."""
         env_b = {**JOB, "quasi_identifiers": ["zipcode"]}
-        if cache_bytes is not None:
-            env_a["cache_bytes"] = cache_bytes
-            env_b["cache_bytes"] = cache_bytes
-        return [
-            AnonymizationConfig.from_dict(env_a),
-            AnonymizationConfig.from_dict(env_b),
-            AnonymizationConfig.from_dict(
-                {**env_a, "models": [{"model": "k-anonymity", "k": 3}]}
-            ),
-        ]
-
-    def test_rejects_unknown_plan_and_bad_budget(self, table):
-        with pytest.raises(ConfigError, match="plan"):
-            BatchPlanner(self._two_env_configs(), table, plan="eager")
-        for bad in (0, -5, 1.5, True):
-            with pytest.raises(ConfigError, match="cache_bytes"):
-                BatchPlanner(self._two_env_configs(), table, cache_bytes=bad)
-
-    def test_waves_without_budget_resolves_to_shared(self, table):
-        """No budget means nothing to size waves against; the plan must
-        report the shared behavior it actually executes."""
-        planner = BatchPlanner(self._two_env_configs(), table, plan="waves")
-        plan = planner.plan()
-        assert plan.mode == "shared"
-        assert len(plan.waves) == 1
-
-    def test_auto_resolves_waves_only_when_over_budget(self, table):
-        roomy = BatchPlanner(self._two_env_configs(), table, cache_bytes=1 << 30)
-        assert roomy.plan().mode == "shared"
-        # 20 000 bytes is below the two environments' combined *calibrated*
-        # footprint estimate (the pre-calibration model tripped at 50 000).
-        tight = BatchPlanner(self._two_env_configs(), table, cache_bytes=20_000)
-        plan = tight.plan()
-        assert plan.mode == "waves"
-        assert len(plan.waves) == 2
-        # Same-environment jobs (indices 0 and 2) always share a wave.
-        assert sorted(plan.waves[0]) == [0, 2]
-        assert json.dumps(plan.to_dict())  # JSON-safe summary
-
-    def test_waves_match_shared_fingerprints_on_adult_sample(self):
-        """Tier-1 smoke: plan choice never changes the released bytes."""
-        adult = load_adult(n_rows=400, seed=7)
         configs = [
-            AnonymizationConfig.from_dict(
-                {
-                    "quasi_identifiers": list(qis),
-                    "sensitive": ["salary"],
-                    "models": [{"model": "k-anonymity", "k": k}],
-                    "algorithm": {"algorithm": algorithm},
-                }
+            AnonymizationConfig.from_dict(spec)
+            for spec in (
+                JOB,
+                env_b,
+                {**JOB, "models": [{"model": "k-anonymity", "k": 3}]},
+                {**JOB, "algorithm": {"algorithm": "ola"}},
+                {**env_b, "models": [{"model": "k-anonymity", "k": 3}]},
             )
-            for qis in (
-                ("workclass", "education"),
-                ("marital_status", "race", "sex"),
-            )
-            for algorithm, k in (("flash", 3), ("ola", 5))
         ]
-        curated = adult_hierarchies()
-        shared = run_batch(configs, adult, hierarchies=curated, plan="shared")
-        waved = run_batch(
-            configs, adult, hierarchies=curated, plan="waves", cache_bytes=300_000
-        )
-        for a, b in zip(shared, waved):
-            assert a.release.node == b.release.node
-            assert _fingerprint(a.release.table) == _fingerprint(b.release.table)
-        for result in waved:
-            assert result.engine.cache_info()["recomputed_after_evict"] == 0
-
-    def test_wave_budgets_cover_each_environment(self, table):
-        planner = BatchPlanner(self._two_env_configs(), table, cache_bytes=20_000)
-        plan = planner.plan()
-        assert plan.mode == "waves"
-        for key, budget in plan.budgets.items():
-            assert 0 < budget <= 20_000
-        planner.execute()  # runs through the wave path without error
+        planner = BatchPlanner(configs, table, workers=2)
+        assert planner.plan().environments == ((0, 2, 3), (1, 4))
+        results = planner.execute()
+        engines = [result.engine for result in results]
+        assert engines[0] is engines[2] is engines[3]
+        assert engines[1] is engines[4] and engines[1] is not engines[0]
 
 
 class TestCLICacheKnobs:
+    #: A Flash job (lattice engine) next to a relaxed-Mondrian job (none).
+    MIXED = [JOB, {**JOB, "algorithm": {"algorithm": "mondrian", "mode": "relaxed"}}]
+
     def test_cache_bytes_flag_mode(self, csv_path, tmp_path, capsys):
         out = tmp_path / "anon.csv"
         rc = cli_main(
@@ -483,40 +377,41 @@ class TestCLICacheKnobs:
         assert rc == 2
         assert "cache_bytes" in capsys.readouterr().err
 
-    def test_batch_plan_flag(self, csv_path, tmp_path):
-        jobs = [JOB, {**JOB, "models": [{"model": "k-anonymity", "k": 3}]}]
-        job_path = tmp_path / "jobs.json"
+    def _batch(self, csv_path, out, jobs, *flags):
+        job_path = out.parent / "jobs.json"
         job_path.write_text(json.dumps(jobs))
-        out_shared = tmp_path / "shared" / "anon.csv"
-        out_waves = tmp_path / "waves" / "anon.csv"
-        out_shared.parent.mkdir()
-        out_waves.parent.mkdir()
-        assert cli_main(
-            [str(csv_path), str(out_shared), "--config", str(job_path),
-             "--plan", "shared"]
+        return cli_main([str(csv_path), str(out), "--config", str(job_path), *flags])
+
+    @pytest.mark.parametrize(
+        ("flag", "key", "value"),
+        [("--cache-bytes", "cache_bytes", 65536), ("--chunk-rows", "chunk_rows", 4)],
+        ids=["cache-bytes", "chunk-rows"],
+    )
+    def test_batch_engine_flags_bind_only_engine_jobs(
+        self, csv_path, tmp_path, capsys, flag, key, value
+    ):
+        plain = tmp_path / "plain" / "anon.csv"
+        flagged = tmp_path / "flagged" / "anon.csv"
+        plain.parent.mkdir()
+        flagged.parent.mkdir()
+        assert self._batch(csv_path, plain, self.MIXED) == 0
+        capsys.readouterr()
+        assert self._batch(
+            csv_path, flagged, self.MIXED, flag, str(value), "--report"
         ) == 0
-        assert cli_main(
-            [str(csv_path), str(out_waves), "--config", str(job_path),
-             "--plan", "waves", "--cache-bytes", "65536"]
-        ) == 0
+        flash, mondrian = json.loads(capsys.readouterr().err)
+        assert flash["config"][key] == value
+        assert mondrian["config"].get(key) is None
         for index in (1, 2):
-            shared = out_shared.with_name(f"anon.{index}.csv")
-            waves = out_waves.with_name(f"anon.{index}.csv")
-            assert shared.read_bytes() == waves.read_bytes()
+            name = f"anon.{index}.csv"
+            assert (plain.with_name(name).read_bytes()
+                    == flagged.with_name(name).read_bytes())
 
-    def test_plan_without_batch_config_rejected(self, csv_path, tmp_path, capsys):
-        job_path = tmp_path / "job.json"
-        job_path.write_text(json.dumps(JOB))
-        rc = cli_main(
-            [str(csv_path), str(tmp_path / "anon.csv"), "--config",
-             str(job_path), "--plan", "waves"]
-        )
+    @pytest.mark.parametrize("flag", ["--cache-bytes", "--chunk-rows"])
+    def test_batch_engine_flags_without_engine_job_rejected(
+        self, csv_path, tmp_path, capsys, flag
+    ):
+        out = tmp_path / "anon.csv"
+        rc = self._batch(csv_path, out, self.MIXED[1:], flag, "4096")
         assert rc == 2
-        assert "JSON list of jobs" in capsys.readouterr().err
-
-    def test_plan_without_config_rejected(self, csv_path, tmp_path):
-        with pytest.raises(SystemExit):
-            cli_main(
-                [str(csv_path), str(tmp_path / "out.csv"),
-                 "--qi", "zipcode", "--plan", "waves"]
-            )
+        assert "does not apply to algorithm 'mondrian'" in capsys.readouterr().err

@@ -248,12 +248,12 @@ class TestCacheStoreWarmStart:
 
     def test_injected_store_budget_is_respected_not_resliced(self):
         table, _, _ = load_data_spec(DATA)
-        config = AnonymizationConfig.from_dict(JOB)
+        config = AnonymizationConfig.from_dict({**JOB, "cache_bytes": 256 << 20})
         key = _environment_key(config)[0]
         store = EngineCacheStore(cache_limit=None, cache_bytes=32 << 20)
-        run_batch([config], table, cache_stores={key: store},
-                  cache_bytes=256 << 20)
-        assert store.cache_bytes == 32 << 20  # planner left it alone
+        results = run_batch([config], table, cache_stores={key: store})
+        assert results[0].engine.cache is store
+        assert store.cache_bytes == 32 << 20  # the job's budget left it alone
 
     def test_uninjected_environments_unaffected(self):
         table, _, _ = load_data_spec(DATA)
@@ -346,7 +346,7 @@ class TestService:
             service.submit_batch(
                 "acme", {"jobs": [JOB], "data": DATA, "on_error": "raise"}
             )
-        with pytest.raises(ConfigError, match="'plan'"):
+        with pytest.raises(ConfigError, match=r"unknown batch keys \['plan'\]"):
             service.submit_batch(
                 "acme", {"jobs": [JOB], "data": DATA, "plan": "nope"}
             )
@@ -405,6 +405,13 @@ class TestReplay:
         report = replay(log_path)
         assert [entry["match"] for entry in report] == [True]
         assert report[0]["release_sha256"] == events[1]["release_sha256"]
+        # Logs written while batches took a ``plan`` option still replay:
+        # replay re-runs each job alone and ignores batch options.
+        events[0]["options"] = {"plan": "waves"}
+        log_path.write_text(
+            "".join(json.dumps(event, sort_keys=True) + "\n" for event in events)
+        )
+        assert [entry["match"] for entry in replay(log_path)] == [True]
 
     def test_failed_jobs_logged_and_matched(self, tmp_path):
         log_path = tmp_path / "replay.jsonl"
@@ -504,8 +511,13 @@ class TestHTTP:
             ({"batch_deadline": float("nan")}, "batch_deadline"),
             ({"retry_backoff": 1.0}, "retry_backoff"),
             ({"backend": "thread"}, "backend"),
+            ({"plan": "waves"}, "plan"),
+            ({"workers": True}, "workers"),
         ],
-        ids=["job_timeout", "batch_deadline", "retry_backoff", "backend"],
+        ids=[
+            "job_timeout", "batch_deadline", "retry_backoff", "backend", "plan",
+            "workers",
+        ],
     )
     def test_bad_batch_option_is_400_with_no_job_record(
         self, http_service, option, key
