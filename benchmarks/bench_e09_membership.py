@@ -9,10 +9,10 @@ import numpy as np
 from conftest import print_series
 
 from repro.attacks import membership_attack
+from repro.core.engine import LatticeEvaluator
 from repro.core.generalize import apply_node
 from repro.core.release import Release
 from repro.privacy import DeltaPresence
-from repro.core.partition import partition_by_qi
 
 
 def test_e09_membership_vs_generalization(medical_env, benchmark):
@@ -31,6 +31,7 @@ def test_e09_membership_vs_generalization(medical_env, benchmark):
     ]
     rows = []
     advantages = []
+    evaluator = LatticeEvaluator(research, qi, hierarchies)
     for node in nodes:
         research_general = apply_node(research, hierarchies, qi, node)
         population_general = apply_node(table, hierarchies, qi, node)
@@ -39,9 +40,7 @@ def test_e09_membership_vs_generalization(medical_env, benchmark):
             node=node, original_n_rows=research.n_rows,
         )
         result = membership_attack(release, population_general, member_mask)
-        beliefs = DeltaPresence(0.0, 1.0, population_general, qi).beliefs(
-            research_general, partition_by_qi(research_general, qi)
-        )
+        beliefs = DeltaPresence(0.0, 1.0, table).beliefs(evaluator.stats(node))
         max_belief = float(beliefs[np.isfinite(beliefs)].max())
         rows.append((str(node), result["advantage"], result["mean_belief_gap"], max_belief))
         advantages.append(result["advantage"])

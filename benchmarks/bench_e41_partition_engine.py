@@ -18,9 +18,11 @@ gated on:
    still shipped beside the partition engine and produced the same bytes
    (the family-wide goldens are tier-1 tests in
    ``tests/test_partition_engine.py``);
-2. **no raw rescans** — after the root materialization every feasibility
-   check is served from cached counts (``raw_rescans == 0``) and the
-   delta-histogram path is exercised (``histogram_splits > 0``).
+2. **verified** — :func:`repro.verify.violations`, the naive verifier that
+   shares no code with the engines, finds no class of the release breaking
+   ``SPECS`` (``verify_seconds`` records its cost);
+3. **delta histograms** — child histograms are derived as parent − sibling
+   (``histogram_splits > 0``).
 
 Results are recorded to ``BENCH_E41.json`` via the shared writer.
 Runnable standalone (``python benchmarks/bench_e41_partition_engine.py``,
@@ -35,9 +37,10 @@ import time
 from conftest import print_series, write_results
 
 from repro.algorithms import Mondrian
+from repro.api import model_registry
 from repro.data import adult_hierarchies, adult_schema, load_adult
-from repro.privacy import DistinctLDiversity, KAnonymity, TCloseness
 from repro.service.data import release_csv_bytes
+from repro.verify import violations
 
 SENSITIVE = "occupation"
 N_ROWS = 100_000
@@ -48,18 +51,18 @@ REPEATS = 3
 GOLDEN_DIGEST = "8a5780e279494b55ea6f4136484f3cc03aa6d84cbdbaea75040cdedeab557255"
 
 
-def _gate_models():
-    return [
-        KAnonymity(10),
-        DistinctLDiversity(3, SENSITIVE),
-        TCloseness(0.35, SENSITIVE),
-    ]
+#: The gate run's privacy models, as the JSON specs the verifier reads.
+SPECS = [
+    {"model": "k-anonymity", "k": 10},
+    {"model": "distinct-l-diversity", "l": 3, "sensitive": SENSITIVE},
+    {"model": "t-closeness", "t": 0.35, "sensitive": SENSITIVE},
+]
 
 
 def run_bench():
     schema, hierarchies = adult_schema(), adult_hierarchies()
     table = load_adult(n_rows=N_ROWS, seed=SEED)
-    models = _gate_models()
+    models = [model_registry.from_spec(spec) for spec in SPECS]
 
     # A small untimed run first so one-time costs (imports, allocator
     # warm-up) don't land on the first timed run.
@@ -77,7 +80,11 @@ def run_bench():
 
     digest = hashlib.sha256(release_csv_bytes(release.table)).hexdigest()
     ok_golden = digest == GOLDEN_DIGEST
-    ok_cache = cache["raw_rescans"] == 0 and cache["histogram_splits"] > 0
+    start = time.perf_counter()
+    found = violations(release.table, schema.quasi_identifiers, SPECS)
+    verify_seconds = time.perf_counter() - start
+    ok_verified = not found
+    ok_cache = cache["histogram_splits"] > 0
 
     print_series(
         f"E41: gate run (relaxed Mondrian, k=10 + l=3 + t=0.35, n={N_ROWS})",
@@ -85,11 +92,11 @@ def run_bench():
         [(seconds, min(runs), max(runs), N_ROWS / seconds, release.info["n_leaves"])],
     )
 
-    ok = ok_golden and ok_cache
+    ok = ok_golden and ok_verified and ok_cache
     print(
         f"\ngates: golden release {'ok' if ok_golden else 'FAIL (' + digest + ')'}"
-        f" | raw_rescans={cache['raw_rescans']}"
-        f" histogram_splits={cache['histogram_splits']}"
+        f" | violations={len(found)} {'ok' if ok_verified else 'FAIL ' + repr(found[:3])}"
+        f" | histogram_splits={cache['histogram_splits']}"
         f" {'ok' if ok_cache else 'FAIL'}"
     )
     write_results(
@@ -101,6 +108,8 @@ def run_bench():
             "partition_cache": cache,
             "release_sha256": digest,
             "golden_identical": ok_golden,
+            "violations": len(found),
+            "verify_seconds": verify_seconds,
             "ok": ok,
         },
     )

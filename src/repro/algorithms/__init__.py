@@ -12,16 +12,15 @@ Two execution substrates back the family:
   :class:`~repro.core.partition_engine.PartitionEngine`, the rest share its
   flattened grouped-histogram kernel.
 
-BottomUpGeneralization stays on the lattice/legacy full-domain path by
-design: it walks generalization *nodes* bottom-up (no per-row partition to
-refine incrementally), so ``PartitionStats`` offers it nothing the
-``GroupStats`` roll-up does not already provide. It is registered in
+BottomUpGeneralization walks generalization *nodes* bottom-up (no per-row
+partition to refine incrementally), so it scores its candidates on a private
+``LatticeEvaluator`` like Datafly. It is registered in
 ``repro.api.registry`` as ``"bottom-up"`` like the rest of the family.
 """
 
 from .anatomy import AnatomizedRelease, Anatomy
 from .bug import BottomUpGeneralization
-from .base import AnonymizationAlgorithm, prepare_input, suppress_failing
+from .base import AnonymizationAlgorithm, prepare_input
 from .datafly import Datafly
 from .flash import Flash
 from .incognito import Incognito
@@ -48,6 +47,5 @@ __all__ = [
     "Slicing",
     "TopDownSpecialization",
     "prepare_input",
-    "suppress_failing",
     "within_group_sse",
 ]

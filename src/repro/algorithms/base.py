@@ -8,8 +8,8 @@ Shared here:
 
 * :func:`prepare_input` — validates the schema, strips identifying columns.
 * :func:`check_int` — constructor validation of integer parameters.
-* :func:`suppress_failing` — standard record-suppression step: drop the rows
-  of equivalence classes that still violate the models, within a suppression
+* :func:`suppress_rows` — standard record-suppression step: drop the rows of
+  equivalence classes that still violate the models, within a suppression
   budget.
 * :class:`AnonymizationAlgorithm` — the protocol.
 """
@@ -22,21 +22,17 @@ from typing import Mapping, Protocol, Sequence, runtime_checkable
 import numpy as np
 
 from ..core.generalize import HierarchyLike
-from ..core.partition import EquivalenceClasses, partition_by_qi
 from ..core.release import Release
 from ..core.schema import Schema
 from ..core.table import Table
 from ..errors import InfeasibleError
-from ..privacy.base import PrivacyModel, failing_rows
+from ..privacy.base import PrivacyModel
 
 __all__ = [
     "AnonymizationAlgorithm",
     "check_int",
     "prepare_input",
-    "suppress_failing",
     "suppress_rows",
-    "check_models",
-    "failing_of_models",
 ]
 
 
@@ -81,52 +77,16 @@ def prepare_input(table: Table, schema: Schema, hierarchies: Mapping[str, Hierar
     return table
 
 
-def check_models(table: Table, partition: EquivalenceClasses, models: Sequence[PrivacyModel]) -> bool:
-    return all(model.check(table, partition) for model in models)
-
-
-def failing_of_models(
-    table: Table, partition: EquivalenceClasses, models: Sequence[PrivacyModel]
-) -> list[int]:
-    failing: set[int] = set()
-    for model in models:
-        failing.update(model.failing_groups(table, partition))
-    return sorted(failing)
-
-
-def suppress_failing(
-    table: Table,
-    qi_names: Sequence[str],
-    models: Sequence[PrivacyModel],
-    max_suppression: float,
-    partition: EquivalenceClasses | None = None,
-) -> tuple[Table, np.ndarray, int]:
-    """Drop rows of equivalence classes that violate the models.
-
-    Returns ``(kept_table, kept_row_indices, n_suppressed)``. Raises
-    :class:`InfeasibleError` if suppression would exceed
-    ``max_suppression * n_rows`` or would empty the table.
-
-    Callers that already partitioned ``table`` can pass it via ``partition``
-    to avoid partitioning the same candidate twice. (The lattice searches
-    go one step further and call :func:`suppress_rows` with the evaluation
-    engine's own failing rows, bypassing the model re-check entirely.)
-    """
-    if partition is None:
-        partition = partition_by_qi(table, qi_names)
-    failing = failing_of_models(table, partition, models)
-    return suppress_rows(table, failing_rows(partition, failing), max_suppression)
-
-
 def suppress_rows(
     table: Table, drop: np.ndarray, max_suppression: float
 ) -> tuple[Table, np.ndarray, int]:
     """Drop the given row indices within the suppression budget.
 
-    The mechanics of :func:`suppress_failing` with the failing set supplied
-    by the caller — lattice searches pass the evaluation engine's own
-    failing rows so the admission verdict and the suppression step cannot
-    disagree on borderline float comparisons.
+    Returns ``(kept_table, kept_row_indices, n_suppressed)``. Raises
+    :class:`InfeasibleError` if suppression would exceed
+    ``max_suppression * n_rows`` or would empty the table. Lattice searches
+    pass :meth:`~repro.core.engine.LatticeEvaluator.failing_rows`, so the
+    admission verdict and the suppression step read the same verdicts.
     """
     if drop.size > max_suppression * table.n_rows:
         raise InfeasibleError(

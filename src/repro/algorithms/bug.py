@@ -22,26 +22,25 @@ at most ``n_qi`` candidate checks each.
 Supports any combination of generalization-monotone privacy models; the
 anonymity term always uses min class size (the k-anonymity surrogate that
 drives all of them upward), while satisfaction is tested against the actual
-models.
+models. Candidates are scored on a private
+:class:`~repro.core.engine.LatticeEvaluator`, so only the chosen node's
+table is ever materialized.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-import numpy as np
-
-from ..core.generalize import HierarchyLike, apply_node
+from ..core.engine import LatticeEvaluator
+from ..core.generalize import HierarchyLike
 from ..core.hierarchy import Hierarchy, IntervalHierarchy
 from ..core.lattice import GeneralizationLattice
-from ..core.partition import partition_by_qi
 from ..core.release import Release
 from ..core.schema import Schema
 from ..core.table import Table
-from ..errors import InfeasibleError
 from ..privacy.base import PrivacyModel
 from ..privacy.k_anonymity import KAnonymity
-from .base import check_models, prepare_input, suppress_failing
+from .base import prepare_input, suppress_rows
 
 __all__ = ["BottomUpGeneralization"]
 
@@ -66,30 +65,30 @@ class BottomUpGeneralization:
         original = prepare_input(table, schema, hierarchies)
         qi_names = schema.quasi_identifiers
         lattice = GeneralizationLattice.from_hierarchies(hierarchies, qi_names)
+        evaluator = LatticeEvaluator(original, qi_names, hierarchies)
         target_k = _target_k(models)
         self.stats = {"nodes_checked": 0, "steps": 0, "lattice_size": lattice.size}
 
         node: Node = lattice.bottom
-        candidate = apply_node(original, hierarchies, qi_names, node)
-        partition = partition_by_qi(candidate, qi_names)
-        anonymity = partition.min_size()
+        anonymity = evaluator.stats(node).min_size()
         loss = self._node_loss(original, hierarchies, qi_names, node)
 
-        while not check_models(candidate, partition, models):
+        while not evaluator.check(node, models):
             if node == lattice.top:
                 break  # even the top node fails; fall through to suppression
             best = self._best_step(
-                original, hierarchies, qi_names, node, lattice, anonymity, loss, target_k
+                evaluator, hierarchies, qi_names, node, lattice, anonymity, loss, target_k
             )
             if best is None:  # pragma: no cover - top handled above
                 break
-            node, candidate, partition, anonymity, loss = best
+            node, anonymity, loss = best
             self.stats["steps"] += 1
 
+        candidate = evaluator.materialize(node)
         suppressed, kept = 0, None
-        if not check_models(candidate, partition, models):
-            candidate, kept, suppressed = suppress_failing(
-                candidate, qi_names, models, self.max_suppression
+        if not evaluator.check(node, models):
+            candidate, kept, suppressed = suppress_rows(
+                candidate, evaluator.failing_rows(node, models), self.max_suppression
             )
         return Release(
             table=candidate,
@@ -106,7 +105,7 @@ class BottomUpGeneralization:
 
     def _best_step(
         self,
-        table: Table,
+        evaluator: LatticeEvaluator,
         hierarchies: Mapping[str, HierarchyLike],
         qi_names: Sequence[str],
         node: Node,
@@ -120,17 +119,15 @@ class BottomUpGeneralization:
         best_key: tuple | None = None
         for successor in lattice.successors(node):
             self.stats["nodes_checked"] += 1
-            candidate = apply_node(table, hierarchies, qi_names, successor)
-            partition = partition_by_qi(candidate, qi_names)
-            cand_anonymity = partition.min_size()
-            cand_loss = self._node_loss(table, hierarchies, qi_names, successor)
+            cand_anonymity = evaluator.stats(successor).min_size()
+            cand_loss = self._node_loss(evaluator.table, hierarchies, qi_names, successor)
             gain = min(cand_anonymity, target_k) - min(anonymity, target_k)
             cost = max(cand_loss - loss, 1e-12)
             # Ties: prefer the cheaper raise, then the more anonymous one.
             key = (gain / cost, -cost, cand_anonymity)
             if best_key is None or key > best_key:
                 best_key = key
-                best = (successor, candidate, partition, cand_anonymity, cand_loss)
+                best = (successor, cand_anonymity, cand_loss)
         return best
 
     def _node_loss(

@@ -19,20 +19,21 @@ category-code median (a standard, hierarchy-free treatment; the hierarchy is
 still used to label the recoded regions).
 
 Partitioning runs on :class:`~repro.core.partition_engine.PartitionEngine`:
-feasibility checks go through the privacy models' ``check_stats`` fast path
-with sensitive histograms derived incrementally (child = parent − sibling),
-the median and the parent label entropy are computed once per node, and the
-relaxed median-balancing assignment is closed-form vectorized. Range-scored
-runs (``target=None``) use a frontier-vectorized BFS driver that derives
-every per-(group, QI) quantity — spans, medians, cut sizes, child
-histograms, batched k/l/t verdicts — from fused bincounts and cumulative
-sums over a whole tree level at once, then re-emits leaves in DFS stack
-order; InfoGain runs stay on the per-node DFS. Cache counters ride in
+feasibility checks call each privacy model's ``ok_mask`` with sensitive
+histograms derived incrementally (child = parent − sibling), the median and
+the parent label entropy are computed once per node, and the relaxed
+median-balancing assignment is closed-form vectorized. Range-scored runs
+(``target=None``) use a frontier-vectorized BFS driver that derives every
+per-(group, QI) quantity — spans, medians, cut sizes, child histograms,
+every model's verdicts — from fused bincounts and cumulative sums over a
+whole tree level at once, then re-emits leaves in DFS stack order; InfoGain
+runs stay on the per-node DFS. Cache counters ride in
 ``release.info["partition_cache"]``.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -41,6 +42,8 @@ from ..core.generalize import HierarchyLike, apply_partition_recoding
 from ..core.partition_engine import (
     PartitionEngine,
     PartitionGroup,
+    PartitionStats,
+    grouped_bounds,
     grouped_histograms,
 )
 from ..core.release import Release
@@ -48,9 +51,6 @@ from ..core.schema import Schema
 from ..core.table import Table
 from ..errors import InfeasibleError
 from ..privacy.base import PrivacyModel
-from ..privacy.k_anonymity import KAnonymity
-from ..privacy.l_diversity import DistinctLDiversity, EntropyLDiversity
-from ..privacy.t_closeness import TCloseness
 from .base import prepare_input
 
 __all__ = ["Mondrian"]
@@ -67,48 +67,148 @@ def _hist_entropy(counts: np.ndarray) -> float:
     return float(-(probs * np.log2(probs)).sum())
 
 
-class _FrontierStats:
-    """Minimal stats shim feeding a model's matrix fast path per frontier.
+def _value_views(table: Table, qi_names: Sequence[str]):
+    """Per-QI float64 views for median computation (category codes for
+    categorical QIs) plus the spans that normalize the range score."""
+    views: dict[str, np.ndarray] = {}
+    spans: dict[str, float] = {}
+    for name in qi_names:
+        col = table.column(name)
+        if col.is_categorical:
+            views[name] = col.codes.astype(np.float64)  # type: ignore[union-attr]
+            spans[name] = max(len(col.categories) - 1, 1)
+        else:
+            views[name] = col.values.astype(np.float64)  # type: ignore[union-attr]
+            span = float(col.values.max() - col.values.min())  # type: ignore[union-attr]
+            spans[name] = span if span > 0 else 1.0
+    return views, spans
 
-    Carries one (n_groups, n_cats) histogram and the global distribution so
-    ``TCloseness.distances_stats`` runs unchanged over a whole level's
-    candidate children at once. All its per-group math is row-local
-    (elementwise plus fixed-width axis-1 reductions), so verdicts are
-    bit-identical to the two-row per-candidate evaluation.
+
+class _Level:
+    """One frontier level's packed rows, shared by every QI's candidate cuts.
+
+    Row-order sensitive codes and each group's histogram are gathered on
+    first use, once per level and column.
     """
 
-    __slots__ = ("_hist", "_global", "n_groups")
+    def __init__(self, engine: PartitionEngine, rows: np.ndarray, gid: np.ndarray, n_groups: int):
+        self.engine = engine
+        self.rows = rows
+        self.gid = gid
+        self.n_groups = n_groups
+        self._codes: dict[str, np.ndarray] = {}
+        self._hists: dict[str, np.ndarray] = {}
 
-    def __init__(self, hist: np.ndarray, global_dist: np.ndarray):
-        self._hist = hist
-        self._global = global_dist
-        self.n_groups = int(hist.shape[0])
+    def codes(self, name: str) -> np.ndarray:
+        codes = self._codes.get(name)
+        if codes is None:
+            codes = self._codes[name] = self.engine.column_codes(name)[self.rows]
+        return codes
 
     def histogram(self, name: str) -> np.ndarray:
-        return self._hist
+        hist = self._hists.get(name)
+        if hist is None:
+            hist = self._hists[name] = grouped_histograms(
+                self.gid, self.codes(name), self.n_groups, self.engine.column_cats(name)
+            )
+        return hist
+
+
+class _Cut:
+    """One QI's median cut of every group of a level.
+
+    The row mask of the left children and each column's child histograms
+    and value bounds are built on first use and shared by every model,
+    which sees the left and the right children as two :class:`_CutSide`
+    views.
+    """
+
+    def __init__(self, level: _Level, left_mask):
+        self.level = level
+        self._left_mask_of = left_mask
+        self._left_mask: np.ndarray | None = None
+        self._hists: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._bounds: dict[str, tuple] = {}
+
+    def left_mask(self) -> np.ndarray:
+        if self._left_mask is None:
+            self._left_mask = self._left_mask_of()
+        return self._left_mask
+
+    def histograms(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        pair = self._hists.get(name)
+        if pair is None:
+            level = self.level
+            n_cats = level.engine.column_cats(name)
+            flat = level.gid * n_cats + level.codes(name)
+            left = np.bincount(
+                flat[self.left_mask()], minlength=level.n_groups * n_cats
+            ).reshape(level.n_groups, n_cats)
+            pair = self._hists[name] = (left, level.histogram(name) - left)
+            level.engine.counters["histogram_splits"] += level.n_groups
+        return pair
+
+    def bounds(self, name: str) -> tuple:
+        pair = self._bounds.get(name)
+        if pair is None:
+            level = self.level
+            values = level.engine.table.values(name)[level.rows]
+            pair = self._bounds[name] = tuple(
+                grouped_bounds(level.gid[side], values[side], values[side], level.n_groups)
+                for side in (self.left_mask(), ~self.left_mask())
+            )
+        return pair
+
+
+class _CutSide:
+    """GroupStats-shaped view of one side of a :class:`_Cut`, one row per
+    group. ``ok_mask`` decides each group from its own row, so the verdicts
+    equal those of checking each candidate's two children alone."""
+
+    __slots__ = ("_cut", "_side", "sizes")
+
+    def __init__(self, cut: _Cut, side: int, sizes: np.ndarray):
+        self._cut = cut
+        self._side = side
+        self.sizes = sizes
+
+    @property
+    def n_groups(self) -> int:
+        return int(self.sizes.size)
+
+    def histogram(self, name: str) -> np.ndarray:
+        return self._cut.histograms(name)[self._side]
 
     def global_distribution(self, name: str) -> np.ndarray:
-        return self._global
+        return self._cut.level.engine.global_distribution(name)
+
+    def value_bounds(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        return self._cut.bounds(name)[self._side]
+
+    external_counts = PartitionStats.external_counts
 
 
-def _frontier_verdict_kind(model) -> str | None:
-    """How (if at all) a model's per-candidate verdict batches per level.
+def _strict_left_mask(codes: np.ndarray, gid: np.ndarray, boundary: np.ndarray) -> np.ndarray:
+    return codes < boundary[gid]
 
-    ``"sizes"`` — verdict from child sizes alone; ``"mask"`` — the model's
-    own ``_ok_mask`` over child sensitive histograms; ``"emd"`` — t-closeness
-    distances over the same histograms. ``None`` — not batchable (the
-    frontier falls back to a per-candidate ``engine.check``). Exact types
-    only: a subclass may override ``check``/``check_stats`` arbitrarily.
-    """
-    if type(model) is KAnonymity:
-        return "sizes"
-    if type(model) in (DistinctLDiversity, EntropyLDiversity):
-        return "mask"
-    if type(model) is TCloseness and model.ground_distance in ("equal", "ordered"):
-        # The hierarchical ground runs through a matmul whose summation
-        # order may depend on operand shape; keep it per-candidate.
-        return "emd"
-    return None
+
+def _relaxed_left_mask(codes, gid, starts, idx_lt, idx_le, diff, head) -> np.ndarray:
+    """Rows sent left by the relaxed cut: every row below the median, plus
+    the median-valued rows :meth:`Mondrian._cut_positions` assigns left."""
+    less_mask = codes < idx_lt[gid]
+    eq_mask = (codes >= idx_lt[gid]) & (codes < idx_le[gid])
+    # Rank of each median-valued row among its group's median block (group
+    # row order), then the same head-then-alternate assignment.
+    eq_cum = np.cumsum(eq_mask)
+    base = eq_cum[starts] - eq_mask[starts]
+    rank = eq_cum - 1 - base[gid]
+    head = head[gid]
+    go_left = np.where(
+        diff[gid] <= 0,
+        (rank < head) | (((rank - head) % 2) == 1),
+        (rank >= head) & (((rank - head) % 2) == 0),
+    )
+    return less_mask | (eq_mask & go_left)
 
 
 class Mondrian:
@@ -138,19 +238,7 @@ class Mondrian:
         original = prepare_input(table, schema, hierarchies)
         qi_names = schema.quasi_identifiers
 
-        # Pre-extract per-QI numeric views for median computation.
-        views: dict[str, np.ndarray] = {}
-        spans: dict[str, float] = {}
-        for name in qi_names:
-            col = original.column(name)
-            if col.is_categorical:
-                views[name] = col.codes.astype(np.float64)  # type: ignore[union-attr]
-                spans[name] = max(len(col.categories) - 1, 1)
-            else:
-                views[name] = col.values.astype(np.float64)  # type: ignore[union-attr]
-                span = float(col.values.max() - col.values.min())  # type: ignore[union-attr]
-                spans[name] = span if span > 0 else 1.0
-
+        views, spans = _value_views(original, qi_names)
         leaves, cache_info = self._partition(original, qi_names, views, spans, models)
 
         categorical = {
@@ -213,25 +301,16 @@ class Mondrian:
         Instead of re-gathering values and re-deriving statistics one node
         at a time, each frontier (all groups of one tree depth) is packed
         into contiguous arrays and every per-(group, QI) quantity — spans,
-        medians, cut sizes, child sensitive histograms, model verdicts —
-        comes out of a handful of fused bincounts and cumulative sums over
-        the whole level. The per-group Python loop only resolves candidate
-        order and materializes the accepted cut (via the same
-        ``_cut_positions`` closed form as the per-node path), so releases
-        stay byte-identical to the per-node DFS while per-node overhead
-        amortizes away. Leaves are finally re-emitted in DFS stack order,
-        which recoded-category order depends on.
+        medians, cut sizes, child sensitive histograms — comes out of a
+        handful of fused bincounts and cumulative sums over the whole
+        level. Every model's ``ok_mask`` then runs once per QI on the
+        left and on the right children of all groups. The per-group Python
+        loop only resolves candidate order and materializes the accepted
+        cut (via the same ``_cut_positions`` closed form as the per-node
+        path), so releases stay byte-identical to the per-node DFS while
+        per-node overhead amortizes away. Leaves are finally re-emitted in
+        DFS stack order, which recoded-category order depends on.
         """
-        batched: list[tuple] = []
-        other_models: list = []
-        for model in models:
-            kind = _frontier_verdict_kind(model)
-            if kind is None:
-                other_models.append(model)
-            else:
-                batched.append((model, kind))
-        sens_names = sorted({m.sensitive for m, kind in batched if kind != "sizes"})
-
         n_qis = len(qi_names)
         qi_idx = {name: i for i, name in enumerate(qi_names)}
         # Value-space encodings: sorted distinct values per QI plus per-row
@@ -243,8 +322,6 @@ class Mondrian:
             vals, inverse = np.unique(views[name], return_inverse=True)
             enc_vals.append(vals)
             enc_codes.append(inverse.astype(np.int64))
-        sens_codes = {s: engine.column_codes(s) for s in sens_names}
-        sens_cats = {s: engine.column_cats(s) for s in sens_names}
         relaxed = self.mode == "relaxed"
 
         children_of: dict[int, tuple[PartitionGroup, PartitionGroup]] = {}
@@ -259,11 +336,7 @@ class Mondrian:
             np.cumsum(sizes[:-1], out=starts[1:])
             gid = np.repeat(np.arange(n_groups, dtype=np.int64), sizes)
             rows_lvl = np.concatenate([g.rows for g in active])
-            sens_lvl = {s: sens_codes[s][rows_lvl] for s in sens_names}
-            sens_hists = {
-                s: grouped_histograms(gid, sens_lvl[s], n_groups, sens_cats[s])
-                for s in sens_names
-            }
+            level = _Level(engine, rows_lvl, gid, n_groups)
 
             scores = np.empty((n_qis, n_groups))
             medians = np.empty((n_qis, n_groups))
@@ -305,6 +378,7 @@ class Mondrian:
                     degenerate = ~ok_le & ~ok_lt
                     boundary = np.where(ok_le, idx_le, idx_lt)
                     left_sizes = np.where(ok_le, n_le, n_lt)
+                    left_mask = partial(_strict_left_mask, codes_lvl, gid, boundary)
                 else:
                     diff = n_lt - (sizes - n_le)
                     head_bal = np.minimum(n_eq, 1 - diff)
@@ -314,60 +388,19 @@ class Mondrian:
                     left_eq = np.where(diff <= 0, left_eq_bal, left_eq_skip)
                     left_sizes = n_lt + left_eq
                     degenerate = (left_sizes == 0) | (left_sizes == sizes)
-                right_sizes = sizes - left_sizes
+                    left_mask = partial(
+                        _relaxed_left_mask, codes_lvl, gid, starts, idx_lt, idx_le,
+                        diff, np.where(diff <= 0, head_bal, head_skip),
+                    )
 
+                cut = _Cut(level, left_mask)
+                sides = (_CutSide(cut, 0, left_sizes), _CutSide(cut, 1, sizes - left_sizes))
                 verdict = ~degenerate
-                if sens_names:
-                    if not relaxed:
-                        left_mask = codes_lvl < boundary[gid]
-                    else:
-                        less_mask = codes_lvl < idx_lt[gid]
-                        eq_mask = (codes_lvl >= idx_lt[gid]) & (
-                            codes_lvl < idx_le[gid]
-                        )
-                        # Rank of each median-valued row among its group's
-                        # median block (group row order), then the same
-                        # head-then-alternate assignment as _cut_positions.
-                        eq_cum = np.cumsum(eq_mask)
-                        base = eq_cum[starts] - eq_mask[starts]
-                        rank = eq_cum - 1 - base[gid]
-                        head = np.where(diff <= 0, head_bal, head_skip)[gid]
-                        balance_first = diff[gid] <= 0
-                        go_left = np.where(
-                            balance_first,
-                            (rank < head) | (((rank - head) % 2) == 1),
-                            (rank >= head) & (((rank - head) % 2) == 0),
-                        )
-                        left_mask = less_mask | (eq_mask & go_left)
-                for model, kind in batched:
-                    if kind == "sizes":
-                        verdict &= np.minimum(left_sizes, right_sizes) >= model.k
-                        continue
-                    s = model.sensitive
-                    n_sens = sens_cats[s]
-                    flat = gid * n_sens + sens_lvl[s]
-                    left_hist = np.bincount(
-                        flat[left_mask], minlength=n_groups * n_sens
-                    ).reshape(n_groups, n_sens)
-                    right_hist = sens_hists[s] - left_hist
-                    engine.counters["histogram_splits"] += n_groups
-                    if kind == "mask":
-                        verdict &= model._ok_mask(left_hist)
-                        verdict &= model._ok_mask(right_hist)
-                    else:  # emd
-                        global_dist = engine.global_distribution(s)
-                        tolerance = model.t + 1e-12
-                        verdict &= (
-                            model.distances_stats(_FrontierStats(left_hist, global_dist))
-                            <= tolerance
-                        )
-                        verdict &= (
-                            model.distances_stats(_FrontierStats(right_hist, global_dist))
-                            <= tolerance
-                        )
+                for model in models:
+                    for side in sides:
+                        verdict &= model.ok_mask(side)
                 feasible[qi] = verdict
-            if batched:
-                engine.counters["checks_fast"] += n_groups * len(batched)
+            engine.counters["checks_fast"] += n_groups * len(models)
 
             next_frontier: list[PartitionGroup] = []
             for j, group in enumerate(active):
@@ -375,22 +408,16 @@ class Mondrian:
                     ((float(scores[qi, j]), qi_names[qi]) for qi in range(n_qis)),
                     reverse=True,
                 )
-                split = None
                 for _, name in candidates:
                     qi = qi_idx[name]
-                    if not feasible[qi, j]:
-                        continue
-                    positions = self._cut_positions(
-                        views[name][group.rows], float(medians[qi, j])
-                    )
-                    left, right = engine.split(group, positions[0], positions[1])
-                    if other_models and not engine.check((left, right), other_models):
-                        continue
-                    split = (left, right)
-                    break
-                if split is not None:
-                    children_of[id(group)] = split
-                    next_frontier.extend(split)
+                    if feasible[qi, j]:
+                        positions = self._cut_positions(
+                            views[name][group.rows], float(medians[qi, j])
+                        )
+                        split = engine.split(group, positions[0], positions[1])
+                        children_of[id(group)] = split
+                        next_frontier.extend(split)
+                        break
             frontier = next_frontier
 
         # Re-emit leaves in the exact order a DFS stack produces them — the
@@ -422,7 +449,7 @@ class Mondrian:
         the median cut (InfoGain variant when ``target`` is set). Medians
         and the parent label entropy are computed once per node, child
         label histograms are derived by subtraction, and feasibility goes
-        through the engine's stats fast path.
+        through every model's ``ok_mask``.
         """
         if group.size < 2:
             return None

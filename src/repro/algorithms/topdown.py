@@ -20,7 +20,7 @@ The search keeps the current partition as live
 them instead of re-materializing the candidate table per trial: a
 candidate is a multiway split of each group by the QI's next-level codes
 (memoized per level through the engine), feasibility goes through the
-models' stats fast path, and per-level conditional label entropies are
+models' ``ok_mask``, and per-level conditional label entropies are
 computed once from a joint flattened bincount and cached for the whole run.
 A numeric QI scored at hierarchy level 0 (the raw column, which
 ``Table.codes`` rejects) is rank-encoded by the engine.

@@ -1,13 +1,12 @@
 """Core substrate: table engine, schema, hierarchies, lattice, partitions."""
 
-from .engine import GroupStats, LatticeEvaluator, supports_stats
+from .engine import GroupStats, LatticeEvaluator
 from .generalize import apply_node, apply_partition_recoding, generalized_qi_table
 from .hierarchy import Hierarchy, IntervalHierarchy, suppression_hierarchy
 from .io import read_csv, write_csv
 from .lattice import GeneralizationLattice
 from .partition import (
     EquivalenceClasses,
-    classes_from_groups,
     classes_from_labels,
     partition_by_qi,
 )
@@ -33,11 +32,9 @@ __all__ = [
     "Table",
     "apply_node",
     "apply_partition_recoding",
-    "classes_from_groups",
     "classes_from_labels",
     "generalized_qi_table",
     "partition_by_qi",
-    "supports_stats",
     "read_csv",
     "suppression_hierarchy",
     "write_csv",

@@ -361,6 +361,7 @@ class EngineCacheStore:
         if stats._partition is not None:
             total += stats.n_rows * 8
         total += sum(hist.nbytes for hist in stats._hists.values())
+        total += sum(low.nbytes + high.nbytes for low, high in stats._bounds.values())
         if stats._external is not None:
             total += stats._external[1].nbytes
         return total

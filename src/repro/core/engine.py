@@ -22,10 +22,8 @@ with ``np.unique`` and materializes a :class:`GroupStats`: per-group sizes
 via ``np.bincount``, per-group representative QI codes, and — lazily, per
 sensitive attribute — the full (n_groups × n_categories) histogram matrix
 via a single flattened bincount (``group_label * n_cats + sens_code``).
-Privacy models that implement the stats fast path
-(``check_stats``/``failing_groups_stats``) are evaluated directly on these
-arrays; other models fall back transparently to ``check(table, partition)``
-on a materialized table.
+Every privacy model's one verdict, ``ok_mask(stats)``, runs directly on
+these arrays; no candidate table is materialized during the search.
 
 **Memoization & roll-up contract.** Stats are memoized per ``(names,
 node)``. When a node is requested and a *more specific* node over the same
@@ -34,11 +32,10 @@ instead of recomputed from rows: each cached group's representative codes
 are mapped through composed level-to-level LUTs, re-packed, and sizes /
 histograms are aggregated group-wise — O(n_groups) instead of O(n_rows).
 Roll-up preserves the canonical group order (ascending signature, i.e. the
-order :func:`partition_by_qi` produces), so group indices reported by
-``failing_groups_stats`` are interchangeable with the legacy path no matter
-how the stats were derived. Row-level labels are reconstructed lazily
-through the parent chain only when a partition or fallback check needs
-them.
+order :func:`partition_by_qi` produces), so the group indices of an
+``ok_mask`` are the same no matter how the stats were derived. Row-level
+labels are reconstructed lazily through the parent chain only when failing
+rows or a partition need them.
 
 Group ordering is byte-compatible with the legacy path: groups ascend by
 packed signature, rows within a group ascend by index.
@@ -60,9 +57,9 @@ thread to request an uncached node registers an in-flight marker and
 computes outside the lock; any other thread asking for the same ``(names,
 node)`` meanwhile blocks on that marker instead of recomputing
 (``cache_info()["coalesced"]`` counts those waits), so no node's stats are
-ever derived twice. Lazily-grown payload (histograms, row labels,
-partitions) is serialized per :class:`GroupStats` by its own re-entrant
-lock. See ``docs/architecture.md`` for the full design.
+ever derived twice. Lazily-grown payload (histograms, value bounds, row
+labels, partitions) is serialized per :class:`GroupStats` by its own
+re-entrant lock. See ``docs/architecture.md`` for the full design.
 """
 
 from __future__ import annotations
@@ -81,36 +78,26 @@ from .deadline import check_deadline
 from .generalize import HierarchyLike, apply_node
 from .hierarchy import Hierarchy
 from .partition import EquivalenceClasses, classes_from_labels
+from .partition_engine import grouped_bounds
 from .table import Table, check_chunk_rows, mixed_radix_fits, pack_code_columns
 
-__all__ = ["GroupStats", "LatticeEvaluator", "supports_stats"]
+__all__ = ["GroupStats", "LatticeEvaluator"]
 
 Node = tuple[int, ...]
-
-
-def supports_stats(model) -> bool:
-    """True if a privacy model opts into the GroupStats fast path.
-
-    A model opts in by implementing both ``check_stats(stats)`` and
-    ``failing_groups_stats(stats)``; composite models may instead expose a
-    ``supports_stats`` boolean attribute that gates delegation.
-    """
-    flag = getattr(model, "supports_stats", None)
-    if flag is not None and not callable(flag):
-        return bool(flag)
-    return hasattr(model, "check_stats") and hasattr(model, "failing_groups_stats")
 
 
 @dataclass
 class GroupStats:
     """Equivalence-class statistics of one lattice node.
 
-    The stats fast path of privacy models consumes:
+    The privacy models' ``ok_mask`` consumes:
 
-    * :attr:`sizes` — int64 per-group sizes;
+    * :attr:`sizes` and :attr:`n_groups` — int64 per-group sizes;
     * :meth:`histogram` — (n_groups, n_categories) int64 counts of a
       sensitive attribute per group;
-    * :meth:`global_distribution` — the table-wide sensitive distribution.
+    * :meth:`global_distribution` — the table-wide sensitive distribution;
+    * :meth:`value_bounds` — per-group (min, max) of a numeric column;
+    * :meth:`external_counts` — per-group row counts of a population table.
 
     ``group_codes[g, i]`` is the generalized code of QI ``i`` shared by all
     rows of group ``g`` — the ingredient of roll-up and of distinct-value
@@ -135,6 +122,7 @@ class GroupStats:
     _row_labels: np.ndarray | None = None
     _parent: tuple["GroupStats", np.ndarray] | None = None
     _hists: dict = field(default_factory=dict)
+    _bounds: dict = field(default_factory=dict)
     _external: tuple | None = None
     _partition: EquivalenceClasses | None = None
     _cache_key: tuple | None = None
@@ -184,6 +172,23 @@ class GroupStats:
         total = counts.sum()
         return counts / total if total else counts
 
+    def value_bounds(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """Per-group (min, max) of numeric column ``name`` (float64)."""
+        with self._lock:
+            bounds = self._bounds.get(name)
+            if bounds is not None:
+                return bounds
+            if self._parent is not None:
+                parent, group_map = self._parent
+                low, high = parent.value_bounds(name)
+                bounds = grouped_bounds(group_map, low, high, self.n_groups)
+            else:
+                values = self._context.table.values(name)
+                bounds = grouped_bounds(self.row_labels, values, values, self.n_groups)
+            self._bounds[name] = bounds
+            self._context.note_bytes(self, bounds[0].nbytes + bounds[1].nbytes)
+            return bounds
+
     def partition(self) -> EquivalenceClasses:
         """The node's EC partition, ordered exactly like ``partition_by_qi``."""
         with self._lock:
@@ -198,7 +203,7 @@ class GroupStats:
     def external_counts(self, table: Table) -> np.ndarray:
         """Per-group row counts of an external table at this node (memoized).
 
-        The δ-presence fast path's ``p`` vector: population rows encoded
+        δ-presence's ``p`` vector: population rows encoded
         through the same hierarchies at this node's generalization, counted
         per group in this stats' group order. Single-slot memo, pinning the
         table it was computed from — a long-cached node never accumulates
@@ -443,10 +448,6 @@ class LatticeEvaluator:
         #: What this evaluator's stats grow lazily through;
         #: :meth:`EngineCacheStore.rebind` re-homes a warm store's stats onto it.
         self.context = _StatsContext(table, hierarchies, self._encodings, self.cache)
-        # Single-entry materialization cache: callers typically ask for the
-        # same node's table twice in a row (check -> suppression count), and
-        # full tables are too large to memoize per node.
-        self._last_materialized: tuple[tuple[tuple[str, ...], Node], Table] | None = None
 
     # -- precomputation ------------------------------------------------------
 
@@ -671,29 +672,11 @@ class LatticeEvaluator:
         models: Sequence,
         names: Sequence[str] | None = None,
     ) -> bool:
-        """True iff every model holds at the node (fast path + fallback)."""
+        """True iff the node has groups and every model's ``ok_mask`` holds."""
         stats = self.stats(node, names)
-        slow = []
-        for model in models:
-            if supports_stats(model):
-                if not model.check_stats(stats):
-                    return False
-            else:
-                slow.append(model)
-        if not slow:
-            return True
-        candidate = self.materialize(node, names)
-        partition = stats.partition()
-        return all(model.check(candidate, partition) for model in slow)
-
-    def failing_groups(
-        self,
-        node: Sequence[int],
-        models: Sequence,
-        names: Sequence[str] | None = None,
-    ) -> list[int]:
-        """Sorted union of the models' failing group indices at the node."""
-        return sorted(np.flatnonzero(self._failing_mask(node, models, names)).tolist())
+        return bool(stats.n_groups) and all(
+            bool(model.ok_mask(stats).all()) for model in models
+        )
 
     def failing_row_count(
         self,
@@ -714,10 +697,8 @@ class LatticeEvaluator:
     ) -> np.ndarray:
         """Ascending row indices of every failing group at the node.
 
-        Suppression steps should consume this rather than re-deriving the
-        failing set through the legacy model path, so a borderline float
-        verdict cannot flip between the search's admission decision and the
-        final suppression.
+        Suppression steps consume this, so the search's admission decision
+        and the final suppression read the same verdicts.
         """
         stats = self.stats(node, names)
         mask = self._failing_mask(node, models, names)
@@ -728,21 +709,8 @@ class LatticeEvaluator:
     ) -> np.ndarray:
         stats = self.stats(node, names)
         mask = np.zeros(stats.n_groups, dtype=bool)
-        slow = []
         for model in models:
-            if supports_stats(model):
-                indices = model.failing_groups_stats(stats)
-                if len(indices):
-                    mask[np.asarray(indices, dtype=np.int64)] = True
-            else:
-                slow.append(model)
-        if slow:
-            candidate = self.materialize(node, names)
-            partition = stats.partition()
-            for model in slow:
-                indices = model.failing_groups(candidate, partition)
-                if len(indices):
-                    mask[np.asarray(indices, dtype=np.int64)] = True
+            mask |= ~model.ok_mask(stats)
         return mask
 
     def evaluate(
@@ -754,16 +722,13 @@ class LatticeEvaluator:
     ) -> bool:
         """Node satisfies the models, possibly within a suppression budget.
 
-        With a budget the failing mask is computed directly (one pass, one
-        fallback materialization at most) since a failed check alone cannot
-        decide the verdict anyway.
+        With a budget the failing mask is computed directly, since a failed
+        check alone cannot decide the verdict anyway.
         """
         if max_suppression <= 0:
             return self.check(node, models, names)
-        stats = self.stats(node, names)
-        mask = self._failing_mask(node, models, names)
         budget = max_suppression * self.table.n_rows
-        return int(stats.sizes[mask].sum()) <= budget
+        return self.failing_row_count(node, models, names) <= budget
 
     # -- materialization & heuristics ---------------------------------------
 
@@ -772,12 +737,7 @@ class LatticeEvaluator:
     ) -> Table:
         """Generalized full table at the node (for the winning node only)."""
         names = self.qi_names if names is None else tuple(names)
-        key = (names, tuple(int(lv) for lv in node))
-        if self._last_materialized is not None and self._last_materialized[0] == key:
-            return self._last_materialized[1]
-        table = apply_node(self.table, self.hierarchies, names, node)
-        self._last_materialized = (key, table)
-        return table
+        return apply_node(self.table, self.hierarchies, names, node)
 
     def partition(
         self, node: Sequence[int], names: Sequence[str] | None = None

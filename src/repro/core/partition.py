@@ -1,9 +1,9 @@
 """Equivalence-class computation.
 
 An *equivalence class* (EC) is a maximal set of rows agreeing on every
-quasi-identifier of the (generalized) table. All privacy models, attacks, and
-most loss metrics are functions of the EC partition plus the sensitive
-column, so this module is the shared hub between them.
+quasi-identifier of the (generalized) table. Attacks and most loss metrics
+are functions of a release's EC partition plus the sensitive column, so this
+module is the shared hub between them.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ __all__ = [
     "EquivalenceClasses",
     "partition_by_qi",
     "classes_from_labels",
-    "classes_from_groups",
 ]
 
 
@@ -89,19 +88,4 @@ def classes_from_labels(
     """
     return EquivalenceClasses(
         groups=tuple(split_by_labels(labels)), qi_names=tuple(qi_names), n_rows=int(n_rows)
-    )
-
-
-def classes_from_groups(groups, n_rows: int) -> EquivalenceClasses:
-    """Ad-hoc EC partition from arbitrary row-index groups.
-
-    Used by the local-recoding algorithms (Mondrian's candidate cuts, the
-    partition engine's legacy-check fallback): group row indices are sorted
-    ascending, ``qi_names`` is empty because the groups were not derived
-    from a generalization node.
-    """
-    return EquivalenceClasses(
-        groups=tuple(np.sort(np.asarray(g)) for g in groups),
-        qi_names=(),
-        n_rows=int(n_rows),
     )

@@ -3,10 +3,7 @@
 The lattice algorithms score whole generalization nodes through
 :class:`~repro.core.engine.GroupStats`; the local-recoding family (Mondrian,
 top-down specialization, MDAV, k-member, anatomy, slicing) instead refines an
-explicit row partition, and historically re-checked every candidate split by
-building a fresh :class:`~repro.core.partition.EquivalenceClasses` and calling
-``model.check(table, partition)`` — per-group Python loops, re-sorts, and
-histogram rebuilds on every candidate cut of every node.
+explicit row partition, and checks every candidate split of every node.
 
 This module is the partition-based analog of ``GroupStats``:
 
@@ -18,19 +15,18 @@ This module is the partition-based analog of ``GroupStats``:
   it is a single masked bincount over the group's cached code slice. The
   full table is scanned exactly once per attribute, at the root.
 * :class:`PartitionStats` — duck-types the ``GroupStats`` surface the privacy
-  models' stats fast path consumes (``sizes``, ``min_size``, ``n_groups``,
-  ``histogram``, ``global_distribution``, ``partition``) so
-  ``model.check_stats`` works unchanged on row partitions. It deliberately
-  does **not** implement ``external_counts``: models that need an external
-  population table (δ-presence) raise ``AttributeError`` and fall back to the
-  legacy ``model.check`` path, counted as a raw rescan.
+  models' ``ok_mask`` consumes (``sizes``, ``min_size``, ``n_groups``,
+  ``histogram``, ``global_distribution``, ``value_bounds``) so every model
+  runs unchanged on row partitions. Its ``external_counts`` raises a
+  :class:`~repro.errors.ConfigError`: a row partition is not a
+  generalization node, so δ-presence's population cannot be generalized
+  like it.
 * :class:`PartitionEngine` — owns the table-wide caches (column codes, level
   encodings, global distributions), materializes groups/splits, and answers
-  feasibility checks through the fast path. ``cache_info()`` exposes
-  counters: ``groups_materialized``, ``histogram_splits`` (delta-derived
-  histograms), ``histogram_scans`` (bincount-derived, including the root),
-  ``checks_fast``/``checks_legacy``, and ``raw_rescans`` — which stays 0
-  whenever every model opts into the stats fast path.
+  feasibility checks through ``ok_mask``. ``cache_info()`` exposes counters:
+  ``groups_materialized``, ``histogram_splits`` (delta-derived histograms),
+  ``histogram_scans`` (bincount-derived, including the root) and
+  ``checks_fast`` (model verdicts).
 
 Group row order is preserved verbatim (children are carved out positionally,
 not re-sorted): relaxed-mode Mondrian's child ordering feeds its grandchild
@@ -43,14 +39,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .engine import supports_stats
-from .partition import EquivalenceClasses, classes_from_groups
+from ..errors import ConfigError
 from .table import Table
 
 __all__ = [
     "PartitionEngine",
     "PartitionGroup",
     "PartitionStats",
+    "grouped_bounds",
     "grouped_histograms",
 ]
 
@@ -68,6 +64,21 @@ def grouped_histograms(
         minlength=n_groups * n_cats,
     )
     return flat.reshape(n_groups, n_cats)
+
+
+def grouped_bounds(
+    labels: np.ndarray, low: np.ndarray, high: np.ndarray, n_groups: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-group (min of ``low``, max of ``high``) as float64 arrays.
+
+    ``low`` and ``high`` are the same value column for raw rows, or child
+    bounds when rolling groups up; an empty group reads (inf, -inf).
+    """
+    mins = np.full(n_groups, np.inf)
+    maxs = np.full(n_groups, -np.inf)
+    np.minimum.at(mins, labels, low)
+    np.maximum.at(maxs, labels, high)
+    return mins, maxs
 
 
 class PartitionGroup:
@@ -131,21 +142,15 @@ class PartitionGroup:
 
 
 class PartitionStats:
-    """GroupStats-shaped view over a list of :class:`PartitionGroup`.
+    """GroupStats-shaped view over a list of :class:`PartitionGroup`."""
 
-    Feeds the privacy models' ``check_stats`` fast path. ``partition()``
-    materializes the legacy :class:`EquivalenceClasses` (sorted groups) only
-    when a model has no fast path.
-    """
-
-    __slots__ = ("_engine", "_groups", "sizes", "_hists", "_partition")
+    __slots__ = ("_engine", "_groups", "sizes", "_hists")
 
     def __init__(self, engine: "PartitionEngine", groups: Sequence[PartitionGroup]):
         self._engine = engine
         self._groups = list(groups)
         self.sizes = np.array([g.size for g in self._groups], dtype=np.int64)
         self._hists: dict[str, np.ndarray] = {}
-        self._partition: EquivalenceClasses | None = None
 
     @property
     def n_groups(self) -> int:
@@ -167,14 +172,19 @@ class PartitionStats:
     def global_distribution(self, sensitive: str) -> np.ndarray:
         return self._engine.global_distribution(sensitive)
 
-    def partition(self) -> EquivalenceClasses:
-        if self._partition is None:
-            self._partition = classes_from_groups(
-                (g.rows for g in self._groups), self._engine.n_rows
-            )
-        return self._partition
+    def value_bounds(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        values = self._engine.table.values(name)
+        rows = [g.rows for g in self._groups]
+        picked = values[np.concatenate(rows)] if rows else values[:0]
+        labels = np.repeat(np.arange(self.n_groups), self.sizes)
+        return grouped_bounds(labels, picked, picked, self.n_groups)
 
-    # NOTE: deliberately no ``external_counts`` — see module docstring.
+    def external_counts(self, table: Table) -> np.ndarray:
+        raise ConfigError(
+            "δ-presence needs a full-domain lattice algorithm (incognito, "
+            "flash, ola, datafly or bottom-up): a local-recoding partition is "
+            "not a generalization the population table can be mapped through"
+        )
 
 
 class PartitionEngine:
@@ -188,18 +198,12 @@ class PartitionEngine:
             "histogram_splits": 0,
             "histogram_scans": 0,
             "checks_fast": 0,
-            "checks_legacy": 0,
-            "raw_rescans": 0,
             "level_encodings": 0,
         }
         self._codes: dict[str, np.ndarray] = {}
         self._cats: dict[str, int] = {}
         self._globals: dict[str, np.ndarray] = {}
         self._levels: dict[tuple[str, int], tuple[np.ndarray, int]] = {}
-
-    @property
-    def n_rows(self) -> int:
-        return self.table.n_rows
 
     def cache_info(self) -> dict:
         """Copy of the run's counters (JSON-safe)."""
@@ -305,32 +309,15 @@ class PartitionEngine:
         return PartitionStats(self, groups)
 
     def check(self, groups_or_stats, models) -> bool:
-        """Would these groups, as equivalence classes, satisfy the models?
-
-        Uses each model's ``check_stats`` fast path when available; models
-        without one (or whose fast path needs a capability PartitionStats
-        lacks, like δ-presence's ``external_counts``) fall back to the
-        legacy ``model.check(table, partition)`` and count as raw rescans.
-        """
+        """Would these groups, as equivalence classes, satisfy the models?"""
         if isinstance(groups_or_stats, PartitionStats):
             stats = groups_or_stats
         else:
             stats = PartitionStats(self, groups_or_stats)
+        if not stats.n_groups:
+            return False
         for model in models:
-            if supports_stats(model):
-                try:
-                    ok = bool(model.check_stats(stats))
-                except AttributeError:
-                    ok = self._check_legacy(model, stats)
-                else:
-                    self.counters["checks_fast"] += 1
-            else:
-                ok = self._check_legacy(model, stats)
-            if not ok:
+            self.counters["checks_fast"] += 1
+            if not model.ok_mask(stats).all():
                 return False
         return True
-
-    def _check_legacy(self, model, stats: PartitionStats) -> bool:
-        self.counters["checks_legacy"] += 1
-        self.counters["raw_rescans"] += 1
-        return bool(model.check(self.table, stats.partition()))

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from ..errors import SchemaError
 from .table import Table
 
@@ -111,14 +113,22 @@ class Schema:
 
         Every schema attribute must exist in the table; categorical QIs and
         sensitive attributes must be categorical columns; numeric QIs must be
-        numeric columns.
+        numeric columns of finite values (a NaN or inf has no interval to
+        generalize into).
         """
         for name, attr_type in self.types.items():
             col = table.column(name)
             if attr_type is AttributeType.QI_CATEGORICAL and not col.is_categorical:
                 raise SchemaError(f"QI {name!r} declared categorical but column is numeric")
-            if attr_type is AttributeType.QI_NUMERIC and col.is_categorical:
-                raise SchemaError(f"QI {name!r} declared numeric but column is categorical")
+            if attr_type is AttributeType.QI_NUMERIC:
+                if col.is_categorical:
+                    raise SchemaError(f"QI {name!r} declared numeric but column is categorical")
+                bad = np.flatnonzero(~np.isfinite(col.values))
+                if bad.size:
+                    raise SchemaError(
+                        f"numeric QI {name!r} holds the non-finite value "
+                        f"{col.values[bad[0]]} in row {bad[0]} (0-based)"
+                    )
             if attr_type is AttributeType.SENSITIVE and not col.is_categorical:
                 raise SchemaError(
                     f"sensitive attribute {name!r} must be categorical "

@@ -1,7 +1,7 @@
-"""Privacy models: predicates over equivalence-class partitions."""
+"""Privacy models: one ``ok_mask`` verdict per model over per-group statistics."""
 
 from .alpha_k import AlphaKAnonymity
-from .base import CompositeModel, PrivacyModel, failing_rows
+from .base import CompositeModel, PrivacyModel
 from .beta_likeness import BetaLikeness
 from .delta_presence import DeltaPresence
 from .k_anonymity import KAnonymity
@@ -29,5 +29,4 @@ __all__ = [
     "emd_equal",
     "emd_hierarchical",
     "emd_ordered",
-    "failing_rows",
 ]

@@ -9,9 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.partition import EquivalenceClasses
-from ..core.table import Table
-
 __all__ = ["AlphaKAnonymity"]
 
 
@@ -30,38 +27,12 @@ class AlphaKAnonymity:
         self.sensitive = sensitive
         self.name = f"({self.alpha:g},{self.k})-anonymity({sensitive})"
 
-    def _ok(self, counts: np.ndarray) -> bool:
-        total = counts.sum()
-        if total < self.k:
-            return False
-        return float(counts.max()) <= self.alpha * total + 1e-12
-
-    def check(self, table: Table, partition: EquivalenceClasses) -> bool:
-        if not len(partition):
-            return False
-        return all(
-            self._ok(counts)
-            for counts in partition.sensitive_counts(table, self.sensitive)
-        )
-
-    def failing_groups(self, table: Table, partition: EquivalenceClasses) -> list[int]:
-        histograms = partition.sensitive_counts(table, self.sensitive)
-        return [i for i, counts in enumerate(histograms) if not self._ok(counts)]
-
-    # -- GroupStats fast path (see repro.core.engine) -----------------------
-
-    def _ok_mask(self, stats) -> np.ndarray:
+    def ok_mask(self, stats) -> np.ndarray:
         hist = stats.histogram(self.sensitive)
         totals = hist.sum(axis=1)
         return (totals >= self.k) & (
             hist.max(axis=1).astype(np.float64) <= self.alpha * totals + 1e-12
         )
-
-    def check_stats(self, stats) -> bool:
-        return bool(stats.n_groups) and bool(self._ok_mask(stats).all())
-
-    def failing_groups_stats(self, stats) -> list[int]:
-        return np.flatnonzero(~self._ok_mask(stats)).tolist()
 
     def __repr__(self) -> str:
         return f"AlphaKAnonymity(alpha={self.alpha}, k={self.k}, sensitive={self.sensitive!r})"

@@ -1,36 +1,34 @@
 """Privacy-model protocol.
 
-A privacy model is a predicate over the EC partition of a candidate release
-(plus, for sensitive-attribute models, the sensitive column of the table).
-Algorithms call :meth:`PrivacyModel.check` on candidate generalizations and
-also use :meth:`failing_groups` to decide which records to suppress.
+A privacy model is a predicate over the equivalence classes of a candidate
+release. Each model implements exactly one verdict,
+:meth:`PrivacyModel.ok_mask`, vectorized over the per-group statistics an
+engine hands it: :class:`~repro.core.engine.GroupStats` for a full-domain
+lattice node, :class:`~repro.core.partition_engine.PartitionStats` for a
+local-recoding partition, or Mondrian's per-level frontier views. A stats
+object offers ``sizes``, ``n_groups``, ``histogram(name)``,
+``global_distribution(name)``, ``value_bounds(name)`` and
+``external_counts(table)``; a model reads only what it needs. Each group's
+verdict must depend only on that group's statistics (and table-wide ones
+such as the global distribution): Mondrian's frontier judges the candidate
+children of many groups in one call. A candidate satisfies a model when it
+has at least one group and the mask is all True; the False entries are the
+classes suppression removes.
 
 Monotonicity: every model shipped here is *generalization-monotone* — if a
 node satisfies it, so does every more general node (given the same record
 set). Incognito's pruning and Datafly's greedy loop rely on this; models
 advertise it via :attr:`PrivacyModel.monotone` so non-monotone extensions can
 opt out of the pruning.
-
-Stats fast path: models may additionally implement ``check_stats(stats)``
-and ``failing_groups_stats(stats)`` over a
-:class:`~repro.core.engine.GroupStats` (per-group sizes and sensitive
-histograms) so lattice searches can evaluate them without materializing a
-generalized table. :func:`supports_stats` reports whether a model opts in;
-models that don't are transparently evaluated through the legacy
-``check(table, partition)`` interface.
 """
 
 from __future__ import annotations
 
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from ..core.engine import supports_stats
-from ..core.partition import EquivalenceClasses
-from ..core.table import Table
-
-__all__ = ["PrivacyModel", "CompositeModel", "failing_rows", "supports_stats"]
+__all__ = ["PrivacyModel", "CompositeModel"]
 
 
 @runtime_checkable
@@ -42,12 +40,8 @@ class PrivacyModel(Protocol):
     #: True if satisfaction is preserved under further generalization.
     monotone: bool
 
-    def check(self, table: Table, partition: EquivalenceClasses) -> bool:
-        """True iff every equivalence class satisfies the model."""
-        ...
-
-    def failing_groups(self, table: Table, partition: EquivalenceClasses) -> list[int]:
-        """Indices (into ``partition.groups``) of classes violating the model."""
+    def ok_mask(self, stats) -> np.ndarray:
+        """Boolean verdict per group: True where the class satisfies the model."""
         ...
 
 
@@ -61,34 +55,8 @@ class CompositeModel:
         self.name = " & ".join(m.name for m in models)
         self.monotone = all(m.monotone for m in models)
 
-    def check(self, table: Table, partition: EquivalenceClasses) -> bool:
-        return all(m.check(table, partition) for m in self.models)
-
-    def failing_groups(self, table: Table, partition: EquivalenceClasses) -> list[int]:
-        failing: set[int] = set()
+    def ok_mask(self, stats) -> np.ndarray:
+        mask = np.ones(stats.n_groups, dtype=bool)
         for model in self.models:
-            failing.update(model.failing_groups(table, partition))
-        return sorted(failing)
-
-    # -- GroupStats fast path (see repro.core.engine) -----------------------
-
-    @property
-    def supports_stats(self) -> bool:
-        """Fast path available only when every member model opts in."""
-        return all(supports_stats(m) for m in self.models)
-
-    def check_stats(self, stats) -> bool:
-        return all(m.check_stats(stats) for m in self.models)
-
-    def failing_groups_stats(self, stats) -> list[int]:
-        failing: set[int] = set()
-        for model in self.models:
-            failing.update(model.failing_groups_stats(stats))
-        return sorted(failing)
-
-
-def failing_rows(partition: EquivalenceClasses, failing_group_indices: Sequence[int]) -> np.ndarray:
-    """Row indices belonging to the failing equivalence classes."""
-    if not failing_group_indices:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate([partition.groups[i] for i in failing_group_indices])
+            mask &= model.ok_mask(stats)
+        return mask

@@ -17,9 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.partition import EquivalenceClasses
-from ..core.table import Table
-
 __all__ = ["BetaLikeness"]
 
 
@@ -35,36 +32,8 @@ class BetaLikeness:
         self.sensitive = sensitive
         self.name = f"{beta:g}-likeness({sensitive})"
 
-    def max_gains(self, table: Table, partition: EquivalenceClasses) -> np.ndarray:
-        """Per-class maximum relative gain max_s (q_s - p_s) / p_s."""
-        global_dist = partition.global_sensitive_distribution(table, self.sensitive)
-        out = np.empty(len(partition))
-        for i, counts in enumerate(partition.sensitive_counts(table, self.sensitive)):
-            total = counts.sum()
-            if not total:
-                out[i] = 0.0
-                continue
-            local = counts / total
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gains = np.where(global_dist > 0, (local - global_dist) / global_dist, 0.0)
-            # A value absent globally but present locally is an infinite gain.
-            impossible = (global_dist == 0) & (local > 0)
-            out[i] = np.inf if impossible.any() else float(gains.max())
-        return out
-
-    def check(self, table: Table, partition: EquivalenceClasses) -> bool:
-        if not len(partition):
-            return False
-        return bool((self.max_gains(table, partition) <= self.beta + 1e-12).all())
-
-    def failing_groups(self, table: Table, partition: EquivalenceClasses) -> list[int]:
-        gains = self.max_gains(table, partition)
-        return [i for i, g in enumerate(gains) if g > self.beta + 1e-12]
-
-    # -- GroupStats fast path (see repro.core.engine) -----------------------
-
-    def max_gains_stats(self, stats) -> np.ndarray:
-        """Per-group maximum relative gains, matrix-at-a-time from GroupStats."""
+    def max_gains(self, stats) -> np.ndarray:
+        """Per-group maximum relative gain max_s (q_s - p_s) / p_s."""
         hist = stats.histogram(self.sensitive).astype(np.float64)
         global_dist = stats.global_distribution(self.sensitive)
         totals = hist.sum(axis=1)
@@ -77,17 +46,13 @@ class BetaLikeness:
                 0.0,
             )
         out = gains.max(axis=1) if hist.shape[1] else np.zeros(hist.shape[0])
+        # A value absent globally but present locally is an infinite gain.
         impossible = ((global_dist[None, :] == 0) & (local > 0)).any(axis=1)
         out = np.where(impossible, np.inf, out)
         return np.where(totals > 0, out, 0.0)
 
-    def check_stats(self, stats) -> bool:
-        if not stats.n_groups:
-            return False
-        return bool((self.max_gains_stats(stats) <= self.beta + 1e-12).all())
-
-    def failing_groups_stats(self, stats) -> list[int]:
-        return np.flatnonzero(self.max_gains_stats(stats) > self.beta + 1e-12).tolist()
+    def ok_mask(self, stats) -> np.ndarray:
+        return self.max_gains(stats) <= self.beta + 1e-12
 
     def __repr__(self) -> str:
         return f"BetaLikeness(beta={self.beta}, sensitive={self.sensitive!r})"

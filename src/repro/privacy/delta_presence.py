@@ -13,11 +13,8 @@ population member matching that class is ``r / p``. The release satisfies
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from ..core.partition import EquivalenceClasses
 from ..core.table import Table
 
 __all__ = ["DeltaPresence"]
@@ -31,63 +28,24 @@ class DeltaPresence:
     delta_min, delta_max:
         inclusive bounds on ``r / p`` per equivalence class.
     population:
-        the public table the attacker links against, with the *same* QI
-        columns (at the same generalization) as the candidate release. Use
-        :meth:`with_population` to re-bind after generalizing both tables
-        with the same node.
+        the public table the attacker links against, with the research
+        table's raw (ungeneralized) QI columns. The lattice engine
+        generalizes it at every evaluated node through its own
+        hierarchies, so δ-presence needs a full-domain lattice algorithm.
     """
 
     monotone = True
 
-    def __init__(self, delta_min: float, delta_max: float, population: Table, qi_names: Sequence[str]):
+    def __init__(self, delta_min: float, delta_max: float, population: Table):
         if not 0 <= delta_min <= delta_max <= 1:
             raise ValueError(f"need 0 <= delta_min <= delta_max <= 1, got {delta_min}, {delta_max}")
         self.delta_min = float(delta_min)
         self.delta_max = float(delta_max)
         self.population = population
-        self.qi_names = tuple(qi_names)
         self.name = f"({self.delta_min:g},{self.delta_max:g})-presence"
 
-    def with_population(self, population: Table) -> "DeltaPresence":
-        """Same bounds, different (e.g. re-generalized) population table."""
-        return DeltaPresence(self.delta_min, self.delta_max, population, self.qi_names)
-
-    def beliefs(self, table: Table, partition: EquivalenceClasses) -> np.ndarray:
-        """``r / p`` per equivalence class (inf if no population match)."""
-        population_counts = _signature_counts(self.population, self.qi_names)
-        out = np.empty(len(partition))
-        for i, group in enumerate(partition.groups):
-            signature = _row_signature(table, self.qi_names, int(group[0]))
-            p = population_counts.get(signature, 0)
-            out[i] = group.size / p if p else np.inf
-        return out
-
-    def check(self, table: Table, partition: EquivalenceClasses) -> bool:
-        if not len(partition):
-            return False
-        beliefs = self.beliefs(table, partition)
-        return bool(
-            ((beliefs >= self.delta_min - 1e-12) & (beliefs <= self.delta_max + 1e-12)).all()
-        )
-
-    def failing_groups(self, table: Table, partition: EquivalenceClasses) -> list[int]:
-        beliefs = self.beliefs(table, partition)
-        return [
-            i
-            for i, b in enumerate(beliefs)
-            if not (self.delta_min - 1e-12 <= b <= self.delta_max + 1e-12)
-        ]
-
-    # -- GroupStats fast path (see repro.core.engine) -----------------------
-    #
-    # Unlike the legacy path — which requires the caller to re-bind an
-    # already-generalized population via ``with_population`` before every
-    # node check — the fast path generalizes the (raw) population through
-    # the engine's own hierarchies at the evaluated node, so δ-presence
-    # composes with lattice searches out of the box.
-
-    def beliefs_stats(self, stats) -> np.ndarray:
-        """``r / p`` per group, with the population generalized at the node."""
+    def beliefs(self, stats) -> np.ndarray:
+        """``r / p`` per group (inf if no population match)."""
         population_counts = stats.external_counts(self.population)
         with np.errstate(divide="ignore"):
             return np.where(
@@ -96,32 +54,9 @@ class DeltaPresence:
                 np.inf,
             )
 
-    def check_stats(self, stats) -> bool:
-        if not stats.n_groups:
-            return False
-        beliefs = self.beliefs_stats(stats)
-        return bool(
-            ((beliefs >= self.delta_min - 1e-12) & (beliefs <= self.delta_max + 1e-12)).all()
-        )
-
-    def failing_groups_stats(self, stats) -> list[int]:
-        beliefs = self.beliefs_stats(stats)
-        return np.flatnonzero(
-            ~((beliefs >= self.delta_min - 1e-12) & (beliefs <= self.delta_max + 1e-12))
-        ).tolist()
+    def ok_mask(self, stats) -> np.ndarray:
+        beliefs = self.beliefs(stats)
+        return (beliefs >= self.delta_min - 1e-12) & (beliefs <= self.delta_max + 1e-12)
 
     def __repr__(self) -> str:
         return f"DeltaPresence({self.delta_min}, {self.delta_max})"
-
-
-def _signature_counts(table: Table, qi_names: Sequence[str]) -> dict:
-    """Counts of QI value tuples in a table, keyed by decoded tuple."""
-    decoded = [table.column(name).decode() for name in qi_names]
-    counts: dict = {}
-    for row in zip(*decoded):
-        counts[row] = counts.get(row, 0) + 1
-    return counts
-
-
-def _row_signature(table: Table, qi_names: Sequence[str], row: int) -> tuple:
-    return tuple(table.column(name).decode()[row] for name in qi_names)

@@ -9,9 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.partition import EquivalenceClasses
-from ..core.table import Table
-
 __all__ = ["KAnonymity"]
 
 
@@ -26,19 +23,8 @@ class KAnonymity:
         self.k = int(k)
         self.name = f"{self.k}-anonymity"
 
-    def check(self, table: Table, partition: EquivalenceClasses) -> bool:
-        return partition.min_size() >= self.k if len(partition) else False
-
-    def failing_groups(self, table: Table, partition: EquivalenceClasses) -> list[int]:
-        return [i for i, g in enumerate(partition.groups) if g.size < self.k]
-
-    # -- GroupStats fast path (see repro.core.engine) -----------------------
-
-    def check_stats(self, stats) -> bool:
-        return bool(stats.sizes.size) and stats.min_size() >= self.k
-
-    def failing_groups_stats(self, stats) -> list[int]:
-        return np.flatnonzero(stats.sizes < self.k).tolist()
+    def ok_mask(self, stats) -> np.ndarray:
+        return stats.sizes >= self.k
 
     def __repr__(self) -> str:
         return f"KAnonymity(k={self.k})"

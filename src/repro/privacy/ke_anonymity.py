@@ -14,10 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.partition import EquivalenceClasses
-from ..core.table import Table
-from ..errors import SchemaError
-
 __all__ = ["KEAnonymity"]
 
 
@@ -36,30 +32,9 @@ class KEAnonymity:
         self.sensitive = sensitive
         self.name = f"({self.k},{self.e:g})-anonymity({sensitive})"
 
-    def _sensitive_values(self, table: Table) -> np.ndarray:
-        col = table.column(self.sensitive)
-        if col.is_categorical:
-            raise SchemaError(
-                f"(k,e)-anonymity needs a numeric sensitive column; "
-                f"{self.sensitive!r} is categorical"
-            )
-        assert col.values is not None
-        return col.values
-
-    def _ok(self, values: np.ndarray) -> bool:
-        if values.shape[0] < self.k:
-            return False
-        return float(values.max() - values.min()) >= self.e - 1e-12
-
-    def check(self, table: Table, partition: EquivalenceClasses) -> bool:
-        if not len(partition):
-            return False
-        values = self._sensitive_values(table)
-        return all(self._ok(values[g]) for g in partition.groups)
-
-    def failing_groups(self, table: Table, partition: EquivalenceClasses) -> list[int]:
-        values = self._sensitive_values(table)
-        return [i for i, g in enumerate(partition.groups) if not self._ok(values[g])]
+    def ok_mask(self, stats) -> np.ndarray:
+        low, high = stats.value_bounds(self.sensitive)
+        return (stats.sizes >= self.k) & (high - low >= self.e - 1e-12)
 
     def __repr__(self) -> str:
         return f"KEAnonymity(k={self.k}, e={self.e}, sensitive={self.sensitive!r})"

@@ -13,101 +13,51 @@ values. Three instantiations, in increasing strictness of what
 * :class:`RecursiveCLDiversity` — (c, ℓ): the most frequent value appears
   fewer than ``c`` times the combined count of the ℓ-1 least frequent tail,
   i.e. ``r1 < c * (r_l + r_{l+1} + ... + r_m)`` on sorted counts.
+
+Each verdict is vectorized over the (groups × categories) sensitive
+histogram matrix of the stats it is given.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..core.partition import EquivalenceClasses
-from ..core.table import Table
-
 __all__ = ["DistinctLDiversity", "EntropyLDiversity", "RecursiveCLDiversity"]
 
 
-class _SensitiveModel:
-    """Shared plumbing for models defined over per-EC sensitive histograms."""
+class DistinctLDiversity:
+    """Each EC contains at least ℓ distinct sensitive values."""
 
     monotone = True
-
-    def __init__(self, sensitive: str):
-        self.sensitive = sensitive
-
-    def _ok(self, counts: np.ndarray) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def check(self, table: Table, partition: EquivalenceClasses) -> bool:
-        if not len(partition):
-            return False
-        return all(
-            self._ok(counts)
-            for counts in partition.sensitive_counts(table, self.sensitive)
-        )
-
-    def failing_groups(self, table: Table, partition: EquivalenceClasses) -> list[int]:
-        histograms = partition.sensitive_counts(table, self.sensitive)
-        return [i for i, counts in enumerate(histograms) if not self._ok(counts)]
-
-    # -- GroupStats fast path (see repro.core.engine) -----------------------
-
-    def _ok_mask(self, hist: np.ndarray) -> np.ndarray:
-        """Vectorized per-group verdicts over the (groups × categories) matrix."""
-        raise NotImplementedError  # pragma: no cover - abstract
-
-    @property
-    def supports_stats(self) -> bool:
-        """Only subclasses that vectorize ``_ok_mask`` take the fast path;
-        ones implementing just the legacy ``_ok`` hook fall back cleanly."""
-        return type(self)._ok_mask is not _SensitiveModel._ok_mask
-
-    def check_stats(self, stats) -> bool:
-        if not stats.n_groups:
-            return False
-        return bool(self._ok_mask(stats.histogram(self.sensitive)).all())
-
-    def failing_groups_stats(self, stats) -> list[int]:
-        return np.flatnonzero(~self._ok_mask(stats.histogram(self.sensitive))).tolist()
-
-
-class DistinctLDiversity(_SensitiveModel):
-    """Each EC contains at least ℓ distinct sensitive values."""
 
     def __init__(self, l: int, sensitive: str):
         if l < 1:
             raise ValueError(f"l must be >= 1, got {l}")
-        super().__init__(sensitive)
         self.l = int(l)
+        self.sensitive = sensitive
         self.name = f"distinct-{self.l}-diversity({sensitive})"
 
-    def _ok(self, counts: np.ndarray) -> bool:
-        return int(np.count_nonzero(counts)) >= self.l
-
-    def _ok_mask(self, hist: np.ndarray) -> np.ndarray:
-        return (hist > 0).sum(axis=1) >= self.l
+    def ok_mask(self, stats) -> np.ndarray:
+        return (stats.histogram(self.sensitive) > 0).sum(axis=1) >= self.l
 
     def __repr__(self) -> str:
         return f"DistinctLDiversity(l={self.l}, sensitive={self.sensitive!r})"
 
 
-class EntropyLDiversity(_SensitiveModel):
+class EntropyLDiversity:
     """Entropy of each EC's sensitive distribution is at least log(ℓ)."""
+
+    monotone = True
 
     def __init__(self, l: float, sensitive: str):
         if l < 1:
             raise ValueError(f"l must be >= 1, got {l}")
-        super().__init__(sensitive)
         self.l = float(l)
+        self.sensitive = sensitive
         self.name = f"entropy-{self.l:g}-diversity({sensitive})"
 
-    def _ok(self, counts: np.ndarray) -> bool:
-        total = counts.sum()
-        if total == 0:
-            return False
-        probs = counts[counts > 0] / total
-        entropy = float(-(probs * np.log(probs)).sum())
-        return entropy >= np.log(self.l) - 1e-12
-
-    def _ok_mask(self, hist: np.ndarray) -> np.ndarray:
+    def ok_mask(self, stats) -> np.ndarray:
+        hist = stats.histogram(self.sensitive)
         totals = hist.sum(axis=1)
         safe = np.where(totals > 0, totals, 1).astype(np.float64)
         probs = hist / safe[:, None]
@@ -120,33 +70,29 @@ class EntropyLDiversity(_SensitiveModel):
         return f"EntropyLDiversity(l={self.l}, sensitive={self.sensitive!r})"
 
 
-class RecursiveCLDiversity(_SensitiveModel):
+class RecursiveCLDiversity:
     """Recursive (c, ℓ)-diversity on sorted sensitive counts."""
+
+    monotone = True
 
     def __init__(self, c: float, l: int, sensitive: str):
         if l < 2:
             raise ValueError(f"l must be >= 2 for recursive diversity, got {l}")
         if c <= 0:
             raise ValueError(f"c must be positive, got {c}")
-        super().__init__(sensitive)
         self.c = float(c)
         self.l = int(l)
+        self.sensitive = sensitive
         self.name = f"recursive-({self.c:g},{self.l})-diversity({sensitive})"
 
-    def _ok(self, counts: np.ndarray) -> bool:
-        nonzero = np.sort(counts[counts > 0])[::-1]
-        if nonzero.size < self.l:
-            return False
-        tail = nonzero[self.l - 1 :].sum()
-        return float(nonzero[0]) < self.c * float(tail)
-
-    def _ok_mask(self, hist: np.ndarray) -> np.ndarray:
+    def ok_mask(self, stats) -> np.ndarray:
+        hist = stats.histogram(self.sensitive)
+        if hist.shape[1] < self.l:
+            return np.zeros(hist.shape[0], dtype=bool)
         # Descending sort pushes zeros to the tail, which contributes nothing
         # to the tail sum — so sorting the full histogram matches sorting the
         # nonzero counts only.
         n_nonzero = (hist > 0).sum(axis=1)
-        if hist.shape[1] < self.l:
-            return np.zeros(hist.shape[0], dtype=bool)
         ordered = np.sort(hist, axis=1)[:, ::-1]
         tail = ordered[:, self.l - 1 :].sum(axis=1).astype(np.float64)
         return (n_nonzero >= self.l) & (ordered[:, 0].astype(np.float64) < self.c * tail)

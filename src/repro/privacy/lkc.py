@@ -10,6 +10,10 @@ every combination of at most L QI values that actually occurs in the data
 
 Checking enumerates the occurring value combinations of sizes 1..L over the
 (generalized) QIs — exponential in L but L is small (2–3) by design.
+
+LKC-privacy is a table-level audit, not a per-class predicate: it has no
+``ok_mask``, so no anonymization algorithm accepts it. Run :meth:`check`
+or :meth:`violations` on a published table instead.
 """
 
 from __future__ import annotations

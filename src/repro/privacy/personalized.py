@@ -11,6 +11,10 @@ Breach probability for record ``r`` in an equivalence class: the fraction
 of the class's records whose sensitive value lies in r's guarding subtree
 (the attacker's posterior that r's value is in the subtree, under random-
 world semantics).
+
+Personalized privacy is a per-record audit, not a per-class predicate: it
+has no ``ok_mask``, so no anonymization algorithm accepts it. Run
+:meth:`PersonalizedPrivacy.check` on a published table and its partition.
 """
 
 from __future__ import annotations

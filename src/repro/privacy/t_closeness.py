@@ -23,8 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.hierarchy import Hierarchy
-from ..core.partition import EquivalenceClasses
-from ..core.table import Table
 
 __all__ = ["TCloseness", "emd_equal", "emd_ordered", "emd_hierarchical"]
 
@@ -100,37 +98,8 @@ class TCloseness:
         self.name = f"{self.t:g}-closeness({sensitive},{ground_distance})"
         self._level_aggregates: list[np.ndarray] | None = None
 
-    def _emd(self, p: np.ndarray, q: np.ndarray) -> float:
-        if self.ground_distance == "equal":
-            return emd_equal(p, q)
-        if self.ground_distance == "ordered":
-            return emd_ordered(p, q)
-        assert self.hierarchy is not None
-        return emd_hierarchical(p, q, self.hierarchy)
-
-    def distances(self, table: Table, partition: EquivalenceClasses) -> np.ndarray:
-        """EMD of every equivalence class against the global distribution."""
-        global_dist = partition.global_sensitive_distribution(table, self.sensitive)
-        out = np.empty(len(partition))
-        for i, counts in enumerate(partition.sensitive_counts(table, self.sensitive)):
-            total = counts.sum()
-            local = counts / total if total else np.zeros_like(global_dist)
-            out[i] = self._emd(local, global_dist)
-        return out
-
-    def check(self, table: Table, partition: EquivalenceClasses) -> bool:
-        if not len(partition):
-            return False
-        return bool((self.distances(table, partition) <= self.t + 1e-12).all())
-
-    def failing_groups(self, table: Table, partition: EquivalenceClasses) -> list[int]:
-        distances = self.distances(table, partition)
-        return [i for i, d in enumerate(distances) if d > self.t + 1e-12]
-
-    # -- GroupStats fast path (see repro.core.engine) -----------------------
-
-    def distances_stats(self, stats) -> np.ndarray:
-        """Per-group EMDs computed matrix-at-a-time from GroupStats."""
+    def distances(self, stats) -> np.ndarray:
+        """EMD of every group against the global distribution."""
         hist = stats.histogram(self.sensitive).astype(np.float64)
         global_dist = stats.global_distribution(self.sensitive)
         totals = hist.sum(axis=1)
@@ -173,13 +142,8 @@ class TCloseness:
             self._level_aggregates = matrices
         return self._level_aggregates
 
-    def check_stats(self, stats) -> bool:
-        if not stats.n_groups:
-            return False
-        return bool((self.distances_stats(stats) <= self.t + 1e-12).all())
-
-    def failing_groups_stats(self, stats) -> list[int]:
-        return np.flatnonzero(self.distances_stats(stats) > self.t + 1e-12).tolist()
+    def ok_mask(self, stats) -> np.ndarray:
+        return self.distances(stats) <= self.t + 1e-12
 
     def __repr__(self) -> str:
         return (

@@ -1,8 +1,16 @@
-"""Shared fixtures: small deterministic tables, schemas, and hierarchies."""
+"""Shared fixtures: small deterministic tables, schemas, and hierarchies.
+
+Also the helpers that compare the engines with :mod:`repro.verify`, and the
+hypothesis profiles of the differential suite (``tests/test_verify.py``):
+tier-1 runs a few examples per property, ``--hypothesis-profile ci`` runs
+10,000 derandomized ones.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
+from repro.api.registry import model_registry
 from repro.core.hierarchy import Hierarchy, IntervalHierarchy
 from repro.core.schema import Schema
 from repro.core.table import Column, Table
@@ -14,6 +22,37 @@ from repro.data import (
     medical_hierarchies,
     medical_schema,
 )
+from repro.privacy import CompositeModel
+from repro.verify import violations
+
+# Every other property test fixes its own max_examples, so the profiles set
+# only the differential suite's example count.
+settings.register_profile("tier1", max_examples=15)
+settings.register_profile("ci", max_examples=10_000, derandomize=True)
+settings.load_profile("tier1")
+
+
+def _specs_of(model):
+    if isinstance(model, dict):
+        return [model]
+    if isinstance(model, CompositeModel):
+        return [spec for member in model.models for spec in _specs_of(member)]
+    return [model_registry.to_spec(model)]
+
+
+def _flagged_rows(table, quasi_identifiers, models, population=None):
+    specs = [spec for model in models for spec in _specs_of(model)]
+    flagged = {key for _, key, _ in violations(table, quasi_identifiers, specs, population)}
+    keys = zip(*(table.column(name).decode() for name in quasi_identifiers))
+    return np.array([row for row, key in enumerate(keys) if key in flagged], dtype=np.int64)
+
+
+@pytest.fixture(scope="session")
+def flagged_rows():
+    """``flagged_rows(table, qi, models, population=None)``: ascending rows of
+    every class :func:`repro.verify.violations` flags. ``models`` are
+    registered models (a composite counts as its members) or verify specs."""
+    return _flagged_rows
 
 
 @pytest.fixture(scope="session")

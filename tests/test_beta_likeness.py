@@ -3,30 +3,40 @@
 import numpy as np
 import pytest
 
-from repro.core.partition import partition_by_qi
+from repro.core.engine import LatticeEvaluator
+from repro.core.hierarchy import Hierarchy
 from repro.core.table import Column, Table
 from repro.privacy import BetaLikeness, TCloseness
+from repro.verify import violations
 
 
 def make_table(qi, sensitive):
     return Table([Column.categorical("qi", qi), Column.categorical("s", sensitive)])
 
 
+def stats_of(table):
+    """GroupStats with one class per value of column "qi"."""
+    hierarchy = Hierarchy.flat(table.column("qi").categories)
+    return LatticeEvaluator(table, ["qi"], {"qi": hierarchy}).stats((0,))
+
+
+def holds(model, table):
+    return bool(model.ok_mask(stats_of(table)).all())
+
+
 class TestBetaLikeness:
     def test_matching_distribution_passes(self):
         table = make_table(["a", "a", "b", "b"], ["x", "y", "x", "y"])
-        partition = partition_by_qi(table, ["qi"])
-        assert BetaLikeness(0.1, "s").check(table, partition)
+        assert holds(BetaLikeness(0.1, "s"), table)
 
     def test_relative_gain_computed(self):
         # Global: x 50%, y 50%. Class a: x 100% -> gain (1-0.5)/0.5 = 1.0.
         table = make_table(["a", "a", "b", "b"], ["x", "x", "y", "y"])
-        partition = partition_by_qi(table, ["qi"])
         model = BetaLikeness(0.5, "s")
-        gains = model.max_gains(table, partition)
+        gains = model.max_gains(stats_of(table))
         assert gains.max() == pytest.approx(1.0)
-        assert not model.check(table, partition)
-        assert BetaLikeness(1.0, "s").check(table, partition)
+        assert not holds(model, table)
+        assert holds(BetaLikeness(1.0, "s"), table)
 
     def test_negative_gains_free(self):
         # A class missing a value entirely is fine (only gains constrained).
@@ -34,8 +44,7 @@ class TestBetaLikeness:
             ["a", "a", "a", "b", "b", "b"],
             ["x", "y", "z", "x", "y", "z"],
         )
-        partition = partition_by_qi(table, ["qi"])
-        assert BetaLikeness(0.01, "s").check(table, partition)
+        assert holds(BetaLikeness(0.01, "s"), table)
 
     def test_rare_value_protected_better_than_tcloseness(self):
         """The paper's motivation: a rare value tripling its frequency is a
@@ -44,30 +53,24 @@ class TestBetaLikeness:
         qi = ["a"] * 50 + ["b"] * 950
         sensitive = (["r"] * 3 + ["x"] * 47) + (["r"] * 17 + ["x"] * 933)
         table = make_table(qi, sensitive)
-        partition = partition_by_qi(table, ["qi"])
         # EMD distance of class a from global is tiny: t-closeness passes.
-        assert TCloseness(0.1, "s").check(table, partition)
+        assert bool(TCloseness(0.1, "s").ok_mask(stats_of(table)).all())
         # Relative gain is (0.06 - 0.02)/0.02 = 2: beta-likeness flags it.
-        assert not BetaLikeness(1.0, "s").check(table, partition)
+        assert not holds(BetaLikeness(1.0, "s"), table)
 
     def test_impossible_value_is_infinite_gain(self):
-        table = make_table(["a", "b"], ["x", "y"])
-        partition = partition_by_qi(table, ["qi"])
-        model = BetaLikeness(100.0, "s")
         # Each singleton class concentrates one value: global 0.5 -> 1.0,
         # gain = 1.0; finite. Force a zero-global case via category list:
         col = Column.categorical("s2", ["x", "x"], categories=["x", "ghost"])
         table2 = Table([Column.categorical("qi", ["a", "b"]), col])
-        partition2 = partition_by_qi(table2, ["qi"])
         model2 = BetaLikeness(0.5, "s2")
-        gains = model2.max_gains(table2, partition2)
+        gains = model2.max_gains(stats_of(table2))
         assert np.isfinite(gains).all()  # ghost never appears locally either
 
     def test_failing_groups(self):
         table = make_table(["a", "a", "b", "b"], ["x", "x", "x", "y"])
-        partition = partition_by_qi(table, ["qi"])
         model = BetaLikeness(0.2, "s")
-        failing = model.failing_groups(table, partition)
+        failing = np.flatnonzero(~model.ok_mask(stats_of(table))).tolist()
         assert failing  # class a concentrates x (0.75 -> 1.0)
 
     def test_invalid_beta(self):
@@ -82,5 +85,5 @@ class TestBetaLikeness:
             table, schema, hierarchies,
             [KAnonymity(4), BetaLikeness(3.0, "disease")],
         )
-        model = BetaLikeness(3.0, "disease")
-        assert model.check(release.table, release.partition())
+        spec = {"model": "beta-likeness", "beta": 3.0, "sensitive": "disease"}
+        assert violations(release.table, schema.quasi_identifiers, [spec]) == []

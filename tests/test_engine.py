@@ -1,16 +1,17 @@
-"""Engine/legacy parity: the GroupStats fast path vs apply_node + partition_by_qi.
+"""Engine parity: GroupStats verdicts vs materialized nodes and repro.verify.
 
-The lattice-evaluation engine must be *observably identical* to the legacy
-path: same group sizes and orderings, same model verdicts and failing-group
-indices for every fast-path model, and byte-identical releases from the
-rewired searches (Incognito, OLA, Flash, Datafly).
+The lattice-evaluation engine must be *observably identical* to
+materializing every node (apply_node + partition_by_qi): same group sizes
+and orderings, every model's ``ok_mask`` failing exactly the classes the
+naive verifier (:mod:`repro.verify`) flags on the materialized node, and
+byte-identical releases from the searches (Incognito, OLA, Flash, Datafly).
 """
 
 import numpy as np
 import pytest
 
 from repro.algorithms import Datafly, Flash, Incognito, OLA
-from repro.algorithms.base import check_models, failing_of_models, suppress_failing
+from repro.algorithms.base import suppress_rows
 from repro.core import (
     Column,
     GeneralizationLattice,
@@ -19,7 +20,6 @@ from repro.core import (
     Table,
     apply_node,
     partition_by_qi,
-    supports_stats,
 )
 from repro.data.synthetic import random_scenario
 from repro.privacy import (
@@ -32,6 +32,7 @@ from repro.privacy import (
     KAnonymity,
     RecursiveCLDiversity,
     TCloseness,
+    emd_hierarchical,
 )
 
 SENSITIVE = "sensitive"
@@ -50,23 +51,6 @@ def fast_models():
         CompositeModel(KAnonymity(3), DistinctLDiversity(2, SENSITIVE)),
         CompositeModel(AlphaKAnonymity(0.7, 2, SENSITIVE), BetaLikeness(2.0, SENSITIVE)),
     ]
-
-
-class _NoStats:
-    """Wrapper hiding a model's fast path, forcing the legacy fallback."""
-
-    supports_stats = False
-
-    def __init__(self, model):
-        self._model = model
-        self.name = f"nostats[{model.name}]"
-        self.monotone = model.monotone
-
-    def check(self, table, partition):
-        return self._model.check(table, partition)
-
-    def failing_groups(self, table, partition):
-        return self._model.failing_groups(table, partition)
 
 
 def scenario(seed, n_rows=180):
@@ -94,24 +78,18 @@ class TestGroupStatsParity:
                 assert np.array_equal(mine, theirs)
 
     @pytest.mark.parametrize("seed", [0, 3, 11])
-    def test_every_fast_model_agrees_with_legacy_on_every_node(self, seed):
+    def test_every_fast_model_agrees_with_legacy_on_every_node(self, seed, flagged_rows):
+        """Each model fails exactly the classes repro.verify flags."""
         table, qi, hierarchies = scenario(seed)
         lattice = GeneralizationLattice.from_hierarchies(hierarchies, qi)
         evaluator = LatticeEvaluator(table, qi, hierarchies)
         for node in lattice.nodes():
             candidate = apply_node(table, hierarchies, qi, node)
-            partition = partition_by_qi(candidate, qi)
-            stats = evaluator.stats(node)
             for model in fast_models():
-                assert supports_stats(model)
-                assert model.check_stats(stats) == model.check(candidate, partition), (
-                    model.name,
-                    node,
-                )
-                assert (
-                    model.failing_groups_stats(stats)
-                    == model.failing_groups(candidate, partition)
-                ), (model.name, node)
+                expected = flagged_rows(candidate, qi, [model])
+                failing = evaluator.failing_rows(node, [model])
+                assert np.array_equal(failing, expected), (model.name, node)
+                assert evaluator.check(node, [model]) == (not expected.size)
 
     def test_tcloseness_hierarchical_fast_path(self):
         table, qi, hierarchies = scenario(5)
@@ -124,16 +102,16 @@ class TestGroupStatsParity:
         for node in lattice.nodes():
             candidate = apply_node(table, hierarchies, qi, node)
             partition = partition_by_qi(candidate, qi)
+            global_dist = partition.global_sensitive_distribution(candidate, SENSITIVE)
+            scalar = np.array([
+                emd_hierarchical(counts / counts.sum(), global_dist, sens_hierarchy)
+                for counts in partition.sensitive_counts(candidate, SENSITIVE)
+            ])
             stats = evaluator.stats(node)
-            legacy = model.distances(candidate, partition)
-            fast = model.distances_stats(stats)
-            assert np.allclose(legacy, fast, atol=1e-12)
-            assert model.check_stats(stats) == model.check(candidate, partition)
-            assert model.failing_groups_stats(stats) == model.failing_groups(
-                candidate, partition
-            )
+            assert np.allclose(model.distances(stats), scalar, atol=1e-12)
+            assert np.array_equal(model.ok_mask(stats), scalar <= 0.3 + 1e-12)
 
-    def test_subset_projection_matches_legacy(self):
+    def test_subset_projection_matches_legacy(self, flagged_rows):
         """Incognito-style evaluation over a QI subset (names=...)."""
         table, qi, hierarchies = scenario(2)
         evaluator = LatticeEvaluator(table, qi, hierarchies)
@@ -145,7 +123,10 @@ class TestGroupStatsParity:
                 stats = evaluator.stats(node, names=subset)
                 assert np.array_equal(stats.sizes, partition.sizes())
                 for model in (KAnonymity(4), DistinctLDiversity(2, SENSITIVE)):
-                    assert model.check_stats(stats) == model.check(candidate, partition)
+                    assert np.array_equal(
+                        evaluator.failing_rows(node, [model], names=subset),
+                        flagged_rows(candidate, subset, [model]),
+                    )
 
     def test_rollup_matches_from_rows(self):
         """Stats derived by group roll-up equal stats computed from raw rows."""
@@ -163,6 +144,8 @@ class TestGroupStatsParity:
             assert np.array_equal(
                 rolled.histogram(SENSITIVE), fresh.histogram(SENSITIVE)
             )
+            for mine, theirs in zip(rolled.value_bounds("num"), fresh.value_bounds("num")):
+                assert np.array_equal(mine, theirs)
             for mine, theirs in zip(
                 rolled.partition().groups, fresh.partition().groups
             ):
@@ -175,32 +158,13 @@ class TestGroupStatsParity:
         node = (1,) * len(qi)
         assert evaluator.stats(node) is evaluator.stats(node)
 
-    def test_fallback_for_models_without_fast_path(self):
-        table, qi, hierarchies = scenario(8)
-        lattice = GeneralizationLattice.from_hierarchies(hierarchies, qi)
-        evaluator = LatticeEvaluator(table, qi, hierarchies)
-        slow = _NoStats(KAnonymity(4))
-        mixed = [DistinctLDiversity(2, SENSITIVE), slow]
-        assert not supports_stats(slow)
-        for node in list(lattice.nodes())[:: max(1, lattice.size // 25)]:
-            candidate = apply_node(table, hierarchies, qi, node)
-            partition = partition_by_qi(candidate, qi)
-            assert evaluator.check(node, mixed) == check_models(
-                candidate, partition, mixed
-            )
-            assert evaluator.failing_groups(node, mixed) == failing_of_models(
-                candidate, partition, mixed
-            )
-
-    def test_failing_row_count_matches_union_of_failing_groups(self):
+    def test_failing_row_count_matches_union_of_failing_groups(self, flagged_rows):
         table, qi, hierarchies = scenario(9)
         evaluator = LatticeEvaluator(table, qi, hierarchies)
         models = [KAnonymity(6), DistinctLDiversity(2, SENSITIVE)]
         node = (0,) * len(qi)
         candidate = apply_node(table, hierarchies, qi, node)
-        partition = partition_by_qi(candidate, qi)
-        failing = failing_of_models(candidate, partition, models)
-        expected = sum(partition.groups[i].size for i in failing)
+        expected = flagged_rows(candidate, qi, models).size
         assert evaluator.failing_row_count(node, models) == expected
 
 
@@ -209,21 +173,15 @@ def _table_fingerprint(table):
     return [(col.name, tuple(col.decode())) for col in table]
 
 
-def _legacy_minimal_nodes(table, qi, hierarchies, models, max_suppression=0.0):
-    """Brute-force reference: legacy-evaluate every lattice node."""
+def _legacy_minimal_nodes(table, qi, hierarchies, models, flagged_rows, max_suppression=0.0):
+    """Brute-force reference: materialize and verify every lattice node."""
     lattice = GeneralizationLattice.from_hierarchies(hierarchies, qi)
     satisfying = []
     for node in lattice.nodes():
         candidate = apply_node(table, hierarchies, qi, node)
-        partition = partition_by_qi(candidate, qi)
-        if check_models(candidate, partition, models):
+        n_failing = flagged_rows(candidate, qi, models).size
+        if n_failing <= max_suppression * candidate.n_rows:
             satisfying.append(node)
-            continue
-        if max_suppression > 0:
-            failing = failing_of_models(candidate, partition, models)
-            n_failing = sum(partition.groups[i].size for i in failing)
-            if n_failing <= max_suppression * candidate.n_rows:
-                satisfying.append(node)
     minimal = [
         node
         for node in satisfying
@@ -239,20 +197,20 @@ class TestAlgorithmParity:
     """The rewired searches return exactly what the legacy path returned."""
 
     @pytest.mark.parametrize("seed", [0, 5])
-    def test_incognito_and_flash_match_bruteforce_frontier(self, seed):
+    def test_incognito_and_flash_match_bruteforce_frontier(self, seed, flagged_rows):
         table, schema, hierarchies = random_scenario(n_rows=160, seed=seed)
         qi = schema.quasi_identifiers
         models = [KAnonymity(4)]
-        expected = _legacy_minimal_nodes(table, qi, hierarchies, models)
+        expected = _legacy_minimal_nodes(table, qi, hierarchies, models, flagged_rows)
         assert Incognito().find_minimal_nodes(table, qi, hierarchies, models) == expected
         assert Flash().find_minimal_nodes(table, qi, hierarchies, models) == expected
 
     @pytest.mark.parametrize("seed", [1, 6])
-    def test_incognito_release_is_byte_identical_to_legacy_choice(self, seed):
+    def test_incognito_release_is_byte_identical_to_legacy_choice(self, seed, flagged_rows):
         table, schema, hierarchies = random_scenario(n_rows=160, seed=seed)
         qi = schema.quasi_identifiers
         models = [KAnonymity(4), DistinctLDiversity(2, SENSITIVE)]
-        minimal = _legacy_minimal_nodes(table, qi, hierarchies, models)
+        minimal = _legacy_minimal_nodes(table, qi, hierarchies, models, flagged_rows)
 
         def legacy_key(node):
             candidate = apply_node(table.select(qi), hierarchies, qi, node)
@@ -271,12 +229,12 @@ class TestAlgorithmParity:
         assert _table_fingerprint(flash_release.table) == _table_fingerprint(expected)
 
     @pytest.mark.parametrize("seed", [2, 9])
-    def test_ola_release_matches_legacy_semantics(self, seed):
+    def test_ola_release_matches_legacy_semantics(self, seed, flagged_rows):
         table, schema, hierarchies = random_scenario(n_rows=160, seed=seed)
         qi = schema.quasi_identifiers
         models = [KAnonymity(5)]
         budget = 0.05
-        minimal = _legacy_minimal_nodes(table, qi, hierarchies, models, budget)
+        minimal = _legacy_minimal_nodes(table, qi, hierarchies, models, flagged_rows, budget)
         heights = GeneralizationLattice.from_hierarchies(hierarchies, qi).heights
         best_loss = min(OLA._default_loss(node, heights) for node in minimal)
 
@@ -286,34 +244,28 @@ class TestAlgorithmParity:
         assert release.node in minimal
         assert OLA._default_loss(release.node, heights) == pytest.approx(best_loss)
         candidate = apply_node(table, hierarchies, qi, release.node)
-        partition = partition_by_qi(candidate, qi)
-        if check_models(candidate, partition, models):
-            expected = candidate
-        else:
-            expected, _, _ = suppress_failing(candidate, qi, models, budget)
+        failing = flagged_rows(candidate, qi, models)
+        expected = suppress_rows(candidate, failing, budget)[0] if failing.size else candidate
         assert _table_fingerprint(release.table) == _table_fingerprint(expected)
 
     @pytest.mark.parametrize("heuristic", ["distinct", "loss"])
-    def test_datafly_follows_legacy_greedy_trajectory(self, heuristic):
+    def test_datafly_follows_legacy_greedy_trajectory(self, heuristic, flagged_rows):
         table, schema, hierarchies = random_scenario(n_rows=160, seed=3)
         qi = schema.quasi_identifiers
         models = [KAnonymity(4)]
         heights = [hierarchies[name].height for name in qi]
 
-        # Legacy greedy loop, verbatim from the pre-engine implementation.
+        # Legacy greedy loop from the pre-engine implementation, with the
+        # verdicts read from repro.verify on the materialized node.
         node = [0] * len(qi)
         while True:
             candidate = apply_node(table, hierarchies, qi, node)
-            partition = partition_by_qi(candidate, qi)
-            if check_models(candidate, partition, models):
+            failing = flagged_rows(candidate, qi, models)
+            if not failing.size:
                 expected, expected_suppressed = candidate, 0
                 break
-            failing = failing_of_models(candidate, partition, models)
-            n_failing = sum(partition.groups[i].size for i in failing)
-            if n_failing <= 0.05 * candidate.n_rows and n_failing < candidate.n_rows:
-                expected, _, expected_suppressed = suppress_failing(
-                    candidate, qi, models, 0.05
-                )
+            if failing.size <= 0.05 * candidate.n_rows and failing.size < candidate.n_rows:
+                expected, _, expected_suppressed = suppress_rows(candidate, failing, 0.05)
                 break
             raisable = [i for i in range(len(qi)) if node[i] < heights[i]]
             if heuristic == "distinct":
@@ -338,26 +290,6 @@ class TestAlgorithmParity:
 
 
 class TestReviewHardening:
-    def test_legacy_only_sensitive_subclass_falls_back_cleanly(self):
-        """A _SensitiveModel subclass implementing only the legacy _ok hook
-        must not be routed down the (inherited) stats fast path."""
-        from repro.privacy.l_diversity import _SensitiveModel
-
-        class LegacyOnly(_SensitiveModel):
-            name = "legacy-only"
-
-            def _ok(self, counts):
-                return int(np.count_nonzero(counts)) >= 2
-
-        model = LegacyOnly(SENSITIVE)
-        assert not supports_stats(model)
-        table, qi, hierarchies = scenario(12, n_rows=100)
-        evaluator = LatticeEvaluator(table, qi, hierarchies)
-        node = (1,) * len(qi)
-        candidate = apply_node(table, hierarchies, qi, node)
-        partition = partition_by_qi(candidate, qi)
-        assert evaluator.check(node, [model]) == model.check(candidate, partition)
-
     def test_pack_code_columns_overflow_fallback_preserves_grouping(self):
         from repro.core.table import pack_code_columns, split_by_labels
 
@@ -389,6 +321,7 @@ class TestReviewHardening:
             stats = evaluator.stats(node)
             held.append(stats)  # keep evicted entries alive, then grow them
             stats.histogram(SENSITIVE)
+            stats.value_bounds("num")
             stats.partition()
             candidate = apply_node(table, hierarchies, qi, node)
             legacy = partition_by_qi(candidate, qi)
@@ -407,12 +340,9 @@ class TestReviewHardening:
 
 
 class TestDeltaPresenceFastPath:
-    """δ-presence generalizes its population at the node on the fast path.
-
-    The legacy path requires the caller to re-bind an already-generalized
-    population via ``with_population`` per node; parity is therefore
-    checked against exactly that re-bound legacy model.
-    """
+    """δ-presence generalizes its population at the node through the
+    engine's hierarchies; repro.verify checks the materialized node against
+    the population generalized at the same node."""
 
     def _scenario(self, seed):
         table, qi, hierarchies = scenario(seed, n_rows=140)
@@ -423,24 +353,17 @@ class TestDeltaPresenceFastPath:
         return table, qi, hierarchies, population
 
     @pytest.mark.parametrize("seed", [0, 4])
-    def test_matches_rebound_legacy_on_every_node(self, seed):
+    def test_matches_rebound_legacy_on_every_node(self, seed, flagged_rows):
         table, qi, hierarchies, population = self._scenario(seed)
-        fast = DeltaPresence(0.0, 0.75, population, qi)
-        assert supports_stats(fast)
+        model = DeltaPresence(0.0, 0.75, population)
+        spec = {"model": "delta-presence", "delta_min": 0.0, "delta_max": 0.75}
         lattice = GeneralizationLattice.from_hierarchies(hierarchies, qi)
         evaluator = LatticeEvaluator(table, qi, hierarchies)
         for node in lattice.nodes():
             candidate = apply_node(table, hierarchies, qi, node)
-            partition = partition_by_qi(candidate, qi)
-            rebound = fast.with_population(
-                apply_node(population, hierarchies, qi, node)
-            )
-            stats = evaluator.stats(node)
-            assert fast.check_stats(stats) == rebound.check(candidate, partition), node
-            assert (
-                fast.failing_groups_stats(stats)
-                == rebound.failing_groups(candidate, partition)
-            ), node
+            generalized = apply_node(population, hierarchies, qi, node)
+            expected = flagged_rows(candidate, qi, [spec], population=generalized)
+            assert np.array_equal(evaluator.failing_rows(node, [model]), expected), node
 
     def test_unseen_population_values_match_no_group(self):
         table, qi, hierarchies, population = self._scenario(1)
@@ -466,10 +389,12 @@ class TestDeltaPresenceFastPath:
 
     def test_composite_with_delta_presence_takes_fast_path(self):
         table, qi, hierarchies, population = self._scenario(2)
-        composite = CompositeModel(
-            KAnonymity(3), DeltaPresence(0.0, 0.9, population, qi)
+        members = (KAnonymity(3), DeltaPresence(0.0, 0.9, population))
+        stats = LatticeEvaluator(table, qi, hierarchies).stats((1,) * len(qi))
+        assert np.array_equal(
+            CompositeModel(*members).ok_mask(stats),
+            members[0].ok_mask(stats) & members[1].ok_mask(stats),
         )
-        assert supports_stats(composite)
 
 
 class TestEngineCacheTelemetry:
@@ -530,15 +455,3 @@ class TestSatelliteChanges:
         assert partition.sizes() is first
         assert int(first.sum()) == table.n_rows
         assert partition.min_size() == int(first.min())
-
-    def test_suppress_failing_accepts_precomputed_partition(self):
-        table, qi, hierarchies = scenario(1, n_rows=120)
-        models = [KAnonymity(3)]
-        partition = partition_by_qi(table, qi)
-        kept_a, idx_a, n_a = suppress_failing(table, qi, models, 1.0)
-        kept_b, idx_b, n_b = suppress_failing(
-            table, qi, models, 1.0, partition=partition
-        )
-        assert n_a == n_b
-        assert np.array_equal(idx_a, idx_b)
-        assert _table_fingerprint(kept_a) == _table_fingerprint(kept_b)

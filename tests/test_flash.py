@@ -94,11 +94,8 @@ class TestFlashRelease:
             name = "fake"
             monotone = False
 
-            def check(self, table, partition):
-                return True
-
-            def failing_groups(self, table, partition):
-                return []
+            def ok_mask(self, stats):
+                return stats.sizes > 0
 
         with pytest.raises(InfeasibleError, match="monotone"):
             Flash().find_minimal_nodes(

@@ -19,7 +19,7 @@ from repro import (
     TopDownSpecialization,
 )
 from repro.attacks import homogeneity_attack, linkage_risks, simulate_linkage
-from repro.core.generalize import apply_node
+from repro.core.engine import LatticeEvaluator
 from repro.metrics import accuracy_experiment, gcp, non_uniform_entropy
 
 
@@ -77,13 +77,9 @@ class TestFullPipelines:
         qi = schema.quasi_identifiers
         node = [h.height for h in (hierarchies[n] for n in qi)]
         node = [max(level - 1, 0) for level in node]  # one below top
-        research_general = apply_node(research, hierarchies, qi, node)
-        population_general = apply_node(table, hierarchies, qi, node)
-        model = DeltaPresence(0.0, 0.9, population_general, qi)
-        from repro.core.partition import partition_by_qi
-
-        partition = partition_by_qi(research_general, qi)
-        beliefs = model.beliefs(research_general, partition)
+        model = DeltaPresence(0.0, 0.9, table)
+        stats = LatticeEvaluator(research, qi, hierarchies).stats(node)
+        beliefs = model.beliefs(stats)
         assert np.isfinite(beliefs).all()
         assert (beliefs <= 1.0 + 1e-9).all()
 

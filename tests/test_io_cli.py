@@ -421,6 +421,22 @@ class TestCLI:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_numeric_qi_exits_2(self, csv_path, tmp_path, capsys, bad):
+        src = tmp_path / "bad.csv"
+        src.write_text(csv_path.read_text().replace("13068,teacher,31,", f"13068,teacher,{bad},"))
+        out = tmp_path / "x.csv"
+        rc = main(
+            [
+                str(src), str(out), "--qi", "zipcode", "--numeric-qi", "age",
+                "--k", "2", "--algorithm", "flash",
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"numeric QI 'age' holds the non-finite value {bad} in row 1" in err
+        assert not out.exists()
+
     def test_drop_removes_identifier(self, csv_path, tmp_path):
         out = tmp_path / "anon.csv"
         main(

@@ -5,11 +5,11 @@ Mondrian, TopDownSpecialization, MDAV, and k-member run on
 contract that makes it trustworthy:
 
 * **golden releases** — every case of the grid (Mondrian strict/relaxed/
-  InfoGain, TDS, MDAV, k-member across k/l/t model mixes) publishes the
-  exact CSV bytes recorded in :data:`GOLDEN_DIGESTS`;
-* **no raw rescans** — after the root materialization every feasibility check
-  is served from cached counts (``raw_rescans == 0``), and sensitive-model
-  mixes exercise the delta-histogram path (``histogram_splits > 0``);
+  InfoGain, TDS, MDAV, k-member, bottom-up across model mixes) publishes the
+  exact CSV bytes recorded in :data:`GOLDEN_DIGESTS`, and the k/l/t grid's
+  releases pass :func:`repro.verify.violations`;
+* **cached counts** — sensitive-model mixes exercise the delta-histogram
+  path (``histogram_splits > 0``);
 * **batch identity** — the newly registered algorithms run through
   ``run_batch`` JSON configs with ``workers=2`` byte-identical to sequential;
 * **closed-form relaxed cut** — ``Mondrian._cut_positions`` reproduces the
@@ -23,26 +23,38 @@ import numpy as np
 import pytest
 
 from repro.api import AnonymizationConfig, run_batch
-from repro.api.registry import algorithm_registry
+from repro.api.registry import algorithm_registry, model_registry
 from repro.cli import main as cli_main
 from repro.algorithms import (
     Anatomy,
+    BottomUpGeneralization,
+    Flash,
     KMemberClustering,
     MDAVMicroaggregation,
     Mondrian,
     Slicing,
     TopDownSpecialization,
 )
+from repro.algorithms.mondrian import _value_views
+from repro.core.generalize import apply_node
 from repro.core.partition_engine import PartitionEngine, grouped_histograms
 from repro.data import adult_hierarchies, adult_schema, load_adult
+from repro.data.synthetic import random_scenario
 from repro.errors import ConfigError
 from repro.service.data import release_csv_bytes
 from repro.privacy import (
+    AlphaKAnonymity,
+    BetaLikeness,
+    CompositeModel,
     DistinctLDiversity,
     EntropyLDiversity,
     KAnonymity,
+    DeltaPresence,
+    KEAnonymity,
+    RecursiveCLDiversity,
     TCloseness,
 )
+from repro.verify import violations
 
 SENSITIVE = "occupation"
 
@@ -77,7 +89,35 @@ def _model_mix(name):
             TCloseness(0.5, SENSITIVE),
         ],
         "k4": [KAnonymity(4)],
+        "rcl": [KAnonymity(3), RecursiveCLDiversity(3.0, 2, SENSITIVE)],
+        "ak": [AlphaKAnonymity(0.5, 4, SENSITIVE)],
+        "beta": [KAnonymity(3), BetaLikeness(4.0, SENSITIVE)],
+        "ordered-t": [KAnonymity(3), TCloseness(0.3, SENSITIVE, "ordered")],
+        "hier-t": [
+            KAnonymity(3),
+            TCloseness(
+                0.3, SENSITIVE, "hierarchical",
+                hierarchy=adult_hierarchies()[SENSITIVE],
+            ),
+        ],
+        "ke": [KEAnonymity(4, 10.0, "hours_per_week")],
+        "composite": [
+            CompositeModel(KAnonymity(4), DistinctLDiversity(2, SENSITIVE)),
+            AlphaKAnonymity(0.7, 3, SENSITIVE),
+        ],
     }[name]
+
+
+#: Mixes beyond k, distinct/entropy-l and equal t, whose verdicts are not
+#: covered by the k/l/t grid above.
+MODEL_MIXES = ["rcl", "ak", "beta", "ordered-t", "hier-t", "ke", "composite"]
+
+_ALGORITHMS = {
+    "mondrian-strict": lambda: Mondrian(mode="strict"),
+    "mondrian-relaxed": lambda: Mondrian(mode="relaxed"),
+    "tds": TopDownSpecialization,
+    "bug-s05": lambda: BottomUpGeneralization(max_suppression=0.05),
+}
 
 
 #: sha256 of each case's release CSV bytes (exactly what the CLI writes).
@@ -103,6 +143,35 @@ GOLDEN_DIGESTS = {
     "tds-infogain-k": "cb1ed06e4d6548536c3fddc51d3121938b668eb634621dfdd23de6413f49426a",
     "mdav-k5": "c8bca0f0d75ceafc70573a86fa1ac4bc58944c0581e11c3101466bcb4ea26646",
     "kmember-k4": "96b84a516fc7b2251f9b4142a0ece7b543e07b342151d61aec5cfd3d86328749",
+    # MODEL_MIXES, recorded before the models moved to a single ok_mask.
+    "mondrian-strict-rcl": "08c37c9efe3be2efac64969d23094d995b74dbe1004949c25dd8e04b8ca90c79",
+    "mondrian-strict-ak": "207a8b14207f30893563b9aa17e888877f24a93edc1a777ab4a2ce9b17456d5f",
+    "mondrian-strict-beta": "8689c5a4b9f9b68eaab8f58b2bde85ed73523bb9b9ba580f7a360647f6b5db2a",
+    "mondrian-strict-ordered-t": "3f9c743340c3f1bdd2084bfd2948311a9b5889ee68925e70ccb5019e7d14fda2",
+    "mondrian-strict-hier-t": "20f0b388bd410b82a6e40f7dab160cc9e7d42771e3dfd0143ddda0801afdd51a",
+    "mondrian-strict-ke": "de25f0d0bbedd7fb5adbc3b150e2c5ec23960b42a3ab53eae333274345e145e4",
+    "mondrian-strict-composite": "c3684938fa782116a9554d9f529673303a873b12ae29aca9bff88b2b2c4743b8",
+    "mondrian-relaxed-rcl": "15a588827d60e756cd9b35857968949fa2068828abc5ce80bc5297d72ff226a8",
+    "mondrian-relaxed-ak": "7ba0be6f47d28f71b9a7238356f4ac0093a080f3ea1bcfbae78cbc55dd08a467",
+    "mondrian-relaxed-beta": "786dcd1cd4ae1d378921d99e7d940967a07403f5169a1b7c1151bb7c10e4685a",
+    "mondrian-relaxed-ordered-t": "f699d8f961f8a66f32165db3625e286cbca55e8fda7fdab8e236955bec6ceeb9",
+    "mondrian-relaxed-hier-t": "764caf458bccdf5d2249e26ff9ead29f3363f3ce5df38825864d8c9d9a7b00f1",
+    "mondrian-relaxed-ke": "1f8f8ecb2ce157b0dcfa4bdb542905be2dccbccda925a7e93e0963a00882317c",
+    "mondrian-relaxed-composite": "15a588827d60e756cd9b35857968949fa2068828abc5ce80bc5297d72ff226a8",
+    "tds-rcl": "296a6fc98e67796ee03a60da949ce71936882e796711a7c84d065af28bb17085",
+    "tds-ak": "296a6fc98e67796ee03a60da949ce71936882e796711a7c84d065af28bb17085",
+    "tds-beta": "42aa4680a8e49828e4e3fea03ac8e47b4ec97ac3449e5a6d3cf7ebd41c511da2",
+    "tds-ordered-t": "b4fe6ee36b8741f10b24bf8392813f84263f9bacea6e2f6746a0c6cd95044f41",
+    "tds-hier-t": "3a8d345cf1870200679704df734f9721ed4de036e30750000580b60e8314e6ac",
+    "tds-ke": "296a6fc98e67796ee03a60da949ce71936882e796711a7c84d065af28bb17085",
+    "tds-composite": "296a6fc98e67796ee03a60da949ce71936882e796711a7c84d065af28bb17085",
+    "bug-s05-rcl": "9d5558f10df63d9f5253741bcdbc8df582427a10dd0215cc795d6a1e3c0a3950",
+    "bug-s05-ak": "9d5558f10df63d9f5253741bcdbc8df582427a10dd0215cc795d6a1e3c0a3950",
+    "bug-s05-beta": "9d5558f10df63d9f5253741bcdbc8df582427a10dd0215cc795d6a1e3c0a3950",
+    "bug-s05-ordered-t": "b4fe6ee36b8741f10b24bf8392813f84263f9bacea6e2f6746a0c6cd95044f41",
+    "bug-s05-hier-t": "9d5558f10df63d9f5253741bcdbc8df582427a10dd0215cc795d6a1e3c0a3950",
+    "bug-s05-ke": "b4fe6ee36b8741f10b24bf8392813f84263f9bacea6e2f6746a0c6cd95044f41",
+    "bug-s05-composite": "9d5558f10df63d9f5253741bcdbc8df582427a10dd0215cc795d6a1e3c0a3950",
 }
 
 
@@ -112,6 +181,11 @@ def _parity(case, algorithm, table, schema, hierarchies, models):
     digest = hashlib.sha256(release_csv_bytes(release.table)).hexdigest()
     assert digest == GOLDEN_DIGESTS[case], case
     return release
+
+
+def _assert_verifies(release, schema, models):
+    specs = [model_registry.to_spec(model) for model in models]
+    assert violations(release.table, schema.quasi_identifiers, specs) == []
 
 
 # -- golden releases across the family ----------------------------------------
@@ -124,9 +198,7 @@ def test_mondrian_parity(table, schema, hierarchies, mode, mix):
         f"mondrian-{mode}-{mix}", Mondrian(mode=mode),
         table, schema, hierarchies, _model_mix(mix),
     )
-    cache = release.info["partition_cache"]
-    assert cache["raw_rescans"] == 0
-    assert cache["checks_legacy"] == 0
+    _assert_verifies(release, schema, _model_mix(mix))
 
 
 @pytest.mark.parametrize("mix", ["k", "k+l", "k4"])
@@ -135,7 +207,7 @@ def test_mondrian_infogain_parity(table, schema, hierarchies, mix):
         f"mondrian-infogain-{mix}", Mondrian(target=SENSITIVE),
         table, schema, hierarchies, _model_mix(mix),
     )
-    assert release.info["partition_cache"]["raw_rescans"] == 0
+    _assert_verifies(release, schema, _model_mix(mix))
 
 
 @pytest.mark.parametrize("mix", ["k", "k+l", "k+el+t", "k4"])
@@ -144,7 +216,7 @@ def test_tds_parity(table, schema, hierarchies, mix):
         f"tds-{mix}", TopDownSpecialization(),
         table, schema, hierarchies, _model_mix(mix),
     )
-    assert release.info["partition_cache"]["raw_rescans"] == 0
+    _assert_verifies(release, schema, _model_mix(mix))
 
 
 def test_tds_infogain_parity(table, schema, hierarchies):
@@ -168,6 +240,34 @@ def test_kmember_parity(small_table, schema, hierarchies):
     )
 
 
+@pytest.mark.parametrize("mix", MODEL_MIXES)
+@pytest.mark.parametrize("algorithm", sorted(_ALGORITHMS))
+def test_model_mix_parity(table, schema, hierarchies, algorithm, mix):
+    _parity(
+        f"{algorithm}-{mix}", _ALGORITHMS[algorithm](),
+        table, schema, hierarchies, _model_mix(mix),
+    )
+
+
+@pytest.mark.parametrize("mix", MODEL_MIXES)
+@pytest.mark.parametrize("mode", ["strict", "relaxed"])
+def test_frontier_and_dfs_drivers_cut_identical_leaves(table, schema, mode, mix):
+    qi = schema.quasi_identifiers
+    views, spans = _value_views(table, qi)
+    mondrian = Mondrian(mode=mode)
+    models = _model_mix(mix)
+
+    def leaves(driver):
+        engine = PartitionEngine(table)
+        return driver(engine, engine.root(), qi, views, spans, models)
+
+    frontier = leaves(mondrian._partition_frontier)
+    dfs = leaves(mondrian._partition_dfs)
+    assert len(frontier) == len(dfs)
+    for mine, theirs in zip(frontier, dfs):
+        assert np.array_equal(mine, theirs)
+
+
 def test_anatomy_and_slicing_deterministic(small_table, schema, hierarchies):
     # No golden digests — their vectorized internals must be self-consistent.
     a1, _ = Anatomy(3).anatomize(small_table, schema)
@@ -189,7 +289,6 @@ def test_sensitive_models_use_delta_histograms(table, schema, hierarchies):
     cache = release.info["partition_cache"]
     # Child histograms come from parent − sibling, never a table rescan.
     assert cache["histogram_splits"] > 0
-    assert cache["raw_rescans"] == 0
     assert cache["checks_fast"] > 0
 
 
@@ -198,27 +297,41 @@ def test_k_only_needs_no_histograms(table, schema, hierarchies):
     cache = release.info["partition_cache"]
     assert cache["histogram_splits"] == 0
     assert cache["histogram_scans"] == 0
-    assert cache["raw_rescans"] == 0
 
 
-def test_model_without_stats_path_counts_raw_rescans(table):
-    class SizeOnly:
-        name = "size-only"
-
-        def check(self, tbl, partition):
-            return all(len(g) >= 2 for g in partition.groups)
-
-    engine = PartitionEngine(table)
-    root = engine.root()
-    half = root.size // 2
-    left, right = engine.split(
-        root, np.arange(half), np.arange(half, root.size)
+def _delta_presence_scenario():
+    table, schema, hierarchies = random_scenario(
+        n_rows=200, n_categorical_qis=2, n_values=8, seed=3
     )
-    assert engine.check((left, right), [SizeOnly()])
-    info = engine.cache_info()
-    assert info["raw_rescans"] == 1
-    assert info["checks_legacy"] == 1
-    assert info["checks_fast"] == 0
+    extra = np.random.default_rng(3).integers(0, table.n_rows, 300)
+    population = table.take(np.concatenate([np.arange(table.n_rows), extra]))
+    return table, schema, hierarchies, population
+
+
+@pytest.mark.parametrize(
+    "algorithm",
+    [TopDownSpecialization(), Mondrian(mode="strict"), Mondrian(mode="relaxed")],
+    ids=["tds", "mondrian-strict", "mondrian-relaxed"],
+)
+def test_local_recoding_rejects_delta_presence(algorithm):
+    # The root class's belief is 200/500; a local-recoding partition is no
+    # generalization node, so the population cannot be counted per class.
+    table, schema, hierarchies, population = _delta_presence_scenario()
+    with pytest.raises(ConfigError, match="full-domain lattice algorithm"):
+        algorithm.anonymize(
+            table, schema, hierarchies, [DeltaPresence(0.0, 0.9, population)]
+        )
+
+
+def test_flash_publishes_a_verified_delta_presence_release():
+    table, schema, hierarchies, population = _delta_presence_scenario()
+    release = Flash().anonymize(
+        table, schema, hierarchies, [DeltaPresence(0.0, 0.9, population)]
+    )
+    qi = schema.quasi_identifiers
+    spec = {"model": "delta-presence", "delta_min": 0.0, "delta_max": 0.9}
+    generalized = apply_node(population, hierarchies, qi, release.node)
+    assert violations(release.table, qi, [spec], population=generalized) == []
 
 
 # -- engine primitives --------------------------------------------------------
@@ -471,4 +584,4 @@ def test_result_dict_carries_partition_cache(small_table, schema, hierarchies):
         hierarchies=hierarchies,
     )
     payload = result.to_dict()
-    assert payload["partition_cache"]["raw_rescans"] == 0
+    assert payload["partition_cache"]["checks_fast"] > 0

@@ -4,11 +4,18 @@ privacy, and LKC-privacy."""
 import numpy as np
 import pytest
 
+from repro.core.engine import LatticeEvaluator
 from repro.core.hierarchy import Hierarchy
 from repro.core.partition import partition_by_qi
 from repro.core.table import Column, Table
 from repro.errors import SchemaError
 from repro.privacy import GuardingNode, KEAnonymity, LKCPrivacy, PersonalizedPrivacy
+
+
+def ok_mask(model, table):
+    """The model's verdicts on one class per value of column "qi"."""
+    hierarchy = Hierarchy.flat(table.column("qi").categories)
+    return model.ok_mask(LatticeEvaluator(table, ["qi"], {"qi": hierarchy}).stats((0,)))
 
 
 @pytest.fixture
@@ -23,22 +30,19 @@ def salary_table():
 
 class TestKEAnonymity:
     def test_range_condition(self, salary_table):
-        partition = partition_by_qi(salary_table, ["qi"])
         # class a range 30, class b range 3.
-        assert KEAnonymity(3, 10.0, "salary").failing_groups(salary_table, partition) == [1]
-        assert KEAnonymity(3, 3.0, "salary").check(salary_table, partition)
+        assert ok_mask(KEAnonymity(3, 10.0, "salary"), salary_table).tolist() == [True, False]
+        assert ok_mask(KEAnonymity(3, 3.0, "salary"), salary_table).all()
 
     def test_k_condition(self, salary_table):
-        partition = partition_by_qi(salary_table, ["qi"])
-        assert not KEAnonymity(5, 1.0, "salary").check(salary_table, partition)
+        assert not ok_mask(KEAnonymity(5, 1.0, "salary"), salary_table).any()
 
     def test_categorical_sensitive_raises(self):
         table = Table(
             [Column.categorical("qi", ["a", "a"]), Column.categorical("s", ["x", "y"])]
         )
-        partition = partition_by_qi(table, ["qi"])
-        with pytest.raises(SchemaError, match="numeric sensitive"):
-            KEAnonymity(2, 1.0, "s").check(table, partition)
+        with pytest.raises(SchemaError, match="categorical, not numeric"):
+            ok_mask(KEAnonymity(2, 1.0, "s"), table)
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
@@ -47,8 +51,7 @@ class TestKEAnonymity:
             KEAnonymity(2, -1.0, "s")
 
     def test_zero_e_reduces_to_k_anonymity(self, salary_table):
-        partition = partition_by_qi(salary_table, ["qi"])
-        assert KEAnonymity(4, 0.0, "salary").check(salary_table, partition)
+        assert ok_mask(KEAnonymity(4, 0.0, "salary"), salary_table).all()
 
 
 class TestPersonalizedPrivacy:

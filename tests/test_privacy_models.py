@@ -1,10 +1,12 @@
 """Unit tests for the privacy models (k-anonymity, ℓ-diversity, t-closeness,
-(α,k)-anonymity, δ-presence, composite)."""
+(α,k)-anonymity, δ-presence, composite), each through its ``ok_mask`` on a
+lattice engine's stats."""
 
 import numpy as np
 import pytest
 
-from repro.core.partition import partition_by_qi
+from repro.core.engine import LatticeEvaluator
+from repro.core.hierarchy import Hierarchy
 from repro.core.table import Column, Table
 from repro.privacy import (
     AlphaKAnonymity,
@@ -16,7 +18,6 @@ from repro.privacy import (
     RecursiveCLDiversity,
     TCloseness,
 )
-from repro.privacy.base import failing_rows
 
 
 def make_table(qi, sensitive):
@@ -26,6 +27,24 @@ def make_table(qi, sensitive):
             Column.categorical("s", sensitive),
         ]
     )
+
+
+def evaluator_of(table):
+    """An engine whose node (0,) has one class per value of column "qi"."""
+    hierarchy = Hierarchy.flat(table.column("qi").categories)
+    return LatticeEvaluator(table, ["qi"], {"qi": hierarchy})
+
+
+def stats_of(table):
+    return evaluator_of(table).stats((0,))
+
+
+def holds(model, table):
+    return evaluator_of(table).check((0,), [model])
+
+
+def failing(model, table):
+    return np.flatnonzero(~model.ok_mask(stats_of(table))).tolist()
 
 
 @pytest.fixture
@@ -39,23 +58,18 @@ def homogeneous():
 
 class TestKAnonymity:
     def test_satisfied(self, homogeneous):
-        partition = partition_by_qi(homogeneous, ["qi"])
-        assert KAnonymity(3).check(homogeneous, partition)
+        assert holds(KAnonymity(3), homogeneous)
 
     def test_violated(self, homogeneous):
-        partition = partition_by_qi(homogeneous, ["qi"])
-        assert not KAnonymity(4).check(homogeneous, partition)
+        assert not holds(KAnonymity(4), homogeneous)
 
     def test_failing_groups(self):
         table = make_table(["a", "a", "b"], ["x", "y", "x"])
-        partition = partition_by_qi(table, ["qi"])
-        failing = KAnonymity(2).failing_groups(table, partition)
-        assert len(failing) == 1
-        assert partition.groups[failing[0]].size == 1
+        assert failing(KAnonymity(2), table) == [1]
+        assert stats_of(table).sizes[1] == 1
 
     def test_k1_always_satisfied(self, homogeneous):
-        partition = partition_by_qi(homogeneous, ["qi"])
-        assert KAnonymity(1).check(homogeneous, partition)
+        assert holds(KAnonymity(1), homogeneous)
 
     def test_invalid_k_raises(self):
         with pytest.raises(ValueError):
@@ -63,35 +77,27 @@ class TestKAnonymity:
 
     def test_failing_rows_helper(self):
         table = make_table(["a", "b", "b"], ["x", "y", "x"])
-        partition = partition_by_qi(table, ["qi"])
-        failing = KAnonymity(2).failing_groups(table, partition)
-        rows = failing_rows(partition, failing)
+        rows = evaluator_of(table).failing_rows((0,), [KAnonymity(2)])
         assert rows.tolist() == [0]
 
     def test_failing_rows_empty(self):
         table = make_table(["a", "a"], ["x", "y"])
-        partition = partition_by_qi(table, ["qi"])
-        assert failing_rows(partition, []).size == 0
+        assert evaluator_of(table).failing_rows((0,), [KAnonymity(2)]).size == 0
 
 
 class TestDistinctLDiversity:
     def test_homogeneous_class_fails(self, homogeneous):
-        partition = partition_by_qi(homogeneous, ["qi"])
         model = DistinctLDiversity(2, "s")
-        assert not model.check(homogeneous, partition)
-        assert len(model.failing_groups(homogeneous, partition)) == 1
+        assert not holds(model, homogeneous)
+        assert len(failing(model, homogeneous)) == 1
 
     def test_diverse_table_passes(self):
         table = make_table(["a", "a", "b", "b"], ["flu", "hiv", "flu", "hiv"])
-        partition = partition_by_qi(table, ["qi"])
-        assert DistinctLDiversity(2, "s").check(table, partition)
+        assert holds(DistinctLDiversity(2, "s"), table)
 
     def test_l3_requires_three_values(self, homogeneous):
-        partition = partition_by_qi(homogeneous, ["qi"])
-        model = DistinctLDiversity(3, "s")
         # class 'b' has exactly 3 distinct, class 'a' only 1.
-        failing = model.failing_groups(homogeneous, partition)
-        assert len(failing) == 1
+        assert len(failing(DistinctLDiversity(3, "s"), homogeneous)) == 1
 
     def test_invalid_l_raises(self):
         with pytest.raises(ValueError):
@@ -101,40 +107,34 @@ class TestDistinctLDiversity:
 class TestEntropyLDiversity:
     def test_uniform_distribution_meets_log_l(self):
         table = make_table(["a"] * 4, ["w", "x", "y", "z"])
-        partition = partition_by_qi(table, ["qi"])
-        assert EntropyLDiversity(4, "s").check(table, partition)
+        assert holds(EntropyLDiversity(4, "s"), table)
 
     def test_skewed_distribution_fails_high_l(self):
         table = make_table(["a"] * 4, ["w", "w", "w", "x"])
-        partition = partition_by_qi(table, ["qi"])
-        assert not EntropyLDiversity(2, "s").check(table, partition)
+        assert not holds(EntropyLDiversity(2, "s"), table)
 
     def test_entropy_l_stricter_than_distinct(self):
         # 2 distinct values but very skewed: distinct-2 passes, entropy-2 fails.
         table = make_table(["a"] * 10, ["w"] * 9 + ["x"])
-        partition = partition_by_qi(table, ["qi"])
-        assert DistinctLDiversity(2, "s").check(table, partition)
-        assert not EntropyLDiversity(2, "s").check(table, partition)
+        assert holds(DistinctLDiversity(2, "s"), table)
+        assert not holds(EntropyLDiversity(2, "s"), table)
 
     def test_l1_trivially_satisfied(self):
         table = make_table(["a", "a"], ["w", "w"])
-        partition = partition_by_qi(table, ["qi"])
-        assert EntropyLDiversity(1, "s").check(table, partition)
+        assert holds(EntropyLDiversity(1, "s"), table)
 
 
 class TestRecursiveCLDiversity:
     def test_needs_at_least_l_values(self):
         table = make_table(["a"] * 3, ["w", "w", "x"])
-        partition = partition_by_qi(table, ["qi"])
-        assert not RecursiveCLDiversity(2.0, 3, "s").check(table, partition)
+        assert not holds(RecursiveCLDiversity(2.0, 3, "s"), table)
 
     def test_bound_on_top_count(self):
         # counts sorted: [5, 2, 1]; l=2 => tail = 2+1 = 3; c=2 => 5 < 6 OK.
         table = make_table(["a"] * 8, ["w"] * 5 + ["x"] * 2 + ["y"])
-        partition = partition_by_qi(table, ["qi"])
-        assert RecursiveCLDiversity(2.0, 2, "s").check(table, partition)
+        assert holds(RecursiveCLDiversity(2.0, 2, "s"), table)
         # c=1.5 => 5 < 4.5 fails.
-        assert not RecursiveCLDiversity(1.5, 2, "s").check(table, partition)
+        assert not holds(RecursiveCLDiversity(1.5, 2, "s"), table)
 
     def test_l_below_two_raises(self):
         with pytest.raises(ValueError):
@@ -148,19 +148,16 @@ class TestRecursiveCLDiversity:
 class TestTCloseness:
     def test_matching_distribution_distance_zero(self):
         table = make_table(["a", "a", "b", "b"], ["flu", "hiv", "flu", "hiv"])
-        partition = partition_by_qi(table, ["qi"])
         model = TCloseness(0.0, "s")
-        assert model.check(table, partition)
-        assert model.distances(table, partition).max() == pytest.approx(0.0)
+        assert holds(model, table)
+        assert model.distances(stats_of(table)).max() == pytest.approx(0.0)
 
     def test_skewed_class_fails_small_t(self, homogeneous):
-        partition = partition_by_qi(homogeneous, ["qi"])
-        assert not TCloseness(0.1, "s").check(homogeneous, partition)
-        assert TCloseness(1.0, "s").check(homogeneous, partition)
+        assert not holds(TCloseness(0.1, "s"), homogeneous)
+        assert holds(TCloseness(1.0, "s"), homogeneous)
 
     def test_equal_distance_value(self, homogeneous):
-        partition = partition_by_qi(homogeneous, ["qi"])
-        distances = TCloseness(0.5, "s").distances(homogeneous, partition)
+        distances = TCloseness(0.5, "s").distances(stats_of(homogeneous))
         # global = (4/6 flu, 1/6 hiv, 1/6 ulcer); class a = (1,0,0):
         # TV = 0.5 * (|1-4/6| + 4/6... ) -> 1/3
         assert distances.max() == pytest.approx(1.0 / 3.0)
@@ -181,15 +178,13 @@ class TestTCloseness:
 class TestAlphaK:
     def test_both_conditions_needed(self):
         table = make_table(["a"] * 4 + ["b"], ["x", "x", "y", "z", "x"])
-        partition = partition_by_qi(table, ["qi"])
         # class b has size 1 < k=2.
-        assert not AlphaKAnonymity(0.9, 2, "s").check(table, partition)
+        assert not holds(AlphaKAnonymity(0.9, 2, "s"), table)
 
     def test_alpha_cap(self):
         table = make_table(["a"] * 4, ["x", "x", "x", "y"])
-        partition = partition_by_qi(table, ["qi"])
-        assert not AlphaKAnonymity(0.5, 2, "s").check(table, partition)
-        assert AlphaKAnonymity(0.75, 2, "s").check(table, partition)
+        assert not holds(AlphaKAnonymity(0.5, 2, "s"), table)
+        assert holds(AlphaKAnonymity(0.75, 2, "s"), table)
 
     def test_invalid_params_raise(self):
         with pytest.raises(ValueError):
@@ -202,47 +197,42 @@ class TestDeltaPresence:
     def test_belief_is_r_over_p(self):
         research = make_table(["a", "a"], ["x", "y"])
         population = make_table(["a", "a", "a", "a", "b"], ["x"] * 5)
-        partition = partition_by_qi(research, ["qi"])
-        model = DeltaPresence(0.0, 0.6, population, ["qi"])
-        beliefs = model.beliefs(research, partition)
-        assert beliefs.tolist() == [0.5]
-        assert model.check(research, partition)
+        model = DeltaPresence(0.0, 0.6, population)
+        assert model.beliefs(stats_of(research)).tolist() == [0.5]
+        assert holds(model, research)
 
     def test_over_delta_max_fails(self):
         research = make_table(["a", "a", "a"], ["x", "y", "z"])
         population = make_table(["a", "a", "a", "a"], ["x"] * 4)
-        partition = partition_by_qi(research, ["qi"])
-        model = DeltaPresence(0.0, 0.5, population, ["qi"])
-        assert not model.check(research, partition)
-        assert model.failing_groups(research, partition) == [0]
+        model = DeltaPresence(0.0, 0.5, population)
+        assert not holds(model, research)
+        assert failing(model, research) == [0]
 
     def test_missing_population_match_is_infinite(self):
         research = make_table(["a"], ["x"])
         population = make_table(["b"], ["x"])
-        model = DeltaPresence(0.0, 1.0, population, ["qi"])
-        partition = partition_by_qi(research, ["qi"])
-        assert not model.check(research, partition)
+        model = DeltaPresence(0.0, 1.0, population)
+        assert model.beliefs(stats_of(research)).tolist() == [np.inf]
+        assert not holds(model, research)
 
     def test_invalid_bounds_raise(self):
         population = make_table(["a"], ["x"])
         with pytest.raises(ValueError):
-            DeltaPresence(0.8, 0.2, population, ["qi"])
+            DeltaPresence(0.8, 0.2, population)
 
 
 class TestCompositeModel:
     def test_conjunction(self, homogeneous):
-        partition = partition_by_qi(homogeneous, ["qi"])
         both = CompositeModel(KAnonymity(3), DistinctLDiversity(2, "s"))
-        assert not both.check(homogeneous, partition)  # l-diversity fails
+        assert not holds(both, homogeneous)  # l-diversity fails
         only_k = CompositeModel(KAnonymity(3))
-        assert only_k.check(homogeneous, partition)
+        assert holds(only_k, homogeneous)
 
     def test_failing_groups_union(self):
         table = make_table(["a", "a", "b"], ["x", "x", "y"])
-        partition = partition_by_qi(table, ["qi"])
         both = CompositeModel(KAnonymity(2), DistinctLDiversity(2, "s"))
         # class a fails diversity; class b fails k.
-        assert both.failing_groups(table, partition) == [0, 1]
+        assert failing(both, table) == [0, 1]
 
     def test_empty_composite_raises(self):
         with pytest.raises(ValueError):

@@ -108,11 +108,8 @@ class TestIncognitoNonMonotone:
             name = "whimsical"
             monotone = False
 
-            def check(self, table, partition):
-                return min(g.size for g in partition.groups) >= 2
-
-            def failing_groups(self, table, partition):
-                return [i for i, g in enumerate(partition.groups) if g.size < 2]
+            def ok_mask(self, stats):
+                return stats.sizes >= 2
 
         algo = Incognito()
         minimal = algo.find_minimal_nodes(

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.algorithms import Flash, Mondrian
 from repro.core.generalize import apply_node, apply_partition_recoding
 from repro.core.schema import AttributeType, Schema
 from repro.core.table import Column, Table
 from repro.errors import HierarchyError, SchemaError
+from repro.privacy import KAnonymity
 
 
 class TestSchema:
@@ -54,6 +56,17 @@ class TestSchema:
         schema = Schema.build(quasi_identifiers=["ghost"])
         with pytest.raises(SchemaError):
             schema.validate(tiny_table)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("algorithm", [Flash(), Mondrian(mode="relaxed")])
+    def test_non_finite_numeric_qi_is_rejected(
+        self, tiny_table, tiny_schema, tiny_hierarchies, algorithm, bad
+    ):
+        ages = tiny_table.values("age").astype(np.float64)
+        ages[5] = bad
+        table = tiny_table.replace(Column.numeric("age", ages))
+        with pytest.raises(SchemaError, match=f"'age' holds the non-finite value {bad} in row 5"):
+            algorithm.anonymize(table, tiny_schema, tiny_hierarchies, [KAnonymity(2)])
 
 
 class TestApplyNode:
