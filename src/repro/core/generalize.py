@@ -67,43 +67,69 @@ def apply_partition_recoding(
     * Numeric QIs: the group's ``[min-max]`` interval label (point values stay
       numeric-looking strings only when min == max).
 
-    Returns a new table where each recoded QI is a categorical column.
+    Returns a new table where each recoded QI is a categorical column whose
+    categories are its distinct labels sorted as strings. Works in code
+    space: the groups are concatenated once, every per-group minimum and
+    maximum is one ``reduceat``, and each label is rendered once per group.
     """
     n_rows = table.n_rows
+    sizes = np.array([len(group) for group in groups], dtype=np.int64)
+    if (sizes == 0).any():
+        raise HierarchyError(f"group {int(np.argmin(sizes))} is empty")
+    rows = (
+        np.concatenate(groups).astype(np.intp)
+        if groups
+        else np.empty(0, dtype=np.intp)
+    )
     covered = np.zeros(n_rows, dtype=bool)
-    for group in groups:
-        covered[group] = True
+    covered[rows] = True
     if not covered.all():
         raise HierarchyError("groups do not cover every row")
+    starts = np.cumsum(sizes) - sizes
+
+    def labelled(name: str, texts: list[str]) -> Column:
+        categories = sorted(set(texts), key=str)
+        index = {text: code for code, text in enumerate(categories)}
+        group_codes = np.fromiter(map(index.__getitem__, texts), np.int32, len(texts))
+        codes = np.empty(n_rows, dtype=np.int32)
+        codes[rows] = np.repeat(group_codes, sizes)
+        return Column.from_codes(name, codes, categories)
 
     new_columns: list[Column] = []
     for name, hierarchy in categorical_qis.items():
-        codes = table.codes(name)
-        out = np.empty(n_rows, dtype=object)
-        for group in groups:
-            # Vectorized scatter: one label assignment per group, not per row.
-            out[group] = _categorical_group_label(hierarchy, codes[group])
-        new_columns.append(Column.categorical(name, out.tolist()))
+        codes = table.codes(name)[rows]
+        # Hierarchy nodes numbered level by level; each group takes the
+        # node of its lowest level whose mapped codes agree. The top level
+        # has one value, so every group is unified by then.
+        node = np.zeros(sizes.size, dtype=np.int64)
+        pending = np.ones(sizes.size, dtype=bool)
+        offset = 0
+        for level in range(hierarchy.height + 1):
+            mapped = hierarchy.level_map(level)[codes]
+            low = np.minimum.reduceat(mapped, starts)
+            high = np.maximum.reduceat(mapped, starts)
+            unified = pending & (low == high)
+            node[unified] = offset + low[unified]
+            pending &= ~unified
+            offset += len(hierarchy.labels(level))
+            if not pending.any():
+                break
+        labels = [
+            str(label)
+            for level in range(hierarchy.height + 1)
+            for label in hierarchy.labels(level)
+        ]
+        new_columns.append(labelled(name, [labels[i] for i in node.tolist()]))
 
     fmt = f"%.{precision}g"
     for name in numeric_qis:
-        values = table.values(name)
-        out = np.empty(n_rows, dtype=object)
-        for group in groups:
-            lo, hi = float(values[group].min()), float(values[group].max())
-            out[group] = fmt % lo if lo == hi else f"[{fmt % lo}-{fmt % hi}]"
-        new_columns.append(Column.categorical(name, out.tolist()))
+        values = table.values(name)[rows].astype(np.float64)
+        low = np.minimum.reduceat(values, starts).tolist()
+        high = np.maximum.reduceat(values, starts).tolist()
+        texts = [
+            fmt % lo if lo == hi else f"[{fmt % lo}-{fmt % hi}]"
+            for lo, hi in zip(low, high)
+        ]
+        new_columns.append(labelled(name, texts))
 
     return table.replace(*new_columns)
-
-
-def _categorical_group_label(hierarchy: Hierarchy, group_codes: np.ndarray) -> str:
-    """Label of the minimal hierarchy value covering all codes in the group."""
-    distinct = np.unique(group_codes)
-    if distinct.size == 1:
-        return str(hierarchy.ground[int(distinct[0])])
-    for level in range(1, hierarchy.height + 1):
-        mapped = np.unique(hierarchy.map_codes(distinct, level))
-        if mapped.size == 1:
-            return str(hierarchy.labels(level)[int(mapped[0])])
-    raise HierarchyError("hierarchy top level does not unify the domain")  # pragma: no cover
