@@ -97,7 +97,7 @@ def apply_partition_recoding(
 
     new_columns: list[Column] = []
     for name, hierarchy in categorical_qis.items():
-        codes = table.codes(name)[rows]
+        codes = hierarchy.ground_codes(table.column(name))[rows]
         # Hierarchy nodes numbered level by level; each group takes the
         # node of its lowest level whose mapped codes agree. The top level
         # has one value, so every group is unified by then.

@@ -222,9 +222,14 @@ def _random_groups(rng, n_rows, max_size):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_recoding_matches_per_group_loop(seed):
+@pytest.mark.parametrize("n_values", [8, 12])
+def test_recoding_matches_per_group_loop(seed, n_values):
+    # From 11 values on, the columns list qiN_10 after qiN_9 while the
+    # hierarchies' ground domains sort it after qiN_1.
     rng = np.random.default_rng(seed)
-    table, schema, hierarchies = random_scenario(n_rows=500, seed=seed)
+    table, schema, hierarchies = random_scenario(n_rows=500, n_values=n_values, seed=seed)
+    if n_values > 10:
+        assert table.column("qi0").categories != hierarchies["qi0"].ground
     groups = _random_groups(rng, table.n_rows, max_size=int(rng.integers(2, 30)))
     categorical = {name: hierarchies[name] for name in schema.categorical_quasi_identifiers}
     args = (table, groups, categorical, schema.numeric_quasi_identifiers)

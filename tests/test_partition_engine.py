@@ -8,6 +8,10 @@ contract that makes it trustworthy:
   InfoGain, TDS, MDAV, k-member, bottom-up across model mixes) publishes the
   exact CSV bytes recorded in :data:`GOLDEN_DIGESTS`, and the k/l/t grid's
   releases pass :func:`repro.verify.violations`;
+* **truthful local recoding** — every published QI cell of a local-recoding
+  release covers the row's input value: a categorical cell is the value or
+  one of its ancestors in the hierarchy's spec, a numeric ``[lo-hi]``
+  contains it (checked by code that shares nothing with the recoder);
 * **cached counts** — sensitive-model mixes exercise the delta-histogram
   path (``histogram_splits > 0``);
 * **batch identity** — the newly registered algorithms run through
@@ -36,9 +40,13 @@ from repro.algorithms import (
     TopDownSpecialization,
 )
 from repro.algorithms.mondrian import _value_views
-from repro.core.generalize import apply_node
+from repro.core.generalize import apply_node, apply_partition_recoding
+from repro.core.hierarchy import Hierarchy
+from repro.core.io import read_csv
+from repro.core.schema import Schema
+from repro.core.table import Column, Table
 from repro.core.partition_engine import PartitionEngine, grouped_histograms
-from repro.data import adult_hierarchies, adult_schema, load_adult
+from repro.data import adult_hierarchies, adult_hierarchy_specs, adult_schema, load_adult
 from repro.data.synthetic import random_scenario
 from repro.errors import ConfigError
 from repro.service.data import release_csv_bytes
@@ -123,41 +131,45 @@ _ALGORITHMS = {
 #: sha256 of each case's release CSV bytes (exactly what the CLI writes).
 #: Recorded while the per-row reference implementations of these four
 #: algorithms still shipped beside the partition engine, with both
-#: producing these bytes under two ``PYTHONHASHSEED`` values.
+#: producing these bytes under two ``PYTHONHASHSEED`` values. The Mondrian
+#: and k-member digests were re-recorded (under the same two seeds) when
+#: local recoding started translating column codes into the hierarchy's
+#: ground domain: before, it labelled about half of the categorical cells
+#: with a value the row does not hold (see the truthfulness tests below).
 GOLDEN_DIGESTS = {
-    "mondrian-strict-k": "c6261ddf8ea883ce9fd2a028b88c37d7192590f5e10eee0a80260a7080cf6771",
-    "mondrian-strict-k+l": "c98eecb858c5388dedc61a1e1e206dee9968776c381eb7ce898e82bc3a30a0a8",
-    "mondrian-strict-k+el+t": "48b72c4d66a6aa52bab00d6bf3ca12aa215f3d5a7c8ba57a11fc3e9c86f2d04d",
-    "mondrian-strict-k4": "c98eecb858c5388dedc61a1e1e206dee9968776c381eb7ce898e82bc3a30a0a8",
-    "mondrian-relaxed-k": "7f8477db9b9f565d45bfc4da6c16e71afc003301f91f017b8c90c9a00bc5fe43",
-    "mondrian-relaxed-k+l": "b5ea2fd8ea1a6bf84c2cb33270caadc57b97a058b6a6de9b9ee5556112100b12",
-    "mondrian-relaxed-k+el+t": "8a38657fbb2cb52461d34dfd2c478311cbf5c8e8d1078b31c29931c3fb212622",
-    "mondrian-relaxed-k4": "b5ea2fd8ea1a6bf84c2cb33270caadc57b97a058b6a6de9b9ee5556112100b12",
-    "mondrian-infogain-k": "a0b2d9411de422f3bea6cd2ec35748bd35be197cf91d330bbfd879351c75cca9",
-    "mondrian-infogain-k+l": "63bfaef5d24231879537114ac70de4b43f7a3b5a0d7aa9d5f80ff836ce5f209f",
-    "mondrian-infogain-k4": "63bfaef5d24231879537114ac70de4b43f7a3b5a0d7aa9d5f80ff836ce5f209f",
+    "mondrian-strict-k": "f58845aba3cd89fdc9e598985df2a13819db313bf7482dc7af3adf03ea87572e",
+    "mondrian-strict-k+l": "5a073acbb75970497a9f119c24da5e55a61d3d7012e0809632a2a3f7eb127ef5",
+    "mondrian-strict-k+el+t": "ba51b2b46ffe71850091c62bb78e5b76a40dd422d2bd7c68706f130495a2641a",
+    "mondrian-strict-k4": "5a073acbb75970497a9f119c24da5e55a61d3d7012e0809632a2a3f7eb127ef5",
+    "mondrian-relaxed-k": "0248bb42a0a3e76ed25ac3df728ab6049c6af27c2c1bcf733e37b0e1037205f2",
+    "mondrian-relaxed-k+l": "faac85c090fb445d077a7a5bfa3097597f472f6e947c252d5465cc2f21cebca6",
+    "mondrian-relaxed-k+el+t": "fe20157bd5197c4b89c402daab5036aa638dbb6211f743348b37860b715a443a",
+    "mondrian-relaxed-k4": "faac85c090fb445d077a7a5bfa3097597f472f6e947c252d5465cc2f21cebca6",
+    "mondrian-infogain-k": "904ee29b7195c978318908b3084dc4c9c540770b69d13362b797cb2e15977426",
+    "mondrian-infogain-k+l": "f10403cfe9958482d6fa5aea1c7a4163bc18748a478decf63293e8dc553d344e",
+    "mondrian-infogain-k4": "f10403cfe9958482d6fa5aea1c7a4163bc18748a478decf63293e8dc553d344e",
     "tds-k": "f60526fc12ecda47fc73e29cbe70ec7039aefb6f5c259fc075575b6c3c958c81",
     "tds-k+l": "296a6fc98e67796ee03a60da949ce71936882e796711a7c84d065af28bb17085",
     "tds-k+el+t": "3a8d345cf1870200679704df734f9721ed4de036e30750000580b60e8314e6ac",
     "tds-k4": "296a6fc98e67796ee03a60da949ce71936882e796711a7c84d065af28bb17085",
     "tds-infogain-k": "cb1ed06e4d6548536c3fddc51d3121938b668eb634621dfdd23de6413f49426a",
     "mdav-k5": "c8bca0f0d75ceafc70573a86fa1ac4bc58944c0581e11c3101466bcb4ea26646",
-    "kmember-k4": "96b84a516fc7b2251f9b4142a0ece7b543e07b342151d61aec5cfd3d86328749",
+    "kmember-k4": "df10cc9f303abc4316a170d010a8c3e1c9879878a83252ecb9eb955023efe42a",
     # MODEL_MIXES, recorded before the models moved to a single ok_mask.
-    "mondrian-strict-rcl": "08c37c9efe3be2efac64969d23094d995b74dbe1004949c25dd8e04b8ca90c79",
-    "mondrian-strict-ak": "207a8b14207f30893563b9aa17e888877f24a93edc1a777ab4a2ce9b17456d5f",
-    "mondrian-strict-beta": "8689c5a4b9f9b68eaab8f58b2bde85ed73523bb9b9ba580f7a360647f6b5db2a",
-    "mondrian-strict-ordered-t": "3f9c743340c3f1bdd2084bfd2948311a9b5889ee68925e70ccb5019e7d14fda2",
-    "mondrian-strict-hier-t": "20f0b388bd410b82a6e40f7dab160cc9e7d42771e3dfd0143ddda0801afdd51a",
-    "mondrian-strict-ke": "de25f0d0bbedd7fb5adbc3b150e2c5ec23960b42a3ab53eae333274345e145e4",
-    "mondrian-strict-composite": "c3684938fa782116a9554d9f529673303a873b12ae29aca9bff88b2b2c4743b8",
-    "mondrian-relaxed-rcl": "15a588827d60e756cd9b35857968949fa2068828abc5ce80bc5297d72ff226a8",
-    "mondrian-relaxed-ak": "7ba0be6f47d28f71b9a7238356f4ac0093a080f3ea1bcfbae78cbc55dd08a467",
-    "mondrian-relaxed-beta": "786dcd1cd4ae1d378921d99e7d940967a07403f5169a1b7c1151bb7c10e4685a",
-    "mondrian-relaxed-ordered-t": "f699d8f961f8a66f32165db3625e286cbca55e8fda7fdab8e236955bec6ceeb9",
-    "mondrian-relaxed-hier-t": "764caf458bccdf5d2249e26ff9ead29f3363f3ce5df38825864d8c9d9a7b00f1",
-    "mondrian-relaxed-ke": "1f8f8ecb2ce157b0dcfa4bdb542905be2dccbccda925a7e93e0963a00882317c",
-    "mondrian-relaxed-composite": "15a588827d60e756cd9b35857968949fa2068828abc5ce80bc5297d72ff226a8",
+    "mondrian-strict-rcl": "5ee9cd1ac75d5577db5f32a418033e62dc22c3a42bdc7037b4643598ae4158ce",
+    "mondrian-strict-ak": "8cfdad19de72c1f1848dfcedbba73a9c9251b4e3b852cc1f2d39f5c3b2a3a8e8",
+    "mondrian-strict-beta": "1fda00d6d7d46f72251385e2521b30f4efe58e7c398c3a00dc837d9ecc5d32cf",
+    "mondrian-strict-ordered-t": "edc8d09c558a31e506549ef0474ae907cb38a57f108ba2b616e6da42c53f5e23",
+    "mondrian-strict-hier-t": "ba27a8769d9c8a9a9123c2d08cf0bd8a88ac14df635cd5b49aea81de6b1878aa",
+    "mondrian-strict-ke": "0b5e7051fa280a6f1d027aca1cae5b1922d6195135abb9b0cfc3d97f9ccd80b3",
+    "mondrian-strict-composite": "be0858304a0efd6627b8aa937c8a429850aee864b27c4e84cf93cad1cf436d5a",
+    "mondrian-relaxed-rcl": "8de7a7b61618eba53976bd3554e48f1ba5229c9b6ae7b5463e0de591ce1c35bb",
+    "mondrian-relaxed-ak": "6d01fe256c61792888b640463548877912fbe37911c6c2ad0fd99644f2a8f7cb",
+    "mondrian-relaxed-beta": "3891e634a787031a1b72f9e5462b2952a04726d088528a856994e96e784cb5aa",
+    "mondrian-relaxed-ordered-t": "94d9f53e64cea5118022b144cd0f8a6b17dcf771b162f0031d5c990d225b6487",
+    "mondrian-relaxed-hier-t": "c51fe7ba089fb47f7f1aa72401ab1683114b5e5d0bcd47ce613d2992d7cd7c40",
+    "mondrian-relaxed-ke": "37bb0c94cc4abe022233a616f73cb9dfbc85a71b53ae6c01aa46e035bd4668aa",
+    "mondrian-relaxed-composite": "8de7a7b61618eba53976bd3554e48f1ba5229c9b6ae7b5463e0de591ce1c35bb",
     "tds-rcl": "296a6fc98e67796ee03a60da949ce71936882e796711a7c84d065af28bb17085",
     "tds-ak": "296a6fc98e67796ee03a60da949ce71936882e796711a7c84d065af28bb17085",
     "tds-beta": "42aa4680a8e49828e4e3fea03ac8e47b4ec97ac3449e5a6d3cf7ebd41c511da2",
@@ -266,6 +278,190 @@ def test_frontier_and_dfs_drivers_cut_identical_leaves(table, schema, mode, mix)
     assert len(frontier) == len(dfs)
     for mine, theirs in zip(frontier, dfs):
         assert np.array_equal(mine, theirs)
+
+
+# -- truthful local recoding ---------------------------------------------------
+
+
+def _published_as(spec):
+    """{ground value: the texts it may be published as}, read off a spec.
+
+    A ``tree`` spec allows a leaf, every label on its path and the root; a
+    ``levels`` spec allows a row's value, its listed labels and the ``*``
+    root that :meth:`Hierarchy.from_levels` appends when the last level is
+    not constant.
+    """
+    allowed = {}
+    if spec["builder"] == "tree":
+        root = spec.get("root", "*")
+
+        def walk(node, path):
+            if isinstance(node, dict):
+                for label, child in node.items():
+                    walk(child, path + [label])
+            else:
+                for leaf in node:
+                    allowed[leaf] = {str(t) for t in (leaf, root, *path)}
+
+        walk(spec["tree"], [])
+    else:
+        rows = spec["rows"]
+        root = {"*"} if len({str(r[-1]) for r in rows.values()}) > 1 else set()
+        for value, labels in rows.items():
+            allowed[value] = {str(value), *(str(t) for t in labels), *root}
+    return allowed
+
+
+def _interval(label):
+    """(lo, hi) of a published numeric cell: ``[lo-hi]`` or a point value."""
+    if not label.startswith("["):
+        return float(label), float(label)
+    body = label[1:-1]
+    for i in range(1, len(body)):
+        if body[i] == "-" and body[i - 1] not in "eE":
+            return float(body[:i]), float(body[i + 1:])
+    raise AssertionError(f"not an interval label: {label!r}")
+
+
+def _untruthful_cells(original, published, specs, numeric):
+    """(column, row) of every published QI cell not covering its input value."""
+    bad = []
+    for name, spec in specs.items():
+        allowed = _published_as(spec)
+        inputs = original.column(name).decode()
+        for row, label in enumerate(published.column(name).decode()):
+            if label not in allowed.get(inputs[row], {str(inputs[row])}):
+                bad.append((name, row))
+    for name in numeric:
+        inputs = original.column(name).values.tolist()
+        for row, label in enumerate(published.column(name).decode()):
+            lo, hi = _interval(label)
+            # Labels carry 6 significant digits.
+            if not lo - 1e-5 * abs(lo) <= inputs[row] <= hi + 1e-5 * abs(hi):
+                bad.append((name, row))
+    return bad
+
+
+#: Every golden case published through local recoding:
+#: case -> (algorithm factory, model mix, input table fixture).
+_LOCAL_RECODING = {
+    **{
+        f"mondrian-{mode}-{mix}": (lambda mode=mode: Mondrian(mode=mode), mix, "table")
+        for mode in ("strict", "relaxed")
+        for mix in ["k", "k+l", "k+el+t", "k4", *MODEL_MIXES]
+    },
+    **{
+        f"mondrian-infogain-{mix}": (lambda: Mondrian(target=SENSITIVE), mix, "table")
+        for mix in ("k", "k+l", "k4")
+    },
+    "kmember-k4": (lambda: KMemberClustering(4), "k4", "small_table"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LOCAL_RECODING))
+def test_local_recoding_publishes_truthful_cells(request, schema, hierarchies, case):
+    factory, mix, source = _LOCAL_RECODING[case]
+    table = request.getfixturevalue(source)
+    release = factory().anonymize(table, schema, hierarchies, _model_mix(mix))
+    specs = adult_hierarchy_specs()
+    categorical = {name: specs[name] for name in schema.categorical_quasi_identifiers}
+    bad = _untruthful_cells(table, release.table, categorical, schema.numeric_quasi_identifiers)
+    assert bad == [], f"{len(bad)} cells, first {bad[:3]}"
+
+
+#: A job hierarchy whose ground order differs from the data's category
+#: order and which lists a value ("doctor") the data lacks.
+_JOB_SPEC = {
+    "builder": "levels",
+    "rows": {
+        "doctor": ["medical", "staff"],
+        "engineer": ["technical", "staff"],
+        "nurse": ["medical", "staff"],
+        "teacher": ["education", "staff"],
+    },
+}
+
+
+def _job_table():
+    rng = np.random.default_rng(5)
+    jobs = [["teacher", "nurse", "engineer"][i] for i in rng.integers(0, 3, 60)]
+    return Table(
+        [
+            # Categories listed in an order unlike the hierarchy's ground.
+            Column.categorical("job", jobs, categories=["teacher", "nurse", "engineer"]),
+            Column.numeric("age", rng.integers(20, 60, 60)),
+            Column.categorical("disease", [["flu", "hiv"][i] for i in rng.integers(0, 2, 60)]),
+        ]
+    )
+
+
+def test_recoding_translates_column_codes_into_the_ground_domain():
+    table = _job_table()
+    hierarchy = Hierarchy.from_levels(_JOB_SPEC["rows"])
+    assert table.column("job").categories != hierarchy.ground
+    jobs = np.array(table.column("job").decode())
+    groups = [np.flatnonzero(jobs == job) for job in ("teacher", "nurse", "engineer")]
+    groups += [np.array([groups[0][0], groups[1][0]])]
+    groups[0], groups[1] = groups[0][1:], groups[1][1:]
+    published = apply_partition_recoding(table, groups, {"job": hierarchy}, ["age"])
+    assert _untruthful_cells(table, published, {"job": _JOB_SPEC}, ["age"]) == []
+    assert set(published.column("job").decode()) == {"teacher", "nurse", "engineer", "staff"}
+
+
+@pytest.mark.parametrize("algorithm", ["strict", "relaxed", "kmember"])
+def test_local_recoders_are_truthful_on_a_reordered_domain(algorithm):
+    schema = Schema.build(
+        quasi_identifiers=["job"], numeric_quasi_identifiers=["age"], sensitive=["disease"]
+    )
+    hierarchies = {"job": Hierarchy.from_levels(_JOB_SPEC["rows"])}
+    recoder = KMemberClustering(3) if algorithm == "kmember" else Mondrian(mode=algorithm)
+    table = _job_table()
+    release = recoder.anonymize(table, schema, hierarchies, [KAnonymity(3)])
+    assert _untruthful_cells(table, release.table, {"job": _JOB_SPEC}, ["age"]) == []
+
+
+def _cli_job(tmp_path, rows, algorithm):
+    (tmp_path / "in.csv").write_text(
+        _CLI_CSV
+        + "13068,teacher,33,flu\n14850,nurse,24,cancer\n"
+        + "14853,engineer,28,hiv\n14853,teacher,36,ulcer\n"
+    )
+    (tmp_path / "job.json").write_text(json.dumps({
+        "quasi_identifiers": ["zipcode", "job"],
+        "numeric_quasi_identifiers": ["age"],
+        "sensitive": ["disease"],
+        "hierarchies": {"job": {"builder": "levels", "rows": rows}},
+        "models": [{"model": "k-anonymity", "k": 2}],
+        "algorithm": algorithm,
+    }))
+    out = tmp_path / "out.csv"
+    code = cli_main([
+        str(tmp_path / "in.csv"), str(out), "--config", str(tmp_path / "job.json"),
+    ])
+    return code, out
+
+
+def test_cli_relaxed_mondrian_publishes_truthful_jobs(tmp_path):
+    code, out = _cli_job(
+        tmp_path, _JOB_SPEC["rows"], {"algorithm": "mondrian", "mode": "relaxed"}
+    )
+    assert code == 0
+    original = read_csv(tmp_path / "in.csv", categorical=["zipcode", "job", "disease"], numeric=["age"])
+    published = read_csv(out, categorical=["zipcode", "job", "age", "disease"])
+    assert _untruthful_cells(original, published, {"job": _JOB_SPEC}, ["age"]) == []
+
+
+@pytest.mark.parametrize(
+    "algorithm",
+    [{"algorithm": "mondrian", "mode": "relaxed"}, {"algorithm": "flash"}],
+    ids=["mondrian-relaxed", "flash"],
+)
+def test_cli_rejects_a_data_value_missing_from_the_hierarchy(tmp_path, capsys, algorithm):
+    rows = {value: labels for value, labels in _JOB_SPEC["rows"].items() if value != "nurse"}
+    code, out = _cli_job(tmp_path, rows, algorithm)
+    assert code == 2
+    assert "not in hierarchy ground domain" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_anatomy_and_slicing_deterministic(small_table, schema, hierarchies):
