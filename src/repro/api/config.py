@@ -33,7 +33,7 @@ from typing import Any, Mapping
 
 from ..core.cache import check_cache_bytes
 from ..core.hierarchy import Hierarchy, IntervalHierarchy
-from ..core.schema import Schema
+from ..core.schema import Schema, check_finite
 from ..core.table import Table, check_chunk_rows
 from ..errors import ConfigError
 from .registry import algorithm_registry, metric_registry, model_registry
@@ -376,6 +376,8 @@ def _build_interval(
         except Exception as exc:
             raise ConfigError(f"hierarchy spec 'cuts' for {name!r} is malformed: {exc}") from exc
     data = table.values(name)
+    # The auto cuts span the data; a NaN or inf has no span to cut.
+    check_finite(name, data)
     lo, hi = float(data.min()), float(data.max())
     if hi <= lo:
         hi = lo + 1.0

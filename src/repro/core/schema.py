@@ -21,7 +21,17 @@ import numpy as np
 from ..errors import SchemaError
 from .table import Table
 
-__all__ = ["AttributeType", "Schema"]
+__all__ = ["AttributeType", "Schema", "check_finite"]
+
+
+def check_finite(name: str, values: np.ndarray) -> None:
+    """Reject a numeric QI holding a NaN or inf, naming its first bad row."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise SchemaError(
+            f"numeric QI {name!r} holds the non-finite value "
+            f"{values[bad[0]]} in row {bad[0]} (0-based)"
+        )
 
 
 class AttributeType(Enum):
@@ -123,12 +133,7 @@ class Schema:
             if attr_type is AttributeType.QI_NUMERIC:
                 if col.is_categorical:
                     raise SchemaError(f"QI {name!r} declared numeric but column is categorical")
-                bad = np.flatnonzero(~np.isfinite(col.values))
-                if bad.size:
-                    raise SchemaError(
-                        f"numeric QI {name!r} holds the non-finite value "
-                        f"{col.values[bad[0]]} in row {bad[0]} (0-based)"
-                    )
+                check_finite(name, col.values)
             if attr_type is AttributeType.SENSITIVE and not col.is_categorical:
                 raise SchemaError(
                     f"sensitive attribute {name!r} must be categorical "

@@ -3,6 +3,9 @@
 import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -435,6 +438,26 @@ class TestCLI:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"numeric QI 'age' holds the non-finite value {bad} in row 1" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_numeric_qi_prints_only_the_error(self, csv_path, tmp_path, bad):
+        # A fresh interpreter, so numpy warnings reach stderr as a user sees them.
+        src = tmp_path / "bad.csv"
+        src.write_text(csv_path.read_text().replace("13068,teacher,31,", f"13068,teacher,{bad},"))
+        out = tmp_path / "x.csv"
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        done = subprocess.run(
+            [
+                sys.executable, "-m", "repro", str(src), str(out), "--qi", "zipcode",
+                "--numeric-qi", "age", "--k", "2", "--algorithm", "flash",
+            ],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 2
+        assert done.stderr.splitlines() == [
+            f"error: numeric QI 'age' holds the non-finite value {bad} in row 1 (0-based)"
+        ]
         assert not out.exists()
 
     def test_drop_removes_identifier(self, csv_path, tmp_path):
