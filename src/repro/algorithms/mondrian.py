@@ -309,7 +309,7 @@ class Mondrian:
         cut (via the same ``_cut_positions`` closed form as the per-node
         path), so releases stay byte-identical to the per-node DFS while
         per-node overhead amortizes away. Leaves are finally re-emitted in
-        DFS stack order, which recoded-category order depends on.
+        DFS stack order, so both drivers return the same leaf list.
         """
         n_qis = len(qi_names)
         qi_idx = {name: i for i, name in enumerate(qi_names)}
@@ -420,9 +420,10 @@ class Mondrian:
                         break
             frontier = next_frontier
 
-        # Re-emit leaves in the exact order a DFS stack produces them — the
-        # recoded columns' category order depends on which leaf is labeled
-        # first (the decoded values, and so the CSV bytes, do not).
+        # Re-emit leaves in the exact order a DFS stack produces them. The
+        # release does not depend on leaf order (recoded categories are
+        # sorted labels), but test_frontier_and_dfs_drivers_cut_identical_leaves
+        # compares the two drivers leaf by leaf.
         leaves: list[np.ndarray] = []
         stack = [root]
         while stack:

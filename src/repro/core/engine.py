@@ -17,11 +17,16 @@ Generalizing a QI to level ``lv`` is then the single gather
 
 **GroupStats.** Evaluating a node packs the per-QI level codes into one
 mixed-radix signature per row (falling back to ``np.unique(axis=0)`` on
-int64 overflow, exactly like :meth:`Table.group_signature`), compacts it
-with ``np.unique`` and materializes a :class:`GroupStats`: per-group sizes
-via ``np.bincount``, per-group representative QI codes, and — lazily, per
-sensitive attribute — the full (n_groups × n_categories) histogram matrix
-via a single flattened bincount (``group_label * n_cats + sens_code``).
+int64 overflow, exactly like :meth:`Table.group_signature`) and numbers
+the distinct signatures in ascending order. While the radix product R is
+at most 4 × rows + 4096, that takes no sort: the present signatures are
+marked in a bool array of length R, each row's label is its signature's
+rank among them and the group codes are unpacked with
+``np.unravel_index``; a larger R sorts through ``np.unique``. It then
+materializes a :class:`GroupStats`: per-group sizes via ``np.bincount``,
+per-group representative QI codes, and — lazily, per sensitive attribute
+— the full (n_groups × n_categories) histogram matrix via a single
+flattened bincount (``group_label * n_cats + sens_code``).
 Every privacy model's one verdict, ``ok_mask(stats)``, runs directly on
 these arrays; no candidate table is materialized during the search.
 
@@ -30,7 +35,8 @@ node)``. When a node is requested and a *more specific* node over the same
 QI subset is already cached (componentwise ≤), its stats are *rolled up*
 instead of recomputed from rows: each cached group's representative codes
 are mapped through composed level-to-level LUTs, re-packed, and sizes /
-histograms are aggregated group-wise — O(n_groups) instead of O(n_rows).
+histograms are aggregated group-wise by one weighted ``np.bincount`` each —
+O(n_groups) instead of O(n_rows).
 Roll-up preserves the canonical group order (ascending signature, i.e. the
 order :func:`partition_by_qi` produces), so the group indices of an
 ``ok_mask`` are the same no matter how the stats were derived. Row-level

@@ -14,9 +14,11 @@ Design notes
 ------------
 * Tables are cheap, immutable-by-convention views: transformation functions
   return new ``Table`` objects sharing untouched column arrays.
-* Group-by over several columns is implemented by packing the per-column codes
-  into a single signature array with ``np.unique`` — this is the hot path for
-  equivalence-class computation and is fully vectorized.
+* Group-by over several columns packs the per-column codes into a single
+  mixed-radix signature per row (:func:`pack_code_columns`) and splits rows
+  by a stable argsort of it. The lattice engine groups the same signatures
+  without a sort while their radix product is small against the row count
+  (:mod:`repro.core.engine`); the order of groups is the same either way.
 """
 
 from __future__ import annotations
