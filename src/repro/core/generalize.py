@@ -77,7 +77,7 @@ def apply_partition_recoding(
     if (sizes == 0).any():
         raise HierarchyError(f"group {int(np.argmin(sizes))} is empty")
     rows = (
-        np.concatenate(groups).astype(np.intp)
+        np.concatenate(groups).astype(np.intp, copy=False)
         if groups
         else np.empty(0, dtype=np.intp)
     )
@@ -98,10 +98,10 @@ def apply_partition_recoding(
     new_columns: list[Column] = []
     for name, hierarchy in categorical_qis.items():
         codes = hierarchy.ground_codes(table.column(name))[rows]
-        # Hierarchy nodes numbered level by level; each group takes the
-        # node of its lowest level whose mapped codes agree. The top level
-        # has one value, so every group is unified by then.
-        node = np.zeros(sizes.size, dtype=np.int64)
+        # Every level's labels are numbered consecutively; each group takes
+        # the label of the lowest level at which its mapped codes agree. The
+        # top level has one value, so every group is unified by then.
+        chosen = np.zeros(sizes.size, dtype=np.int64)
         pending = np.ones(sizes.size, dtype=bool)
         offset = 0
         for level in range(hierarchy.height + 1):
@@ -109,17 +109,17 @@ def apply_partition_recoding(
             low = np.minimum.reduceat(mapped, starts)
             high = np.maximum.reduceat(mapped, starts)
             unified = pending & (low == high)
-            node[unified] = offset + low[unified]
+            chosen[unified] = offset + low[unified]
             pending &= ~unified
             offset += len(hierarchy.labels(level))
             if not pending.any():
                 break
-        labels = [
+        texts = [
             str(label)
             for level in range(hierarchy.height + 1)
             for label in hierarchy.labels(level)
         ]
-        new_columns.append(labelled(name, [labels[i] for i in node.tolist()]))
+        new_columns.append(labelled(name, [texts[i] for i in chosen.tolist()]))
 
     fmt = f"%.{precision}g"
     for name in numeric_qis:

@@ -400,6 +400,8 @@ def test_recoding_translates_column_codes_into_the_ground_domain():
     hierarchy = Hierarchy.from_levels(_JOB_SPEC["rows"])
     assert table.column("job").categories != hierarchy.ground
     jobs = np.array(table.column("job").decode())
+    # One group per job, except that the first teacher and the first nurse
+    # form a group of their own, which only the root "staff" covers.
     groups = [np.flatnonzero(jobs == job) for job in ("teacher", "nurse", "engineer")]
     groups += [np.array([groups[0][0], groups[1][0]])]
     groups[0], groups[1] = groups[0][1:], groups[1][1:]
