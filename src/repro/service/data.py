@@ -58,7 +58,10 @@ def _resolve_raw(
         text = spec["csv"]
         if not isinstance(text, str) or not text.strip():
             raise ConfigError("'data.csv' must be non-empty CSV text")
-        raw = text.encode()
+        try:
+            raw = text.encode()
+        except UnicodeEncodeError as exc:  # a lone surrogate from JSON
+            raise ConfigError(f"'data.csv' is not encodable text: {exc}") from None
         normalized = {"csv": text}
     elif "path" in spec:
         if data_root is None:

@@ -11,6 +11,13 @@ warm stores injected via ``cache_stores`` — the hand-off point between
 the service's resident state and the executor, which uses each injected
 store as its environment's cache and leaves its budget to the tenant
 ladder.
+
+A worker finishes each job completely before it publishes ``done``: it
+digests the release, renders its CSV once per distinct release per tenant,
+freezes the result payload, and only then flips the status. A finished
+:class:`JobRecord` holds plain data — the payload, the digest and shared
+CSV bytes — so polls and release fetches serve it without touching a live
+result, and no release table outlives its job.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from typing import Any
 from ..api import AnonymizationConfig, JobFailure, run_batch
 from ..api.executor import _environment_key
 from ..core.table import Table
-from .data import table_sha256
+from .data import release_csv_bytes, table_sha256
 from .metrics import ServiceMetrics
 from .replay import ReplayLog
 from .tenants import TenantCaches
@@ -48,14 +55,22 @@ class QueueFull(Exception):
 
 @dataclass
 class JobRecord:
-    """One accepted job, from admission to terminal state."""
+    """One accepted job, from admission to terminal state.
+
+    ``status`` is written last: every field a state exposes is set before
+    the status that exposes it, so a reader that reads ``status`` first
+    never sees a ``done`` record without its payload, digest and bytes.
+    """
 
     id: str
     batch_id: str
     tenant: str
     config: AnonymizationConfig
     status: str = "queued"  # queued -> running -> done | failed
-    result: Any = None  # AnonymizationResult | JobFailure | None
+    #: The result's ``to_dict()``, frozen when the job finished.
+    payload: dict[str, Any] | None = None
+    #: The release as CSV bytes, shared by the tenant's identical releases.
+    release_csv: bytes | None = None
     error: dict[str, Any] | None = None
     release_sha256: str | None = None
     enqueued_at: float = field(default_factory=time.time)
@@ -63,19 +78,20 @@ class JobRecord:
     finished_at: float | None = None
 
     def to_dict(self) -> dict[str, Any]:
+        status = self.status
         out: dict[str, Any] = {
             "job_id": self.id,
             "batch_id": self.batch_id,
             "tenant": self.tenant,
-            "status": self.status,
+            "status": status,
             "enqueued_at": self.enqueued_at,
             "started_at": self.started_at,
             "finished_at": self.finished_at,
         }
-        if self.status == "done" and self.result is not None:
-            out["result"] = self.result.to_dict()
+        if status == "done":
+            out["result"] = self.payload
             out["release_sha256"] = self.release_sha256
-        elif self.status == "failed" and self.error is not None:
+        elif status == "failed" and self.error is not None:
             out["error"] = self.error
         return out
 
@@ -111,6 +127,16 @@ class JobQueue:
         self.metrics = metrics
         self.replay = replay
         self.capacity = depth
+        # Rendered releases keyed by (tenant, release_sha256, n_rows,
+        # per-column dtypes). table_sha256 hashes raw buffers without their
+        # dtype, so an int64 1 and the float64 5e-324 share a digest but
+        # not a rendering; the row count and dtypes tell them apart. Every
+        # entry is referenced by at least one job record, and records live
+        # as long as the process, so the memo retains at most one CSV per
+        # distinct release per tenant — where each record used to pin its
+        # own release table. No eviction: entries go when records do.
+        self._releases: dict[tuple, bytes] = {}
+        self._releases_lock = threading.Lock()
         self._queue: "queue.Queue[BatchWork | None]" = queue.Queue(maxsize=depth)
         self._threads = [
             threading.Thread(
@@ -163,8 +189,8 @@ class JobQueue:
         started = time.time()
         start_mono = time.monotonic()
         for record in work.records:
-            record.status = "running"
             record.started_at = started
+            record.status = "running"
         evaluator_keys: list[str] = []
         for record in work.records:
             key = _environment_key(record.config)[0]
@@ -180,39 +206,57 @@ class JobQueue:
             cache_stores=stores,
             **work.options,
         )
-        finished = time.time()
-        run_seconds = time.monotonic() - start_mono
         queue_seconds = max(0.0, started - work.records[0].enqueued_at)
         for record, result in zip(work.records, results):
-            record.finished_at = finished
-            record.result = result
-            if isinstance(result, JobFailure):
-                record.status = "failed"
+            ok = not isinstance(result, JobFailure)
+            if ok:
+                table = result.release.table
+                record.release_sha256 = table_sha256(table)
+                record.release_csv = self._render(
+                    work.tenant, record.release_sha256, table
+                )
+                record.payload = result.to_dict()
+                self.replay.completed(
+                    record.id, "ok", release_sha256=record.release_sha256
+                )
+            else:
                 record.error = result.to_dict()
                 self.replay.completed(
                     record.id,
                     "failed",
                     error=f"{result.error_type}: {result.error.get('message')}",
                 )
-                self.metrics.finished(
-                    work.tenant, False, queue_seconds, run_seconds
-                )
-            else:
-                record.status = "done"
-                record.release_sha256 = table_sha256(result.release.table)
-                self.replay.completed(
-                    record.id, "ok", release_sha256=record.release_sha256
-                )
-                self.metrics.finished(
-                    work.tenant, True, queue_seconds, run_seconds
-                )
+            self.metrics.finished(
+                work.tenant, ok, queue_seconds, time.monotonic() - start_mono
+            )
+            record.finished_at = time.time()
+            record.status = "done" if ok else "failed"
+
+    def _render(self, tenant: str, digest: str, table: Table) -> bytes:
+        """The release's CSV bytes, rendered once per tenant and release."""
+        dtypes = tuple(
+            (column.codes if column.is_categorical else column.values).dtype.str
+            for column in table
+        )
+        key = (tenant, digest, table.n_rows, dtypes)
+        with self._releases_lock:
+            body = self._releases.get(key)
+        if body is None:
+            body = release_csv_bytes(table)
+            with self._releases_lock:
+                # Two workers may render the same release at once; both
+                # records then share whichever copy landed first.
+                body = self._releases.setdefault(key, body)
+        return body
 
     def _fail_batch(self, work: BatchWork, exc: Exception) -> None:
         finished = time.time()
         error = {"error": f"{type(exc).__name__}: {exc}"}
         for record in work.records:
-            record.status = "failed"
+            if record.status in ("done", "failed"):
+                continue  # finished before the failure; keep its outcome
             record.error = dict(error)
-            record.finished_at = finished
             self.replay.completed(record.id, "failed", error=error["error"])
             self.metrics.finished(work.tenant, False, 0.0, 0.0)
+            record.finished_at = finished
+            record.status = "failed"

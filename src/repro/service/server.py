@@ -22,6 +22,8 @@ is a 404, indistinguishable from an id that never existed.
 Admission is synchronous and cheap (parse config, resolve data, register
 records, enqueue); execution happens on the queue's worker threads. A full
 queue answers 503 with ``Retry-After`` rather than blocking the handler.
+Retrieval serves what the worker froze when the job finished: the status
+payload and the release's CSV bytes, rendered once per tenant and release.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .._version import __version__
 from ..api import AnonymizationConfig, FailurePolicy
 from ..api.executor import _check_workers
 from ..errors import ConfigError, ReproError, SchemaError
-from .data import TableCache, release_csv_bytes
+from .data import TableCache
 from .metrics import ServiceMetrics
 from .queue import BATCH_OPTIONS, BatchWork, JobQueue, JobRecord, QueueFull
 from .replay import ReplayLog
@@ -205,14 +207,16 @@ class AnonymizationService:
         return records
 
     def release_bytes(self, tenant: str, job_id: str) -> bytes | None:
-        """CSV bytes of a finished job's release; None if absent, a string
-        status if the job exists but has no release yet."""
+        """CSV bytes of a finished job's release, as the worker rendered
+        them; None if absent. Raises :class:`_NotReady` if the job exists
+        but has no release (yet)."""
         record = self.job(tenant, job_id)
         if record is None:
             return None
-        if record.status != "done" or record.result is None:
-            raise _NotReady(record.status)
-        return release_csv_bytes(record.result.release.table)
+        status = record.status
+        if status != "done":
+            raise _NotReady(status)
+        return record.release_csv
 
     # -- introspection ---------------------------------------------------------
 
@@ -256,6 +260,13 @@ class _Handler(BaseHTTPRequestHandler):
     service: AnonymizationService  # bound by create_server
     protocol_version = "HTTP/1.1"
     server_version = f"repro-service/{__version__}"
+    # One buffered write per response, sent without Nagle's algorithm.
+    # Unbuffered, the headers and the body leave as two sends; with Nagle
+    # on, the body then waits for the client's delayed ACK of the headers,
+    # about 40 ms on Linux. ``handle_one_request`` flushes after each
+    # method, so a small response leaves as one segment.
+    wbufsize = -1
+    disable_nagle_algorithm = True
     #: 16 MiB request-body ceiling — inline CSV is the only large payload.
     max_body = 16 << 20
 
@@ -325,7 +336,17 @@ class _Handler(BaseHTTPRequestHandler):
         return tenant
 
     def _body(self) -> Any:
-        length = int(self.headers.get("Content-Length", 0) or 0)
+        try:
+            length = int(self.headers.get("Content-Length", 0) or 0)
+        except ValueError:
+            # Without a length the body cannot be skipped, so the
+            # connection cannot carry another request.
+            self._json(
+                400,
+                {"error": "Content-Length must be an integer"},
+                headers={"Connection": "close"},
+            )
+            return _INVALID
         if length <= 0:
             self._json(400, {"error": "request body required"})
             return _INVALID
@@ -335,7 +356,9 @@ class _Handler(BaseHTTPRequestHandler):
         raw = self.rfile.read(length)
         try:
             return json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers malformed JSON and bytes that are not
+            # UTF-8; RecursionError, nesting deeper than the parser allows.
             self._json(400, {"error": f"invalid JSON: {exc}"})
             return _INVALID
 

@@ -10,28 +10,39 @@ What must hold:
   while a different tenant's first batch stays cold;
 * budgets bind: tenant slices re-divide across environments, shrinks evict
   immediately, the environment/tenant LRU ladders fire deterministically;
+* a worker finishes a job completely before it reads ``done``: the
+  record then holds its frozen payload, its digest and CSV bytes rendered
+  once per distinct release per tenant, and no release table;
+* responses leave in one write without Nagle's 40 ms stall, and hostile
+  request bodies get a 400, never a dropped connection;
 * the replay log re-runs to byte-identical releases;
 * ``cache_stores`` warm-starts work at the executor level across two
   separate :func:`run_batch` calls;
 * ``repro serve`` shuts down cleanly and exits 0 on SIGINT and SIGTERM.
 """
 
+import gc
+import http.client
 import json
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
 from repro.api import AnonymizationConfig, run, run_batch
 from repro.api.executor import _environment_key
 from repro.core.cache import EngineCacheStore
+from repro.core.table import Column, Table
 from repro.errors import ConfigError
 from repro.service import (
     AnonymizationService,
@@ -353,6 +364,104 @@ class TestService:
         with pytest.raises(ConfigError):
             service.submit_job("acme", {"data": DATA})
 
+    def test_record_is_never_done_before_its_data(self, service, monkeypatch):
+        from repro.service import queue as queue_module
+
+        real = queue_module.table_sha256
+        seen = []
+
+        def spy(table):
+            # Read every record mid-completion, as a concurrent poll would.
+            with service._lock:
+                records = list(service._jobs.values())
+            seen.extend(
+                (
+                    r.status,
+                    r.release_sha256,
+                    getattr(r, "payload", None),
+                    getattr(r, "release_csv", None),
+                )
+                for r in records
+            )
+            return real(table)
+
+        monkeypatch.setattr(queue_module, "table_sha256", spy)
+        out = service.submit_batch(
+            "acme", {"jobs": [JOB, JOB_OTHER_ENV], "data": DATA}
+        )
+        for job_id in out["job_ids"]:
+            assert _wait(service, job_id).status == "done"
+        done = [state for state in seen if state[0] == "done"]
+        assert done  # the first job was done while the second was hashed
+        assert all(None not in state for state in done), done
+
+    def test_failure_after_a_finished_job_keeps_it_done(self, service, monkeypatch):
+        from repro.service import queue as queue_module
+
+        real = queue_module.release_csv_bytes
+        calls = []
+
+        def second_render_fails(table):
+            calls.append(table.n_rows)
+            if len(calls) == 2:
+                raise MemoryError("render failed")
+            return real(table)
+
+        monkeypatch.setattr(queue_module, "release_csv_bytes", second_render_fails)
+        out = service.submit_batch(
+            "acme", {"jobs": [JOB, JOB_OTHER_ENV], "data": DATA}
+        )
+        first, second = (_wait(service, job_id) for job_id in out["job_ids"])
+        assert first.status == "done" and first.release_csv
+        assert second.status == "failed"
+        assert second.error == {"error": "MemoryError: render failed"}
+
+    def test_identical_releases_share_bytes_within_a_tenant(self, service):
+        first = service.submit_job("acme", {"config": JOB, "data": DATA})
+        second = service.submit_job("acme", {"config": JOB, "data": DATA})
+        other = service.submit_job("rival", {"config": JOB, "data": DATA})
+        for out in (first, second, other):
+            assert _wait(service, out["job_id"]).status == "done"
+        body = service.release_bytes("acme", first["job_id"])
+        assert service.release_bytes("acme", second["job_id"]) is body
+        rival = service.release_bytes("rival", other["job_id"])
+        assert rival == body and rival is not body
+
+    def test_finished_record_keeps_no_release_table(self, service, monkeypatch):
+        from repro.service import queue as queue_module
+
+        real = queue_module.run_batch
+        tables = []
+
+        def spy(*args, **kwargs):
+            results = real(*args, **kwargs)
+            tables.extend(weakref.ref(r.release.table) for r in results)
+            return results
+
+        monkeypatch.setattr(queue_module, "run_batch", spy)
+        out = service.submit_job("acme", {"config": JOB, "data": DATA})
+        record = _wait(service, out["job_id"])
+        service.queue._queue.join()  # the worker is done with the batch
+        gc.collect()
+        assert record.status == "done" and len(tables) == 1
+        assert tables[0]() is None
+        assert record.to_dict()["result"]["summary"]
+        assert service.release_bytes("acme", out["job_id"]) == record.release_csv
+
+    def test_release_memo_tells_dtypes_apart(self, service):
+        # table_sha256 hashes raw buffers: int64 1 and float64 5e-324
+        # digest equal but render differently.
+        one = np.array([1], dtype=np.int64)
+        ints = Table([Column.numeric("x", one)])
+        floats = Table([Column.numeric("x", one.view(np.float64))])
+        digest = table_sha256(ints)
+        assert table_sha256(floats) == digest
+        as_int = service.queue._render("acme", digest, ints)
+        as_float = service.queue._render("acme", digest, floats)
+        assert as_int == release_csv_bytes(ints)
+        assert as_float == release_csv_bytes(floats)
+        assert as_int != as_float
+
     def test_queue_full_rejects_and_rolls_back(self, monkeypatch):
         gate = threading.Event()
         from repro.service import queue as queue_module
@@ -446,6 +555,11 @@ def http_service():
     svc.close()
 
 
+def _host_port(base):
+    host, port = base.removeprefix("http://").rsplit(":", 1)
+    return host, int(port)
+
+
 class TestHTTP:
     def test_end_to_end_over_http(self, http_service):
         _, base = http_service
@@ -529,6 +643,64 @@ class TestHTTP:
         assert excinfo.value.status == 400
         assert f"'{key}'" in excinfo.value.message
         assert svc._jobs == {} and svc._batches == {}
+
+    def test_keep_alive_responses_skip_the_nagle_stall(self, http_service):
+        # Headers and body sent as two writes with Nagle on stall each
+        # response about 40 ms on the client's delayed ACK: 20 took 0.84 s.
+        _, base = http_service
+        conn = http.client.HTTPConnection(*_host_port(base), timeout=10)
+        try:
+            start = time.perf_counter()
+            for _ in range(20):
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                assert response.status == 200
+                response.read()
+            elapsed = time.perf_counter() - start
+        finally:
+            conn.close()
+        assert elapsed < 0.4
+
+    @pytest.mark.parametrize(
+        ("length", "body", "message"),
+        [
+            (b"abc", b"{}", "Content-Length"),
+            (None, b"[" * 100_000, "invalid JSON"),
+            (None, b'{"config": "\xff"}', "invalid JSON"),
+            (
+                None,
+                json.dumps(
+                    {"config": JOB, "data": {**DATA, "csv": CSV_TEXT + "\ud800"}}
+                ).encode(),
+                "'data.csv'",
+            ),
+            (
+                None,
+                json.dumps({"config": {**JOB, "models": 5}, "data": DATA}).encode(),
+                "'models'",
+            ),
+        ],
+        ids=["length-not-integer", "deep-nesting", "not-utf8", "lone-surrogate",
+             "mistyped-config"],
+    )
+    def test_hostile_body_is_400_and_server_survives(
+        self, http_service, length, body, message
+    ):
+        svc, base = http_service
+        if length is None:
+            length = str(len(body)).encode()
+        with socket.create_connection(_host_port(base), timeout=10) as sock:
+            sock.sendall(
+                b"POST /v1/jobs HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Length: " + length + b"\r\n\r\n" + body
+            )
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            payload = json.loads(response.read())
+        assert response.status == 400
+        assert message in payload["error"]
+        assert svc._jobs == {}
+        assert ServiceClient(base).healthz()["status"] == "ok"
 
     def test_unknown_path_404(self, http_service):
         _, base = http_service
