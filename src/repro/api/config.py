@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
+from numbers import Integral, Real
 from typing import Any, Mapping
 
 from ..core.cache import check_cache_bytes
@@ -41,6 +42,10 @@ from .registry import algorithm_registry, metric_registry, model_registry
 __all__ = ["AnonymizationConfig", "build_hierarchies", "build_schema"]
 
 _BUILDERS = ("auto", "flat", "prefix", "interval", "levels", "tree")
+#: Fields holding a list of column or metric names.
+_NAME_LISTS = (
+    "quasi_identifiers", "numeric_quasi_identifiers", "sensitive", "drop", "metrics",
+)
 
 
 @dataclass(frozen=True)
@@ -108,10 +113,10 @@ class AnonymizationConfig:
     job_timeout: float | None = None
 
     def __post_init__(self):
+        self._check_types()
         # Normalize sequence fields to tuples so configs hash/compare sanely
         # even when constructed with lists (e.g. straight from JSON).
-        for name in ("quasi_identifiers", "numeric_quasi_identifiers", "sensitive",
-                     "drop", "metrics"):
+        for name in _NAME_LISTS:
             object.__setattr__(self, name, tuple(getattr(self, name)))
         object.__setattr__(
             self, "models", tuple(dict(m) for m in self.models)
@@ -123,6 +128,40 @@ class AnonymizationConfig:
         self.validate()
 
     # -- validation ----------------------------------------------------------
+
+    def _check_types(self) -> None:
+        """Reject a field of the wrong JSON type before it is normalized.
+
+        Normalizing first would turn ``"zip"`` into the columns ``z``,
+        ``i``, ``p`` and an integer into a bare ``TypeError``.
+        """
+        for key in _NAME_LISTS:
+            value = getattr(self, key)
+            if not isinstance(value, (list, tuple)) or not all(
+                isinstance(name, str) for name in value
+            ):
+                raise ConfigError(f"key {key!r} must be a list of names")
+        if not isinstance(self.models, (list, tuple)) or not all(
+            isinstance(spec, Mapping) for spec in self.models
+        ):
+            raise ConfigError("key 'models' must be a list of model objects")
+        if not isinstance(self.algorithm, Mapping):
+            raise ConfigError("key 'algorithm' must be an algorithm object")
+        if not isinstance(self.hierarchies, Mapping) or not all(
+            isinstance(spec, Mapping) for spec in self.hierarchies.values()
+        ):
+            raise ConfigError(
+                "key 'hierarchies' must be an object of hierarchy-spec objects"
+            )
+        if isinstance(self.bins, bool) or not isinstance(self.bins, Integral):
+            raise ConfigError(f"key 'bins' must be an integer, got {self.bins!r}")
+        if self.max_suppression is not None and (
+            isinstance(self.max_suppression, bool)
+            or not isinstance(self.max_suppression, Real)
+        ):
+            raise ConfigError(
+                f"key 'max_suppression' must be a number, got {self.max_suppression!r}"
+            )
 
     def validate(self) -> None:
         if not self.quasi_identifiers and not self.numeric_quasi_identifiers:
@@ -268,8 +307,7 @@ class AnonymizationConfig:
     def to_dict(self) -> dict[str, Any]:
         """Plain JSON-safe dict; ``from_dict`` round-trips it exactly."""
         out = asdict(self)
-        for key in ("quasi_identifiers", "numeric_quasi_identifiers", "sensitive",
-                    "drop", "metrics"):
+        for key in _NAME_LISTS:
             out[key] = list(out[key])
         out["models"] = [dict(m) for m in self.models]
         return out

@@ -147,7 +147,13 @@ class Registry:
             raise ConfigError(
                 f"{self.kind} spec {dict(spec)!r} is missing the {self.spec_key!r} key"
             )
-        entry = self._entry(spec[self.spec_key])
+        name = spec[self.spec_key]
+        if not isinstance(name, str):
+            raise ConfigError(
+                f"{self.kind} spec key {self.spec_key!r} must be a name string, "
+                f"got {name!r}"
+            )
+        entry = self._entry(name)
         unknown = sorted(set(spec) - {self.spec_key} - set(entry.params))
         if unknown:
             raise ConfigError(

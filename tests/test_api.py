@@ -252,6 +252,47 @@ class TestConfig:
         with pytest.raises(ConfigError, match="not valid JSON"):
             AnonymizationConfig.from_json("{nope")
 
+    @pytest.mark.parametrize(
+        ("override", "key"),
+        [
+            ({"quasi_identifiers": "zipcode"}, "quasi_identifiers"),
+            ({"quasi_identifiers": [5]}, "quasi_identifiers"),
+            ({"numeric_quasi_identifiers": "age"}, "numeric_quasi_identifiers"),
+            ({"sensitive": 5}, "sensitive"),
+            ({"drop": {"ssn": True}}, "drop"),
+            ({"metrics": 5}, "metrics"),
+            ({"models": 5}, "models"),
+            ({"models": [5]}, "models"),
+            ({"models": {"model": "k-anonymity", "k": 2}}, "models"),
+            ({"models": [{"model": ["k-anonymity"], "k": 2}]}, "model"),
+            ({"algorithm": 5}, "algorithm"),
+            ({"algorithm": ["flash"]}, "algorithm"),
+            ({"algorithm": {"algorithm": ["flash"]}}, "algorithm"),
+            ({"hierarchies": [1]}, "hierarchies"),
+            ({"hierarchies": {"job": "flat"}}, "hierarchies"),
+            ({"bins": "16"}, "bins"),
+            ({"bins": True}, "bins"),
+            ({"max_suppression": "0.1"}, "max_suppression"),
+        ],
+        ids=lambda value: json.dumps(value) if isinstance(value, dict) else value,
+    )
+    def test_wrongly_typed_field_is_named(self, override, key):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            AnonymizationConfig.from_dict({**JOB, **override})
+
+    def test_wrongly_typed_field_via_cli_is_one_error_line(
+        self, csv_path, tmp_path, capsys
+    ):
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({**JOB, "models": 5}))
+        out = tmp_path / "out.csv"
+        rc = cli_main([str(csv_path), str(out), "--config", str(job)])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: key 'models' must be a list of model objects"
+        ]
+        assert not out.exists()
+
     def test_invalid_json_config_via_cli_returns_error(self, csv_path, tmp_path, capsys):
         job = tmp_path / "job.json"
         job.write_text(json.dumps({"quasi_identifiers": ["zipcode"], "metrics": ["gpc"]}))
