@@ -132,9 +132,9 @@ class JobQueue:
         # dtype, so an int64 1 and the float64 5e-324 share a digest but
         # not a rendering; the row count and dtypes tell them apart. Every
         # entry is referenced by at least one job record, and records live
-        # as long as the process, so the memo retains at most one CSV per
-        # distinct release per tenant — where each record used to pin its
-        # own release table. No eviction: entries go when records do.
+        # as long as the process, so the memo holds nothing the records do
+        # not: at most one CSV per distinct release per tenant, and no
+        # release table. Bounding it means bounding record retention.
         self._releases: dict[tuple, bytes] = {}
         self._releases_lock = threading.Lock()
         self._queue: "queue.Queue[BatchWork | None]" = queue.Queue(maxsize=depth)

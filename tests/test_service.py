@@ -10,7 +10,7 @@ What must hold:
   while a different tenant's first batch stays cold;
 * budgets bind: tenant slices re-divide across environments, shrinks evict
   immediately, the environment/tenant LRU ladders fire deterministically;
-* a worker finishes a job completely before it reads ``done``: the
+* a worker finishes a job completely before the job reads ``done``: the
   record then holds its frozen payload, its digest and CSV bytes rendered
   once per distinct release per tenant, and no release table;
 * responses leave in one write without Nagle's 40 ms stall, and hostile
@@ -646,7 +646,8 @@ class TestHTTP:
 
     def test_keep_alive_responses_skip_the_nagle_stall(self, http_service):
         # Headers and body sent as two writes with Nagle on stall each
-        # response about 40 ms on the client's delayed ACK: 20 took 0.84 s.
+        # response on the client's delayed ACK, about 40 ms on Linux, so
+        # 20 responses take about 0.8 s; in one write they take a few ms.
         _, base = http_service
         conn = http.client.HTTPConnection(*_host_port(base), timeout=10)
         try:
