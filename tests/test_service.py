@@ -427,6 +427,26 @@ class TestService:
         rival = service.release_bytes("rival", other["job_id"])
         assert rival == body and rival is not body
 
+    def test_concurrent_workers_share_one_rendering(self):
+        # More workers than cores and a short switch interval: workers that
+        # miss the memo together must still leave every record one object.
+        interval = sys.getswitchinterval()
+        svc = AnonymizationService(queue_workers=4, queue_depth=32)
+        try:
+            sys.setswitchinterval(1e-6)
+            outs = [
+                svc.submit_job("acme", {"config": JOB, "data": DATA})
+                for _ in range(32)
+            ]
+            bodies = []
+            for out in outs:
+                _wait(svc, out["job_id"])
+                bodies.append(svc.release_bytes("acme", out["job_id"]))
+        finally:
+            sys.setswitchinterval(interval)
+            svc.close()
+        assert all(body is bodies[0] for body in bodies)
+
     def test_finished_record_keeps_no_release_table(self, service, monkeypatch):
         from repro.service import queue as queue_module
 
