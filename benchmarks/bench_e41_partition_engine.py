@@ -4,9 +4,11 @@ The local-recoding family (Mondrian, TopDownSpecialization, MDAV,
 k-member) runs on the partition engine: per-group row indices,
 flattened-bincount histograms, and incremental split deltas (child
 histogram = parent − sibling). Mondrian's range-scored modes additionally
-run on a frontier-vectorized BFS driver that derives every per-(group, QI)
-quantity — spans, medians, cut sizes, child histograms, model verdicts —
-from a handful of fused bincounts and cumulative sums per tree level.
+split a whole tree level at once: per level, each QI's spans, medians and
+cut sizes for every group come from one sort of (group, code) keys, child
+sensitive histograms from one bincount per side, every model's verdicts
+from one ``ok_mask`` call per QI and side, and the chosen cuts of all
+groups are applied by one stable sort that lays out the next level.
 
 The gate run is relaxed Mondrian under k=10 + distinct 3-diversity +
 0.35-t-closeness on a 100k-row Adult-schema table (seed 42). It is timed

@@ -23,12 +23,14 @@ feasibility checks call each privacy model's ``ok_mask`` with sensitive
 histograms derived incrementally (child = parent − sibling), the median and
 the parent label entropy are computed once per node, and the relaxed
 median-balancing assignment is closed-form vectorized. Range-scored runs
-(``target=None``) use a frontier-vectorized BFS driver that derives every
-per-(group, QI) quantity — spans, medians, cut sizes, child histograms,
-every model's verdicts — from fused bincounts and cumulative sums over a
-whole tree level at once, then re-emits leaves in DFS stack order; InfoGain
-runs stay on the per-node DFS. Cache counters ride in
-``release.info["partition_cache"]``.
+(``target=None``) split a whole tree level at once over packed arrays: each
+QI's spans, medians and cut sizes for every group of a tree level come from
+one sort of that level's (group, code) keys, every model's verdicts from
+one ``ok_mask`` call per QI and side, and the chosen cuts of all groups are
+applied and laid out for the next level by one stable sort, so the work per
+level is a fixed number of array operations whatever its group count.
+Leaves are re-emitted in DFS stack order; InfoGain runs stay on the
+per-node DFS. Cache counters ride in ``release.info["partition_cache"]``.
 """
 
 from __future__ import annotations
@@ -196,19 +198,28 @@ def _relaxed_left_mask(codes, gid, starts, idx_lt, idx_le, diff, head) -> np.nda
     """Rows sent left by the relaxed cut: every row below the median, plus
     the median-valued rows :meth:`Mondrian._cut_positions` assigns left."""
     less_mask = codes < idx_lt[gid]
-    eq_mask = (codes >= idx_lt[gid]) & (codes < idx_le[gid])
+    eq_mask = ~less_mask & (codes < idx_le[gid])
     # Rank of each median-valued row among its group's median block (group
-    # row order), then the same head-then-alternate assignment.
+    # row order), counted from the end of the head.
     eq_cum = np.cumsum(eq_mask)
-    base = eq_cum[starts] - eq_mask[starts]
-    rank = eq_cum - 1 - base[gid]
-    head = head[gid]
-    go_left = np.where(
-        diff[gid] <= 0,
-        (rank < head) | (((rank - head) % 2) == 1),
-        (rank >= head) & (((rank - head) % 2) == 0),
-    )
-    return less_mask | (eq_mask & go_left)
+    before = eq_cum[starts] - eq_mask[starts]
+    past_head = eq_cum - (before + 1 + head)[gid]
+    # The same head-then-alternate assignment: with diff <= 0 the head and
+    # then every odd row go left, with diff > 0 exactly the other rows.
+    # (``& 1`` is the parity of negative integers too.)
+    head_or_odd = (past_head < 0) | ((past_head & 1) == 1)
+    return less_mask | (eq_mask & (head_or_odd != (diff > 0)[gid]))
+
+
+def _pair_sort(major: np.ndarray, minor: np.ndarray, bound: int) -> np.ndarray:
+    """``minor`` ordered by (``major``, ``minor``), like ``minor[np.lexsort((minor,
+    major))]``, as one sort of the pairs packed into int64s.
+
+    Both arrays are non-negative integers, ``minor`` below ``bound``, and
+    ``major`` small enough that ``major << bound.bit_length()`` fits.
+    """
+    shift = int(bound).bit_length()
+    return np.sort((major << shift) | minor) & ((1 << shift) - 1)
 
 
 class Mondrian:
@@ -298,78 +309,76 @@ class Mondrian:
     def _partition_frontier(self, engine, root, qi_names, views, spans, models):
         """Level-synchronous vectorized driver for range-scored Mondrian.
 
-        Instead of re-gathering values and re-deriving statistics one node
-        at a time, each frontier (all groups of one tree depth) is packed
-        into contiguous arrays and every per-(group, QI) quantity — spans,
-        medians, cut sizes, child sensitive histograms — comes out of a
-        handful of fused bincounts and cumulative sums over the whole
-        level. Every model's ``ok_mask`` then runs once per QI on the
-        left and on the right children of all groups. The per-group Python
-        loop only resolves candidate order and materializes the accepted
-        cut (via the same ``_cut_positions`` closed form as the per-node
-        path), so releases stay byte-identical to the per-node DFS while
-        per-node overhead amortizes away. Leaves are finally re-emitted in
-        DFS stack order, so both drivers return the same leaf list.
+        A frontier level (every group of one tree depth with at least two
+        rows) is packed arrays: ``rows`` holds each group's rows
+        contiguously in algorithm order, beside per-group ``sizes`` and
+        node ids. Each QI's order statistics come from one sort of
+        ``gid * n_values + code`` over the level: a group's codes form a
+        sorted run, whose ends give the span score, whose middle entries
+        give the median, and where ``searchsorted`` finds the cut sizes.
+        Every model's ``ok_mask`` then runs once per QI on the left and
+        on the right children of all groups. Each group takes its first
+        feasible QI in ``sorted((score, name), reverse=True)`` order, and
+        the whole level is cut with the closed-form left masks and laid
+        out for the next level by one stable sort on (child,
+        median-valued), which reproduces :meth:`_cut_positions`' child
+        row order. A group that does not split is a leaf; leaves are
+        finally re-emitted in DFS stack order, so the frontier and the
+        per-node DFS return the same leaf list.
         """
-        n_qis = len(qi_names)
-        qi_idx = {name: i for i, name in enumerate(qi_names)}
+        if root.size < 2:
+            return [np.sort(root.rows)]
+        n_qis, n_rows = len(qi_names), root.size
         # Value-space encodings: sorted distinct values per QI plus per-row
         # codes into them, so medians/spans/cut counts are exact in the same
         # float64 value space the per-node path compares in.
         enc_vals: list[np.ndarray] = []
-        enc_codes: list[np.ndarray] = []
-        for name in qi_names:
-            vals, inverse = np.unique(views[name], return_inverse=True)
+        all_codes = np.empty((n_qis, n_rows), dtype=np.int64)
+        for qi, name in enumerate(qi_names):
+            vals, all_codes[qi] = np.unique(views[name], return_inverse=True)
             enc_vals.append(vals)
-            enc_codes.append(inverse.astype(np.int64))
+        # Walking the QIs by ascending name and letting >= on the score take
+        # over picks the first feasible QI of sorted(..., reverse=True).
+        by_name = sorted(range(n_qis), key=qi_names.__getitem__)
         relaxed = self.mode == "relaxed"
 
-        children_of: dict[int, tuple[PartitionGroup, PartitionGroup]] = {}
-        frontier = [root]
-        while frontier:
-            active = [g for g in frontier if g.size >= 2]
-            if not active:
-                break
-            n_groups = len(active)
-            sizes = np.array([g.size for g in active], dtype=np.int64)
-            starts = np.zeros(n_groups, dtype=np.int64)
-            np.cumsum(sizes[:-1], out=starts[1:])
+        # Node ids: the root is 0, and a split's two children take the next
+        # two free ids, left first.
+        leaf_rows: dict[int, np.ndarray] = {}
+        first_child: dict[int, int] = {}
+        rows = root.rows
+        sizes = np.array([root.size], dtype=np.int64)
+        ids = np.zeros(1, dtype=np.int64)
+        n_nodes = 1
+        while sizes.size:
+            n_groups = sizes.size
+            starts = np.cumsum(sizes) - sizes
             gid = np.repeat(np.arange(n_groups, dtype=np.int64), sizes)
-            rows_lvl = np.concatenate([g.rows for g in active])
-            level = _Level(engine, rows_lvl, gid, n_groups)
+            level = _Level(engine, rows, gid, n_groups)
 
             scores = np.empty((n_qis, n_groups))
-            medians = np.empty((n_qis, n_groups))
-            feasible = np.zeros((n_qis, n_groups), dtype=bool)
-            arange_g = np.arange(n_groups)
+            feasible = np.empty((n_qis, n_groups), dtype=bool)
+            # Each QI's closed-form cut parameters, per group.
+            params = np.empty((n_qis, 4 if relaxed else 1, n_groups), dtype=np.int64)
             for qi, name in enumerate(qi_names):
                 vals = enc_vals[qi]
-                n_cats = vals.size
-                codes_lvl = enc_codes[qi][rows_lvl]
-                hist = grouped_histograms(gid, codes_lvl, n_groups, n_cats)
-                # cum[:, i] = per-group count of codes < i (leading zero col).
-                cum = np.concatenate(
-                    [np.zeros((n_groups, 1), dtype=np.int64), hist.cumsum(axis=1)],
-                    axis=1,
-                )
-                present = hist > 0
-                first = present.argmax(axis=1)
-                last = n_cats - 1 - present[:, ::-1].argmax(axis=1)
+                codes_lvl = all_codes[qi][rows]
+                base = np.arange(n_groups, dtype=np.int64) * vals.size
+                runs = np.sort(base[gid] + codes_lvl)
+                first = runs[starts] - base
+                last = runs[starts + sizes - 1] - base
                 scores[qi] = (vals[last] - vals[first]) / spans[name]
 
                 # Median = mean of the two middle order statistics, exactly
                 # as np.median computes it on the gathered float64 values.
-                k_lo = (sizes - 1) // 2
-                k_hi = sizes // 2
-                i_lo = (cum[:, 1:] <= k_lo[:, None]).sum(axis=1)
-                i_hi = (cum[:, 1:] <= k_hi[:, None]).sum(axis=1)
+                i_lo = runs[starts + (sizes - 1) // 2] - base
+                i_hi = runs[starts + sizes // 2] - base
                 median = (vals[i_lo] + vals[i_hi]) / 2.0
-                medians[qi] = median
 
                 idx_lt = np.searchsorted(vals, median, side="left")
                 idx_le = np.searchsorted(vals, median, side="right")
-                n_lt = cum[arange_g, idx_lt]
-                n_le = cum[arange_g, idx_le]
+                n_lt = np.searchsorted(runs, base + idx_lt) - starts
+                n_le = np.searchsorted(runs, base + idx_le) - starts
                 n_eq = n_le - n_lt
 
                 if not relaxed:
@@ -378,6 +387,7 @@ class Mondrian:
                     degenerate = ~ok_le & ~ok_lt
                     boundary = np.where(ok_le, idx_le, idx_lt)
                     left_sizes = np.where(ok_le, n_le, n_lt)
+                    params[qi] = boundary
                     left_mask = partial(_strict_left_mask, codes_lvl, gid, boundary)
                 else:
                     diff = n_lt - (sizes - n_le)
@@ -388,9 +398,10 @@ class Mondrian:
                     left_eq = np.where(diff <= 0, left_eq_bal, left_eq_skip)
                     left_sizes = n_lt + left_eq
                     degenerate = (left_sizes == 0) | (left_sizes == sizes)
+                    head = np.where(diff <= 0, head_bal, head_skip)
+                    params[qi] = (idx_lt, idx_le, diff, head)
                     left_mask = partial(
-                        _relaxed_left_mask, codes_lvl, gid, starts, idx_lt, idx_le,
-                        diff, np.where(diff <= 0, head_bal, head_skip),
+                        _relaxed_left_mask, codes_lvl, gid, starts, idx_lt, idx_le, diff, head
                     )
 
                 cut = _Cut(level, left_mask)
@@ -402,37 +413,73 @@ class Mondrian:
                 feasible[qi] = verdict
             engine.counters["checks_fast"] += n_groups * len(models)
 
-            next_frontier: list[PartitionGroup] = []
-            for j, group in enumerate(active):
-                candidates = sorted(
-                    ((float(scores[qi, j]), qi_names[qi]) for qi in range(n_qis)),
-                    reverse=True,
-                )
-                for _, name in candidates:
-                    qi = qi_idx[name]
-                    if feasible[qi, j]:
-                        positions = self._cut_positions(
-                            views[name][group.rows], float(medians[qi, j])
-                        )
-                        split = engine.split(group, positions[0], positions[1])
-                        children_of[id(group)] = split
-                        next_frontier.extend(split)
-                        break
-            frontier = next_frontier
+            best = np.full(n_groups, -1)
+            best_score = np.full(n_groups, -np.inf)
+            for qi in by_name:
+                take = feasible[qi] & (scores[qi] >= best_score)
+                best[take] = qi
+                best_score[take] = scores[qi][take]
+            split = best >= 0
+
+            if not split.all():
+                # Groups with no feasible cut are leaves: their rows sorted,
+                # one sort for the whole level.
+                stay = ~split
+                in_leaf = stay[gid]
+                kept_rows = _pair_sort(gid[in_leaf], rows[in_leaf], n_rows)
+                ends = np.cumsum(sizes[stay]).tolist()
+                leaf_rows.update(zip(
+                    ids[stay].tolist(),
+                    (kept_rows[a:b] for a, b in zip([0, *ends], ends)),
+                ))
+            n_split = int(split.sum())
+            if not n_split:
+                break
+            engine.counters["groups_materialized"] += 2 * n_split
+
+            # Cut every splitting group under its chosen QI at once.
+            moving = split[gid]
+            rows = rows[moving]
+            sizes = sizes[split]
+            starts = np.cumsum(sizes) - sizes
+            gid = np.repeat(np.arange(n_split, dtype=np.int64), sizes)
+            chosen = best[split]
+            cut_params = params[chosen, :, np.flatnonzero(split)].T
+            codes_cut = np.take(all_codes, chosen[gid] * n_rows + rows)
+            if relaxed:
+                idx_lt, idx_le = cut_params[0], cut_params[1]
+                child = 2 * gid + ~_relaxed_left_mask(codes_cut, gid, starts, *cut_params)
+                # Within a child the off-median rows come first, then the
+                # median-valued ones, each block in parent order.
+                key = 2 * child + ((codes_cut >= idx_lt[gid]) & (codes_cut < idx_le[gid]))
+            else:
+                child = key = 2 * gid + ~_strict_left_mask(codes_cut, gid, cut_params[0])
+            rows = rows[_pair_sort(key, np.arange(rows.size), rows.size)]
+            sizes = np.bincount(child, minlength=2 * n_split)
+
+            first_child.update(zip(ids[split].tolist(), range(n_nodes, n_nodes + 2 * n_split, 2)))
+            ids = n_nodes + np.arange(2 * n_split, dtype=np.int64)
+            n_nodes += 2 * n_split
+
+            single = sizes < 2
+            if single.any():
+                lone = np.repeat(single, sizes)
+                leaf_rows.update(zip(ids[single].tolist(), rows[lone].reshape(-1, 1)))
+                rows, sizes, ids = rows[~lone], sizes[~single], ids[~single]
 
         # Re-emit leaves in the exact order a DFS stack produces them. The
         # release does not depend on leaf order (recoded categories are
         # sorted labels), but test_frontier_and_dfs_drivers_cut_identical_leaves
         # compares the two drivers leaf by leaf.
         leaves: list[np.ndarray] = []
-        stack = [root]
+        stack = [0]
         while stack:
-            group = stack.pop()
-            kids = children_of.get(id(group))
-            if kids is None:
-                leaves.append(np.sort(group.rows))
+            node = stack.pop()
+            child = first_child.get(node)
+            if child is None:
+                leaves.append(leaf_rows[node])
             else:
-                stack.extend(kids)
+                stack += (child, child + 1)
         return leaves
 
     def _best_split(

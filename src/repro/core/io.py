@@ -54,9 +54,11 @@ def read_csv(
 
     Columns named in ``categorical``/``numeric`` are typed accordingly;
     every other column is numeric if all its values parse as floats, else
-    categorical. Values are stripped of surrounding whitespace.
+    categorical. Values are stripped of surrounding whitespace. The file is
+    read as UTF-8; a leading byte-order mark, as spreadsheet "CSV UTF-8"
+    exports write, is dropped.
     """
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         header, cells = _cells(handle, path, delimiter)
     return _table(header, cells, categorical, numeric)
 
@@ -65,7 +67,7 @@ def parse_csv(
     data: bytes, categorical: Sequence[str] = (), numeric: Sequence[str] = ()
 ) -> Table:
     """:func:`read_csv` over in-memory, comma-separated bytes."""
-    with io.TextIOWrapper(io.BytesIO(data), newline="") as handle:
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="") as handle:
         header, cells = _cells(handle, _PAYLOAD, ",")
     return _table(header, cells, categorical, numeric)
 

@@ -31,6 +31,9 @@ This module is the partition-based analog of ``GroupStats``:
 Group row order is preserved verbatim (children are carved out positionally,
 not re-sorted): relaxed-mode Mondrian's child ordering feeds its grandchild
 splits, so order is part of byte-for-byte output parity with the legacy path.
+Mondrian's frontier keeps a level's groups as packed arrays rather
+than ``PartitionGroup`` objects and reproduces the same positional order
+with one stable sort per level.
 """
 
 from __future__ import annotations

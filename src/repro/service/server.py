@@ -269,6 +269,11 @@ class _Handler(BaseHTTPRequestHandler):
     disable_nagle_algorithm = True
     #: 16 MiB request-body ceiling — inline CSV is the only large payload.
     max_body = 16 << 20
+    #: Seconds a socket read may stall (``StreamRequestHandler`` sets it on
+    #: the connection), the ``ServiceClient`` default. A client that sends
+    #: less body than its Content-Length gets a 408 and an idle keep-alive
+    #: connection closes, instead of either holding a handler thread forever.
+    timeout = 30
 
     # -- routing ---------------------------------------------------------------
 
@@ -353,7 +358,17 @@ class _Handler(BaseHTTPRequestHandler):
         if length > self.max_body:
             self._json(413, {"error": f"body exceeds {self.max_body} bytes"})
             return _INVALID
-        raw = self.rfile.read(length)
+        try:
+            raw = self.rfile.read(length)
+        except TimeoutError:
+            # Whatever part of the body did arrive is lost with the read,
+            # so the connection cannot carry another request.
+            self._json(
+                408,
+                {"error": f"request body not received within {self.timeout} s"},
+                headers={"Connection": "close"},
+            )
+            return _INVALID
         try:
             return json.loads(raw)
         except (ValueError, RecursionError) as exc:

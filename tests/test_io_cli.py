@@ -460,6 +460,27 @@ class TestCLI:
         ]
         assert not out.exists()
 
+    @pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+    def test_byte_order_mark_is_dropped(self, csv_path, tmp_path, quoted):
+        # Spreadsheet "CSV UTF-8" exports start with a UTF-8 byte-order mark.
+        text = csv_path.read_text()
+        if quoted:
+            text = text.replace("engineer", '"engineer, senior"')
+        plain = tmp_path / "plain.csv"
+        plain.write_bytes(text.encode())
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert_same_table(parse_csv(marked.read_bytes()), parse_csv(plain.read_bytes()))
+        assert_same_table(read_csv(marked), read_csv(plain))
+        args = [
+            "--qi", "zipcode", "--qi", "job", "--numeric-qi", "age",
+            "--sensitive", "disease", "--k", "2",
+        ]
+        assert main([str(plain), str(tmp_path / "plain-out.csv"), *args]) == 0
+        assert main([str(marked), str(tmp_path / "marked-out.csv"), *args]) == 0
+        released = (tmp_path / "plain-out.csv").read_bytes()
+        assert (tmp_path / "marked-out.csv").read_bytes() == released
+
     def test_drop_removes_identifier(self, csv_path, tmp_path):
         out = tmp_path / "anon.csv"
         main(

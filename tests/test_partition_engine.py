@@ -17,16 +17,20 @@ contract that makes it trustworthy:
 * **batch identity** — the newly registered algorithms run through
   ``run_batch`` JSON configs with ``workers=2`` byte-identical to sequential;
 * **closed-form relaxed cut** — ``Mondrian._cut_positions`` reproduces the
-  one-row-at-a-time balancing append loop exactly, row for row.
+  one-row-at-a-time balancing append loop exactly, row for row;
+* **frontier = DFS** — Mondrian's level-at-once frontier cuts the per-node
+  DFS's leaves, leaf for leaf, on Adult and on seeded random tables, and its
+  memory does not grow with the number of values of a QI.
 """
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from repro.api import AnonymizationConfig, run_batch
+from repro.api import AnonymizationConfig, run, run_batch
 from repro.api.registry import algorithm_registry, model_registry
 from repro.cli import main as cli_main
 from repro.algorithms import (
@@ -261,13 +265,43 @@ def test_model_mix_parity(table, schema, hierarchies, algorithm, mix):
     )
 
 
-@pytest.mark.parametrize("mix", MODEL_MIXES)
+#: ``random_scenario`` tables the frontier and the DFS are also compared on, as
+#: (rows, values per categorical QI, seed): from 2 to 3,000 rows, with
+#: heavy ties and one-value QIs.
+_FRONTIER_SCENARIOS = [
+    (2, 1, 0), (3, 12, 1), (7, 2, 2), (40, 1, 3), (120, 12, 4),
+    (400, 3, 5), (1000, 6, 6), (3000, 1, 7), (3000, 12, 8),
+]
+
+#: Their model mixes. k=1 leaves one-row groups in a level beside groups
+#: that still split.
+_FRONTIER_MIXES = {
+    "k1": lambda: [KAnonymity(1)],
+    "k2": lambda: [KAnonymity(2)],
+    "k3+l2": lambda: [KAnonymity(3), DistinctLDiversity(2, "sensitive")],
+}
+
+
+@pytest.mark.parametrize(
+    "scenario, mix",
+    [pytest.param(None, mix, id=mix) for mix in MODEL_MIXES]
+    + [
+        pytest.param(scenario, mix, id=f"random-{scenario[0]}x{scenario[1]}-s{scenario[2]}-{mix}")
+        for scenario in _FRONTIER_SCENARIOS
+        for mix in _FRONTIER_MIXES
+    ],
+)
 @pytest.mark.parametrize("mode", ["strict", "relaxed"])
-def test_frontier_and_dfs_drivers_cut_identical_leaves(table, schema, mode, mix):
+def test_frontier_and_dfs_drivers_cut_identical_leaves(table, schema, mode, scenario, mix):
+    if scenario is None:
+        models = _model_mix(mix)
+    else:
+        n_rows, n_values, seed = scenario
+        table, schema, _ = random_scenario(n_rows=n_rows, n_values=n_values, seed=seed)
+        models = _FRONTIER_MIXES[mix]()
     qi = schema.quasi_identifiers
     views, spans = _value_views(table, qi)
     mondrian = Mondrian(mode=mode)
-    models = _model_mix(mix)
 
     def leaves(driver):
         engine = PartitionEngine(table)
@@ -278,6 +312,35 @@ def test_frontier_and_dfs_drivers_cut_identical_leaves(table, schema, mode, mix)
     assert len(frontier) == len(dfs)
     for mine, theirs in zip(frontier, dfs):
         assert np.array_equal(mine, theirs)
+
+
+@pytest.mark.parametrize("mode", ["strict", "relaxed"])
+def test_mondrian_memory_stays_flat_on_a_many_valued_qi(mode):
+    # A frontier level's order statistics must not cost (groups x values)
+    # cells: at k=2 a level holds thousands of groups, and the QI has 2,000
+    # values.
+    rng = np.random.default_rng(5)
+    n_rows = 20_000
+    places = [f"p{i:04d}" for i in range(2_000)]
+    table = Table([
+        Column.categorical("place", [places[i] for i in rng.integers(0, 2_000, n_rows)], places),
+        Column.numeric("age", rng.integers(17, 91, n_rows).astype(np.float64)),
+    ])
+    models = [{"model": "k-anonymity", "k": 2}]
+    config = AnonymizationConfig.from_dict({
+        "quasi_identifiers": ["place"],
+        "numeric_quasi_identifiers": ["age"],
+        "models": models,
+        "algorithm": {"algorithm": "mondrian", "mode": mode},
+    })
+    tracemalloc.start()
+    try:
+        result = run(config, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.0f} MiB"
+    assert violations(result.release.table, ["place", "age"], models) == []
 
 
 # -- truthful local recoding ---------------------------------------------------

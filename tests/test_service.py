@@ -54,6 +54,7 @@ from repro.service import (
     read_events,
     replay,
 )
+from repro.service import server as service_server
 from repro.service.data import load_data_spec, release_csv_bytes, table_sha256
 from repro.service.metrics import LATENCY_BUCKETS, LatencyHistogram, ServiceMetrics
 
@@ -721,6 +722,45 @@ class TestHTTP:
         assert response.status == 400
         assert message in payload["error"]
         assert svc._jobs == {}
+        assert ServiceClient(base).healthz()["status"] == "ok"
+
+    def test_stalled_body_is_408_and_frees_the_handler(self, http_service, monkeypatch):
+        # A client that sends less body than its Content-Length would hold a
+        # handler thread forever without a read timeout on the connection.
+        svc, base = http_service
+        monkeypatch.setattr(service_server._Handler, "timeout", 0.5)
+        before = set(threading.enumerate())
+        with socket.create_connection(_host_port(base), timeout=10) as sock:
+            start = time.perf_counter()
+            sock.sendall(
+                b"POST /v1/jobs HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Length: 100\r\n\r\n" + b'{"config": '
+            )
+            handlers = []
+            while not handlers and time.perf_counter() - start < 2:
+                handlers = [
+                    thread for thread in set(threading.enumerate()) - before
+                    if "process_request_thread" in thread.name
+                ]
+                time.sleep(0.01)
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            payload = json.loads(response.read())
+            elapsed = time.perf_counter() - start
+            assert sock.recv(1) == b""  # the server closed the connection
+        assert response.status == 408
+        assert response.getheader("Connection") == "close"
+        assert "request body" in payload["error"]
+        assert elapsed < 2
+        assert len(handlers) == 1
+        handlers[0].join(timeout=2)
+        assert not handlers[0].is_alive()
+        assert svc._jobs == {}
+        # An idle keep-alive connection closes after the same timeout.
+        with socket.create_connection(_host_port(base), timeout=10) as idle:
+            start = time.perf_counter()
+            assert idle.recv(1) == b""
+            assert time.perf_counter() - start < 2
         assert ServiceClient(base).healthz()["status"] == "ok"
 
     def test_unknown_path_404(self, http_service):
