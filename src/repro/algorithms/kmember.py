@@ -138,10 +138,8 @@ class _LossModel:
             hierarchy = hierarchies[name]
             assert isinstance(hierarchy, Hierarchy)
             # Remap column codes into hierarchy ground codes once.
-            col = table.column(name)
-            index = {value: code for code, value in enumerate(hierarchy.ground)}
-            translate = np.array([index[v] for v in col.categories], dtype=np.int64)
-            self.categorical[name] = (translate[col.codes], hierarchy)
+            codes = hierarchy.ground_codes(table.column(name)).astype(np.int64)
+            self.categorical[name] = (codes, hierarchy)
         self._stats: dict[int, _ClusterAggregates] = {}
 
     def cluster_loss(self, rows: Sequence[int]) -> float:

@@ -36,7 +36,7 @@ from ..core.cache import check_cache_bytes
 from ..core.hierarchy import Hierarchy, IntervalHierarchy
 from ..core.schema import Schema, check_finite
 from ..core.table import Table, check_chunk_rows
-from ..errors import ConfigError
+from ..errors import ConfigError, SchemaError
 from .registry import algorithm_registry, metric_registry, model_registry
 
 __all__ = ["AnonymizationConfig", "build_hierarchies", "build_schema"]
@@ -364,6 +364,9 @@ def build_schema(config: AnonymizationConfig, table: Table) -> Schema:
 
 def build_hierarchies(config: AnonymizationConfig, table: Table) -> dict:
     """Materialize every QI's hierarchy spec against the concrete table."""
+    if not table.n_rows:
+        # Auto hierarchies span the rows' values; zero rows have none.
+        raise SchemaError("the table has no rows to anonymize")
     hierarchies: dict = {}
     for name in config.quasi_identifiers:
         spec = config.hierarchies.get(name, {"builder": "auto"})
@@ -378,7 +381,8 @@ def _build_categorical(
     name: str, spec: Mapping[str, Any], table: Table, config: AnonymizationConfig
 ) -> Hierarchy:
     builder = spec["builder"] if "builder" in spec else "auto"
-    values = sorted(set(table.column(name).decode()), key=str)
+    # The values rows hold: a row subset keeps its table's category list.
+    values = sorted(table.column(name).value_counts(), key=str)
     if builder == "auto":
         return _prefix_or_flat(values)
     if builder == "flat":

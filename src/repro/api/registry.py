@@ -116,6 +116,11 @@ class Registry:
     def names(self) -> list[str]:
         return sorted(self._entries)
 
+    def required(self, name: str) -> tuple[str, ...]:
+        """The params a spec for ``name`` must give: those without a default."""
+        entry = self._entry(name)
+        return tuple(param for param in entry.params if param not in entry.defaults)
+
     def __contains__(self, name: str) -> bool:
         return name in self._entries
 

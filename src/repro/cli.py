@@ -47,7 +47,10 @@ its own. ``--algorithm`` therefore accepts every registered algorithm,
 including the whole local-recoding family (``mondrian``, ``tds``, ``mdav``,
 ``kmember``, ``anatomy``, ``slicing``) alongside the full-domain lattice
 algorithms; ``mdav`` needs at least one ``--numeric-qi`` and ``anatomy``
-exactly one ``--sensitive``, both enforced at config-parse time. Hierarchies default to the ``auto`` builder (prefix/flat for
+exactly one ``--sensitive``, both enforced at config-parse time. An
+algorithm whose spec requires its own ``k`` or ``l`` (``mdav``,
+``kmember``, ``slicing``, ``anatomy``) takes it from ``--k`` or ``--l``.
+Hierarchies default to the ``auto`` builder (prefix/flat for
 categorical QIs, uniform intervals for numeric QIs); pin them in the config
 file for production use.
 """
@@ -172,6 +175,11 @@ def config_from_args(args: argparse.Namespace) -> AnonymizationConfig:
         algorithm = {"algorithm": "mondrian", "mode": "relaxed"}
     else:
         algorithm = {"algorithm": args.algorithm}
+    # An algorithm that requires its own k or l takes the model flag's.
+    flags = {"k": args.k, "l": args.l}
+    for key in algorithm_registry.required(algorithm["algorithm"]):
+        if key in flags:
+            algorithm[key] = flags[key]
     max_suppression = args.max_suppression
     if max_suppression is None:
         max_suppression = _CLI_BUDGETS.get(args.algorithm)

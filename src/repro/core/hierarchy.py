@@ -190,9 +190,12 @@ class Hierarchy:
         """Codes of a categorical column translated into ground-domain order.
 
         The column's category order need not match the hierarchy's ground
-        ordering; codes are remapped through a value index. The single
-        shared translation used by both :meth:`generalize_column` and the
-        lattice-evaluation engine — do not fork it.
+        ordering; codes are remapped through a value index. Only categories
+        some row holds must be in the ground domain: a row subset keeps its
+        table's category list, and an absent category is never translated.
+        The single shared translation used by :meth:`generalize_column`, the
+        lattice-evaluation engine, local recoding and k-member's loss model —
+        do not fork it.
         """
         if not column.is_categorical:
             raise HierarchyError(f"column {column.name!r} is numeric; use IntervalHierarchy")
@@ -200,13 +203,13 @@ class Hierarchy:
         if tuple(column.categories) == self.ground:
             return column.codes
         ground_index = {value: code for code, value in enumerate(self.ground)}
-        missing = [v for v in column.categories if v not in ground_index]
+        missing = [v for v in column.value_counts() if v not in ground_index]
         if missing:
             raise HierarchyError(
                 f"column {column.name!r} values {missing} not in hierarchy ground domain"
             )
         translate = np.array(
-            [ground_index[v] for v in column.categories], dtype=np.int32
+            [ground_index.get(v, 0) for v in column.categories], dtype=np.int32
         )
         return translate[column.codes]
 

@@ -12,17 +12,24 @@ users without pandas) can anonymize real files:
   them).
 
 Ingest reads the text once to pick a parse. Text holding no quote
-character and no CR is split into lines and then into cells with
-``str.split``: plain string lists, one cell-count check per line, columns
-taken by stride slicing. Anything else — quoted fields, and CRLF line ends
-such as :func:`write_csv` itself emits — drops that text and is parsed by
-the ``csv`` module streaming from the source again (a pipe, which cannot
-rewind, is parsed from the text). Both paths yield the same cells, so the
-same table.
+character and no CR is split into lines, and the n non-blank rows are
+joined with a marker (delimiter, LF, delimiter) and split once on the
+delimiter. Row lines hold no LF, so the rows are all ``width`` cells wide
+exactly when there are ``(width + 1) * n - 1`` cells and every
+``(width + 1)``-th one is a marker; columns are then stride slices.
+Anything else — quoted fields, CRLF line ends such as :func:`write_csv`
+itself emits, an LF delimiter — drops that text and is parsed by the
+``csv`` module streaming from the source again (a pipe, which cannot
+rewind, is parsed from the text). Both paths yield the stripped header
+and the same raw cells, so the same table: a categorical column is
+dictionary-encoded from its raw cells, stripping each distinct cell once,
+and a numeric column parses each stripped cell.
 
 Egress renders each category, or each distinct numeric value, once and
-hands per-column label lists to ``csv.writer.writerows``, so quoting stays
-the ``csv`` module's.
+quotes it once by the ``csv`` module's default dialect: a label holding the
+delimiter, a quote, CR or LF is wrapped in quotes with each quote doubled,
+and a one-column table's empty label is written ``""``. The body is then
+joined row by row with ``str.join``, :data:`_WRITE_ROWS` rows per write.
 """
 
 from __future__ import annotations
@@ -30,7 +37,6 @@ from __future__ import annotations
 import csv
 import io
 import os
-from itertools import repeat
 from typing import Sequence, TextIO
 
 import numpy as np
@@ -42,6 +48,10 @@ __all__ = ["format_csv", "parse_csv", "read_csv", "write_csv"]
 
 #: How :func:`parse_csv` errors name the bytes they reject.
 _PAYLOAD = "'data'"
+
+#: Rows per write of a CSV body. Each block is joined into one string
+#: before it is written, so this bounds that string, not the table.
+_WRITE_ROWS = 16_384
 
 
 def read_csv(
@@ -101,28 +111,46 @@ def _table(
     by_name = dict(zip(header, cells))
     columns: list[Column] = []
     for name in header:
-        values = by_name[name]
+        raw = by_name[name]
         if name in categorical:
-            columns.append(Column.categorical(name, values))
+            columns.append(_categorical(name, raw))
             continue
         try:
-            numbers = np.fromiter(map(float, values), dtype=np.float64, count=len(values))
+            numbers = np.fromiter(
+                map(float, map(str.strip, raw)), dtype=np.float64, count=len(raw)
+            )
         except ValueError:
             if name in numeric:
-                bad = next(v for v in values if not _is_number(v))
+                bad = next(v for v in map(str.strip, raw) if not _is_number(v))
                 raise SchemaError(f"column {name!r}: {bad!r} is not numeric") from None
-            columns.append(Column.categorical(name, values))
+            columns.append(_categorical(name, raw))
         else:
             columns.append(Column.numeric(name, numbers))
     return Table(columns)
 
 
+def _categorical(name: str, cells: list[str]) -> Column:
+    """``Column.categorical`` of the stripped cells, each distinct cell stripped once.
+
+    Raw variants that strip to the same text share its code.
+    """
+    distinct = dict.fromkeys(cells)
+    texts = list(map(str.strip, distinct))
+    categories = sorted(set(texts))
+    code = {text: i for i, text in enumerate(categories)}
+    index = dict(zip(distinct, map(code.__getitem__, texts)))
+    codes = np.fromiter(map(index.__getitem__, cells), dtype=np.int32, count=len(cells))
+    return Column.from_codes(name, codes, categories)
+
+
 def _cells(
     handle: TextIO, source: str | os.PathLike, delimiter: str
 ) -> tuple[list[str], list[list[str]]]:
-    """The stripped header and one list of stripped cells per column."""
+    """The stripped header and one list of raw cells per column."""
     text = handle.read()
-    if len(delimiter) != 1 or '"' in text or "\r" in text:
+    # The split path marks row ends with a lone LF cell, which an LF
+    # delimiter would split apart.
+    if len(delimiter) != 1 or delimiter == "\n" or '"' in text or "\r" in text:
         # The csv module streams from the source again. Only a source that
         # cannot rewind, such as a pipe, is parsed from the text read here.
         if handle.seekable():
@@ -143,18 +171,21 @@ def _cells(
     del lines
     if not rows:
         raise SchemaError(f"{source}: no data rows")
-    width = len(header)
-    counts = list(map(str.count, rows, repeat(delimiter)))
-    if counts.count(width - 1) != len(counts):
-        i = next(i for i, count in enumerate(counts) if count != width - 1)
-        raise SchemaError(
-            f"{source}: row {i + 2} has {counts[i] + 1} cells, header has {width}"
-        )
-    joined = delimiter.join(rows)
+    n, width = len(rows), len(header)
+    # Row lines hold no LF, so a cell that is exactly LF is a row marker.
+    marker = delimiter + "\n" + delimiter
+    joined = marker.join(rows)
     del rows
     cells = joined.split(delimiter)
     del joined
-    return header, [list(map(str.strip, cells[j::width])) for j in range(width)]
+    stride = width + 1
+    if len(cells) != stride * n - 1 or cells[width::stride].count("\n") != n - 1:
+        # Rebuild the rows only to name the first ragged one.
+        rows = delimiter.join(cells).split(marker)
+        counts = [row.count(delimiter) + 1 for row in rows]
+        i = next(i for i, count in enumerate(counts) if count != width)
+        raise SchemaError(f"{source}: row {i + 2} has {counts[i]} cells, header has {width}")
+    return header, [cells[j::stride] for j in range(width)]
 
 
 def _csv_cells(
@@ -166,7 +197,7 @@ def _csv_cells(
         header = [name.strip() for name in next(reader)]
     except StopIteration:
         raise SchemaError(f"{source}: empty file") from None
-    rows = [[cell.strip() for cell in row] for row in reader if row]
+    rows = list(filter(None, reader))
     if not rows:
         raise SchemaError(f"{source}: no data rows")
     for i, row in enumerate(rows):
@@ -178,13 +209,21 @@ def _csv_cells(
 
 
 def _write(table: Table, handle: TextIO, delimiter: str) -> None:
-    writer = csv.writer(handle, delimiter=delimiter)
-    writer.writerow(table.column_names)
-    writer.writerows(zip(*map(_labels, table)))
+    # csv.writer writes the header and validates the delimiter.
+    csv.writer(handle, delimiter=delimiter).writerow(table.column_names)
+    alone = len(table.column_names) == 1
+    columns = [_labels(column, delimiter, alone) for column in table]
+    for start in range(0, table.n_rows, _WRITE_ROWS):
+        block = [labels[codes[start : start + _WRITE_ROWS]].tolist() for labels, codes in columns]
+        handle.write("\r\n".join(map(delimiter.join, zip(*block))))
+        handle.write("\r\n")
 
 
-def _labels(column: Column) -> list[str]:
-    """The column's rendered cells, each distinct value rendered once."""
+def _labels(column: Column, delimiter: str, alone: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(one quoted label per distinct value, each row's index into them).
+
+    ``alone`` says the column is the table's only one.
+    """
     if column.is_categorical:
         values, codes = column.categories, column.codes
     else:
@@ -193,9 +232,20 @@ def _labels(column: Column) -> list[str]:
         bits = column.values.view(f"u{column.values.itemsize}")
         _, first, codes = np.unique(bits, return_index=True, return_inverse=True)
         values = column.values[first]
+    special = (delimiter, '"', "\r", "\n")
     labels = np.empty(len(values), dtype=object)
-    labels[:] = [_render(value) for value in values]
-    return labels[codes].tolist()
+    labels[:] = [_quote(_render(value), special, alone) for value in values]
+    return labels, codes
+
+
+def _quote(label: str, special: tuple[str, ...], alone: bool) -> str:
+    """``label`` as a field of ``csv.writer``'s default dialect writes it."""
+    if any(char in label for char in special):
+        return '"' + label.replace('"', '""') + '"'
+    if alone and not label:
+        # The module quotes a row whose only field is empty.
+        return '""'
+    return label
 
 
 def _is_number(text: str) -> bool:

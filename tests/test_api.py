@@ -34,8 +34,10 @@ from repro.api import (
     run_batch,
 )
 from repro.cli import main as cli_main
-from repro.core.io import read_csv
-from repro.errors import ConfigError
+from repro.core.io import format_csv, read_csv
+from repro.core.table import Column, Table
+from repro.errors import ConfigError, InfeasibleError, SchemaError
+from repro.verify import violations
 
 CSV_TEXT = (
     "zipcode,job,age,disease\n"
@@ -538,6 +540,65 @@ class TestExecutor:
             run(config, table)
 
 
+def _random_table(n_rows, seed=3):
+    rng = np.random.default_rng(seed)
+    zipcodes = ["13053", "13068", "14850", "14853"]
+    return Table(
+        [
+            Column.categorical("zipcode", rng.choice(zipcodes, n_rows)),
+            Column.categorical("job", rng.choice(["engineer", "teacher", "nurse"], n_rows)),
+            Column.numeric("age", rng.integers(20, 60, n_rows)),
+            Column.categorical("disease", rng.choice(["flu", "hiv", "ulcer", "cancer"], n_rows)),
+        ]
+    )
+
+
+class TestTableShapes:
+    """Row subsets, and tables too small to anonymize, under auto hierarchies."""
+
+    def test_row_subset_keeps_absent_categories_out_of_the_hierarchy(self):
+        table = _random_table(400)
+        rows = np.flatnonzero(np.asarray(table.column("zipcode").decode()) != "14853")
+        subset = table.take(rows)
+        assert "14853" in subset.column("zipcode").categories
+        # The same rows, encoded over only the values they hold.
+        encoded = Table(
+            [
+                Column.categorical(column.name, column.decode())
+                if column.is_categorical
+                else column
+                for column in subset
+            ]
+        )
+        assert "14853" not in encoded.column("zipcode").categories
+        job = {**JOB, "models": [{"model": "k-anonymity", "k": 5}]}
+        for algorithm in ({"algorithm": "flash"}, {"algorithm": "kmember", "k": 5}):
+            config = AnonymizationConfig.from_dict({**job, "algorithm": algorithm})
+            got, expected = run(config, subset), run(config, encoded)
+            assert format_csv(got.release.table) == format_csv(expected.release.table)
+            assert got.metrics == expected.metrics
+        # Mondrian normalizes a categorical range by the column's category
+        # count, so its cut may differ; its release must still verify.
+        mondrian = AnonymizationConfig.from_dict(
+            {**job, "algorithm": {"algorithm": "mondrian", "mode": "relaxed"}}
+        )
+        release = run(mondrian, subset).release.table
+        assert release.n_rows == subset.n_rows
+        assert violations(release, ["zipcode", "job", "age"], mondrian.models) == []
+
+    @pytest.mark.parametrize("name", algorithm_registry.names())
+    def test_zero_and_one_row_tables_are_taxonomy_errors(self, name):
+        table = _random_table(1)
+        spec = {"algorithm": name, **{key: 2 for key in algorithm_registry.required(name)}}
+        config = AnonymizationConfig.from_dict(
+            {**JOB, "models": [{"model": "k-anonymity", "k": 2}], "algorithm": spec}
+        )
+        with pytest.raises(SchemaError, match="no rows"):
+            run(config, table.take(np.array([], dtype=np.int64)))
+        with pytest.raises(InfeasibleError):
+            run(config, table)
+
+
 class TestCLIConfig:
     def test_cli_config_end_to_end_with_report(self, csv_path, tmp_path, capsys):
         job = tmp_path / "job.json"
@@ -554,24 +615,43 @@ class TestCLIConfig:
         assert report["config"]["algorithm"] == {"algorithm": "flash"}
         assert report["timings"]["anonymize"] >= 0
 
-    def test_cli_flags_build_equivalent_config(self, csv_path, tmp_path):
+    @pytest.mark.parametrize(
+        "algorithm, flags, overrides",
+        [
+            ("flash", [], {"max_suppression": 0.02}),  # the CLI's historic flash budget
+            # Algorithms with their own k or l take it from --k and --l.
+            ("mdav", [], {"algorithm": {"algorithm": "mdav", "k": 2}}),
+            ("kmember", [], {"algorithm": {"algorithm": "kmember", "k": 2}}),
+            ("slicing", [], {"algorithm": {"algorithm": "slicing", "k": 2}}),
+            (
+                "anatomy",
+                ["--l", "2"],
+                {
+                    "models": [
+                        *JOB["models"],
+                        {"model": "distinct-l-diversity", "l": 2, "sensitive": "disease"},
+                    ],
+                    "algorithm": {"algorithm": "anatomy", "l": 2},
+                },
+            ),
+        ],
+        ids=["flash", "mdav", "kmember", "slicing", "anatomy"],
+    )
+    def test_cli_flags_build_equivalent_config(
+        self, csv_path, tmp_path, algorithm, flags, overrides
+    ):
         """Flag mode and an equivalent config file produce identical output."""
         out_flags = tmp_path / "flags.csv"
         assert cli_main(
             [
                 str(csv_path), str(out_flags),
                 "--qi", "zipcode", "--qi", "job", "--numeric-qi", "age",
-                "--sensitive", "disease", "--k", "2", "--algorithm", "flash",
+                "--sensitive", "disease", "--k", "2", *flags, "--algorithm", algorithm,
             ]
         ) == 0
         job = tmp_path / "job.json"
         job.write_text(
-            json.dumps(
-                {
-                    **{k: v for k, v in JOB.items() if k != "metrics"},
-                    "max_suppression": 0.02,  # the CLI's historic flash budget
-                }
-            )
+            json.dumps({**{k: v for k, v in JOB.items() if k != "metrics"}, **overrides})
         )
         out_config = tmp_path / "config.csv"
         assert cli_main([str(csv_path), str(out_config), "--config", str(job)]) == 0

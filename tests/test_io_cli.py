@@ -1,6 +1,7 @@
 """Tests for CSV I/O and the command-line interface."""
 
 import csv
+import io
 import json
 import os
 import subprocess
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import io as rio
 from repro.core.io import format_csv, parse_csv, read_csv, write_csv
@@ -220,14 +223,28 @@ READ_CASES = {
     "empty-cells": ("a,b,c\n,,\n1,,z\n", {}),
     "non-ascii": ("städt,wert\nmünchen,1\nköln,2\n", {}),
     "ascii-control-blanks": ("a,b\n\x0b1\x0c,\x1cx\x1f\n2,\x1dy\x1e\n", {}),
+    # float() rejects these separators, which str.strip removes.
+    "numeric-control-blanks": ("a,b\n\x1c1\x1f,\x1d2\x1e\n3,4\n", {"numeric": ["b"]}),
     "unicode-blanks": ("a,b\n\u00a01\u2003,\x85x\u3000\n2,y\n", {}),
+    # One value padded four ways plus a blank cell: "a" declared, "b" sniffed.
+    "padded-duplicates": (
+        "a,b\n x, x\nx ,x \n\tx,\tx\nx,x\n  ,  \n", {"categorical": ["a"]}
+    ),
 }
+
+#: Labels csv.writer quotes (or leaves alone) one way or another: edge
+#: spaces, tab, an ASCII separator that str.strip removes, the other test
+#: delimiter, non-ASCII, a lone quote, a lone CR and a lone delimiter.
+HOSTILE_LABELS = [" x ", "a\tb", "\x1c", ";", "ü", '"', "\r", ","]
+HOSTILE_ALPHABET = "a,\"\r\n \t\x1cü;"
 
 #: Inputs both readers must reject with the same SchemaError message.
 BAD_CASES = {
     "ragged-short": ("a,b\n1,2\n3\n", {}),
     "ragged-after-blank-lines": ("a,b\n\n1,2\n\n\n3,4,5\n", {}),
     "ragged-quoted": ('a,b\n"1,2"\n', {}),
+    # As many cells in all as two full rows hold.
+    "ragged-balanced": ("a,b\n1\n2,3,4\n", {}),
     "blank-header": ("\na,b\n1,2\n", {}),
     "empty": ("", {}),
     "newline-only": ("\n", {}),
@@ -304,6 +321,13 @@ class TestReferenceParity:
         finally:
             os.close(read_end)
 
+    def test_lf_delimiter_matches_reference(self, tmp_path):
+        # Each line is one cell. The split path's row marker would split on
+        # an LF delimiter, so this text takes the csv path.
+        path = self._write(tmp_path, "a,b\nx,1\n\n y \n")
+        expected = reference_read_csv(path, delimiter="\n")
+        assert_same_table(read_csv(path, delimiter="\n"), expected)
+
     def test_ragged_row_number_counts_non_blank_rows(self, tmp_path):
         path = self._write(tmp_path, "a,b\n\n1,2\n\n3\n")
         with pytest.raises(SchemaError, match=r"row 3 has 1 cells, header has 2"):
@@ -351,16 +375,39 @@ class TestReferenceParity:
             Column.numeric("float32-zeros", np.array([0.0, -0.0, 0.0, 1.0], dtype=np.float32)),
             Column.numeric("float64-zeros", [0.0, -0.0, 0.0, 1.0]),
             Column.numeric("large", [1e20, 1e-7, 123456789.0, float("inf")]),
+            Column.categorical("hostile", HOSTILE_LABELS),
         ],
         ids=lambda column: column.name,
     )
     def test_write_matches_reference(self, column, tmp_path):
-        table = Table([column, Column.categorical("tag", ["p", "q", "p", "r"])])
-        reference_write_csv(table, tmp_path / "ref.csv")
-        write_csv(table, tmp_path / "out.csv")
-        expected = (tmp_path / "ref.csv").read_bytes()
-        assert (tmp_path / "out.csv").read_bytes() == expected
-        assert format_csv(table) == expected
+        tags = (["p", "q", "p", "r"] * 2)[: len(column)]
+        table = Table([column, Column.categorical("tag", tags)])
+        for delimiter in (",", "\t", ";"):
+            reference_write_csv(table, tmp_path / "ref.csv", delimiter)
+            write_csv(table, tmp_path / "out.csv", delimiter)
+            expected = (tmp_path / "ref.csv").read_bytes()
+            assert (tmp_path / "out.csv").read_bytes() == expected, repr(delimiter)
+            if delimiter == ",":
+                assert format_csv(table) == expected
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.text(alphabet=HOSTILE_ALPHABET, max_size=3), min_size=1, max_size=4),
+            min_size=1,
+            max_size=2,
+        )
+    )
+    def test_format_matches_reference_on_hostile_labels(self, columns):
+        rows = min(map(len, columns))
+        table = Table(
+            [Column.categorical(f"c{j}", labels[:rows]) for j, labels in enumerate(columns)]
+        )
+        buffer = io.StringIO(newline="")
+        writer = csv.writer(buffer)
+        writer.writerow(table.column_names)
+        writer.writerows(zip(*(column.decode() for column in table)))
+        assert format_csv(table) == buffer.getvalue().encode()
 
     def test_one_column_empty_string_is_quoted(self, tmp_path):
         table = Table([Column.categorical("a", ["", "x", ""])])
