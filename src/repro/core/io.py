@@ -11,19 +11,35 @@ users without pandas) can anonymize real files:
   (the service parses request payloads and serializes releases through
   them).
 
-Ingest reads the text once to pick a parse. Text holding no quote
-character and no CR is split into lines, and the n non-blank rows are
-joined with a marker (delimiter, LF, delimiter) and split once on the
-delimiter. Row lines hold no LF, so the rows are all ``width`` cells wide
-exactly when there are ``(width + 1) * n - 1`` cells and every
-``(width + 1)``-th one is a marker; columns are then stride slices.
-Anything else — quoted fields, CRLF line ends such as :func:`write_csv`
-itself emits, an LF delimiter — drops that text and is parsed by the
-``csv`` module streaming from the source again (a pipe, which cannot
-rewind, is parsed from the text). Both paths yield the stripped header
-and the same raw cells, so the same table: a categorical column is
-dictionary-encoded from its raw cells, stripping each distinct cell once,
-and a numeric column parses each stripped cell.
+Ingest reads the input as bytes, which must be UTF-8: anything else is a
+:class:`~repro.errors.SchemaError` naming the source and the offset of the
+first bad byte (``bytes.isascii``, and one decode only for non-ASCII
+input). A leading byte-order mark is dropped. Text holding no quote
+character and no CR, read with a delimiter that is one ASCII byte other
+than LF, is tokenized over its bytes in numpy, so no cell becomes a Python
+string before it is known to be distinct:
+
+* **Scan.** One pass finds every delimiter and LF of the body (an LF is
+  appended when the text lacks one). An LF right after an LF, or at the
+  body's start, ends a blank line and drops out, as the ``csv`` module
+  skips blank rows. The rows are ``width`` cells wide exactly when there
+  are ``width * n`` separators and every ``width``-th one is an LF; a
+  cell runs from one separator to the next.
+* **Encode.** A cell's key is its first 8 bytes read as one little-endian
+  ``uint64`` (an unaligned view over the zero-padded body) masked to its
+  length. A column with wider cells takes one key per 8-byte chunk, and
+  text holding a NUL byte adds the cell length, which masking cannot tell
+  from padding. ``np.unique`` labels each key and
+  :func:`~repro.core.table.pack_code_columns` combines them into one exact
+  label per distinct cell: no hashing. Only one cell per label is decoded.
+
+Quoted fields, CR or CRLF line ends (such as :func:`write_csv` itself
+emits) and any other delimiter go through the ``csv`` module over the
+same bytes. Both paths hand each column on as (row labels, distinct raw
+cells), so one function types them: a categorical column strips each
+distinct cell once and sorts the texts, and a numeric or sniffed column
+calls ``float(cell.strip())`` once per distinct cell. Raw variants that
+strip to the same text share its code.
 
 Egress renders each category, or each distinct numeric value, once and
 quotes it once by the ``csv`` module's default dialect: a label holding the
@@ -34,6 +50,7 @@ joined row by row with ``str.join``, :data:`_WRITE_ROWS` rows per write.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import os
@@ -42,7 +59,7 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from ..errors import SchemaError
-from .table import Column, Table
+from .table import Column, Table, pack_code_columns
 
 __all__ = ["format_csv", "parse_csv", "read_csv", "write_csv"]
 
@@ -52,6 +69,14 @@ _PAYLOAD = "'data'"
 #: Rows per write of a CSV body. Each block is joined into one string
 #: before it is written, so this bounds that string, not the table.
 _WRITE_ROWS = 16_384
+
+_LF = ord("\n")
+
+#: ``_MASKS[i]`` keeps the first ``i`` bytes of a little-endian word.
+_MASKS = np.array([(1 << 8 * i) - 1 for i in range(9)], dtype=np.uint64)
+
+#: One column as (each row's label, the raw cell of each label).
+_Labeled = tuple[np.ndarray, list[str]]
 
 
 def read_csv(
@@ -64,22 +89,22 @@ def read_csv(
 
     Columns named in ``categorical``/``numeric`` are typed accordingly;
     every other column is numeric if all its values parse as floats, else
-    categorical. Values are stripped of surrounding whitespace. The file is
-    read as UTF-8; a leading byte-order mark, as spreadsheet "CSV UTF-8"
+    categorical. Values are stripped of surrounding whitespace. The file
+    must be UTF-8; a leading byte-order mark, as spreadsheet "CSV UTF-8"
     exports write, is dropped.
     """
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        header, cells = _cells(handle, path, delimiter)
-    return _table(header, cells, categorical, numeric)
+    with open(path, "rb") as handle:
+        data = handle.read()
+    header, columns = _columns(data, path, delimiter)
+    return _table(header, columns, categorical, numeric)
 
 
 def parse_csv(
     data: bytes, categorical: Sequence[str] = (), numeric: Sequence[str] = ()
 ) -> Table:
     """:func:`read_csv` over in-memory, comma-separated bytes."""
-    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="") as handle:
-        header, cells = _cells(handle, _PAYLOAD, ",")
-    return _table(header, cells, categorical, numeric)
+    header, columns = _columns(data, _PAYLOAD, ",")
+    return _table(header, columns, categorical, numeric)
 
 
 def write_csv(table: Table, path: str | os.PathLike, delimiter: str = ",") -> None:
@@ -99,7 +124,7 @@ def format_csv(table: Table) -> bytes:
 
 def _table(
     header: list[str],
-    cells: list[list[str]],
+    columns: list[_Labeled],
     categorical: Sequence[str],
     numeric: Sequence[str],
 ) -> Table:
@@ -108,90 +133,155 @@ def _table(
     if unknown:
         raise SchemaError(f"declared columns {sorted(unknown)} not in CSV header {header}")
     # A repeated name keeps its last column here; Table then rejects it.
-    by_name = dict(zip(header, cells))
-    columns: list[Column] = []
-    for name in header:
-        raw = by_name[name]
-        if name in categorical:
-            columns.append(_categorical(name, raw))
-            continue
+    by_name = dict(zip(header, columns))
+    return Table(
+        [
+            _column(name, *by_name[name], name in categorical, name in numeric)
+            for name in header
+        ]
+    )
+
+
+def _column(
+    name: str, labels: np.ndarray, cells: list[str], categorical: bool, numeric: bool
+) -> Column:
+    """The typed column of rows ``labels`` over the distinct raw ``cells``."""
+    if not categorical:
         try:
-            numbers = np.fromiter(
-                map(float, map(str.strip, raw)), dtype=np.float64, count=len(raw)
-            )
+            values = np.array([float(cell.strip()) for cell in cells], dtype=np.float64)
         except ValueError:
-            if name in numeric:
-                bad = next(v for v in map(str.strip, raw) if not _is_number(v))
+            if numeric:
+                ok = np.array([_is_number(cell.strip()) for cell in cells])
+                row = np.flatnonzero(~ok[labels])[0]
+                bad = cells[labels[row]].strip()
                 raise SchemaError(f"column {name!r}: {bad!r} is not numeric") from None
-            columns.append(_categorical(name, raw))
         else:
-            columns.append(Column.numeric(name, numbers))
-    return Table(columns)
-
-
-def _categorical(name: str, cells: list[str]) -> Column:
-    """``Column.categorical`` of the stripped cells, each distinct cell stripped once.
-
-    Raw variants that strip to the same text share its code.
-    """
-    distinct = dict.fromkeys(cells)
-    texts = list(map(str.strip, distinct))
+            return Column.numeric(name, values[labels])
+    texts = [cell.strip() for cell in cells]
     categories = sorted(set(texts))
     code = {text: i for i, text in enumerate(categories)}
-    index = dict(zip(distinct, map(code.__getitem__, texts)))
-    codes = np.fromiter(map(index.__getitem__, cells), dtype=np.int32, count=len(cells))
-    return Column.from_codes(name, codes, categories)
+    remap = np.fromiter(map(code.__getitem__, texts), dtype=np.int32, count=len(texts))
+    return Column.from_codes(name, remap[labels], categories)
 
 
-def _cells(
-    handle: TextIO, source: str | os.PathLike, delimiter: str
-) -> tuple[list[str], list[list[str]]]:
-    """The stripped header and one list of raw cells per column."""
-    text = handle.read()
-    # The split path marks row ends with a lone LF cell, which an LF
-    # delimiter would split apart.
-    if len(delimiter) != 1 or delimiter == "\n" or '"' in text or "\r" in text:
-        # The csv module streams from the source again. Only a source that
-        # cannot rewind, such as a pipe, is parsed from the text read here.
-        if handle.seekable():
-            handle.seek(0)
-        else:
-            handle = io.StringIO(text, newline="")
-        del text
-        return _csv_cells(handle, source, delimiter)
-    if not text:
+def _columns(
+    data: bytes, source: str | os.PathLike, delimiter: str
+) -> tuple[list[str], list[_Labeled]]:
+    """The stripped header and each column of ``data`` as (labels, distinct cells)."""
+    if not data.isascii():
+        try:
+            data.decode()
+        except UnicodeDecodeError as exc:
+            raise SchemaError(
+                f"{source}: not UTF-8: byte 0x{data[exc.start]:02x} at offset {exc.start}"
+            ) from None
+    if (
+        len(delimiter) != 1
+        or not delimiter.isascii()
+        or delimiter == "\n"
+        or b'"' in data
+        or b"\r" in data
+    ):
+        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="") as handle:
+            return _csv_cells(handle, source, delimiter)
+    return _byte_cells(data, source, delimiter)
+
+
+def _byte_cells(
+    data: bytes, source: str | os.PathLike, delimiter: str
+) -> tuple[list[str], list[_Labeled]]:
+    """:func:`_columns` of unquoted, CR-free text, tokenized over its bytes."""
+    start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    if len(data) == start:
         raise SchemaError(f"{source}: empty file")
-    # Each intermediate (lines, rows, the joined text) is dropped as soon as
-    # the next exists: these, not the table, set a CLI run's peak memory.
-    lines = text.split("\n")
-    del text
-    # csv.reader reads a blank line as an empty row and skips blank data rows.
-    header = [name.strip() for name in lines[0].split(delimiter)] if lines[0] else []
-    rows = list(filter(None, lines[1:]))
-    del lines
-    if not rows:
+    end = data.find(b"\n", start)
+    if end < 0:
+        end = len(data)
+    line = data[start:end].decode()
+    # csv.reader reads a blank line as an empty row.
+    header = [name.strip() for name in line.split(delimiter)] if line else []
+    width = len(header)
+    size = len(data) - end - 1
+    if size <= 0:
         raise SchemaError(f"{source}: no data rows")
-    n, width = len(rows), len(header)
-    # Row lines hold no LF, so a cell that is exactly LF is a row marker.
-    marker = delimiter + "\n" + delimiter
-    joined = marker.join(rows)
-    del rows
-    cells = joined.split(delimiter)
-    del joined
-    stride = width + 1
-    if len(cells) != stride * n - 1 or cells[width::stride].count("\n") != n - 1:
-        # Rebuild the rows only to name the first ragged one.
-        rows = delimiter.join(cells).split(marker)
-        counts = [row.count(delimiter) + 1 for row in rows]
-        i = next(i for i, count in enumerate(counts) if count != width)
+    # Room for an appended LF and for 8 bytes read at any cell start.
+    text = np.zeros(size + 9, dtype=np.uint8)
+    text[:size] = np.frombuffer(data, dtype=np.uint8, offset=end + 1)
+    if text[size - 1] != _LF:
+        text[size] = _LF
+        size += 1
+    body = text[:size]
+    # Each intermediate is dropped as soon as the next exists: these arrays,
+    # not the table, set ingest's peak memory.
+    is_sep = body == ord(delimiter)
+    is_sep |= body == _LF
+    ends = np.flatnonzero(is_sep)
+    del is_sep
+    is_lf = body[ends] == _LF
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    # An empty cell ended by an LF after an LF (or at the body's start) is
+    # a blank line, which csv.reader skips.
+    blank = is_lf & (starts == ends)
+    blank[1:] &= is_lf[:-1]
+    if blank.any():
+        keep = ~blank
+        starts, ends, is_lf = starts[keep], ends[keep], is_lf[keep]
+        del keep
+    del blank
+    n = int(np.count_nonzero(is_lf))
+    if not n:
+        raise SchemaError(f"{source}: no data rows")
+    if ends.size != width * n or not is_lf[width - 1 :: width].all():
+        counts = np.diff(np.flatnonzero(is_lf), prepend=-1)
+        i = int(np.flatnonzero(counts != width)[0])
         raise SchemaError(f"{source}: row {i + 2} has {counts[i]} cells, header has {width}")
-    return header, [cells[j::stride] for j in range(width)]
+    del is_lf
+    starts, ends = starts.reshape(n, width), ends.reshape(n, width)
+    words = np.ndarray((text.size - 7,), dtype="<u8", buffer=text, strides=(1,))
+    # Without a NUL byte, the masked words of a cell already imply its length.
+    nul = b"\0" in data
+    columns = [_label_bytes(text, words, starts[:, j], ends[:, j], nul) for j in range(width)]
+    return header, columns
+
+
+def _label_bytes(
+    text: np.ndarray, words: np.ndarray, starts: np.ndarray, ends: np.ndarray, nul: bool
+) -> _Labeled:
+    """One column's cells ``text[starts:ends]`` as (labels, distinct cells)."""
+    lengths = ends - starts
+    last = words.size - 1
+    components = [
+        words[np.minimum(starts + offset, last)] & _MASKS[np.clip(lengths - offset, 0, 8)]
+        for offset in range(0, max(int(lengths.max()), 1), 8)
+    ]
+    if nul:
+        components.append(lengths)
+    codes, radices = [], []
+    for component in components:
+        distinct, inverse = np.unique(component, return_inverse=True)
+        codes.append(inverse)
+        radices.append(distinct.size)
+    del components
+    if len(codes) == 1:
+        labels, count = codes[0], radices[0]
+    else:
+        distinct, labels = np.unique(pack_code_columns(codes, radices), return_inverse=True)
+        count = distinct.size
+    del codes
+    # Any row of a label holds its cell's bytes.
+    rows = np.empty(count, dtype=np.intp)
+    rows[labels] = np.arange(labels.size)
+    view = memoryview(text)
+    cells = [str(view[a:b], "utf-8") for a, b in zip(starts[rows].tolist(), ends[rows].tolist())]
+    return labels, cells
 
 
 def _csv_cells(
     handle: TextIO, source: str | os.PathLike, delimiter: str
-) -> tuple[list[str], list[list[str]]]:
-    """:func:`_cells` through the ``csv`` module (quoted fields, CR line ends)."""
+) -> tuple[list[str], list[_Labeled]]:
+    """:func:`_columns` through the ``csv`` module (quoted fields, CR line ends)."""
     reader = csv.reader(handle, delimiter=delimiter)
     try:
         header = [name.strip() for name in next(reader)]
@@ -205,7 +295,14 @@ def _csv_cells(
             raise SchemaError(
                 f"{source}: row {i + 2} has {len(row)} cells, header has {len(header)}"
             )
-    return header, [[row[j] for row in rows] for j in range(len(header))]
+    return header, [_label_cells([row[j] for row in rows]) for j in range(len(header))]
+
+
+def _label_cells(cells: list[str]) -> _Labeled:
+    """``cells`` as (each cell's label, the distinct cells in first-seen order)."""
+    index = {cell: i for i, cell in enumerate(dict.fromkeys(cells))}
+    labels = np.fromiter(map(index.__getitem__, cells), dtype=np.intp, count=len(cells))
+    return labels, list(index)
 
 
 def _write(table: Table, handle: TextIO, delimiter: str) -> None:

@@ -10,12 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import io as rio
 from repro.core.io import format_csv, parse_csv, read_csv, write_csv
-from repro.core.table import Column, Table
+from repro.core.table import Column, Table, mixed_radix_fits
 from repro.cli import main
 from repro.errors import SchemaError
 
@@ -187,8 +187,8 @@ def assert_same_table(got, expected):
 
 
 #: (text, read_csv keyword arguments). Cases without a quote or CR take the
-#: split-based parse; TestReferenceParity also reruns them with CRLF line
-#: ends, which sends the same cells through the csv-module parse.
+#: byte path; TestReferenceParity also reruns them with CRLF line ends,
+#: which sends the same cells through the csv-module parse.
 READ_CASES = {
     "plain": ("zip,job,age\n02134,nurse,31\n00501,clerk,44\n", {}),
     "zipcodes-declared": (
@@ -230,6 +230,26 @@ READ_CASES = {
     "padded-duplicates": (
         "a,b\n x, x\nx ,x \n\tx,\tx\nx,x\n  ,  \n", {"categorical": ["a"]}
     ),
+    # Cells of 7, 8, 9, 16 and 17 bytes sharing their first 8 bytes (or 7),
+    # text in "w" and sniffed numbers in "n".
+    "shared-8-byte-prefix": (
+        "w,n\n"
+        "abcdefg,1234567\n"
+        "abcdefgh,12345678\n"
+        "abcdefghi,123456789\n"
+        "abcdefghabcdefgh,1234567812345678\n"
+        "abcdefghabcdefghi,12345678123456789\n"
+        "abcdefgh,12345678\n",
+        {},
+    ),
+    # Masked words cannot tell trailing NULs from padding; the length can.
+    "nul-suffixes": (
+        "a,b\na,\na\x00,\x00\na\x00\x00,\x00\x00\na,\n\x00,x\n", {}
+    ),
+    # Two- to four-byte characters over the boundary between two 8-byte chunks.
+    "utf8-straddling-byte-8": (
+        "a,b\n1234567ü,1\n1234567ý,2\n123456€x,3\n12345🙂,4\n1234567ü,5\n", {}
+    ),
 }
 
 #: Labels csv.writer quotes (or leaves alone) one way or another: edge
@@ -237,6 +257,65 @@ READ_CASES = {
 #: delimiter, non-ASCII, a lone quote, a lone CR and a lone delimiter.
 HOSTILE_LABELS = [" x ", "a\tb", "\x1c", ";", "ü", '"', "\r", ","]
 HOSTILE_ALPHABET = "a,\"\r\n \t\x1cü;"
+
+#: Unquoted, CR-free cell text: blanks str.strip removes (tab, \x1c, \xa0),
+#: a NUL, a two-byte letter, and what numbers are made of.
+CELL_ALPHABET = " \t\x1c\x00\xa0ü0123456789.e-abxyz"
+NUMBERS = st.one_of(
+    st.integers(-(10**20), 10**20).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["nan", "-inf", "1e5", "-0", ".5", "1_0", "0x1"]),
+)
+
+
+@st.composite
+def unquoted_csv(draw):
+    """(text, read_csv keyword arguments) of unquoted, CR-free CSV text.
+
+    Mostly rows of cells 0 to 40 bytes long, some of them numbers padded with
+    blanks, with blank lines and the odd ragged row; else any text over the
+    cell alphabet, the delimiter and LF.
+    """
+    if draw(st.booleans()):
+        delimiter = draw(st.sampled_from([",", ";", "\t"]))
+        alphabet = CELL_ALPHABET.replace(delimiter, "")
+        pad = st.text(alphabet=" \x1c\xa0", max_size=2)
+        cells = {
+            "text": st.text(alphabet=alphabet, max_size=40).map(
+                lambda s: s.encode()[:40].decode(errors="ignore")
+            ),
+            "number": st.tuples(pad, NUMBERS, pad).map("".join),
+        }
+        width = draw(st.integers(1, 4))
+        kinds = [draw(st.sampled_from(sorted(cells))) for _ in range(width)]
+        names = [f"c{j}" for j in range(width)]
+        rows = [
+            [draw(cells[kind]) for kind in kinds]
+            for _ in range(draw(st.integers(1, 6)))
+        ]
+        if draw(st.integers(0, 9)) == 0:
+            row = rows[draw(st.integers(0, len(rows) - 1))]
+            if draw(st.booleans()):
+                row.pop()
+            else:
+                row.append("x")
+        lines = [delimiter.join(names), *map(delimiter.join, rows)]
+        for at in draw(st.lists(st.integers(1, len(lines)), max_size=3)):
+            lines.insert(at, "")
+        text = "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+    else:
+        delimiter = ","
+        text = draw(st.text(alphabet=CELL_ALPHABET + ",\n", max_size=120))
+        names = [name.strip() for name in text.split("\n")[0].split(",")]
+    kwargs = {"categorical": [], "numeric": []}
+    for name in dict.fromkeys(names):
+        kind = draw(st.sampled_from(["sniffed", "categorical", "numeric"]))
+        if kind != "sniffed":
+            kwargs[kind].append(name)
+    if delimiter != ",":
+        kwargs["delimiter"] = delimiter
+    return text, kwargs
+
 
 #: Inputs both readers must reject with the same SchemaError message.
 BAD_CASES = {
@@ -310,7 +389,7 @@ class TestReferenceParity:
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     @pytest.mark.parametrize("case", ["plain", "quoted", "crlf"])
     def test_read_from_pipe_matches_reference(self, case, tmp_path):
-        # A pipe cannot rewind, so the csv path parses the text read once.
+        # A pipe cannot rewind: both paths parse the bytes read once.
         text, kwargs = READ_CASES[case]
         expected = reference_read_csv(self._write(tmp_path, text), **kwargs)
         read_end, write_end = os.pipe()
@@ -322,11 +401,78 @@ class TestReferenceParity:
             os.close(read_end)
 
     def test_lf_delimiter_matches_reference(self, tmp_path):
-        # Each line is one cell. The split path's row marker would split on
-        # an LF delimiter, so this text takes the csv path.
+        # Each line is one cell. The byte path ends rows at every LF, so an
+        # LF delimiter takes the csv path.
         path = self._write(tmp_path, "a,b\nx,1\n\n y \n")
         expected = reference_read_csv(path, delimiter="\n")
         assert_same_table(read_csv(path, delimiter="\n"), expected)
+
+    def test_non_ascii_delimiter_matches_reference(self, tmp_path, monkeypatch):
+        # One character but two bytes, so the text takes the csv path.
+        csv_calls = self._spy_csv_path(monkeypatch)
+        path = self._write(tmp_path, "a§b\nx§1\n\n ü §2\nx§3\n")
+        expected = reference_read_csv(path, delimiter="§")
+        assert_same_table(read_csv(path, delimiter="§"), expected)
+        assert len(csv_calls) == 1
+
+    def test_wide_random_cells_match_reference(self, tmp_path):
+        # 40-byte cells: five 8-byte chunks whose distinct counts multiply
+        # past the int64 packing limit, so the chunk labels combine through
+        # np.unique(axis=0).
+        rng = np.random.default_rng(7)
+        letters = np.array(list("abcdefghijklmnopqrstuvwxyz"))
+        cells = ["".join(word) for word in letters[rng.integers(0, 26, (10_000, 40))]]
+        cells[1::3] = cells[: len(cells[1::3])]
+        chunks = [len({cell[i : i + 8] for cell in cells}) for i in range(0, 40, 8)]
+        assert not mixed_radix_fits(chunks)
+        text = "id,n\n" + "".join(f"{cell},{i % 7}\n" for i, cell in enumerate(cells))
+        path = self._write(tmp_path, text)
+        expected = reference_read_csv(path)
+        assert_same_table(read_csv(path), expected)
+        assert_same_table(parse_csv(path.read_bytes()), expected)
+
+    @pytest.mark.parametrize(
+        "data, offset",
+        [
+            (b"a,b\n1,\xff\n", 6),
+            (b'a,b\n"1",x\xe9\n', 9),
+            (b"a,b\r\n1,caf\xc3\n", 10),
+            (b"\xef\xbb\xbfa,b\n1,\xed\xa0\x80\n", 9),
+        ],
+        ids=["plain", "quoted", "crlf", "surrogate-after-bom"],
+    )
+    def test_input_that_is_not_utf8_is_a_schema_error(self, tmp_path, data, offset):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(data)
+        byte = f"0x{data[offset]:02x}"
+        with pytest.raises(SchemaError) as got:
+            read_csv(path)
+        assert str(got.value) == f"{path}: not UTF-8: byte {byte} at offset {offset}"
+        with pytest.raises(SchemaError) as got:
+            parse_csv(data)
+        assert str(got.value) == f"'data': not UTF-8: byte {byte} at offset {offset}"
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=unquoted_csv())
+    def test_unquoted_text_matches_reference(self, tmp_path_factory, case):
+        # Differential property of the byte path: CI runs it with
+        # --hypothesis-profile ci (10,000 derandomized examples).
+        text, kwargs = case
+        path = tmp_path_factory.getbasetemp() / "unquoted.csv"
+        path.write_bytes(text.encode())
+        readers = [(read_csv, str(path), path)]
+        if kwargs.get("delimiter", ",") == ",":
+            readers.append((parse_csv, "'data'", path.read_bytes()))
+        try:
+            expected = reference_read_csv(path, **kwargs)
+        except SchemaError as error:
+            for reader, source, arg in readers:
+                with pytest.raises(SchemaError) as got:
+                    reader(arg, **kwargs)
+                assert str(got.value) == str(error).replace(str(path), source)
+        else:
+            for reader, _, arg in readers:
+                assert_same_table(reader(arg, **kwargs), expected)
 
     def test_ragged_row_number_counts_non_blank_rows(self, tmp_path):
         path = self._write(tmp_path, "a,b\n\n1,2\n\n3\n")
@@ -527,6 +673,19 @@ class TestCLI:
         assert main([str(marked), str(tmp_path / "marked-out.csv"), *args]) == 0
         released = (tmp_path / "plain-out.csv").read_bytes()
         assert (tmp_path / "marked-out.csv").read_bytes() == released
+
+    def test_input_that_is_not_utf8_exits_2(self, csv_path, tmp_path, capsys):
+        # A Latin-1 export: one byte 0xe9 where UTF-8 needs two.
+        data = csv_path.read_bytes()
+        src = tmp_path / "latin1.csv"
+        src.write_bytes(data.replace(b"nurse", b"nurs\xe9", 1))
+        out = tmp_path / "x.csv"
+        assert main([str(src), str(out), "--qi", "job", "--k", "2"]) == 2
+        offset = data.index(b"nurse") + 4
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {src}: not UTF-8: byte 0xe9 at offset {offset}"
+        ]
+        assert not out.exists()
 
     def test_drop_removes_identifier(self, csv_path, tmp_path):
         out = tmp_path / "anon.csv"

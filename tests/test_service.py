@@ -763,6 +763,33 @@ class TestHTTP:
             assert time.perf_counter() - start < 2
         assert ServiceClient(base).healthz()["status"] == "ok"
 
+    def test_path_data_that_is_not_utf8_is_400(self, tmp_path):
+        raw = CSV_TEXT.encode().replace(b"nurse", b"nurs\xe9", 1)
+        (tmp_path / "latin1.csv").write_bytes(raw)
+        svc = AnonymizationService(queue_workers=1, queue_depth=4, data_root=tmp_path)
+        server = create_server(svc, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            client = ServiceClient(f"http://127.0.0.1:{server.server_address[1]}")
+            data = {**DATA, "path": "latin1.csv"}
+            del data["csv"]
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit_job(JOB, data)
+            assert excinfo.value.status == 400
+            offset = raw.index(b"nurs\xe9") + 4
+            assert excinfo.value.message == (
+                f"'data': not UTF-8: byte 0xe9 at offset {offset}"
+            )
+            assert client.healthz()["status"] == "ok"
+            assert svc._jobs == {}
+        finally:
+            server.shutdown()
+            server.server_close()
+            svc.close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
     def test_unknown_path_404(self, http_service):
         _, base = http_service
         client = ServiceClient(base)
