@@ -27,11 +27,15 @@ string before it is known to be distinct:
   cell runs from one separator to the next.
 * **Encode.** A cell's key is its first 8 bytes read as one little-endian
   ``uint64`` (an unaligned view over the zero-padded body) masked to its
-  length. A column with wider cells takes one key per 8-byte chunk, and
-  text holding a NUL byte adds the cell length, which masking cannot tell
-  from padding. ``np.unique`` labels each key and
-  :func:`~repro.core.table.pack_code_columns` combines them into one exact
-  label per distinct cell: no hashing. Only one cell per label is decoded.
+  length; text holding a NUL byte adds that length, which masking cannot
+  tell from padding. ``np.unique`` labels the keys. A longer cell whose
+  label another cell shares then reads its next 8, 16, 32, ... bytes, one
+  block a round, and takes a fresh label from (label, block label) through
+  :func:`~repro.core.table.pack_code_columns`; a block's label comes from
+  labelling its 8-byte chunks and then adjacent pairs of labels. So the
+  work grows with the bytes of cells that share a prefix, not with the
+  rows times the longest cell. Labels are exact (no hashing), and only
+  one cell per label is decoded.
 
 Quoted fields, CR or CRLF line ends (such as :func:`write_csv` itself
 emits) and any other delimiter go through the ``csv`` module over the
@@ -249,33 +253,105 @@ def _byte_cells(
 def _label_bytes(
     text: np.ndarray, words: np.ndarray, starts: np.ndarray, ends: np.ndarray, nul: bool
 ) -> _Labeled:
-    """One column's cells ``text[starts:ends]`` as (labels, distinct cells)."""
+    """One column's cells ``text[starts:ends]`` as (labels, distinct cells).
+
+    Cells are labelled by their first 8 bytes. A cell that is longer and
+    shares its label reads on, each round doubling the prefix it has read
+    and taking a fresh label, so the work grows with the bytes of cells
+    that share a prefix, and the rounds with the logarithm of the longest
+    shared prefix.
+    """
     lengths = ends - starts
-    last = words.size - 1
-    components = [
-        words[np.minimum(starts + offset, last)] & _MASKS[np.clip(lengths - offset, 0, 8)]
-        for offset in range(0, max(int(lengths.max()), 1), 8)
-    ]
-    if nul:
-        components.append(lengths)
-    codes, radices = [], []
-    for component in components:
-        distinct, inverse = np.unique(component, return_inverse=True)
-        codes.append(inverse)
-        radices.append(distinct.size)
-    del components
-    if len(codes) == 1:
-        labels, count = codes[0], radices[0]
-    else:
-        distinct, labels = np.unique(pack_code_columns(codes, radices), return_inverse=True)
-        count = distinct.size
-    del codes
+    labels, count = _label_words(words, starts, np.minimum(lengths, 8), nul)
+    live = np.flatnonzero(lengths > 8)
+    del lengths
+    if live.size:
+        live = live[np.bincount(labels)[labels[live]] > 1]
+    # The labels of the live cells lie in [base, count).
+    base, offset = 0, 8
+    while live.size:
+        first = starts[live] + offset
+        last = np.minimum(ends[live], first + offset)
+        block, bound = _label_ranges(words, first, last, nul)
+        del first
+        packed = pack_code_columns([labels[live] - base, block], [count - base, bound])
+        distinct, block = np.unique(packed, return_inverse=True)
+        labels[live] = count + block
+        base, count = count, count + distinct.size
+        # A cell reads on while it is longer and its fresh label is shared.
+        shared = np.bincount(block)[block] > 1
+        live = live[shared & (ends[live] > last)]
+        offset *= 2
     # Any row of a label holds its cell's bytes.
-    rows = np.empty(count, dtype=np.intp)
+    rows = np.full(count, -1, dtype=np.intp)
     rows[labels] = np.arange(labels.size)
+    if base:
+        # Close the gaps of labels whose cells all took fresh ones.
+        used = rows >= 0
+        rows = rows[used]
+        labels = (np.cumsum(used) - 1)[labels]
     view = memoryview(text)
     cells = [str(view[a:b], "utf-8") for a, b in zip(starts[rows].tolist(), ends[rows].tolist())]
     return labels, cells
+
+
+def _label_ranges(
+    words: np.ndarray, starts: np.ndarray, ends: np.ndarray, nul: bool
+) -> tuple[np.ndarray, int]:
+    """Labels of the byte strings ``[starts, ends)``, and a bound on them.
+
+    Two strings share a label exactly when they are equal. Each string is a
+    run of 8-byte chunks, and one ``np.unique`` labels every chunk; each
+    round then halves the runs longer than one label by labelling adjacent
+    pairs.
+    """
+    lengths = ends - starts
+    if lengths.max() <= 8:
+        return _label_words(words, starts, lengths, nul)
+    # Chunk i of a string holds its bytes [8i, 8i + 8); an empty one has one.
+    runs = np.maximum((lengths + 7) >> 3, 1)
+    firsts = np.cumsum(runs) - runs
+    owner = np.repeat(np.arange(runs.size), runs)
+    offsets = (np.arange(owner.size) - firsts[owner]) << 3
+    sizes = np.minimum(lengths[owner] - offsets, 8)
+    offsets += starts[owner]
+    del owner, lengths
+    chunks, count = _label_words(words, offsets, sizes, nul)
+    del offsets, sizes
+    # A string whose run is down to one label takes it, offset by ``base``
+    # so that strings finished in different rounds never share a label.
+    labels = np.empty(runs.size, dtype=np.int64)
+    pending = np.arange(runs.size)
+    base = 0
+    while True:
+        done = runs == 1
+        labels[pending[done]] = base + chunks[firsts[done]]
+        base += count
+        if done.all():
+            return labels, base
+        left = ~done
+        chunks = chunks[np.repeat(left, runs)]
+        pending, runs = pending[left], runs[left]
+        # Close each odd run with ``count``, which no label takes, and pair.
+        chunks = np.insert(chunks, np.cumsum(runs)[runs % 2 == 1], count)
+        runs = (runs + 1) >> 1
+        firsts = np.cumsum(runs) - runs
+        pairs = chunks.reshape(-1, 2)
+        packed = pack_code_columns([pairs[:, 0], pairs[:, 1]], [count, count + 1])
+        distinct, chunks = np.unique(packed, return_inverse=True)
+        count = distinct.size
+
+
+def _label_words(
+    words: np.ndarray, starts: np.ndarray, sizes: np.ndarray, nul: bool
+) -> tuple[np.ndarray, int]:
+    """:func:`_label_ranges` of strings of at most 8 bytes, ``sizes`` long."""
+    distinct, labels = np.unique(words[starts] & _MASKS[sizes], return_inverse=True)
+    if nul:
+        # A masked word cannot tell a trailing NUL from padding; its size can.
+        packed = pack_code_columns([labels, sizes], [distinct.size, 9])
+        distinct, labels = np.unique(packed, return_inverse=True)
+    return labels, distinct.size
 
 
 def _csv_cells(

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -246,6 +247,28 @@ READ_CASES = {
     "nul-suffixes": (
         "a,b\na,\na\x00,\x00\na\x00\x00,\x00\x00\na,\n\x00,x\n", {}
     ),
+    # Pairs of distinct cells that share their first 8, 16 or 40 bytes with
+    # each other and with no other cell.
+    "prefix-pairs": (
+        "w,n\n"
+        "12345678a,1\n12345678b,2\n"
+        "abcdefghijklmnop1,3\nabcdefghijklmnop2,4\n"
+        f"{'q' * 40}x,5\n{'q' * 40}y,6\n",
+        {},
+    ),
+    # One prefix cut to lengths around the ends of the 8-, 16-, 32- and
+    # 64-byte blocks a shared cell reads, and blocks of 3 and 5 chunks, each
+    # bare, with a NUL and with a letter after it, all twice.
+    "long-shared-prefixes": (
+        "w\n"
+        + "".join(
+            f"{('abcdefgh' * 13)[:size]}{tail}\n"
+            for size in (7, 8, 15, 16, 17, 24, 31, 32, 33, 56, 57, 63, 64, 65, 100)
+            for tail in ("", "\x00", "z")
+        )
+        * 2,
+        {},
+    ),
     # Two- to four-byte characters over the boundary between two 8-byte chunks.
     "utf8-straddling-byte-8": (
         "a,b\n1234567ü,1\n1234567ý,2\n123456€x,3\n12345🙂,4\n1234567ü,5\n", {}
@@ -416,9 +439,9 @@ class TestReferenceParity:
         assert len(csv_calls) == 1
 
     def test_wide_random_cells_match_reference(self, tmp_path):
-        # 40-byte cells: five 8-byte chunks whose distinct counts multiply
-        # past the int64 packing limit, so the chunk labels combine through
-        # np.unique(axis=0).
+        # 40-byte cells, a third of them repeated: five 8-byte chunks whose
+        # distinct counts multiply past int64, so no one mixed-radix packing
+        # of a cell's chunk labels could label the column.
         rng = np.random.default_rng(7)
         letters = np.array(list("abcdefghijklmnopqrstuvwxyz"))
         cells = ["".join(word) for word in letters[rng.integers(0, 26, (10_000, 40))]]
@@ -430,6 +453,29 @@ class TestReferenceParity:
         expected = reference_read_csv(path)
         assert_same_table(read_csv(path), expected)
         assert_same_table(parse_csv(path.read_bytes()), expected)
+
+    def test_long_cells_cost_their_bytes(self, tmp_path):
+        # 20,000 short rows and three 16 KB cells, two equal and one that
+        # differs in its last byte. Ingest memory must follow the input's
+        # bytes, not the rows times the longest cell (hundreds of MiB).
+        rng = np.random.default_rng(3)
+        cell = "".join(rng.choice(list("abc"), 16_384))
+        rows = [f"r{i % 97},{i % 5}" for i in range(20_000)]
+        rows[100], rows[9_000], rows[19_000] = cell, cell[:-1] + "d", cell
+        rows = [row if "," in row else f"{row},1" for row in rows]
+        data = ("a,b\n" + "\n".join(rows) + "\n").encode()
+        path = tmp_path / "long.csv"
+        path.write_bytes(data)
+        expected = reference_read_csv(path)
+        for reader, arg in [(read_csv, path), (parse_csv, data)]:
+            tracemalloc.start()
+            try:
+                got = reader(arg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2**20, f"peak {peak / 2**20:.0f} MiB"
+            assert_same_table(got, expected)
 
     @pytest.mark.parametrize(
         "data, offset",
