@@ -19,42 +19,8 @@ Quickstart::
     print(anon.risk_report(release))
 """
 
+from ._lazy import attach
 from ._version import __version__
-from .api import (
-    AnonymizationConfig,
-    AnonymizationResult,
-    algorithm_registry,
-    metric_registry,
-    model_registry,
-    run,
-    run_batch,
-)
-from .algorithms import (
-    Anatomy,
-    BottomUpGeneralization,
-    Datafly,
-    Flash,
-    Incognito,
-    KMemberClustering,
-    MDAVMicroaggregation,
-    Mondrian,
-    OLA,
-    TopDownSpecialization,
-)
-from .core import (
-    AttributeType,
-    Column,
-    GeneralizationLattice,
-    GroupStats,
-    Hierarchy,
-    IntervalHierarchy,
-    LatticeEvaluator,
-    Release,
-    Schema,
-    Table,
-    partition_by_qi,
-)
-from .core.anonymizer import Anonymizer
 from .errors import (
     BudgetError,
     ConfigError,
@@ -64,19 +30,63 @@ from .errors import (
     ReproError,
     SchemaError,
 )
-from .privacy import (
-    AlphaKAnonymity,
-    CompositeModel,
-    DeltaPresence,
-    DistinctLDiversity,
-    EntropyLDiversity,
-    GuardingNode,
-    KAnonymity,
-    KEAnonymity,
-    LKCPrivacy,
-    PersonalizedPrivacy,
-    RecursiveCLDiversity,
-    TCloseness,
+
+# Everything else resolves on first access, so ``import repro.cli`` loads
+# only the modules a job runs (see repro._lazy).
+__getattr__, __dir__ = attach(
+    __name__,
+    globals(),
+    {
+        ".api": (
+            "AnonymizationConfig",
+            "AnonymizationResult",
+            "algorithm_registry",
+            "metric_registry",
+            "model_registry",
+            "run",
+            "run_batch",
+        ),
+        ".algorithms": (
+            "Anatomy",
+            "BottomUpGeneralization",
+            "Datafly",
+            "Flash",
+            "Incognito",
+            "KMemberClustering",
+            "MDAVMicroaggregation",
+            "Mondrian",
+            "OLA",
+            "TopDownSpecialization",
+        ),
+        ".core": (
+            "AttributeType",
+            "Column",
+            "GeneralizationLattice",
+            "GroupStats",
+            "Hierarchy",
+            "IntervalHierarchy",
+            "LatticeEvaluator",
+            "Release",
+            "Schema",
+            "Table",
+            "partition_by_qi",
+        ),
+        ".core.anonymizer": ("Anonymizer",),
+        ".privacy": (
+            "AlphaKAnonymity",
+            "CompositeModel",
+            "DeltaPresence",
+            "DistinctLDiversity",
+            "EntropyLDiversity",
+            "GuardingNode",
+            "KAnonymity",
+            "KEAnonymity",
+            "LKCPrivacy",
+            "PersonalizedPrivacy",
+            "RecursiveCLDiversity",
+            "TCloseness",
+        ),
+    },
 )
 
 __all__ = [

@@ -18,18 +18,26 @@ partition to refine incrementally), so it scores its candidates on a private
 ``repro.api.registry`` as ``"bottom-up"`` like the rest of the family.
 """
 
-from .anatomy import AnatomizedRelease, Anatomy
-from .bug import BottomUpGeneralization
-from .base import AnonymizationAlgorithm, prepare_input
-from .datafly import Datafly
-from .flash import Flash
-from .incognito import Incognito
-from .kmember import KMemberClustering
-from .microaggregation import MDAVMicroaggregation, within_group_sse
-from .mondrian import Mondrian
-from .ola import OLA
-from .slicing import SlicedRelease, Slicing
-from .topdown import TopDownSpecialization
+from .._lazy import attach
+
+__getattr__, __dir__ = attach(
+    __name__,
+    globals(),
+    {
+        ".anatomy": ("AnatomizedRelease", "Anatomy"),
+        ".base": ("AnonymizationAlgorithm", "prepare_input"),
+        ".bug": ("BottomUpGeneralization",),
+        ".datafly": ("Datafly",),
+        ".flash": ("Flash",),
+        ".incognito": ("Incognito",),
+        ".kmember": ("KMemberClustering",),
+        ".microaggregation": ("MDAVMicroaggregation", "within_group_sse"),
+        ".mondrian": ("Mondrian",),
+        ".ola": ("OLA",),
+        ".slicing": ("SlicedRelease", "Slicing"),
+        ".topdown": ("TopDownSpecialization",),
+    },
+)
 
 __all__ = [
     "AnatomizedRelease",

@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -881,5 +880,9 @@ class BatchPlanner:
         indices = range(len(self.configs))
         if self.workers == 1 or len(indices) <= 1:
             return [self._run_job(index) for index in indices]
+        # Imported here: only a parallel batch needs a pool, and the module
+        # (with logging) costs every cold CLI run a few milliseconds.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=min(self.workers, len(indices))) as pool:
             return list(pool.map(self._run_job, indices))

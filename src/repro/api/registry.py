@@ -30,32 +30,10 @@ Three registries ship populated:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from importlib import import_module
 from typing import Any, Callable, Mapping, Sequence
 
-from ..algorithms import (
-    Anatomy,
-    BottomUpGeneralization,
-    Datafly,
-    Flash,
-    Incognito,
-    KMemberClustering,
-    MDAVMicroaggregation,
-    Mondrian,
-    OLA,
-    Slicing,
-    TopDownSpecialization,
-)
 from ..errors import ConfigError
-from ..privacy import (
-    AlphaKAnonymity,
-    BetaLikeness,
-    DistinctLDiversity,
-    EntropyLDiversity,
-    KAnonymity,
-    KEAnonymity,
-    RecursiveCLDiversity,
-    TCloseness,
-)
 
 __all__ = [
     "Registry",
@@ -72,10 +50,30 @@ _SCALARS = (bool, int, float, str, type(None))
 @dataclass
 class _Entry:
     name: str
-    cls: type
+    path: str  # "module:Class" (a class object: its module and __qualname__)
     params: tuple[str, ...]
     defaults: Mapping[str, Any]
     validate: Callable[[Mapping[str, Any]], None] | None
+    resolved: type | None = None
+
+    @property
+    def cls(self) -> type:
+        """The registered class, imported from :attr:`path` on first use."""
+        if self.resolved is None:
+            # Threads racing here all bind the same class object.
+            module, _, name = self.path.partition(":")
+            self.resolved = getattr(import_module(module), name)
+        return self.resolved
+
+    def matches(self, kind: type) -> bool:
+        """Whether instances of ``kind`` are this entry's, importing nothing."""
+        if self.resolved is not None:
+            return kind is self.resolved
+        return self.path == _path_of(kind)
+
+
+def _path_of(cls: type) -> str:
+    return f"{cls.__module__}:{cls.__qualname__}"
 
 
 class Registry:
@@ -95,22 +93,30 @@ class Registry:
     def register(
         self,
         name: str,
-        cls: type,
+        cls: type | str,
         params: Sequence[str] = (),
         defaults: Mapping[str, Any] | None = None,
         validate: Callable[[Mapping[str, Any]], None] | None = None,
     ) -> None:
         """Register ``cls`` under ``name``.
 
-        ``defaults`` marks optional params (omitted from a spec, the default
-        applies); all other params are required keys. ``validate`` may
-        reject resolved kwargs before construction (e.g. a param value that
-        is only reachable through the programmatic API).
+        ``cls`` is a class or its ``"module:Class"`` import path; a path
+        is imported the first time a spec names the entry, so registering
+        it loads nothing. ``defaults`` marks optional params (omitted from a
+        spec, the default applies); all other params are required keys.
+        ``validate`` may reject resolved kwargs before construction (e.g. a
+        param value that is only reachable through the programmatic API).
         """
         if name in self._entries:
             raise ValueError(f"{self.kind} {name!r} already registered")
+        if isinstance(cls, str):
+            if ":" not in cls:
+                raise ValueError(f"{self.kind} path {cls!r} is not 'module:Class'")
+            path, resolved = cls, None
+        else:
+            path, resolved = _path_of(cls), cls
         self._entries[name] = _Entry(
-            name, cls, tuple(params), dict(defaults or {}), validate
+            name, path, tuple(params), dict(defaults or {}), validate, resolved
         )
 
     def names(self) -> list[str]:
@@ -134,7 +140,7 @@ class Registry:
 
     def _entry_for(self, obj: Any) -> _Entry:
         for entry in self._entries.values():
-            if type(obj) is entry.cls:
+            if entry.matches(type(obj)):
                 return entry
         raise ConfigError(
             f"{type(obj).__name__} is not a registered {self.kind}; "
@@ -255,115 +261,149 @@ def _no_hierarchical_ground(kwargs: Mapping[str, Any]) -> None:
         )
 
 
-model_registry.register("k-anonymity", KAnonymity, params=("k",))
+# Stock entries are import paths: a job imports only the algorithm and
+# models it names.
+model_registry.register("k-anonymity", "repro.privacy.k_anonymity:KAnonymity", params=("k",))
 model_registry.register(
-    "distinct-l-diversity", DistinctLDiversity, params=("l", "sensitive")
+    "distinct-l-diversity",
+    "repro.privacy.l_diversity:DistinctLDiversity",
+    params=("l", "sensitive"),
 )
 model_registry.register(
-    "entropy-l-diversity", EntropyLDiversity, params=("l", "sensitive")
+    "entropy-l-diversity",
+    "repro.privacy.l_diversity:EntropyLDiversity",
+    params=("l", "sensitive"),
 )
 model_registry.register(
-    "recursive-l-diversity", RecursiveCLDiversity, params=("c", "l", "sensitive")
+    "recursive-l-diversity",
+    "repro.privacy.l_diversity:RecursiveCLDiversity",
+    params=("c", "l", "sensitive"),
 )
 model_registry.register(
     "t-closeness",
-    TCloseness,
+    "repro.privacy.t_closeness:TCloseness",
     params=("t", "sensitive", "ground_distance"),
     defaults={"ground_distance": "equal"},
     validate=_no_hierarchical_ground,
 )
 model_registry.register(
-    "alpha-k-anonymity", AlphaKAnonymity, params=("alpha", "k", "sensitive")
+    "alpha-k-anonymity",
+    "repro.privacy.alpha_k:AlphaKAnonymity",
+    params=("alpha", "k", "sensitive"),
 )
-model_registry.register("beta-likeness", BetaLikeness, params=("beta", "sensitive"))
-model_registry.register("ke-anonymity", KEAnonymity, params=("k", "e", "sensitive"))
+model_registry.register(
+    "beta-likeness", "repro.privacy.beta_likeness:BetaLikeness", params=("beta", "sensitive")
+)
+model_registry.register(
+    "ke-anonymity", "repro.privacy.ke_anonymity:KEAnonymity", params=("k", "e", "sensitive")
+)
 
 algorithm_registry.register(
     "mondrian",
-    Mondrian,
+    "repro.algorithms.mondrian:Mondrian",
     params=("mode", "target"),
     defaults={"mode": "strict", "target": None},
 )
 algorithm_registry.register(
     "datafly",
-    Datafly,
+    "repro.algorithms.datafly:Datafly",
     params=("max_suppression", "heuristic"),
     defaults={"max_suppression": 0.05, "heuristic": "distinct"},
 )
 algorithm_registry.register(
-    "incognito", Incognito, params=("max_suppression",), defaults={"max_suppression": 0.0}
+    "incognito",
+    "repro.algorithms.incognito:Incognito",
+    params=("max_suppression",),
+    defaults={"max_suppression": 0.0},
 )
 algorithm_registry.register(
-    "ola", OLA, params=("max_suppression",), defaults={"max_suppression": 0.05}
+    "ola",
+    "repro.algorithms.ola:OLA",
+    params=("max_suppression",),
+    defaults={"max_suppression": 0.05},
 )
 algorithm_registry.register(
-    "flash", Flash, params=("max_suppression",), defaults={"max_suppression": 0.0}
+    "flash",
+    "repro.algorithms.flash:Flash",
+    params=("max_suppression",),
+    defaults={"max_suppression": 0.0},
 )
 algorithm_registry.register(
     "bottom-up",
-    BottomUpGeneralization,
+    "repro.algorithms.bug:BottomUpGeneralization",
     params=("max_suppression",),
     defaults={"max_suppression": 0.0},
 )
 algorithm_registry.register(
     "tds",
-    TopDownSpecialization,
+    "repro.algorithms.topdown:TopDownSpecialization",
     params=("target", "max_steps"),
     defaults={"target": None, "max_steps": 10_000},
 )
-algorithm_registry.register("mdav", MDAVMicroaggregation, params=("k",))
+algorithm_registry.register(
+    "mdav", "repro.algorithms.microaggregation:MDAVMicroaggregation", params=("k",)
+)
 algorithm_registry.register(
     "kmember",
-    KMemberClustering,
+    "repro.algorithms.kmember:KMemberClustering",
     params=("k", "sample_candidates", "seed"),
     defaults={"sample_candidates": 64, "seed": 0},
 )
 algorithm_registry.register(
     "anatomy",
-    Anatomy,
+    "repro.algorithms.anatomy:Anatomy",
     params=("l", "seed"),
     defaults={"seed": 0},
 )
 algorithm_registry.register(
     "slicing",
-    Slicing,
+    "repro.algorithms.slicing:Slicing",
     params=("k", "max_column_width", "seed"),
     defaults={"max_column_width": 2, "seed": 0},
 )
 
 
-def _register_stock_metrics() -> None:
-    from ..attacks.linkage import linkage_risks
-    from ..metrics.discernibility import c_avg, discernibility_of_release
-    from ..metrics.entropy_loss import non_uniform_entropy
+# Each stock metric imports its function the first time it is computed.
+
+
+def _gcp(ctx: MetricContext) -> float:
     from ..metrics.loss import gcp
+
+    return gcp(ctx.original, ctx.release, ctx.hierarchies)
+
+
+def _precision(ctx: MetricContext) -> float:
     from ..metrics.precision import precision
 
-    metric_registry.register(
-        "gcp", lambda ctx: gcp(ctx.original, ctx.release, ctx.hierarchies)
-    )
-    metric_registry.register("precision", lambda ctx: precision(ctx.release, ctx.hierarchies))
-    metric_registry.register(
-        "non_uniform_entropy",
-        lambda ctx: non_uniform_entropy(ctx.original, ctx.release, ctx.hierarchies),
-    )
-    metric_registry.register(
-        "discernibility", lambda ctx: discernibility_of_release(ctx.release)
-    )
-    metric_registry.register(
-        "c_avg",
-        # Normalized by the job's requested k (C_AVG's definition); only a
-        # job with no k-bearing model falls back to the observed minimum.
-        lambda ctx: c_avg(
-            ctx.release.partition(),
-            k=int(
-                ctx.extras.get("target_k")
-                or max(int(ctx.release.equivalence_class_sizes().min()), 1)
-            ),
-        ),
-    )
-    metric_registry.register("linkage", lambda ctx: linkage_risks(ctx.release))
-    metric_registry.register("homogeneity", _homogeneity)
+    return precision(ctx.release, ctx.hierarchies)
+
+
+def _non_uniform_entropy(ctx: MetricContext) -> float:
+    from ..metrics.entropy_loss import non_uniform_entropy
+
+    return non_uniform_entropy(ctx.original, ctx.release, ctx.hierarchies)
+
+
+def _discernibility(ctx: MetricContext) -> float:
+    from ..metrics.discernibility import discernibility_of_release
+
+    return discernibility_of_release(ctx.release)
+
+
+def _c_avg(ctx: MetricContext) -> float:
+    from ..metrics.discernibility import c_avg
+
+    partition = ctx.release.partition()
+    # Normalized by the job's requested k (C_AVG's definition); only a job
+    # with no k-bearing model falls back to the observed minimum.
+    k = ctx.extras.get("target_k") or max(int(ctx.release.equivalence_class_sizes().min()), 1)
+    return c_avg(partition, k=int(k))
+
+
+def _linkage(ctx: MetricContext) -> dict:
+    from ..attacks.linkage import linkage_risks
+
+    return linkage_risks(ctx.release)
 
 
 def _homogeneity(ctx: MetricContext) -> dict:
@@ -377,4 +417,10 @@ def _homogeneity(ctx: MetricContext) -> dict:
     return homogeneity_attack(ctx.release, ctx.sensitive[0])
 
 
-_register_stock_metrics()
+metric_registry.register("gcp", _gcp)
+metric_registry.register("precision", _precision)
+metric_registry.register("non_uniform_entropy", _non_uniform_entropy)
+metric_registry.register("discernibility", _discernibility)
+metric_registry.register("c_avg", _c_avg)
+metric_registry.register("linkage", _linkage)
+metric_registry.register("homogeneity", _homogeneity)

@@ -25,24 +25,37 @@ __all__ = ["homogeneity_attack", "background_knowledge_attack", "skewness_gain"]
 
 
 def homogeneity_attack(release: Release, sensitive: str | None = None, confidence: float = 0.9) -> dict:
-    """Fraction of records exposed by (near-)homogeneous classes."""
+    """Fraction of records exposed by (near-)homogeneous classes.
+
+    On an Anatomy release the sensitive column lives in the ST, so a class is
+    an Anatomy group and its histogram is the group's ST counts: the
+    attacker follows a QIT row to its group, and the group to its counts.
+    """
     sensitive = sensitive or release.schema.sensitive[0]
-    partition = release.partition()
-    histograms = partition.sensitive_counts(release.table, sensitive)
-    exposed = 0
-    total = 0
-    confidences = []
-    for counts in histograms:
-        size = counts.sum()
-        top = counts.max() / size if size else 0.0
-        confidences.append(top)
-        total += int(size)
-        if top >= confidence:
-            exposed += int(size)
+    anatomized = release.info.get("anatomized")
+    if anatomized is not None:
+        counts = [tuple(group.values()) for group in anatomized.st]
+        sizes = np.array([sum(group) for group in counts], dtype=np.int64)
+        top = np.array([max(group) for group in counts], dtype=np.int64)
+    else:
+        labels = release.class_labels()
+        codes = release.table.codes(sensitive)
+        n_cats = len(release.table.column(sensitive).categories)
+        n_classes = int(labels.max()) + 1 if labels.size else 0
+        # Every class histogram from one bincount over (class, value) cells.
+        histograms = np.bincount(
+            labels * n_cats + codes, minlength=n_classes * n_cats
+        ).reshape(n_classes, n_cats)
+        sizes = histograms.sum(axis=1)
+        top = histograms.max(axis=1, initial=0)
+    # Every class holds a row, so no share divides by zero.
+    shares = top / sizes
+    total = int(sizes.sum())
+    exposed = int(sizes[shares >= confidence].sum())
     return {
         "exposed_fraction": exposed / total if total else 0.0,
-        "avg_inference_confidence": float(np.mean(confidences)) if confidences else 0.0,
-        "max_inference_confidence": float(np.max(confidences)) if confidences else 0.0,
+        "avg_inference_confidence": float(np.mean(shares)) if shares.size else 0.0,
+        "max_inference_confidence": float(np.max(shares)) if shares.size else 0.0,
     }
 
 

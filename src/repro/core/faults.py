@@ -20,7 +20,6 @@ When nothing is armed, :func:`fire` is a no-op guarded by the
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import threading
@@ -264,6 +263,10 @@ def _decide(spec: Mapping[str, Any], seed: int, point: str, ordinal: int) -> boo
     if "every" in spec:
         return ordinal % spec["every"] == 0
     if "rate" in spec:
+        # Imported here: only an armed rate spec draws, and loading
+        # hashlib (OpenSSL) costs every cold CLI run a few milliseconds.
+        import hashlib
+
         digest = hashlib.blake2b(
             f"{seed}:{point}:{ordinal}".encode(), digest_size=8
         ).digest()

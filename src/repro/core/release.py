@@ -13,6 +13,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
+from .engine import _group_signatures
 from .partition import EquivalenceClasses, partition_by_qi
 from .schema import Schema
 from .table import Table
@@ -33,6 +34,7 @@ class Release:
     kept_rows: np.ndarray | None = None
     info: Mapping[str, Any] = field(default_factory=dict)
     _partition: EquivalenceClasses | None = field(default=None, repr=False)
+    _labels: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_rows(self) -> int:
@@ -51,13 +53,24 @@ class Release:
             self._partition = partition_by_qi(self.table, self.schema.quasi_identifiers)
         return self._partition
 
+    def class_labels(self) -> np.ndarray:
+        """Each row's equivalence class, numbered in :meth:`partition` group
+        order (cached; treat the returned array as read-only)."""
+        if self._labels is None:
+            signature = self.table.group_signature(self.schema.quasi_identifiers)
+            # The signatures lie in [0, max], so the engine's labelling (a
+            # rank without a sort while that range is small against the row
+            # count, else np.unique) numbers them as np.unique would.
+            size = int(signature.max()) + 1 if signature.size else 1
+            self._labels = _group_signatures(signature, (size,))[0]
+        return self._labels
+
     def equivalence_class_sizes(self) -> np.ndarray:
         """Per-class row counts, in :meth:`partition` group order."""
         if self._partition is None and self.n_rows:
-            # Counting the QI signatures gives the same sizes without one
+            # Counting the class labels gives the same sizes without one
             # row-index array per class; a job summary needs only these.
-            signature = self.table.group_signature(self.schema.quasi_identifiers)
-            return np.unique(signature, return_counts=True)[1]
+            return np.bincount(self.class_labels())
         return self.partition().sizes()
 
     def summary(self) -> dict:

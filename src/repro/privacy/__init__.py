@@ -1,15 +1,23 @@
 """Privacy models: one ``ok_mask`` verdict per model over per-group statistics."""
 
-from .alpha_k import AlphaKAnonymity
-from .base import CompositeModel, PrivacyModel
-from .beta_likeness import BetaLikeness
-from .delta_presence import DeltaPresence
-from .k_anonymity import KAnonymity
-from .ke_anonymity import KEAnonymity
-from .l_diversity import DistinctLDiversity, EntropyLDiversity, RecursiveCLDiversity
-from .lkc import LKCPrivacy
-from .personalized import GuardingNode, PersonalizedPrivacy
-from .t_closeness import TCloseness, emd_equal, emd_hierarchical, emd_ordered
+from .._lazy import attach
+
+__getattr__, __dir__ = attach(
+    __name__,
+    globals(),
+    {
+        ".alpha_k": ("AlphaKAnonymity",),
+        ".base": ("CompositeModel", "PrivacyModel"),
+        ".beta_likeness": ("BetaLikeness",),
+        ".delta_presence": ("DeltaPresence",),
+        ".k_anonymity": ("KAnonymity",),
+        ".ke_anonymity": ("KEAnonymity",),
+        ".l_diversity": ("DistinctLDiversity", "EntropyLDiversity", "RecursiveCLDiversity"),
+        ".lkc": ("LKCPrivacy",),
+        ".personalized": ("GuardingNode", "PersonalizedPrivacy"),
+        ".t_closeness": ("TCloseness", "emd_equal", "emd_hierarchical", "emd_ordered"),
+    },
+)
 
 __all__ = [
     "AlphaKAnonymity",

@@ -539,6 +539,22 @@ class TestExecutor:
         with pytest.raises(ConfigError, match="homogeneity"):
             run(config, table)
 
+    def test_anatomy_homogeneity_reads_the_sensitive_table(self):
+        """Anatomy moves the sensitive column into its ST; the attacker
+        follows a QIT row to its group and the group to its ST counts."""
+        config = AnonymizationConfig.from_dict(
+            {**JOB, "algorithm": {"algorithm": "anatomy", "l": 2}, "metrics": ["homogeneity"]}
+        )
+        result = run(config, _random_table(400))
+        shares = [
+            max(counts.values()) / sum(counts.values())
+            for counts in result.release.info["anatomized"].st
+        ]
+        homogeneity = result.metrics["homogeneity"]
+        assert homogeneity["max_inference_confidence"] == max(shares) == 0.5
+        assert homogeneity["avg_inference_confidence"] == pytest.approx(np.mean(shares))
+        assert homogeneity["exposed_fraction"] == 0.0
+
 
 def _random_table(n_rows, seed=3):
     rng = np.random.default_rng(seed)

@@ -122,6 +122,33 @@ class TestHomogeneity:
         assert 0.0 <= result["avg_inference_confidence"] <= 1.0
         assert result["avg_inference_confidence"] <= result["max_inference_confidence"]
 
+    @pytest.mark.parametrize("confidence", [0.5, 0.9])
+    def test_matches_the_per_class_loop(self, medical_setup_module, confidence):
+        table, schema, hierarchies = medical_setup_module
+        anon = Anonymizer(table, schema, hierarchies)
+        identity = Release(table=table, schema=schema, algorithm="identity")
+        for release in (anon.apply(KAnonymity(5)), anon.apply(KAnonymity(2)), identity):
+            expected = _homogeneity_loop(release, "disease", confidence)
+            assert homogeneity_attack(release, "disease", confidence) == expected
+
+
+def _homogeneity_loop(release, sensitive, confidence):
+    """Reference: one histogram per equivalence class, scored in a loop."""
+    partition = release.partition()
+    shares, exposed, total = [], 0, 0
+    for counts in partition.sensitive_counts(release.table, sensitive):
+        size = counts.sum()
+        top = counts.max() / size if size else 0.0
+        shares.append(top)
+        total += int(size)
+        if top >= confidence:
+            exposed += int(size)
+    return {
+        "exposed_fraction": exposed / total if total else 0.0,
+        "avg_inference_confidence": float(np.mean(shares)) if shares else 0.0,
+        "max_inference_confidence": float(np.max(shares)) if shares else 0.0,
+    }
+
 
 class TestBackgroundKnowledge:
     def test_elimination_raises_confidence(self, medical_release):

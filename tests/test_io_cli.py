@@ -733,6 +733,23 @@ class TestCLI:
         ]
         assert not out.exists()
 
+    def test_anatomy_default_report_exits_0(self, csv_path, tmp_path, capsys):
+        # The default report adds homogeneity, whose sensitive column
+        # Anatomy publishes only in its ST.
+        out = tmp_path / "anon.csv"
+        rc = main(
+            [
+                str(csv_path), str(out),
+                "--qi", "zipcode", "--qi", "job", "--numeric-qi", "age",
+                "--sensitive", "disease", "--l", "2", "--algorithm", "anatomy", "--report",
+            ]
+        )
+        assert rc == 0
+        published = read_csv(out)
+        assert published.column_names == ["zipcode", "job", "age", "group_id"]
+        report = json.loads(capsys.readouterr().err)
+        assert report["homogeneity"]["exposed_fraction"] == 0.0
+
     def test_drop_removes_identifier(self, csv_path, tmp_path):
         out = tmp_path / "anon.csv"
         main(

@@ -17,6 +17,8 @@ from repro import (
 from repro.core.generalize import apply_node
 from repro.core.partition import partition_by_qi
 from repro.core.release import Release
+from repro.core.schema import Schema
+from repro.core.table import Column, Table
 from repro.data import load_adult_file
 
 
@@ -62,8 +64,28 @@ class TestRelease:
             assert sizes.dtype == expected.dtype
             assert sizes.tolist() == expected.tolist()
             assert release.summary()["equivalence_classes"] == len(expected)
+            labels = release.class_labels()
+            assert labels is release.class_labels()
+            for index, group in enumerate(partition_by_qi(released, qi).groups):
+                assert (labels[group] == index).all()
             if rows == "all":
                 assert release._partition is None
+
+    @pytest.mark.parametrize(
+        "columns, distinct",
+        [(3, 4), (3, 900), (8, 900)],
+        ids=["dense-rank", "sorted", "radix-overflow"],
+    )
+    def test_class_labels_number_signatures_as_np_unique(self, columns, distinct):
+        rng = np.random.default_rng(distinct)
+        names = [f"q{i}" for i in range(columns)]
+        released = Table(
+            [Column.categorical(name, rng.integers(0, distinct, 1000)) for name in names]
+        )
+        release = Release(released, Schema.build(quasi_identifiers=names), algorithm="any")
+        signature = released.group_signature(names)
+        expected = np.unique(signature, return_inverse=True)[1]
+        assert release.class_labels().tolist() == expected.tolist()
 
     def test_suppressed_release_rates(self, adult_setup):
         table, schema, hierarchies = adult_setup
