@@ -190,6 +190,49 @@ print(json.dumps(out, sort_keys=True))
 """
 
 
+_RACE_SCRIPT = """
+import importlib, json, random, sys, threading
+from concurrent.futures import ThreadPoolExecutor
+
+packages = [importlib.import_module(name) for name in json.loads(sys.argv[1])]
+from repro.api import algorithm_registry, model_registry
+
+entries = [
+    (registry, name) for registry in (algorithm_registry, model_registry)
+    for name in registry.names()
+]
+barrier = threading.Barrier(8)
+
+
+def first_use(seed):
+    names = [(package, name) for package in packages for name in package.__all__]
+    random.Random(seed).shuffle(names)
+    barrier.wait(timeout=60)
+    seen = {f"{p.__name__}.{n}": id(getattr(p, n)) for p, n in names}
+    seen.update({f"{r.kind}:{n}": id(r._entries[n].cls) for r, n in entries})
+    return seen
+
+
+interval = sys.getswitchinterval()
+sys.setswitchinterval(1e-5)
+try:
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        views = list(pool.map(first_use, range(8)))
+finally:
+    sys.setswitchinterval(interval)
+final = {f"{p.__name__}.{n}": id(getattr(p, n)) for p in packages for n in p.__all__}
+final.update({f"{r.kind}:{n}": id(r._entries[n].cls) for r, n in entries})
+print(json.dumps({"names": len(final), "agree": all(view == final for view in views)}))
+"""
+
+
+def test_concurrent_first_access_binds_one_object_per_name():
+    """Eight threads on two cores race to first use every lazy name and entry."""
+    out = _run(_RACE_SCRIPT, json.dumps(LAZY_PACKAGES), timeout=300)
+    assert out["agree"] is True
+    assert out["names"] > 150
+
+
 def test_concurrent_first_use_of_lazy_names_matches_sequential():
     """Four workers on two cores race through every job's first imports."""
     parallel = _run(_BATCH_SCRIPT, "4", timeout=300)
