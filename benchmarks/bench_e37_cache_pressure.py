@@ -1,14 +1,15 @@
 """E37 — Cache pressure: per-job engine budgets on an over-budget sweep.
 
 The scaling step after E36's parallel executor: what happens when a batch's
-engine-cache working set overflows the byte budget. Each environment of a
-batch is served by one evaluator whose store holds its jobs' own
-``cache_bytes``; here every job gets half the largest measured working set,
-so evaluators evict mid-run (the stratum policy sheds nodes a roll-up can
-rebuild before the from-rows roots). Node statistics are pure functions of
-(table, hierarchies, node), so eviction may cost recomputation
-(``cache_info()["recomputed_after_evict"]``, printed and recorded) but must
-never change a release.
+engine-cache working set overflows the byte budget. Each QI set of a batch
+is served by one evaluator, and the evaluators of one table environment
+share one store holding their jobs' own ``cache_bytes``; here every job
+gets half the measured working set, so the store evicts mid-run (the
+stratum policy sheds nodes a roll-up can rebuild before the from-rows
+roots). Counters are read once per store, not once per evaluator. Node
+statistics are pure functions of (table, hierarchies, node), so eviction
+may cost recomputation (``cache_info()["recomputed_after_evict"]``, printed
+and recorded) but must never change a release.
 
 The bench also pins the determinism half of the cache design: Incognito
 pre-seeds each subset's bottom node before searching, so the engine's
@@ -18,8 +19,8 @@ rows).
 
 Gates (exit code — what CI enforces):
 
-1. on a 3-environment sweep with every job's ``cache_bytes`` at half the
-   largest measured working set, the engines evict (``evictions > 0``), so
+1. on a sweep over 3 QI sets with every job's ``cache_bytes`` at half the
+   largest measured working set, the store evicts (``evictions > 0``), so
    the budget really binds;
 2. that budgeted sweep — sequential and at ``workers=4`` — releases
    byte-identical tables to the unconstrained sequential reference;
@@ -42,7 +43,7 @@ from conftest import print_series, write_results
 from repro.api import AnonymizationConfig, run_batch
 from repro.data import adult_hierarchies, load_adult
 
-#: Three distinct QI environments — three evaluators, three working sets.
+#: Three QI sets of one table — three evaluators over one shared store.
 ENVIRONMENTS = (
     ["workclass", "education", "occupation", "native_country", "sex"],
     ["workclass", "education", "marital_status", "race", "sex"],
@@ -99,12 +100,13 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _engines(results):
-    engines = []
+def _stores(results):
+    """Each distinct engine cache store once: evaluators share stores."""
+    stores = []
     for result in results:
-        if result.engine is not None and result.engine not in engines:
-            engines.append(result.engine)
-    return engines
+        if result.engine is not None and result.engine.cache not in stores:
+            stores.append(result.engine.cache)
+    return stores
 
 
 def _identical(reference, results):
@@ -116,7 +118,7 @@ def _identical(reference, results):
 
 
 def _counter(results, name):
-    return sum(engine.cache_info()[name] for engine in _engines(results))
+    return sum(store.info()[name] for store in _stores(results))
 
 
 def _measure(configs, table, hierarchies, workers):
@@ -142,14 +144,12 @@ def run_bench(n_rows=20000, seed=42, workers=4):
     table = load_adult(n_rows=n_rows, seed=seed)
     hierarchies = adult_hierarchies()
 
-    # Unconstrained sequential reference: measures each environment's actual
+    # Unconstrained sequential reference: measures each store's actual
     # working set, from which the deliberately undersized budget is derived.
     start = time.perf_counter()
     reference = run_batch(_sweep(), table, hierarchies=hierarchies)
     reference_seconds = time.perf_counter() - start
-    working_sets = [
-        engine.cache_info()["bytes"] for engine in _engines(reference)
-    ]
+    working_sets = [store.info()["bytes"] for store in _stores(reference)]
     budget = max(working_sets) // 2
     configs = _sweep(cache_bytes=budget)
 
@@ -210,7 +210,7 @@ def run_bench(n_rows=20000, seed=42, workers=4):
             )
         )
     print_series(
-        f"E37: cache pressure (n={n_rows}, {len(configs)}-job 3-environment sweep, "
+        f"E37: cache pressure (n={n_rows}, {len(configs)}-job sweep over 3 QI sets, "
         f"cache_bytes={budget // 1024} KiB per job vs {max(working_sets) // 1024} KiB "
         f"largest working set, workers={workers}, {_cpus()} CPUs)",
         ["path", "seconds", "evictions", "recomputed-after-evict", "byte-identical"],

@@ -5,7 +5,7 @@ bench drives a real ``ThreadingHTTPServer`` (in-process, ephemeral port)
 through the stdlib client and gates on the resident-state contract:
 
 1. **warm >= 2x cold throughput** — a tenant's first batch over a fresh
-   environment pays row scans and roll-ups; identical follow-up batches
+   table environment pays row scans and roll-ups; identical follow-up batches
    must be served from the tenant's warm store at at least twice the
    cold jobs/sec (the memo-hit path skips lattice evaluation entirely);
 2. **warm serving does no row rescans** — the tenant store's
@@ -37,7 +37,8 @@ from repro.core.io import write_csv
 from repro.core.table import Column, Table
 from repro.service import AnonymizationService, ServiceClient, create_server
 
-#: Two QI environments, so each batch fills two tenant stores.
+#: Two QI sets of one table environment: each batch fills the tenant's
+#: one store through two evaluators.
 ENVIRONMENTS = (["zip", "sector"], ["zip", "edu"])
 K_SWEEP = (5, 10, 25, 50)
 
@@ -171,7 +172,7 @@ def run_bench(n_rows=100_000, seed=42):
 
     print_series(
         f"E40: service gate (n={n_rows}, {len(jobs)}-job "
-        f"{len(ENVIRONMENTS)}-environment batches, {cpu_count()} CPUs)",
+        f"batches over {len(ENVIRONMENTS)} QI sets, {cpu_count()} CPUs)",
         ["phase", "seconds", "jobs/sec"],
         [
             ("cold (fresh tenant)", cold_seconds, cold_jps),

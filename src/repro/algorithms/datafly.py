@@ -13,7 +13,8 @@ E3 ablation bench.
 
 Node checks and the distinct-value heuristics run on the shared
 :class:`~repro.core.engine.LatticeEvaluator`; only the final winning node is
-materialized into a generalized table.
+materialized, from the engine's codes, into the job's identifier-stripped
+table.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from ..core.engine import LatticeEvaluator
-from ..core.generalize import HierarchyLike, apply_node
+from ..core.generalize import HierarchyLike
 from ..core.release import Release
 from ..core.schema import Schema
 from ..core.table import Table
@@ -62,7 +63,7 @@ class Datafly:
 
         while True:
             if evaluator.check(node, models):
-                final = apply_node(original, hierarchies, qi_names, node)
+                final = evaluator.materialize(node, qi_names, table=original)
                 suppressed = 0
                 kept = None
                 break
@@ -75,8 +76,12 @@ class Datafly:
                 drop.size <= self.max_suppression * original.n_rows
                 and drop.size < original.n_rows
             ):
+                # The job's stripped table, whatever table the evaluator
+                # was built over: a caller's evaluator may hold identifiers.
                 final, kept, suppressed = suppress_rows(
-                    evaluator.materialize(node), drop, self.max_suppression
+                    evaluator.materialize(node, qi_names, table=original),
+                    drop,
+                    self.max_suppression,
                 )
                 break
             target = self._pick_attribute(evaluator, node, heights)

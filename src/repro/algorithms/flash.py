@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Callable, Mapping, Sequence
 
 from ..core.engine import LatticeEvaluator
-from ..core.generalize import HierarchyLike, apply_node
+from ..core.generalize import HierarchyLike
 from ..core.lattice import GeneralizationLattice
 from ..core.release import Release
 from ..core.schema import Schema
@@ -95,7 +95,7 @@ class Flash:
         if not minimal:
             raise InfeasibleError("no full-domain generalization satisfies the models")
         best = self._choose(original, evaluator, minimal)
-        candidate = apply_node(original, hierarchies, qi_names, best)
+        candidate = evaluator.materialize(best, qi_names, table=original)
 
         suppressed, kept = 0, None
         if not evaluator.check(best, models):  # pragma: no cover - safety

@@ -27,7 +27,7 @@ from itertools import combinations
 from typing import Callable, Mapping, Sequence
 
 from ..core.engine import LatticeEvaluator
-from ..core.generalize import HierarchyLike, apply_node
+from ..core.generalize import HierarchyLike
 from ..core.lattice import GeneralizationLattice
 from ..core.release import Release
 from ..core.schema import Schema
@@ -83,7 +83,7 @@ class Incognito:
         if not minimal:
             raise InfeasibleError("no full-domain generalization satisfies the models")
         best = self._choose(original, evaluator, minimal)
-        candidate = apply_node(original, hierarchies, qi_names, best)
+        candidate = evaluator.materialize(best, qi_names, table=original)
 
         suppressed, kept = 0, None
         if not evaluator.check(best, models):  # pragma: no cover - safety

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Callable, Mapping, Sequence
 
 from ..core.engine import LatticeEvaluator
-from ..core.generalize import HierarchyLike, apply_node
+from ..core.generalize import HierarchyLike
 from ..core.lattice import GeneralizationLattice
 from ..core.release import Release
 from ..core.schema import Schema
@@ -147,7 +147,7 @@ class OLA:
             raise InfeasibleError("no satisfying node found")
 
         best = min(minimal, key=lambda node: self.loss(node, heights))
-        candidate = apply_node(original, hierarchies, qi_names, best)
+        candidate = evaluator.materialize(best, qi_names, table=original)
         if evaluator.check(best, models):
             kept, suppressed = None, 0
         else:

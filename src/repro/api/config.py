@@ -362,18 +362,31 @@ def build_schema(config: AnonymizationConfig, table: Table) -> Schema:
     )
 
 
-def build_hierarchies(config: AnonymizationConfig, table: Table) -> dict:
-    """Materialize every QI's hierarchy spec against the concrete table."""
+def build_hierarchies(
+    config: AnonymizationConfig, table: Table, built: dict | None = None
+) -> dict:
+    """Materialize every QI's hierarchy spec against the concrete table.
+
+    ``built`` maps ``(name, numeric)`` to a hierarchy already built for
+    that column and role, and receives the ones built here. Configs that
+    agree on the hierarchy specs and ``bins`` (one table environment of a
+    batch) pass one dict, so each column's hierarchy is built once.
+    """
     if not table.n_rows:
         # Auto hierarchies span the rows' values; zero rows have none.
         raise SchemaError("the table has no rows to anonymize")
+    built = {} if built is None else built
     hierarchies: dict = {}
-    for name in config.quasi_identifiers:
-        spec = config.hierarchies.get(name, {"builder": "auto"})
-        hierarchies[name] = _build_categorical(name, spec, table, config)
-    for name in config.numeric_quasi_identifiers:
-        spec = config.hierarchies.get(name, {"builder": "auto"})
-        hierarchies[name] = _build_interval(name, spec, table, config)
+    for numeric, names, build in (
+        (False, config.quasi_identifiers, _build_categorical),
+        (True, config.numeric_quasi_identifiers, _build_interval),
+    ):
+        for name in names:
+            hierarchy = built.get((name, numeric))
+            if hierarchy is None:
+                spec = config.hierarchies.get(name, {"builder": "auto"})
+                hierarchy = built[name, numeric] = build(name, spec, table, config)
+            hierarchies[name] = hierarchy
     return hierarchies
 
 

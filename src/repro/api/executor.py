@@ -9,20 +9,24 @@ byte-identical releases no matter which door it enters through.
 
 :func:`run_batch` additionally shares one
 :class:`~repro.core.engine.LatticeEvaluator` across all jobs that agree on
-roles and hierarchy specs, so a multi-config sweep (an algorithm shootout, a
-k-sweep) evaluates each lattice node once — the engine's memoized
-``GroupStats`` serve every job; ``LatticeEvaluator.cache_info()`` shows the
-sharing (``hits`` grow, ``from_rows`` do not). With ``workers > 1`` the
-jobs of a batch run on a thread pool against the same shared evaluator,
-whose cache is thread-safe and single-flight — two workers never evaluate
-the same lattice node twice, and results are byte-identical to sequential
-execution (see ``docs/architecture.md``).
+QI roles and the table environment, and one engine cache store across every
+QI set of a table environment, so a multi-config sweep (an algorithm
+shootout, a k-sweep, a QI-subset sweep) evaluates each lattice node once —
+the engine's memoized ``GroupStats`` serve every job;
+``LatticeEvaluator.cache_info()`` shows the sharing (``hits`` grow,
+``from_rows`` do not). With ``workers > 1`` the jobs of a batch run on a
+thread pool against the same shared evaluators, whose store is thread-safe
+and single-flight — two workers never evaluate the same lattice node
+twice, and results are byte-identical to sequential execution (see
+``docs/architecture.md``).
 
-The grouping is done by :class:`BatchPlanner`: each environment's evaluator
-gets one :class:`~repro.core.cache.EngineCacheStore` holding its jobs' own
+The grouping is done by :class:`BatchPlanner`: the evaluators of one table
+environment (same dropped columns, hierarchy specs, ``bins``,
+``cache_bytes`` and ``chunk_rows``) get one
+:class:`~repro.core.cache.EngineCacheStore` holding their jobs' own
 ``cache_bytes`` budget (256 MiB by default) under the stratum-aware
-eviction policy, so a batch's engine memory is bounded per environment,
-exactly as a single :func:`run` is.
+eviction policy, so a batch's engine memory is bounded per table
+environment, exactly as a single :func:`run` is.
 """
 
 from __future__ import annotations
@@ -555,23 +559,23 @@ def _attempt_job(
 
 
 def _environment_key(config: AnonymizationConfig) -> tuple[str, str]:
-    """(evaluator_key, schema_key) for batch sharing.
+    """(store_key, schema_key) for batch sharing.
 
-    Jobs with equal evaluator keys see the same hierarchies and lattice
-    evaluator — node statistics only depend on QI roles, hierarchy specs,
-    and dropped columns; an explicit per-job ``cache_bytes`` is part of the
-    key too, since jobs demanding different budgets cannot share one store.
-    The schema key additionally pins the sensitive roles: two jobs may
-    share an evaluator yet need different schemas, and collapsing them
-    would hand job B job A's sensitive column (metrics, release schema)
+    The store key names a table environment: the dropped columns, the
+    hierarchy specs, ``bins``, ``cache_bytes`` and ``chunk_rows``. A node's
+    statistics over some columns are a pure function of the table rows and
+    those columns' hierarchies and levels, not of which job's QI set asked
+    for them, so every job of one table environment can share one engine
+    cache store. Jobs demanding different budgets or chunking cannot.
+    The schema key adds the QI and sensitive roles: two jobs may share a
+    store yet need different schemas, and collapsing them would hand job B
+    job A's QIs or sensitive column (search, metrics, release schema)
     without any error.
     """
     import json
 
-    evaluator_key = json.dumps(
+    store_key = json.dumps(
         {
-            "qi": config.quasi_identifiers,
-            "num": config.numeric_quasi_identifiers,
             "drop": config.drop,
             "hier": config.hierarchies,
             "bins": config.bins,
@@ -583,10 +587,16 @@ def _environment_key(config: AnonymizationConfig) -> tuple[str, str]:
         sort_keys=True,
         default=list,
     )
-    schema_key = evaluator_key + json.dumps(
-        {"sensitive": config.sensitive}, sort_keys=True, default=list
+    schema_key = store_key + json.dumps(
+        {
+            "qi": config.quasi_identifiers,
+            "num": config.numeric_quasi_identifiers,
+            "sensitive": config.sensitive,
+        },
+        sort_keys=True,
+        default=list,
     )
-    return evaluator_key, schema_key
+    return store_key, schema_key
 
 
 def run_batch(
@@ -606,10 +616,15 @@ def run_batch(
     Configs that agree on QI roles and hierarchy specs (the typical sweep:
     same data scenario, varying models/algorithms/budgets) are served by a
     single shared :class:`LatticeEvaluator`, so a node evaluated by one
-    job's search is a memo hit for every later job. Results come back in
-    input order, each carrying the shared engine on ``.engine``.
-    ``hierarchies`` overrides spec-built hierarchies with live objects for
-    the whole batch, exactly as in :func:`run`.
+    job's search is a memo hit for every later job. The evaluators of
+    different QI sets share one cache store when their jobs agree on the
+    table side (dropped columns, hierarchy specs, ``bins``, ``cache_bytes``,
+    ``chunk_rows``): a column subset that several QI sets reach, such as
+    Incognito's subset bottoms, is evaluated once, and each column's
+    hierarchy is built once. Results come back in input order, each
+    carrying its evaluator on ``.engine``; its ``cache_info()`` counts the
+    whole shared store. ``hierarchies`` overrides spec-built hierarchies
+    with live objects for the whole batch, exactly as in :func:`run`.
 
     ``workers`` must be a positive integer (else :class:`ConfigError`);
     ``workers > 1`` dispatches the jobs across a thread pool. Jobs still
@@ -621,8 +636,8 @@ def run_batch(
     another's in-flight node instead). Every job's computation is
     deterministic and isolated apart from that cache, so the returned
     releases are byte-identical to ``workers=1`` regardless of scheduling.
-    Each shared evaluator's cache holds its jobs' own ``cache_bytes``
-    budget (256 MiB by default); there is no batch-wide budget.
+    Each shared store holds its jobs' own ``cache_bytes`` budget (256 MiB
+    by default); there is no batch-wide budget.
 
     The failure-policy arguments make a batch survive bad jobs (see
     :class:`FailurePolicy` and ``docs/architecture.md`` — *Fault
@@ -658,16 +673,16 @@ def run_batch(
         True
 
     ``cache_stores`` is the cross-batch warm-start seam: a mapping from
-    environment evaluator keys (:func:`_environment_key`) to long-lived
-    :class:`~repro.core.cache.EngineCacheStore` objects. An environment
-    whose key appears in the mapping uses the given store as its canonical
-    memo store instead of building a fresh one — entries cached by an
-    earlier batch over a byte-identical table are memo hits here
-    (``hits`` grow, ``from_rows`` stays put), and this batch's entries stay
-    behind in the store for the next. Injected stores keep their own byte
-    budgets; the caller owns their lifecycle. This is the hook the
-    multi-tenant service (:mod:`repro.service`) keeps per-tenant caches
-    warm through.
+    table-environment store keys (element 0 of :func:`_environment_key`)
+    to long-lived :class:`~repro.core.cache.EngineCacheStore` objects. The
+    evaluators of every QI set whose store key appears in the mapping use
+    the given store as their memo store instead of building a fresh one —
+    entries cached by an earlier batch over a byte-identical table are
+    memo hits here (``hits`` grow, ``from_rows`` stays put), and this
+    batch's entries stay behind in the store for the next. Injected stores
+    keep their own byte budgets; the caller owns their lifecycle. This is
+    the hook the multi-tenant service (:mod:`repro.service`) keeps
+    per-tenant caches warm through.
     """
     planner = BatchPlanner(
         configs,
@@ -726,10 +741,10 @@ def _make_evaluator(
 class _EnvGroup:
     """One shared-evaluator environment of a batch."""
 
-    evaluator_key: str
+    store_key: str
     schema: Schema
     hierarchies: dict
-    # Both are part of the evaluator key, so every job of the group agrees.
+    # Both are part of the store key, so every job of the group agrees.
     cache_bytes: int | None = None
     chunk_rows: int | None = None
     job_indices: list[int] = field(default_factory=list)
@@ -753,10 +768,11 @@ class BatchPlanner:
     """Grouping and dispatch of a job batch.
 
     :meth:`plan` groups jobs into shared-evaluator environments (same QI
-    roles + hierarchy specs, see :func:`_environment_key`), building each
-    distinct hierarchy set and schema once. :meth:`execute` gives every
-    environment whose jobs consume an engine one evaluator, backed by an
-    injected ``cache_stores`` entry if there is one, else by a fresh
+    roles + table environment, see :func:`_environment_key`), building each
+    column's hierarchy once per table environment and each schema once.
+    :meth:`execute` gives every environment whose jobs consume an engine one
+    evaluator. The evaluators of one table environment share one store: an
+    injected ``cache_stores`` entry if there is one, else a fresh
     stratum-policy store holding the jobs' own ``cache_bytes`` (256 MiB by
     default). Jobs run in input order for ``workers=1`` and otherwise on
     one thread pool. Releases are byte-identical at every worker count —
@@ -799,26 +815,36 @@ class BatchPlanner:
         """Group the jobs into environments (memoized) without executing."""
         if self._plan is not None:
             return self._plan
-        hierarchy_builds: dict[str, dict] = {}
+        # Per table environment, each column's hierarchy (by name and role);
+        # per evaluator, the hierarchy set its jobs share.
+        columns: dict[str, dict] = {}
+        hierarchy_sets: dict[tuple, dict] = {}
         environments: dict[str, tuple[Schema, dict]] = {}
-        groups: dict[str, _EnvGroup] = {}
+        groups: dict[tuple, _EnvGroup] = {}
         for index, config in enumerate(self.configs):
-            evaluator_key, schema_key = _environment_key(config)
+            store_key, schema_key = _environment_key(config)
+            evaluator_key = (
+                store_key,
+                tuple(config.quasi_identifiers),
+                tuple(config.numeric_quasi_identifiers),
+            )
             environment = environments.get(schema_key)
             if environment is None:
-                built = hierarchy_builds.get(evaluator_key)
+                built = hierarchy_sets.get(evaluator_key)
                 if built is None:
-                    built = build_hierarchies(config, self.table)
+                    built = build_hierarchies(
+                        config, self.table, columns.setdefault(store_key, {})
+                    )
                     if self.hierarchy_overrides:
                         built.update(self.hierarchy_overrides)
-                    hierarchy_builds[evaluator_key] = built
+                    hierarchy_sets[evaluator_key] = built
                 environment = (build_schema(config, self.table), built)
                 environments[schema_key] = environment
             group = groups.get(evaluator_key)
             if group is None:
                 schema, built = environment
                 group = _EnvGroup(
-                    evaluator_key=evaluator_key,
+                    store_key=store_key,
                     schema=schema,
                     hierarchies=built,
                     cache_bytes=config.cache_bytes,
@@ -835,22 +861,30 @@ class BatchPlanner:
         )
         return self._plan
 
-    def _build_evaluator(self, group: _EnvGroup) -> LatticeEvaluator:
-        """The group's shared evaluator, on an injected store if given."""
-        store = self.cache_stores.get(group.evaluator_key)
+    def _build_evaluator(
+        self, group: _EnvGroup, stores: dict[str, EngineCacheStore]
+    ) -> LatticeEvaluator:
+        """The group's evaluator, on its table environment's shared store.
+
+        ``stores`` maps store keys to the injected stores and to the fresh
+        ones this batch has built so far.
+        """
+        store = stores.get(group.store_key)
+        if store is None:
+            store = stores[group.store_key] = _budgeted_store(group.cache_bytes)
         evaluator = _make_evaluator(
             self.table,
             group.schema,
             group.hierarchies,
-            cache=_budgeted_store(group.cache_bytes) if store is None else store,
+            cache=store,
             chunk_rows=group.chunk_rows,
         )
-        if store is not None:
+        if group.store_key in self.cache_stores:
             # Warm start: the injected store keeps its own budget. Its
-            # entries were filled through a previous evaluator over a
-            # byte-identical table, so they are re-homed onto this batch's
-            # evaluator (lazy growth accounting and column lookups must not
-            # pin the retired request's objects).
+            # entries were filled through earlier evaluators over a
+            # byte-identical table, so those over this evaluator's QIs are
+            # re-homed onto it (lazy growth accounting and column lookups
+            # must not pin the retired request's objects).
             store.rebind(evaluator)
         return evaluator
 
@@ -874,9 +908,10 @@ class BatchPlanner:
             if self.policy.batch_deadline is not None
             else None
         )
+        stores = dict(self.cache_stores)
         for group in self._groups:
             if group.uses_evaluator and group.evaluator is None:
-                group.evaluator = self._build_evaluator(group)
+                group.evaluator = self._build_evaluator(group, stores)
         indices = range(len(self.configs))
         if self.workers == 1 or len(indices) <= 1:
             return [self._run_job(index) for index in indices]

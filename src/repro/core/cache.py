@@ -8,8 +8,11 @@ cheap, the single-flight in-flight table that keeps concurrent workers from
 ever deriving one node's stats twice, and the full telemetry counter set.
 An evaluator owns exactly one store, but a store can be constructed first
 and handed in (``LatticeEvaluator(..., cache=store)``) — which is how a
-batch gives each environment's shared evaluator its jobs' budget, and how
-the service keeps a warm store across requests.
+batch gives every evaluator of one table environment (one per QI set) a
+single store with their jobs' budget, and how the service keeps a warm
+store across requests. Entries are keyed by ``(QI names, node)``, so
+evaluators over different QI sets of one table share whatever column
+subsets they both reach.
 
 Eviction policies
 -----------------
@@ -435,24 +438,34 @@ class EngineCacheStore:
             return evicted
 
     def rebind(self, engine: Any) -> int:
-        """Re-home every cached entry's lazy-growth hooks onto ``engine``.
+        """Re-home the cached entries over ``engine``'s QIs onto ``engine``.
 
         The cross-request warm-start seam: a store that outlives the
         evaluator it was filled through (the service keeps one per tenant ×
-        environment) is handed to the next request's fresh evaluator, and
-        its entries' ``_context`` references — used for lazy histogram /
+        table environment) is handed to the next request's fresh evaluator,
+        and its entries' ``_context`` references — used for lazy histogram /
         row-label growth and byte accounting — must point at the live
         evaluator's ``context``, not the retired one's (which would
         otherwise pin the previous request's table). Safe exactly when the
         new evaluator is built over a byte-identical table and equal
         hierarchies, which is what the environment fingerprint guarantees.
-        Returns the number of entries rebound.
+
+        One store serves every QI set of its table, so only entries whose
+        QI names ``engine`` encodes move: δ-presence grows an entry through
+        its context's encoding of each of the entry's own columns, and a
+        context without them would fail that entry's next job mid-run.
+        The others keep their context until an evaluator over their
+        columns rebinds them. Returns the number of entries rebound.
         """
         context = engine.context
+        encoded = set(engine.qi_names)
+        rebound = 0
         with self._mutex:
-            for stats in self._entries.values():
-                stats._context = context
-            return len(self._entries)
+            for (names, _), stats in self._entries.items():
+                if encoded.issuperset(names):
+                    stats._context = context
+                    rebound += 1
+            return rebound
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -36,7 +36,9 @@ QI subset is already cached (componentwise ≤), its stats are *rolled up*
 instead of recomputed from rows: each cached group's representative codes
 are mapped through composed level-to-level LUTs, re-packed, and sizes /
 histograms are aggregated group-wise by one weighted ``np.bincount`` each —
-O(n_groups) instead of O(n_rows).
+O(n_groups) instead of O(n_rows). A histogram is summed from the parent's
+only while the parent's (groups × categories) cells are no more than the
+table's rows; past that it is counted from the rows.
 Roll-up preserves the canonical group order (ascending signature, i.e. the
 order :func:`partition_by_qi` produces), so the group indices of an
 ``ok_mask`` are the same no matter how the stats were derived. Row-level
@@ -78,15 +80,21 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from ..errors import HierarchyError, SchemaError
+from ..errors import ConfigError, HierarchyError, SchemaError
 from . import faults
 from .cache import EngineCacheStore
 from .deadline import check_deadline
-from .generalize import HierarchyLike, apply_node
+from .generalize import HierarchyLike
 from .hierarchy import Hierarchy
 from .partition import EquivalenceClasses, classes_from_labels
 from .partition_engine import grouped_bounds
-from .table import Table, check_chunk_rows, mixed_radix_fits, pack_code_columns
+from .table import (
+    Column,
+    Table,
+    check_chunk_rows,
+    mixed_radix_fits,
+    pack_code_columns,
+)
 
 __all__ = ["GroupStats", "LatticeEvaluator"]
 
@@ -202,23 +210,32 @@ class GroupStats:
             return self._row_labels
 
     def histogram(self, sensitive: str) -> np.ndarray:
-        """(n_groups, n_categories) counts of ``sensitive`` per group."""
+        """(n_groups, n_categories) counts of ``sensitive`` per group.
+
+        A rolled-up node sums its parent's histogram while that has no more
+        cells than the table has rows; past that, counting the rows is the
+        cheaper pass. Both give the same exact counts.
+        """
         with self._lock:
             hist = self._hists.get(sensitive)
             if hist is not None:
                 return hist
             codes, n_cats = self._context.column(sensitive)
-            if self._parent is not None:
-                parent, group_map = self._parent
-                # One weighted bincount over (group, category) cells.
+            parent, group_map = self._parent or (None, None)
+            if parent is not None and parent.n_groups * n_cats <= self.n_rows:
+                # One weighted bincount over the parent's (group, category) cells.
                 cells = (group_map[:, None] * n_cats + np.arange(n_cats)).ravel()
                 hist = _sum_by_group(
                     cells, parent.histogram(sensitive).ravel(),
                     self.n_groups * n_cats, self.n_rows,
                 ).reshape(self.n_groups, n_cats)
             else:
+                labels = self._row_labels
+                if labels is None:
+                    # Not kept: holding them would cost 8 bytes per row.
+                    labels = group_map[parent.row_labels]
                 flat = np.bincount(
-                    self.row_labels * n_cats + codes, minlength=self.n_groups * n_cats
+                    labels * n_cats + codes, minlength=self.n_groups * n_cats
                 )
                 hist = flat.reshape(self.n_groups, n_cats)
             self._hists[sensitive] = hist
@@ -784,11 +801,45 @@ class LatticeEvaluator:
     # -- materialization & heuristics ---------------------------------------
 
     def materialize(
-        self, node: Sequence[int], names: Sequence[str] | None = None
+        self,
+        node: Sequence[int],
+        names: Sequence[str] | None = None,
+        table: Table | None = None,
     ) -> Table:
-        """Generalized full table at the node (for the winning node only)."""
+        """Generalized copy of ``table`` at the node (the winning node only).
+
+        ``table`` defaults to the evaluator's own; a search passes the job's
+        identifier-stripped input, whatever table the evaluator was built
+        over. Each QI column is the level's LUT gathered at the engine's
+        base codes, so no value is translated or binned again; a numeric QI
+        at level 0 stays as it is. Equal to :func:`apply_node` over the same
+        rows, codes and dtypes included.
+        """
         names = self.qi_names if names is None else tuple(names)
-        return apply_node(self.table, self.hierarchies, names, node)
+        table = self.table if table is None else table
+        if table.n_rows != self.table.n_rows:
+            raise ConfigError(
+                f"the evaluator holds {self.table.n_rows} rows but the table "
+                f"to publish has {table.n_rows}"
+            )
+        if len(names) != len(node):
+            raise HierarchyError("attributes and node levels must be parallel")
+        columns = []
+        for name, level in zip(names, node):
+            enc = self._encodings[name]
+            level = int(level)
+            hierarchy = self.hierarchies[name]
+            if enc.uniques is None:
+                labels = hierarchy.labels(level)
+            elif level == 0:
+                continue
+            else:
+                intervals = hierarchy.intervals(level)
+                labels = [hierarchy.label(interval) for interval in intervals]
+            columns.append(
+                Column.from_codes(name, enc.luts[level][enc.base_codes], labels)
+            )
+        return table.replace(*columns)
 
     def partition(
         self, node: Sequence[int], names: Sequence[str] | None = None

@@ -9,8 +9,9 @@ runs as one ``run_batch`` call with ``on_error="collect"`` (a failing job
 yields a recorded failure, never a crashed worker) and with the tenant's
 warm stores injected via ``cache_stores`` — the hand-off point between
 the service's resident state and the executor, which uses each injected
-store as its environment's cache and leaves its budget to the tenant
-ladder.
+store as the cache of its table environment (every QI set over the same
+data, dropped columns and hierarchy specs) and leaves its budget to the
+tenant ladder.
 
 A worker finishes each job completely before it publishes ``done``: it
 digests the release, renders its CSV once per distinct release per tenant,

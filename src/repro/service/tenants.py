@@ -3,15 +3,18 @@
 The service's whole reason to stay resident is this module: one
 :class:`~repro.core.cache.EngineCacheStore` per (tenant, environment
 fingerprint) survives across requests, so a tenant's second batch over the
-same data and QI roles starts warm — node statistics computed last request
-are memo hits now — while every other tenant's traffic stays isolated in
-its own stores.
+same data starts warm — node statistics computed last request are memo
+hits now, whichever of the data's QI sets asked for them — while every
+other tenant's traffic stays isolated in its own stores.
 
-The environment fingerprint is ``sha256(data digest + evaluator key)``:
-cached ``GroupStats`` hold row-level group codes, so warm reuse is sound
-only over a byte-identical table (the data digest) evaluated under
-identical QI roles / hierarchies / chunking (the evaluator key from
-:func:`repro.api.executor._environment_key`).
+The environment fingerprint is ``sha256(data digest + store key)``: cached
+``GroupStats`` hold row-level group codes, so warm reuse is sound only
+over a byte-identical table (the data digest) evaluated under identical
+dropped columns / hierarchy specs / binning / budget / chunking (the store
+key, element 0 of :func:`repro.api.executor._environment_key`). The key
+leaves out the QI roles: one store serves every QI set of a table
+environment, since entries are keyed by their QI names. An environment
+here, and so ``max_environments``, counts table environments.
 
 Budgets form a ladder, applied in order whenever a store is created:
 
@@ -115,7 +118,11 @@ class TenantCaches:
 
     @staticmethod
     def fingerprint(data_digest: str, evaluator_key: str) -> str:
-        """Environment identity: byte-identical data × identical evaluator."""
+        """Environment identity: byte-identical data × one table environment.
+
+        ``evaluator_key`` is the store key :func:`repro.api.run_batch`
+        shares one store under (element 0 of ``_environment_key``).
+        """
         return hashlib.sha256(
             (data_digest + "\x00" + evaluator_key).encode()
         ).hexdigest()
@@ -125,7 +132,8 @@ class TenantCaches:
     ) -> dict[str, EngineCacheStore]:
         """The ``cache_stores`` mapping for one batch of a tenant's jobs.
 
-        Returns ``{evaluator_key: store}`` — keyed the way
+        ``evaluator_keys`` are the batch's distinct store keys. Returns
+        ``{evaluator_key: store}`` — keyed the way
         :func:`repro.api.run_batch` expects — creating stores (and walking
         the eviction ladder) for fingerprints not yet resident. Safe to
         call concurrently; a tenant's own batch never evicts its sibling

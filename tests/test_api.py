@@ -10,7 +10,9 @@ Pins the api_redesign contracts:
   ``run()``, the CLI ``--config`` path, and the legacy
   ``Anonymizer.apply()`` shim;
 * ``run_batch`` over several configs on one table shares the lattice
-  engine, so nodes evaluated by one job are cache hits for the next.
+  engine, so nodes evaluated by one job are cache hits for the next;
+* a caller's evaluator built over the raw table still yields the job's
+  identifier-stripped release.
 """
 
 import gc
@@ -554,6 +556,71 @@ class TestExecutor:
         assert homogeneity["max_inference_confidence"] == max(shares) == 0.5
         assert homogeneity["avg_inference_confidence"] == pytest.approx(np.mean(shares))
         assert homogeneity["exposed_fraction"] == 0.0
+
+
+class TestCallerEvaluator:
+    """``run(config, table, evaluator=...)`` with an evaluator built over the
+    raw table, identifier column included: the release is the job's
+    identifier-stripped table generalized at the chosen node."""
+
+    @staticmethod
+    def _table():
+        rng = np.random.default_rng(0)
+        n = 400
+        return Table.from_dict(
+            {
+                "name": [f"person{i}" for i in range(n)],
+                "zip": [str(v) for v in rng.integers(13000, 13004, n)],
+                "job": [f"j{v}" for v in rng.integers(0, 30, n)],
+                "disease": [f"d{v}" for v in rng.integers(0, 4, n)],
+            },
+            categorical=["name", "zip", "job", "disease"],
+        )
+
+    @pytest.mark.parametrize("algorithm", ["datafly", "flash", "incognito", "ola"])
+    def test_release_drops_identifiers_and_equals_the_plain_run(self, algorithm):
+        from repro.core.engine import LatticeEvaluator
+
+        table = self._table()
+        config = AnonymizationConfig.from_dict(
+            {
+                "quasi_identifiers": ["zip", "job"],
+                "sensitive": ["disease"],
+                "drop": ["name"],
+                "models": [{"model": "k-anonymity", "k": 3}],
+                "algorithm": {"algorithm": algorithm},
+                "max_suppression": 0.2,
+            }
+        )
+        evaluator = LatticeEvaluator(
+            table, ["zip", "job"], build_hierarchies(config, table)
+        )
+        shared = run(config, table, evaluator=evaluator)
+        plain = run(config, table)
+        assert "name" not in shared.release.table.column_names
+        assert shared.release.table.column_names == ["zip", "job", "disease"]
+        assert shared.node == plain.node
+        assert shared.suppressed == plain.suppressed
+        assert _fingerprint(shared.release.table) == _fingerprint(plain.release.table)
+
+    def test_evaluator_over_other_rows_is_a_config_error(self):
+        from repro.core.engine import LatticeEvaluator
+
+        table = self._table()
+        config = AnonymizationConfig.from_dict(
+            {
+                "quasi_identifiers": ["zip", "job"],
+                "drop": ["name"],
+                "models": [{"model": "k-anonymity", "k": 3}],
+                "algorithm": {"algorithm": "flash"},
+            }
+        )
+        subset = table.head(200)
+        evaluator = LatticeEvaluator(
+            subset, ["zip", "job"], build_hierarchies(config, subset)
+        )
+        with pytest.raises(ConfigError, match="evaluator holds 200 rows"):
+            run(config, table, evaluator=evaluator)
 
 
 def _random_table(n_rows, seed=3):

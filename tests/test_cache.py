@@ -14,12 +14,17 @@ Pins the contracts of the pluggable cache layer and the planner on top:
   make the engine's from_rows/rollups profile identical at any worker count;
 * the :class:`~repro.api.BatchPlanner`: environment grouping and
   ``workers`` validation, and the CLI engine flags (``--cache-bytes``,
-  ``--chunk-rows``), which bind only the engine jobs of a mixed batch.
+  ``--chunk-rows``), which bind only the engine jobs of a mixed batch;
+* one store per table environment: a batch over overlapping QI sets
+  publishes what each job publishes alone and computes each shared column
+  subset once, also under racing workers, and ``rebind`` leaves entries
+  over columns the new evaluator lacks working.
 """
 
 import itertools
 import json
 
+import numpy as np
 import pytest
 
 from repro.api import AnonymizationConfig, BatchPlanner, run, run_batch
@@ -28,6 +33,7 @@ from repro.core.cache import EngineCacheStore
 from repro.core.engine import LatticeEvaluator
 from repro.core.io import read_csv
 from repro.core.lattice import GeneralizationLattice
+from repro.core.table import Column, Table
 from repro.data import adult_hierarchies, load_adult
 from repro.data.synthetic import random_scenario
 from repro.errors import ConfigError
@@ -345,6 +351,226 @@ class TestBatchPlanner:
         engines = [result.engine for result in results]
         assert engines[0] is engines[2] is engines[3]
         assert engines[1] is engines[4] and engines[1] is not engines[0]
+
+
+def _shared_table(n_rows=600, seed=5):
+    rng = np.random.default_rng(seed)
+    zipcodes = [f"{p}{s:02d}" for p in ("130", "148", "606") for s in range(0, 40, 10)]
+    return Table(
+        [
+            Column.categorical("zipcode", rng.choice(zipcodes, n_rows)),
+            Column.categorical("job", rng.choice([f"j{i}" for i in range(6)], n_rows)),
+            Column.categorical("sex", rng.choice(["F", "M"], n_rows)),
+            Column.categorical("edu", rng.choice([f"e{i}" for i in range(5)], n_rows)),
+            Column.numeric("age", rng.integers(18, 80, n_rows)),
+            Column.categorical("disease", rng.choice([f"d{i}" for i in range(4)], n_rows)),
+        ]
+    )
+
+
+#: QI sets that share columns: (categorical QIs, numeric QIs).
+SHARED_QI_SETS = (
+    (["zipcode", "job"], ["age"]),
+    (["zipcode", "sex"], ["age"]),
+    (["job", "sex", "edu"], []),
+)
+
+SHARED_MODELS = (
+    [{"model": "k-anonymity", "k": 4}],
+    [
+        {"model": "k-anonymity", "k": 3},
+        {"model": "distinct-l-diversity", "l": 2, "sensitive": "disease"},
+    ],
+    [
+        {"model": "k-anonymity", "k": 2},
+        {"model": "t-closeness", "t": 0.3, "sensitive": "disease"},
+    ],
+)
+
+
+def _shared_config(qis, numeric, algorithm, models):
+    return AnonymizationConfig.from_dict(
+        {
+            "quasi_identifiers": qis,
+            "numeric_quasi_identifiers": numeric,
+            "sensitive": ["disease"],
+            "models": models,
+            "algorithm": {"algorithm": algorithm},
+            "max_suppression": 0.05,
+        }
+    )
+
+
+def _bottoms(qi_names):
+    """The (names, bottom) keys Incognito requests: its QI-order bottom and
+    each sorted subset's bottom."""
+    keys = {tuple(qi_names)}
+    for size in range(1, len(qi_names) + 1):
+        keys.update(itertools.combinations(sorted(qi_names), size))
+    return keys
+
+
+def _store_totals(results):
+    """Counters and occupancy summed over the distinct stores of a batch."""
+    stores = {id(r.engine.cache): r.engine.cache for r in results if r.engine}
+    totals = {"stores": len(stores)}
+    for store in stores.values():
+        for key, value in store.info().items():
+            if key != "policy":
+                totals[key] = totals.get(key, 0) + value
+    return totals
+
+
+class TestCrossQISharing:
+    """One store per table environment, shared by the evaluators of every
+    QI set: node statistics depend only on the rows and on the columns'
+    hierarchies and levels, so sharing them changes no release."""
+
+    ALGORITHMS = ("flash", "incognito", "ola", "datafly")
+
+    def test_batch_over_qi_sets_equals_each_job_alone(self):
+        table = _shared_table()
+        configs = [
+            _shared_config(qis, numeric, algorithm, models)
+            for qis, numeric in SHARED_QI_SETS
+            for algorithm in self.ALGORITHMS
+            for models in SHARED_MODELS
+        ]
+        results = run_batch(configs, table, workers=2)
+        assert _store_totals(results)["stores"] == 1
+        assert len({id(r.engine) for r in results}) == len(SHARED_QI_SETS)
+        for config, result in zip(configs, results):
+            alone = run(config, table)
+            assert result.node == alone.node, config.to_dict()
+            assert result.suppressed == alone.suppressed
+            assert _fingerprint(result.release.table) == _fingerprint(alone.release.table)
+
+    def test_delta_presence_over_shared_store_equals_each_job_alone(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.api import algorithm_registry, build_hierarchies, build_schema, execute
+        from repro.privacy import DeltaPresence, KAnonymity
+
+        table = _shared_table()
+        rng = np.random.default_rng(1)
+        population = table.take(
+            np.concatenate([np.arange(table.n_rows), rng.integers(0, table.n_rows, 400)])
+        )
+        store = EngineCacheStore(cache_limit=None, policy="stratum")
+        jobs = []
+        for qis, numeric in SHARED_QI_SETS:
+            config = _shared_config(qis, numeric, "flash", [{"model": "k-anonymity", "k": 2}])
+            schema = build_schema(config, table)
+            hierarchies = build_hierarchies(config, table)
+            evaluator = LatticeEvaluator(
+                table, schema.quasi_identifiers, hierarchies, cache=store
+            )
+            for algorithm in self.ALGORITHMS:
+                jobs.append((schema, hierarchies, algorithm, evaluator))
+
+        def job(entry, evaluator=None):
+            schema, hierarchies, algorithm, _ = entry
+            models = [KAnonymity(2), DeltaPresence(0.0, 0.9, population)]
+            instance = algorithm_registry.from_spec({"algorithm": algorithm})
+            instance.max_suppression = 0.05
+            return execute(
+                table, schema, hierarchies, models, instance, evaluator=evaluator
+            )
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            shared = list(pool.map(lambda entry: job(entry, entry[3]), jobs))
+        assert all(result.engine.cache is store for result in shared)
+        for entry, result in zip(jobs, shared):
+            alone = job(entry)
+            assert result.node == alone.node
+            assert _fingerprint(result.release.table) == _fingerprint(alone.release.table)
+
+    def _incognito_pair(self):
+        return [
+            _shared_config(["zipcode", "job"], ["age"], "incognito",
+                           [{"model": "k-anonymity", "k": 3}]),
+            _shared_config(["zipcode", "job", "sex"], [], "incognito",
+                           [{"model": "k-anonymity", "k": 3}]),
+        ]
+
+    def test_incognito_computes_each_shared_subset_once(self):
+        table = _shared_table()
+        results = run_batch(self._incognito_pair(), table)
+        assert results[0].engine is not results[1].engine
+        assert results[0].engine.cache is results[1].engine.cache
+        totals = _store_totals(results)
+        distinct = _bottoms(["zipcode", "job", "age"]) | _bottoms(["zipcode", "job", "sex"])
+        assert totals["stores"] == 1
+        assert totals["from_rows"] == len(distinct) == 13
+        assert totals["evictions"] == 0
+        assert totals["from_rows"] + totals["rollups"] == totals["entries"]
+
+    def test_racing_workers_compute_each_node_once(self):
+        import sys
+        import threading
+
+        table = _shared_table()
+        configs = self._incognito_pair() + [
+            _shared_config(qis, numeric, algorithm, [{"model": "k-anonymity", "k": k}])
+            for qis, numeric in (SHARED_QI_SETS[0], (["zipcode", "job", "sex"], []))
+            for algorithm in ("incognito", "flash")
+            for k in (2, 5)
+        ]
+        sequential = run_batch(configs, table)
+        out = {}
+
+        def parallel():
+            out["results"] = run_batch(configs, table, workers=4)
+
+        thread = threading.Thread(target=parallel, daemon=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            thread.start()
+            thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive(), "the parallel batch did not finish in 120 s"
+        racing = out["results"]
+        for alone, raced in zip(sequential, racing):
+            assert raced.node == alone.node
+            assert _fingerprint(raced.release.table) == _fingerprint(alone.release.table)
+        totals = _store_totals(racing)
+        assert totals["stores"] == 1 and totals["evictions"] == 0
+        assert totals["from_rows"] + totals["rollups"] == totals["entries"]
+        assert totals["from_rows"] == _store_totals(sequential)["from_rows"]
+
+    def test_rebind_leaves_entries_over_other_columns_working(self):
+        from repro.api import build_hierarchies
+        from repro.privacy import DeltaPresence
+
+        table = _shared_table()
+        population = table.take(np.concatenate([np.arange(table.n_rows)] * 2))
+        hierarchies = build_hierarchies(
+            _shared_config(["zipcode", "job", "sex"], ["age"], "flash",
+                           [{"model": "k-anonymity", "k": 2}]),
+            table,
+        )
+        store = EngineCacheStore(cache_limit=None)
+        first = LatticeEvaluator(table, ["zipcode", "job", "age"], hierarchies, cache=store)
+        nodes = [(0, 0, 0), (1, 1, 1)]
+        for node in nodes:
+            first.check(node, [DeltaPresence(0.0, 1.0, population)])
+        first.stats((1,), names=("zipcode",))
+        # A later request over other columns of the same data.
+        second = LatticeEvaluator(table, ["zipcode", "sex"], hierarchies, cache=store)
+        rebound = store.rebind(second)
+        # A refreshed population table makes the stats count through their
+        # context again; entries over "job" and "age" must still resolve.
+        refreshed = population.take(np.arange(population.n_rows))
+        reference = LatticeEvaluator(table, ["zipcode", "job", "age"], hierarchies)
+        for node in nodes:
+            assert np.array_equal(
+                first.stats(node).external_counts(refreshed),
+                reference.stats(node).external_counts(refreshed),
+            )
+        assert rebound == 1  # only the ("zipcode",) entry moved
+        assert first.stats((1,), names=("zipcode",))._context is second.context
 
 
 class TestCLICacheKnobs:

@@ -16,12 +16,14 @@ from repro.core import (
     Column,
     GeneralizationLattice,
     Hierarchy,
+    IntervalHierarchy,
     LatticeEvaluator,
     Table,
     apply_node,
     partition_by_qi,
 )
 from repro.data.synthetic import random_scenario
+from repro.errors import ConfigError
 from repro.privacy import (
     AlphaKAnonymity,
     BetaLikeness,
@@ -455,3 +457,92 @@ class TestSatelliteChanges:
         assert partition.sizes() is first
         assert int(first.sum()) == table.n_rows
         assert partition.min_size() == int(first.min())
+
+
+class TestRolledUpHistograms:
+    """A rolled-up node sums its parent's histogram only while that has no
+    more cells than the table has rows, and counts its rows otherwise;
+    either way every count is exact."""
+
+    @pytest.mark.parametrize("order", ["bottom-up", "top-down"])
+    def test_every_rolled_up_histogram_equals_counting_rows(self, order):
+        table, qi, hierarchies = scenario(5)
+        lattice = GeneralizationLattice.from_hierarchies(hierarchies, qi)
+        evaluator = LatticeEvaluator(table, qi, hierarchies)
+        # Strata from the bottom up, so every node above it rolls up from
+        # the nearest cached stratum and the chains run through the lattice.
+        nodes = [node for stratum in lattice.levels() for node in stratum]
+        stats = [evaluator.stats(node) for node in nodes]
+        if order == "top-down":
+            # Histograms asked for top first: each roll-up forces its
+            # parent's histogram on demand.
+            stats.reverse()
+        codes = table.column(SENSITIVE).codes.astype(np.int64)
+        n_cats = len(table.column(SENSITIVE).categories)
+        sides = set()
+        for node_stats in stats:
+            hist = node_stats.histogram(SENSITIVE)
+            if node_stats._parent is not None:
+                parent = node_stats._parent[0]
+                sides.add(parent.n_groups * n_cats <= table.n_rows)
+            expected = np.bincount(
+                node_stats.row_labels * n_cats + codes,
+                minlength=node_stats.n_groups * n_cats,
+            ).reshape(node_stats.n_groups, n_cats)
+            assert hist.dtype == np.int64
+            assert np.array_equal(hist, expected), node_stats.node
+        # Parents on both sides of the rule were exercised.
+        assert sides == {True, False}
+
+
+class TestMaterializeFromCodes:
+    def _lattice_table(self):
+        rng = np.random.default_rng(3)
+        # The column's category order differs from the hierarchy's ground
+        # order (sorted), so a wrong translation would show.
+        order = ["c", "a", "d", "b"]
+        table = Table(
+            [
+                Column.categorical(
+                    "cat", [order[i] for i in rng.integers(0, 4, 90)], order
+                ),
+                Column.numeric("num", rng.normal(50, 20, 90).round()),
+                Column.categorical("other", [f"o{i}" for i in rng.integers(0, 3, 90)]),
+            ]
+        )
+        hierarchies = {
+            "cat": Hierarchy.from_tree({"ab": ["a", "b"], "cd": ["c", "d"]}),
+            "num": IntervalHierarchy.uniform(-50, 150, n_bins=8, merge_factor=2),
+        }
+        return table, ["cat", "num"], hierarchies
+
+    def test_every_node_equals_apply_node(self):
+        table, qi, hierarchies = self._lattice_table()
+        evaluator = LatticeEvaluator(table, qi, hierarchies)
+        lattice = GeneralizationLattice.from_hierarchies(hierarchies, qi)
+        for node in lattice.nodes():
+            mine = evaluator.materialize(node)
+            reference = apply_node(table, hierarchies, qi, node)
+            assert mine.fingerprint() == reference.fingerprint(), node
+            for ours, theirs in zip(mine, reference):
+                assert ours.categories == theirs.categories
+                for attr in ("codes", "values"):
+                    array = getattr(ours, attr)
+                    other = getattr(theirs, attr)
+                    assert (array is None) == (other is None)
+                    if array is not None:
+                        assert array.dtype == other.dtype, (node, ours.name)
+
+    def test_publishes_the_given_table_with_the_evaluators_rows(self):
+        table, qi, hierarchies = self._lattice_table()
+        evaluator = LatticeEvaluator(table, qi, hierarchies)
+        stripped = table.drop("other")
+        node = (1, 2)
+        published = evaluator.materialize(node, table=stripped)
+        assert published.column_names == ["cat", "num"]
+        assert (
+            published.fingerprint()
+            == apply_node(stripped, hierarchies, qi, node).fingerprint()
+        )
+        with pytest.raises(ConfigError, match="holds 90 rows .* has 10"):
+            evaluator.materialize(node, table=stripped.head(10))
