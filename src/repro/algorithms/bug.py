@@ -70,7 +70,7 @@ class BottomUpGeneralization:
         self.stats = {"nodes_checked": 0, "steps": 0, "lattice_size": lattice.size}
 
         node: Node = lattice.bottom
-        anonymity = evaluator.stats(node).min_size()
+        anonymity = evaluator.min_size(node)
         loss = self._node_loss(original, hierarchies, qi_names, node)
 
         while not evaluator.check(node, models):
@@ -119,7 +119,7 @@ class BottomUpGeneralization:
         best_key: tuple | None = None
         for successor in lattice.successors(node):
             self.stats["nodes_checked"] += 1
-            cand_anonymity = evaluator.stats(successor).min_size()
+            cand_anonymity = evaluator.min_size(successor)
             cand_loss = self._node_loss(evaluator.table, hierarchies, qi_names, successor)
             gain = min(cand_anonymity, target_k) - min(anonymity, target_k)
             cost = max(cand_loss - loss, 1e-12)

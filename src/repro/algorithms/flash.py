@@ -32,7 +32,7 @@ from typing import Callable, Mapping, Sequence
 
 from ..core.engine import LatticeEvaluator
 from ..core.generalize import HierarchyLike
-from ..core.lattice import GeneralizationLattice
+from ..core.lattice import GeneralizationLattice, minimal_antichain
 from ..core.release import Release
 from ..core.schema import Schema
 from ..core.table import Table
@@ -149,7 +149,7 @@ class Flash:
         # request order, which parallel batch jobs race over. Seeding the
         # lattice bottom first gives every other node a roll-up ancestor,
         # pinning the engine's from_rows/rollups profile at any worker count.
-        evaluator.stats(lattice.bottom)
+        evaluator.n_groups(lattice.bottom)
         state: dict[Node, int] = {}
 
         for stratum in lattice.levels():
@@ -160,8 +160,7 @@ class Flash:
                 self.stats["paths_built"] += 1
                 self._check_path(path, evaluator, models, lattice, state)
 
-        satisfying = {node for node, s in state.items() if s is _SATISFYING}
-        return _minimal_antichain(satisfying)
+        return minimal_antichain(node for node, s in state.items() if s is _SATISFYING)
 
     def _build_path(
         self,
@@ -261,14 +260,3 @@ def _down_set(node: Node) -> list[Node]:
 
     return [tuple(p) for p in product(*(range(lv + 1) for lv in node))]
 
-
-def _minimal_antichain(nodes: set[Node]) -> list[Node]:
-    minimal = []
-    for node in nodes:
-        dominated = any(
-            other != node and all(o <= n for o, n in zip(other, node))
-            for other in nodes
-        )
-        if not dominated:
-            minimal.append(node)
-    return sorted(minimal)

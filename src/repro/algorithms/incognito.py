@@ -28,7 +28,7 @@ from typing import Callable, Mapping, Sequence
 
 from ..core.engine import LatticeEvaluator
 from ..core.generalize import HierarchyLike
-from ..core.lattice import GeneralizationLattice
+from ..core.lattice import GeneralizationLattice, minimal_antichain
 from ..core.release import Release
 from ..core.schema import Schema
 from ..core.table import Table
@@ -142,17 +142,12 @@ class Incognito:
             # from_rows/rollups split at any worker count. Seeding lazily
             # (not all 2^n bottoms up front) keeps an infeasible or
             # heavily-pruned search from paying for subsets it never
-            # reaches. The release-choice phase (_choose, the final check,
-            # failing rows) evaluates full-lattice nodes in the
-            # evaluator's own QI order — a different memo key space than
-            # the sorted subset order whenever qi_names isn't sorted —
-            # so its bottom is seeded too (a plain hit when they coincide).
-            evaluator.stats((0,) * len(qi_names))
+            # reaches.
             self.stats["preseeded_subsets"] = 0
         for size in range(1, len(names_sorted) + 1):
             for subset in combinations(names_sorted, size):
                 if self.preseed_subsets:
-                    evaluator.stats((0,) * size, names=subset)
+                    evaluator.n_groups((0,) * size, names=subset)
                     self.stats["preseeded_subsets"] += 1
                 sub_lattice = lattice.project(subset)
                 satisfying = self._search_subset(
@@ -166,8 +161,7 @@ class Incognito:
         full = satisfying_by_subset[frozenset(names_sorted)]
         # Re-order node components from sorted-name order to qi_names order.
         order = [sorted(qi_names).index(name) for name in qi_names]
-        reordered = {tuple(node[i] for i in order) for node in full}
-        return _minimal_antichain(reordered)
+        return minimal_antichain(tuple(node[i] for i in order) for node in full)
 
     def _search_subset(
         self,
@@ -228,15 +222,3 @@ class Incognito:
             f"predictive_tagging={self.use_predictive_tagging})"
         )
 
-
-def _minimal_antichain(nodes: set[Node]) -> list[Node]:
-    """Nodes with no strictly-smaller satisfying node in the set."""
-    minimal = []
-    for node in nodes:
-        dominated = any(
-            other != node and all(o <= n for o, n in zip(other, node))
-            for other in nodes
-        )
-        if not dominated:
-            minimal.append(node)
-    return sorted(minimal)

@@ -81,7 +81,7 @@ class OLA:
         # jobs race over. Seeding the bottom gives every probe a roll-up
         # ancestor, pinning the engine's from_rows/rollups profile at any
         # worker count — and making each probe O(n_groups) instead.
-        evaluator.stats(lattice.bottom)
+        evaluator.n_groups(lattice.bottom)
 
         satisfying: set[Node] = set()
         unsatisfying: set[Node] = set()

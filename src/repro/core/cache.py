@@ -2,7 +2,7 @@
 
 :class:`EngineCacheStore` is the standalone home of everything that used to
 be buried inside :class:`~repro.core.engine.LatticeEvaluator`: the
-``(names, node) -> GroupStats`` memo table, the byte/entry budget
+``store key -> GroupStats`` memo table, the byte/entry budget
 accounting, the level-sum stratum index that makes roll-up candidate lookup
 cheap, the single-flight in-flight table that keeps concurrent workers from
 ever deriving one node's stats twice, and the full telemetry counter set.
@@ -10,9 +10,19 @@ An evaluator owns exactly one store, but a store can be constructed first
 and handed in (``LatticeEvaluator(..., cache=store)``) — which is how a
 batch gives every evaluator of one table environment (one per QI set) a
 single store with their jobs' budget, and how the service keeps a warm
-store across requests. Entries are keyed by ``(QI names, node)``, so
-evaluators over different QI sets of one table share whatever column
-subsets they both reach.
+store across requests.
+
+Entries are keyed by *store key*: ``(names, node)`` with the QI names in
+sorted order and the node's levels permuted to match. A node's groups over
+a set of columns do not depend on the order a job lists them in, so
+evaluators over different QI sets, or over one column set in different
+orders, share whatever column subsets they both reach. :meth:`keys` and
+``occupancy()["by_names"]`` therefore list each column set in sorted-name
+order. An evaluator asked for an unsorted order serves a *view* of the
+entry, memoized on the entry (``_views``): a view never enters the store
+and is no hit, miss or roll-up, but its bytes count against its entry's,
+it is dropped when its entry is evicted or the store is freed, and
+:meth:`rebind` re-homes it with its entry.
 
 Eviction policies
 -----------------
@@ -163,7 +173,8 @@ class EngineCacheStore:
         node: Node,
         compute: Callable[[Any], Any],
     ):
-        """Memoized stats of ``(names, node)``; single-flight on misses.
+        """Memoized stats of the store key ``(names, node)``; single-flight
+        on misses.
 
         ``compute(ancestor)`` is invoked outside the store lock by exactly
         one thread per uncached key; ``ancestor`` is the store's chosen
@@ -217,9 +228,12 @@ class EngineCacheStore:
 
     def note_bytes(self, stats: Any, n_bytes: int) -> None:
         """Account payload grown after insertion (lazy histograms, lazily
-        resolved row labels, partitions) and evict if the budget is now
-        exceeded. Growth on stats no longer cached is ignored — their bytes
-        were already released at eviction."""
+        resolved row labels, partitions, views) and evict if the budget is
+        now exceeded. A view's growth counts against its entry. Growth on
+        stats no longer cached is ignored — their bytes were already
+        released at eviction."""
+        if stats._view_of is not None:
+            stats = stats._view_of
         with self._mutex:
             key = stats._cache_key
             if key is None or self._entries.get(key) is not stats:
@@ -250,7 +264,9 @@ class EngineCacheStore:
 
     def _evict_one(self) -> None:
         key = self._pick_victim()
-        self._entries.pop(key)
+        # Its views go with it: a view points back at its entry, so keeping
+        # them would pin both past eviction in a reference cycle.
+        self._entries.pop(key)._views = {}
         self._cached_bytes -= self._accounted.pop(key)
         names, node = key
         stratum = self._stratum_index[names][sum(node)]
@@ -386,10 +402,11 @@ class EngineCacheStore:
 
         The service/metrics view of residency (where :meth:`info` is the
         counter view): total entries/bytes against the configured budget,
-        plus a per-QI-subset breakdown — entry count, accounted bytes, and
-        the cached level-sum strata — so an operator can see *which*
-        environments and lattice regions a warm store is holding. Taken
-        under the mutex; cheap (O(entries)).
+        plus a per-column-set breakdown (``by_names``, keyed by the sorted
+        names joined with commas) — entry count, accounted bytes, and the
+        cached level-sum strata — so an operator can see *which* column
+        sets and lattice regions a warm store is holding. Taken under the
+        mutex; cheap (O(entries)).
         """
         with self._mutex:
             by_names: dict[str, dict[str, Any]] = {}
@@ -455,7 +472,8 @@ class EngineCacheStore:
         its context's encoding of each of the entry's own columns, and a
         context without them would fail that entry's next job mid-run.
         The others keep their context until an evaluator over their
-        columns rebinds them. Returns the number of entries rebound.
+        columns rebinds them. An entry's views, over the same columns,
+        move with it. Returns the number of entries rebound.
         """
         context = engine.context
         encoded = set(engine.qi_names)
@@ -464,8 +482,18 @@ class EngineCacheStore:
             for (names, _), stats in self._entries.items():
                 if encoded.issuperset(names):
                     stats._context = context
+                    for view in tuple(stats._views.values()):
+                        view._context = context
                     rebound += 1
             return rebound
+
+    def __del__(self) -> None:
+        # An entry and its views point at each other. Dropping the views
+        # with the store lets reference counting free a retired store's
+        # entries, as eviction does an evicted one's. (A store whose
+        # __init__ raised has no entries.)
+        for stats in getattr(self, "_entries", {}).values():
+            stats._views = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -474,6 +502,7 @@ class EngineCacheStore:
         return key in self._entries
 
     def keys(self) -> Iterator[Key]:
+        """The cached store keys (sorted names, node), coldest first."""
         return iter(self._entries)
 
     def __repr__(self) -> str:

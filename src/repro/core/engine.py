@@ -30,9 +30,12 @@ flattened bincount (``group_label * n_cats + sens_code``).
 Every privacy model's one verdict, ``ok_mask(stats)``, runs directly on
 these arrays; no candidate table is materialized during the search.
 
-**Memoization & roll-up contract.** Stats are memoized per ``(names,
-node)``. When a node is requested and a *more specific* node over the same
-QI subset is already cached (componentwise ≤), its stats are *rolled up*
+**Memoization & roll-up contract.** Stats are memoized per *store key*:
+the node's QI names in sorted order, with its levels permuted to match.
+A node's groups over a set of columns are the same whatever order a job
+lists the columns in, so every QI order of one column set shares one
+entry. When a node is requested and a *more specific* node over the same
+column set is already cached (componentwise ≤), its stats are *rolled up*
 instead of recomputed from rows: each cached group's representative codes
 are mapped through composed level-to-level LUTs, re-packed, and sizes /
 histograms are aggregated group-wise by one weighted ``np.bincount`` each —
@@ -48,6 +51,16 @@ rows or a partition need them.
 Group ordering is byte-compatible with the legacy path: groups ascend by
 packed signature, rows within a group ascend by index.
 
+**Views.** The signature packs the columns in the caller's order, so a
+caller that asks :meth:`LatticeEvaluator.stats` with unsorted names gets a
+*view*: the stored entry regrouped into that column order by one roll-up
+pass with identity level maps over its group codes. A view is memoized on
+its entry, and its bytes count against the entry's; it never enters the
+store, so it is no hit, miss or roll-up. The verdict paths (``check``,
+``evaluate``, ``failing_row_count``, ``failing_rows``, ``n_groups``,
+``min_size``, ``distinct_counts``, ``distinct_after``) sort their names
+first and read the stored entry, since no verdict depends on group order.
+
 **Cache store.** Memoization lives in a standalone, pluggable
 :class:`~repro.core.cache.EngineCacheStore` (PR 5): budget accounting,
 eviction policy ("lru" default, or the stratum-aware policy that prefers
@@ -62,12 +75,12 @@ and the service injects a tenant's warm store.
 (:func:`repro.api.run_batch` with ``workers > 1``). The store's cache is
 guarded by a single mutex, and computations are *single-flight*: the first
 thread to request an uncached node registers an in-flight marker and
-computes outside the lock; any other thread asking for the same ``(names,
-node)`` meanwhile blocks on that marker instead of recomputing
+computes outside the lock; any other thread asking for the same store
+key meanwhile blocks on that marker instead of recomputing
 (``cache_info()["coalesced"]`` counts those waits), so no node's stats are
 ever derived twice. Lazily-grown payload (histograms, value bounds, row
-labels, partitions) is serialized per :class:`GroupStats` by its own
-re-entrant lock. See ``docs/architecture.md`` for the full design.
+labels, partitions, views) is serialized per :class:`GroupStats` by its
+own re-entrant lock. See ``docs/architecture.md`` for the full design.
 """
 
 from __future__ import annotations
@@ -137,6 +150,12 @@ def _group_signatures(
     return labels, np.stack(np.unravel_index(uniques, dims), axis=1)
 
 
+def _store_key(names: tuple[str, ...], node: Sequence[int]) -> tuple:
+    """A node's store key: its QI names sorted, its levels permuted to match."""
+    order = sorted(range(len(names)), key=names.__getitem__)
+    return tuple(names[i] for i in order), tuple(node[i] for i in order)
+
+
 def _sum_by_group(
     group_of: np.ndarray, counts: np.ndarray, n_groups: int, n_rows: int
 ) -> np.ndarray:
@@ -168,6 +187,10 @@ class GroupStats:
     partition are reconstructed lazily (through the roll-up parent chain if
     the stats were derived by roll-up rather than from rows).
 
+    A stored entry keeps its views in ``_views`` (by QI names); a view
+    points back at its entry through ``_view_of``, and its growth counts
+    against that entry's bytes.
+
     The eager fields (sizes, group_codes) are immutable after construction;
     every lazily-grown field is guarded by ``_lock`` so one stats object can
     serve several worker threads. The lock is re-entrant (``partition()``
@@ -189,6 +212,8 @@ class GroupStats:
     _external: tuple | None = None
     _partition: EquivalenceClasses | None = None
     _cache_key: tuple | None = None
+    _views: dict = field(default_factory=dict, repr=False, compare=False)
+    _view_of: "GroupStats | None" = field(default=None, repr=False, compare=False)
     _lock: Any = field(default_factory=threading.RLock, repr=False, compare=False)
 
     @property
@@ -444,7 +469,8 @@ class LatticeEvaluator:
     Incognito's subset phases need) — without rebuilding tables.
 
     The memo cache is an :class:`~repro.core.cache.EngineCacheStore`
-    holding :class:`GroupStats` keyed by ``(names, node)``; it is bounded
+    holding :class:`GroupStats` by store key (sorted names, levels permuted
+    to match; see the module docstring for views); it is bounded
     both by entry count (``cache_limit``) and by approximate payload bytes
     (``cache_bytes``) so large-lattice searches over many-row tables cannot
     pin O(nodes × rows) of label arrays. Eviction follows the store's
@@ -521,6 +547,10 @@ class LatticeEvaluator:
         )
         self._encodings = {name: self._encode_qi(name) for name in self.qi_names}
         self._level_maps: dict[tuple[str, int, int], np.ndarray] = {}
+        # Published QI columns by (name, level): the jobs of one evaluator
+        # publish few distinct ones. Held here, not on the encodings, which
+        # a warm store's stats keep past the request.
+        self._published: dict[tuple[str, int], Column] = {}
         #: What this evaluator's stats grow lazily through;
         #: :meth:`EngineCacheStore.rebind` re-homes a warm store's stats onto it.
         self.context = _StatsContext(table, hierarchies, self._encodings, self.cache)
@@ -565,7 +595,8 @@ class LatticeEvaluator:
         Unlocked on purpose: the memo write is idempotent (two racing
         threads compute identical arrays and either may win), so the worst
         case is one wasted recomputation, never a wrong value. The same
-        holds for the context's ``_columns`` and ``_external_grounds`` memos.
+        holds for ``_published`` and the context's ``_columns`` and
+        ``_external_grounds`` memos.
         """
         key = (name, low, high)
         comp = self._level_maps.get(key)
@@ -581,9 +612,13 @@ class LatticeEvaluator:
     def stats(self, node: Sequence[int], names: Sequence[str] | None = None) -> GroupStats:
         """Memoized :class:`GroupStats` of a node (roll-up when possible).
 
+        The groups keep the caller's column order: sorted ``names`` read
+        the stored entry, unsorted ones a view of it (see the module
+        docstring).
+
         Thread-safe and single-flight via the cache store: when several
-        workers request the same uncached ``(names, node)`` at once, exactly
-        one computes it (from rows or by roll-up) while the others block on
+        workers request the same uncached store key at once, exactly one
+        computes it (from rows or by roll-up) while the others block on
         the computation's in-flight marker and then read the freshly cached
         entry — counted under ``coalesced`` in :meth:`cache_info`.
 
@@ -591,21 +626,39 @@ class LatticeEvaluator:
         :class:`~repro.core.deadline.Deadline` is checked between node
         evaluations here, so an overrunning search is interrupted with a
         timeout/deadline error at the next node boundary. The
-        ``evaluate-node`` fault-injection point fires here too (no-op
-        unless a fault plan is armed).
+        ``evaluate-node`` fault-injection point fires here too, once per
+        call, with the store key's ``names`` and ``node`` (no-op unless a
+        fault plan is armed).
         """
         names = self.qi_names if names is None else tuple(names)
         node = tuple(int(lv) for lv in node)
+        key_names, key_node = _store_key(names, node)
         check_deadline()
         if faults.any_armed():
-            faults.fire("evaluate-node", names=names, node=node)
+            faults.fire("evaluate-node", names=key_names, node=key_node)
 
         def compute(ancestor: GroupStats | None) -> GroupStats:
             if ancestor is not None:
-                return self._rollup(ancestor, node)
-            return self._stats_from_rows(names, node)
+                return self._rollup(ancestor, key_node)
+            return self._stats_from_rows(key_names, key_node)
 
-        return self.cache.get_or_compute(names, node, compute)
+        stored = self.cache.get_or_compute(key_names, key_node, compute)
+        if key_names == names:
+            return stored
+        with stored._lock:
+            view = stored._views.get(names)
+            if view is None:
+                view = self._rollup(stored, node, names)
+                view._view_of = stored
+                stored._views[names] = view
+                self.context.note_bytes(stored, EngineCacheStore.footprint(view))
+            return view
+
+    def _stored(self, node: Sequence[int], names: Sequence[str] | None) -> GroupStats:
+        """The node's stored entry: :meth:`stats` asked for its store key."""
+        names = self.qi_names if names is None else tuple(names)
+        key_names, key_node = _store_key(names, node)
+        return self.stats(key_node, key_names)
 
     def cache_info(self) -> dict:
         """Cumulative cache telemetry plus current occupancy.
@@ -713,17 +766,23 @@ class LatticeEvaluator:
             _row_labels=labels,
         )
 
-    def _rollup(self, parent: GroupStats, node: Node) -> GroupStats:
+    def _rollup(
+        self, parent: GroupStats, node: Node, names: tuple[str, ...] | None = None
+    ) -> GroupStats:
+        """``parent``'s groups raised to ``node``, whose columns are ``names``
+        (default: the parent's own order; a view reorders them)."""
+        names = parent.names if names is None else names
         code_columns = []
         radices = []
-        for i, name in enumerate(parent.names):
-            comp = self._level_map_between(name, parent.node[i], node[i])
+        for name, level in zip(names, node):
+            i = parent.names.index(name)
+            comp = self._level_map_between(name, parent.node[i], level)
             code_columns.append(comp[parent.group_codes[:, i]])
-            radices.append(self._encodings[name].n_labels[node[i]])
+            radices.append(self._encodings[name].n_labels[level])
         group_map, group_codes = self._group(code_columns, radices)
         sizes = _sum_by_group(group_map, parent.sizes, group_codes.shape[0], parent.n_rows)
         return GroupStats(
-            names=parent.names,
+            names=names,
             node=node,
             sizes=sizes,
             group_codes=group_codes,
@@ -733,6 +792,8 @@ class LatticeEvaluator:
         )
 
     # -- model evaluation ----------------------------------------------------
+    #
+    # No verdict depends on group order, so each reads the stored entry.
 
     def check(
         self,
@@ -741,7 +802,7 @@ class LatticeEvaluator:
         names: Sequence[str] | None = None,
     ) -> bool:
         """True iff the node has groups and every model's ``ok_mask`` holds."""
-        stats = self.stats(node, names)
+        stats = self._stored(node, names)
         return bool(stats.n_groups) and all(
             bool(model.ok_mask(stats).all()) for model in models
         )
@@ -753,7 +814,7 @@ class LatticeEvaluator:
         names: Sequence[str] | None = None,
     ) -> int:
         """Rows belonging to any failing group (the suppression cost)."""
-        stats = self.stats(node, names)
+        stats = self._stored(node, names)
         mask = self._failing_mask(node, models, names)
         return int(stats.sizes[mask].sum())
 
@@ -768,14 +829,14 @@ class LatticeEvaluator:
         Suppression steps consume this, so the search's admission decision
         and the final suppression read the same verdicts.
         """
-        stats = self.stats(node, names)
+        stats = self._stored(node, names)
         mask = self._failing_mask(node, models, names)
         return np.flatnonzero(mask[stats.row_labels])
 
     def _failing_mask(
         self, node: Sequence[int], models: Sequence, names: Sequence[str] | None
     ) -> np.ndarray:
-        stats = self.stats(node, names)
+        stats = self._stored(node, names)
         mask = np.zeros(stats.n_groups, dtype=bool)
         for model in models:
             mask |= ~model.ok_mask(stats)
@@ -813,7 +874,9 @@ class LatticeEvaluator:
         over. Each QI column is the level's LUT gathered at the engine's
         base codes, so no value is translated or binned again; a numeric QI
         at level 0 stays as it is. Equal to :func:`apply_node` over the same
-        rows, codes and dtypes included.
+        rows, codes and dtypes included. A column is built once per (QI,
+        level) and shared by every release of this evaluator that publishes
+        it, as the non-QI columns are shared with the input table.
         """
         names = self.qi_names if names is None else tuple(names)
         table = self.table if table is None else table
@@ -828,17 +891,19 @@ class LatticeEvaluator:
         for name, level in zip(names, node):
             enc = self._encodings[name]
             level = int(level)
-            hierarchy = self.hierarchies[name]
-            if enc.uniques is None:
-                labels = hierarchy.labels(level)
-            elif level == 0:
+            if enc.uniques is not None and level == 0:
                 continue
-            else:
-                intervals = hierarchy.intervals(level)
-                labels = [hierarchy.label(interval) for interval in intervals]
-            columns.append(
-                Column.from_codes(name, enc.luts[level][enc.base_codes], labels)
-            )
+            column = self._published.get((name, level))
+            if column is None:
+                hierarchy = self.hierarchies[name]
+                if enc.uniques is None:
+                    labels = hierarchy.labels(level)
+                else:
+                    intervals = hierarchy.intervals(level)
+                    labels = [hierarchy.label(interval) for interval in intervals]
+                column = Column.from_codes(name, enc.luts[level][enc.base_codes], labels)
+                self._published[(name, level)] = column
+            columns.append(column)
         return table.replace(*columns)
 
     def partition(
@@ -848,16 +913,22 @@ class LatticeEvaluator:
         return self.stats(node, names).partition()
 
     def n_groups(self, node: Sequence[int], names: Sequence[str] | None = None) -> int:
-        return self.stats(node, names).n_groups
+        return self._stored(node, names).n_groups
+
+    def min_size(self, node: Sequence[int], names: Sequence[str] | None = None) -> int:
+        """Size of the node's smallest group (its k-anonymity level)."""
+        return self._stored(node, names).min_size()
 
     def distinct_counts(
         self, node: Sequence[int], names: Sequence[str] | None = None
     ) -> list[int]:
-        """Per-QI distinct generalized values present (Datafly heuristic)."""
-        stats = self.stats(node, names)
+        """Per-QI distinct generalized values present (Datafly heuristic),
+        in the order of ``names``."""
+        names = self.qi_names if names is None else tuple(names)
+        stats = self._stored(node, names)
         return [
-            int(np.unique(stats.group_codes[:, i]).size)
-            for i in range(stats.group_codes.shape[1])
+            int(np.unique(stats.group_codes[:, stats.names.index(name)]).size)
+            for name in names
         ]
 
     def distinct_after(
@@ -869,9 +940,10 @@ class LatticeEvaluator:
     ) -> int:
         """Distinct values of one QI if raised to ``new_level`` (loss ablation)."""
         names = self.qi_names if names is None else tuple(names)
-        stats = self.stats(node, names)
-        comp = self._level_map_between(names[qi_index], int(node[qi_index]), new_level)
-        return int(np.unique(comp[stats.group_codes[:, qi_index]]).size)
+        stats = self._stored(node, names)
+        name = names[qi_index]
+        comp = self._level_map_between(name, int(node[qi_index]), new_level)
+        return int(np.unique(comp[stats.group_codes[:, stats.names.index(name)]]).size)
 
     def __repr__(self) -> str:
         return (

@@ -2,7 +2,11 @@
 
 Production code is instrumented with one *named injection point*:
 ``evaluate-node``, fired by :meth:`LatticeEvaluator.stats` before each node
-evaluation (context: ``names``, ``node``).
+evaluation (context: ``names``, ``node``). It fires once per request of
+the engine cache store, so its context is the store key: the QI names in
+sorted order and the node's levels permuted to match, whatever order the
+job lists its QIs in. A ``match`` on a node of a job over ``zipcode, job``
+is written ``{"names": ["job", "zipcode"], "node": [job, zipcode]}``.
 
 A :class:`FaultPlan` maps points to trigger specs and is armed either
 programmatically (:func:`arm` / the :func:`injection` context manager) or

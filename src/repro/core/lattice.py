@@ -10,18 +10,19 @@ The lattice supports:
 * node enumeration grouped by total height (BFS strata),
 * direct successors/predecessors (one attribute raised/lowered one level),
 * generality comparison (componentwise ≤),
-* up-set computation (everything above a node) for predictive tagging.
+* up-set computation (everything above a node) for predictive tagging,
+* the minimal antichain of a set of nodes (the searches' result).
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from ..errors import HierarchyError
 from .hierarchy import Hierarchy, IntervalHierarchy
 
-__all__ = ["GeneralizationLattice"]
+__all__ = ["GeneralizationLattice", "minimal_antichain"]
 
 Node = tuple[int, ...]
 
@@ -143,3 +144,17 @@ class GeneralizationLattice:
 
     def __repr__(self) -> str:
         return f"GeneralizationLattice({dict(zip(self.attributes, self.heights))}, size={self.size})"
+
+
+def minimal_antichain(nodes: Iterable[Node]) -> list[Node]:
+    """The nodes no other node of the set is componentwise ≤ to, sorted.
+
+    Nodes are walked by ascending level sum, so a node's strict
+    predecessors come first and it is compared only with the minimal nodes
+    kept so far: anything below it is, or lies above, one of those.
+    """
+    minimal: list[Node] = []
+    for node in sorted(set(nodes), key=sum):
+        if not any(all(m <= n for m, n in zip(kept, node)) for kept in minimal):
+            minimal.append(node)
+    return sorted(minimal)

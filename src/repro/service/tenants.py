@@ -13,7 +13,8 @@ over a byte-identical table (the data digest) evaluated under identical
 dropped columns / hierarchy specs / binning / budget / chunking (the store
 key, element 0 of :func:`repro.api.executor._environment_key`). The key
 leaves out the QI roles: one store serves every QI set of a table
-environment, since entries are keyed by their QI names. An environment
+environment, since entries are keyed by their column sets (sorted QI
+names). An environment
 here, and so ``max_environments``, counts table environments.
 
 Budgets form a ladder, applied in order whenever a store is created:

@@ -17,8 +17,9 @@ Pins the contracts of the pluggable cache layer and the planner on top:
   ``--chunk-rows``), which bind only the engine jobs of a mixed batch;
 * one store per table environment: a batch over overlapping QI sets
   publishes what each job publishes alone and computes each shared column
-  subset once, also under racing workers, and ``rebind`` leaves entries
-  over columns the new evaluator lacks working.
+  subset once, also under racing workers and when jobs list one column set
+  in different orders (the store keys entries by sorted names), and
+  ``rebind`` leaves entries over columns the new evaluator lacks working.
 """
 
 import itertools
@@ -61,6 +62,12 @@ JOB = {
 
 def _fingerprint(table):
     return table.fingerprint()
+
+
+def _store_node(qi, node):
+    """``node``'s levels in store-key order: the store sorts the QI names
+    (the scenarios' ``qi0, qi1, num`` become ``num, qi0, qi1``)."""
+    return tuple(node[i] for i in sorted(range(len(qi)), key=qi.__getitem__))
 
 
 def _scenario(seed, n_rows=160):
@@ -120,7 +127,7 @@ class TestEngineCacheStore:
         evaluator.stats(a)  # refresh a: b is now the coldest
         evaluator.stats(d)  # evicts exactly one entry
         cached = {key[1] for key in evaluator.cache.keys()}
-        assert a in cached and b not in cached
+        assert cached == {_store_node(qi, node) for node in (a, c, d)}
 
     def test_lru_counts_rollup_ancestor_reads_as_uses(self):
         """The workhorse bottom is read almost only through the ancestor
@@ -140,8 +147,8 @@ class TestEngineCacheStore:
         for node in singles:
             evaluator.stats(node)
         cached = {key[1] for key in evaluator.cache.keys()}
-        assert bottom in cached
-        assert singles[0] not in cached  # the true LRU victim
+        # singles[0] is the true LRU victim.
+        assert cached == {bottom} | {_store_node(qi, node) for node in singles[1:]}
 
     def test_stratum_policy_evicts_rollup_reconstructible_nodes_first(self):
         table, qi, hierarchies = _scenario(2)
@@ -216,7 +223,6 @@ class TestEvictionUnderPressureCorrectness:
     """Byte-identical releases under a deliberately tiny byte budget."""
 
     ALGORITHMS = ("incognito", "ola", "flash", "datafly")
-    TINY = 96 * 1024  # forces constant eviction at 800 rows
 
     def _configs(self, cache_bytes=None):
         qis = ["workclass", "education", "marital_status"]
@@ -247,11 +253,21 @@ class TestEvictionUnderPressureCorrectness:
             if name in keep
         }
 
-    def test_tiny_budget_releases_byte_identical(self, adult, hierarchies):
-        reference = run_batch(self._configs(), adult, hierarchies=hierarchies)
-        squeezed = run_batch(
-            self._configs(self.TINY), adult, hierarchies=hierarchies
-        )
+    @pytest.fixture(scope="class")
+    def reference(self, adult, hierarchies):
+        return run_batch(self._configs(), adult, hierarchies=hierarchies)
+
+    @pytest.fixture(scope="class")
+    def tiny(self, reference):
+        """Half the unconstrained store's bytes, as E37 sets its budget: the
+        four jobs share one store, so this forces eviction mid-run."""
+        (store,) = {id(r.engine.cache): r.engine.cache for r in reference}.values()
+        return store.info()["bytes"] // 2
+
+    def test_tiny_budget_releases_byte_identical(
+        self, adult, hierarchies, reference, tiny
+    ):
+        squeezed = run_batch(self._configs(tiny), adult, hierarchies=hierarchies)
         evicted = 0
         for ref, sq in zip(reference, squeezed):
             assert ref.release.node == sq.release.node
@@ -259,12 +275,10 @@ class TestEvictionUnderPressureCorrectness:
             evicted += sq.engine.cache_info()["evictions"]
         assert evicted > 0, "budget was not actually under pressure"
 
-    def test_tiny_budget_parallel_matches_sequential(self, adult, hierarchies):
-        sequential = run_batch(
-            self._configs(self.TINY), adult, hierarchies=hierarchies
-        )
+    def test_tiny_budget_parallel_matches_sequential(self, adult, hierarchies, tiny):
+        sequential = run_batch(self._configs(tiny), adult, hierarchies=hierarchies)
         parallel = run_batch(
-            self._configs(self.TINY), adult, hierarchies=hierarchies, workers=4
+            self._configs(tiny), adult, hierarchies=hierarchies, workers=4
         )
         for seq, par in zip(sequential, parallel):
             assert seq.release.node == par.release.node
@@ -311,10 +325,9 @@ class TestIncognitoDeterministicCacheFill:
     def test_preseed_pins_from_rows_to_subset_bottoms(self, adult, curated):
         results = run_batch(self._configs(), adult, hierarchies=curated)
         info = results[0].engine.cache_info()
-        # 3 QIs -> 7 subset bottoms (the full-names bottom coincides with
-        # the size-3 subset when the QI order is already sorted; one more
-        # from-rows at most otherwise). Everything else rolls up.
-        assert info["from_rows"] <= 2**3
+        # 3 QIs -> 7 subset bottoms; the release phase reads the full
+        # subset's entries, whatever the QI order. Everything else rolls up.
+        assert info["from_rows"] == 2**3 - 1
         assert info["recomputed_after_evict"] == 0
         assert info["misses"] == info["from_rows"] + info["rollups"]
 
@@ -402,12 +415,13 @@ def _shared_config(qis, numeric, algorithm, models):
 
 
 def _bottoms(qi_names):
-    """The (names, bottom) keys Incognito requests: its QI-order bottom and
-    each sorted subset's bottom."""
-    keys = {tuple(qi_names)}
-    for size in range(1, len(qi_names) + 1):
-        keys.update(itertools.combinations(sorted(qi_names), size))
-    return keys
+    """The column sets whose bottoms Incognito requests: each sorted subset
+    (its release phase reads the full set's entries under the same key)."""
+    return {
+        subset
+        for size in range(1, len(qi_names) + 1)
+        for subset in itertools.combinations(sorted(qi_names), size)
+    }
 
 
 def _store_totals(results):
@@ -501,7 +515,7 @@ class TestCrossQISharing:
         totals = _store_totals(results)
         distinct = _bottoms(["zipcode", "job", "age"]) | _bottoms(["zipcode", "job", "sex"])
         assert totals["stores"] == 1
-        assert totals["from_rows"] == len(distinct) == 13
+        assert totals["from_rows"] == len(distinct) == 11
         assert totals["evictions"] == 0
         assert totals["from_rows"] + totals["rollups"] == totals["entries"]
 
@@ -539,6 +553,89 @@ class TestCrossQISharing:
         assert totals["stores"] == 1 and totals["evictions"] == 0
         assert totals["from_rows"] + totals["rollups"] == totals["entries"]
         assert totals["from_rows"] == _store_totals(sequential)["from_rows"]
+
+    def _two_orders(self):
+        """One column set listed in two orders, plus a subset of it."""
+        return [
+            _shared_config(["zipcode", "job"], ["age"], "flash",
+                           [{"model": "k-anonymity", "k": 3}]),
+            _shared_config(["job", "zipcode"], ["age"], "incognito",
+                           [{"model": "k-anonymity", "k": 3}]),
+            _shared_config(["job", "zipcode"], [], "datafly",
+                           [{"model": "k-anonymity", "k": 3}]),
+        ]
+
+    def test_one_column_set_in_two_orders_shares_its_entries(self):
+        table = _shared_table()
+        configs = self._two_orders()
+        results = run_batch(configs, table)
+        totals = _store_totals(results)
+        # Incognito's subsets cover every column set of the batch, and
+        # each is computed from rows once, whatever order a job lists it in.
+        assert totals["stores"] == 1 and totals["evictions"] == 0
+        assert totals["from_rows"] == len(_bottoms(["zipcode", "job", "age"])) == 7
+        assert totals["from_rows"] + totals["rollups"] == totals["entries"]
+        for config, result in zip(configs, results):
+            alone = run(config, table)
+            assert result.node == alone.node, config.to_dict()
+            assert result.suppressed == alone.suppressed
+            assert _fingerprint(result.release.table) == _fingerprint(alone.release.table)
+
+    def test_racing_workers_over_two_orders_match_sequential(self):
+        import sys
+        import threading
+
+        table = _shared_table()
+        configs = self._two_orders()
+        sequential = run_batch(configs, table)
+        out = {}
+
+        def parallel():
+            out["results"] = run_batch(configs, table, workers=4)
+
+        thread = threading.Thread(target=parallel, daemon=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            thread.start()
+            thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive(), "the parallel batch did not finish in 120 s"
+        racing = out["results"]
+        for alone, raced in zip(sequential, racing):
+            assert raced.node == alone.node
+            assert _fingerprint(raced.release.table) == _fingerprint(alone.release.table)
+        totals = _store_totals(racing)
+        assert totals["stores"] == 1 and totals["evictions"] == 0
+        assert totals["from_rows"] + totals["rollups"] == totals["entries"]
+
+    def test_searches_read_stored_entries_and_build_no_views(self, monkeypatch):
+        """Verdicts and seeds read the stored entry, so a search over
+        unsorted QIs never regroups one into its own column order."""
+        from repro.api import build_hierarchies
+
+        views = []
+        rollup = LatticeEvaluator._rollup
+
+        def spy(self, parent, node, names=None):
+            if names is not None:  # only a view passes its own column order
+                views.append(names)
+            return rollup(self, parent, node, names)
+
+        monkeypatch.setattr(LatticeEvaluator, "_rollup", spy)
+        table = _shared_table()
+        for algorithm in ("flash", "ola", "incognito", "datafly", "bottom-up"):
+            config = _shared_config(["zipcode", "job"], ["age"], algorithm,
+                                    [{"model": "k-anonymity", "k": 3}])
+            assert run(config, table).release.table.n_rows > 0
+        assert views == []
+        # The spy does see a view: a partition in QI order is one.
+        evaluator = LatticeEvaluator(
+            table, ["zipcode", "job", "age"], build_hierarchies(config, table)
+        )
+        evaluator.partition((0, 0, 0))
+        assert views == [("zipcode", "job", "age")]
 
     def test_rebind_leaves_entries_over_other_columns_working(self):
         from repro.api import build_hierarchies

@@ -22,6 +22,7 @@ from repro.core import (
     apply_node,
     partition_by_qi,
 )
+from repro.core.cache import EngineCacheStore
 from repro.data.synthetic import random_scenario
 from repro.errors import ConfigError
 from repro.privacy import (
@@ -438,11 +439,119 @@ class TestEngineCacheTelemetry:
         evaluator.stats(bottom)
         evaluator.stats(mid)
         top = tuple(hierarchies[name].height for name in qi)
-        stats = evaluator.stats(top)
+        # The QIs ("qi0", "qi1", "num") are unsorted, so stats() returns a
+        # view; the roll-up parent is chosen for the stored entry, whose
+        # levels follow the sorted names ("num", "qi0", "qi1").
+        stored = evaluator.stats(top)._view_of
         # The mid node lives in a higher stratum than the bottom, so it is
         # the chosen roll-up parent.
-        assert stats._parent is not None
-        assert stats._parent[0].node == mid
+        assert stored._parent is not None
+        assert stored._parent[0].names == ("num", "qi0", "qi1")
+        assert stored._parent[0].node == (0, 1, 0)
+
+
+class TestViews:
+    """The store keys each node by its sorted names; a caller asking for
+    another column order gets a view of that entry, which must equal a
+    from-rows pass in that order."""
+
+    def test_every_order_of_every_node_equals_a_from_rows_pass(self):
+        import itertools
+
+        table, qi, hierarchies = scenario(12, n_rows=150)
+        rng = np.random.default_rng(12)
+        population = table.take(
+            np.concatenate([np.arange(table.n_rows), rng.integers(0, table.n_rows, 60)])
+        )
+        lattice = GeneralizationLattice.from_hierarchies(hierarchies, qi)
+        evaluator = LatticeEvaluator(table, qi, hierarchies)
+        # Bottom up, so most stored entries are roll-ups and a view's rows
+        # resolve through a roll-up chain.
+        nodes = [node for stratum in lattice.levels() for node in stratum]
+        views = 0
+        for order in itertools.permutations(range(len(qi))):
+            names = tuple(qi[i] for i in order)
+            fresh = LatticeEvaluator(table, names, hierarchies)
+            for node in nodes:
+                node = tuple(node[i] for i in order)
+                mine = evaluator.stats(node, names)
+                theirs = fresh._stats_from_rows(names, node)
+                views += mine._view_of is not None
+                assert (mine.names, mine.node) == (names, node)
+                assert np.array_equal(mine.sizes, theirs.sizes)
+                assert np.array_equal(mine.group_codes, theirs.group_codes)
+                assert np.array_equal(mine.row_labels, theirs.row_labels)
+                assert np.array_equal(
+                    mine.histogram(SENSITIVE), theirs.histogram(SENSITIVE)
+                )
+                for ours, other in zip(mine.value_bounds("num"), theirs.value_bounds("num")):
+                    assert np.array_equal(ours, other)
+                for ours, other in zip(mine.partition().groups, theirs.partition().groups):
+                    assert np.array_equal(ours, other)
+                assert mine.partition().qi_names == theirs.partition().qi_names
+                assert np.array_equal(
+                    mine.external_counts(population), theirs.external_counts(population)
+                )
+        # Five of the six orders are unsorted; only ("num", "qi0", "qi1")
+        # reads the stored entries themselves.
+        assert views == 5 * len(nodes)
+        info = evaluator.cache_info()
+        assert info["entries"] == info["misses"] == len(nodes)
+
+    def test_views_count_against_their_entry_and_move_with_it(self):
+        table, qi, hierarchies = scenario(13, n_rows=120)
+        store = EngineCacheStore(cache_limit=1)
+        evaluator = LatticeEvaluator(table, qi, hierarchies, cache=store)
+        stored = evaluator.stats((2, 1, 0), ("num", "qi0", "qi1"))
+        view = evaluator.stats((1, 0, 2))  # the same node in QI order
+        assert view._view_of is stored and view is evaluator.stats((1, 0, 2))
+        view.histogram(SENSITIVE)
+        view.partition()
+        # A view is never a store entry, and no hit, miss or roll-up of its
+        # own: each of the two view requests is one hit on the entry.
+        info = store.info()
+        assert (info["entries"], info["misses"], info["hits"]) == (1, 1, 2)
+        assert list(store.keys()) == [(("num", "qi0", "qi1"), (2, 1, 0))]
+        # ... but it and its growth count against its entry's bytes.
+        assert info["bytes"] == store.footprint(stored) + store.footprint(view)
+        # rebind re-homes the view with its entry.
+        other = LatticeEvaluator(table, qi, hierarchies, cache=store)
+        assert store.rebind(other) == 1
+        assert stored._context is view._context is other.context
+        # Evicting the entry drops its views and their bytes.
+        bottom = evaluator.stats((0, 0, 0), ("num", "qi0", "qi1"))
+        assert stored._views == {}
+        assert store.info()["bytes"] == store.footprint(bottom)
+
+
+    def test_an_evaluator_with_views_is_freed_by_reference_counting(self):
+        """A view and its entry point at each other; the store drops views
+        with itself, so no GroupStats is left in a reference cycle."""
+        import gc
+
+        table, qi, hierarchies = scenario(14, n_rows=100)
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            evaluator = LatticeEvaluator(table, qi, hierarchies)
+            for node in ((0, 0, 0), (1, 1, 1)):
+                evaluator.partition(node).groups  # unsorted QIs: a view
+            assert evaluator.stats((1, 1, 1))._view_of is not None
+            del evaluator
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            leaked = [
+                type(o).__qualname__
+                for o in gc.garbage
+                if type(o).__module__.startswith("repro.core")
+            ]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            if was_enabled:
+                gc.enable()
+        assert not leaked, leaked
 
 
 class TestSatelliteChanges:
@@ -546,3 +655,35 @@ class TestMaterializeFromCodes:
         )
         with pytest.raises(ConfigError, match="holds 90 rows .* has 10"):
             evaluator.materialize(node, table=stripped.head(10))
+
+    def test_jobs_on_one_evaluator_share_each_published_column(self):
+        from repro.api import AnonymizationConfig, run_batch
+
+        table, qi, hierarchies = self._lattice_table()
+        configs = [
+            AnonymizationConfig.from_dict(
+                {
+                    "quasi_identifiers": ["cat"],
+                    "numeric_quasi_identifiers": ["num"],
+                    "sensitive": ["other"],
+                    "models": [{"model": "k-anonymity", "k": 10}],
+                    "algorithm": {"algorithm": algorithm},
+                }
+            )
+            for algorithm in ("flash", "incognito")
+        ]
+        first, second = run_batch(configs, table, hierarchies=hierarchies)
+        assert first.engine is second.engine
+        node = first.release.node
+        # A numeric QI at level 0 stays the input's column; here both QIs
+        # are built from codes.
+        assert node == second.release.node and node[1] > 0, node
+        reference = apply_node(table, hierarchies, qi, node)
+        for result in (first, second):
+            published = result.release.table
+            assert published.fingerprint() == reference.fingerprint()
+            for name in qi:
+                dtypes = (published.column(name).codes.dtype, reference.column(name).codes.dtype)
+                assert dtypes[0] == dtypes[1], (name, dtypes)
+        for name in qi:
+            assert first.release.table.column(name) is second.release.table.column(name)

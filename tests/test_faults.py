@@ -181,6 +181,20 @@ class TestDeterminism:
             faults.fire("evaluate-node", node=(1,))
 
 
+    def test_match_names_the_store_key_whatever_the_qi_order(self, table):
+        """The context is the store key (names sorted, levels permuted to
+        match), so a plan written that way fires for a job whose QIs are
+        listed unsorted: Flash over zipcode, job releases node (0, 1)."""
+        config = {**JOB, "numeric_quasi_identifiers": []}
+        match = {"names": ["job", "zipcode"], "node": [1, 0]}
+        with faults.injection({"points": {"evaluate-node": {"match": match}}}):
+            (failure,) = run_batch(_configs(config), table, on_error="collect")
+            assert faults.fired() == [("evaluate-node", 1)]
+        assert isinstance(failure, JobFailure)
+        assert failure.error_type == "fault"
+        assert run(AnonymizationConfig.from_dict(config), table).node == (0, 1)
+
+
 class TestDeadlines:
     def test_kind_selects_the_taxonomy_error(self):
         with pytest.raises(JobTimeoutError):

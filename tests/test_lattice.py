@@ -1,9 +1,10 @@
 """Unit tests for the generalization lattice."""
 
+import numpy as np
 import pytest
 
 from repro.core.hierarchy import Hierarchy
-from repro.core.lattice import GeneralizationLattice
+from repro.core.lattice import GeneralizationLattice, minimal_antichain
 from repro.errors import HierarchyError
 
 
@@ -115,3 +116,31 @@ class TestProjection:
     def test_embed_out_of_range_raises(self, lattice):
         with pytest.raises(HierarchyError):
             lattice.embed((9,), ["b"])
+
+
+def _quadratic_antichain(nodes):
+    """Every node compared with every other: the reference definition."""
+    nodes = set(nodes)
+    return sorted(
+        node
+        for node in nodes
+        if not any(
+            other != node and all(o <= n for o, n in zip(other, node))
+            for other in nodes
+        )
+    )
+
+
+class TestMinimalAntichain:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_the_quadratic_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        for dims in range(1, 6):
+            for _ in range(25):
+                size = int(rng.integers(0, 40))
+                nodes = [tuple(int(v) for v in rng.integers(0, 4, dims)) for _ in range(size)]
+                assert minimal_antichain(nodes) == _quadratic_antichain(nodes), nodes
+
+    def test_keeps_incomparable_nodes_and_drops_duplicates(self):
+        nodes = [(2, 0), (1, 1), (1, 1), (2, 2), (0, 3)]
+        assert minimal_antichain(iter(nodes)) == [(0, 3), (1, 1), (2, 0)]
