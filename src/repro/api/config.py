@@ -369,8 +369,12 @@ def build_hierarchies(
 
     ``built`` maps ``(name, numeric)`` to a hierarchy already built for
     that column and role, and receives the ones built here. Configs that
-    agree on the hierarchy specs and ``bins`` (one table environment of a
-    batch) pass one dict, so each column's hierarchy is built once.
+    agree on the hierarchy specs and ``bins`` (one table environment) pass
+    one dict, their cache store's (:meth:`EngineCacheStore.hierarchies
+    <repro.core.cache.EngineCacheStore.hierarchies>`), so each column's
+    hierarchy is built once per store and table. It is filled with
+    ``setdefault``: of two callers racing on one column, both return the
+    first one stored.
     """
     if not table.n_rows:
         # Auto hierarchies span the rows' values; zero rows have none.
@@ -385,7 +389,9 @@ def build_hierarchies(
             hierarchy = built.get((name, numeric))
             if hierarchy is None:
                 spec = config.hierarchies.get(name, {"builder": "auto"})
-                hierarchy = built[name, numeric] = build(name, spec, table, config)
+                hierarchy = built.setdefault(
+                    (name, numeric), build(name, spec, table, config)
+                )
             hierarchies[name] = hierarchy
     return hierarchies
 

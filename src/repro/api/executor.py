@@ -26,7 +26,9 @@ environment (same dropped columns, hierarchy specs, ``bins``,
 :class:`~repro.core.cache.EngineCacheStore` holding their jobs' own
 ``cache_bytes`` budget (256 MiB by default) under the stratum-aware
 eviction policy, so a batch's engine memory is bounded per table
-environment, exactly as a single :func:`run` is.
+environment, exactly as a single :func:`run` is. The store also holds the
+environment's hierarchies and QI encodings, which a batch over an injected
+warm store reuses instead of rebuilding.
 """
 
 from __future__ import annotations
@@ -624,7 +626,8 @@ def run_batch(
     hierarchy is built once. Results come back in input order, each
     carrying its evaluator on ``.engine``; its ``cache_info()`` counts the
     whole shared store. ``hierarchies`` overrides spec-built hierarchies
-    with live objects for the whole batch, exactly as in :func:`run`.
+    with live objects for the whole batch, exactly as in :func:`run`; it
+    cannot be combined with ``cache_stores`` (:class:`ConfigError`).
 
     ``workers`` must be a positive integer (else :class:`ConfigError`);
     ``workers > 1`` dispatches the jobs across a thread pool. Jobs still
@@ -679,10 +682,15 @@ def run_batch(
     the given store as their memo store instead of building a fresh one —
     entries cached by an earlier batch over a byte-identical table are
     memo hits here (``hits`` grow, ``from_rows`` stays put), and this
-    batch's entries stay behind in the store for the next. Injected stores
-    keep their own byte budgets; the caller owns their lifecycle. This is
-    the hook the multi-tenant service (:mod:`repro.service`) keeps
-    per-tenant caches warm through.
+    batch's entries stay behind in the store for the next. A store also
+    keeps its table environment: a batch over the same ``Table`` object
+    reuses its hierarchies and QI encodings, so it builds no hierarchy and
+    encodes no column. Injected stores keep their own byte budgets; the
+    caller owns their lifecycle. This is the hook the multi-tenant service
+    (:mod:`repro.service`) keeps per-tenant caches warm through. A store
+    key cannot name live hierarchy objects, so passing ``hierarchies`` too
+    raises :class:`ConfigError` instead of letting an override's stats
+    answer later batches that have none.
     """
     planner = BatchPlanner(
         configs,
@@ -741,11 +749,10 @@ def _make_evaluator(
 class _EnvGroup:
     """One shared-evaluator environment of a batch."""
 
-    store_key: str
+    store: EngineCacheStore
     schema: Schema
     hierarchies: dict
-    # Both are part of the store key, so every job of the group agrees.
-    cache_bytes: int | None = None
+    # Part of the store key, so every job of the group agrees.
     chunk_rows: int | None = None
     job_indices: list[int] = field(default_factory=list)
     uses_evaluator: bool = False
@@ -768,15 +775,17 @@ class BatchPlanner:
     """Grouping and dispatch of a job batch.
 
     :meth:`plan` groups jobs into shared-evaluator environments (same QI
-    roles + table environment, see :func:`_environment_key`), building each
-    column's hierarchy once per table environment and each schema once.
-    :meth:`execute` gives every environment whose jobs consume an engine one
-    evaluator. The evaluators of one table environment share one store: an
-    injected ``cache_stores`` entry if there is one, else a fresh
-    stratum-policy store holding the jobs' own ``cache_bytes`` (256 MiB by
-    default). Jobs run in input order for ``workers=1`` and otherwise on
-    one thread pool. Releases are byte-identical at every worker count —
-    job outputs are pure functions of (config, table, hierarchies).
+    roles + table environment, see :func:`_environment_key`) and gives each
+    table environment one store: an injected ``cache_stores`` entry if
+    there is one, else a fresh stratum-policy store holding the jobs' own
+    ``cache_bytes`` (256 MiB by default). Each column's hierarchy comes
+    from the store's memo, so it is built once per store and table, and
+    each schema once. :meth:`execute` gives every environment whose jobs
+    consume an engine one evaluator over its store, which takes its QI
+    encodings from the store too. Jobs run in input order for
+    ``workers=1`` and otherwise on one thread pool. Releases are
+    byte-identical at every worker count — job outputs are pure functions
+    of (config, table, hierarchies).
     """
 
     def __init__(
@@ -802,6 +811,15 @@ class BatchPlanner:
             retry_backoff=retry_backoff,
         )
         self.workers = _check_workers(workers)
+        if hierarchies and cache_stores:
+            # A store key names hierarchy specs, not live objects, so stats
+            # and hierarchies cached under an override would answer later
+            # batches over the same store that have none.
+            raise ConfigError(
+                "'hierarchies' and 'cache_stores' cannot be given together: "
+                "a store outlives the batch, and its key cannot name live "
+                "hierarchy objects"
+            )
         self.configs = list(configs)
         self.table = table
         self.hierarchy_overrides = hierarchies
@@ -815,14 +833,18 @@ class BatchPlanner:
         """Group the jobs into environments (memoized) without executing."""
         if self._plan is not None:
             return self._plan
-        # Per table environment, each column's hierarchy (by name and role);
-        # per evaluator, the hierarchy set its jobs share.
-        columns: dict[str, dict] = {}
+        # Per table environment, its store: an injected one, else a fresh
+        # one holding the jobs' own budget. The store's memo holds each
+        # column's hierarchy; per evaluator, the hierarchy set its jobs share.
+        stores = dict(self.cache_stores)
         hierarchy_sets: dict[tuple, dict] = {}
         environments: dict[str, tuple[Schema, dict]] = {}
         groups: dict[tuple, _EnvGroup] = {}
         for index, config in enumerate(self.configs):
             store_key, schema_key = _environment_key(config)
+            store = stores.get(store_key)
+            if store is None:
+                store = stores[store_key] = _budgeted_store(config.cache_bytes)
             evaluator_key = (
                 store_key,
                 tuple(config.quasi_identifiers),
@@ -833,7 +855,7 @@ class BatchPlanner:
                 built = hierarchy_sets.get(evaluator_key)
                 if built is None:
                     built = build_hierarchies(
-                        config, self.table, columns.setdefault(store_key, {})
+                        config, self.table, store.hierarchies(self.table)
                     )
                     if self.hierarchy_overrides:
                         built.update(self.hierarchy_overrides)
@@ -844,10 +866,9 @@ class BatchPlanner:
             if group is None:
                 schema, built = environment
                 group = _EnvGroup(
-                    store_key=store_key,
+                    store=store,
                     schema=schema,
                     hierarchies=built,
-                    cache_bytes=config.cache_bytes,
                     chunk_rows=config.chunk_rows,
                 )
                 groups[evaluator_key] = group
@@ -861,31 +882,20 @@ class BatchPlanner:
         )
         return self._plan
 
-    def _build_evaluator(
-        self, group: _EnvGroup, stores: dict[str, EngineCacheStore]
-    ) -> LatticeEvaluator:
-        """The group's evaluator, on its table environment's shared store.
-
-        ``stores`` maps store keys to the injected stores and to the fresh
-        ones this batch has built so far.
-        """
-        store = stores.get(group.store_key)
-        if store is None:
-            store = stores[group.store_key] = _budgeted_store(group.cache_bytes)
+    def _build_evaluator(self, group: _EnvGroup) -> LatticeEvaluator:
+        """The group's evaluator, on its table environment's shared store."""
         evaluator = _make_evaluator(
             self.table,
             group.schema,
             group.hierarchies,
-            cache=store,
+            cache=group.store,
             chunk_rows=group.chunk_rows,
         )
-        if group.store_key in self.cache_stores:
-            # Warm start: the injected store keeps its own budget. Its
-            # entries were filled through earlier evaluators over a
-            # byte-identical table, so those over this evaluator's QIs are
-            # re-homed onto it (lazy growth accounting and column lookups
-            # must not pin the retired request's objects).
-            store.rebind(evaluator)
+        # A warm store's entries were filled through earlier evaluators over
+        # a byte-identical table, so those over this evaluator's QIs are
+        # re-homed onto it (lazy growth accounting and column lookups must
+        # not pin the retired request's objects). A fresh store has none.
+        group.store.rebind(evaluator)
         return evaluator
 
     def _run_job(self, index: int) -> "AnonymizationResult | JobFailure":
@@ -908,10 +918,9 @@ class BatchPlanner:
             if self.policy.batch_deadline is not None
             else None
         )
-        stores = dict(self.cache_stores)
         for group in self._groups:
             if group.uses_evaluator and group.evaluator is None:
-                group.evaluator = self._build_evaluator(group, stores)
+                group.evaluator = self._build_evaluator(group)
         indices = range(len(self.configs))
         if self.workers == 1 or len(indices) <= 1:
             return [self._run_job(index) for index in indices]

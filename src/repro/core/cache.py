@@ -12,6 +12,16 @@ batch gives every evaluator of one table environment (one per QI set) a
 single store with their jobs' budget, and how the service keeps a warm
 store across requests.
 
+A store also holds its table environment for as long as it lives: each
+column's hierarchy, built once per table object (:meth:`hierarchies`), and
+each QI column's encoding, built once per column and hierarchy object
+(:meth:`encoding`), with the published columns memoized on it. Every
+evaluator built over the store takes its encodings from there, so a batch
+over a warm store builds no hierarchy, encodes no column and rebuilds no
+published column. Neither memo counts against the byte budget, and
+neither holds an evaluator, so a store is still freed by reference
+counting.
+
 Entries are keyed by *store key*: ``(names, node)`` with the QI names in
 sorted order and the node's levels permuted to match. A node's groups over
 a set of columns do not depend on the order a job lists them in, so
@@ -160,6 +170,12 @@ class EngineCacheStore:
             "coalesced": 0,
             "recomputed_after_evict": 0,
         }
+        # The table environment: hierarchies by (column, numeric role) for
+        # the table object in ``_table``, and encodings by column name next
+        # to the column and hierarchy objects they were built from.
+        self._table: Any = None
+        self._hierarchies: dict[tuple[str, bool], Any] = {}
+        self._encodings: dict[str, tuple[Any, Any, Any]] = {}
         # One mutex guards every structure above plus the in-flight table;
         # stats computation itself runs outside it (single-flight).
         self._mutex = threading.Lock()
@@ -242,6 +258,44 @@ class EngineCacheStore:
             self._accounted[key] += int(n_bytes)
             while len(self._entries) > 1 and self._cached_bytes > self.cache_bytes:
                 self._evict_one()
+
+    # -- the table environment -------------------------------------------------
+
+    def hierarchies(self, table: Any) -> dict:
+        """The per-column hierarchy memo for ``table`` (the ``built=`` dict
+        of :func:`repro.api.build_hierarchies`).
+
+        One dict per table object: a batch over another table, even one
+        with equal content, gets a fresh dict, because hierarchies are
+        built from the rows. Concurrent batches over one table share the
+        dict, and ``build_hierarchies`` fills it with ``setdefault``, so
+        they end up sharing one hierarchy object per column.
+        """
+        with self._mutex:
+            if self._table is not table:
+                self._table = table
+                self._hierarchies = {}
+            return self._hierarchies
+
+    def encoding(self, column: Any, hierarchy: Any, build: Callable[[], Any]) -> Any:
+        """The QI encoding of ``column`` under ``hierarchy``, built by
+        ``build()`` unless this store holds one for the same two objects.
+
+        The build runs outside the mutex. Of two evaluators that race to
+        encode one column, the first to finish installs its encoding and
+        the other returns that one, so both share one object.
+        """
+        with self._mutex:
+            held = self._encodings.get(column.name)
+        if held is not None and held[0] is column and held[1] is hierarchy:
+            return held[2]
+        encoding = build()
+        with self._mutex:
+            held = self._encodings.get(column.name)
+            if held is not None and held[0] is column and held[1] is hierarchy:
+                return held[2]
+            self._encodings[column.name] = (column, hierarchy, encoding)
+        return encoding
 
     # -- bookkeeping (all called under the mutex) ------------------------------
 

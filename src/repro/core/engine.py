@@ -8,12 +8,14 @@ Incognito, OLA, Flash, and Datafly.
 
 Design
 ------
-**LUTs.** At construction the :class:`LatticeEvaluator` encodes every QI
-once into *base codes* — ground-domain codes for categorical QIs (via
-:meth:`Hierarchy.level_map`), rank codes over the distinct values for
-numeric QIs — plus one int lookup table per generalization level.
-Generalizing a QI to level ``lv`` is then the single gather
-``lut[lv][base_codes]``; no Table is ever rebuilt during the search.
+**LUTs.** Every QI is encoded once into *base codes* — ground-domain
+codes for categorical QIs (via :meth:`Hierarchy.level_map`), rank codes
+over the distinct values for numeric QIs — plus one int lookup table per
+generalization level. Generalizing a QI to level ``lv`` is then the single
+gather ``lut[lv][base_codes]``; no Table is ever rebuilt during the
+search. The encodings live on the cache store
+(:meth:`EngineCacheStore.encoding`), so the evaluators over one store share
+each column's, and a later evaluator over a warm store encodes nothing.
 
 **GroupStats.** Evaluating a node packs the per-QI level codes into one
 mixed-radix signature per row (falling back to ``np.unique(axis=0)`` on
@@ -325,10 +327,11 @@ class _QIEncoding:
     ``uniques`` is the sorted distinct-value array a numeric QI's rank codes
     index into (None for categorical QIs); external tables — e.g. the
     population table of δ-presence — are translated into the same code space
-    through it.
+    through it. ``published`` memoizes the QI's published column per level
+    (see :meth:`LatticeEvaluator.materialize`).
     """
 
-    __slots__ = ("base_codes", "luts", "n_labels", "uniques")
+    __slots__ = ("base_codes", "luts", "n_labels", "uniques", "published")
 
     def __init__(
         self,
@@ -341,6 +344,7 @@ class _QIEncoding:
         self.luts = luts
         self.n_labels = n_labels
         self.uniques = uniques
+        self.published: dict[int, Column] = {}
 
 
 class _StatsContext:
@@ -545,12 +549,15 @@ class LatticeEvaluator:
                 policy=cache_policy,
             )
         )
-        self._encodings = {name: self._encode_qi(name) for name in self.qi_names}
+        # Encodings live on the store, so evaluators over one store (other
+        # QI sets, later requests) share each column's.
+        self._encodings = {
+            name: self.cache.encoding(
+                table.column(name), hierarchies[name], lambda: self._encode_qi(name)
+            )
+            for name in self.qi_names
+        }
         self._level_maps: dict[tuple[str, int, int], np.ndarray] = {}
-        # Published QI columns by (name, level): the jobs of one evaluator
-        # publish few distinct ones. Held here, not on the encodings, which
-        # a warm store's stats keep past the request.
-        self._published: dict[tuple[str, int], Column] = {}
         #: What this evaluator's stats grow lazily through;
         #: :meth:`EngineCacheStore.rebind` re-homes a warm store's stats onto it.
         self.context = _StatsContext(table, hierarchies, self._encodings, self.cache)
@@ -595,8 +602,8 @@ class LatticeEvaluator:
         Unlocked on purpose: the memo write is idempotent (two racing
         threads compute identical arrays and either may win), so the worst
         case is one wasted recomputation, never a wrong value. The same
-        holds for ``_published`` and the context's ``_columns`` and
-        ``_external_grounds`` memos.
+        holds for the encodings' ``published`` and the context's
+        ``_columns`` and ``_external_grounds`` memos.
         """
         key = (name, low, high)
         comp = self._level_maps.get(key)
@@ -815,8 +822,7 @@ class LatticeEvaluator:
     ) -> int:
         """Rows belonging to any failing group (the suppression cost)."""
         stats = self._stored(node, names)
-        mask = self._failing_mask(node, models, names)
-        return int(stats.sizes[mask].sum())
+        return int(stats.sizes[self._failing_mask(stats, models)].sum())
 
     def failing_rows(
         self,
@@ -830,13 +836,10 @@ class LatticeEvaluator:
         and the final suppression read the same verdicts.
         """
         stats = self._stored(node, names)
-        mask = self._failing_mask(node, models, names)
-        return np.flatnonzero(mask[stats.row_labels])
+        return np.flatnonzero(self._failing_mask(stats, models)[stats.row_labels])
 
-    def _failing_mask(
-        self, node: Sequence[int], models: Sequence, names: Sequence[str] | None
-    ) -> np.ndarray:
-        stats = self._stored(node, names)
+    @staticmethod
+    def _failing_mask(stats: GroupStats, models: Sequence) -> np.ndarray:
         mask = np.zeros(stats.n_groups, dtype=bool)
         for model in models:
             mask |= ~model.ok_mask(stats)
@@ -875,8 +878,10 @@ class LatticeEvaluator:
         base codes, so no value is translated or binned again; a numeric QI
         at level 0 stays as it is. Equal to :func:`apply_node` over the same
         rows, codes and dtypes included. A column is built once per (QI,
-        level) and shared by every release of this evaluator that publishes
-        it, as the non-QI columns are shared with the input table.
+        level) and memoized on the QI's encoding, so every release over
+        this evaluator's store that publishes it shares it, later requests
+        over a warm store included, as the non-QI columns are shared with
+        the input table.
         """
         names = self.qi_names if names is None else tuple(names)
         table = self.table if table is None else table
@@ -893,7 +898,7 @@ class LatticeEvaluator:
             level = int(level)
             if enc.uniques is not None and level == 0:
                 continue
-            column = self._published.get((name, level))
+            column = enc.published.get(level)
             if column is None:
                 hierarchy = self.hierarchies[name]
                 if enc.uniques is None:
@@ -902,7 +907,7 @@ class LatticeEvaluator:
                     intervals = hierarchy.intervals(level)
                     labels = [hierarchy.label(interval) for interval in intervals]
                 column = Column.from_codes(name, enc.luts[level][enc.base_codes], labels)
-                self._published[(name, level)] = column
+                enc.published[level] = column
             columns.append(column)
         return table.replace(*columns)
 

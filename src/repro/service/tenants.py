@@ -4,7 +4,8 @@ The service's whole reason to stay resident is this module: one
 :class:`~repro.core.cache.EngineCacheStore` per (tenant, environment
 fingerprint) survives across requests, so a tenant's second batch over the
 same data starts warm — node statistics computed last request are memo
-hits now, whichever of the data's QI sets asked for them — while every
+hits now, whichever of the data's QI sets asked for them, and the store's
+hierarchies and QI encodings are reused rather than rebuilt — while every
 other tenant's traffic stays isolated in its own stores.
 
 The environment fingerprint is ``sha256(data digest + store key)``: cached

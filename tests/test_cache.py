@@ -19,7 +19,13 @@ Pins the contracts of the pluggable cache layer and the planner on top:
   publishes what each job publishes alone and computes each shared column
   subset once, also under racing workers and when jobs list one column set
   in different orders (the store keys entries by sorted names), and
-  ``rebind`` leaves entries over columns the new evaluator lacks working.
+  ``rebind`` leaves entries over columns the new evaluator lacks working;
+* the store's table environment: a warm batch builds no hierarchy,
+  encodes no column and builds no published column, yet publishes what a
+  cold run does; evaluators over one store (racing ones included) share
+  one hierarchy and encoding per column, another table object rebuilds
+  them, a used store is still freed by reference counting, and live
+  hierarchy overrides cannot reach an injected store.
 """
 
 import itertools
@@ -29,15 +35,18 @@ import numpy as np
 import pytest
 
 from repro.api import AnonymizationConfig, BatchPlanner, run, run_batch
+from repro.api.executor import _environment_key
 from repro.cli import main as cli_main
 from repro.core.cache import EngineCacheStore
 from repro.core.engine import LatticeEvaluator
+from repro.core.hierarchy import Hierarchy
 from repro.core.io import read_csv
 from repro.core.lattice import GeneralizationLattice
 from repro.core.table import Column, Table
 from repro.data import adult_hierarchies, load_adult
 from repro.data.synthetic import random_scenario
 from repro.errors import ConfigError
+from repro.service.data import release_csv_bytes
 
 CSV_TEXT = (
     "zipcode,job,age,disease\n"
@@ -668,6 +677,241 @@ class TestCrossQISharing:
             )
         assert rebound == 1  # only the ("zipcode",) entry moved
         assert first.stats((1,), names=("zipcode",))._context is second.context
+
+
+def _warm_config(algorithm, qis=("zipcode", "job"), numeric=("age",)):
+    spec = {
+        "quasi_identifiers": list(qis),
+        "numeric_quasi_identifiers": list(numeric),
+        "sensitive": ["disease"],
+        "models": [{"model": "k-anonymity", "k": 4}],
+        "algorithm": algorithm,
+    }
+    if algorithm["algorithm"] != "mondrian":  # it has no suppression budget
+        spec["max_suppression"] = 0.05
+    return AnonymizationConfig.from_dict(spec)
+
+
+def _count_environment_builds(monkeypatch):
+    """Record every hierarchy build, QI encoding and published QI column
+    from now on."""
+    import repro.api.config as config_module
+    import repro.core.engine as engine_module
+
+    calls = []
+    for name in ("_build_categorical", "_build_interval"):
+        def counted(column_name, *args, _build=getattr(config_module, name)):
+            calls.append(("hierarchy", column_name))
+            return _build(column_name, *args)
+
+        monkeypatch.setattr(config_module, name, counted)
+    encode = LatticeEvaluator._encode_qi
+
+    def counted_encode(self, name):
+        calls.append(("encode", name))
+        return encode(self, name)
+
+    monkeypatch.setattr(LatticeEvaluator, "_encode_qi", counted_encode)
+
+    class CountedColumn:
+        @staticmethod
+        def from_codes(name, codes, categories):
+            calls.append(("publish", name))
+            return Column.from_codes(name, codes, categories)
+
+    monkeypatch.setattr(engine_module, "Column", CountedColumn)
+    return calls
+
+
+class TestWarmEnvironment:
+    """A store keeps its table environment: a later batch over the same
+    table object reuses its hierarchies and QI encodings."""
+
+    ALGORITHMS = (
+        {"algorithm": "flash"},
+        {"algorithm": "ola"},
+        {"algorithm": "incognito"},
+        {"algorithm": "datafly"},
+        {"algorithm": "mondrian", "mode": "relaxed"},
+    )
+
+    @pytest.mark.parametrize(
+        "algorithm", ALGORITHMS, ids=[a["algorithm"] for a in ALGORITHMS]
+    )
+    def test_warm_batch_builds_and_encodes_nothing(self, monkeypatch, algorithm):
+        table = _shared_table()
+        config = _warm_config(algorithm)
+        stores = {_environment_key(config)[0]: EngineCacheStore(cache_limit=None)}
+        calls = _count_environment_builds(monkeypatch)
+        run_batch([config], table, cache_stores=stores)
+        assert ("hierarchy", "zipcode") in calls
+        if algorithm["algorithm"] != "mondrian":  # the lattice searches encode
+            assert ("encode", "zipcode") in calls and ("publish", "zipcode") in calls
+        calls.clear()
+        warm = run_batch([config], table, cache_stores=stores)
+        assert calls == []
+        cold = run(config, table)
+        assert warm[0].node == cold.node
+        assert release_csv_bytes(warm[0].release.table) == release_csv_bytes(
+            cold.release.table
+        )
+
+    def test_evaluators_over_one_store_share_each_column_encoding(self):
+        table = _shared_table()
+        configs = [
+            _warm_config({"algorithm": "flash"}),
+            _warm_config({"algorithm": "flash"}, qis=("zipcode", "sex")),
+        ]
+        first, second = (result.engine for result in run_batch(configs, table))
+        assert first is not second and first.cache is second.cache
+        for name in ("zipcode", "age"):
+            assert first._encodings[name] is second._encodings[name]
+            assert first.hierarchies[name] is second.hierarchies[name]
+        assert sorted(first.cache._encodings) == ["age", "job", "sex", "zipcode"]
+
+    def test_encodings_are_reused_only_for_the_same_column_and_hierarchy(self):
+        from repro.api import build_hierarchies
+
+        table = _shared_table()
+        qi = ["zipcode", "job", "age"]
+        hierarchies = build_hierarchies(_warm_config({"algorithm": "flash"}), table)
+        store = EngineCacheStore(cache_limit=None)
+        first = LatticeEvaluator(table, qi, hierarchies, cache=store)
+        # Dropping a column keeps the other Column objects: reused.
+        again = LatticeEvaluator(table.drop("sex"), qi, hierarchies, cache=store)
+        assert all(again._encodings[name] is first._encodings[name] for name in qi)
+        # Other rows under the same hierarchies, or another hierarchy for
+        # one column, get encodings of their own.
+        reversed_rows = table.take(np.arange(table.n_rows)[::-1])
+        flat = {
+            **hierarchies,
+            "zipcode": Hierarchy.flat(sorted(table.column("zipcode").value_counts())),
+        }
+        for other_table, other_hierarchies, changed in (
+            (table, flat, ["zipcode"]),
+            (reversed_rows, hierarchies, qi),
+        ):
+            other = LatticeEvaluator(other_table, qi, other_hierarchies, cache=store)
+            fresh = LatticeEvaluator(other_table, qi, other_hierarchies)
+            for name in changed:
+                assert other._encodings[name] is not first._encodings[name]
+                mine, theirs = other._encodings[name], fresh._encodings[name]
+                assert np.array_equal(mine.base_codes, theirs.base_codes)
+                assert mine.n_labels == theirs.n_labels
+
+    def test_another_table_with_equal_content_rebuilds(self, monkeypatch):
+        table = _shared_table()
+        twin = table.take(np.arange(table.n_rows))  # equal content, new objects
+        config = _warm_config({"algorithm": "flash"})
+        stores = {_environment_key(config)[0]: EngineCacheStore(cache_limit=None)}
+        first = run_batch([config], table, cache_stores=stores)[0]
+        calls = _count_environment_builds(monkeypatch)
+        second = run_batch([config], twin, cache_stores=stores)[0]
+        assert sorted(call for call in calls if call[0] != "publish") == [
+            ("encode", "age"), ("encode", "job"), ("encode", "zipcode"),
+            ("hierarchy", "age"), ("hierarchy", "job"), ("hierarchy", "zipcode"),
+        ]
+        assert second.engine.cache is first.engine.cache
+        assert second.engine._encodings["zipcode"] is not first.engine._encodings["zipcode"]
+        assert _fingerprint(second.release.table) == _fingerprint(first.release.table)
+
+    def test_racing_batches_share_one_object_per_column(self):
+        import sys
+        import threading
+
+        table = _shared_table()
+        configs = [
+            _warm_config({"algorithm": algorithm}, qis=qis)
+            for algorithm in ("flash", "incognito")
+            for qis in (("zipcode", "job"), ("zipcode", "sex"))
+        ]
+        store = EngineCacheStore(cache_limit=None)
+        stores = {_environment_key(configs[0])[0]: store}
+        start = threading.Barrier(len(configs))
+        out = {}
+
+        def batch(index):
+            start.wait(timeout=60)
+            out[index] = run_batch([configs[index]], table, cache_stores=stores)[0]
+
+        threads = [
+            threading.Thread(target=batch, args=(index,), daemon=True)
+            for index in range(len(configs))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(out) == len(configs)
+        for index, result in out.items():
+            evaluator = result.engine
+            assert evaluator.cache is store
+            for name in evaluator.qi_names:
+                numeric = name == "age"
+                assert evaluator.hierarchies[name] is store._hierarchies[name, numeric]
+                assert evaluator._encodings[name] is store._encodings[name][2]
+            alone = run(configs[index], table)
+            assert _fingerprint(result.release.table) == _fingerprint(alone.release.table)
+
+    def test_used_store_is_freed_by_reference_counting(self):
+        import gc
+        import weakref
+
+        table = _shared_table()
+        config = _warm_config({"algorithm": "flash"})
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            store = EngineCacheStore(cache_limit=None)
+            stores = {_environment_key(config)[0]: store}
+            for _ in range(2):
+                results = run_batch([config], table, cache_stores=stores)
+            assert results[0].engine.cache is store and len(store) > 0
+            freed = weakref.ref(store)
+            del store, stores, results
+            assert freed() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+
+
+class TestHierarchyOverridesOnWarmStores:
+    def test_overrides_and_injected_stores_are_rejected(self):
+        """An override's stats must not answer later batches over the same
+        store: 12-anonymity over four zip codes of 10 rows is (2,), but a
+        store filled under an override that pairs the codes would make a
+        later batch publish (1,), whose classes hold 10 rows."""
+        table = Table.from_dict(
+            {"zip": ["13053", "13068", "14850", "14853"] * 10}, categorical=["zip"]
+        )
+        config = AnonymizationConfig.from_dict(
+            {
+                "quasi_identifiers": ["zip"],
+                "models": [{"model": "k-anonymity", "k": 12}],
+                "algorithm": {"algorithm": "flash"},
+            }
+        )
+        custom = Hierarchy.from_levels(
+            {"13053": ["A"], "14853": ["A"], "13068": ["B"], "14850": ["B"]}
+        )
+        stores = {_environment_key(config)[0]: EngineCacheStore(cache_limit=None)}
+        both = r"'hierarchies' and 'cache_stores' cannot be given together"
+        with pytest.raises(ConfigError, match=both):
+            run_batch([config], table, hierarchies={"zip": custom}, cache_stores=stores)
+        with pytest.raises(ConfigError, match=both):
+            BatchPlanner([config], table, hierarchies={"zip": custom}, cache_stores=stores)
+        # Each alone still works, and the store answers with its own specs.
+        assert run_batch([config], table, hierarchies={"zip": custom})[0].node == (1,)
+        warm = run_batch([config], table, cache_stores=stores)[0]
+        assert warm.node == (2,)
+        assert warm.release.table.column("zip").value_counts() == {"130**": 20, "148**": 20}
 
 
 class TestCLICacheKnobs:

@@ -449,6 +449,27 @@ class TestEngineCacheTelemetry:
         assert stored._parent[0].names == ("num", "qi0", "qi1")
         assert stored._parent[0].node == (0, 1, 0)
 
+    @pytest.mark.parametrize("verdict", ["evaluate", "failing_rows"])
+    def test_budgeted_verdict_requests_its_node_once(self, verdict):
+        """A suppression-budget verdict reads one stats object: one miss, no
+        hit and one ``evaluate-node`` fire on a cold evaluator."""
+        from repro.core import faults
+
+        table, qi, hierarchies = scenario(9)
+        evaluator = LatticeEvaluator(table, qi, hierarchies)
+        node = (0,) * len(qi)
+        models = [KAnonymity(6), DistinctLDiversity(2, SENSITIVE)]
+        # A zero delay without an error fires on every call and raises nothing.
+        with faults.injection({"points": {"evaluate-node": {"delay": 0}}}):
+            if verdict == "evaluate":
+                evaluator.evaluate(node, models, max_suppression=0.05)
+            else:
+                evaluator.failing_rows(node, models)
+            fired = faults.fired()
+        info = evaluator.cache_info()
+        assert (info["misses"], info["hits"]) == (1, 0)
+        assert fired == [("evaluate-node", 1)]
+
 
 class TestViews:
     """The store keys each node by its sorted names; a caller asking for
