@@ -4,12 +4,12 @@ The scaling step after E36's parallel executor: what happens when a batch's
 engine-cache working set overflows the byte budget. Each QI set of a batch
 is served by one evaluator, and the evaluators of one table environment
 share one store holding their jobs' own ``cache_bytes``; here every job
-gets half the measured working set, so the store evicts mid-run (the
-stratum policy sheds nodes a roll-up can rebuild before the from-rows
-roots). Counters are read once per store, not once per evaluator. Node
-statistics are pure functions of (table, hierarchies, node), so eviction
-may cost recomputation (``cache_info()["recomputed_after_evict"]``, printed
-and recorded) but must never change a release.
+gets half the measured working set, so the store evicts its least
+recently used entries mid-run. Counters are read once per store, not once
+per evaluator. Node statistics are pure functions of (table, hierarchies,
+node), so eviction may cost recomputation
+(``cache_info()["recomputed_after_evict"]``, printed and recorded) but
+must never change a release.
 
 The bench also pins the determinism half of the cache design: Incognito
 pre-seeds each subset's bottom node before searching, so the engine's

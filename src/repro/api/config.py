@@ -35,7 +35,7 @@ from typing import Any, Mapping
 from ..core.cache import check_cache_bytes
 from ..core.hierarchy import Hierarchy, IntervalHierarchy
 from ..core.schema import Schema, check_finite
-from ..core.table import Table, check_chunk_rows
+from ..core.table import Table
 from ..errors import ConfigError, SchemaError
 from .registry import algorithm_registry, metric_registry, model_registry
 
@@ -100,10 +100,6 @@ class AnonymizationConfig:
     #: keeps the engine default (256 MiB). In a batch it bounds the
     #: evaluator shared by the jobs of this job's environment.
     cache_bytes: int | None = None
-    #: Row-slice size for streaming node evaluation (and chunked packing);
-    #: None evaluates in one shot. Bounds the engine's per-QI intermediate
-    #: arrays to ``chunk_rows`` elements without changing any result.
-    chunk_rows: int | None = None
     #: Cooperative per-job time budget in seconds; None means unbounded.
     #: Enforced at node-evaluation checkpoints (engine algorithms), so an
     #: overrunning job is interrupted with
@@ -247,17 +243,6 @@ class AnonymizationConfig:
                 raise ConfigError(
                     f"key 'job_timeout' must be a positive number of seconds, "
                     f"got {value!r}"
-                )
-        if self.chunk_rows is not None:
-            try:
-                check_chunk_rows(self.chunk_rows)
-            except ValueError as exc:
-                raise ConfigError(f"key 'chunk_rows' {exc}") from None
-            if not getattr(type(algorithm), "uses_evaluator", False):
-                raise ConfigError(
-                    f"key 'chunk_rows' does not apply to algorithm "
-                    f"{algorithm_registry.name_of(algorithm)!r} (no lattice "
-                    "engine); remove the key or pick a full-domain algorithm"
                 )
 
     def _validate_hierarchy_spec(self, name: str, spec: Mapping[str, Any]) -> None:

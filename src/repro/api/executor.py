@@ -21,14 +21,13 @@ twice, and results are byte-identical to sequential execution (see
 ``docs/architecture.md``).
 
 The grouping is done by :class:`BatchPlanner`: the evaluators of one table
-environment (same dropped columns, hierarchy specs, ``bins``,
-``cache_bytes`` and ``chunk_rows``) get one
-:class:`~repro.core.cache.EngineCacheStore` holding their jobs' own
-``cache_bytes`` budget (256 MiB by default) under the stratum-aware
-eviction policy, so a batch's engine memory is bounded per table
-environment, exactly as a single :func:`run` is. The store also holds the
-environment's hierarchies and QI encodings, which a batch over an injected
-warm store reuses instead of rebuilding.
+environment (same dropped columns, hierarchy specs, ``bins`` and
+``cache_bytes``) get one :class:`~repro.core.cache.EngineCacheStore`
+holding their jobs' own ``cache_bytes`` budget (256 MiB by default), so a
+batch's engine memory is bounded per table environment, exactly as a
+single :func:`run` is. The store also holds the environment's hierarchies
+and QI encodings, which a batch over an injected warm store reuses instead
+of rebuilding.
 """
 
 from __future__ import annotations
@@ -453,22 +452,14 @@ def run(
     )
     if (
         evaluator is None
-        and (config.cache_bytes is not None or config.chunk_rows is not None)
+        and config.cache_bytes is not None
         and getattr(type(algorithm), "uses_evaluator", False)
     ):
-        # A config-level engine budget (or chunking request) only binds if
-        # the evaluator is built out here — the algorithm's own fallback
-        # evaluator would use the library defaults.
+        # A config-level engine budget only binds if the evaluator is built
+        # out here — the algorithm's own fallback evaluator would use the
+        # library default.
         evaluator = _make_evaluator(
-            table,
-            schema,
-            built,
-            cache=(
-                _budgeted_store(config.cache_bytes)
-                if config.cache_bytes is not None
-                else None
-            ),
-            chunk_rows=config.chunk_rows,
+            table, schema, built, EngineCacheStore(cache_bytes=config.cache_bytes)
         )
     timings["prepare"] = time.perf_counter() - start
     result = execute(
@@ -564,11 +555,11 @@ def _environment_key(config: AnonymizationConfig) -> tuple[str, str]:
     """(store_key, schema_key) for batch sharing.
 
     The store key names a table environment: the dropped columns, the
-    hierarchy specs, ``bins``, ``cache_bytes`` and ``chunk_rows``. A node's
-    statistics over some columns are a pure function of the table rows and
-    those columns' hierarchies and levels, not of which job's QI set asked
-    for them, so every job of one table environment can share one engine
-    cache store. Jobs demanding different budgets or chunking cannot.
+    hierarchy specs, ``bins`` and ``cache_bytes``. A node's statistics over
+    some columns are a pure function of the table rows and those columns'
+    hierarchies and levels, not of which job's QI set asked for them, so
+    every job of one table environment can share one engine cache store.
+    Jobs demanding different budgets cannot.
     The schema key adds the QI and sensitive roles: two jobs may share a
     store yet need different schemas, and collapsing them would hand job B
     job A's QIs or sensitive column (search, metrics, release schema)
@@ -582,9 +573,6 @@ def _environment_key(config: AnonymizationConfig) -> tuple[str, str]:
             "hier": config.hierarchies,
             "bins": config.bins,
             "cache_bytes": config.cache_bytes,
-            # chunk_rows changes no result, but an evaluator streams or
-            # doesn't — jobs demanding different chunking can't share one.
-            "chunk_rows": config.chunk_rows,
         },
         sort_keys=True,
         default=list,
@@ -620,10 +608,9 @@ def run_batch(
     single shared :class:`LatticeEvaluator`, so a node evaluated by one
     job's search is a memo hit for every later job. The evaluators of
     different QI sets share one cache store when their jobs agree on the
-    table side (dropped columns, hierarchy specs, ``bins``, ``cache_bytes``,
-    ``chunk_rows``): a column subset that several QI sets reach, such as
-    Incognito's subset bottoms, is evaluated once, and each column's
-    hierarchy is built once. Results come back in input order, each
+    table side (dropped columns, hierarchy specs, ``bins``, ``cache_bytes``):
+    a column subset that several QI sets reach, such as Incognito's subset
+    bottoms, is evaluated once, and each column's hierarchy is built once. Results come back in input order, each
     carrying its evaluator on ``.engine``; its ``cache_info()`` counts the
     whole shared store. ``hierarchies`` overrides spec-built hierarchies
     with live objects for the whole batch, exactly as in :func:`run`; it
@@ -713,36 +700,15 @@ def _uses_evaluator(config: AnonymizationConfig) -> bool:
     return bool(getattr(entry.cls, "uses_evaluator", False))
 
 
-def _budgeted_store(cache_bytes: int | None) -> EngineCacheStore:
-    """A byte-budgeted store for an explicit or batch-built evaluator.
-
-    Bytes are the whole contract — no entry cap, so an ample budget can
-    never thrash on a huge lattice — and the stratum-aware policy sheds
-    nodes that roll back up in O(n_groups) before the O(n_rows) roots.
-    """
-    return EngineCacheStore(
-        cache_limit=None,
-        cache_bytes=DEFAULT_CACHE_BYTES if cache_bytes is None else cache_bytes,
-        policy="stratum",
-    )
-
-
 def _make_evaluator(
     table: Table,
     schema: Schema,
     hierarchies: Mapping[str, Any],
-    cache: EngineCacheStore | None = None,
-    chunk_rows: int | None = None,
+    cache: EngineCacheStore,
 ) -> LatticeEvaluator:
-    """Evaluator over the identifier-stripped table, with an optional store."""
+    """Evaluator over the identifier-stripped table, on ``cache``."""
     prepared = table.drop(*schema.identifying) if schema.identifying else table
-    return LatticeEvaluator(
-        prepared,
-        schema.quasi_identifiers,
-        hierarchies,
-        cache=cache,
-        chunk_rows=chunk_rows,
-    )
+    return LatticeEvaluator(prepared, schema.quasi_identifiers, hierarchies, cache=cache)
 
 
 @dataclass
@@ -752,8 +718,6 @@ class _EnvGroup:
     store: EngineCacheStore
     schema: Schema
     hierarchies: dict
-    # Part of the store key, so every job of the group agrees.
-    chunk_rows: int | None = None
     job_indices: list[int] = field(default_factory=list)
     uses_evaluator: bool = False
     evaluator: LatticeEvaluator | None = None
@@ -777,8 +741,8 @@ class BatchPlanner:
     :meth:`plan` groups jobs into shared-evaluator environments (same QI
     roles + table environment, see :func:`_environment_key`) and gives each
     table environment one store: an injected ``cache_stores`` entry if
-    there is one, else a fresh stratum-policy store holding the jobs' own
-    ``cache_bytes`` (256 MiB by default). Each column's hierarchy comes
+    there is one, else a fresh store holding the jobs' own ``cache_bytes``
+    (256 MiB by default). Each column's hierarchy comes
     from the store's memo, so it is built once per store and table, and
     each schema once. :meth:`execute` gives every environment whose jobs
     consume an engine one evaluator over its store, which takes its QI
@@ -844,7 +808,9 @@ class BatchPlanner:
             store_key, schema_key = _environment_key(config)
             store = stores.get(store_key)
             if store is None:
-                store = stores[store_key] = _budgeted_store(config.cache_bytes)
+                store = stores[store_key] = EngineCacheStore(
+                    cache_bytes=config.cache_bytes or DEFAULT_CACHE_BYTES
+                )
             evaluator_key = (
                 store_key,
                 tuple(config.quasi_identifiers),
@@ -865,12 +831,7 @@ class BatchPlanner:
             group = groups.get(evaluator_key)
             if group is None:
                 schema, built = environment
-                group = _EnvGroup(
-                    store=store,
-                    schema=schema,
-                    hierarchies=built,
-                    chunk_rows=config.chunk_rows,
-                )
+                group = _EnvGroup(store=store, schema=schema, hierarchies=built)
                 groups[evaluator_key] = group
                 self._groups.append(group)
             group.job_indices.append(index)
@@ -885,11 +846,7 @@ class BatchPlanner:
     def _build_evaluator(self, group: _EnvGroup) -> LatticeEvaluator:
         """The group's evaluator, on its table environment's shared store."""
         evaluator = _make_evaluator(
-            self.table,
-            group.schema,
-            group.hierarchies,
-            cache=group.store,
-            chunk_rows=group.chunk_rows,
+            self.table, group.schema, group.hierarchies, group.store
         )
         # A warm store's entries were filled through earlier evaluators over
         # a byte-identical table, so those over this evaluator's QIs are

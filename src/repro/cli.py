@@ -20,10 +20,9 @@ Batch mode writes one release per job to numbered outputs derived from the
 output path (``output.1.csv``, ``output.2.csv``, ... in job order), shares
 lattice evaluation across jobs exactly like the library API, and with
 ``--report`` prints a JSON array of per-job reports to stderr.
-``--cache-bytes`` budgets each job's engine cache and ``--chunk-rows``
-streams lattice group packing through fixed-size row chunks; in batch mode
-both apply to every job with a lattice engine. Outputs are identical at
-any budget, chunk size, or worker count.
+``--cache-bytes`` budgets each job's engine cache; in batch mode it applies
+to every job with a lattice engine. Outputs are identical at any budget or
+worker count.
 
 Batch failure handling mirrors :func:`repro.api.run_batch`: with
 ``--on-error collect`` a failing job is recorded instead of aborting its
@@ -128,13 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--retries", type=int, default=0, metavar="N",
                         help="re-attempt each failed job up to N times "
                              "(requires --on-error collect; batch mode only)")
-    parser.add_argument("--chunk-rows", type=int, default=None, metavar="ROWS",
-                        help="stream lattice group packing through chunks of "
-                             "this many rows instead of materializing "
-                             "full-size intermediate label arrays (full-"
-                             "domain algorithms; in batch mode every job "
-                             "with a lattice engine); outputs are identical "
-                             "at any chunk size")
     parser.add_argument("--qi", action="append", default=[],
                         help="categorical quasi-identifier column (repeatable)")
     parser.add_argument("--numeric-qi", action="append", default=[],
@@ -197,7 +189,6 @@ def config_from_args(args: argparse.Namespace) -> AnonymizationConfig:
         metrics=metrics,
         bins=args.bins,
         cache_bytes=args.cache_bytes,
-        chunk_rows=args.chunk_rows,
         job_timeout=args.job_timeout,
     )
 
@@ -211,13 +202,10 @@ def _apply_cli_overrides(
     overrides: dict = {}
     if args.max_suppression is not None:
         overrides["max_suppression"] = args.max_suppression
-    if engine_flags:
-        # Per-job engine overrides; the config rejects them for a job
+    if engine_flags and args.cache_bytes is not None:
+        # A per-job engine override; the config rejects it for a job
         # without a lattice engine.
-        if args.cache_bytes is not None:
-            overrides["cache_bytes"] = args.cache_bytes
-        if args.chunk_rows is not None:
-            overrides["chunk_rows"] = args.chunk_rows
+        overrides["cache_bytes"] = args.cache_bytes
     if args.job_timeout is not None and not batch:
         # In batch mode --job-timeout goes to run_batch, where the tighter
         # of it and a job's own 'job_timeout' key wins — overriding the
@@ -248,9 +236,9 @@ def _load_configs(args: argparse.Namespace) -> tuple[list[AnonymizationConfig], 
     if not jobs:
         raise ConfigError("config file holds an empty job list")
     configs = [AnonymizationConfig.from_dict(job) for job in jobs]
-    # --cache-bytes / --chunk-rows bind only the jobs with a lattice engine,
-    # so a mixed batch can take them. When no job has one they bind every
-    # job, and the config's own guard rejects them as for a single job.
+    # --cache-bytes binds only the jobs with a lattice engine, so a mixed
+    # batch can take it. When no job has one it binds every job, and the
+    # config's own guard rejects it as for a single job.
     engine_jobs = [_uses_evaluator(config) for config in configs]
     if not any(engine_jobs):
         engine_jobs = [True] * len(configs)
@@ -308,7 +296,7 @@ def _reject_job_flags_with_config(parser: argparse.ArgumentParser,
         parser.error(
             f"{', '.join(conflicting)} cannot be combined with --config "
             "(the job file describes the whole job; only --max-suppression, "
-            "--cache-bytes, --chunk-rows, --workers, "
+            "--cache-bytes, --workers, "
             "--on-error, --job-timeout, --retries and --report apply on top)"
         )
 

@@ -2,9 +2,9 @@
 
 :class:`EngineCacheStore` is the standalone home of everything that used to
 be buried inside :class:`~repro.core.engine.LatticeEvaluator`: the
-``store key -> GroupStats`` memo table, the byte/entry budget
-accounting, the level-sum stratum index that makes roll-up candidate lookup
-cheap, the single-flight in-flight table that keeps concurrent workers from
+``store key -> GroupStats`` memo table, the byte budget accounting, the
+level-sum stratum index that makes roll-up candidate lookup cheap, the
+single-flight in-flight table that keeps concurrent workers from
 ever deriving one node's stats twice, and the full telemetry counter set.
 An evaluator owns exactly one store, but a store can be constructed first
 and handed in (``LatticeEvaluator(..., cache=store)``) — which is how a
@@ -34,23 +34,15 @@ and is no hit, miss or roll-up, but its bytes count against its entry's,
 it is dropped when its entry is evicted or the store is freed, and
 :meth:`rebind` re-homes it with its entry.
 
-Eviction policies
------------------
-``"lru"`` (default) evicts the least recently *used* entry, where a use is
-an insertion, a memo hit, or being read as a roll-up ancestor — strictly
-better than the FIFO order the evaluator used historically, because a
+Eviction
+--------
+The store holds one budget, approximate payload bytes (``cache_bytes``),
+and evicts the least recently *used* entry until an insertion fits. A use
+is an insertion, a memo hit, or being read as a roll-up ancestor, so a
 roll-up workhorse node (typically a subset's bottom, which is read almost
-exclusively through the ancestor path) stays hot.
-
-``"stratum"`` is cache-pressure-aware in the lattice sense: it prefers
-evicting the most *general* cached node that still has a strictly more
-specific cached node over the same QI subset. Such a node is
-reconstructible by an O(n_groups) roll-up, while a bottom node costs a full
-O(n_rows) pass — so under pressure the store sheds the cheap-to-rebuild top
-of the lattice and pins the expensive roots. Only when nothing cached is
-reconstructible does it fall back to LRU order (recency is maintained under
-every policy). Evaluators built for a ``cache_bytes`` budget, including
-every evaluator :func:`repro.api.run_batch` builds, use this policy.
+exclusively through the ancestor path) stays hot. Payload grown after
+insertion counts too (:meth:`EngineCacheStore.note_bytes`). A single entry
+larger than the budget is kept rather than thrashed.
 
 Counters
 --------
@@ -65,7 +57,7 @@ Cumulative (never reset by eviction):
 ``rollups``               O(n_groups) derivations from a cached ancestor
 ``coalesced``             requests that blocked on another worker's in-flight
                           computation of the same node instead of recomputing
-``evictions``             entries dropped by the entry/byte budget
+``evictions``             entries dropped by the byte budget
 ``recomputed_after_evict`` computations of a key that had been cached before
                           and was evicted — the budget-thrash signal
 ========================  ====================================================
@@ -80,9 +72,6 @@ __all__ = ["EngineCacheStore", "check_cache_bytes"]
 
 Node = tuple[int, ...]
 Key = tuple[tuple[str, ...], Node]
-
-#: Recognized eviction policies.
-POLICIES = ("lru", "stratum")
 
 #: Default payload budget (bytes) — matches the evaluator's historic default.
 DEFAULT_CACHE_BYTES = 256 * 2**20
@@ -103,21 +92,14 @@ def check_cache_bytes(value: Any) -> int:
 
 
 class EngineCacheStore:
-    """Thread-safe, single-flight, budget-bounded store of ``GroupStats``.
+    """Thread-safe, single-flight, byte-budgeted LRU store of ``GroupStats``.
 
     Parameters
     ----------
-    cache_limit:
-        maximum number of cached entries; ``None`` disables the entry cap
-        so the byte budget alone governs (what budgeted and batch
-        evaluators use — an entry cap firing under an ample byte budget
-        would silently reintroduce eviction thrash on huge lattices).
     cache_bytes:
-        approximate payload-byte budget. Payload grown lazily after
-        insertion (histograms, row labels, partitions) is accounted via
-        :meth:`note_bytes` and can evict older entries.
-    policy:
-        ``"lru"`` or ``"stratum"`` (see the module docstring).
+        approximate payload-byte budget (keyword-only). Payload grown
+        lazily after insertion (histograms, row labels, partitions) is
+        accounted via :meth:`note_bytes` and can evict older entries.
 
     The store never holds its mutex during a stats computation: the first
     thread to request an uncached key registers an in-flight event and
@@ -127,26 +109,13 @@ class EngineCacheStore:
     ever poisoned.
     """
 
-    def __init__(
-        self,
-        cache_limit: int | None = 8192,
-        cache_bytes: int = DEFAULT_CACHE_BYTES,
-        policy: str = "lru",
-    ):
-        if policy not in POLICIES:
-            raise ValueError(
-                f"unknown eviction policy {policy!r}; one of: {', '.join(POLICIES)}"
-            )
+    def __init__(self, *, cache_bytes: int = DEFAULT_CACHE_BYTES):
         try:
             self.cache_bytes = check_cache_bytes(cache_bytes)
         except ValueError as exc:
             raise ValueError(f"cache_bytes {exc}") from None
-        if cache_limit is not None and int(cache_limit) < 1:
-            raise ValueError(f"cache_limit must be >= 1, got {cache_limit}")
-        self.cache_limit = None if cache_limit is None else int(cache_limit)
-        self.policy = policy
-        # Entry order doubles as the recency order: hits re-insert at the
-        # end under the "lru" policy, so iteration starts at the coldest.
+        # Entry order doubles as the recency order: uses re-insert at the
+        # end, so iteration starts at the coldest.
         self._entries: dict[Key, Any] = {}
         # Exact bytes attributed to each *currently cached* entry, so lazy
         # growth on an already-evicted GroupStats can never leak into the
@@ -304,10 +273,7 @@ class EngineCacheStore:
         self._entries[key] = self._entries.pop(key)
 
     def _insert(self, key: Key, stats: Any, footprint: int) -> None:
-        while self._entries and (
-            (self.cache_limit is not None and len(self._entries) >= self.cache_limit)
-            or self._cached_bytes + footprint > self.cache_bytes
-        ):
+        while self._entries and self._cached_bytes + footprint > self.cache_bytes:
             self._evict_one()
         stats._cache_key = key
         self._entries[key] = stats
@@ -317,7 +283,8 @@ class EngineCacheStore:
         self._cached_bytes += footprint
 
     def _evict_one(self) -> None:
-        key = self._pick_victim()
+        """Drop the least recently used entry."""
+        key = next(iter(self._entries))
         # Its views go with it: a view points back at its entry, so keeping
         # them would pin both past eviction in a reference cycle.
         self._entries.pop(key)._views = {}
@@ -333,62 +300,14 @@ class EngineCacheStore:
     def _remember_evicted(self, key: Key) -> None:
         """Track an evicted key for recomputed_after_evict attribution.
 
-        The set is bookkeeping the byte budget never sees, so it is capped:
-        under sustained thrash over a huge key universe it is dropped
-        wholesale rather than growing without bound (the counter may then
+        The set is bookkeeping the byte budget never sees, so it is capped
+        at 2**17 keys: under sustained thrash over a huge key universe it
+        is dropped wholesale rather than growing without bound (the counter may then
         undercount — an acceptable trade for a store whose whole job is
         bounding memory)."""
-        if len(self._evicted) >= 16 * (self.cache_limit or 8192):
+        if len(self._evicted) >= 1 << 17:
             self._evicted.clear()
         self._evicted.add(key)
-
-    def _pick_victim(self) -> Key:
-        """The entry to evict next under the configured policy.
-
-        Stratum selection runs under the store mutex, but the typical
-        eviction is cheap: the highest occupied stratum is probed first and
-        ``_has_ancestor`` short-circuits on a cached bottom, so the scan
-        usually ends at its first candidate. The worst case (no bottoms
-        resident, many strata) degrades toward O(entries) per eviction;
-        LRU order is the O(1) fallback policy.
-        """
-        if self.policy == "stratum":
-            # Most general reconstructible node first: walk the strata from
-            # the highest level sum down; the first node with a cached
-            # strict ancestor is an O(n_groups) roll-up away from coming
-            # back, while a bottom node would cost a full O(n_rows) pass.
-            strata = sorted(
-                (
-                    (total, names)
-                    for names, by_sum in self._stratum_index.items()
-                    for total in by_sum
-                ),
-                reverse=True,
-            )
-            for total, names in strata:
-                if total == 0:
-                    continue  # a bottom node never has a stricter ancestor
-                for node in sorted(self._stratum_index[names][total]):
-                    if self._has_ancestor(names, node):
-                        return (names, node)
-        return next(iter(self._entries))
-
-    def _has_ancestor(self, names: tuple[str, ...], node: Node) -> bool:
-        strata = self._stratum_index.get(names)
-        if not strata:
-            return False
-        # Fast path for the overwhelmingly common witness: the names-space
-        # bottom (the unique level-sum-0 node, componentwise <= everything)
-        # is cached — searches pre-seed it precisely so it stays resident.
-        if 0 in strata and sum(node) > 0:
-            return True
-        node_sum = sum(node)
-        for stratum_sum, nodes in strata.items():
-            if stratum_sum >= node_sum:
-                continue
-            if any(all(a <= b for a, b in zip(cached, node)) for cached in nodes):
-                return True
-        return False
 
     def _rollup_candidate(self, names: tuple[str, ...], node: Node):
         """Cheapest cached strictly-more-specific node over the same QIs.
@@ -442,13 +361,12 @@ class EngineCacheStore:
     # -- inspection & lifecycle ------------------------------------------------
 
     def info(self) -> dict:
-        """Cumulative counters plus current occupancy and policy."""
+        """Cumulative counters plus current occupancy."""
         with self._mutex:
             return {
                 **self.counters,
                 "entries": len(self._entries),
                 "bytes": self._cached_bytes,
-                "policy": self.policy,
             }
 
     def occupancy(self) -> dict:
@@ -482,7 +400,6 @@ class EngineCacheStore:
                     if self.cache_bytes
                     else 0.0
                 ),
-                "policy": self.policy,
                 "by_names": by_names,
             }
 
@@ -562,5 +479,5 @@ class EngineCacheStore:
     def __repr__(self) -> str:
         return (
             f"EngineCacheStore({len(self._entries)} entries, "
-            f"{self._cached_bytes} bytes, policy={self.policy!r})"
+            f"{self._cached_bytes} bytes)"
         )

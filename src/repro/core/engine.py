@@ -63,15 +63,14 @@ store, so it is no hit, miss or roll-up. The verdict paths (``check``,
 ``min_size``, ``distinct_counts``, ``distinct_after``) sort their names
 first and read the stored entry, since no verdict depends on group order.
 
-**Cache store.** Memoization lives in a standalone, pluggable
-:class:`~repro.core.cache.EngineCacheStore` (PR 5): budget accounting,
-eviction policy ("lru" default, or the stratum-aware policy that prefers
-evicting nodes reconstructible by roll-up), the single-flight in-flight
-table, and the counter set — hits, misses, from_rows, rollups, evictions,
-coalesced, recomputed_after_evict. The evaluator owns one store but
-accepts a pre-built one (``cache=``), which is how
-:class:`repro.api.BatchPlanner` gives each environment its jobs' budget
-and the service injects a tenant's warm store.
+**Cache store.** Memoization lives in a standalone
+:class:`~repro.core.cache.EngineCacheStore`: one byte budget with
+least-recently-used eviction, the single-flight in-flight table, and the
+counter set — hits, misses, from_rows, rollups, evictions, coalesced,
+recomputed_after_evict. The evaluator owns one store but accepts a
+pre-built one (``cache=``), which is how :class:`repro.api.BatchPlanner`
+gives each environment its jobs' budget and the service injects a
+tenant's warm store.
 
 **Concurrency.** One evaluator may serve several worker threads at once
 (:func:`repro.api.run_batch` with ``workers > 1``). The store's cache is
@@ -103,13 +102,7 @@ from .generalize import HierarchyLike
 from .hierarchy import Hierarchy
 from .partition import EquivalenceClasses, classes_from_labels
 from .partition_engine import grouped_bounds
-from .table import (
-    Column,
-    Table,
-    check_chunk_rows,
-    mixed_radix_fits,
-    pack_code_columns,
-)
+from .table import Column, Table, mixed_radix_fits, pack_code_columns
 
 __all__ = ["GroupStats", "LatticeEvaluator"]
 
@@ -474,14 +467,13 @@ class LatticeEvaluator:
 
     The memo cache is an :class:`~repro.core.cache.EngineCacheStore`
     holding :class:`GroupStats` by store key (sorted names, levels permuted
-    to match; see the module docstring for views); it is bounded
-    both by entry count (``cache_limit``) and by approximate payload bytes
-    (``cache_bytes``) so large-lattice searches over many-row tables cannot
-    pin O(nodes × rows) of label arrays. Eviction follows the store's
-    policy — ``"lru"`` by default, or the stratum-aware policy that prefers
-    shedding nodes reconstructible by roll-up. Payload grown after
-    insertion (lazy histograms, lazily-resolved row labels) is accounted
-    too and can trigger eviction of older entries. Evicted entries may stay
+    to match; see the module docstring for views). ``cache=`` hands in a
+    pre-built store; the default is a fresh one with the default byte
+    budget (256 MiB), so large-lattice searches over many-row tables cannot
+    pin O(nodes × rows) of label arrays. The store evicts its least
+    recently used entry. Payload grown after insertion (lazy histograms,
+    lazily-resolved row labels) is accounted too and can trigger eviction
+    of older entries. Evicted entries may stay
     alive while a rolled-up descendant still references them, but each
     roll-up chain shares a single per-row label array at its root, so that
     overhang is bounded.
@@ -519,36 +511,15 @@ class LatticeEvaluator:
         table: Table,
         qi_names: Sequence[str],
         hierarchies: Mapping[str, HierarchyLike],
-        cache_limit: int = 8192,
-        cache_bytes: int = 256 * 2**20,
         cache: EngineCacheStore | None = None,
-        cache_policy: str = "lru",
-        chunk_rows: int | None = None,
     ):
-        if chunk_rows is not None:
-            try:
-                check_chunk_rows(chunk_rows)
-            except ValueError as exc:
-                raise ValueError(f"chunk_rows {exc}") from None
         self.table = table
         self.qi_names = tuple(qi_names)
         self.hierarchies = hierarchies
-        # Row-slice size for streaming node evaluation (None = one-shot):
-        # bounds the per-QI int64 intermediates of _stats_from_rows to
-        # chunk_rows elements each instead of n_rows.
-        self.chunk_rows = chunk_rows
         # The store carries the memo table, budget accounting, stratum
         # index, single-flight table, and counters; a pre-built store may
         # be handed in (a batch's per-environment store, a warm one).
-        self.cache = (
-            cache
-            if cache is not None
-            else EngineCacheStore(
-                cache_limit=int(cache_limit),
-                cache_bytes=int(cache_bytes),
-                policy=cache_policy,
-            )
-        )
+        self.cache = EngineCacheStore() if cache is None else cache
         # Encodings live on the store, so evaluators over one store (other
         # QI sets, later requests) share each column's.
         self._encodings = {
@@ -684,39 +655,7 @@ class LatticeEvaluator:
         counts computations of keys that had been cached and were evicted —
         the budget-thrash signal.
         """
-        info = self.cache.info()
-        del info["policy"]  # keep the historic cache_info shape numeric-only
-        return info
-
-    # -- backwards-compatible views into the cache store ----------------------
-
-    @property
-    def cache_limit(self) -> int:
-        return self.cache.cache_limit
-
-    @property
-    def cache_bytes(self) -> int:
-        return self.cache.cache_bytes
-
-    @property
-    def counters(self) -> dict:
-        return self.cache.counters
-
-    @property
-    def _stats_cache(self) -> dict:
-        return self.cache._entries
-
-    @property
-    def _stratum_index(self) -> dict:
-        return self.cache._stratum_index
-
-    @property
-    def _cached_bytes(self) -> int:
-        return self.cache._cached_bytes
-
-    @property
-    def _accounted(self) -> dict:
-        return self.cache._accounted
+        return self.cache.info()
 
     def _group(
         self, code_columns: list[np.ndarray], radices: list[int]
@@ -738,37 +677,18 @@ class LatticeEvaluator:
     def _stats_from_rows(self, names: tuple[str, ...], node: Node) -> GroupStats:
         encodings = [self._encodings[name] for name in names]
         radices = [enc.n_labels[level] for enc, level in zip(encodings, node)]
-        n_rows = self.table.n_rows
-        chunk = self.chunk_rows
-        if chunk is not None and chunk < n_rows and mixed_radix_fits(radices):
-            # Streaming variant of _group: per-QI gathers are bounded to
-            # chunk_rows elements and packed straight into slices of one
-            # preallocated signature array — mixed-radix packing is
-            # chunk-independent, so labels and group_codes come out
-            # byte-identical to the one-shot path below. The overflow
-            # fallback needs all rows at once and keeps the one-shot path.
-            signature = np.empty(n_rows, dtype=np.int64)
-            for start in range(0, n_rows, chunk):
-                stop = min(start + chunk, n_rows)
-                chunk_codes = [
-                    enc.luts[level][enc.base_codes[start:stop]]
-                    for enc, level in zip(encodings, node)
-                ]
-                pack_code_columns(chunk_codes, radices, out=signature[start:stop])
-            labels, group_codes = _group_signatures(signature, radices)
-        else:
-            code_columns = [
-                enc.luts[level][enc.base_codes].astype(np.int64)
-                for enc, level in zip(encodings, node)
-            ]
-            labels, group_codes = self._group(code_columns, radices)
+        code_columns = [
+            enc.luts[level][enc.base_codes].astype(np.int64)
+            for enc, level in zip(encodings, node)
+        ]
+        labels, group_codes = self._group(code_columns, radices)
         sizes = np.bincount(labels, minlength=group_codes.shape[0]).astype(np.int64)
         return GroupStats(
             names=names,
             node=node,
             sizes=sizes,
             group_codes=group_codes,
-            n_rows=n_rows,
+            n_rows=self.table.n_rows,
             _context=self.context,
             _row_labels=labels,
         )
@@ -953,5 +873,5 @@ class LatticeEvaluator:
     def __repr__(self) -> str:
         return (
             f"LatticeEvaluator({len(self.qi_names)} QIs, {self.table.n_rows} rows, "
-            f"{len(self._stats_cache)} cached nodes)"
+            f"{len(self.cache)} cached nodes)"
         )

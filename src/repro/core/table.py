@@ -33,7 +33,6 @@ from ..errors import SchemaError
 __all__ = [
     "Column",
     "Table",
-    "check_chunk_rows",
     "mixed_radix_fits",
     "pack_code_columns",
     "split_by_labels",
@@ -42,27 +41,11 @@ __all__ = [
 _RADIX_LIMIT = 2**62
 
 
-def check_chunk_rows(value) -> int:
-    """Validate a chunk row count; the single validator every layer uses.
-
-    Returns the value if it is a positive ``int``; raises ``ValueError``
-    with a keyless message otherwise, so callers can prefix their own key
-    name (``chunk_rows``, ``key 'chunk_rows'``, ``--chunk-rows``) the same
-    way ``check_cache_bytes`` does for cache budgets.
-    """
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"must be a positive integer (rows), got {value!r}")
-    if value <= 0:
-        raise ValueError(f"must be a positive integer (rows), got {value}")
-    return value
-
-
 def mixed_radix_fits(radices: Sequence[int]) -> bool:
     """True when the mixed-radix product stays below the int64 packing limit.
 
-    The chunked packing paths key off this: chunk-by-chunk mixed-radix
-    arithmetic produces globally comparable signatures, but the
-    ``np.unique(axis=0)`` overflow fallback needs every row at once.
+    Past it, :func:`pack_code_columns` labels rows by ``np.unique(axis=0)``
+    instead, and the labels are no longer the packed column codes.
     """
     product = 1.0
     for radix in radices:
@@ -71,9 +54,7 @@ def mixed_radix_fits(radices: Sequence[int]) -> bool:
 
 
 def pack_code_columns(
-    code_columns: Sequence[np.ndarray],
-    radices: Sequence[int],
-    out: np.ndarray | None = None,
+    code_columns: Sequence[np.ndarray], radices: Sequence[int]
 ) -> np.ndarray:
     """Pack parallel integer code columns into one int64 label per row.
 
@@ -84,32 +65,16 @@ def pack_code_columns(
     keeps :meth:`Table.group_rows` and the lattice-evaluation engine's
     partitions interchangeable. This is the single shared implementation;
     do not fork it.
-
-    ``out`` (int64, same length) receives the signatures in place and is
-    returned — the building block of the chunked paths, which pack row
-    slices into slices of one preallocated signature array instead of
-    materializing per-column full-size intermediates. Mixed-radix packing
-    of a chunk is independent of every other chunk, so chunked and
-    one-shot packing produce identical signatures; the overflow fallback
-    is inherently global (callers gate on :func:`mixed_radix_fits`).
     """
     if mixed_radix_fits(radices):
-        if out is None:
-            signature = np.zeros(code_columns[0].shape[0], dtype=np.int64)
-        else:
-            signature = out
-            signature[...] = 0
+        signature = np.zeros(code_columns[0].shape[0], dtype=np.int64)
         for codes, radix in zip(code_columns, radices):
             signature *= max(radix, 1)
             signature += codes
         return signature
     stacked = np.stack(code_columns, axis=1)
     _, labels = np.unique(stacked, axis=0, return_inverse=True)
-    labels = labels.reshape(-1).astype(np.int64)
-    if out is not None:
-        out[...] = labels
-        return out
-    return labels
+    return labels.reshape(-1).astype(np.int64)
 
 
 def split_by_labels(labels: np.ndarray) -> list[np.ndarray]:
@@ -205,12 +170,6 @@ class Column:
         if self.is_categorical:
             return Column(self.name, codes=self.codes[indices], categories=self.categories)
         return Column(self.name, values=self.values[indices])
-
-    def slice_rows(self, start: int, stop: int) -> "Column":
-        """Contiguous row slice as a zero-copy view (unlike :meth:`take`)."""
-        if self.is_categorical:
-            return Column(self.name, codes=self.codes[start:stop], categories=self.categories)
-        return Column(self.name, values=self.values[start:stop])
 
     def value_counts(self) -> dict:
         """Counts of distinct values, keyed by original value."""
@@ -359,90 +318,34 @@ class Table:
     def head(self, n: int = 5) -> "Table":
         return self.take(np.arange(min(n, self._n_rows)))
 
-    def iter_chunks(self, chunk_rows: int) -> Iterator["Table"]:
-        """Yield contiguous row-slice views of at most ``chunk_rows`` rows.
-
-        Slices are zero-copy (``Column.slice_rows``), so million-row tables
-        can stream through per-chunk transforms without duplicating column
-        arrays. The final chunk may be shorter.
-        """
-        try:
-            check_chunk_rows(chunk_rows)
-        except ValueError as exc:
-            raise SchemaError(f"chunk_rows {exc}") from None
-        columns = list(self._columns.values())
-        for start in range(0, self._n_rows, chunk_rows):
-            stop = min(start + chunk_rows, self._n_rows)
-            yield Table([col.slice_rows(start, stop) for col in columns])
-
     # -- grouping ----------------------------------------------------------
 
-    def group_signature(
-        self, names: Sequence[str], chunk_rows: int | None = None
-    ) -> np.ndarray:
+    def group_signature(self, names: Sequence[str]) -> np.ndarray:
         """Pack the named columns into one int64 signature per row.
 
         Rows with equal signatures agree on every named column. Numeric
         columns are rank-encoded first. The packing uses mixed-radix
         arithmetic over per-column cardinalities; falls back to
         ``np.unique(axis=0)`` labelling if the radix product overflows int64.
-
-        ``chunk_rows`` streams rows through the packer in slices of that
-        size: only the shared int64 signature array is full-length, and the
-        per-column int64 intermediates shrink from ``n_rows`` to
-        ``chunk_rows`` each. Signatures are identical to the one-shot path
-        (mixed-radix packing is chunk-independent); the overflow fallback
-        ignores ``chunk_rows`` because its labelling is inherently global.
         """
         if not names:
             raise SchemaError("group_signature needs at least one column")
-        if chunk_rows is not None:
-            try:
-                check_chunk_rows(chunk_rows)
-            except ValueError as exc:
-                raise SchemaError(f"chunk_rows {exc}") from None
-        specs: list[tuple[str, np.ndarray, np.ndarray | None]] = []
+        code_arrays: list[np.ndarray] = []
         radices: list[int] = []
         for name in names:
             col = self.column(name)
             if col.is_categorical:
-                specs.append(("cat", col.codes, None))  # type: ignore[arg-type]
+                code_arrays.append(col.codes.astype(np.int64))  # type: ignore[union-attr]
                 radices.append(max(len(col.categories), 1))
             else:
                 uniques = np.unique(col.values)
-                specs.append(("num", col.values, uniques))  # type: ignore[arg-type]
+                code_arrays.append(np.searchsorted(uniques, col.values).astype(np.int64))
                 radices.append(max(int(uniques.size), 1))
+        return pack_code_columns(code_arrays, radices)
 
-        if (
-            chunk_rows is None
-            or chunk_rows >= self._n_rows
-            or not mixed_radix_fits(radices)
-        ):
-            code_arrays = [
-                data.astype(np.int64)
-                if kind == "cat"
-                else np.searchsorted(uniques, data).astype(np.int64)
-                for kind, data, uniques in specs
-            ]
-            return pack_code_columns(code_arrays, radices)
-
-        signature = np.empty(self._n_rows, dtype=np.int64)
-        for start in range(0, self._n_rows, chunk_rows):
-            stop = min(start + chunk_rows, self._n_rows)
-            chunk_codes = [
-                data[start:stop]
-                if kind == "cat"
-                else np.searchsorted(uniques, data[start:stop])
-                for kind, data, uniques in specs
-            ]
-            pack_code_columns(chunk_codes, radices, out=signature[start:stop])
-        return signature
-
-    def group_rows(
-        self, names: Sequence[str], chunk_rows: int | None = None
-    ) -> list[np.ndarray]:
+    def group_rows(self, names: Sequence[str]) -> list[np.ndarray]:
         """Row-index arrays of the groups induced by the named columns."""
-        return split_by_labels(self.group_signature(names, chunk_rows=chunk_rows))
+        return split_by_labels(self.group_signature(names))
 
     # -- conversion / display ----------------------------------------------
 

@@ -98,9 +98,15 @@ def replay(
     """Re-run every accepted job in the log; report digest agreement.
 
     Returns one record per accepted job:
-    ``{"job_id", "status", "release_sha256", "recorded_sha256", "match"}``.
-    ``match`` is None when the original run never completed or failed (no
-    recorded digest to compare against).
+    ``{"job_id", "status", "release_sha256", "recorded_sha256", "match"}``,
+    plus ``error`` for a job that fails now. A job fails, and the replay
+    goes on, also when its recorded config no longer validates (a key this
+    version removed) or its data no longer loads. ``match`` is False when
+    the log recorded a release digest and the replay fails or publishes
+    another one, True when it publishes the recorded digest or the job
+    failed both times, and None when there is nothing to compare against
+    (the original run never completed, or failed where the replay
+    succeeds).
     """
     accepted: list[dict] = []
     recorded: dict[str, dict] = {}
@@ -111,28 +117,24 @@ def replay(
             recorded[event["job_id"]] = event
     report = []
     for event in accepted:
-        config = AnonymizationConfig.from_dict(event["config"])
-        table, _, _ = load_data_spec(event["data"], data_root=data_root)
-        entry: dict[str, Any] = {"job_id": event["job_id"]}
+        prior = recorded.get(event["job_id"], {})
+        expected = prior.get("release_sha256")
+        entry: dict[str, Any] = {"job_id": event["job_id"], "recorded_sha256": expected}
         try:
+            config = AnonymizationConfig.from_dict(event["config"])
+            table, _, _ = load_data_spec(event["data"], data_root=data_root)
             result = run(config, table)
         except Exception as exc:  # infeasible jobs are part of the log too
             entry["status"] = "failed"
             entry["error"] = f"{type(exc).__name__}: {exc}"
-            prior = recorded.get(event["job_id"])
-            entry["match"] = (
-                prior is not None and prior.get("status") == "failed"
-            ) or None
+            if expected is not None:
+                entry["match"] = False
+            else:
+                entry["match"] = prior.get("status") == "failed" or None
         else:
             digest = table_sha256(result.release.table)
             entry["status"] = "ok"
             entry["release_sha256"] = digest
-            prior = recorded.get(event["job_id"])
-            entry["recorded_sha256"] = None if prior is None else prior.get("release_sha256")
-            entry["match"] = (
-                None
-                if prior is None or prior.get("release_sha256") is None
-                else digest == prior["release_sha256"]
-            )
+            entry["match"] = None if expected is None else digest == expected
         report.append(entry)
     return report

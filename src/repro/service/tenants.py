@@ -11,12 +11,11 @@ other tenant's traffic stays isolated in its own stores.
 The environment fingerprint is ``sha256(data digest + store key)``: cached
 ``GroupStats`` hold row-level group codes, so warm reuse is sound only
 over a byte-identical table (the data digest) evaluated under identical
-dropped columns / hierarchy specs / binning / budget / chunking (the store
-key, element 0 of :func:`repro.api.executor._environment_key`). The key
-leaves out the QI roles: one store serves every QI set of a table
-environment, since entries are keyed by their column sets (sorted QI
-names). An environment
-here, and so ``max_environments``, counts table environments.
+dropped columns / hierarchy specs / binning / budget (the store key,
+element 0 of :func:`repro.api.executor._environment_key`). The key leaves
+out the QI roles: one store serves every QI set of a table environment,
+since entries are keyed by their column sets (sorted QI names). An
+environment here, and so ``max_environments``, counts table environments.
 
 Budgets form a ladder, applied in order whenever a store is created:
 
@@ -150,9 +149,7 @@ class TenantCaches:
                 fp = self.fingerprint(data_digest, evaluator_key)
                 store = per_tenant.pop(fp, None)
                 if store is None:
-                    store = EngineCacheStore(
-                        cache_limit=None, cache_bytes=policy.cache_bytes
-                    )
+                    store = EngineCacheStore(cache_bytes=policy.cache_bytes)
                 per_tenant[fp] = store  # environment LRU touch
                 out[evaluator_key] = store
             # Ladder step 2: environment LRU within the tenant.

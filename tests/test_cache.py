@@ -2,8 +2,8 @@
 
 Pins the contracts of the pluggable cache layer and the planner on top:
 
-* :class:`~repro.core.cache.EngineCacheStore` — budget validation, the LRU
-  and stratum-aware eviction policies, and the full counter set
+* :class:`~repro.core.cache.EngineCacheStore` — budget validation, LRU
+  eviction under a byte budget, and the full counter set
   (hits / misses / evictions / coalesced / recomputed_after_evict);
 * eviction-under-pressure correctness: a deliberately tiny byte budget
   yields byte-identical releases to an unconstrained run for all four
@@ -13,8 +13,8 @@ Pins the contracts of the pluggable cache layer and the planner on top:
 * deterministic parallel cache fill: Incognito's pre-seeded subset bottoms
   make the engine's from_rows/rollups profile identical at any worker count;
 * the :class:`~repro.api.BatchPlanner`: environment grouping and
-  ``workers`` validation, and the CLI engine flags (``--cache-bytes``,
-  ``--chunk-rows``), which bind only the engine jobs of a mixed batch;
+  ``workers`` validation, and the CLI engine flag ``--cache-bytes``, which
+  binds only the engine jobs of a mixed batch;
 * one store per table environment: a batch over overlapping QI sets
   publishes what each job publishes alone and computes each shared column
   subset once, also under racing workers and when jobs list one column set
@@ -86,6 +86,14 @@ def _scenario(seed, n_rows=160):
     return table, schema.quasi_identifiers, hierarchies
 
 
+def _budget_holding(n, entry_bytes, table, qi, hierarchies, nodes):
+    """A byte budget that holds any ``n`` of the entries ``nodes`` fill when
+    requested in this order, and so evicts once ``n + 1`` are cached."""
+    evaluator = LatticeEvaluator(table, qi, hierarchies)
+    sizes = sorted(entry_bytes(evaluator.stats(node)) for node in nodes)
+    return sum(sizes[-n:])
+
+
 @pytest.fixture
 def csv_path(tmp_path):
     path = tmp_path / "data.csv"
@@ -102,13 +110,12 @@ def table(csv_path):
 
 class TestEngineCacheStore:
     def test_rejects_bad_construction(self):
-        with pytest.raises(ValueError, match="policy"):
-            EngineCacheStore(policy="mru")
         for bad in (0, -1, 2.5, True):
             with pytest.raises(ValueError, match="cache_bytes"):
                 EngineCacheStore(cache_bytes=bad)
-        with pytest.raises(ValueError, match="cache_limit"):
-            EngineCacheStore(cache_limit=0)
+        # The budget is keyword-only: a positional 5 was once a 5-entry cap.
+        with pytest.raises(TypeError):
+            EngineCacheStore(5)
 
     def test_misses_equal_computations_and_sum_to_entries(self):
         table, qi, hierarchies = _scenario(0)
@@ -123,14 +130,15 @@ class TestEngineCacheStore:
         assert info["hits"] >= 1
         assert info["recomputed_after_evict"] == 0
 
-    def test_lru_keeps_recently_hit_entries(self):
+    def test_lru_keeps_recently_hit_entries(self, entry_bytes):
         table, qi, hierarchies = _scenario(1)
-        evaluator = LatticeEvaluator(
-            table, qi, hierarchies, cache_limit=3, cache_policy="lru"
-        )
         lattice = GeneralizationLattice.from_hierarchies(hierarchies, qi)
         nodes = list(lattice.nodes())
         a, b, c, d = nodes[0], nodes[1], nodes[2], nodes[3]
+        budget = _budget_holding(3, entry_bytes, table, qi, hierarchies, nodes[:4])
+        evaluator = LatticeEvaluator(
+            table, qi, hierarchies, cache=EngineCacheStore(cache_bytes=budget)
+        )
         for node in (a, b, c):
             evaluator.stats(node)
         evaluator.stats(a)  # refresh a: b is now the coldest
@@ -138,54 +146,43 @@ class TestEngineCacheStore:
         cached = {key[1] for key in evaluator.cache.keys()}
         assert cached == {_store_node(qi, node) for node in (a, c, d)}
 
-    def test_lru_counts_rollup_ancestor_reads_as_uses(self):
+    def test_lru_counts_rollup_ancestor_reads_as_uses(self, entry_bytes):
         """The workhorse bottom is read almost only through the ancestor
         path; that must refresh its recency or it is the first victim."""
         table, qi, hierarchies = _scenario(8)
-        evaluator = LatticeEvaluator(
-            table, qi, hierarchies, cache_limit=3, cache_policy="lru"
-        )
         bottom = (0,) * len(qi)
-        evaluator.stats(bottom)
         # Pairwise-incomparable nodes: each rolls up from the bottom (its
         # only cached ancestor), touching it before every insertion.
         singles = [
             tuple(1 if i == j else 0 for j in range(len(qi)))
             for i in range(len(qi))
         ]
+        budget = _budget_holding(
+            3, entry_bytes, table, qi, hierarchies, [bottom, *singles]
+        )
+        evaluator = LatticeEvaluator(
+            table, qi, hierarchies, cache=EngineCacheStore(cache_bytes=budget)
+        )
+        evaluator.stats(bottom)
         for node in singles:
             evaluator.stats(node)
         cached = {key[1] for key in evaluator.cache.keys()}
         # singles[0] is the true LRU victim.
         assert cached == {bottom} | {_store_node(qi, node) for node in singles[1:]}
 
-    def test_stratum_policy_evicts_rollup_reconstructible_nodes_first(self):
-        table, qi, hierarchies = _scenario(2)
-        evaluator = LatticeEvaluator(
-            table, qi, hierarchies, cache_limit=4, cache_policy="stratum"
-        )
-        lattice = GeneralizationLattice.from_hierarchies(hierarchies, qi)
-        bottom = lattice.bottom
-        evaluator.stats(bottom)
-        # Fill past the limit with generalized nodes: every eviction should
-        # shed a node reconstructible by roll-up, never the bottom root.
-        for node in itertools.islice(lattice.nodes(), 1, 10):
-            evaluator.stats(node)
-        cached = {key[1] for key in evaluator.cache.keys()}
-        assert bottom in cached
-        assert evaluator.counters["evictions"] > 0
-
-    def test_recomputed_after_evict_counts_budget_thrash(self):
+    def test_recomputed_after_evict_counts_budget_thrash(self, entry_bytes):
         table, qi, hierarchies = _scenario(3)
-        evaluator = LatticeEvaluator(table, qi, hierarchies, cache_limit=2)
         lattice = GeneralizationLattice.from_hierarchies(hierarchies, qi)
         nodes = list(lattice.nodes())[:4]
+        budget = _budget_holding(2, entry_bytes, table, qi, hierarchies, nodes)
+        store = EngineCacheStore(cache_bytes=budget)
+        evaluator = LatticeEvaluator(table, qi, hierarchies, cache=store)
         for node in nodes:
             evaluator.stats(node)
-        assert evaluator.counters["recomputed_after_evict"] == 0
+        assert store.counters["recomputed_after_evict"] == 0
         for node in nodes:  # the early nodes were evicted by the later ones
             evaluator.stats(node)
-        assert evaluator.counters["recomputed_after_evict"] > 0
+        assert store.counters["recomputed_after_evict"] > 0
 
 
 class TestConfigCacheBytes:
@@ -217,7 +214,6 @@ class TestConfigCacheBytes:
         result = run(config, table)
         assert result.engine is not None
         assert result.engine.cache.cache_bytes == 1 << 20
-        assert result.engine.cache.policy == "stratum"
 
     def test_jobs_with_different_budgets_get_different_engines(self, table):
         config_a = AnonymizationConfig.from_dict({**JOB, "cache_bytes": 1 << 20})
@@ -439,8 +435,7 @@ def _store_totals(results):
     totals = {"stores": len(stores)}
     for store in stores.values():
         for key, value in store.info().items():
-            if key != "policy":
-                totals[key] = totals.get(key, 0) + value
+            totals[key] = totals.get(key, 0) + value
     return totals
 
 
@@ -479,7 +474,7 @@ class TestCrossQISharing:
         population = table.take(
             np.concatenate([np.arange(table.n_rows), rng.integers(0, table.n_rows, 400)])
         )
-        store = EngineCacheStore(cache_limit=None, policy="stratum")
+        store = EngineCacheStore()
         jobs = []
         for qis, numeric in SHARED_QI_SETS:
             config = _shared_config(qis, numeric, "flash", [{"model": "k-anonymity", "k": 2}])
@@ -657,7 +652,7 @@ class TestCrossQISharing:
                            [{"model": "k-anonymity", "k": 2}]),
             table,
         )
-        store = EngineCacheStore(cache_limit=None)
+        store = EngineCacheStore()
         first = LatticeEvaluator(table, ["zipcode", "job", "age"], hierarchies, cache=store)
         nodes = [(0, 0, 0), (1, 1, 1)]
         for node in nodes:
@@ -741,7 +736,7 @@ class TestWarmEnvironment:
     def test_warm_batch_builds_and_encodes_nothing(self, monkeypatch, algorithm):
         table = _shared_table()
         config = _warm_config(algorithm)
-        stores = {_environment_key(config)[0]: EngineCacheStore(cache_limit=None)}
+        stores = {_environment_key(config)[0]: EngineCacheStore()}
         calls = _count_environment_builds(monkeypatch)
         run_batch([config], table, cache_stores=stores)
         assert ("hierarchy", "zipcode") in calls
@@ -775,7 +770,7 @@ class TestWarmEnvironment:
         table = _shared_table()
         qi = ["zipcode", "job", "age"]
         hierarchies = build_hierarchies(_warm_config({"algorithm": "flash"}), table)
-        store = EngineCacheStore(cache_limit=None)
+        store = EngineCacheStore()
         first = LatticeEvaluator(table, qi, hierarchies, cache=store)
         # Dropping a column keeps the other Column objects: reused.
         again = LatticeEvaluator(table.drop("sex"), qi, hierarchies, cache=store)
@@ -803,7 +798,7 @@ class TestWarmEnvironment:
         table = _shared_table()
         twin = table.take(np.arange(table.n_rows))  # equal content, new objects
         config = _warm_config({"algorithm": "flash"})
-        stores = {_environment_key(config)[0]: EngineCacheStore(cache_limit=None)}
+        stores = {_environment_key(config)[0]: EngineCacheStore()}
         first = run_batch([config], table, cache_stores=stores)[0]
         calls = _count_environment_builds(monkeypatch)
         second = run_batch([config], twin, cache_stores=stores)[0]
@@ -825,7 +820,7 @@ class TestWarmEnvironment:
             for algorithm in ("flash", "incognito")
             for qis in (("zipcode", "job"), ("zipcode", "sex"))
         ]
-        store = EngineCacheStore(cache_limit=None)
+        store = EngineCacheStore()
         stores = {_environment_key(configs[0])[0]: store}
         start = threading.Barrier(len(configs))
         out = {}
@@ -869,7 +864,7 @@ class TestWarmEnvironment:
         gc.collect()
         gc.disable()
         try:
-            store = EngineCacheStore(cache_limit=None)
+            store = EngineCacheStore()
             stores = {_environment_key(config)[0]: store}
             for _ in range(2):
                 results = run_batch([config], table, cache_stores=stores)
@@ -901,7 +896,7 @@ class TestHierarchyOverridesOnWarmStores:
         custom = Hierarchy.from_levels(
             {"13053": ["A"], "14853": ["A"], "13068": ["B"], "14850": ["B"]}
         )
-        stores = {_environment_key(config)[0]: EngineCacheStore(cache_limit=None)}
+        stores = {_environment_key(config)[0]: EngineCacheStore()}
         both = r"'hierarchies' and 'cache_stores' cannot be given together"
         with pytest.raises(ConfigError, match=both):
             run_batch([config], table, hierarchies={"zip": custom}, cache_stores=stores)
@@ -949,14 +944,7 @@ class TestCLICacheKnobs:
         job_path.write_text(json.dumps(jobs))
         return cli_main([str(csv_path), str(out), "--config", str(job_path), *flags])
 
-    @pytest.mark.parametrize(
-        ("flag", "key", "value"),
-        [("--cache-bytes", "cache_bytes", 65536), ("--chunk-rows", "chunk_rows", 4)],
-        ids=["cache-bytes", "chunk-rows"],
-    )
-    def test_batch_engine_flags_bind_only_engine_jobs(
-        self, csv_path, tmp_path, capsys, flag, key, value
-    ):
+    def test_batch_cache_bytes_binds_only_engine_jobs(self, csv_path, tmp_path, capsys):
         plain = tmp_path / "plain" / "anon.csv"
         flagged = tmp_path / "flagged" / "anon.csv"
         plain.parent.mkdir()
@@ -964,21 +952,20 @@ class TestCLICacheKnobs:
         assert self._batch(csv_path, plain, self.MIXED) == 0
         capsys.readouterr()
         assert self._batch(
-            csv_path, flagged, self.MIXED, flag, str(value), "--report"
+            csv_path, flagged, self.MIXED, "--cache-bytes", "65536", "--report"
         ) == 0
         flash, mondrian = json.loads(capsys.readouterr().err)
-        assert flash["config"][key] == value
-        assert mondrian["config"].get(key) is None
+        assert flash["config"]["cache_bytes"] == 65536
+        assert mondrian["config"]["cache_bytes"] is None
         for index in (1, 2):
             name = f"anon.{index}.csv"
             assert (plain.with_name(name).read_bytes()
                     == flagged.with_name(name).read_bytes())
 
-    @pytest.mark.parametrize("flag", ["--cache-bytes", "--chunk-rows"])
-    def test_batch_engine_flags_without_engine_job_rejected(
-        self, csv_path, tmp_path, capsys, flag
+    def test_batch_cache_bytes_without_engine_job_rejected(
+        self, csv_path, tmp_path, capsys
     ):
         out = tmp_path / "anon.csv"
-        rc = self._batch(csv_path, out, self.MIXED[1:], flag, "4096")
+        rc = self._batch(csv_path, out, self.MIXED[1:], "--cache-bytes", "4096")
         assert rc == 2
         assert "does not apply to algorithm 'mondrian'" in capsys.readouterr().err

@@ -312,25 +312,35 @@ class TestReviewHardening:
         with pytest.raises(HierarchyError, match="IntervalHierarchy"):
             LatticeEvaluator(table, qi, broken)
 
-    def test_cache_accounting_survives_lazy_growth_on_evicted_entries(self):
+    def test_cache_accounting_survives_lazy_growth_on_evicted_entries(self, entry_bytes):
         """Lazy histograms/partitions on evicted GroupStats must not leak
         into the byte budget (which would collapse the cache to one entry),
         and parity must hold under constant eviction pressure."""
         table, qi, hierarchies = scenario(3, n_rows=120)
         lattice = GeneralizationLattice.from_hierarchies(hierarchies, qi)
-        evaluator = LatticeEvaluator(table, qi, hierarchies, cache_limit=4, cache_bytes=8192)
-        held = []
-        for node in lattice.nodes():
+
+        def grown(evaluator, node):
             stats = evaluator.stats(node)
-            held.append(stats)  # keep evicted entries alive, then grow them
             stats.histogram(SENSITIVE)
             stats.value_bounds("num")
             stats.partition()
+            return stats
+
+        # Room for four fully grown entries.
+        sizing = LatticeEvaluator(table, qi, hierarchies)
+        sized = [grown(sizing, node) for node in lattice.nodes()]
+        store = EngineCacheStore(cache_bytes=4 * max(map(entry_bytes, sized)))
+        evaluator = LatticeEvaluator(table, qi, hierarchies, cache=store)
+        held = []
+        for node in lattice.nodes():
+            stats = grown(evaluator, node)
+            held.append(stats)  # keep evicted entries alive as they grow
             candidate = apply_node(table, hierarchies, qi, node)
             legacy = partition_by_qi(candidate, qi)
             assert np.array_equal(stats.sizes, legacy.sizes()), node
-        assert evaluator._cached_bytes == sum(evaluator._accounted.values())
-        assert len(evaluator._stats_cache) > 1, "cache collapsed — accounting leak"
+        assert store.counters["evictions"] > 0
+        assert store._cached_bytes == sum(store._accounted.values())
+        assert len(store) > 1, "cache collapsed — accounting leak"
 
     def test_js_divergence_finite_on_subnormal_cells(self):
         from repro.metrics.distribution import js_divergence
@@ -416,20 +426,24 @@ class TestEngineCacheTelemetry:
         assert info["entries"] == 2
         assert info["bytes"] > 0
 
-    def test_stratum_index_tracks_cache_under_eviction(self):
+    def test_stratum_index_tracks_cache_under_eviction(self, entry_bytes):
         table, qi, hierarchies = scenario(7, n_rows=90)
         lattice = GeneralizationLattice.from_hierarchies(hierarchies, qi)
-        evaluator = LatticeEvaluator(table, qi, hierarchies, cache_limit=5)
+        # Room for the five largest entries.
+        sizing = LatticeEvaluator(table, qi, hierarchies)
+        sizes = sorted(entry_bytes(sizing.stats(node)) for node in lattice.nodes())
+        store = EngineCacheStore(cache_bytes=sum(sizes[-5:]))
+        evaluator = LatticeEvaluator(table, qi, hierarchies, cache=store)
         for node in lattice.nodes():
             evaluator.stats(node)
             indexed = {
                 (names, node_)
-                for names, strata in evaluator._stratum_index.items()
+                for names, strata in store._stratum_index.items()
                 for nodes in strata.values()
                 for node_ in nodes
             }
-            assert indexed == set(evaluator._stats_cache)
-        assert evaluator.counters["evictions"] > 0
+            assert indexed == set(store.keys())
+        assert store.counters["evictions"] > 0
 
     def test_rollup_prefers_most_general_cached_ancestor(self):
         table, qi, hierarchies = scenario(11, n_rows=80)
@@ -519,9 +533,13 @@ class TestViews:
         info = evaluator.cache_info()
         assert info["entries"] == info["misses"] == len(nodes)
 
-    def test_views_count_against_their_entry_and_move_with_it(self):
+    def test_views_count_against_their_entry_and_move_with_it(self, entry_bytes):
         table, qi, hierarchies = scenario(13, n_rows=120)
-        store = EngineCacheStore(cache_limit=1)
+        # Room for the entry below with its grown view, and nothing more.
+        sized = LatticeEvaluator(table, qi, hierarchies).stats((1, 0, 2))
+        sized.histogram(SENSITIVE)
+        sized.partition()
+        store = EngineCacheStore(cache_bytes=entry_bytes(sized))
         evaluator = LatticeEvaluator(table, qi, hierarchies, cache=store)
         stored = evaluator.stats((2, 1, 0), ("num", "qi0", "qi1"))
         view = evaluator.stats((1, 0, 2))  # the same node in QI order

@@ -3,8 +3,7 @@
 * **grouping** — dense grouping (a mark array over the mixed-radix values)
   and ``np.unique`` grouping give the labels and ``group_codes`` of a
   test-side ``np.unique`` reference, on random radices and with the radix
-  product just inside and just outside the dense threshold, one-shot and
-  chunked;
+  product just inside and just outside the dense threshold;
 * **roll-ups** — rolled-up sizes and histograms equal an ``np.add.at``
   reference over the parent's;
 * **recoding** — :func:`apply_partition_recoding` publishes what the old
@@ -85,16 +84,15 @@ def _count_unique_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("chunk_rows", [None, 97])
 @pytest.mark.parametrize("radices", [(41, 53, 3), (7, 11, 13, 5), (2, 4099)])
-def test_stats_group_like_np_unique_at_the_dense_threshold(monkeypatch, radices, chunk_rows):
+def test_stats_group_like_np_unique_at_the_dense_threshold(monkeypatch, radices):
     product = int(np.prod(radices))
     # The fewest rows at which this radix product still groups densely.
     dense_rows = -(-(product - engine_module._DENSE_SLACK) // engine_module._DENSE_ROWS)
     for n_rows, dense in ((dense_rows, True), (dense_rows - 1, False)):
         assert (product <= _threshold(n_rows)) is dense
         table, qi, hierarchies = _flat_table(n_rows, radices, seed=n_rows)
-        evaluator = LatticeEvaluator(table, qi, hierarchies, chunk_rows=chunk_rows)
+        evaluator = LatticeEvaluator(table, qi, hierarchies)
         calls = _count_unique_calls(monkeypatch)
         stats = evaluator.stats((0,) * len(qi))
         monkeypatch.undo()
@@ -109,12 +107,11 @@ def test_stats_group_like_np_unique_at_the_dense_threshold(monkeypatch, radices,
         assert np.array_equal(stats.sizes, np.bincount(labels))
 
 
-@pytest.mark.parametrize("chunk_rows", [None, 64])
 @pytest.mark.parametrize("seed", range(4))
-def test_every_node_groups_like_np_unique(seed, chunk_rows):
+def test_every_node_groups_like_np_unique(seed):
     table, schema, hierarchies = random_scenario(n_rows=300, seed=seed)
     qi = schema.quasi_identifiers
-    evaluator = LatticeEvaluator(table, qi, hierarchies, chunk_rows=chunk_rows)
+    evaluator = LatticeEvaluator(table, qi, hierarchies)
     heights = [hierarchies[name].height for name in qi]
     for node in np.ndindex(*(h + 1 for h in heights)):
         stats = evaluator.stats(node)

@@ -10,14 +10,13 @@ Pins the concurrency contracts of this repo's parallel executor:
   engine-sharing pattern;
 * the CLI batch mode (``--config`` with a JSON job list, ``--workers``)
   writes numbered outputs identical at any worker count;
-* chunked packing (``chunk_rows=``) streams group signatures through row
-  windows without changing a single label, and bounds the memory peak.
+* ``chunk_rows`` and ``backend`` are unknown config keys, and
+  ``--chunk-rows`` is an unknown flag.
 """
 
 import itertools
 import json
 import threading
-import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -27,13 +26,6 @@ from repro.api import AnonymizationConfig, run_batch
 from repro.cli import main as cli_main
 from repro.core.engine import LatticeEvaluator
 from repro.core.io import read_csv
-from repro.core.table import (
-    Column,
-    Table,
-    check_chunk_rows,
-    mixed_radix_fits,
-    pack_code_columns,
-)
 from repro.data import adult_hierarchies, load_adult
 from repro.errors import ConfigError
 
@@ -310,173 +302,33 @@ class TestCLIBatch:
         assert "empty job list" in capsys.readouterr().err
 
 
-class TestChunkedPacking:
-    """chunk_rows: streamed group signatures equal the one-shot ones."""
-
-    def test_check_chunk_rows_accepts_positive_integers(self):
-        assert check_chunk_rows(1) == 1
-        assert check_chunk_rows(1 << 20) == 1 << 20
-
-    @pytest.mark.parametrize("bad", [0, -1, 2.5, True, "256k", None])
-    def test_check_chunk_rows_rejects_non_positive(self, bad):
-        with pytest.raises(ValueError, match="positive integer"):
-            check_chunk_rows(bad)
-
-    def test_pack_out_matches_fresh_allocation(self):
-        rng = np.random.default_rng(11)
-        radices = [5, 3, 7]
-        cols = [rng.integers(0, r, size=97).astype(np.int64) for r in radices]
-        fresh = pack_code_columns(cols, radices)
-        out = np.empty(97, dtype=np.int64)
-        returned = pack_code_columns(cols, radices, out=out)
-        assert returned is out
-        np.testing.assert_array_equal(out, fresh)
-
-    def test_pack_overflow_fallback_matches_out_variant(self):
-        rng = np.random.default_rng(5)
-        radices = [1 << 16] * 4  # product 2**64: mixed radix would overflow
-        assert not mixed_radix_fits(radices)
-        cols = [rng.integers(0, r, size=50).astype(np.int64) for r in radices]
-        fresh = pack_code_columns(cols, radices)
-        out = np.empty(50, dtype=np.int64)
-        np.testing.assert_array_equal(pack_code_columns(cols, radices, out=out), fresh)
-        # The fallback's labels group rows exactly like the raw tuples do.
-        stacked = [tuple(col[i] for col in cols) for i in range(50)]
-        for i in range(50):
-            for j in range(50):
-                assert (fresh[i] == fresh[j]) == (stacked[i] == stacked[j])
-
-    @pytest.mark.parametrize("chunk_rows", [1, 3, 5, 8, 1000])
-    def test_group_signature_chunked_equals_unchunked(self, table, chunk_rows):
-        names = ["zipcode", "job", "age"]
-        unchunked = table.group_signature(names)
-        chunked = table.group_signature(names, chunk_rows=chunk_rows)
-        np.testing.assert_array_equal(chunked, unchunked)
-
-    def test_iter_chunks_covers_all_rows_in_order(self, table):
-        chunks = list(table.iter_chunks(3))
-        assert [chunk.n_rows for chunk in chunks] == [3, 3, 2]
-        merged = [
-            value
-            for chunk in chunks
-            for value in chunk.column("zipcode").decode()
-        ]
-        assert merged == table.column("zipcode").decode()
-
-    def test_engine_chunked_stats_equal_unchunked(self, table):
-        config = AnonymizationConfig.from_dict(JOB)
-        from repro.api import build_hierarchies, build_schema
-
-        schema = build_schema(config, table)
-        hierarchies = build_hierarchies(config, table)
-        qis = schema.quasi_identifiers
-        plain = LatticeEvaluator(table, qis, hierarchies)
-        chunked = LatticeEvaluator(table, qis, hierarchies, chunk_rows=3)
-        heights = [len(plain._encodings[name].luts) - 1 for name in qis]
-        for node in itertools.product(*(range(h + 1) for h in heights)):
-            expected = plain.stats(node)
-            actual = chunked.stats(node)
-            np.testing.assert_array_equal(actual.sizes, expected.sizes)
-            np.testing.assert_array_equal(actual.group_codes, expected.group_codes)
-            np.testing.assert_array_equal(actual.row_labels, expected.row_labels)
-
-    def test_engine_rejects_bad_chunk_rows(self, table):
-        config = AnonymizationConfig.from_dict(JOB)
-        from repro.api import build_hierarchies, build_schema
-
-        schema = build_schema(config, table)
-        hierarchies = build_hierarchies(config, table)
-        with pytest.raises(ValueError, match="chunk_rows"):
-            LatticeEvaluator(
-                table, schema.quasi_identifiers, hierarchies, chunk_rows=0
-            )
-
-
-    def test_chunked_group_signature_bounds_the_memory_peak(self):
-        """chunk_rows exists to bound memory: packing a categorical group
-        signature in row chunks must peak well below the one-shot pass."""
-        rng = np.random.default_rng(42)
-        n_rows = 20_000
-        domains = {"zip": 64, "job": 32, "edu": 16, "city": 32}
-        big = Table(
-            [
-                Column.from_codes(
-                    name,
-                    rng.integers(0, domain, size=n_rows),
-                    [f"{name}_{i}" for i in range(domain)],
-                )
-                for name, domain in domains.items()
-            ]
-        )
-        names = list(domains)
-        peaks = []
-        for chunk_rows in (None, n_rows // 8):
-            tracemalloc.start()
-            try:
-                big.group_signature(names, chunk_rows=chunk_rows)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        unchunked, chunked = peaks
-        assert chunked < 0.5 * unchunked
-
-    def test_chunked_configs_byte_identical_at_any_worker_count(self, table):
-        chunked = [
-            AnonymizationConfig.from_dict({**JOB, "chunk_rows": 3}),
-            AnonymizationConfig.from_dict(
-                {**JOB, "quasi_identifiers": ["zipcode"], "chunk_rows": 3}
-            ),
-        ]
-        plain = [
-            AnonymizationConfig.from_dict(JOB),
-            AnonymizationConfig.from_dict({**JOB, "quasi_identifiers": ["zipcode"]}),
-        ]
-        reference = run_batch(plain, table)
-        for workers in (1, 2):
-            results = run_batch(chunked, table, workers=workers)
-            for ref, res in zip(reference, results):
-                assert _fingerprint(ref.release.table) == _fingerprint(
-                    res.release.table
-                )
-
-    def test_chunk_rows_does_not_change_single_job_output(
-        self, csv_path, tmp_path
-    ):
-        job_path = tmp_path / "job.json"
-        job_path.write_text(json.dumps(JOB))
-        plain = tmp_path / "plain.csv"
-        chunked = tmp_path / "chunked.csv"
-        assert cli_main(
-            [str(csv_path), str(plain), "--config", str(job_path)]
-        ) == 0
-        assert cli_main(
-            [str(csv_path), str(chunked), "--config", str(job_path),
-             "--chunk-rows", "3"]
-        ) == 0
-        assert plain.read_bytes() == chunked.read_bytes()
-
-
 class TestConfigProcessKeys:
-    """Config-time validation for the chunk_rows key; backend is not a key."""
+    """Neither backend nor chunk_rows is a config key."""
 
     def test_backend_must_be_known(self):
         for value in ("mpi", "thread", "process"):
             with pytest.raises(ConfigError, match="unknown key 'backend'"):
                 AnonymizationConfig.from_dict({**JOB, "backend": value})
 
-    @pytest.mark.parametrize("bad", [0, -1, 2.5, True, "64k"])
-    def test_chunk_rows_must_be_a_positive_integer(self, bad):
-        with pytest.raises(ConfigError, match="key 'chunk_rows'"):
-            AnonymizationConfig.from_dict({**JOB, "chunk_rows": bad})
+    @pytest.mark.parametrize("value", [None, 0, -1, 2.5, True, "64k", 3, 1024])
+    def test_chunk_rows_is_rejected_at_every_value(self, value):
+        # None is what a to_dict() of a config that still had the key held.
+        with pytest.raises(ConfigError, match="^unknown key 'chunk_rows' in config"):
+            AnonymizationConfig.from_dict({**JOB, "chunk_rows": value})
 
-    def test_chunk_rows_requires_an_engine_algorithm(self):
-        with pytest.raises(ConfigError, match="does not apply"):
-            AnonymizationConfig.from_dict(
-                {**JOB, "algorithm": {"algorithm": "mondrian"}, "chunk_rows": 64}
+    def test_chunk_rows_flag_exits_2(self, csv_path, tmp_path, capsys):
+        job_path = tmp_path / "job.json"
+        job_path.write_text(json.dumps(JOB))
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(
+                [str(csv_path), str(tmp_path / "anon.csv"), "--config",
+                 str(job_path), "--chunk-rows", "3"]
             )
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --chunk-rows 3" in capsys.readouterr().err
+        assert not (tmp_path / "anon.csv").exists()
 
     def test_round_trips_through_to_dict(self):
-        config = AnonymizationConfig.from_dict({**JOB, "chunk_rows": 1024})
-        twin = AnonymizationConfig.from_dict(config.to_dict())
-        assert twin == config
-        assert twin.chunk_rows == 1024
+        config = AnonymizationConfig.from_dict({**JOB, "cache_bytes": 1024})
+        assert "chunk_rows" not in config.to_dict()
+        assert AnonymizationConfig.from_dict(config.to_dict()) == config

@@ -15,7 +15,8 @@ What must hold:
   once per distinct release per tenant, and no release table;
 * responses leave in one write without Nagle's 40 ms stall, and hostile
   request bodies get a 400, never a dropped connection;
-* the replay log re-runs to byte-identical releases;
+* the replay log re-runs to byte-identical releases, and reports a job
+  that fails now, stale config included, without stopping;
 * ``cache_stores`` warm-starts work at the executor level across two
   separate :func:`run_batch` calls;
 * ``repro serve`` shuts down cleanly and exits 0 on SIGINT and SIGTERM.
@@ -47,6 +48,7 @@ from repro.errors import ConfigError
 from repro.service import (
     AnonymizationService,
     QueueFull,
+    ReplayLog,
     ServiceClient,
     ServiceError,
     TenantCaches,
@@ -222,7 +224,7 @@ class TestTenantCaches:
         assert set(occupancy["tenants"]) == {"b", "c"}
 
     def test_resize_evicts_immediately(self):
-        store = EngineCacheStore(cache_limit=None, cache_bytes=1 << 30)
+        store = EngineCacheStore(cache_bytes=1 << 30)
         table, _, _ = load_data_spec(DATA)
         result = run(AnonymizationConfig.from_dict(JOB), table)
         # seed entries through a real evaluator sharing the store
@@ -245,7 +247,7 @@ class TestCacheStoreWarmStart:
         table, _, _ = load_data_spec(DATA)
         config = AnonymizationConfig.from_dict(JOB)
         key = _environment_key(config)[0]
-        store = EngineCacheStore(cache_limit=None)
+        store = EngineCacheStore()
         cold = run_batch([config], table, cache_stores={key: store})
         after_cold = dict(store.counters)
         assert after_cold["from_rows"] >= 1  # the cold run scanned rows
@@ -262,7 +264,7 @@ class TestCacheStoreWarmStart:
         table, _, _ = load_data_spec(DATA)
         config = AnonymizationConfig.from_dict({**JOB, "cache_bytes": 256 << 20})
         key = _environment_key(config)[0]
-        store = EngineCacheStore(cache_limit=None, cache_bytes=32 << 20)
+        store = EngineCacheStore(cache_bytes=32 << 20)
         results = run_batch([config], table, cache_stores={key: store})
         assert results[0].engine.cache is store
         assert store.cache_bytes == 32 << 20  # the job's budget left it alone
@@ -271,7 +273,7 @@ class TestCacheStoreWarmStart:
         table, _, _ = load_data_spec(DATA)
         config = AnonymizationConfig.from_dict(JOB)
         other = AnonymizationConfig.from_dict(JOB_OTHER_ENV)
-        store = EngineCacheStore(cache_limit=None)
+        store = EngineCacheStore()
         key = _environment_key(config)[0]
         results = run_batch([config, other], table, cache_stores={key: store})
         assert all(r.status == "ok" for r in results)
@@ -557,6 +559,43 @@ class TestReplay:
         report = replay(log_path)
         assert report[0]["status"] == "failed"
         assert report[0]["match"] is True
+
+    def test_a_stale_config_fails_its_entry_and_the_replay_goes_on(self, tmp_path):
+        """A config logged with a key this version rejects (``chunk_rows``,
+        which every ``to_dict()`` once carried) is one failed entry."""
+        log_path = tmp_path / "replay.jsonl"
+        config = AnonymizationConfig.from_dict(JOB)
+        table, _, data = load_data_spec(DATA)
+        digest = table_sha256(run(config, table).release.table)
+        log = ReplayLog(log_path)
+        for job_id, logged in (
+            ("stale", {**config.to_dict(), "chunk_rows": 3}),
+            ("valid", config.to_dict()),
+        ):
+            log.accepted(job_id, "acme", logged, data, batch_id="b")
+            log.completed(job_id, "ok", release_sha256=digest)
+        stale, valid = replay(log_path)
+        assert stale["job_id"] == "stale" and stale["status"] == "failed"
+        assert "unknown key 'chunk_rows'" in stale["error"]
+        assert stale["match"] is False
+        assert valid["job_id"] == "valid" and valid["status"] == "ok"
+        assert valid["match"] is True
+
+    def test_a_recorded_release_that_now_fails_is_a_mismatch(self, tmp_path):
+        log_path = tmp_path / "replay.jsonl"
+        config = {
+            "quasi_identifiers": ["zipcode"],
+            "models": [{"model": "k-anonymity", "k": 1000}],
+            "algorithm": {"algorithm": "flash"},
+        }
+        data = {"csv": "zipcode\n13053\n13068\n14850\n14853\n", "categorical": ["zipcode"]}
+        log = ReplayLog(log_path)
+        log.accepted("j", "acme", config, data, batch_id="b")
+        log.completed("j", "ok", release_sha256="0" * 64)
+        (entry,) = replay(log_path)
+        assert entry["status"] == "failed"
+        assert entry["match"] is False
+        assert entry["recorded_sha256"] == "0" * 64
 
 
 # ---------------------------------------------------------------------------
