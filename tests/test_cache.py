@@ -3,8 +3,11 @@
 Pins the contracts of the pluggable cache layer and the planner on top:
 
 * :class:`~repro.core.cache.EngineCacheStore` — budget validation, LRU
-  eviction under a byte budget, and the full counter set
-  (hits / misses / evictions / coalesced / recomputed_after_evict);
+  eviction under a byte budget (the survivors are always the most recently
+  used keys, a budget below one entry keeps the latest, and every node
+  reads the same stats at any budget), the full counter set
+  (hits / misses / evictions / coalesced / recomputed_after_evict) and the
+  inspection views;
 * eviction-under-pressure correctness: a deliberately tiny byte budget
   yields byte-identical releases to an unconstrained run for all four
   full-domain algorithms, sequential and at ``workers=4``;
@@ -14,7 +17,8 @@ Pins the contracts of the pluggable cache layer and the planner on top:
   make the engine's from_rows/rollups profile identical at any worker count;
 * the :class:`~repro.api.BatchPlanner`: environment grouping and
   ``workers`` validation, and the CLI engine flag ``--cache-bytes``, which
-  binds only the engine jobs of a mixed batch;
+  binds only the engine jobs of a mixed batch and leaves every output
+  unchanged, a one-entry budget included;
 * one store per table environment: a batch over overlapping QI sets
   publishes what each job publishes alone and computes each shared column
   subset once, also under racing workers and when jobs list one column set
@@ -183,6 +187,103 @@ class TestEngineCacheStore:
         for node in nodes:  # the early nodes were evicted by the later ones
             evaluator.stats(node)
         assert store.counters["recomputed_after_evict"] > 0
+
+    def test_a_budget_below_one_entry_keeps_only_the_latest(self, entry_bytes):
+        """A single entry larger than the budget is kept, not thrashed, and
+        the next insertion evicts it."""
+        table, qi, hierarchies = _scenario(4)
+        lattice = GeneralizationLattice.from_hierarchies(hierarchies, qi)
+        store = EngineCacheStore(cache_bytes=1)
+        evaluator = LatticeEvaluator(table, qi, hierarchies, cache=store)
+        for evicted, node in enumerate(list(lattice.nodes())[:5]):
+            stats = evaluator.stats(node)
+            assert [key[1] for key in store.keys()] == [_store_node(qi, node)]
+            assert store.info()["bytes"] == entry_bytes(stats)
+            assert store.counters["evictions"] == evicted
+
+    @pytest.mark.parametrize("share", [0.0, 0.25, 0.5])
+    def test_answers_and_budget_hold_under_eviction(self, share):
+        """However hard the budget evicts, each node reads what an
+        unbudgeted store reads, and after every request and every lazy
+        growth the store holds at most its budget, or one entry."""
+        table, qi, hierarchies = _scenario(5)
+        nodes = list(GeneralizationLattice.from_hierarchies(hierarchies, qi).nodes())
+        reference = LatticeEvaluator(table, qi, hierarchies)
+        for node in nodes:
+            reference.stats(node).row_labels
+            reference.stats(node).histogram("sensitive")
+        budget = max(1, int(share * reference.cache_info()["bytes"]))
+        store = EngineCacheStore(cache_bytes=budget)
+        evaluator = LatticeEvaluator(table, qi, hierarchies, cache=store)
+
+        def within_budget():
+            info = store.info()
+            return info["bytes"] <= budget or info["entries"] == 1
+
+        # Up, down and up again: roll-ups from cached ancestors, passes
+        # from rows, and recomputations of evicted nodes.
+        for node in [*nodes, *nodes[::-1], *nodes]:
+            stats, expected = evaluator.stats(node), reference.stats(node)
+            assert within_budget()
+            assert np.array_equal(stats.sizes, expected.sizes)
+            assert np.array_equal(stats.group_codes, expected.group_codes)
+            assert np.array_equal(stats.row_labels, expected.row_labels)
+            assert within_budget()
+            assert np.array_equal(
+                stats.histogram("sensitive"), expected.histogram("sensitive")
+            )
+            assert within_budget()
+        assert store.counters["evictions"] > 0
+        assert store.counters["recomputed_after_evict"] > 0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_survivors_are_the_most_recently_used_keys(self, seed):
+        """Eviction takes the least recently used entry, wherever it sits
+        in the lattice: after every request the store holds, coldest
+        first, the last keys of the use order, where a hit, a read as a
+        roll-up ancestor and an insertion each count as a use."""
+        table, qi, hierarchies = _scenario(10 + seed)
+        nodes = list(GeneralizationLattice.from_hierarchies(hierarchies, qi).nodes())
+        full = LatticeEvaluator(table, qi, hierarchies)
+        for node in nodes:
+            full.stats(node)
+        store = EngineCacheStore(cache_bytes=full.cache_info()["bytes"] // 3)
+        evaluator = LatticeEvaluator(table, qi, hierarchies, cache=store)
+        uses = []  # store keys, least recently used first
+
+        def use(key):
+            if key in uses:
+                uses.remove(key)
+            uses.append(key)
+
+        rng = np.random.default_rng(seed)
+        for index in rng.integers(0, len(nodes), size=4 * len(nodes)):
+            key = (tuple(sorted(qi)), _store_node(qi, nodes[index]))
+            cached = key in store
+            stats = evaluator.stats(nodes[index])
+            stored = stats if stats._view_of is None else stats._view_of
+            if not cached and stored._parent is not None:
+                use(stored._parent[0]._cache_key)
+            use(key)
+            assert list(store.keys()) == uses[-len(store):]
+        assert store.counters["evictions"] > 0
+
+    def test_inspection_reports_one_byte_budget(self):
+        table, qi, hierarchies = _scenario(2)
+        store = EngineCacheStore(cache_bytes=1 << 20)
+        LatticeEvaluator(table, qi, hierarchies, cache=store).stats((0,) * len(qi))
+        info = store.info()
+        assert set(info) == {
+            "hits", "misses", "from_rows", "rollups", "evictions", "coalesced",
+            "recomputed_after_evict", "entries", "bytes",
+        }
+        occupancy = store.occupancy()
+        assert set(occupancy) == {
+            "entries", "bytes", "cache_bytes", "utilization", "by_names",
+        }
+        assert occupancy["cache_bytes"] == 1 << 20
+        assert occupancy["utilization"] == round(info["bytes"] / (1 << 20), 4)
+        assert repr(store) == f"EngineCacheStore(1 entries, {info['bytes']} bytes)"
 
 
 class TestConfigCacheBytes:
@@ -961,6 +1062,24 @@ class TestCLICacheKnobs:
             name = f"anon.{index}.csv"
             assert (plain.with_name(name).read_bytes()
                     == flagged.with_name(name).read_bytes())
+
+    @pytest.mark.parametrize("algorithm", ["flash", "incognito", "ola", "datafly"])
+    def test_a_one_entry_budget_leaves_the_output_unchanged(
+        self, csv_path, tmp_path, capsys, algorithm
+    ):
+        flags = [
+            "--qi", "zipcode", "--qi", "job", "--numeric-qi", "age",
+            "--sensitive", "disease", "--k", "2", "--algorithm", algorithm,
+        ]
+        plain, squeezed = tmp_path / "plain.csv", tmp_path / "squeezed.csv"
+        assert cli_main([str(csv_path), str(plain), *flags]) == 0
+        capsys.readouterr()
+        assert cli_main(
+            [str(csv_path), str(squeezed), *flags, "--cache-bytes", "1", "--report"]
+        ) == 0
+        report = json.loads(capsys.readouterr().err)
+        assert report["engine_cache"]["evictions"] > 0
+        assert plain.read_bytes() == squeezed.read_bytes()
 
     def test_batch_cache_bytes_without_engine_job_rejected(
         self, csv_path, tmp_path, capsys

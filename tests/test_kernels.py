@@ -3,7 +3,8 @@
 * **grouping** — dense grouping (a mark array over the mixed-radix values)
   and ``np.unique`` grouping give the labels and ``group_codes`` of a
   test-side ``np.unique`` reference, on random radices and with the radix
-  product just inside and just outside the dense threshold;
+  product just inside and just outside the dense threshold, from rows, by
+  roll-up and as a view in the caller's column order;
 * **roll-ups** — rolled-up sizes and histograms equal an ``np.add.at``
   reference over the parent's;
 * **recoding** — :func:`apply_partition_recoding` publishes what the old
@@ -84,36 +85,57 @@ def _count_unique_calls(monkeypatch):
     return calls
 
 
+@pytest.mark.parametrize("order", ["sorted", "reversed"])
 @pytest.mark.parametrize("radices", [(41, 53, 3), (7, 11, 13, 5), (2, 4099)])
-def test_stats_group_like_np_unique_at_the_dense_threshold(monkeypatch, radices):
+def test_stats_group_like_np_unique_at_the_dense_threshold(monkeypatch, radices, order):
+    """``reversed`` lists the columns against the store key's sorted order,
+    so the caller reads a view: the stored entry grouped from rows, then
+    regrouped over its ``n_groups`` signatures in the caller's order."""
     product = int(np.prod(radices))
     # The fewest rows at which this radix product still groups densely.
     dense_rows = -(-(product - engine_module._DENSE_SLACK) // engine_module._DENSE_ROWS)
     for n_rows, dense in ((dense_rows, True), (dense_rows - 1, False)):
         assert (product <= _threshold(n_rows)) is dense
         table, qi, hierarchies = _flat_table(n_rows, radices, seed=n_rows)
+        if order == "reversed":
+            qi, radices_here = qi[::-1], radices[::-1]
+        else:
+            radices_here = radices
         evaluator = LatticeEvaluator(table, qi, hierarchies)
         calls = _count_unique_calls(monkeypatch)
         stats = evaluator.stats((0,) * len(qi))
         monkeypatch.undo()
-        assert len(calls) == (0 if dense else 1)
         code_columns = [
             hierarchies[name].ground_codes(table.column(name)).astype(np.int64)
             for name in qi
         ]
-        labels, group_codes = _reference_groups(code_columns, radices)
+        labels, group_codes = _reference_groups(code_columns, radices_here)
+        expected_calls = 0 if dense else 1
+        if order == "reversed":
+            assert stats._view_of is not None
+            n_groups = group_codes.shape[0]
+            expected_calls += 0 if product <= _threshold(n_groups) else 1
+        assert len(calls) == expected_calls
         assert np.array_equal(stats.row_labels, labels)
         assert np.array_equal(stats.group_codes, group_codes)
         assert np.array_equal(stats.sizes, np.bincount(labels))
 
 
+@pytest.mark.parametrize("walk", ["ascending", "descending"])
 @pytest.mark.parametrize("seed", range(4))
-def test_every_node_groups_like_np_unique(seed):
+def test_every_node_groups_like_np_unique(seed, walk):
+    """``ascending`` starts at the bottom, so every other node rolls up from
+    a cached ancestor; ``descending`` never has one cached (a node visited
+    earlier is lexicographically larger, so never componentwise smaller),
+    so every node groups from rows."""
     table, schema, hierarchies = random_scenario(n_rows=300, seed=seed)
     qi = schema.quasi_identifiers
     evaluator = LatticeEvaluator(table, qi, hierarchies)
     heights = [hierarchies[name].height for name in qi]
-    for node in np.ndindex(*(h + 1 for h in heights)):
+    nodes = list(np.ndindex(*(h + 1 for h in heights)))
+    if walk == "descending":
+        nodes.reverse()
+    for node in nodes:
         stats = evaluator.stats(node)
         code_columns = []
         radices = []
@@ -137,6 +159,11 @@ def test_every_node_groups_like_np_unique(seed):
         )
         assert np.array_equal(stats.row_labels, labels), node
         assert np.array_equal(stats.group_codes, group_codes), node
+    info = evaluator.cache_info()
+    if walk == "ascending":
+        assert (info["from_rows"], info["rollups"]) == (1, len(nodes) - 1)
+    else:
+        assert (info["from_rows"], info["rollups"]) == (len(nodes), 0)
 
 
 # -- roll-ups -------------------------------------------------------------------

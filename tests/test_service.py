@@ -15,8 +15,9 @@ What must hold:
   once per distinct release per tenant, and no release table;
 * responses leave in one write without Nagle's 40 ms stall, and hostile
   request bodies get a 400, never a dropped connection;
-* the replay log re-runs to byte-identical releases, and reports a job
-  that fails now, stale config included, without stopping;
+* the replay log re-runs to byte-identical releases, reports a job that
+  fails now, stale config and vanished data included, without stopping,
+  and judges each match against what the log recorded;
 * ``cache_stores`` warm-starts work at the executor level across two
   separate :func:`run_batch` calls;
 * ``repro serve`` shuts down cleanly and exits 0 on SIGINT and SIGTERM.
@@ -596,6 +597,60 @@ class TestReplay:
         assert entry["status"] == "failed"
         assert entry["match"] is False
         assert entry["recorded_sha256"] == "0" * 64
+
+    @pytest.mark.parametrize(
+        "completed, feasible, match",
+        [
+            pytest.param("published", True, True, id="recorded-digest-republished"),
+            pytest.param("other", True, False, id="recorded-digest-differs"),
+            pytest.param("other", False, False, id="recorded-digest-now-fails"),
+            pytest.param("failed", False, True, id="failed-both-times"),
+            pytest.param("failed", True, None, id="failed-then-now-succeeds"),
+            pytest.param(None, True, None, id="never-completed-now-succeeds"),
+            pytest.param(None, False, None, id="never-completed-now-fails"),
+        ],
+    )
+    def test_match_compares_with_what_the_log_recorded(
+        self, tmp_path, completed, feasible, match
+    ):
+        log_path = tmp_path / "replay.jsonl"
+        infeasible = {**JOB, "models": [{"model": "k-anonymity", "k": 10**9}]}
+        table, _, data = load_data_spec(DATA)
+        published = table_sha256(
+            run(AnonymizationConfig.from_dict(JOB), table).release.table
+        )
+        recorded = {"published": published, "other": "0" * 64}.get(completed)
+        log = ReplayLog(log_path)
+        log.accepted("j", "acme", JOB if feasible else infeasible, data, batch_id="b")
+        if recorded is not None:
+            log.completed("j", "ok", release_sha256=recorded)
+        elif completed == "failed":
+            log.completed("j", "failed", error="InfeasibleError: no node")
+        (entry,) = replay(log_path)
+        assert entry["status"] == ("ok" if feasible else "failed")
+        assert entry["match"] is match
+        assert entry["recorded_sha256"] == recorded
+        assert entry.get("release_sha256") == (published if feasible else None)
+
+    def test_data_that_no_longer_loads_fails_its_entry(self, tmp_path):
+        root = tmp_path / "data"
+        root.mkdir()
+        (root / "gone.csv").write_text(CSV_TEXT)
+        spec = {key: value for key, value in DATA.items() if key != "csv"}
+        table, _, moved = load_data_spec({**spec, "path": "gone.csv"}, data_root=root)
+        _, _, inline = load_data_spec(DATA)
+        digest = table_sha256(run(AnonymizationConfig.from_dict(JOB), table).release.table)
+        log_path = tmp_path / "replay.jsonl"
+        log = ReplayLog(log_path)
+        for job_id, data in (("moved", moved), ("inline", inline)):
+            log.accepted(job_id, "acme", JOB, data, batch_id="b")
+            log.completed(job_id, "ok", release_sha256=digest)
+        (root / "gone.csv").unlink()
+        moved_entry, inline_entry = replay(log_path, data_root=root)
+        assert moved_entry["status"] == "failed"
+        assert "'data.path' 'gone.csv' not found" in moved_entry["error"]
+        assert moved_entry["match"] is False
+        assert inline_entry["status"] == "ok" and inline_entry["match"] is True
 
 
 # ---------------------------------------------------------------------------
