@@ -12,9 +12,9 @@ through the stdlib client and gates on the resident-state contract:
    ``from_rows``/``rollups`` counters are frozen across the sustained
    phase (every warm node is a hit);
 3. **bounded RSS** — sustained identical batches must not grow resident
-   memory beyond a fixed slack over the post-cold baseline (per-tenant
-   budgets + the eviction ladder, not per-request accumulation, own
-   memory).
+   memory beyond a fixed slack over the post-cold baseline (each store's
+   budget and the registry's one LRU over every tenant's stores, not
+   per-request accumulation, own memory).
 
 Results are recorded to ``BENCH_E40.json`` via the shared writer. Runnable
 standalone (``python benchmarks/bench_e40_service.py [--rows N]``,

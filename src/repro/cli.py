@@ -330,10 +330,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
                         help="worker threads draining the job queue")
     parser.add_argument("--queue-depth", type=int, default=32, metavar="N",
                         help="max queued batches before POSTs get 503")
-    parser.add_argument("--tenants-config", default=None, metavar="JSON",
-                        help="per-tenant policy file: {tenant: {'cache_bytes': "
-                             "N, 'max_environments': M}}; unlisted tenants "
-                             "get the defaults")
     parser.add_argument("--replay-log", default=None, metavar="PATH",
                         help="append-only JSONL log of every accepted job and "
                              "outcome; replayable to byte-identical releases")
@@ -343,12 +339,11 @@ def build_serve_parser() -> argparse.ArgumentParser:
                              "(inline CSV is always allowed)")
     parser.add_argument("--service-cache-bytes", type=int, default=None,
                         metavar="BYTES",
-                        help="global cap on the sum of live tenants' warm-"
-                             "cache budgets; exceeding it evicts LRU tenants")
-    parser.add_argument("--default-cache-bytes", type=int, default=None,
-                        metavar="BYTES",
-                        help="warm-cache budget for tenants not in "
-                             "--tenants-config")
+                        help="bytes all tenants' warm stores may hold together "
+                             "and the most any one store may budget (default "
+                             "1 GiB); past it, or past 16 stores, the least "
+                             "recently used stores outside the running batch "
+                             "are dropped")
     return parser
 
 
@@ -377,22 +372,13 @@ def _serve(argv: list[str]) -> int:
 
     parser = build_serve_parser()
     args = parser.parse_args(argv)
-    tenants_config = None
-    if args.tenants_config is not None:
-        try:
-            tenants_config = json.loads(Path(args.tenants_config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: --tenants-config: {exc}", file=sys.stderr)
-            return 2
     try:
         service = AnonymizationService(
-            tenants_config=tenants_config,
             queue_workers=args.queue_workers,
             queue_depth=args.queue_depth,
             replay_path=args.replay_log,
             data_root=args.data_root,
             service_cache_bytes=args.service_cache_bytes,
-            default_cache_bytes=args.default_cache_bytes,
         )
     except (ReproError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

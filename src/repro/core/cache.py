@@ -10,7 +10,8 @@ An evaluator owns exactly one store, but a store can be constructed first
 and handed in (``LatticeEvaluator(..., cache=store)``) — which is how a
 batch gives every evaluator of one table environment (one per QI set) a
 single store with their jobs' budget, and how the service keeps a warm
-store across requests.
+store across requests (it bounds its stores by dropping whole ones, see
+:mod:`repro.service.tenants`).
 
 A store also holds its table environment for as long as it lives: each
 column's hierarchy, built once per table object (:meth:`hierarchies`), and
@@ -37,12 +38,13 @@ it is dropped when its entry is evicted or the store is freed, and
 Eviction
 --------
 The store holds one budget, approximate payload bytes (``cache_bytes``),
-and evicts the least recently *used* entry until an insertion fits. A use
-is an insertion, a memo hit, or being read as a roll-up ancestor, so a
-roll-up workhorse node (typically a subset's bottom, which is read almost
-exclusively through the ancestor path) stays hot. Payload grown after
-insertion counts too (:meth:`EngineCacheStore.note_bytes`). A single entry
-larger than the budget is kept rather than thrashed.
+fixed for its life, and evicts the least recently *used* entry until an
+insertion fits. A use is an insertion, a memo hit, or being read as a
+roll-up ancestor, so a roll-up workhorse node (typically a subset's
+bottom, which is read almost exclusively through the ancestor path) stays
+hot. Payload grown after insertion counts too
+(:meth:`EngineCacheStore.note_bytes`). A single entry larger than the
+budget is kept rather than thrashed.
 
 Counters
 --------
@@ -402,28 +404,6 @@ class EngineCacheStore:
                 ),
                 "by_names": by_names,
             }
-
-    def resize(self, cache_bytes: int) -> int:
-        """Change the byte budget and evict down to it immediately.
-
-        The multi-tenant seam: a tenant's budget is re-sliced across its
-        live environment stores as environments come and go, and a shrink
-        must take effect now — not at the next insert — or a dormant store
-        would squat on bytes its tenant no longer has. At least one entry
-        survives (matching the insert-path invariant that a single
-        over-budget entry is kept). Returns the number of evictions.
-        """
-        try:
-            budget = check_cache_bytes(cache_bytes)
-        except ValueError as exc:
-            raise ValueError(f"cache_bytes {exc}") from None
-        with self._mutex:
-            self.cache_bytes = budget
-            evicted = 0
-            while len(self._entries) > 1 and self._cached_bytes > self.cache_bytes:
-                self._evict_one()
-                evicted += 1
-            return evicted
 
     def rebind(self, engine: Any) -> int:
         """Re-home the cached entries over ``engine``'s QIs onto ``engine``.

@@ -12,8 +12,8 @@ Layering (each module usable on its own):
   ``create_server`` (``ThreadingHTTPServer`` front end);
 * :mod:`~repro.service.queue` — bounded admission queue and worker pool
   draining through :func:`repro.api.run_batch`;
-* :mod:`~repro.service.tenants` — per-tenant warm stores, budget slicing,
-  eviction ladder;
+* :mod:`~repro.service.tenants` — the warm stores of every tenant in one
+  LRU order, bounded by store count and held bytes;
 * :mod:`~repro.service.replay` — append-only JSONL audit log, replayable
   to byte-identical releases;
 * :mod:`~repro.service.metrics` — counters and latency histograms;

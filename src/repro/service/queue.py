@@ -10,8 +10,9 @@ yields a recorded failure, never a crashed worker) and with the tenant's
 warm stores injected via ``cache_stores`` — the hand-off point between
 the service's resident state and the executor, which uses each injected
 store as the cache of its table environment (every QI set over the same
-data, dropped columns and hierarchy specs) and leaves its budget to the
-tenant ladder.
+data, dropped columns and hierarchy specs). Each store holds its jobs'
+own ``cache_bytes``, as in :func:`repro.api.run`; the registry
+(:mod:`~repro.service.tenants`) caps it and drops whole stores.
 
 A worker finishes each job completely before it publishes ``done``: it
 digests the release, renders its CSV once per distinct release per tenant,
@@ -31,6 +32,7 @@ from typing import Any
 
 from ..api import AnonymizationConfig, JobFailure, run_batch
 from ..api.executor import _environment_key
+from ..core.cache import DEFAULT_CACHE_BYTES
 from ..core.table import Table
 from .data import release_csv_bytes, table_sha256
 from .metrics import ServiceMetrics
@@ -192,14 +194,14 @@ class JobQueue:
         for record in work.records:
             record.started_at = started
             record.status = "running"
-        evaluator_keys: list[str] = []
-        for record in work.records:
-            key = _environment_key(record.config)[0]
-            if key not in evaluator_keys:
-                evaluator_keys.append(key)
-        stores = self.caches.stores_for(
-            work.tenant, work.data_digest, evaluator_keys
-        )
+        # The store key names the budget, so its jobs agree on it.
+        budgets = {
+            _environment_key(record.config)[0]: (
+                record.config.cache_bytes or DEFAULT_CACHE_BYTES
+            )
+            for record in work.records
+        }
+        stores = self.caches.stores_for(work.tenant, work.data_digest, budgets)
         results = run_batch(
             [record.config for record in work.records],
             work.table,

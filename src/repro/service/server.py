@@ -62,20 +62,13 @@ class AnonymizationService:
 
     def __init__(
         self,
-        tenants_config: dict | None = None,
         queue_workers: int = 2,
         queue_depth: int = 32,
         replay_path: str | None = None,
         data_root: str | None = None,
         service_cache_bytes: int | None = None,
-        default_cache_bytes: int | None = None,
     ):
-        tenant_kwargs: dict[str, Any] = {"tenants_config": tenants_config}
-        if service_cache_bytes is not None:
-            tenant_kwargs["service_cache_bytes"] = service_cache_bytes
-        if default_cache_bytes is not None:
-            tenant_kwargs["default_cache_bytes"] = default_cache_bytes
-        self.caches = TenantCaches(**tenant_kwargs)
+        self.caches = TenantCaches(service_cache_bytes)
         self.metrics = ServiceMetrics()
         self.replay = ReplayLog(replay_path)
         self.queue = JobQueue(

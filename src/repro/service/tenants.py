@@ -1,4 +1,4 @@
-"""Per-tenant warm cache registry with budget slicing and eviction ladder.
+"""The warm cache registry: every tenant's stores in one recency order.
 
 The service's whole reason to stay resident is this module: one
 :class:`~repro.core.cache.EngineCacheStore` per (tenant, environment
@@ -14,21 +14,28 @@ over a byte-identical table (the data digest) evaluated under identical
 dropped columns / hierarchy specs / binning / budget (the store key,
 element 0 of :func:`repro.api.executor._environment_key`). The key leaves
 out the QI roles: one store serves every QI set of a table environment,
-since entries are keyed by their column sets (sorted QI names). An
-environment here, and so ``max_environments``, counts table environments.
+since entries are keyed by their column sets (sorted QI names).
 
-Budgets form a ladder, applied in order whenever a store is created:
+One budget rule covers every store:
 
-1. **slice** — a tenant's ``cache_bytes`` is divided equally across its
-   live environment stores (shrinks evict immediately via
-   :meth:`EngineCacheStore.resize`);
-2. **environment LRU** — a tenant over its ``max_environments`` drops its
-   least-recently-used environment store;
-3. **tenant LRU** — when the sum of live tenants' budgets exceeds the
-   global ``service_cache_bytes``, whole least-recently-used tenants are
-   evicted (never the one currently being served).
+* a store is created with its jobs' own ``cache_bytes`` (256 MiB when they
+  set none), capped at ``service_cache_bytes``, and keeps that budget for
+  life — a job's budget means the same here as in :func:`repro.api.run`;
+* all stores, whatever their tenant, share one least-recently-used order.
+  Each batch moves its stores to the recent end; then, while more than
+  :data:`MAX_STORES` stores are live or the live stores hold more than
+  ``service_cache_bytes``, the least recently used store outside the batch
+  is dropped. A batch's own stores never go.
 
-Recency is a monotone counter, not wall-clock time, so eviction order is
+So right after :meth:`TenantCaches.stores_for` the live stores hold at
+most ``service_cache_bytes`` and number at most :data:`MAX_STORES`, unless
+only the batch's own stores remain; while a batch runs, each of its stores
+holds at most its own budget (or one entry larger than it), and the next
+``stores_for`` trims the registry back. The store count needs its own bound because a store's
+budget counts only its entries, not the hierarchies, QI encodings and
+published columns it also pins.
+
+Recency is dict order, not wall-clock time, so eviction order is
 deterministic under test.
 """
 
@@ -41,81 +48,34 @@ from typing import Any, Mapping
 from ..core.cache import DEFAULT_CACHE_BYTES, EngineCacheStore, check_cache_bytes
 from ..errors import ConfigError
 
-__all__ = ["TenantCaches", "TenantPolicy"]
+__all__ = ["MAX_STORES", "TenantCaches"]
 
-#: A slice never shrinks below this — a store too small to hold one node's
-#: stats would thrash instead of warming.
-MIN_SLICE_BYTES = 1 << 20
-
-
-class TenantPolicy:
-    """Validated per-tenant knobs (from the ``--tenants-config`` JSON)."""
-
-    __slots__ = ("cache_bytes", "max_environments")
-
-    def __init__(self, cache_bytes: int, max_environments: int):
-        try:
-            self.cache_bytes = check_cache_bytes(cache_bytes)
-        except ValueError as exc:
-            raise ConfigError(f"tenant cache_bytes {exc}") from None
-        if int(max_environments) < 1:
-            raise ConfigError(
-                f"tenant max_environments must be >= 1, got {max_environments}"
-            )
-        self.max_environments = int(max_environments)
+#: Live stores past which the least recently used ones go: 4 tenants × 4
+#: table environments.
+MAX_STORES = 16
 
 
 class TenantCaches:
     """Registry of warm :class:`EngineCacheStore` objects, one per
-    (tenant, environment fingerprint).
+    (tenant, environment fingerprint), in one recency order.
 
-    Parameters
-    ----------
-    tenants_config:
-        mapping of tenant name -> ``{"cache_bytes": int, "max_environments":
-        int}`` (both optional per tenant). Unknown tenants get the defaults.
-    default_cache_bytes / default_max_environments:
-        policy for tenants absent from ``tenants_config``.
-    service_cache_bytes:
-        global cap on the sum of live tenants' budgets; exceeding it evicts
-        whole LRU tenants.
+    ``service_cache_bytes`` caps both each new store's budget and the bytes
+    the live stores hold together (None: 1 GiB).
     """
 
-    def __init__(
-        self,
-        tenants_config: Mapping[str, Any] | None = None,
-        default_cache_bytes: int = DEFAULT_CACHE_BYTES,
-        default_max_environments: int = 4,
-        service_cache_bytes: int = 4 * DEFAULT_CACHE_BYTES,
-    ):
-        self._default = TenantPolicy(default_cache_bytes, default_max_environments)
-        self._policies: dict[str, TenantPolicy] = {}
-        for tenant, spec in dict(tenants_config or {}).items():
-            if not isinstance(spec, dict):
-                raise ConfigError(f"tenant {tenant!r}: config must be an object")
-            unknown = set(spec) - {"cache_bytes", "max_environments"}
-            if unknown:
-                raise ConfigError(
-                    f"tenant {tenant!r}: unknown keys {sorted(unknown)}"
-                )
-            self._policies[tenant] = TenantPolicy(
-                spec.get("cache_bytes", default_cache_bytes),
-                spec.get("max_environments", default_max_environments),
-            )
+    def __init__(self, service_cache_bytes: int | None = None):
+        if service_cache_bytes is None:
+            service_cache_bytes = 4 * DEFAULT_CACHE_BYTES
         try:
             self.service_cache_bytes = check_cache_bytes(service_cache_bytes)
         except ValueError as exc:
             raise ConfigError(f"service_cache_bytes {exc}") from None
         self._lock = threading.Lock()
-        # tenant -> fingerprint -> store; dict order doubles as LRU order
-        # at both levels (touch = pop + re-insert), mirroring the store's
-        # own recency trick.
-        self._stores: dict[str, dict[str, EngineCacheStore]] = {}
-        self._clock = 0
-        self.counters = {"environments_evicted": 0, "tenants_evicted": 0}
-
-    def policy(self, tenant: str) -> TenantPolicy:
-        return self._policies.get(tenant, self._default)
+        # (tenant, fingerprint) -> store; dict order doubles as the LRU
+        # order (touch = pop + re-insert), coldest first, mirroring the
+        # store's own recency trick.
+        self._stores: dict[tuple[str, str], EngineCacheStore] = {}
+        self.counters = {"stores_evicted": 0}
 
     @staticmethod
     def fingerprint(data_digest: str, evaluator_key: str) -> str:
@@ -129,85 +89,51 @@ class TenantCaches:
         ).hexdigest()
 
     def stores_for(
-        self, tenant: str, data_digest: str, evaluator_keys: list[str]
+        self, tenant: str, data_digest: str, budgets: Mapping[str, int]
     ) -> dict[str, EngineCacheStore]:
         """The ``cache_stores`` mapping for one batch of a tenant's jobs.
 
-        ``evaluator_keys`` are the batch's distinct store keys. Returns
-        ``{evaluator_key: store}`` — keyed the way
-        :func:`repro.api.run_batch` expects — creating stores (and walking
-        the eviction ladder) for fingerprints not yet resident. Safe to
-        call concurrently; a tenant's own batch never evicts its sibling
-        environments mid-flight beyond what the ladder demands.
+        ``budgets`` maps the batch's distinct store keys to their jobs'
+        ``cache_bytes``. Returns ``{evaluator_key: store}`` — keyed the way
+        :func:`repro.api.run_batch` expects — creating the stores not yet
+        resident, then drops least recently used stores of other batches
+        past the registry's bounds. Safe to call concurrently.
         """
         with self._lock:
-            per_tenant = self._stores.pop(tenant, {})
-            self._stores[tenant] = per_tenant  # tenant LRU touch
-            policy = self.policy(tenant)
             out: dict[str, EngineCacheStore] = {}
-            for evaluator_key in evaluator_keys:
-                fp = self.fingerprint(data_digest, evaluator_key)
-                store = per_tenant.pop(fp, None)
+            for evaluator_key, cache_bytes in budgets.items():
+                key = (tenant, self.fingerprint(data_digest, evaluator_key))
+                store = self._stores.pop(key, None)
                 if store is None:
-                    store = EngineCacheStore(cache_bytes=policy.cache_bytes)
-                per_tenant[fp] = store  # environment LRU touch
-                out[evaluator_key] = store
-            # Ladder step 2: environment LRU within the tenant.
-            protected = {
-                self.fingerprint(data_digest, k) for k in evaluator_keys
-            }
-            while len(per_tenant) > policy.max_environments:
-                victim = next(
-                    (fp for fp in per_tenant if fp not in protected), None
-                )
-                if victim is None:
-                    break  # one batch legitimately spans > max_environments
-                del per_tenant[victim]
-                self.counters["environments_evicted"] += 1
-            # Ladder step 1: equal re-slice of the tenant budget.
-            slice_bytes = max(
-                policy.cache_bytes // max(len(per_tenant), 1), MIN_SLICE_BYTES
-            )
-            for store in per_tenant.values():
-                if store.cache_bytes != slice_bytes:
-                    store.resize(slice_bytes)
-            # Ladder step 3: global tenant LRU (never the tenant in hand).
-            while (
-                sum(self.policy(t).cache_bytes for t in self._stores if self._stores[t])
-                > self.service_cache_bytes
-                and len([t for t in self._stores if self._stores[t]]) > 1
-            ):
-                victim_tenant = next(
-                    (t for t in self._stores if t != tenant and self._stores[t]),
-                    None,
-                )
-                if victim_tenant is None:
+                    store = EngineCacheStore(
+                        cache_bytes=min(cache_bytes, self.service_cache_bytes)
+                    )
+                self._stores[key] = out[evaluator_key] = store
+            # The batch's stores sit at the recent end, so the others come
+            # first, coldest first.
+            held = [store.info()["bytes"] for store in self._stores.values()]
+            total = sum(held)
+            for size in held[: len(self._stores) - len(out)]:
+                if len(self._stores) <= MAX_STORES and total <= self.service_cache_bytes:
                     break
-                self._stores[victim_tenant] = {}
-                self.counters["tenants_evicted"] += 1
+                del self._stores[next(iter(self._stores))]
+                total -= size
+                self.counters["stores_evicted"] += 1
             return out
 
     def occupancy(self) -> dict[str, Any]:
-        """Per-tenant residency for ``/metrics``: budgets, live environments,
-        and each store's byte occupancy."""
+        """Residency for ``/metrics``: each live store's bytes, entries,
+        budget and counters, grouped by tenant, coldest first."""
         with self._lock:
-            tenants = {}
-            for tenant, per_tenant in self._stores.items():
-                if not per_tenant:
-                    continue
-                policy = self.policy(tenant)
-                tenants[tenant] = {
-                    "cache_bytes": policy.cache_bytes,
-                    "max_environments": policy.max_environments,
-                    "environments": {
-                        fp[:12]: {
-                            "bytes": (occ := store.occupancy())["bytes"],
-                            "entries": occ["entries"],
-                            "slice_bytes": store.cache_bytes,
-                            "counters": dict(store.counters),
-                        }
-                        for fp, store in per_tenant.items()
-                    },
+            tenants: dict[str, Any] = {}
+            for (tenant, fp), store in self._stores.items():
+                info = store.info()
+                slot = tenants.setdefault(tenant, {"environments": {}})
+                slot["environments"][fp[:12]] = {
+                    "bytes": info.pop("bytes"),
+                    "entries": info.pop("entries"),
+                    "cache_bytes": store.cache_bytes,
+                    "counters": info,
                 }
             return {
                 "service_cache_bytes": self.service_cache_bytes,

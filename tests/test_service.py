@@ -8,8 +8,10 @@ What must hold:
 * tenancy isolates: another tenant's job id is a 404, a tenant's second
   identical-environment batch is served warm (memo hits, no row rescans)
   while a different tenant's first batch stays cold;
-* budgets bind: tenant slices re-divide across environments, shrinks evict
-  immediately, the environment/tenant LRU ladders fire deterministically;
+* budgets bind: a job's ``cache_bytes`` budgets its store as in
+  :func:`repro.api.run`, every tenant's stores share one LRU order, and
+  past 16 stores or ``service_cache_bytes`` held, the least recently used
+  stores outside the batch go, deterministically;
 * a worker finishes a job completely before the job reads ``done``: the
   record then holds its frozen payload, its digest and CSV bytes rendered
   once per distinct release per tenant, and no release table;
@@ -43,7 +45,7 @@ import pytest
 import repro
 from repro.api import AnonymizationConfig, run, run_batch
 from repro.api.executor import _environment_key
-from repro.core.cache import EngineCacheStore
+from repro.core.cache import DEFAULT_CACHE_BYTES, EngineCacheStore
 from repro.core.table import Column, Table
 from repro.errors import ConfigError
 from repro.service import (
@@ -60,6 +62,7 @@ from repro.service import (
 from repro.service import server as service_server
 from repro.service.data import load_data_spec, release_csv_bytes, table_sha256
 from repro.service.metrics import LATENCY_BUCKETS, LatencyHistogram, ServiceMetrics
+from repro.service.tenants import MAX_STORES
 
 CSV_TEXT = (
     "zipcode,job,age,disease\n"
@@ -87,7 +90,7 @@ DATA = {
     "numeric": ["age"],
 }
 
-#: Same table, different QI roles — a second environment for ladder tests.
+#: Same table, different QI roles: another evaluator over JOB's store.
 JOB_OTHER_ENV = {**JOB, "quasi_identifiers": ["zipcode"]}
 
 
@@ -180,63 +183,238 @@ class TestDataSpec:
 
 
 # ---------------------------------------------------------------------------
-# tenant caches: slicing and the eviction ladder
+# tenant caches: one LRU over every tenant's stores
+
+
+def _env_config(n):
+    """JOB in table environment ``n``: its budget is part of the store key,
+    and never binds on DATA, so every environment's store holds as much."""
+    return AnonymizationConfig.from_dict({**JOB, "cache_bytes": (64 << 20) + n})
+
+
+def _env(config):
+    """The environment name ``/metrics`` lists a config's store under."""
+    return TenantCaches.fingerprint("digest", _environment_key(config)[0])[:12]
+
+
+def _op(caches, tenant, configs, table):
+    """One service batch: its stores from ``caches``, then ``run_batch``.
+
+    Returns the batch's stores (by store key), the results, and whether
+    any store computed stats from rows (a cold op).
+    """
+    budgets = {
+        _environment_key(config)[0]: config.cache_bytes or DEFAULT_CACHE_BYTES
+        for config in configs
+    }
+    stores = caches.stores_for(tenant, "digest", budgets)
+    before = {key: store.counters["from_rows"] for key, store in stores.items()}
+    results = run_batch(configs, table, cache_stores=stores)
+    cold = any(store.counters["from_rows"] > before[key]
+               for key, store in stores.items())
+    return stores, results, cold
+
+
+def _live(caches):
+    """(tenant, environment) of every live store, as ``/metrics`` lists
+    them: grouped by tenant, coldest first."""
+    return [(tenant, env)
+            for tenant, slot in caches.occupancy()["tenants"].items()
+            for env in slot["environments"]]
+
+
+def _held(caches):
+    return sum(env["bytes"]
+               for slot in caches.occupancy()["tenants"].values()
+               for env in slot["environments"].values())
+
+
+@pytest.fixture(scope="module")
+def table():
+    return load_data_spec(DATA)[0]
+
+
+@pytest.fixture(scope="module")
+def store_bytes(table):
+    """What one environment's store holds after one job on DATA."""
+    (store,) = _op(TenantCaches(), "x", [_env_config(0)], table)[0].values()
+    assert store.info()["bytes"] > 0
+    return store.info()["bytes"]
 
 
 class TestTenantCaches:
     def test_stores_keyed_by_data_and_evaluator(self):
         caches = TenantCaches()
-        first = caches.stores_for("a", "digest1", ["env1"])["env1"]
-        again = caches.stores_for("a", "digest1", ["env1"])["env1"]
+        budgets = {"env1": DEFAULT_CACHE_BYTES}
+        first = caches.stores_for("a", "digest1", budgets)["env1"]
+        again = caches.stores_for("a", "digest1", budgets)["env1"]
         assert again is first  # warm: same store object survives
-        other_data = caches.stores_for("a", "digest2", ["env1"])["env1"]
+        other_data = caches.stores_for("a", "digest2", budgets)["env1"]
         assert other_data is not first  # different table bytes: no reuse
-        other_tenant = caches.stores_for("b", "digest1", ["env1"])["env1"]
+        other_tenant = caches.stores_for("b", "digest1", budgets)["env1"]
         assert other_tenant is not first  # tenants never share stores
 
-    def test_budget_reslices_across_environments(self):
-        budget = 64 << 20
-        caches = TenantCaches({"a": {"cache_bytes": budget}})
-        store1 = caches.stores_for("a", "d", ["e1"])["e1"]
-        assert store1.cache_bytes == budget
-        caches.stores_for("a", "d", ["e2"])
-        assert store1.cache_bytes == budget // 2  # re-sliced on growth
-
-    def test_environment_lru_cap(self):
-        caches = TenantCaches({"a": {"max_environments": 2}})
-        caches.stores_for("a", "d", ["e1"])
-        caches.stores_for("a", "d", ["e2"])
-        caches.stores_for("a", "d", ["e3"])  # evicts e1
-        assert caches.counters["environments_evicted"] == 1
-        store = caches.stores_for("a", "d", ["e1"])["e1"]
-        assert store.cache_bytes  # recreated cold, not an error
-
-    def test_global_tenant_lru_eviction(self):
-        byte_budget = 8 << 20
-        caches = TenantCaches(
-            {t: {"cache_bytes": byte_budget} for t in "abc"},
-            service_cache_bytes=2 * byte_budget,
+    def test_store_budget_is_the_jobs_capped_at_the_service(self):
+        caches = TenantCaches(service_cache_bytes=1 << 20)
+        stores = caches.stores_for(
+            "a", "d", {"small": 65536, "default": DEFAULT_CACHE_BYTES}
         )
-        caches.stores_for("a", "d", ["e"])
-        caches.stores_for("b", "d", ["e"])
-        caches.stores_for("c", "d", ["e"])  # sum 3x budget: evict LRU ("a")
-        assert caches.counters["tenants_evicted"] == 1
-        occupancy = caches.occupancy()
-        assert set(occupancy["tenants"]) == {"b", "c"}
+        assert stores["small"].cache_bytes == 65536
+        assert stores["default"].cache_bytes == 1 << 20
+        with pytest.raises(ConfigError, match="service_cache_bytes"):
+            TenantCaches(service_cache_bytes=0)
 
-    def test_resize_evicts_immediately(self):
-        store = EngineCacheStore(cache_bytes=1 << 30)
-        table, _, _ = load_data_spec(DATA)
-        result = run(AnonymizationConfig.from_dict(JOB), table)
-        # seed entries through a real evaluator sharing the store
-        config = AnonymizationConfig.from_dict(JOB)
-        run_batch([config], table,
-                  cache_stores={_environment_key(config)[0]: store})
-        assert store.occupancy()["entries"] > 1
-        evicted = store.resize(1 << 20)
-        assert evicted >= 0 and store.cache_bytes == 1 << 20
-        assert store.occupancy()["entries"] >= 1
-        assert result is not None
+    def test_recency_is_shared_across_tenants(self, table):
+        caches = TenantCaches()
+        config = _env_config(0)
+        for i in range(MAX_STORES):
+            _op(caches, f"t{i}", [config], table)
+        # t0's warm op makes t1's store the least recently used of all.
+        assert _op(caches, "t0", [config], table)[2] is False
+        _op(caches, f"t{MAX_STORES}", [config], table)
+        assert caches.counters["stores_evicted"] == 1
+        assert [tenant for tenant, _ in _live(caches)] == (
+            [f"t{i}" for i in range(2, MAX_STORES)] + ["t0", f"t{MAX_STORES}"]
+        )
+
+    def test_past_max_stores_exactly_the_least_recent_others_go(self, table):
+        caches = TenantCaches()
+        for n in range(MAX_STORES - 2):
+            _op(caches, "a", [_env_config(n)], table)
+        # One batch over four environments makes 18 stores: the two least
+        # recently used go, and none of the batch's own.
+        batch = [_env_config(n) for n in range(100, 104)]
+        _op(caches, "b", batch, table)
+        assert caches.counters["stores_evicted"] == 2
+        assert _live(caches) == (
+            [("a", _env(_env_config(n))) for n in range(2, MAX_STORES - 2)]
+            + [("b", _env(config)) for config in batch]
+        )
+
+    def test_byte_cap_drops_least_recent_others_until_the_rest_fit(
+        self, table, store_bytes
+    ):
+        caches = TenantCaches(service_cache_bytes=store_bytes * 5 // 2)
+        _op(caches, "a", [_env_config(0)], table)
+        _op(caches, "b", [_env_config(0)], table)
+        # c's two new stores start empty, so they fit; once its batch has
+        # run, the four stores hold four stores' bytes.
+        _op(caches, "c", [_env_config(0), _env_config(1)], table)
+        assert _held(caches) == 4 * store_bytes
+        caches.stores_for("d", "digest", {"env": DEFAULT_CACHE_BYTES})
+        # a and b, the least recently used, go; then the rest fit.
+        assert caches.counters["stores_evicted"] == 2
+        assert [tenant for tenant, _ in _live(caches)] == ["c", "c", "d"]
+        assert _held(caches) == 2 * store_bytes <= caches.service_cache_bytes
+
+    def test_a_batchs_own_stores_never_go(self, table, store_bytes):
+        caches = TenantCaches(service_cache_bytes=2 * store_bytes)
+        batch = [_env_config(n) for n in range(MAX_STORES + 1)]
+        stores = _op(caches, "a", batch, table)[0]
+        assert _held(caches) == (MAX_STORES + 1) * store_bytes
+        # The same batch again: over both bounds, but every store is its
+        # own, so all 17 stay and serve it warm.
+        again, _, cold = _op(caches, "a", batch, table)
+        assert cold is False and caches.counters["stores_evicted"] == 0
+        assert all(again[key] is store for key, store in stores.items())
+        # Another tenant's batch drops the least recently used until the
+        # rest fit.
+        _op(caches, "b", batch[:1], table)
+        assert caches.counters["stores_evicted"] == MAX_STORES - 1
+        assert _live(caches) == [
+            ("a", _env(batch[-2])), ("a", _env(batch[-1])), ("b", _env(batch[0]))
+        ]
+
+    def test_a_dropped_store_comes_back_cold(self, table):
+        caches = TenantCaches(service_cache_bytes=1)
+        config = _env_config(0)
+        first, _, cold = _op(caches, "a", [config], table)
+        assert cold is True
+        _op(caches, "b", [config], table)  # drops a's store
+        assert caches.counters["stores_evicted"] == 1
+        second, _, cold = _op(caches, "a", [config], table)
+        assert cold is True
+        ((key, store),) = first.items()
+        assert second[key] is not store
+        assert second[key].counters == store.counters
+
+    def test_releases_identical_at_one_byte(self, table):
+        caches = TenantCaches(service_cache_bytes=1)
+        configs = [
+            _env_config(0),
+            AnonymizationConfig.from_dict({**JOB_OTHER_ENV, "bins": 4}),
+            AnonymizationConfig.from_dict(
+                {**JOB, "algorithm": {"algorithm": "mondrian", "mode": "relaxed"}}
+            ),
+        ]
+        direct = [release_csv_bytes(run(config, table).release.table)
+                  for config in configs]
+        for tenant in ("a", "b", "a", "c", "b"):
+            results = _op(caches, tenant, configs, table)[1]
+            assert [release_csv_bytes(r.release.table) for r in results] == direct
+        assert caches.counters["stores_evicted"] > 0
+
+    def test_bound_holds_after_each_stores_for(self, table, store_bytes):
+        caches = TenantCaches(service_cache_bytes=5 * store_bytes)
+        for step in range(40):
+            batch = [_env_config((step * 5 + i) % 11) for i in range(1 + step % 3)]
+            budgets = {_environment_key(c)[0]: c.cache_bytes for c in batch}
+            stores = caches.stores_for(f"t{step % 7}", "digest", budgets)
+            live = len(_live(caches))
+            if live > len(stores):  # others' stores remain
+                assert live <= MAX_STORES
+                assert _held(caches) <= caches.service_cache_bytes
+            run_batch(batch, table, cache_stores=stores)
+            for store in stores.values():
+                info = store.info()
+                assert info["bytes"] <= store.cache_bytes or info["entries"] == 1
+        assert caches.counters["stores_evicted"] > 0
+
+    def test_concurrent_batches_lose_no_store(self):
+        # Every store handed out is either live or counted as evicted once.
+        caches = TenantCaches()
+        seen = []  # every store handed out, kept alive so ids stay unique
+        seen_lock = threading.Lock()
+
+        def worker(w):
+            rng = np.random.default_rng(w)
+            for _ in range(300):
+                keys = {f"env{n}": DEFAULT_CACHE_BYTES
+                        for n in rng.integers(0, 4, 1 + w % 3)}
+                stores = caches.stores_for(f"t{rng.integers(0, 8)}", "d", keys)
+                with seen_lock:
+                    seen.extend(stores.values())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(w,)) for w in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        created = len({id(store) for store in seen})
+        live = len(_live(caches))
+        assert live <= MAX_STORES
+        assert created - live == caches.counters["stores_evicted"] > 0
+
+    def test_eight_tenants_with_one_environment_each_stay_warm(self, table):
+        caches = TenantCaches()
+        config = _env_config(0)
+        cold = [_op(caches, f"t{i}", [config], table)[2]
+                for _ in range(3) for i in range(8)]
+        assert sum(cold) == 8
+        assert caches.counters["stores_evicted"] == 0
+
+    def test_one_tenant_with_six_environments_stays_warm(self, table):
+        caches = TenantCaches()
+        cold = [_op(caches, "a", [_env_config(n)], table)[2]
+                for _ in range(3) for n in range(6)]
+        assert sum(cold) == 6
+        assert caches.counters["stores_evicted"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +515,36 @@ class TestService:
         _wait(service, other["job_id"])
         occupancy = service.caches.occupancy()
         (rival_env,) = occupancy["tenants"]["rival"]["environments"].values()
-        assert rival_env["counters"]["from_rows"] >= 1
-        assert rival_env["counters"]["hits"] == 0 or (
-            rival_env["counters"]["from_rows"] >= 1
-        )
+        assert rival_env["counters"] == cold_counters
+        _, digest, _ = load_data_spec(DATA)
+        key = _environment_key(AnonymizationConfig.from_dict(JOB))[0]
+        budgets = {key: DEFAULT_CACHE_BYTES}
+        assert (service.caches.stores_for("rival", digest, budgets)[key]
+                is not service.caches.stores_for("acme", digest, budgets)[key])
+
+    def test_a_jobs_cache_bytes_binds_as_in_run(self, service):
+        rng = np.random.default_rng(5)
+        jobs = ["engineer", "teacher", "nurse", "clerk", "baker", "cook"]
+        diseases = ["flu", "hiv", "ulcer", "cancer", "asthma"]
+        rows = zip(rng.integers(0, 40, 2000), rng.integers(0, 6, 2000),
+                   rng.integers(18, 80, 2000), rng.integers(0, 5, 2000))
+        data = {**DATA, "csv": "zipcode,job,age,disease\n" + "".join(
+            f"{13000 + z},{jobs[j]},{age},{diseases[d]}\n"
+            for z, j, age, d in rows
+        )}
+        job = {**JOB, "cache_bytes": 65536}
+        out = service.submit_job("acme", {"config": job, "data": data})
+        record = _wait(service, out["job_id"])
+        occupancy = service.caches.occupancy()
+        (env,) = occupancy["tenants"]["acme"]["environments"].values()
+        assert env["cache_bytes"] == 65536
+        # The same budget evicts the same entries as run() does.
+        table, _, _ = load_data_spec(data)
+        direct = run(AnonymizationConfig.from_dict(job), table)
+        assert record.payload["engine_cache"] == direct.to_dict()["engine_cache"]
+        assert direct.engine.cache_info()["evictions"] > 0
+        assert (service.release_bytes("acme", out["job_id"])
+                == release_csv_bytes(direct.release.table))
 
     def test_failed_job_is_collected_not_fatal(self, service):
         infeasible = {**JOB, "models": [{"model": "k-anonymity", "k": 10**9}]}
@@ -903,15 +1107,23 @@ class TestServeCLI:
         assert args.port == 8035 and args.queue_workers == 2
 
     @pytest.mark.parametrize(
+        "flag", ["--tenants-config", "--default-cache-bytes"]
+    )
+    def test_removed_tenant_flags_exit_2(self, flag, capsys):
+        from repro.cli import build_serve_parser
+        with pytest.raises(SystemExit) as excinfo:
+            build_serve_parser().parse_args([flag, "1"])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"]
     )
-    def test_serve_subprocess_round_trip(self, tmp_path, signum):
-        tenants = tmp_path / "tenants.json"
-        tenants.write_text(json.dumps({"acme": {"cache_bytes": 64 << 20}}))
+    def test_serve_subprocess_round_trip(self, signum):
         env = {**os.environ, "PYTHONPATH": "src"}
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--port", "0",
-             "--queue-workers", "1", "--tenants-config", str(tenants)],
+             "--queue-workers", "1", "--service-cache-bytes", str(64 << 20)],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
             env=env, cwd=Path(__file__).resolve().parent.parent,
         )
