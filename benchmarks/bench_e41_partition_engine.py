@@ -1,14 +1,12 @@
 """E41 — Local-recoding throughput on the partition engine, with a golden release.
 
-The local-recoding family (Mondrian, TopDownSpecialization, MDAV,
-k-member) runs on the partition engine: per-group row indices,
-flattened-bincount histograms, and incremental split deltas (child
-histogram = parent − sibling). Mondrian's range-scored modes additionally
-split a whole tree level at once: per level, each QI's spans, medians and
-cut sizes for every group come from one sort of (group, code) keys, child
-sensitive histograms from one bincount per side, every model's verdicts
-from one ``ok_mask`` call per QI and side, and the chosen cuts of all
-groups are applied by one stable sort that lays out the next level.
+Mondrian runs on the partition engine and splits a whole tree level at
+once, range- or InfoGain-scored: per level, each QI's spans, medians and
+cut sizes for every group come from one sort of (group, code) keys, left
+children's sensitive histograms from one bincount and right children's as
+parent − left, every model's verdicts from one ``ok_mask`` call per QI and
+side, and the chosen cuts of all groups are applied by one stable sort
+that lays out the next level.
 
 The gate run is relaxed Mondrian under k=10 + distinct 3-diversity +
 0.35-t-closeness on a 100k-row Adult-schema table (seed 42). It is timed
@@ -26,8 +24,8 @@ gated on:
 2. **verified** — :func:`repro.verify.violations`, the naive verifier that
    shares no code with the engines, finds no class of the release breaking
    ``SPECS`` (``verify_seconds`` records its cost);
-3. **delta histograms** — child histograms are derived as parent − sibling
-   (``histogram_splits > 0``).
+3. **delta histograms** — right children's histograms are derived as
+   parent − left (``histogram_splits > 0``).
 
 Results are recorded to ``BENCH_E41.json`` via the shared writer.
 Runnable standalone (``python benchmarks/bench_e41_partition_engine.py``,

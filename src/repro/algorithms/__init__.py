@@ -2,20 +2,21 @@
 
 Two execution substrates back the family:
 
-* The **lattice** algorithms (Datafly, Incognito, OLA, Flash, and
-  BottomUpGeneralization in ``bug.py``) enumerate full-domain
+* The **full-domain** searches (Datafly, Incognito, OLA, Flash,
+  BottomUpGeneralization in ``bug.py`` and TopDownSpecialization) evaluate
   generalization nodes through :class:`~repro.core.engine.LatticeEvaluator`
   and its ``GroupStats`` cache.
-* The **local-recoding** algorithms (Mondrian, TopDownSpecialization,
-  MDAVMicroaggregation, KMemberClustering, Anatomy, Slicing) refine explicit
-  row partitions; those with per-candidate feasibility checks run on
-  :class:`~repro.core.partition_engine.PartitionEngine`, the rest share its
-  flattened grouped-histogram kernel.
+* The **local-recoding** algorithms (Mondrian, MDAVMicroaggregation,
+  KMemberClustering, Anatomy, Slicing) publish explicit row partitions;
+  Mondrian checks its candidate cuts on
+  :class:`~repro.core.partition_engine.PartitionEngine`, and MDAV and
+  Anatomy share its flattened grouped-histogram kernel.
 
-BottomUpGeneralization walks generalization *nodes* bottom-up (no per-row
-partition to refine incrementally), so it scores its candidates on a private
-``LatticeEvaluator`` like Datafly. It is registered in
-``repro.api.registry`` as ``"bottom-up"`` like the rest of the family.
+BottomUpGeneralization walks generalization nodes bottom-up and
+TopDownSpecialization top-down, each one single-attribute step at a time,
+so they score their candidates on a private ``LatticeEvaluator`` like
+Datafly. Both are registered in ``repro.api.registry`` (``"bottom-up"``,
+``"tds"``) like the rest of the family.
 """
 
 from .._lazy import attach

@@ -98,7 +98,7 @@ class Flash:
         candidate = evaluator.materialize(best, qi_names, table=original)
 
         suppressed, kept = 0, None
-        if not evaluator.check(best, models):  # pragma: no cover - safety
+        if not evaluator.check(best, models):
             candidate, kept, suppressed = suppress_rows(
                 candidate, evaluator.failing_rows(best, models), self.max_suppression
             )

@@ -53,13 +53,11 @@ class Incognito:
         score: Callable[[Table, Node], float] | None = None,
         use_subset_pruning: bool = True,
         use_predictive_tagging: bool = True,
-        preseed_subsets: bool = True,
     ):
         self.max_suppression = float(max_suppression)
         self.score = score
         self.use_subset_pruning = use_subset_pruning
         self.use_predictive_tagging = use_predictive_tagging
-        self.preseed_subsets = preseed_subsets
         self.name = "incognito"
         self.stats: dict = {}
 
@@ -86,7 +84,7 @@ class Incognito:
         candidate = evaluator.materialize(best, qi_names, table=original)
 
         suppressed, kept = 0, None
-        if not evaluator.check(best, models):  # pragma: no cover - safety
+        if not evaluator.check(best, models):
             candidate, kept, suppressed = suppress_rows(
                 candidate, evaluator.failing_rows(best, models), self.max_suppression
             )
@@ -121,6 +119,7 @@ class Incognito:
             "lattice_size": lattice.size,
             "tagged_without_check": 0,
             "pruned_by_subsets": 0,
+            "preseeded_subsets": 0,
         }
 
         # satisfying_by_subset[frozenset of names] = set of satisfying nodes
@@ -128,27 +127,22 @@ class Incognito:
         satisfying_by_subset: dict[frozenset, set[Node]] = {}
 
         names_sorted = sorted(qi_names)
-        if self.preseed_subsets:
-            # Deterministic cache fill: a subset's bottom node has no
-            # strictly-more-specific neighbour, so it is always an
-            # O(n_rows) from-rows computation — and *which* nodes end up
-            # from-rows is exactly what used to depend on how parallel
-            # batch jobs interleaved their searches (racing workers saw
-            # emptier caches, computed more nodes from rows, rolled up
-            # fewer). Each subset's bottom is seeded right before its
-            # search below, so every job — whatever worker it runs on —
-            # has the bottom cached before requesting any other node of
-            # that subset, and `cache_info()` shows the same
-            # from_rows/rollups split at any worker count. Seeding lazily
-            # (not all 2^n bottoms up front) keeps an infeasible or
-            # heavily-pruned search from paying for subsets it never
-            # reaches.
-            self.stats["preseeded_subsets"] = 0
+        # Deterministic cache fill: a subset's bottom node has no
+        # strictly-more-specific neighbour, so it is always an O(n_rows)
+        # from-rows computation — and *which* nodes end up from-rows is
+        # exactly what used to depend on how parallel batch jobs interleaved
+        # their searches (racing workers saw emptier caches, computed more
+        # nodes from rows, rolled up fewer). Each subset's bottom is seeded
+        # right before its search below, so every job — whatever worker it
+        # runs on — has the bottom cached before requesting any other node
+        # of that subset, and `cache_info()` shows the same from_rows/rollups
+        # split at any worker count. Seeding lazily (not all 2^n bottoms up
+        # front) keeps an infeasible or heavily-pruned search from paying
+        # for subsets it never reaches.
         for size in range(1, len(names_sorted) + 1):
             for subset in combinations(names_sorted, size):
-                if self.preseed_subsets:
-                    evaluator.n_groups((0,) * size, names=subset)
-                    self.stats["preseeded_subsets"] += 1
+                evaluator.n_groups((0,) * size, names=subset)
+                self.stats["preseeded_subsets"] += 1
                 sub_lattice = lattice.project(subset)
                 satisfying = self._search_subset(
                     evaluator, subset, sub_lattice, models,

@@ -18,19 +18,16 @@ Numeric QIs split on the value median; categorical QIs split on the ordered
 category-code median (a standard, hierarchy-free treatment; the hierarchy is
 still used to label the recoded regions).
 
-Partitioning runs on :class:`~repro.core.partition_engine.PartitionEngine`:
-feasibility checks call each privacy model's ``ok_mask`` with sensitive
-histograms derived incrementally (child = parent − sibling), the median and
-the parent label entropy are computed once per node, and the relaxed
-median-balancing assignment is closed-form vectorized. Range-scored runs
-(``target=None``) split a whole tree level at once over packed arrays: each
-QI's spans, medians and cut sizes for every group of a tree level come from
+Partitioning runs on :class:`~repro.core.partition_engine.PartitionEngine`'s
+table-wide caches and splits a whole tree level at once over packed arrays:
+each QI's spans, medians and cut sizes for every group of a level come from
 one sort of that level's (group, code) keys, every model's verdicts from
 one ``ok_mask`` call per QI and side, and the chosen cuts of all groups are
 applied and laid out for the next level by one stable sort, so the work per
 level is a fixed number of array operations whatever its group count.
-Leaves are re-emitted in DFS stack order; InfoGain runs stay on the
-per-node DFS. Cache counters ride in ``release.info["partition_cache"]``.
+InfoGain runs (``target`` set) score each group's cut from the level's
+label histograms, one scalar entropy per group and side. Cache counters
+ride in ``release.info["partition_cache"]``.
 """
 
 from __future__ import annotations
@@ -43,7 +40,6 @@ import numpy as np
 from ..core.generalize import HierarchyLike, apply_partition_recoding
 from ..core.partition_engine import (
     PartitionEngine,
-    PartitionGroup,
     PartitionStats,
     grouped_bounds,
     grouped_histograms,
@@ -196,7 +192,8 @@ def _strict_left_mask(codes: np.ndarray, gid: np.ndarray, boundary: np.ndarray) 
 
 def _relaxed_left_mask(codes, gid, starts, idx_lt, idx_le, diff, head) -> np.ndarray:
     """Rows sent left by the relaxed cut: every row below the median, plus
-    the median-valued rows :meth:`Mondrian._cut_positions` assigns left."""
+    the median-valued rows that, taken in group row order, each join the
+    smaller half (the left one on a tie)."""
     less_mask = codes < idx_lt[gid]
     eq_mask = ~less_mask & (codes < idx_le[gid])
     # Rank of each median-valued row among its group's median block (group
@@ -282,56 +279,35 @@ class Mondrian:
         root = engine.root()
         if not engine.check([root], models):
             raise InfeasibleError(_INFEASIBLE_MSG)
-
-        if self.target is None:
-            leaves = self._partition_frontier(
-                engine, root, qi_names, views, spans, models
-            )
-        else:
-            # InfoGain scoring needs per-candidate label entropies whose
-            # float summation order the level-batched layer cannot
-            # reproduce bit-for-bit; it stays on the per-node DFS.
-            leaves = self._partition_dfs(engine, root, qi_names, views, spans, models)
+        leaves = self._partition_frontier(engine, root, qi_names, views, spans, models)
         return leaves, engine.cache_info()
 
-    def _partition_dfs(self, engine, root, qi_names, views, spans, models):
-        leaves: list[np.ndarray] = []
-        stack = [root]
-        while stack:
-            group = stack.pop()
-            split = self._best_split(engine, group, qi_names, views, spans, models)
-            if split is None:
-                leaves.append(np.sort(group.rows))
-            else:
-                stack.extend(split)
-        return leaves
-
     def _partition_frontier(self, engine, root, qi_names, views, spans, models):
-        """Level-synchronous vectorized driver for range-scored Mondrian.
+        """Level-synchronous vectorized Mondrian.
 
         A frontier level (every group of one tree depth with at least two
         rows) is packed arrays: ``rows`` holds each group's rows
-        contiguously in algorithm order, beside per-group ``sizes`` and
-        node ids. Each QI's order statistics come from one sort of
-        ``gid * n_values + code`` over the level: a group's codes form a
-        sorted run, whose ends give the span score, whose middle entries
-        give the median, and where ``searchsorted`` finds the cut sizes.
-        Every model's ``ok_mask`` then runs once per QI on the left and
-        on the right children of all groups. Each group takes its first
-        feasible QI in ``sorted((score, name), reverse=True)`` order, and
-        the whole level is cut with the closed-form left masks and laid
-        out for the next level by one stable sort on (child,
-        median-valued), which reproduces :meth:`_cut_positions`' child
-        row order. A group that does not split is a leaf; leaves are
-        finally re-emitted in DFS stack order, so the frontier and the
-        per-node DFS return the same leaf list.
+        contiguously in algorithm order, beside per-group ``sizes``. Each
+        QI's order statistics come from one sort of ``gid * n_values +
+        code`` over the level: a group's codes form a sorted run, whose ends
+        give the span score, whose middle entries give the median, and where
+        ``searchsorted`` finds the cut sizes. An InfoGain run scores each
+        group's strict median cut (<= median, else < median) instead, from
+        the level's parent and left-child label histograms. Every model's
+        ``ok_mask`` then runs once per QI on the left and on the right
+        children of all groups. Each group takes its first feasible QI in
+        ``sorted((score, name), reverse=True)`` order, and the whole level
+        is cut with the closed-form left masks and laid out for the next
+        level by one stable sort on (child, median-valued): each child keeps
+        its parent's row order, with relaxed mode's median-valued rows after
+        the rest. A group that does not split is a leaf, its rows sorted.
         """
         if root.size < 2:
-            return [np.sort(root.rows)]
+            return [root.rows]
         n_qis, n_rows = len(qi_names), root.size
         # Value-space encodings: sorted distinct values per QI plus per-row
         # codes into them, so medians/spans/cut counts are exact in the same
-        # float64 value space the per-node path compares in.
+        # float64 value space as np.median over the group's values.
         enc_vals: list[np.ndarray] = []
         all_codes = np.empty((n_qis, n_rows), dtype=np.int64)
         for qi, name in enumerate(qi_names):
@@ -342,19 +318,16 @@ class Mondrian:
         by_name = sorted(range(n_qis), key=qi_names.__getitem__)
         relaxed = self.mode == "relaxed"
 
-        # Node ids: the root is 0, and a split's two children take the next
-        # two free ids, left first.
-        leaf_rows: dict[int, np.ndarray] = {}
-        first_child: dict[int, int] = {}
+        leaves: list[np.ndarray] = []
         rows = root.rows
         sizes = np.array([root.size], dtype=np.int64)
-        ids = np.zeros(1, dtype=np.int64)
-        n_nodes = 1
         while sizes.size:
             n_groups = sizes.size
             starts = np.cumsum(sizes) - sizes
             gid = np.repeat(np.arange(n_groups, dtype=np.int64), sizes)
             level = _Level(engine, rows, gid, n_groups)
+            if self.target is not None:
+                parent_entropy = [_hist_entropy(hist) for hist in level.histogram(self.target)]
 
             scores = np.empty((n_qis, n_groups))
             feasible = np.empty((n_qis, n_groups), dtype=bool)
@@ -365,9 +338,6 @@ class Mondrian:
                 codes_lvl = all_codes[qi][rows]
                 base = np.arange(n_groups, dtype=np.int64) * vals.size
                 runs = np.sort(base[gid] + codes_lvl)
-                first = runs[starts] - base
-                last = runs[starts + sizes - 1] - base
-                scores[qi] = (vals[last] - vals[first]) / spans[name]
 
                 # Median = mean of the two middle order statistics, exactly
                 # as np.median computes it on the gathered float64 values.
@@ -381,14 +351,18 @@ class Mondrian:
                 n_le = np.searchsorted(runs, base + idx_le) - starts
                 n_eq = n_le - n_lt
 
-                if not relaxed:
+                # The strict cut (<= median, else < median) cuts strict runs
+                # and is the one InfoGain scores, in either mode.
+                if not relaxed or self.target is not None:
                     ok_le = (n_le > 0) & (n_le < sizes)
                     ok_lt = (n_lt > 0) & (n_lt < sizes)
-                    degenerate = ~ok_le & ~ok_lt
+                    strict_degenerate = ~ok_le & ~ok_lt
                     boundary = np.where(ok_le, idx_le, idx_lt)
-                    left_sizes = np.where(ok_le, n_le, n_lt)
+                    strict = _Cut(level, partial(_strict_left_mask, codes_lvl, gid, boundary))
+                    strict_sizes = np.where(ok_le, n_le, n_lt)
+                if not relaxed:
+                    cut, left_sizes, degenerate = strict, strict_sizes, strict_degenerate
                     params[qi] = boundary
-                    left_mask = partial(_strict_left_mask, codes_lvl, gid, boundary)
                 else:
                     diff = n_lt - (sizes - n_le)
                     head_bal = np.minimum(n_eq, 1 - diff)
@@ -400,11 +374,20 @@ class Mondrian:
                     degenerate = (left_sizes == 0) | (left_sizes == sizes)
                     head = np.where(diff <= 0, head_bal, head_skip)
                     params[qi] = (idx_lt, idx_le, diff, head)
-                    left_mask = partial(
+                    cut = _Cut(level, partial(
                         _relaxed_left_mask, codes_lvl, gid, starts, idx_lt, idx_le, diff, head
+                    ))
+
+                if self.target is None:
+                    first = runs[starts] - base
+                    last = runs[starts + sizes - 1] - base
+                    scores[qi] = (vals[last] - vals[first]) / spans[name]
+                else:
+                    scores[qi] = _info_gains(
+                        parent_entropy, *strict.histograms(self.target),
+                        strict_sizes, sizes, strict_degenerate,
                     )
 
-                cut = _Cut(level, left_mask)
                 sides = (_CutSide(cut, 0, left_sizes), _CutSide(cut, 1, sizes - left_sizes))
                 verdict = ~degenerate
                 for model in models:
@@ -428,10 +411,7 @@ class Mondrian:
                 in_leaf = stay[gid]
                 kept_rows = _pair_sort(gid[in_leaf], rows[in_leaf], n_rows)
                 ends = np.cumsum(sizes[stay]).tolist()
-                leaf_rows.update(zip(
-                    ids[stay].tolist(),
-                    (kept_rows[a:b] for a, b in zip([0, *ends], ends)),
-                ))
+                leaves += [kept_rows[a:b] for a, b in zip([0, *ends], ends)]
             n_split = int(split.sum())
             if not n_split:
                 break
@@ -457,151 +437,28 @@ class Mondrian:
             rows = rows[_pair_sort(key, np.arange(rows.size), rows.size)]
             sizes = np.bincount(child, minlength=2 * n_split)
 
-            first_child.update(zip(ids[split].tolist(), range(n_nodes, n_nodes + 2 * n_split, 2)))
-            ids = n_nodes + np.arange(2 * n_split, dtype=np.int64)
-            n_nodes += 2 * n_split
-
             single = sizes < 2
             if single.any():
                 lone = np.repeat(single, sizes)
-                leaf_rows.update(zip(ids[single].tolist(), rows[lone].reshape(-1, 1)))
-                rows, sizes, ids = rows[~lone], sizes[~single], ids[~single]
-
-        # Re-emit leaves in the exact order a DFS stack produces them. The
-        # release does not depend on leaf order (recoded categories are
-        # sorted labels), but test_frontier_and_dfs_drivers_cut_identical_leaves
-        # compares the two drivers leaf by leaf.
-        leaves: list[np.ndarray] = []
-        stack = [0]
-        while stack:
-            node = stack.pop()
-            child = first_child.get(node)
-            if child is None:
-                leaves.append(leaf_rows[node])
-            else:
-                stack += (child, child + 1)
+                leaves += list(rows[lone].reshape(-1, 1))
+                rows, sizes = rows[~lone], sizes[~single]
         return leaves
-
-    def _best_split(
-        self,
-        engine: PartitionEngine,
-        group: PartitionGroup,
-        qi_names: Sequence[str],
-        views: Mapping[str, np.ndarray],
-        spans: Mapping[str, float],
-        models: Sequence[PrivacyModel],
-    ) -> tuple[PartitionGroup, PartitionGroup] | None:
-        """Try QIs in priority order; first feasible cut wins.
-
-        Priority: normalized range (classic), or label information gain of
-        the median cut (InfoGain variant when ``target`` is set). Medians
-        and the parent label entropy are computed once per node, child
-        label histograms are derived by subtraction, and feasibility goes
-        through every model's ``ok_mask``.
-        """
-        if group.size < 2:
-            return None
-        rows = group.rows
-        scores = []
-        medians: dict[str, float] = {}
-        values_of: dict[str, np.ndarray] = {}
-        if self.target is not None:
-            labels = group.codes(self.target)
-            parent_hist = group.histogram(self.target)
-            parent_entropy = _hist_entropy(parent_hist)
-        for name in qi_names:
-            values = views[name][rows]
-            values_of[name] = values
-            if self.target is None:
-                scores.append((float(values.max() - values.min()) / spans[name], name))
-            else:
-                median = float(np.median(values))
-                medians[name] = median
-                scores.append((
-                    _cut_gain_from_hist(values, median, labels, parent_hist, parent_entropy),
-                    name,
-                ))
-        for _, name in sorted(scores, reverse=True):
-            median = medians.get(name)
-            if median is None:
-                median = float(np.median(values_of[name]))
-            positions = self._cut_positions(values_of[name], median)
-            if positions is None:
-                continue
-            left, right = engine.split(group, positions[0], positions[1])
-            if engine.check((left, right), models):
-                return left, right
-        return None
-
-    def _cut_positions(
-        self, values: np.ndarray, median: float
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Median-cut positions (into ``values``); None if degenerate.
-
-        The relaxed-mode balancing historically appended median-valued rows
-        one at a time to whichever half was smaller; the side each row lands
-        on depends only on the running size difference, so the same
-        assignment is produced closed-form: with ``diff = n_less - n_more``,
-        the first ``|diff|+…`` equal rows top up the smaller half until the
-        halves differ by one, then sides strictly alternate.
-        """
-        if self.mode == "strict":
-            left_mask = values <= median
-            # All median-valued records stay left; degenerate if one side empty.
-            if left_mask.all() or not left_mask.any():
-                # Try strictly-less cut for heavily repeated medians.
-                left_mask = values < median
-                if left_mask.all() or not left_mask.any():
-                    return None
-            return np.flatnonzero(left_mask), np.flatnonzero(~left_mask)
-        less = values < median
-        more = values > median
-        equal = ~less & ~more
-        n_eq = int(equal.sum())
-        diff = int(less.sum()) - int(more.sum())
-        go_left = np.zeros(n_eq, dtype=bool)
-        if diff <= 0:
-            head = min(n_eq, 1 - diff)
-            go_left[:head] = True
-            go_left[head:] = (np.arange(n_eq - head) % 2) == 1
-        else:
-            head = min(n_eq, diff)
-            go_left[head:] = (np.arange(n_eq - head) % 2) == 0
-        equal_positions = np.flatnonzero(equal)
-        left = np.concatenate([np.flatnonzero(less), equal_positions[go_left]])
-        right = np.concatenate([np.flatnonzero(more), equal_positions[~go_left]])
-        if not left.size or not right.size:
-            return None
-        return left, right
 
     def __repr__(self) -> str:
         return f"Mondrian(mode={self.mode!r})"
 
 
-def _cut_gain_from_hist(
-    values: np.ndarray,
-    median: float,
-    labels: np.ndarray,
-    parent_hist: np.ndarray,
-    parent_entropy: float,
-) -> float:
-    """InfoGain score of the median cut, from the node's cached label counts.
+def _info_gains(parent_entropy, left, right, n_left, sizes, degenerate) -> np.ndarray:
+    """Each group's InfoGain H(parent) - (n_l H(left) + n_r H(right)) / n.
 
-    The right half's histogram is the parent's minus the left's — no second
-    bincount — and the parent entropy arrives precomputed once per node.
-    Trailing zero bins in the histograms do not change the entropy, which
-    filters them out.
+    ``left`` and ``right`` are the level's (groups x labels) child label
+    histograms; a degenerate cut scores -inf. Each entropy is the scalar
+    :func:`_hist_entropy` of one group's row, weighted with Python ints, so
+    every float sum adds in the order of scoring that group alone.
     """
-    left_mask = values <= median
-    if left_mask.all() or not left_mask.any():
-        left_mask = values < median
-        if left_mask.all() or not left_mask.any():
-            return -np.inf
-    n = labels.shape[0]
-    n_left = int(left_mask.sum())
-    left_hist = np.bincount(labels[left_mask], minlength=parent_hist.shape[0])
-    right_hist = parent_hist - left_hist
-    children = (
-        n_left * _hist_entropy(left_hist) + (n - n_left) * _hist_entropy(right_hist)
-    ) / n
-    return parent_entropy - children
+    gains = np.full(sizes.size, -np.inf)
+    for g in np.flatnonzero(~degenerate).tolist():
+        n, n_l = int(sizes[g]), int(n_left[g])
+        children = (n_l * _hist_entropy(left[g]) + (n - n_l) * _hist_entropy(right[g])) / n
+        gains[g] = parent_entropy[g] - children
+    return gains

@@ -15,15 +15,14 @@ equivalence-class size. A ``target`` label column drives the gain term; when
 no target is supplied the gain term falls back to the number of distinct
 values exposed (pure utility refinement).
 
-The search keeps the current partition as live
-:class:`~repro.core.partition_engine.PartitionGroup` sets and *refines*
-them instead of re-materializing the candidate table per trial: a
-candidate is a multiway split of each group by the QI's next-level codes
-(memoized per level through the engine), feasibility goes through the
-models' ``ok_mask``, and per-level conditional label entropies are
-computed once from a joint flattened bincount and cached for the whole run.
-A numeric QI scored at hierarchy level 0 (the raw column, which
-``Table.codes`` rejects) is rank-encoded by the engine.
+Every candidate is a full-domain node, so the search runs on a private
+:class:`~repro.core.engine.LatticeEvaluator` like bottom-up generalization:
+feasibility and the minimum class size of each candidate node come from its
+memoized ``GroupStats`` through the models' ``ok_mask``, and only the
+released node is materialized. The gain's per-level conditional label
+entropies are computed once per (QI, level) from a joint flattened bincount
+over the evaluator's level codes. Like every full-domain search, TDS
+accepts δ-presence.
 """
 
 from __future__ import annotations
@@ -32,8 +31,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..core.generalize import HierarchyLike, apply_node
-from ..core.partition_engine import PartitionEngine, grouped_histograms
+from ..core.engine import LatticeEvaluator
+from ..core.generalize import HierarchyLike
+from ..core.partition_engine import grouped_histograms
 from ..core.release import Release
 from ..core.schema import Schema
 from ..core.table import Table
@@ -44,6 +44,14 @@ from .base import check_int, prepare_input
 __all__ = ["TopDownSpecialization"]
 
 _INFEASIBLE_MSG = "even the fully-generalized table violates the models"
+
+
+def _codes_at(evaluator: LatticeEvaluator, name: str, level: int):
+    """(codes, n_values) of QI ``name`` at ``level``: the evaluator's LUT
+    gathered at its base codes, as :meth:`LatticeEvaluator.materialize`
+    publishes it."""
+    enc = evaluator.context.encodings[name]
+    return enc.luts[level][enc.base_codes], enc.n_labels[level]
 
 
 def _entropy(counts: np.ndarray) -> float:
@@ -71,79 +79,54 @@ class TopDownSpecialization:
     ) -> Release:
         original = prepare_input(table, schema, hierarchies)
         qi_names = schema.quasi_identifiers
-        heights = [hierarchies[name].height for name in qi_names]
-
-        node, cache_info = self._specialize(original, qi_names, heights, hierarchies, models)
-
-        final = apply_node(original, hierarchies, qi_names, node)
+        evaluator = LatticeEvaluator(original, qi_names, hierarchies)
+        node = self._specialize(evaluator, qi_names, models)
         return Release(
-            table=final,
+            table=evaluator.materialize(node),
             schema=schema,
             algorithm=self.name,
-            node=tuple(node),
+            node=node,
             suppressed=0,
             original_n_rows=original.n_rows,
             kept_rows=None,
-            info={"target": self.target, "partition_cache": cache_info},
+            info={"target": self.target},
         )
 
-    def _specialize(self, original, qi_names, heights, hierarchies, models):
-        engine = PartitionEngine(original, hierarchies)
-        node = list(heights)
-        groups = [engine.root()]
-        for i, name in enumerate(qi_names):
-            groups = self._refine(engine, groups, name, node[i])
-        stats = engine.stats(groups)
-        if not engine.check(stats, models):
+    def _specialize(self, evaluator, qi_names, models):
+        node = [evaluator.hierarchies[name].height for name in qi_names]
+        if not evaluator.check(node, models):
             raise InfeasibleError(_INFEASIBLE_MSG)
 
         label_codes = None
         n_labels = 0
         if self.target is not None:
-            label_codes = original.codes(self.target)
+            label_codes = evaluator.table.codes(self.target)
             n_labels = int(label_codes.max()) + 1
         gain_cache: dict[tuple[str, int], float] = {}
 
-        current_min = stats.min_size()
+        current_min = evaluator.min_size(node)
         for _ in range(self.max_steps):
-            best_index, best_score, best_state = None, -np.inf, None
+            best_index, best_score = None, -np.inf
             for i, name in enumerate(qi_names):
                 if node[i] == 0:
                     continue
-                cand_groups = self._refine(engine, groups, name, node[i] - 1)
-                cand_stats = engine.stats(cand_groups)
-                if not engine.check(cand_stats, models):
+                candidate = node[:i] + [node[i] - 1] + node[i + 1 :]
+                if not evaluator.check(candidate, models):
                     continue
                 gain = self._gain(
-                    engine, name, node[i], label_codes, n_labels, gain_cache
+                    evaluator, name, node[i], label_codes, n_labels, gain_cache
                 )
-                anonymity_loss = max(current_min - cand_stats.min_size(), 0)
+                anonymity_loss = max(current_min - evaluator.min_size(candidate), 0)
                 score = gain / (anonymity_loss + 1.0)
                 if score > best_score:
                     best_index, best_score = i, score
-                    best_state = (cand_groups, cand_stats)
             if best_index is None:
                 break
             node[best_index] -= 1
-            groups, stats = best_state
-            current_min = stats.min_size()
-        return node, engine.cache_info()
+            current_min = evaluator.min_size(node)
+        return tuple(node)
 
-    @staticmethod
-    def _refine(engine, groups, name, level):
-        """Split every group by QI ``name`` generalized to ``level``.
-
-        Valid because hierarchy levels are refinements: rows sharing a
-        level-``l`` value also share every coarser value, so splitting the
-        current partition reproduces the full EC partition at the new node.
-        """
-        codes, _ = engine.level_codes(name, level)
-        refined = []
-        for group in groups:
-            refined.extend(engine.split_by_codes(group, codes[group.rows]))
-        return refined
-
-    def _gain(self, engine, name, level, label_codes, n_labels, gain_cache):
+    def _gain(self, evaluator, name, level, label_codes, n_labels, gain_cache):
         """Gain of specializing ``name`` from ``level`` to ``level - 1``.
 
         With a target, the reduction in conditional label entropy; without
@@ -155,21 +138,21 @@ class TopDownSpecialization:
             key = (name, level - 1)
             gain = gain_cache.get(key)
             if gain is None:
-                codes, _ = engine.level_codes(name, level - 1)
+                codes, _ = _codes_at(evaluator, name, level - 1)
                 gain = float(np.unique(codes).size)
                 gain_cache[key] = gain
             return gain
         return (
-            self._conditional_entropy(engine, name, level, label_codes, n_labels, gain_cache)
-            - self._conditional_entropy(engine, name, level - 1, label_codes, n_labels, gain_cache)
+            self._conditional_entropy(evaluator, name, level, label_codes, n_labels, gain_cache)
+            - self._conditional_entropy(evaluator, name, level - 1, label_codes, n_labels, gain_cache)
         )
 
     @staticmethod
-    def _conditional_entropy(engine, name, level, label_codes, n_labels, gain_cache):
+    def _conditional_entropy(evaluator, name, level, label_codes, n_labels, gain_cache):
         key = (name, level)
         value = gain_cache.get(key)
         if value is None:
-            codes, n_values = engine.level_codes(name, level)
+            codes, n_values = _codes_at(evaluator, name, level)
             joint = grouped_histograms(codes, label_codes, n_values, n_labels)
             sizes = joint.sum(axis=1)
             total = 0.0

@@ -27,12 +27,12 @@ Validation errors always name the offending key.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, field, fields
 from numbers import Integral, Real
 from typing import Any, Mapping
 
 from ..core.cache import check_cache_bytes
+from ..core.deadline import check_seconds
 from ..core.hierarchy import Hierarchy, IntervalHierarchy
 from ..core.schema import Schema, check_finite
 from ..core.table import Table
@@ -232,18 +232,7 @@ class AnonymizationConfig:
                     f"{algorithm_registry.name_of(algorithm)!r} (no lattice "
                     "engine); remove the key or pick a full-domain algorithm"
                 )
-        if self.job_timeout is not None:
-            value = self.job_timeout
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, (int, float))
-                or not math.isfinite(value)
-                or value <= 0
-            ):
-                raise ConfigError(
-                    f"key 'job_timeout' must be a positive number of seconds, "
-                    f"got {value!r}"
-                )
+        check_seconds("job_timeout", self.job_timeout)
 
     def _validate_hierarchy_spec(self, name: str, spec: Mapping[str, Any]) -> None:
         builder = spec.get("builder")

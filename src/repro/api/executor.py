@@ -42,7 +42,7 @@ import numpy as np
 
 from .._version import __version__
 from ..core.cache import DEFAULT_CACHE_BYTES, EngineCacheStore
-from ..core.deadline import Deadline, current_deadline, deadline_scope, tightest
+from ..core.deadline import Deadline, check_seconds, current_deadline, deadline_scope, tightest
 from ..core.engine import LatticeEvaluator
 from ..core.release import Release
 from ..core.schema import Schema
@@ -88,21 +88,6 @@ _NON_RETRYABLE = (ConfigError, SchemaError, HierarchyError, BatchDeadlineError)
 _sleep = time.sleep
 
 
-def _check_seconds(key: str, value: Any) -> None:
-    """Reject non-positive / non-finite time budgets with the key-naming style."""
-    if value is None:
-        return
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or not math.isfinite(value)
-        or value <= 0
-    ):
-        raise ConfigError(
-            f"key {key!r} must be a positive number of seconds, got {value!r}"
-        )
-
-
 def _check_workers(value: Any) -> int:
     """Reject a worker count that is not a positive int (bools included)."""
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
@@ -137,8 +122,8 @@ class FailurePolicy:
                 f"key 'on_error' must be one of {', '.join(ON_ERROR)}; "
                 f"got {self.on_error!r}"
             )
-        _check_seconds("job_timeout", self.job_timeout)
-        _check_seconds("batch_deadline", self.batch_deadline)
+        check_seconds("job_timeout", self.job_timeout)
+        check_seconds("batch_deadline", self.batch_deadline)
         if (
             isinstance(self.retries, bool)
             or not isinstance(self.retries, int)

@@ -17,20 +17,39 @@ pool each see only their own deadline.
 
 from __future__ import annotations
 
+import math
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Iterator, Optional
+from typing import Any, Iterator, Optional
 
-from ..errors import BatchDeadlineError, ExecutionError, JobTimeoutError
+from ..errors import BatchDeadlineError, ConfigError, ExecutionError, JobTimeoutError
 
 __all__ = [
     "Deadline",
     "check_deadline",
+    "check_seconds",
     "current_deadline",
     "deadline_scope",
     "tightest",
 ]
+
+
+def check_seconds(key: str, value: Any) -> None:
+    """Reject a non-positive or non-finite time budget, naming its key
+    (``None`` means no budget)."""
+    if value is None:
+        return
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+        or value <= 0
+    ):
+        raise ConfigError(
+            f"key {key!r} must be a positive number of seconds, got {value!r}"
+        )
+
 
 #: ``kind`` → exception raised when that deadline expires.
 _KIND_ERRORS: dict[str, type[ExecutionError]] = {

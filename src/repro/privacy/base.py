@@ -4,8 +4,9 @@ A privacy model is a predicate over the equivalence classes of a candidate
 release. Each model implements exactly one verdict,
 :meth:`PrivacyModel.ok_mask`, vectorized over the per-group statistics an
 engine hands it: :class:`~repro.core.engine.GroupStats` for a full-domain
-lattice node, :class:`~repro.core.partition_engine.PartitionStats` for a
-local-recoding partition, or Mondrian's per-level frontier views. A stats
+lattice node (the full-domain searches, top-down specialization included),
+:class:`~repro.core.partition_engine.PartitionStats` for Mondrian's root
+group, or Mondrian's per-level frontier views. A stats
 object offers ``sizes``, ``n_groups``, ``histogram(name)``,
 ``global_distribution(name)``, ``value_bounds(name)`` and
 ``external_counts(table)``; a model reads only what it needs. Each group's

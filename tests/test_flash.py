@@ -1,5 +1,6 @@
 """Flash lattice search: equivalence with Incognito, efficiency, release validity."""
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -9,7 +10,10 @@ from repro import (
     KAnonymity,
     partition_by_qi,
 )
+from repro.api.registry import model_registry
+from repro.core.engine import LatticeEvaluator
 from repro.errors import InfeasibleError
+from repro.verify import violations
 
 
 class TestFlashMatchesIncognito:
@@ -118,3 +122,20 @@ class TestFlashRelease:
         assert partition_by_qi(
             relaxed.table, schema.quasi_identifiers
         ).min_size() >= 25
+
+
+@pytest.mark.parametrize("algorithm", [Flash, Incognito], ids=["flash", "incognito"])
+def test_suppression_drops_exactly_the_failing_rows(adult_setup, algorithm):
+    # k + distinct-l: merging two classes never adds failing rows, so the
+    # searches' pruning is sound under a suppression budget. The released
+    # node fails the models outright and is published without the rows of
+    # its failing classes.
+    table, schema, hierarchies = adult_setup
+    qi = schema.quasi_identifiers
+    models = [KAnonymity(5), DistinctLDiversity(2, "occupation")]
+    release = algorithm(max_suppression=0.05).anonymize(table, schema, hierarchies, models)
+    failing = LatticeEvaluator(table, qi, hierarchies).failing_rows(release.node, models)
+    assert release.suppressed == failing.size > 0
+    assert np.array_equal(release.kept_rows, np.setdiff1d(np.arange(table.n_rows), failing))
+    specs = [model_registry.to_spec(model) for model in models]
+    assert violations(release.table, qi, specs) == []

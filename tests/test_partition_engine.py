@@ -1,8 +1,9 @@
 """The partition engine: golden release digests + cache counters.
 
-Mondrian, TopDownSpecialization, MDAV, and k-member run on
-:class:`~repro.core.partition_engine.PartitionEngine`; these tests pin the
-contract that makes it trustworthy:
+Mondrian runs on :class:`~repro.core.partition_engine.PartitionEngine`;
+TopDownSpecialization searches full-domain nodes on a lattice evaluator,
+and MDAV and k-member partition rows their own way. These tests pin the
+contract that makes the family trustworthy:
 
 * **golden releases** — every case of the grid (Mondrian strict/relaxed/
   InfoGain, TDS, MDAV, k-member, bottom-up across model mixes) publishes the
@@ -16,11 +17,12 @@ contract that makes it trustworthy:
   path (``histogram_splits > 0``);
 * **batch identity** — the newly registered algorithms run through
   ``run_batch`` JSON configs with ``workers=2`` byte-identical to sequential;
-* **closed-form relaxed cut** — ``Mondrian._cut_positions`` reproduces the
-  one-row-at-a-time balancing append loop exactly, row for row;
-* **frontier = DFS** — Mondrian's level-at-once frontier cuts the per-node
-  DFS's leaves, leaf for leaf, on Adult and on seeded random tables, and its
-  memory does not grow with the number of values of a QI.
+* **frontier = reference** — Mondrian's level-at-once frontier cuts the
+  leaves of a frozen per-node reference Mondrian kept here, range- and
+  InfoGain-scored, on Adult and on seeded random tables, and its memory does
+  not grow with the number of values of a QI; the reference's closed-form
+  relaxed cut reproduces the one-row-at-a-time balancing append loop
+  exactly, row for row.
 """
 
 import hashlib
@@ -43,13 +45,13 @@ from repro.algorithms import (
     Slicing,
     TopDownSpecialization,
 )
-from repro.algorithms.mondrian import _value_views
+from repro.algorithms.mondrian import _Cut, _Level, _hist_entropy, _value_views
 from repro.core.generalize import apply_node, apply_partition_recoding
 from repro.core.hierarchy import Hierarchy
 from repro.core.io import read_csv
 from repro.core.schema import Schema
 from repro.core.table import Column, Table
-from repro.core.partition_engine import PartitionEngine, grouped_histograms
+from repro.core.partition_engine import PartitionEngine, PartitionGroup, grouped_histograms
 from repro.data import adult_hierarchies, adult_hierarchy_specs, adult_schema, load_adult
 from repro.data.synthetic import random_scenario
 from repro.errors import ConfigError
@@ -265,9 +267,110 @@ def test_model_mix_parity(table, schema, hierarchies, algorithm, mix):
     )
 
 
-#: ``random_scenario`` tables the frontier and the DFS are also compared on, as
-#: (rows, values per categorical QI, seed): from 2 to 3,000 rows, with
-#: heavy ties and one-value QIs.
+# -- Mondrian's frontier vs a frozen per-node reference ------------------------
+
+
+def _reference_cut_positions(values, median, mode):
+    """One group's median-cut positions (into ``values``); None if degenerate.
+
+    Strict: the rows <= median go left, else the rows < median. Relaxed: the
+    closed form of the balancing append loop (checked against it below):
+    with ``diff = n_less - n_more``, the median-valued rows top up the
+    smaller half until the halves differ by at most one, then alternate.
+    """
+    if mode == "strict":
+        left_mask = values <= median
+        if left_mask.all() or not left_mask.any():
+            left_mask = values < median
+            if left_mask.all() or not left_mask.any():
+                return None
+        return np.flatnonzero(left_mask), np.flatnonzero(~left_mask)
+    less = values < median
+    more = values > median
+    equal = ~less & ~more
+    n_eq = int(equal.sum())
+    diff = int(less.sum()) - int(more.sum())
+    go_left = np.zeros(n_eq, dtype=bool)
+    if diff <= 0:
+        head = min(n_eq, 1 - diff)
+        go_left[:head] = True
+        go_left[head:] = (np.arange(n_eq - head) % 2) == 1
+    else:
+        head = min(n_eq, diff)
+        go_left[head:] = (np.arange(n_eq - head) % 2) == 0
+    equal_positions = np.flatnonzero(equal)
+    left = np.concatenate([np.flatnonzero(less), equal_positions[go_left]])
+    right = np.concatenate([np.flatnonzero(more), equal_positions[~go_left]])
+    if not left.size or not right.size:
+        return None
+    return left, right
+
+
+def _reference_gain(values, median, labels, n_labels):
+    """Label InfoGain of one group's strict median cut; -inf if degenerate."""
+    left = values <= median
+    if left.all() or not left.any():
+        left = values < median
+        if left.all() or not left.any():
+            return -np.inf
+    n, n_left = labels.size, int(left.sum())
+    parent = np.bincount(labels, minlength=n_labels)
+    left_hist = np.bincount(labels[left], minlength=n_labels)
+    children = n_left * _hist_entropy(left_hist) + (n - n_left) * _hist_entropy(parent - left_hist)
+    return _hist_entropy(parent) - children / n
+
+
+def _reference_leaves(table, qi, models, mode, target):
+    """Leaves of a per-node depth-first Mondrian, one group at a time.
+
+    A group tries its QIs in ``sorted((score, name), reverse=True)`` order,
+    the score being the normalized range, or with a ``target`` the label
+    InfoGain of the QI's strict median cut, and takes the first median cut
+    (``np.median``) whose halves satisfy every model. Each half keeps its
+    rows in the order the cut lists them. A group with no such cut is a
+    leaf.
+    """
+    views, spans = _value_views(table, qi)
+    engine = PartitionEngine(table)
+    if target is not None:
+        labels = table.codes(target)
+        n_labels = len(table.column(target).categories)
+    leaves = []
+    stack = [np.arange(table.n_rows)]
+    while stack:
+        rows = stack.pop()
+        halves = None
+        scored = []
+        for name in qi if rows.size >= 2 else ():
+            values = views[name][rows]
+            if target is None:
+                score = float(values.max() - values.min()) / spans[name]
+            else:
+                score = _reference_gain(values, float(np.median(values)), labels[rows], n_labels)
+            scored.append((score, name))
+        for _, name in sorted(scored, reverse=True):
+            values = views[name][rows]
+            positions = _reference_cut_positions(values, float(np.median(values)), mode)
+            if positions is None:
+                continue
+            left, right = rows[positions[0]], rows[positions[1]]
+            if engine.check([PartitionGroup(engine, left), PartitionGroup(engine, right)], models):
+                halves = (left, right)
+                break
+        if halves is None:
+            leaves.append(np.sort(rows))
+        else:
+            stack.extend(halves)
+    return leaves
+
+
+def _leaf_set(leaves):
+    return sorted(leaf.tolist() for leaf in leaves)
+
+
+#: ``random_scenario`` tables the frontier and the reference are also
+#: compared on, as (rows, values per categorical QI, seed): from 2 to 3,000
+#: rows, with heavy ties and one-value QIs.
 _FRONTIER_SCENARIOS = [
     (2, 1, 0), (3, 12, 1), (7, 2, 2), (40, 1, 3), (120, 12, 4),
     (400, 3, 5), (1000, 6, 6), (3000, 1, 7), (3000, 12, 8),
@@ -284,34 +387,32 @@ _FRONTIER_MIXES = {
 
 @pytest.mark.parametrize(
     "scenario, mix",
-    [pytest.param(None, mix, id=mix) for mix in MODEL_MIXES]
+    [pytest.param(None, mix, id=mix) for mix in ["k", "k+l", "k+el+t", "k4", *MODEL_MIXES]]
     + [
         pytest.param(scenario, mix, id=f"random-{scenario[0]}x{scenario[1]}-s{scenario[2]}-{mix}")
         for scenario in _FRONTIER_SCENARIOS
         for mix in _FRONTIER_MIXES
     ],
 )
+@pytest.mark.parametrize("scoring", ["range", "infogain"])
 @pytest.mark.parametrize("mode", ["strict", "relaxed"])
-def test_frontier_and_dfs_drivers_cut_identical_leaves(table, schema, mode, scenario, mix):
+def test_frontier_and_dfs_drivers_cut_identical_leaves(table, schema, mode, scoring, scenario, mix):
+    # InfoGain targets: Adult's occupation (12 labels in this table) and the
+    # random scenarios' sensitive column.
     if scenario is None:
-        models = _model_mix(mix)
+        models, target = _model_mix(mix), SENSITIVE
     else:
         n_rows, n_values, seed = scenario
         table, schema, _ = random_scenario(n_rows=n_rows, n_values=n_values, seed=seed)
-        models = _FRONTIER_MIXES[mix]()
+        models, target = _FRONTIER_MIXES[mix](), "sensitive"
+    target = target if scoring == "infogain" else None
     qi = schema.quasi_identifiers
     views, spans = _value_views(table, qi)
-    mondrian = Mondrian(mode=mode)
-
-    def leaves(driver):
-        engine = PartitionEngine(table)
-        return driver(engine, engine.root(), qi, views, spans, models)
-
-    frontier = leaves(mondrian._partition_frontier)
-    dfs = leaves(mondrian._partition_dfs)
-    assert len(frontier) == len(dfs)
-    for mine, theirs in zip(frontier, dfs):
-        assert np.array_equal(mine, theirs)
+    engine = PartitionEngine(table)
+    frontier = Mondrian(mode=mode, target=target)._partition_frontier(
+        engine, engine.root(), qi, views, spans, models
+    )
+    assert _leaf_set(frontier) == _leaf_set(_reference_leaves(table, qi, models, mode, target))
 
 
 @pytest.mark.parametrize("mode", ["strict", "relaxed"])
@@ -548,7 +649,7 @@ def test_sensitive_models_use_delta_histograms(table, schema, hierarchies):
         table, schema, hierarchies, _model_mix("k+l")
     )
     cache = release.info["partition_cache"]
-    # Child histograms come from parent − sibling, never a table rescan.
+    # Child histograms come from parent − left, never a table rescan.
     assert cache["histogram_splits"] > 0
     assert cache["checks_fast"] > 0
 
@@ -571,8 +672,8 @@ def _delta_presence_scenario():
 
 @pytest.mark.parametrize(
     "algorithm",
-    [TopDownSpecialization(), Mondrian(mode="strict"), Mondrian(mode="relaxed")],
-    ids=["tds", "mondrian-strict", "mondrian-relaxed"],
+    [Mondrian(mode="strict"), Mondrian(mode="relaxed")],
+    ids=["mondrian-strict", "mondrian-relaxed"],
 )
 def test_local_recoding_rejects_delta_presence(algorithm):
     # The root class's belief is 200/500; a local-recoding partition is no
@@ -595,6 +696,20 @@ def test_flash_publishes_a_verified_delta_presence_release():
     assert violations(release.table, qi, [spec], population=generalized) == []
 
 
+def test_tds_publishes_a_verified_delta_presence_release():
+    # TDS judges full-domain nodes on a lattice evaluator, which maps the
+    # population through each candidate node like Flash's does.
+    table, schema, hierarchies, population = _delta_presence_scenario()
+    release = TopDownSpecialization().anonymize(
+        table, schema, hierarchies, [DeltaPresence(0.0, 0.9, population)]
+    )
+    qi = schema.quasi_identifiers
+    assert release.node != tuple(hierarchies[name].height for name in qi)
+    spec = {"model": "delta-presence", "delta_min": 0.0, "delta_max": 0.9}
+    generalized = apply_node(population, hierarchies, qi, release.node)
+    assert violations(release.table, qi, [spec], population=generalized) == []
+
+
 # -- engine primitives --------------------------------------------------------
 
 
@@ -608,48 +723,26 @@ def test_grouped_histograms_matches_per_group_bincount():
         assert np.array_equal(hists[g], expected)
 
 
-def test_delta_histogram_equals_direct_bincount(table, schema):
+def test_delta_histogram_equals_direct_bincount(table):
+    # A frontier level of three groups, cut by an arbitrary left mask: each
+    # right child's histogram is its parent's minus the left child's.
     engine = PartitionEngine(table)
-    root = engine.root()
-    root_hist = root.histogram(SENSITIVE)
     codes = engine.column_codes(SENSITIVE)
-    assert np.array_equal(
-        root_hist, np.bincount(codes, minlength=engine.column_cats(SENSITIVE))
-    )
-    left, right = engine.split(
-        root, np.arange(300), np.arange(300, root.size)
-    )
-    left_hist = left.histogram(SENSITIVE)  # direct scan of the smaller side
-    right_hist = right.histogram(SENSITIVE)  # parent − sibling delta
-    assert np.array_equal(left_hist + right_hist, root_hist)
-    assert np.array_equal(
-        right_hist,
-        np.bincount(codes[right.rows], minlength=engine.column_cats(SENSITIVE)),
-    )
-    assert engine.cache_info()["histogram_splits"] >= 1
+    n_cats = engine.column_cats(SENSITIVE)
+    assert np.array_equal(engine.root().histogram(SENSITIVE), np.bincount(codes, minlength=n_cats))
+    rng = np.random.default_rng(3)
+    rows = rng.permutation(table.n_rows)
+    gid = np.repeat(np.arange(3), [300, 500, table.n_rows - 800])
+    left_mask = rng.random(table.n_rows) < 0.4
+    left, right = _Cut(_Level(engine, rows, gid, 3), lambda: left_mask).histograms(SENSITIVE)
+    for g in range(3):
+        for hist, side in ((left, left_mask), (right, ~left_mask)):
+            expected = np.bincount(codes[rows[(gid == g) & side]], minlength=n_cats)
+            assert np.array_equal(hist[g], expected)
+    assert engine.cache_info()["histogram_splits"] == 3
 
 
-def test_split_by_codes_partitions_rows(table):
-    engine = PartitionEngine(table)
-    root = engine.root()
-    codes = engine.column_codes("sex")
-    children = engine.split_by_codes(root, codes[root.rows])
-    assert sum(child.size for child in children) == root.size
-    seen = np.concatenate([child.rows for child in children])
-    assert np.array_equal(np.sort(seen), root.rows)
-    for child in children:
-        assert np.unique(codes[child.rows]).size == 1
-
-
-def test_split_by_codes_single_value_returns_group_unchanged(table):
-    engine = PartitionEngine(table)
-    root = engine.root()
-    children = engine.split_by_codes(root, np.zeros(root.size, dtype=np.int64))
-    assert len(children) == 1
-    assert children[0] is root
-
-
-# -- relaxed-cut closed form vs the one-row-at-a-time append loop -------------
+# -- the reference's relaxed cut vs the one-row-at-a-time append loop ---------
 
 
 def _legacy_relaxed_assignment(values, median):
@@ -675,7 +768,7 @@ def test_relaxed_cut_positions_match_legacy_loop(seed):
     values = rng.integers(0, 5, size=rng.integers(3, 200)).astype(np.float64)
     median = float(np.median(values))
     expected = _legacy_relaxed_assignment(values, median)
-    got = Mondrian(mode="relaxed")._cut_positions(values, median)
+    got = _reference_cut_positions(values, median, "relaxed")
     if expected is None:
         assert got is None
     else:
@@ -688,13 +781,13 @@ def test_relaxed_cut_splits_all_equal_block_like_legacy():
     # form must reproduce that, not bail out as degenerate.
     values = np.ones(10)
     expected = _legacy_relaxed_assignment(values, 1.0)
-    got = Mondrian(mode="relaxed")._cut_positions(values, 1.0)
+    got = _reference_cut_positions(values, 1.0, "relaxed")
     assert np.array_equal(got[0], expected[0])
     assert np.array_equal(got[1], expected[1])
 
 
 def test_strict_cut_degenerate_returns_none():
-    assert Mondrian()._cut_positions(np.ones(10), 1.0) is None
+    assert _reference_cut_positions(np.ones(10), 1.0, "strict") is None
 
 
 # -- registry, config validation, batch identity ------------------------------

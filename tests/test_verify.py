@@ -25,7 +25,7 @@ from repro.core.engine import LatticeEvaluator
 from repro.core.generalize import apply_node
 from repro.core.hierarchy import Hierarchy, IntervalHierarchy
 from repro.core.lattice import GeneralizationLattice
-from repro.core.partition_engine import PartitionEngine
+from repro.core.partition_engine import PartitionEngine, PartitionGroup
 from repro.core.table import Column, Table
 from repro.privacy import (
     AlphaKAnonymity,
@@ -114,8 +114,10 @@ def test_partition_verdicts_match_verifier(table, data, models, flagged_rows):
         st.integers(0, 5), min_size=table.n_rows, max_size=table.n_rows
     )))
     engine = PartitionEngine(table)
-    # Groups come out in ascending label order, one per distinct label.
-    stats = engine.stats(engine.split_by_codes(engine.root(), labels))
+    # One group per distinct label, in ascending label order.
+    stats = engine.stats([
+        PartitionGroup(engine, np.flatnonzero(labels == label)) for label in np.unique(labels)
+    ])
     published = table.with_column(Column.categorical("class", labels.tolist()))
     for model in models:
         failing = np.isin(labels, np.unique(labels)[~model.ok_mask(stats)])
