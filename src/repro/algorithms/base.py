@@ -11,16 +11,20 @@ Shared here:
 * :func:`suppress_rows` — standard record-suppression step: drop the rows of
   equivalence classes that still violate the models, within a suppression
   budget.
+* :func:`choose_minimal` and :func:`publish_node` — the full-domain
+  searches' release step: pick a node of the minimal antichain, then
+  materialize it and suppress what still fails.
 * :class:`AnonymizationAlgorithm` — the protocol.
 """
 
 from __future__ import annotations
 
 from numbers import Integral
-from typing import Mapping, Protocol, Sequence, runtime_checkable
+from typing import Callable, Mapping, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
+from ..core.engine import LatticeEvaluator
 from ..core.generalize import HierarchyLike
 from ..core.release import Release
 from ..core.schema import Schema
@@ -31,9 +35,13 @@ from ..privacy.base import PrivacyModel
 __all__ = [
     "AnonymizationAlgorithm",
     "check_int",
+    "choose_minimal",
     "prepare_input",
+    "publish_node",
     "suppress_rows",
 ]
+
+Node = tuple[int, ...]
 
 
 @runtime_checkable
@@ -99,3 +107,51 @@ def suppress_rows(
     keep[drop] = False
     kept_indices = np.flatnonzero(keep)
     return table.take(kept_indices), kept_indices, int(drop.size)
+
+
+def choose_minimal(
+    minimal: Sequence[Node],
+    evaluator: LatticeEvaluator,
+    score: Callable[[Table, Node], float] | None = None,
+    table: Table | None = None,
+) -> Node:
+    """The release node of a minimal antichain: the lowest
+    ``score(table, node)`` if a score is given, else the lowest total
+    height, ties broken by the most equivalence classes."""
+    if score is not None:
+        return min(minimal, key=lambda node: score(table, node))
+    return min(minimal, key=lambda node: (sum(node), -evaluator.n_groups(node)))
+
+
+def publish_node(
+    evaluator: LatticeEvaluator,
+    node: Node,
+    models: Sequence[PrivacyModel],
+    original: Table,
+    schema: Schema,
+    name: str,
+    max_suppression: float,
+    info: dict,
+) -> Release:
+    """The release of a full-domain search's chosen node.
+
+    ``original`` (the identifier-stripped input) is materialized at
+    ``node``; if a model still fails there, the failing groups' rows are
+    suppressed within ``max_suppression`` (:func:`suppress_rows`).
+    """
+    table = evaluator.materialize(node, schema.quasi_identifiers, table=original)
+    suppressed, kept = 0, None
+    if not evaluator.check(node, models):
+        table, kept, suppressed = suppress_rows(
+            table, evaluator.failing_rows(node, models), max_suppression
+        )
+    return Release(
+        table=table,
+        schema=schema,
+        algorithm=name,
+        node=node,
+        suppressed=suppressed,
+        original_n_rows=original.n_rows,
+        kept_rows=kept,
+        info=info,
+    )

@@ -40,7 +40,7 @@ from ..core.schema import Schema
 from ..core.table import Table
 from ..privacy.base import PrivacyModel
 from ..privacy.k_anonymity import KAnonymity
-from .base import prepare_input, suppress_rows
+from .base import prepare_input, publish_node
 
 __all__ = ["BottomUpGeneralization"]
 
@@ -84,21 +84,9 @@ class BottomUpGeneralization:
             node, anonymity, loss = best
             self.stats["steps"] += 1
 
-        candidate = evaluator.materialize(node)
-        suppressed, kept = 0, None
-        if not evaluator.check(node, models):
-            candidate, kept, suppressed = suppress_rows(
-                candidate, evaluator.failing_rows(node, models), self.max_suppression
-            )
-        return Release(
-            table=candidate,
-            schema=schema,
-            algorithm=self.name,
-            node=node,
-            suppressed=suppressed,
-            original_n_rows=original.n_rows,
-            kept_rows=kept,
-            info={"stats": dict(self.stats)},
+        return publish_node(
+            evaluator, node, models, original, schema, self.name,
+            self.max_suppression, {"stats": dict(self.stats)},
         )
 
     # -- greedy step ---------------------------------------------------------

@@ -34,7 +34,7 @@ from ..core.schema import Schema
 from ..core.table import Table
 from ..errors import InfeasibleError
 from ..privacy.base import PrivacyModel
-from .base import prepare_input, suppress_rows
+from .base import choose_minimal, prepare_input, publish_node
 
 __all__ = ["Incognito"]
 
@@ -80,23 +80,11 @@ class Incognito:
         )
         if not minimal:
             raise InfeasibleError("no full-domain generalization satisfies the models")
-        best = self._choose(original, evaluator, minimal)
-        candidate = evaluator.materialize(best, qi_names, table=original)
-
-        suppressed, kept = 0, None
-        if not evaluator.check(best, models):
-            candidate, kept, suppressed = suppress_rows(
-                candidate, evaluator.failing_rows(best, models), self.max_suppression
-            )
-        return Release(
-            table=candidate,
-            schema=schema,
-            algorithm=self.name,
-            node=best,
-            suppressed=suppressed,
-            original_n_rows=original.n_rows,
-            kept_rows=kept,
-            info={"minimal_nodes": sorted(minimal), "stats": dict(self.stats)},
+        best = choose_minimal(minimal, evaluator, self.score, original)
+        return publish_node(
+            evaluator, best, models, original, schema, self.name,
+            self.max_suppression,
+            {"minimal_nodes": sorted(minimal), "stats": dict(self.stats)},
         )
 
     # -- search --------------------------------------------------------------
@@ -197,17 +185,6 @@ class Incognito:
             if known is not None and projected not in known:
                 return True
         return False
-
-    def _choose(
-        self,
-        table: Table,
-        evaluator: LatticeEvaluator,
-        minimal: list[Node],
-    ) -> Node:
-        """Pick the release node among the minimal antichain."""
-        if self.score is not None:
-            return min(minimal, key=lambda node: self.score(table, node))
-        return min(minimal, key=lambda node: (sum(node), -evaluator.n_groups(node)))
 
     def __repr__(self) -> str:
         return (

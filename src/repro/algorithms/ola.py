@@ -29,7 +29,7 @@ from ..core.schema import Schema
 from ..core.table import Table
 from ..errors import InfeasibleError
 from ..privacy.base import PrivacyModel
-from .base import prepare_input, suppress_rows
+from .base import prepare_input, publish_node
 
 __all__ = ["OLA"]
 
@@ -147,22 +147,10 @@ class OLA:
             raise InfeasibleError("no satisfying node found")
 
         best = min(minimal, key=lambda node: self.loss(node, heights))
-        candidate = evaluator.materialize(best, qi_names, table=original)
-        if evaluator.check(best, models):
-            kept, suppressed = None, 0
-        else:
-            candidate, kept, suppressed = suppress_rows(
-                candidate, evaluator.failing_rows(best, models), self.max_suppression
-            )
-        return Release(
-            table=candidate,
-            schema=schema,
-            algorithm=self.name,
-            node=best,
-            suppressed=suppressed,
-            original_n_rows=original.n_rows,
-            kept_rows=kept,
-            info={"minimal_nodes": sorted(minimal), "stats": dict(self.stats)},
+        return publish_node(
+            evaluator, best, models, original, schema, self.name,
+            self.max_suppression,
+            {"minimal_nodes": sorted(minimal), "stats": dict(self.stats)},
         )
 
     def __repr__(self) -> str:

@@ -50,7 +50,7 @@ def _codes_at(evaluator: LatticeEvaluator, name: str, level: int):
     """(codes, n_values) of QI ``name`` at ``level``: the evaluator's LUT
     gathered at its base codes, as :meth:`LatticeEvaluator.materialize`
     publishes it."""
-    enc = evaluator.context.encodings[name]
+    enc = evaluator._encodings[name]
     return enc.luts[level][enc.base_codes], enc.n_labels[level]
 
 

@@ -25,9 +25,10 @@ environment (same dropped columns, hierarchy specs, ``bins`` and
 ``cache_bytes``) get one :class:`~repro.core.cache.EngineCacheStore`
 holding their jobs' own ``cache_bytes`` budget (256 MiB by default), so a
 batch's engine memory is bounded per table environment, exactly as a
-single :func:`run` is. The store also holds the environment's hierarchies
-and QI encodings, which a batch over an injected warm store reuses instead
-of rebuilding.
+single :func:`run` is, and one identifier-stripped table, which the
+store's one stats context points at. The store also holds the
+environment's hierarchies and QI encodings, which a batch over an injected
+warm store reuses instead of rebuilding.
 """
 
 from __future__ import annotations
@@ -443,8 +444,9 @@ def run(
         # A config-level engine budget only binds if the evaluator is built
         # out here — the algorithm's own fallback evaluator would use the
         # library default.
-        evaluator = _make_evaluator(
-            table, schema, built, EngineCacheStore(cache_bytes=config.cache_bytes)
+        evaluator = LatticeEvaluator(
+            _stripped(table, schema), schema.quasi_identifiers, built,
+            cache=EngineCacheStore(cache_bytes=config.cache_bytes),
         )
     timings["prepare"] = time.perf_counter() - start
     result = execute(
@@ -685,15 +687,9 @@ def _uses_evaluator(config: AnonymizationConfig) -> bool:
     return bool(getattr(entry.cls, "uses_evaluator", False))
 
 
-def _make_evaluator(
-    table: Table,
-    schema: Schema,
-    hierarchies: Mapping[str, Any],
-    cache: EngineCacheStore,
-) -> LatticeEvaluator:
-    """Evaluator over the identifier-stripped table, on ``cache``."""
-    prepared = table.drop(*schema.identifying) if schema.identifying else table
-    return LatticeEvaluator(prepared, schema.quasi_identifiers, hierarchies, cache=cache)
+def _stripped(table: Table, schema: Schema) -> Table:
+    """``table`` without the schema's identifying columns, as searches see it."""
+    return table.drop(*schema.identifying) if schema.identifying else table
 
 
 @dataclass
@@ -731,7 +727,8 @@ class BatchPlanner:
     from the store's memo, so it is built once per store and table, and
     each schema once. :meth:`execute` gives every environment whose jobs
     consume an engine one evaluator over its store, which takes its QI
-    encodings from the store too. Jobs run in input order for
+    encodings from the store too, and over its table environment's one
+    identifier-stripped table. Jobs run in input order for
     ``workers=1`` and otherwise on one thread pool. Releases are
     byte-identical at every worker count — job outputs are pure functions
     of (config, table, hierarchies).
@@ -828,18 +825,6 @@ class BatchPlanner:
         )
         return self._plan
 
-    def _build_evaluator(self, group: _EnvGroup) -> LatticeEvaluator:
-        """The group's evaluator, on its table environment's shared store."""
-        evaluator = _make_evaluator(
-            self.table, group.schema, group.hierarchies, group.store
-        )
-        # A warm store's entries were filled through earlier evaluators over
-        # a byte-identical table, so those over this evaluator's QIs are
-        # re-homed onto it (lazy growth accounting and column lookups must
-        # not pin the retired request's objects). A fresh store has none.
-        group.store.rebind(evaluator)
-        return evaluator
-
     def _run_job(self, index: int) -> "AnonymizationResult | JobFailure":
         """One job on its group's evaluator under the batch's failure policy."""
         config, environment, group = self._jobs[index]
@@ -860,9 +845,15 @@ class BatchPlanner:
             if self.policy.batch_deadline is not None
             else None
         )
+        # One identifier-stripped table per store (table environment), so
+        # the evaluators over it share one table object.
+        tables: dict[int, Table] = {}
         for group in self._groups:
             if group.uses_evaluator and group.evaluator is None:
-                group.evaluator = self._build_evaluator(group)
+                table = tables.setdefault(id(group.store), _stripped(self.table, group.schema))
+                group.evaluator = LatticeEvaluator(
+                    table, group.schema.quasi_identifiers, group.hierarchies, cache=group.store
+                )
         indices = range(len(self.configs))
         if self.workers == 1 or len(indices) <= 1:
             return [self._run_job(index) for index in indices]

@@ -27,13 +27,12 @@ Entries are keyed by *store key*: ``(names, node)`` with the QI names in
 sorted order and the node's levels permuted to match. A node's groups over
 a set of columns do not depend on the order a job lists them in, so
 evaluators over different QI sets, or over one column set in different
-orders, share whatever column subsets they both reach. :meth:`keys` and
-``occupancy()["by_names"]`` therefore list each column set in sorted-name
-order. An evaluator asked for an unsorted order serves a *view* of the
-entry, memoized on the entry (``_views``): a view never enters the store
-and is no hit, miss or roll-up, but its bytes count against its entry's,
-it is dropped when its entry is evicted or the store is freed, and
-:meth:`rebind` re-homes it with its entry.
+orders, share whatever column subsets they both reach, and every one of
+them reads the entry in that order. The entries grow lazily through one
+context the store makes on first use (:meth:`context`): each evaluator
+built over the store points it at its table, and it reads the QI
+encodings from the store's memo, so an entry grows the same whichever
+evaluator asks for it.
 
 Eviction
 --------
@@ -147,6 +146,8 @@ class EngineCacheStore:
         self._table: Any = None
         self._hierarchies: dict[tuple[str, bool], Any] = {}
         self._encodings: dict[str, tuple[Any, Any, Any]] = {}
+        # The context every entry grows through, made on first use.
+        self._context: Any = None
         # One mutex guards every structure above plus the in-flight table;
         # stats computation itself runs outside it (single-flight).
         self._mutex = threading.Lock()
@@ -215,12 +216,9 @@ class EngineCacheStore:
 
     def note_bytes(self, stats: Any, n_bytes: int) -> None:
         """Account payload grown after insertion (lazy histograms, lazily
-        resolved row labels, partitions, views) and evict if the budget is
-        now exceeded. A view's growth counts against its entry. Growth on
-        stats no longer cached is ignored — their bytes were already
-        released at eviction."""
-        if stats._view_of is not None:
-            stats = stats._view_of
+        resolved row labels, partitions) and evict if the budget is now
+        exceeded. Growth on stats no longer cached is ignored — their bytes
+        were already released at eviction."""
         with self._mutex:
             key = stats._cache_key
             if key is None or self._entries.get(key) is not stats:
@@ -268,6 +266,16 @@ class EngineCacheStore:
             self._encodings[column.name] = (column, hierarchy, encoding)
         return encoding
 
+    def context(self, table: Any, make: Callable[[], Any]) -> Any:
+        """The context every entry grows through (``make()`` builds it on
+        first use), pointed at ``table``: each evaluator over the store
+        passes its own, so a retired request's table is not pinned."""
+        with self._mutex:
+            if self._context is None:
+                self._context = make()
+            self._context.table = table
+            return self._context
+
     # -- bookkeeping (all called under the mutex) ------------------------------
 
     def _touch(self, key: Key) -> None:
@@ -287,9 +295,7 @@ class EngineCacheStore:
     def _evict_one(self) -> None:
         """Drop the least recently used entry."""
         key = next(iter(self._entries))
-        # Its views go with it: a view points back at its entry, so keeping
-        # them would pin both past eviction in a reference cycle.
-        self._entries.pop(key)._views = {}
+        del self._entries[key]
         self._cached_bytes -= self._accounted.pop(key)
         names, node = key
         stratum = self._stratum_index[names][sum(node)]
@@ -370,81 +376,6 @@ class EngineCacheStore:
                 "entries": len(self._entries),
                 "bytes": self._cached_bytes,
             }
-
-    def occupancy(self) -> dict:
-        """Structured snapshot of what currently occupies the store.
-
-        The service/metrics view of residency (where :meth:`info` is the
-        counter view): total entries/bytes against the configured budget,
-        plus a per-column-set breakdown (``by_names``, keyed by the sorted
-        names joined with commas) — entry count, accounted bytes, and the
-        cached level-sum strata — so an operator can see *which* column
-        sets and lattice regions a warm store is holding. Taken under the
-        mutex; cheap (O(entries)).
-        """
-        with self._mutex:
-            by_names: dict[str, dict[str, Any]] = {}
-            for (names, node), _ in self._entries.items():
-                slot = by_names.setdefault(
-                    ",".join(names), {"entries": 0, "bytes": 0, "strata": set()}
-                )
-                slot["entries"] += 1
-                slot["bytes"] += self._accounted[(names, node)]
-                slot["strata"].add(sum(node))
-            for slot in by_names.values():
-                slot["strata"] = sorted(slot["strata"])
-            return {
-                "entries": len(self._entries),
-                "bytes": self._cached_bytes,
-                "cache_bytes": self.cache_bytes,
-                "utilization": (
-                    round(self._cached_bytes / self.cache_bytes, 4)
-                    if self.cache_bytes
-                    else 0.0
-                ),
-                "by_names": by_names,
-            }
-
-    def rebind(self, engine: Any) -> int:
-        """Re-home the cached entries over ``engine``'s QIs onto ``engine``.
-
-        The cross-request warm-start seam: a store that outlives the
-        evaluator it was filled through (the service keeps one per tenant ×
-        table environment) is handed to the next request's fresh evaluator,
-        and its entries' ``_context`` references — used for lazy histogram /
-        row-label growth and byte accounting — must point at the live
-        evaluator's ``context``, not the retired one's (which would
-        otherwise pin the previous request's table). Safe exactly when the
-        new evaluator is built over a byte-identical table and equal
-        hierarchies, which is what the environment fingerprint guarantees.
-
-        One store serves every QI set of its table, so only entries whose
-        QI names ``engine`` encodes move: δ-presence grows an entry through
-        its context's encoding of each of the entry's own columns, and a
-        context without them would fail that entry's next job mid-run.
-        The others keep their context until an evaluator over their
-        columns rebinds them. An entry's views, over the same columns,
-        move with it. Returns the number of entries rebound.
-        """
-        context = engine.context
-        encoded = set(engine.qi_names)
-        rebound = 0
-        with self._mutex:
-            for (names, _), stats in self._entries.items():
-                if encoded.issuperset(names):
-                    stats._context = context
-                    for view in tuple(stats._views.values()):
-                        view._context = context
-                    rebound += 1
-            return rebound
-
-    def __del__(self) -> None:
-        # An entry and its views point at each other. Dropping the views
-        # with the store lets reference counting free a retired store's
-        # entries, as eviction does an evicted one's. (A store whose
-        # __init__ raised has no entries.)
-        for stats in getattr(self, "_entries", {}).values():
-            stats._views = {}
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -50,18 +50,19 @@ order :func:`partition_by_qi` produces), so the group indices of an
 labels are reconstructed lazily through the parent chain only when failing
 rows or a partition need them.
 
-Group ordering is byte-compatible with the legacy path: groups ascend by
-packed signature, rows within a group ascend by index.
+Group ordering is byte-compatible with the legacy path over the store
+key's columns: groups ascend by packed signature, rows within a group
+ascend by index.
 
-**Views.** The signature packs the columns in the caller's order, so a
-caller that asks :meth:`LatticeEvaluator.stats` with unsorted names gets a
-*view*: the stored entry regrouped into that column order by one roll-up
-pass with identity level maps over its group codes. A view is memoized on
-its entry, and its bytes count against the entry's; it never enters the
-store, so it is no hit, miss or roll-up. The verdict paths (``check``,
-``evaluate``, ``failing_row_count``, ``failing_rows``, ``n_groups``,
-``min_size``, ``distinct_counts``, ``distinct_after``) sort their names
-first and read the stored entry, since no verdict depends on group order.
+**One order, one context.** :meth:`LatticeEvaluator.stats` returns the
+stored entry to every caller, so its ``names``, ``node``, group order, row
+labels, histogram rows and partition follow the store key whatever order
+the caller lists the columns in; no verdict and no release depends on
+group order. Every entry grows lazily through its store's one
+:class:`_StatsContext`, which each evaluator built over the store points
+at its table and which reads each QI's column, hierarchy and encoding from
+the store's encoding memo, so an entry grows the same whichever QI set the
+evaluator asking for it has.
 
 **Cache store.** Memoization lives in a standalone
 :class:`~repro.core.cache.EngineCacheStore`: one byte budget with
@@ -80,8 +81,8 @@ computes outside the lock; any other thread asking for the same store
 key meanwhile blocks on that marker instead of recomputing
 (``cache_info()["coalesced"]`` counts those waits), so no node's stats are
 ever derived twice. Lazily-grown payload (histograms, value bounds, row
-labels, partitions, views) is serialized per :class:`GroupStats` by its
-own re-entrant lock. See ``docs/architecture.md`` for the full design.
+labels, partitions) is serialized per :class:`GroupStats` by its own
+re-entrant lock. See ``docs/architecture.md`` for the full design.
 """
 
 from __future__ import annotations
@@ -180,11 +181,9 @@ class GroupStats:
     rows of group ``g`` — the ingredient of roll-up and of distinct-value
     heuristics. Row-level labels and the :class:`EquivalenceClasses`
     partition are reconstructed lazily (through the roll-up parent chain if
-    the stats were derived by roll-up rather than from rows).
-
-    A stored entry keeps its views in ``_views`` (by QI names); a view
-    points back at its entry through ``_view_of``, and its growth counts
-    against that entry's bytes.
+    the stats were derived by roll-up rather than from rows). ``names`` and
+    ``node`` are the store key: the QI names sorted, the levels permuted
+    to match.
 
     The eager fields (sizes, group_codes) are immutable after construction;
     every lazily-grown field is guarded by ``_lock`` so one stats object can
@@ -207,8 +206,6 @@ class GroupStats:
     _external: tuple | None = None
     _partition: EquivalenceClasses | None = None
     _cache_key: tuple | None = None
-    _views: dict = field(default_factory=dict, repr=False, compare=False)
-    _view_of: "GroupStats | None" = field(default=None, repr=False, compare=False)
     _lock: Any = field(default_factory=threading.RLock, repr=False, compare=False)
 
     @property
@@ -343,30 +340,25 @@ class _QIEncoding:
 class _StatsContext:
     """The table-side lookups a :class:`GroupStats` grows lazily through.
 
-    Stats point here rather than at their :class:`LatticeEvaluator`, so
-    evaluator → store → stats → context holds no reference cycle: an
-    evaluator, its store and its stats are freed by reference counting as
-    soon as the last outside reference goes. The lookups are held strongly,
-    so stats keep working after their evaluator is dropped; the store is
-    held weakly, because growth of stats no store holds needs no accounting.
+    One per :class:`EngineCacheStore` (:meth:`EngineCacheStore.context`),
+    shared by all its entries. Each evaluator built over the store points
+    :attr:`table` at its own table, byte-identical to the entries' one, and
+    the QI lookups read the store's encoding memo (name → column, hierarchy,
+    encoding), so any entry grows whatever QI set the asking evaluator has.
+    The store is held weakly, so store → stats → context holds no reference
+    cycle, and the lookups strongly, so stats keep working after their store
+    is dropped (their growth then needs no accounting).
     """
 
-    def __init__(
-        self,
-        table: Table,
-        hierarchies: Mapping[str, HierarchyLike],
-        encodings: dict[str, _QIEncoding],
-        store: EngineCacheStore,
-    ):
-        self.table = table
-        self.hierarchies = hierarchies
-        self.encodings = encodings
+    def __init__(self, store: EngineCacheStore):
+        self.table: Table | None = None
+        self.encodings = store._encodings
         self._store = weakref.ref(store)
         self._columns: dict[str, tuple[np.ndarray, int]] = {}
         # External-table ground codes, one slot per QI name: the domain
         # translation is node-independent, so a lattice search re-evaluating
         # δ-presence at every node pays for it once per table. Single-slot
-        # so a long-lived evaluator seeing refreshed population tables never
+        # so a long-lived store seeing refreshed population tables never
         # pins retired ones; the entry stores the table for identity checks.
         self._external_grounds: dict[str, tuple[Table, np.ndarray]] = {}
 
@@ -417,10 +409,9 @@ class _StatsContext:
         code_columns: list[np.ndarray] = []
         radices: list[int] = []
         valid = np.ones(table.n_rows, dtype=bool)
-        for i, (name, level) in enumerate(zip(stats.names, stats.node)):
-            enc = self.encodings[name]
+        for name, level in zip(stats.names, stats.node):
+            _, hierarchy, enc = self.encodings[name]
             column = table.column(name)
-            hierarchy = self.hierarchies[name]
             if column.is_categorical:
                 assert isinstance(hierarchy, Hierarchy) and column.codes is not None
                 ground = self._external_ground(name, table, column, hierarchy)
@@ -467,13 +458,13 @@ class LatticeEvaluator:
 
     The memo cache is an :class:`~repro.core.cache.EngineCacheStore`
     holding :class:`GroupStats` by store key (sorted names, levels permuted
-    to match; see the module docstring for views). ``cache=`` hands in a
-    pre-built store; the default is a fresh one with the default byte
-    budget (256 MiB), so large-lattice searches over many-row tables cannot
-    pin O(nodes × rows) of label arrays. The store evicts its least
-    recently used entry. Payload grown after insertion (lazy histograms,
-    lazily-resolved row labels) is accounted too and can trigger eviction
-    of older entries. Evicted entries may stay
+    to match), which every caller reads whatever its column order.
+    ``cache=`` hands in a pre-built store; the default is a fresh one with
+    the default byte budget (256 MiB), so large-lattice searches over
+    many-row tables cannot pin O(nodes × rows) of label arrays. The store
+    evicts its least recently used entry. Payload grown after insertion
+    (lazy histograms, lazily-resolved row labels) is accounted too and can
+    trigger eviction of older entries. Evicted entries may stay
     alive while a rolled-up descendant still references them, but each
     roll-up chain shares a single per-row label array at its root, so that
     overhang is bounded.
@@ -529,9 +520,9 @@ class LatticeEvaluator:
             for name in self.qi_names
         }
         self._level_maps: dict[tuple[str, int, int], np.ndarray] = {}
-        #: What this evaluator's stats grow lazily through;
-        #: :meth:`EngineCacheStore.rebind` re-homes a warm store's stats onto it.
-        self.context = _StatsContext(table, hierarchies, self._encodings, self.cache)
+        #: The store's one context, which every entry grows through, now
+        #: pointed at this evaluator's table.
+        self.context = self.cache.context(table, lambda: _StatsContext(self.cache))
 
     # -- precomputation ------------------------------------------------------
 
@@ -590,9 +581,9 @@ class LatticeEvaluator:
     def stats(self, node: Sequence[int], names: Sequence[str] | None = None) -> GroupStats:
         """Memoized :class:`GroupStats` of a node (roll-up when possible).
 
-        The groups keep the caller's column order: sorted ``names`` read
-        the stored entry, unsorted ones a view of it (see the module
-        docstring).
+        Every caller gets the stored entry, so its ``names``, ``node`` and
+        groups follow the store key (names sorted, levels permuted to
+        match), whatever order ``names`` lists the columns in.
 
         Thread-safe and single-flight via the cache store: when several
         workers request the same uncached store key at once, exactly one
@@ -609,8 +600,7 @@ class LatticeEvaluator:
         fault plan is armed).
         """
         names = self.qi_names if names is None else tuple(names)
-        node = tuple(int(lv) for lv in node)
-        key_names, key_node = _store_key(names, node)
+        key_names, key_node = _store_key(names, tuple(int(lv) for lv in node))
         check_deadline()
         if faults.any_armed():
             faults.fire("evaluate-node", names=key_names, node=key_node)
@@ -620,23 +610,7 @@ class LatticeEvaluator:
                 return self._rollup(ancestor, key_node)
             return self._stats_from_rows(key_names, key_node)
 
-        stored = self.cache.get_or_compute(key_names, key_node, compute)
-        if key_names == names:
-            return stored
-        with stored._lock:
-            view = stored._views.get(names)
-            if view is None:
-                view = self._rollup(stored, node, names)
-                view._view_of = stored
-                stored._views[names] = view
-                self.context.note_bytes(stored, EngineCacheStore.footprint(view))
-            return view
-
-    def _stored(self, node: Sequence[int], names: Sequence[str] | None) -> GroupStats:
-        """The node's stored entry: :meth:`stats` asked for its store key."""
-        names = self.qi_names if names is None else tuple(names)
-        key_names, key_node = _store_key(names, node)
-        return self.stats(key_node, key_names)
+        return self.cache.get_or_compute(key_names, key_node, compute)
 
     def cache_info(self) -> dict:
         """Cumulative cache telemetry plus current occupancy.
@@ -693,23 +667,18 @@ class LatticeEvaluator:
             _row_labels=labels,
         )
 
-    def _rollup(
-        self, parent: GroupStats, node: Node, names: tuple[str, ...] | None = None
-    ) -> GroupStats:
-        """``parent``'s groups raised to ``node``, whose columns are ``names``
-        (default: the parent's own order; a view reorders them)."""
-        names = parent.names if names is None else names
+    def _rollup(self, parent: GroupStats, node: Node) -> GroupStats:
+        """``parent``'s groups raised to ``node`` over the same columns."""
         code_columns = []
         radices = []
-        for name, level in zip(names, node):
-            i = parent.names.index(name)
+        for i, (name, level) in enumerate(zip(parent.names, node)):
             comp = self._level_map_between(name, parent.node[i], level)
             code_columns.append(comp[parent.group_codes[:, i]])
             radices.append(self._encodings[name].n_labels[level])
         group_map, group_codes = self._group(code_columns, radices)
         sizes = _sum_by_group(group_map, parent.sizes, group_codes.shape[0], parent.n_rows)
         return GroupStats(
-            names=names,
+            names=parent.names,
             node=node,
             sizes=sizes,
             group_codes=group_codes,
@@ -719,8 +688,6 @@ class LatticeEvaluator:
         )
 
     # -- model evaluation ----------------------------------------------------
-    #
-    # No verdict depends on group order, so each reads the stored entry.
 
     def check(
         self,
@@ -729,7 +696,7 @@ class LatticeEvaluator:
         names: Sequence[str] | None = None,
     ) -> bool:
         """True iff the node has groups and every model's ``ok_mask`` holds."""
-        stats = self._stored(node, names)
+        stats = self.stats(node, names)
         return bool(stats.n_groups) and all(
             bool(model.ok_mask(stats).all()) for model in models
         )
@@ -741,7 +708,7 @@ class LatticeEvaluator:
         names: Sequence[str] | None = None,
     ) -> int:
         """Rows belonging to any failing group (the suppression cost)."""
-        stats = self._stored(node, names)
+        stats = self.stats(node, names)
         return int(stats.sizes[self._failing_mask(stats, models)].sum())
 
     def failing_rows(
@@ -755,7 +722,7 @@ class LatticeEvaluator:
         Suppression steps consume this, so the search's admission decision
         and the final suppression read the same verdicts.
         """
-        stats = self._stored(node, names)
+        stats = self.stats(node, names)
         return np.flatnonzero(self._failing_mask(stats, models)[stats.row_labels])
 
     @staticmethod
@@ -834,15 +801,16 @@ class LatticeEvaluator:
     def partition(
         self, node: Sequence[int], names: Sequence[str] | None = None
     ) -> EquivalenceClasses:
-        """EC partition at the node, interchangeable with ``partition_by_qi``."""
+        """EC partition at the node, interchangeable with ``partition_by_qi``
+        over the store key's columns (the names sorted)."""
         return self.stats(node, names).partition()
 
     def n_groups(self, node: Sequence[int], names: Sequence[str] | None = None) -> int:
-        return self._stored(node, names).n_groups
+        return self.stats(node, names).n_groups
 
     def min_size(self, node: Sequence[int], names: Sequence[str] | None = None) -> int:
         """Size of the node's smallest group (its k-anonymity level)."""
-        return self._stored(node, names).min_size()
+        return self.stats(node, names).min_size()
 
     def distinct_counts(
         self, node: Sequence[int], names: Sequence[str] | None = None
@@ -850,7 +818,7 @@ class LatticeEvaluator:
         """Per-QI distinct generalized values present (Datafly heuristic),
         in the order of ``names``."""
         names = self.qi_names if names is None else tuple(names)
-        stats = self._stored(node, names)
+        stats = self.stats(node, names)
         return [
             int(np.unique(stats.group_codes[:, stats.names.index(name)]).size)
             for name in names
@@ -865,7 +833,7 @@ class LatticeEvaluator:
     ) -> int:
         """Distinct values of one QI if raised to ``new_level`` (loss ablation)."""
         names = self.qi_names if names is None else tuple(names)
-        stats = self._stored(node, names)
+        stats = self.stats(node, names)
         name = names[qi_index]
         comp = self._level_map_between(name, int(node[qi_index]), new_level)
         return int(np.unique(comp[stats.group_codes[:, stats.names.index(name)]]).size)

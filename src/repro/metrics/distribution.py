@@ -103,13 +103,6 @@ def hellinger(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.sqrt(0.5 * np.sum((np.sqrt(p) - np.sqrt(q)) ** 2)))
 
 
-def _marginal(table: Table, column: str) -> np.ndarray:
-    col = table.column(column)
-    if not col.is_categorical:
-        raise SchemaError(f"distribution metrics need categorical columns; got numeric {column!r}")
-    return np.bincount(col.codes, minlength=len(col.categories)).astype(np.float64)
-
-
 def _aligned_marginals(original: Table, released: Table, column: str) -> tuple[np.ndarray, np.ndarray]:
     """Marginals of both tables over the *union* of the two category lists."""
     orig_col, rel_col = original.column(column), released.column(column)

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import settings
 
 from repro.api.registry import model_registry
-from repro.core.cache import EngineCacheStore
 from repro.core.hierarchy import Hierarchy, IntervalHierarchy
 from repro.core.schema import Schema
 from repro.core.table import Column, Table
@@ -54,21 +53,6 @@ def flagged_rows():
     every class :func:`repro.verify.violations` flags. ``models`` are
     registered models (a composite counts as its members) or verify specs."""
     return _flagged_rows
-
-
-def _entry_bytes(stats):
-    footprint = EngineCacheStore.footprint
-    if stats._view_of is None:
-        return footprint(stats)
-    return footprint(stats) + footprint(stats._view_of)
-
-
-@pytest.fixture(scope="session")
-def entry_bytes():
-    """``entry_bytes(stats)``: the bytes a store accounts to the entry that
-    ``stats`` reads, a view's included, for sizing a byte budget that
-    forces eviction."""
-    return _entry_bytes
 
 
 @pytest.fixture(scope="session")

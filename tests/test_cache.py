@@ -7,7 +7,7 @@ Pins the contracts of the pluggable cache layer and the planner on top:
   used keys, a budget below one entry keeps the latest, and every node
   reads the same stats at any budget), the full counter set
   (hits / misses / evictions / coalesced / recomputed_after_evict) and the
-  inspection views;
+  inspection methods;
 * eviction-under-pressure correctness: a deliberately tiny byte budget
   yields byte-identical releases to an unconstrained run for all four
   full-domain algorithms, sequential and at ``workers=4``;
@@ -22,13 +22,15 @@ Pins the contracts of the pluggable cache layer and the planner on top:
 * one store per table environment: a batch over overlapping QI sets
   publishes what each job publishes alone and computes each shared column
   subset once, also under racing workers and when jobs list one column set
-  in different orders (the store keys entries by sorted names), and
-  ``rebind`` leaves entries over columns the new evaluator lacks working;
+  in different orders (the store keys entries by sorted names), and an
+  evaluator over other columns leaves the entries over columns it lacks
+  growing as before, racing δ-presence searches included;
 * the store's table environment: a warm batch builds no hierarchy,
   encodes no column and builds no published column, yet publishes what a
   cold run does; evaluators over one store (racing ones included) share
   one hierarchy and encoding per column, another table object rebuilds
-  them, a used store is still freed by reference counting, and live
+  them and takes over the store's one stats context without a from-rows
+  pass, a used store is still freed by reference counting, and live
   hierarchy overrides cannot reach an injected store.
 """
 
@@ -90,11 +92,11 @@ def _scenario(seed, n_rows=160):
     return table, schema.quasi_identifiers, hierarchies
 
 
-def _budget_holding(n, entry_bytes, table, qi, hierarchies, nodes):
+def _budget_holding(n, table, qi, hierarchies, nodes):
     """A byte budget that holds any ``n`` of the entries ``nodes`` fill when
     requested in this order, and so evicts once ``n + 1`` are cached."""
     evaluator = LatticeEvaluator(table, qi, hierarchies)
-    sizes = sorted(entry_bytes(evaluator.stats(node)) for node in nodes)
+    sizes = sorted(EngineCacheStore.footprint(evaluator.stats(node)) for node in nodes)
     return sum(sizes[-n:])
 
 
@@ -134,12 +136,12 @@ class TestEngineCacheStore:
         assert info["hits"] >= 1
         assert info["recomputed_after_evict"] == 0
 
-    def test_lru_keeps_recently_hit_entries(self, entry_bytes):
+    def test_lru_keeps_recently_hit_entries(self):
         table, qi, hierarchies = _scenario(1)
         lattice = GeneralizationLattice.from_hierarchies(hierarchies, qi)
         nodes = list(lattice.nodes())
         a, b, c, d = nodes[0], nodes[1], nodes[2], nodes[3]
-        budget = _budget_holding(3, entry_bytes, table, qi, hierarchies, nodes[:4])
+        budget = _budget_holding(3, table, qi, hierarchies, nodes[:4])
         evaluator = LatticeEvaluator(
             table, qi, hierarchies, cache=EngineCacheStore(cache_bytes=budget)
         )
@@ -150,7 +152,7 @@ class TestEngineCacheStore:
         cached = {key[1] for key in evaluator.cache.keys()}
         assert cached == {_store_node(qi, node) for node in (a, c, d)}
 
-    def test_lru_counts_rollup_ancestor_reads_as_uses(self, entry_bytes):
+    def test_lru_counts_rollup_ancestor_reads_as_uses(self):
         """The workhorse bottom is read almost only through the ancestor
         path; that must refresh its recency or it is the first victim."""
         table, qi, hierarchies = _scenario(8)
@@ -161,9 +163,7 @@ class TestEngineCacheStore:
             tuple(1 if i == j else 0 for j in range(len(qi)))
             for i in range(len(qi))
         ]
-        budget = _budget_holding(
-            3, entry_bytes, table, qi, hierarchies, [bottom, *singles]
-        )
+        budget = _budget_holding(3, table, qi, hierarchies, [bottom, *singles])
         evaluator = LatticeEvaluator(
             table, qi, hierarchies, cache=EngineCacheStore(cache_bytes=budget)
         )
@@ -174,11 +174,11 @@ class TestEngineCacheStore:
         # singles[0] is the true LRU victim.
         assert cached == {bottom} | {_store_node(qi, node) for node in singles[1:]}
 
-    def test_recomputed_after_evict_counts_budget_thrash(self, entry_bytes):
+    def test_recomputed_after_evict_counts_budget_thrash(self):
         table, qi, hierarchies = _scenario(3)
         lattice = GeneralizationLattice.from_hierarchies(hierarchies, qi)
         nodes = list(lattice.nodes())[:4]
-        budget = _budget_holding(2, entry_bytes, table, qi, hierarchies, nodes)
+        budget = _budget_holding(2, table, qi, hierarchies, nodes)
         store = EngineCacheStore(cache_bytes=budget)
         evaluator = LatticeEvaluator(table, qi, hierarchies, cache=store)
         for node in nodes:
@@ -188,7 +188,7 @@ class TestEngineCacheStore:
             evaluator.stats(node)
         assert store.counters["recomputed_after_evict"] > 0
 
-    def test_a_budget_below_one_entry_keeps_only_the_latest(self, entry_bytes):
+    def test_a_budget_below_one_entry_keeps_only_the_latest(self):
         """A single entry larger than the budget is kept, not thrashed, and
         the next insertion evicts it."""
         table, qi, hierarchies = _scenario(4)
@@ -198,7 +198,7 @@ class TestEngineCacheStore:
         for evicted, node in enumerate(list(lattice.nodes())[:5]):
             stats = evaluator.stats(node)
             assert [key[1] for key in store.keys()] == [_store_node(qi, node)]
-            assert store.info()["bytes"] == entry_bytes(stats)
+            assert store.info()["bytes"] == store.footprint(stats)
             assert store.counters["evictions"] == evicted
 
     @pytest.mark.parametrize("share", [0.0, 0.25, 0.5])
@@ -261,9 +261,8 @@ class TestEngineCacheStore:
             key = (tuple(sorted(qi)), _store_node(qi, nodes[index]))
             cached = key in store
             stats = evaluator.stats(nodes[index])
-            stored = stats if stats._view_of is None else stats._view_of
-            if not cached and stored._parent is not None:
-                use(stored._parent[0]._cache_key)
+            if not cached and stats._parent is not None:
+                use(stats._parent[0]._cache_key)
             use(key)
             assert list(store.keys()) == uses[-len(store):]
         assert store.counters["evictions"] > 0
@@ -277,12 +276,7 @@ class TestEngineCacheStore:
             "hits", "misses", "from_rows", "rollups", "evictions", "coalesced",
             "recomputed_after_evict", "entries", "bytes",
         }
-        occupancy = store.occupancy()
-        assert set(occupancy) == {
-            "entries", "bytes", "cache_bytes", "utilization", "by_names",
-        }
-        assert occupancy["cache_bytes"] == 1 << 20
-        assert occupancy["utilization"] == round(info["bytes"] / (1 << 20), 4)
+        assert store.cache_bytes == 1 << 20
         assert repr(store) == f"EngineCacheStore(1 entries, {info['bytes']} bytes)"
 
 
@@ -715,36 +709,40 @@ class TestCrossQISharing:
         assert totals["stores"] == 1 and totals["evictions"] == 0
         assert totals["from_rows"] + totals["rollups"] == totals["entries"]
 
-    def test_searches_read_stored_entries_and_build_no_views(self, monkeypatch):
-        """Verdicts and seeds read the stored entry, so a search over
-        unsorted QIs never regroups one into its own column order."""
+    def test_searches_over_unsorted_qis_read_stored_entries(self, monkeypatch):
+        """Every stats object a search over unsorted QIs reads is the stored
+        entry of its store key, so its groups follow the sorted names."""
         from repro.api import build_hierarchies
 
-        views = []
-        rollup = LatticeEvaluator._rollup
+        seen = []
+        stats = LatticeEvaluator.stats
 
-        def spy(self, parent, node, names=None):
-            if names is not None:  # only a view passes its own column order
-                views.append(names)
-            return rollup(self, parent, node, names)
+        def spy(self, node, names=None):
+            result = stats(self, node, names)
+            seen.append((self.cache, result))
+            return result
 
-        monkeypatch.setattr(LatticeEvaluator, "_rollup", spy)
+        monkeypatch.setattr(LatticeEvaluator, "stats", spy)
         table = _shared_table()
         for algorithm in ("flash", "ola", "incognito", "datafly", "bottom-up"):
             config = _shared_config(["zipcode", "job"], ["age"], algorithm,
                                     [{"model": "k-anonymity", "k": 3}])
             assert run(config, table).release.table.n_rows > 0
-        assert views == []
-        # The spy does see a view: a partition in QI order is one.
+        assert len({id(store) for store, _ in seen}) == 5
+        for store, result in seen:
+            assert result.names == tuple(sorted(result.names))
+            assert store.info()["evictions"] == 0
+            assert store._entries[result._cache_key] is result
+        # A partition asked for in QI order is the stored entry's too.
         evaluator = LatticeEvaluator(
             table, ["zipcode", "job", "age"], build_hierarchies(config, table)
         )
-        evaluator.partition((0, 0, 0))
-        assert views == [("zipcode", "job", "age")]
+        partition = evaluator.partition((1, 0, 2))
+        assert partition.qi_names == ("age", "job", "zipcode")
+        assert partition is evaluator.stats((2, 0, 1), ("age", "job", "zipcode")).partition()
 
-    def test_rebind_leaves_entries_over_other_columns_working(self):
+    def _delta_setup(self):
         from repro.api import build_hierarchies
-        from repro.privacy import DeltaPresence
 
         table = _shared_table()
         population = table.take(np.concatenate([np.arange(table.n_rows)] * 2))
@@ -753,26 +751,98 @@ class TestCrossQISharing:
                            [{"model": "k-anonymity", "k": 2}]),
             table,
         )
+        return table, population, hierarchies
+
+    def test_entries_over_columns_a_later_evaluator_lacks_keep_growing(self):
+        from repro.privacy import DeltaPresence
+
+        table, population, hierarchies = self._delta_setup()
         store = EngineCacheStore()
         first = LatticeEvaluator(table, ["zipcode", "job", "age"], hierarchies, cache=store)
         nodes = [(0, 0, 0), (1, 1, 1)]
         for node in nodes:
             first.check(node, [DeltaPresence(0.0, 1.0, population)])
-        first.stats((1,), names=("zipcode",))
-        # A later request over other columns of the same data.
+        # A later request over other columns of the same data shares the
+        # store's one context.
         second = LatticeEvaluator(table, ["zipcode", "sex"], hierarchies, cache=store)
-        rebound = store.rebind(second)
-        # A refreshed population table makes the stats count through their
-        # context again; entries over "job" and "age" must still resolve.
+        assert second.context is first.context
+        # A refreshed population table makes the stats count through the
+        # context again; entries over "job" and "age" must still resolve,
+        # and grow their other payload too.
         refreshed = population.take(np.arange(population.n_rows))
         reference = LatticeEvaluator(table, ["zipcode", "job", "age"], hierarchies)
         for node in nodes:
+            mine, theirs = first.stats(node), reference.stats(node)
+            assert mine._context is second.context
             assert np.array_equal(
-                first.stats(node).external_counts(refreshed),
-                reference.stats(node).external_counts(refreshed),
+                mine.external_counts(refreshed), theirs.external_counts(refreshed)
             )
-        assert rebound == 1  # only the ("zipcode",) entry moved
-        assert first.stats((1,), names=("zipcode",))._context is second.context
+            assert np.array_equal(mine.histogram("disease"), theirs.histogram("disease"))
+            for ours, other in zip(mine.value_bounds("age"), theirs.value_bounds("age")):
+                assert np.array_equal(ours, other)
+
+    def test_racing_delta_presence_searches_over_two_qi_sets(self):
+        """Two Flash searches with δ-presence over QI sets that differ in a
+        column race on one store, each building its evaluator as the other
+        runs: each publishes what it publishes alone."""
+        import sys
+        import threading
+
+        from repro.algorithms import Flash
+        from repro.api import build_schema, execute
+        from repro.privacy import DeltaPresence, KAnonymity
+
+        table, population, hierarchies = self._delta_setup()
+        schemas = [
+            build_schema(
+                _shared_config(qis, ["age"], "flash", [{"model": "k-anonymity", "k": 2}]),
+                table,
+            )
+            for qis in (["zipcode", "job"], ["zipcode", "sex"])
+        ]
+
+        def job(schema, store=None):
+            evaluator = None
+            if store is not None:
+                evaluator = LatticeEvaluator(
+                    table, schema.quasi_identifiers, hierarchies, cache=store
+                )
+            models = [KAnonymity(2), DeltaPresence(0.0, 0.9, population)]
+            return execute(
+                table, schema, hierarchies, models, Flash(max_suppression=0.05),
+                evaluator=evaluator,
+            )
+
+        store = EngineCacheStore()
+        start = threading.Barrier(len(schemas))
+        out = {}
+
+        def racer(index):
+            start.wait(timeout=60)
+            out[index] = job(schemas[index], store)
+
+        threads = [
+            threading.Thread(target=racer, args=(index,), daemon=True)
+            for index in range(len(schemas))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(out) == len(schemas)
+        for index, schema in enumerate(schemas):
+            alone = job(schema)
+            assert out[index].engine.cache is store
+            assert out[index].node == alone.node
+            assert release_csv_bytes(out[index].release.table) == release_csv_bytes(
+                alone.release.table
+            )
 
 
 def _warm_config(algorithm, qis=("zipcode", "job"), numeric=("age",)):
@@ -896,12 +966,16 @@ class TestWarmEnvironment:
                 assert mine.n_labels == theirs.n_labels
 
     def test_another_table_with_equal_content_rebuilds(self, monkeypatch):
+        import gc
+        import weakref
+
         table = _shared_table()
         twin = table.take(np.arange(table.n_rows))  # equal content, new objects
         config = _warm_config({"algorithm": "flash"})
         stores = {_environment_key(config)[0]: EngineCacheStore()}
         first = run_batch([config], table, cache_stores=stores)[0]
         calls = _count_environment_builds(monkeypatch)
+        from_rows = first.engine.cache_info()["from_rows"]
         second = run_batch([config], twin, cache_stores=stores)[0]
         assert sorted(call for call in calls if call[0] != "publish") == [
             ("encode", "age"), ("encode", "job"), ("encode", "zipcode"),
@@ -910,6 +984,23 @@ class TestWarmEnvironment:
         assert second.engine.cache is first.engine.cache
         assert second.engine._encodings["zipcode"] is not first.engine._encodings["zipcode"]
         assert _fingerprint(second.release.table) == _fingerprint(first.release.table)
+        # Both evaluators share the store's one context, now pointed at the
+        # twin, and the twin's batch computed nothing from rows.
+        assert second.engine.context is first.engine.context
+        assert second.engine.context.table is twin
+        assert second.engine.cache_info()["from_rows"] == from_rows
+        # Nothing the store holds pins the first table: reference counting
+        # frees it once its result goes.
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            freed = weakref.ref(table)
+            del table, first
+            assert freed() is None
+        finally:
+            if was_enabled:
+                gc.enable()
 
     def test_racing_batches_share_one_object_per_column(self):
         import sys

@@ -64,6 +64,9 @@ def scenario(seed, n_rows=180):
 
 
 class TestGroupStatsParity:
+    """The evaluators list the scenarios' unsorted QIs (``qi0, qi1, num``);
+    their groups follow the store key's order (``num, qi0, qi1``)."""
+
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_partition_matches_legacy_on_every_node(self, seed):
         table, qi, hierarchies = scenario(seed)
@@ -71,11 +74,12 @@ class TestGroupStatsParity:
         evaluator = LatticeEvaluator(table, qi, hierarchies)
         for node in lattice.nodes():
             candidate = apply_node(table, hierarchies, qi, node)
-            legacy = partition_by_qi(candidate, qi)
+            legacy = partition_by_qi(candidate, sorted(qi))
             stats = evaluator.stats(node)
             assert stats.n_groups == len(legacy)
             assert np.array_equal(stats.sizes, legacy.sizes())
             engine_partition = evaluator.partition(node)
+            assert engine_partition.qi_names == legacy.qi_names
             assert len(engine_partition.groups) == len(legacy.groups)
             for mine, theirs in zip(engine_partition.groups, legacy.groups):
                 assert np.array_equal(mine, theirs)
@@ -104,7 +108,7 @@ class TestGroupStatsParity:
         evaluator = LatticeEvaluator(table, qi, hierarchies)
         for node in lattice.nodes():
             candidate = apply_node(table, hierarchies, qi, node)
-            partition = partition_by_qi(candidate, qi)
+            partition = partition_by_qi(candidate, sorted(qi))
             global_dist = partition.global_sensitive_distribution(candidate, SENSITIVE)
             scalar = np.array([
                 emd_hierarchical(counts / counts.sum(), global_dist, sens_hierarchy)
@@ -122,7 +126,7 @@ class TestGroupStatsParity:
             lattice = GeneralizationLattice.from_hierarchies(hierarchies, subset)
             for node in lattice.nodes():
                 candidate = apply_node(table, hierarchies, subset, node)
-                partition = partition_by_qi(candidate, subset)
+                partition = partition_by_qi(candidate, sorted(subset))
                 stats = evaluator.stats(node, names=subset)
                 assert np.array_equal(stats.sizes, partition.sizes())
                 for model in (KAnonymity(4), DistinctLDiversity(2, SENSITIVE)):
@@ -312,7 +316,7 @@ class TestReviewHardening:
         with pytest.raises(HierarchyError, match="IntervalHierarchy"):
             LatticeEvaluator(table, qi, broken)
 
-    def test_cache_accounting_survives_lazy_growth_on_evicted_entries(self, entry_bytes):
+    def test_cache_accounting_survives_lazy_growth_on_evicted_entries(self):
         """Lazy histograms/partitions on evicted GroupStats must not leak
         into the byte budget (which would collapse the cache to one entry),
         and parity must hold under constant eviction pressure."""
@@ -329,14 +333,16 @@ class TestReviewHardening:
         # Room for four fully grown entries.
         sizing = LatticeEvaluator(table, qi, hierarchies)
         sized = [grown(sizing, node) for node in lattice.nodes()]
-        store = EngineCacheStore(cache_bytes=4 * max(map(entry_bytes, sized)))
+        store = EngineCacheStore(
+            cache_bytes=4 * max(map(EngineCacheStore.footprint, sized))
+        )
         evaluator = LatticeEvaluator(table, qi, hierarchies, cache=store)
         held = []
         for node in lattice.nodes():
             stats = grown(evaluator, node)
             held.append(stats)  # keep evicted entries alive as they grow
             candidate = apply_node(table, hierarchies, qi, node)
-            legacy = partition_by_qi(candidate, qi)
+            legacy = partition_by_qi(candidate, sorted(qi))
             assert np.array_equal(stats.sizes, legacy.sizes()), node
         assert store.counters["evictions"] > 0
         assert store._cached_bytes == sum(store._accounted.values())
@@ -426,12 +432,14 @@ class TestEngineCacheTelemetry:
         assert info["entries"] == 2
         assert info["bytes"] > 0
 
-    def test_stratum_index_tracks_cache_under_eviction(self, entry_bytes):
+    def test_stratum_index_tracks_cache_under_eviction(self):
         table, qi, hierarchies = scenario(7, n_rows=90)
         lattice = GeneralizationLattice.from_hierarchies(hierarchies, qi)
         # Room for the five largest entries.
         sizing = LatticeEvaluator(table, qi, hierarchies)
-        sizes = sorted(entry_bytes(sizing.stats(node)) for node in lattice.nodes())
+        sizes = sorted(
+            EngineCacheStore.footprint(sizing.stats(node)) for node in lattice.nodes()
+        )
         store = EngineCacheStore(cache_bytes=sum(sizes[-5:]))
         evaluator = LatticeEvaluator(table, qi, hierarchies, cache=store)
         for node in lattice.nodes():
@@ -453,10 +461,9 @@ class TestEngineCacheTelemetry:
         evaluator.stats(bottom)
         evaluator.stats(mid)
         top = tuple(hierarchies[name].height for name in qi)
-        # The QIs ("qi0", "qi1", "num") are unsorted, so stats() returns a
-        # view; the roll-up parent is chosen for the stored entry, whose
+        # The QIs ("qi0", "qi1", "num") are unsorted; the stored entry's
         # levels follow the sorted names ("num", "qi0", "qi1").
-        stored = evaluator.stats(top)._view_of
+        stored = evaluator.stats(top)
         # The mid node lives in a higher stratum than the bottom, so it is
         # the chosen roll-up parent.
         assert stored._parent is not None
@@ -486,9 +493,8 @@ class TestEngineCacheTelemetry:
 
 
 class TestViews:
-    """The store keys each node by its sorted names; a caller asking for
-    another column order gets a view of that entry, which must equal a
-    from-rows pass in that order."""
+    """The store keys each node by its sorted names, and every caller reads
+    that one entry, whatever order it lists the columns in."""
 
     def test_every_order_of_every_node_equals_a_from_rows_pass(self):
         import itertools
@@ -500,83 +506,53 @@ class TestViews:
         )
         lattice = GeneralizationLattice.from_hierarchies(hierarchies, qi)
         evaluator = LatticeEvaluator(table, qi, hierarchies)
-        # Bottom up, so most stored entries are roll-ups and a view's rows
+        key_names = tuple(sorted(qi))
+        fresh = LatticeEvaluator(table, key_names, hierarchies)
+        orders = list(itertools.permutations(range(len(qi))))
+        # Bottom up, so most stored entries are roll-ups and their rows
         # resolve through a roll-up chain.
         nodes = [node for stratum in lattice.levels() for node in stratum]
-        views = 0
-        for order in itertools.permutations(range(len(qi))):
-            names = tuple(qi[i] for i in order)
-            fresh = LatticeEvaluator(table, names, hierarchies)
-            for node in nodes:
-                node = tuple(node[i] for i in order)
-                mine = evaluator.stats(node, names)
-                theirs = fresh._stats_from_rows(names, node)
-                views += mine._view_of is not None
-                assert (mine.names, mine.node) == (names, node)
-                assert np.array_equal(mine.sizes, theirs.sizes)
-                assert np.array_equal(mine.group_codes, theirs.group_codes)
-                assert np.array_equal(mine.row_labels, theirs.row_labels)
-                assert np.array_equal(
-                    mine.histogram(SENSITIVE), theirs.histogram(SENSITIVE)
-                )
-                for ours, other in zip(mine.value_bounds("num"), theirs.value_bounds("num")):
-                    assert np.array_equal(ours, other)
-                for ours, other in zip(mine.partition().groups, theirs.partition().groups):
-                    assert np.array_equal(ours, other)
-                assert mine.partition().qi_names == theirs.partition().qi_names
-                assert np.array_equal(
-                    mine.external_counts(population), theirs.external_counts(population)
-                )
-        # Five of the six orders are unsorted; only ("num", "qi0", "qi1")
-        # reads the stored entries themselves.
-        assert views == 5 * len(nodes)
+        for node in nodes:
+            asked = [
+                evaluator.stats(tuple(node[i] for i in order), tuple(qi[i] for i in order))
+                for order in orders
+            ]
+            mine = asked[0]
+            assert all(stats is mine for stats in asked)
+            key_node = tuple(node[qi.index(name)] for name in key_names)
+            theirs = fresh._stats_from_rows(key_names, key_node)
+            assert (mine.names, mine.node) == (key_names, key_node)
+            assert np.array_equal(mine.sizes, theirs.sizes)
+            assert np.array_equal(mine.group_codes, theirs.group_codes)
+            assert np.array_equal(mine.row_labels, theirs.row_labels)
+            assert np.array_equal(mine.histogram(SENSITIVE), theirs.histogram(SENSITIVE))
+            for ours, other in zip(mine.value_bounds("num"), theirs.value_bounds("num")):
+                assert np.array_equal(ours, other)
+            for ours, other in zip(mine.partition().groups, theirs.partition().groups):
+                assert np.array_equal(ours, other)
+            assert mine.partition().qi_names == theirs.partition().qi_names == key_names
+            assert np.array_equal(
+                mine.external_counts(population), theirs.external_counts(population)
+            )
+        # One miss per node; the other five orders of it are hits.
         info = evaluator.cache_info()
         assert info["entries"] == info["misses"] == len(nodes)
+        assert info["hits"] == (len(orders) - 1) * len(nodes)
 
-    def test_views_count_against_their_entry_and_move_with_it(self, entry_bytes):
-        table, qi, hierarchies = scenario(13, n_rows=120)
-        # Room for the entry below with its grown view, and nothing more.
-        sized = LatticeEvaluator(table, qi, hierarchies).stats((1, 0, 2))
-        sized.histogram(SENSITIVE)
-        sized.partition()
-        store = EngineCacheStore(cache_bytes=entry_bytes(sized))
-        evaluator = LatticeEvaluator(table, qi, hierarchies, cache=store)
-        stored = evaluator.stats((2, 1, 0), ("num", "qi0", "qi1"))
-        view = evaluator.stats((1, 0, 2))  # the same node in QI order
-        assert view._view_of is stored and view is evaluator.stats((1, 0, 2))
-        view.histogram(SENSITIVE)
-        view.partition()
-        # A view is never a store entry, and no hit, miss or roll-up of its
-        # own: each of the two view requests is one hit on the entry.
-        info = store.info()
-        assert (info["entries"], info["misses"], info["hits"]) == (1, 1, 2)
-        assert list(store.keys()) == [(("num", "qi0", "qi1"), (2, 1, 0))]
-        # ... but it and its growth count against its entry's bytes.
-        assert info["bytes"] == store.footprint(stored) + store.footprint(view)
-        # rebind re-homes the view with its entry.
-        other = LatticeEvaluator(table, qi, hierarchies, cache=store)
-        assert store.rebind(other) == 1
-        assert stored._context is view._context is other.context
-        # Evicting the entry drops its views and their bytes.
-        bottom = evaluator.stats((0, 0, 0), ("num", "qi0", "qi1"))
-        assert stored._views == {}
-        assert store.info()["bytes"] == store.footprint(bottom)
-
-
-    def test_an_evaluator_with_views_is_freed_by_reference_counting(self):
-        """A view and its entry point at each other; the store drops views
-        with itself, so no GroupStats is left in a reference cycle."""
+    def test_an_evaluator_over_unsorted_qis_is_freed_by_reference_counting(self):
+        """Stats point at their store's context, which holds the store only
+        weakly, so no GroupStats is left in a reference cycle."""
         import gc
 
         table, qi, hierarchies = scenario(14, n_rows=100)
+        assert list(qi) != sorted(qi)
         was_enabled = gc.isenabled()
         gc.collect()
         gc.disable()
         try:
             evaluator = LatticeEvaluator(table, qi, hierarchies)
             for node in ((0, 0, 0), (1, 1, 1)):
-                evaluator.partition(node).groups  # unsorted QIs: a view
-            assert evaluator.stats((1, 1, 1))._view_of is not None
+                evaluator.partition(node).groups
             del evaluator
             gc.set_debug(gc.DEBUG_SAVEALL)
             gc.collect()
