@@ -2,10 +2,12 @@
 
 Also home to the machine-readable results writer: every executor-tier
 experiment (E34-E37, E39-E41) calls :func:`write_results` with its wall clocks and
-counters, producing ``BENCH_<EXP>.json`` next to the scripts (or under
-``$BENCH_RESULTS_DIR``). Shrunken pytest-tier runs skip the write so test
-invocations never churn committed baselines; set ``BENCH_RESULTS_DIR`` to
-force writing anywhere, including under pytest.
+counters, producing ``BENCH_<EXP>.json`` under ``$BENCH_RESULTS_DIR``, or by
+default under the git-ignored ``.bench_out/`` at the repository root, so a
+gate run (as CI makes) leaves the committed records alone. To re-record a
+committed record on purpose, point ``BENCH_RESULTS_DIR`` at this directory
+(``cd benchmarks && BENCH_RESULTS_DIR=. python bench_e41_partition_engine.py``).
+Shrunken pytest-tier runs skip the write unless ``BENCH_RESULTS_DIR`` is set.
 """
 
 import json
@@ -82,15 +84,19 @@ def write_results(experiment, payload):
     ``payload`` holds the experiment-specific series (wall clocks, cache
     counters, gate verdicts); host facts (CPU count, python, peak RSS) are
     stamped alongside so a number can be judged against the machine that
-    produced it. Returns the path written, or ``None`` when skipped (pytest
-    tier without ``BENCH_RESULTS_DIR`` — shrunken runs must not overwrite
-    full-size baselines).
+    produced it. Writes under ``$BENCH_RESULTS_DIR``, else under the
+    git-ignored ``.bench_out/``; the committed records beside the scripts
+    change only when ``BENCH_RESULTS_DIR`` names their directory. Returns
+    the path written, or ``None`` when skipped (pytest tier without
+    ``BENCH_RESULTS_DIR`` — shrunken runs must not overwrite full-size
+    records).
     """
     out_dir = os.environ.get("BENCH_RESULTS_DIR")
     if out_dir is None:
         if os.environ.get("PYTEST_CURRENT_TEST"):
             return None
-        out_dir = Path(__file__).resolve().parent
+        out_dir = Path(__file__).resolve().parent.parent / ".bench_out"
+        out_dir.mkdir(exist_ok=True)
     path = Path(out_dir) / f"BENCH_{experiment}.json"
     record = {
         "experiment": experiment,

@@ -18,7 +18,17 @@ strategy that is markedly cheaper in practice:
 Every lattice node ends up classified, so the minimal satisfying antichain
 is exact — Flash and Incognito return the same set of minimal nodes (tested
 in ``tests/test_flash.py``); only the number of explicit model checks
-differs. Instrumentation mirrors :class:`~repro.algorithms.Incognito`:
+differs. That holds without a suppression budget, where every registered
+model is monotone along a chain. With ``max_suppression > 0`` a node
+satisfies when its failing classes' rows fit the budget, which stays
+monotone only for *suppression-monotone* models, those for which merging two
+classes never adds failing rows (k-anonymity, distinct ℓ-diversity). Models
+that average over a class (entropy and recursive ℓ-diversity, t-closeness,
+β-likeness, (α,k)-anonymity) can fail more rows on a merged class, so steps
+3 and 4 may tag satisfying nodes violating and the antichain may miss
+minimal nodes: on ``random_scenario(300, 2, 6, 4, seed=20)`` with
+t-closeness 0.15 and a 0.05 budget, Flash releases ``(0, 3, 4)`` though
+``(3, 1, 2)`` satisfies. Instrumentation mirrors :class:`~repro.algorithms.Incognito`:
 ``stats`` records nodes checked vs. lattice size (experiment E23).
 
 The release node is chosen among the minimal antichain exactly as Incognito

@@ -13,6 +13,18 @@ bottom-up BFS of the projected lattice, with two classic optimizations:
 * **candidate pruning across subset sizes** — a size-``s`` node is only
   checked if all its size-``s-1`` projections were satisfying.
 
+Both rules hold without a suppression budget. With ``max_suppression > 0``
+a node satisfies when its failing classes' rows fit the budget, which is
+monotone only for *suppression-monotone* models, those for which merging two
+classes never adds failing rows (k-anonymity, distinct ℓ-diversity). With a
+model that averages over a class (entropy and recursive ℓ-diversity,
+t-closeness, β-likeness, (α,k)-anonymity) a more general node can break a
+budget a less general one met, so the tagging and the pruning may skip
+satisfying nodes and the minimal set may be wrong. On
+``random_scenario(300, 2, 6, 4, seed=35)`` with t-closeness 0.15 and a 0.05
+budget, Incognito's minimal set lacks ``(3, 2, 2)``; on ``seed=20`` Flash
+releases ``(0, 3, 4)`` though ``(3, 1, 2)`` satisfies.
+
 The returned release uses the minimal satisfying node with the best value of
 a caller-supplied scoring function (default: lowest total height, ties by
 most equivalence classes).

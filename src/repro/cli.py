@@ -492,6 +492,10 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # numpy names the failed allocation; a bare MemoryError says nothing.
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

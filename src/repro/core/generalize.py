@@ -70,7 +70,9 @@ def apply_partition_recoding(
     Returns a new table where each recoded QI is a categorical column whose
     categories are its distinct labels sorted as strings. Works in code
     space: the groups are concatenated once, every per-group minimum and
-    maximum is one ``reduceat``, and each label is rendered once per group.
+    maximum is one ``reduceat``, and each distinct label (a hierarchy label
+    id, or a numeric ``(min, max)`` pair) is rendered once. Labels are then
+    merged by their text, so two labels that render alike are one category.
     """
     n_rows = table.n_rows
     sizes = np.array([len(group) for group in groups], dtype=np.int64)
@@ -87,12 +89,14 @@ def apply_partition_recoding(
         raise HierarchyError("groups do not cover every row")
     starts = np.cumsum(sizes) - sizes
 
-    def labelled(name: str, texts: list[str]) -> Column:
+    def labelled(name: str, texts: list[str], label_of_group: np.ndarray) -> Column:
+        """The column giving each group the text of its label: ``texts`` holds
+        one text per distinct label, ``label_of_group`` indexes it."""
         categories = sorted(set(texts), key=str)
         index = {text: code for code, text in enumerate(categories)}
-        group_codes = np.fromiter(map(index.__getitem__, texts), np.int32, len(texts))
+        text_codes = np.fromiter(map(index.__getitem__, texts), np.int32, len(texts))
         codes = np.empty(n_rows, dtype=np.int32)
-        codes[rows] = np.repeat(group_codes, sizes)
+        codes[rows] = np.repeat(text_codes[label_of_group], sizes)
         return Column.from_codes(name, codes, categories)
 
     new_columns: list[Column] = []
@@ -114,22 +118,30 @@ def apply_partition_recoding(
             offset += len(hierarchy.labels(level))
             if not pending.any():
                 break
-        texts = [
-            str(label)
+        labels = [
+            label
             for level in range(hierarchy.height + 1)
             for label in hierarchy.labels(level)
         ]
-        new_columns.append(labelled(name, [texts[i] for i in chosen.tolist()]))
+        ids, label_of_group = np.unique(chosen, return_inverse=True)
+        texts = [str(labels[i]) for i in ids.tolist()]
+        new_columns.append(labelled(name, texts, label_of_group))
 
     fmt = f"%.{precision}g"
     for name in numeric_qis:
         values = table.values(name)[rows].astype(np.float64)
-        low = np.minimum.reduceat(values, starts).tolist()
-        high = np.maximum.reduceat(values, starts).tolist()
+        bounds = np.stack(
+            [np.minimum.reduceat(values, starts), np.maximum.reduceat(values, starts)]
+        )
+        # Distinct (low, high) pairs, told apart by their bits so that 0.0
+        # and -0.0 render apart.
+        distinct, bound_codes = np.unique(bounds.view(np.int64).ravel(), return_inverse=True)
+        pairs = bound_codes[: sizes.size] * distinct.size + bound_codes[sizes.size :]
+        _, first, label_of_group = np.unique(pairs, return_index=True, return_inverse=True)
         texts = [
             fmt % lo if lo == hi else f"[{fmt % lo}-{fmt % hi}]"
-            for lo, hi in zip(low, high)
+            for lo, hi in zip(*bounds[:, first].tolist())
         ]
-        new_columns.append(labelled(name, texts))
+        new_columns.append(labelled(name, texts, label_of_group))
 
     return table.replace(*new_columns)

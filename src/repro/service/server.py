@@ -307,10 +307,10 @@ class _Handler(BaseHTTPRequestHandler):
         tenant = self._tenant()
         if tenant is None:
             return
-        payload = self._body()
-        if payload is _INVALID:
-            return
         try:
+            payload = self._body()
+            if payload is _INVALID:
+                return
             if self.path == "/v1/jobs":
                 self._json(202, self.service.submit_job(tenant, payload))
             elif self.path == "/v1/batches":
@@ -319,6 +319,15 @@ class _Handler(BaseHTTPRequestHandler):
                 self._json(404, {"error": f"unknown path {self.path!r}"})
         except QueueFull as exc:
             self._json(503, {"error": str(exc)}, headers={"Retry-After": "1"})
+        except MemoryError:
+            # Reading or parsing the request ran out of memory. Like a full
+            # queue this is load, so the client may retry; the body may be
+            # half read, so the connection cannot carry another request.
+            self._json(
+                503,
+                {"error": "out of memory while reading the request"},
+                headers={"Retry-After": "1", "Connection": "close"},
+            )
         except (ConfigError, SchemaError) as exc:
             self._json(400, {"error": str(exc)})
         except ReproError as exc:

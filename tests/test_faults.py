@@ -382,6 +382,32 @@ class TestFaultsCLI:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["read_csv", "run", "batch"])
+    def test_out_of_memory_exits_2_with_one_error_line(
+        self, csv_path, tmp_path, capsys, monkeypatch, where
+    ):
+        # An allocation failure in CSV ingest, in a job or in a batch under
+        # the default --on-error raise is one error line and exit 2, not a
+        # traceback and exit 1.
+        jobs = self._write_batch(tmp_path, [JOB, JOB] if where == "batch" else JOB)
+        plan = {"points": {"evaluate-node": {"at": 1, "error": "memory"}}}
+        if where == "read_csv":
+            def exhausted(*args, **kwargs):
+                raise MemoryError("Unable to allocate 5.15 GiB for an array")
+
+            monkeypatch.setattr("repro.cli.read_csv", exhausted)
+            plan = {"points": {}}
+        with faults.injection(plan):
+            code = cli_main([str(csv_path), str(tmp_path / "out.csv"), "--config", jobs])
+        assert code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        message = (
+            "Unable to allocate 5.15 GiB for an array" if where == "read_csv"
+            else "injected fault at point 'evaluate-node' (call #1)"
+        )
+        assert line == f"error: out of memory: {message}"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["data.csv", "jobs.json"]
+
     def test_policy_flags_require_batch_mode(self, csv_path, tmp_path, capsys):
         with pytest.raises(SystemExit):
             cli_main(

@@ -290,6 +290,22 @@ def test_recoding_merges_levels_that_render_the_same_text():
     assert mine.column("q").decode() == ["a", "a", "a", "1", "1", "a", "1"]
 
 
+def test_recoding_merges_numeric_labels_that_render_the_same_text():
+    # 1.0000001 and 1.0000002 differ but render "1" at %.6g, alone and as the
+    # low end of "[1-2]"; 0.0 and -0.0 compare equal but render apart.
+    table = Table([
+        Column.numeric("n", [1.0000001, 1.0000002, 1.0000001, 2.0, 1.0000002, 2.0, 0.0, -0.0])
+    ])
+    groups = [
+        np.array([0]), np.array([1]), np.array([2, 3]), np.array([4, 5]),
+        np.array([6]), np.array([7]),
+    ]
+    mine = apply_partition_recoding(table, groups, {}, ["n"])
+    _assert_same_table(mine, _old_recoding(table, groups, {}, ["n"]))
+    assert mine.column("n").categories == ("-0", "0", "1", "[1-2]")
+    assert mine.column("n").decode() == ["1", "1", "[1-2]", "[1-2]", "[1-2]", "[1-2]", "0", "-0"]
+
+
 def test_recoding_empty_group_raises():
     table = Table([Column.categorical("q", ["x", "y"]), Column.numeric("n", [1.0, 2.0])])
     groups = [np.array([0, 1]), np.array([], dtype=np.int64)]

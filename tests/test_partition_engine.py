@@ -22,7 +22,9 @@ contract that makes the family trustworthy:
   InfoGain-scored, on Adult and on seeded random tables, and its memory does
   not grow with the number of values of a QI; the reference's closed-form
   relaxed cut reproduces the one-row-at-a-time balancing append loop
-  exactly, row for row.
+  exactly, row for row;
+* **key widths** — the frontier packs its sort keys into int32 exactly when
+  they fit below 2**31, and cuts the same leaves with every key at int64.
 """
 
 import hashlib
@@ -45,7 +47,8 @@ from repro.algorithms import (
     Slicing,
     TopDownSpecialization,
 )
-from repro.algorithms.mondrian import _Cut, _Level, _hist_entropy, _value_views
+from repro.algorithms import mondrian as mondrian_module
+from repro.algorithms.mondrian import _Cut, _Level, _hist_entropy, _pair_sort, _value_views
 from repro.core.generalize import apply_node, apply_partition_recoding
 from repro.core.hierarchy import Hierarchy
 from repro.core.io import read_csv
@@ -413,6 +416,54 @@ def test_frontier_and_dfs_drivers_cut_identical_leaves(table, schema, mode, scor
         engine, engine.root(), qi, views, spans, models
     )
     assert _leaf_set(frontier) == _leaf_set(_reference_leaves(table, qi, models, mode, target))
+
+
+@pytest.mark.parametrize("n_major", [2**15, 2**15 + 1], ids=["int32", "int64"])
+def test_pair_sort_packs_int32_exactly_below_2_to_the_31(monkeypatch, n_major):
+    # Minors below 50,000 take 16 bits, so 2**15 majors fill int32's
+    # non-negative range exactly and one more needs int64. The largest major
+    # is present, so an int32 packing past the bound would wrap and misorder.
+    key_dtype, picked = mondrian_module._key_dtype, []
+
+    def spy(bound):
+        picked.append(key_dtype(bound))
+        return picked[-1]
+
+    monkeypatch.setattr(mondrian_module, "_key_dtype", spy)
+    rng = np.random.default_rng(n_major)
+    major = rng.integers(0, n_major, 5_000)
+    minor = rng.integers(0, 50_000, 5_000)
+    major[:3], minor[:3] = n_major - 1, [0, 49_999, 7]
+    got = _pair_sort(major, n_major, minor, 50_000)
+    assert picked == [np.int32 if n_major == 2**15 else np.int64]
+    assert got.dtype == np.int64
+    assert np.array_equal(got, minor[np.lexsort((minor, major))])
+
+
+@pytest.mark.parametrize(
+    "scenario", [None, (400, 3, 5), (3000, 12, 8)], ids=["adult", "random-400", "random-3000"]
+)
+@pytest.mark.parametrize("mode", ["strict", "relaxed"])
+def test_frontier_cuts_the_same_leaves_with_int64_keys(table, schema, monkeypatch, mode, scenario):
+    # Below 2**31 every key is int32; the int64 branch, which a level takes
+    # past about 46k groups x 46k values, must cut the same leaves.
+    models = [KAnonymity(2), DistinctLDiversity(2, SENSITIVE)]
+    if scenario is not None:
+        n_rows, n_values, seed = scenario
+        table, schema, _ = random_scenario(n_rows=n_rows, n_values=n_values, seed=seed)
+        models = [KAnonymity(2), DistinctLDiversity(2, "sensitive")]
+    qi = schema.quasi_identifiers
+    views, spans = _value_views(table, qi)
+
+    def leaves():
+        engine = PartitionEngine(table)
+        return _leaf_set(Mondrian(mode=mode)._partition_frontier(
+            engine, engine.root(), qi, views, spans, models
+        ))
+
+    narrow = leaves()
+    monkeypatch.setattr(mondrian_module, "_key_dtype", lambda bound: np.int64)
+    assert leaves() == narrow
 
 
 @pytest.mark.parametrize("mode", ["strict", "relaxed"])

@@ -59,6 +59,7 @@ from repro.service import (
     read_events,
     replay,
 )
+from repro.service import data as service_data
 from repro.service import server as service_server
 from repro.service.data import load_data_spec, release_csv_bytes, table_sha256
 from repro.service.metrics import LATENCY_BUCKETS, LatencyHistogram, ServiceMetrics
@@ -1021,6 +1022,34 @@ class TestHTTP:
         assert message in payload["error"]
         assert svc._jobs == {}
         assert ServiceClient(base).healthz()["status"] == "ok"
+
+    def test_out_of_memory_parse_is_503_and_server_survives(
+        self, http_service, monkeypatch
+    ):
+        # A CSV parse that runs out of memory is load, like a full queue:
+        # 503 with Retry-After, no job record, and the service keeps serving.
+        svc, base = http_service
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 5.15 GiB for an array")
+
+        monkeypatch.setattr(service_data, "parse_csv", exhausted)
+        conn = http.client.HTTPConnection(*_host_port(base), timeout=10)
+        try:
+            conn.request("POST", "/v1/jobs", json.dumps({"config": JOB, "data": DATA}))
+            response = conn.getresponse()
+            payload = json.loads(response.read())
+        finally:
+            conn.close()
+        assert response.status == 503
+        assert response.getheader("Retry-After") == "1"
+        assert "out of memory" in payload["error"]
+        assert svc._jobs == {}
+        client = ServiceClient(base, tenant="acme")
+        assert client.healthz()["status"] == "ok"
+        monkeypatch.undo()
+        out = client.submit_job(JOB, DATA)
+        assert client.wait(out["job_id"], timeout=30)["status"] == "done"
 
     def test_stalled_body_is_408_and_frees_the_handler(self, http_service, monkeypatch):
         # A client that sends less body than its Content-Length would hold a
