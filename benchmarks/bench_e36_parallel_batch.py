@@ -3,7 +3,8 @@
 The next scaling step after E35's cross-job cache sharing: one
 ``run_batch`` call dispatches a same-environment sweep (equal QI roles and
 hierarchies, varying models/algorithms — so every job shares one
-LatticeEvaluator) across a thread pool. The engine's memo cache is
+LatticeEvaluator) across worker threads, which on one evaluator take
+the jobs in input order. The engine's memo cache is
 thread-safe and *single-flight*: concurrent searches never evaluate one
 lattice node twice — a worker that wants a node already being computed
 blocks on its in-flight marker instead (the ``coalesced`` counter), and

@@ -14,11 +14,13 @@ QI set of a table environment, so a multi-config sweep (an algorithm
 shootout, a k-sweep, a QI-subset sweep) evaluates each lattice node once —
 the engine's memoized ``GroupStats`` serve every job;
 ``LatticeEvaluator.cache_info()`` shows the sharing (``hits`` grow,
-``from_rows`` do not). With ``workers > 1`` the jobs of a batch run on a
-thread pool against the same shared evaluators, whose store is thread-safe
-and single-flight — two workers never evaluate the same lattice node
-twice, and results are byte-identical to sequential execution (see
-``docs/architecture.md``).
+``from_rows`` do not). With ``workers > 1`` the jobs of a batch run on
+that many threads against the same shared evaluators, whose store is
+thread-safe and single-flight — two workers never evaluate the same
+lattice node twice, and results are byte-identical to sequential execution.
+A free thread takes the lowest pending job whose evaluator no running job
+uses, so workers sweeping several QI sets do not wait on each other's
+nodes (see ``docs/architecture.md``).
 
 The grouping is done by :class:`BatchPlanner`: the evaluators of one table
 environment (same dropped columns, hierarchy specs, ``bins`` and
@@ -33,9 +35,12 @@ warm store reuses instead of rebuilding.
 
 from __future__ import annotations
 
+import heapq
 import math
+import threading
 import time
 import traceback
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -491,7 +496,7 @@ def _attempt_job(
     """Run one batch job under the failure policy: deadlines, retries, backoff.
 
     The shared job runner of both execution paths — the sequential loop
-    and the thread pool funnel through it, so retry/timeout semantics
+    and the worker threads funnel through it, so retry/timeout semantics
     cannot drift between them. Under ``on_error="raise"`` the first
     failure propagates unchanged (the historic contract); under
     ``"collect"`` the job's final
@@ -604,15 +609,21 @@ def run_batch(
     cannot be combined with ``cache_stores`` (:class:`ConfigError`).
 
     ``workers`` must be a positive integer (else :class:`ConfigError`);
-    ``workers > 1`` dispatches the jobs across a thread pool. Jobs still
-    share evaluators exactly as in sequential mode — the engine's cache is
-    thread-safe with single-flight
-    computation, so concurrent searches never evaluate one lattice node
-    twice (the ``coalesced`` counter of
+    ``workers > 1`` runs the jobs on ``min(workers, len(configs))``
+    threads. A free thread takes the lowest-index pending job whose
+    evaluator no running job uses (a job that uses none always qualifies),
+    and only when there is none the lowest-index pending job: a QI-set
+    sweep gives each thread its own evaluator, and a one-evaluator batch
+    runs in input order on every thread. Jobs still share evaluators
+    exactly as in sequential mode — the engine's cache is thread-safe with
+    single-flight computation, so concurrent searches never evaluate one
+    lattice node twice (the ``coalesced`` counter of
     :meth:`LatticeEvaluator.cache_info` shows how often a worker waited on
     another's in-flight node instead). Every job's computation is
     deterministic and isolated apart from that cache, so the returned
     releases are byte-identical to ``workers=1`` regardless of scheduling.
+    Under ``on_error="raise"`` every job still runs, and the lowest-index
+    failure is raised.
     Each shared store holds its jobs' own ``cache_bytes`` budget (256 MiB
     by default); there is no batch-wide budget.
 
@@ -729,7 +740,8 @@ class BatchPlanner:
     consume an engine one evaluator over its store, which takes its QI
     encodings from the store too, and over its table environment's one
     identifier-stripped table. Jobs run in input order for
-    ``workers=1`` and otherwise on one thread pool. Releases are
+    ``workers=1`` and otherwise on ``min(workers, jobs)`` threads that
+    take jobs one at a time by :class:`_PendingJobs`' rule. Releases are
     byte-identical at every worker count — job outputs are pure functions
     of (config, table, hierarchies).
     """
@@ -854,12 +866,102 @@ class BatchPlanner:
                 group.evaluator = LatticeEvaluator(
                     table, group.schema.quasi_identifiers, group.hierarchies, cache=group.store
                 )
-        indices = range(len(self.configs))
-        if self.workers == 1 or len(indices) <= 1:
-            return [self._run_job(index) for index in indices]
-        # Imported here: only a parallel batch needs a pool, and the module
-        # (with logging) costs every cold CLI run a few milliseconds.
-        from concurrent.futures import ThreadPoolExecutor
+        n_jobs = len(self.configs)
+        if self.workers == 1 or n_jobs <= 1:
+            return [self._run_job(index) for index in range(n_jobs)]
+        pending = _PendingJobs([
+            id(group) if _uses_evaluator(config) else None for config, _, group in self._jobs
+        ])
+        lock = threading.Lock()
+        results: list = [None] * n_jobs
+        errors: dict[int, BaseException] = {}
 
-        with ThreadPoolExecutor(max_workers=min(self.workers, len(indices))) as pool:
-            return list(pool.map(self._run_job, indices))
+        def work() -> None:
+            index = None
+            while True:
+                with lock:
+                    if index is not None:
+                        pending.finish(index)
+                    index = pending.take()
+                if index is None:
+                    return
+                try:
+                    results[index] = self._run_job(index)
+                except BaseException as exc:  # re-raised on the calling thread
+                    errors[index] = exc
+
+        threads = [threading.Thread(target=work) for _ in range(min(self.workers, n_jobs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        if errors:
+            # Every job ran; the lowest-index failure is the one a
+            # sequential run would have raised first.
+            raise errors[min(errors)]
+        return results
+
+
+class _PendingJobs:
+    """The pending jobs of a parallel batch, and the rule that hands them out.
+
+    ``keys[i]`` names the evaluator job ``i`` searches through, or is
+    ``None`` for a job that uses none. :meth:`take` returns the
+    lowest-index pending job whose evaluator no running job uses (a job
+    without one always qualifies); only when no pending job qualifies does
+    it return the lowest-index pending job. So on a QI-set sweep each
+    worker walks one evaluator's jobs in input order rather than waiting on
+    another worker's in-flight nodes, and a one-evaluator batch runs in
+    input order on every worker. Each evaluator keeps a FIFO of its pending
+    jobs and a heap holds the idle ones by their next job, so a pick costs
+    O(log n). Not thread-safe: callers hold one lock around :meth:`take`
+    and :meth:`finish`.
+    """
+
+    def __init__(self, keys: Sequence[Any]):
+        self._keys = keys
+        self._taken = [False] * len(keys)
+        self._lowest = 0  # no job below this index is pending
+        self._queues: dict[Any, deque[int]] = {}
+        self._running: dict[Any, int] = {}
+        # (next job, key) per idle evaluator with pending jobs, plus every
+        # pending evaluator-less job; built in index order, so a heap.
+        self._idle: list[tuple[int, Any]] = []
+        for index, key in enumerate(keys):
+            if key is None:
+                self._idle.append((index, None))
+            elif key in self._queues:
+                self._queues[key].append(index)
+            else:
+                self._queues[key] = deque([index])
+                self._running[key] = 0
+                self._idle.append((index, key))
+
+    def take(self) -> int | None:
+        """The next job to run, or ``None`` once every job was taken."""
+        if self._idle:
+            index, key = heapq.heappop(self._idle)
+        else:
+            # Every evaluator with pending jobs is in use: the lowest
+            # pending job heads its evaluator's queue.
+            while self._lowest < len(self._keys) and self._taken[self._lowest]:
+                self._lowest += 1
+            if self._lowest == len(self._keys):
+                return None
+            index = self._lowest
+            key = self._keys[index]
+        self._taken[index] = True
+        if key is not None:
+            self._queues[key].popleft()
+            self._running[key] += 1
+        return index
+
+    def finish(self, index: int) -> None:
+        """Mark job ``index``, taken earlier, as no longer running."""
+        key = self._keys[index]
+        if key is None:
+            return
+        self._running[key] -= 1
+        queue = self._queues[key]
+        if not self._running[key] and queue:
+            heapq.heappush(self._idle, (queue[0], key))

@@ -29,6 +29,7 @@ payload and the release's CSV bytes, rendered once per tenant and release.
 from __future__ import annotations
 
 import json
+import os
 import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -50,6 +51,13 @@ DEFAULT_TENANT = "public"
 _TENANT_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]{0,63}$")
 _JOB_PATH = re.compile(r"^/v1/jobs/([A-Za-z0-9]+)(/release)?$")
 _BATCH_PATH = re.compile(r"^/v1/batches/([A-Za-z0-9]+)$")
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 class AnonymizationService:
@@ -179,6 +187,11 @@ class AnonymizationService:
             on_error="collect",
             **{k: v for k, v in options.items() if k != "workers"},
         )
+        if "workers" in options:
+            # A batch starts min(workers, jobs) threads and its releases are
+            # the same at any count, so it gets no more threads than the
+            # server may use CPUs.
+            options["workers"] = min(options["workers"], _usable_cpus())
         return options
 
     # -- lookup ----------------------------------------------------------------

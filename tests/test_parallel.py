@@ -8,6 +8,10 @@ Pins the concurrency contracts of this repo's parallel executor:
 * ``run_batch(workers=N)`` returns byte-identical releases to sequential
   mode for mixed same/different-environment job sets, preserving the
   engine-sharing pattern;
+* a free worker takes the lowest pending job whose evaluator no running
+  job uses, else the lowest pending job (``_PendingJobs``, checked without
+  threads against a scan of the pending list), and under
+  ``on_error="raise"`` the lowest-index failure is raised;
 * the CLI batch mode (``--config`` with a JSON job list, ``--workers``)
   writes numbered outputs identical at any worker count;
 * ``chunk_rows`` and ``backend`` are unknown config keys, and
@@ -16,6 +20,8 @@ Pins the concurrency contracts of this repo's parallel executor:
 
 import itertools
 import json
+import random
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -23,11 +29,13 @@ import numpy as np
 import pytest
 
 from repro.api import AnonymizationConfig, run_batch
+from repro.api import executor
+from repro.api.executor import _PendingJobs
 from repro.cli import main as cli_main
 from repro.core.engine import LatticeEvaluator
 from repro.core.io import read_csv
 from repro.data import adult_hierarchies, load_adult
-from repro.errors import ConfigError
+from repro.errors import ConfigError, InfeasibleError, SchemaError
 
 CSV_TEXT = (
     "zipcode,job,age,disease\n"
@@ -198,6 +206,165 @@ class TestParallelRunBatch:
         with pytest.raises(ReproError):
             run_batch([AnonymizationConfig.from_dict(JOB), impossible] * 2,
                       table, workers=2)
+
+    @staticmethod
+    def _qi_set_jobs():
+        """Three QI sets (three evaluators) x two jobs each, QI set by QI set."""
+        return [
+            AnonymizationConfig.from_dict({
+                **JOB,
+                "quasi_identifiers": qis,
+                "models": [{"model": "k-anonymity", "k": k}],
+                "algorithm": {"algorithm": algorithm},
+            })
+            for qis in (["zipcode", "job"], ["zipcode"], ["job"])
+            for k, algorithm in ((2, "flash"), (3, "incognito"))
+        ]
+
+    def test_three_evaluators_two_jobs_each_identical_at_two_workers(self, table):
+        configs = self._qi_set_jobs()
+        sequential = run_batch(configs, table, workers=1)
+        parallel = run_batch(configs, table, workers=2)
+        for seq, par in zip(sequential, parallel):
+            assert seq.release.node == par.release.node
+            assert _fingerprint(seq.release.table) == _fingerprint(par.release.table)
+        engines = [result.engine for result in parallel]
+        assert engines[0] is engines[1] and engines[2] is engines[3]
+        assert engines[4] is engines[5]
+        assert len({id(engine) for engine in engines}) == 3
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["infeasible-first", "schema-first"])
+    def test_raise_reports_the_lowest_index_failure(self, table, monkeypatch, swap):
+        # Two different failures in two evaluators, both raised by the
+        # search (not by planning): k above the row count is infeasible,
+        # and distinct l-diversity over the numeric age is a schema error.
+        infeasible = AnonymizationConfig.from_dict(
+            {**JOB, "models": [{"model": "k-anonymity", "k": 500}]}
+        )
+        bad_schema = AnonymizationConfig.from_dict({
+            **JOB,
+            "quasi_identifiers": ["zipcode"],
+            "models": [{"model": "distinct-l-diversity", "l": 2, "sensitive": "age"}],
+        })
+        first, second = (bad_schema, infeasible) if swap else (infeasible, bad_schema)
+        ok = self._qi_set_jobs()
+        configs = [ok[4], first, second, ok[5], ok[0]]
+        ran = []
+        attempt = executor._attempt_job
+        second_failed = threading.Event()
+
+        def counting(config, *args, **kwargs):
+            ran.append(config)
+            if config is first:  # the higher-index failure comes first in time
+                second_failed.wait(timeout=30)
+            try:
+                return attempt(config, *args, **kwargs)
+            finally:
+                if config is second:
+                    second_failed.set()
+
+        monkeypatch.setattr(executor, "_attempt_job", counting)
+        with pytest.raises(SchemaError if swap else InfeasibleError):
+            run_batch(configs, table, workers=2)
+        assert sorted(map(id, ran)) == sorted(map(id, configs))  # every job ran
+
+    def test_many_workers_take_every_job_once(self, table, monkeypatch):
+        """More workers than cores and a short switch interval over jobs that
+        return at once, so threads mostly race through the pick: no job is
+        lost or run twice, and each result lands in its own slot."""
+        mondrian = AnonymizationConfig.from_dict({**JOB, "algorithm": {"algorithm": "mondrian"}})
+        configs = [  # distinct objects, so a job run twice cannot hide
+            AnonymizationConfig.from_dict(config.to_dict())
+            for config in self._qi_set_jobs() * 200 + [mondrian] * 100
+        ]
+        ran: list[int] = []
+
+        def instant(config, *args, **kwargs):
+            ran.append(id(config))
+            return config
+
+        monkeypatch.setattr(executor, "_attempt_job", instant)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                ran.clear()
+                out: list = []
+                runner = threading.Thread(
+                    target=lambda: out.append(run_batch(configs, table, workers=8))
+                )
+                runner.start()
+                runner.join(timeout=60)
+                assert not runner.is_alive()
+                (results,) = out
+                assert sorted(ran) == sorted(map(id, configs))
+                assert all(result is config for result, config in zip(results, configs))
+        finally:
+            sys.setswitchinterval(interval)
+
+
+def _reference_pick(keys, pending, running):
+    """The dispatch rule as a scan of the pending list."""
+    busy = {keys[index] for index in running} - {None}
+    idle = [index for index in pending if keys[index] is None or keys[index] not in busy]
+    return min(idle or pending)
+
+
+class TestPendingJobs:
+    """The dispatch rule, driven by hand without threads."""
+
+    def test_takes_the_lowest_job_of_an_idle_evaluator(self):
+        jobs = _PendingJobs(["a", "a", "b", "b", "c", "c"])
+        assert [jobs.take(), jobs.take(), jobs.take()] == [0, 2, 4]
+        jobs.finish(2)  # b is idle again: its next job beats a's and c's
+        assert jobs.take() == 3
+        jobs.finish(0)
+        jobs.finish(4)
+        assert jobs.take() == 1  # a and c idle; a's next job is lower
+        assert jobs.take() == 5
+
+    def test_when_every_evaluator_is_busy_takes_the_lowest_pending_job(self):
+        jobs = _PendingJobs(["a", "a", "b", "a", "b"])
+        assert [jobs.take(), jobs.take()] == [0, 2]
+        assert jobs.take() == 1  # a and b both busy
+        jobs.finish(2)
+        assert jobs.take() == 4  # b idle again, though a's 3 is lower
+        assert jobs.take() == 3
+        assert jobs.take() is None
+
+    def test_one_evaluator_keeps_input_order(self):
+        jobs = _PendingJobs(["a"] * 4)
+        assert [jobs.take(), jobs.take()] == [0, 1]
+        jobs.finish(1)
+        assert [jobs.take(), jobs.take(), jobs.take()] == [2, 3, None]
+
+    def test_an_evaluator_less_job_always_counts_as_idle(self):
+        jobs = _PendingJobs(["a", "a", None, "a", None])
+        assert jobs.take() == 0
+        # a is busy, so its job 1 waits behind both evaluator-less jobs.
+        assert [jobs.take(), jobs.take(), jobs.take()] == [2, 4, 1]
+        jobs.finish(2)  # finishing an evaluator-less job frees nothing
+        assert jobs.take() == 3
+        assert jobs.take() is None
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_a_scan_of_the_pending_list(self, seed):
+        rng = random.Random(seed)
+        n_jobs = rng.randint(1, 40)
+        keys = [rng.choice([None, "a", "b", "c", "d"]) for _ in range(n_jobs)]
+        jobs = _PendingJobs(keys)
+        pending, running = set(range(n_jobs)), set()
+        while pending or running:
+            if pending and (not running or rng.random() < 0.6):
+                expected = _reference_pick(keys, pending, running)
+                assert jobs.take() == expected
+                pending.remove(expected)
+                running.add(expected)
+            else:
+                index = rng.choice(sorted(running))
+                jobs.finish(index)
+                running.remove(index)
+        assert jobs.take() is None
 
 
 class TestCLIBatch:

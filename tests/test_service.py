@@ -488,6 +488,15 @@ class TestService:
         records = service.batch("acme", out["batch_id"])
         assert [r.status for r in records] == ["done", "done"]
 
+    def test_batch_workers_are_clamped_to_usable_cpus(self, monkeypatch):
+        admit = AnonymizationService._batch_options
+        cpus = service_server._usable_cpus()
+        assert admit({"jobs": [JOB], "workers": 10**6})["workers"] == cpus
+        monkeypatch.setattr(service_server, "_usable_cpus", lambda: 3)
+        assert admit({"jobs": [JOB], "workers": 10**6})["workers"] == 3
+        assert admit({"jobs": [JOB], "workers": 2})["workers"] == 2
+        assert "workers" not in admit({"jobs": [JOB]})
+
     def test_cross_tenant_lookup_is_404_shaped(self, service):
         out = service.submit_job("acme", {"config": JOB, "data": DATA})
         _wait(service, out["job_id"])
