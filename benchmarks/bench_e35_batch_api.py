@@ -24,7 +24,6 @@ import time
 from conftest import print_series, write_results
 
 from repro.api import AnonymizationConfig, run, run_batch
-from repro.core.engine import LatticeEvaluator
 from repro.data import adult_hierarchies, adult_schema, load_adult
 
 MODEL_SWEEP = [
@@ -63,13 +62,11 @@ def run_bench(n_rows=5000, seed=42):
     start = time.perf_counter()
     solo_results = [run(config, table, hierarchies=hierarchies) for config in configs]
     solo_seconds = time.perf_counter() - start
-    # Solo jobs build engines inside the algorithms; count their node
-    # computations through a second pass with instrumented engines.
+    # Each solo job is a batch of one with its own engine; its cache
+    # counters are that job's node computations.
     solo_computed = 0
-    for config in configs:
-        evaluator = LatticeEvaluator(table, schema.quasi_identifiers, hierarchies)
-        run(config, table, evaluator=evaluator, hierarchies=hierarchies)
-        info = evaluator.cache_info()
+    for result in solo_results:
+        info = result.engine.cache_info()
         solo_computed += info["from_rows"] + info["rollups"]
 
     start = time.perf_counter()

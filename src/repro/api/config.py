@@ -96,9 +96,10 @@ class AnonymizationConfig:
     metrics: tuple[str, ...] = ()
     #: Base bin count for ``auto``/bin-count ``interval`` hierarchies.
     bins: int = 16
-    #: Engine-cache byte budget for this job's lattice evaluator; None
-    #: keeps the engine default (256 MiB). In a batch it bounds the
-    #: evaluator shared by the jobs of this job's environment.
+    #: Byte budget of the engine cache store behind this job's lattice
+    #: evaluator; None keeps the default (256 MiB). The jobs of one table
+    #: environment in a batch share that store; a lone ``run`` is a batch
+    #: of one, so its store holds exactly this budget.
     cache_bytes: int | None = None
     #: Cooperative per-job time budget in seconds; None means unbounded.
     #: Enforced at node-evaluation checkpoints (engine algorithms), so an

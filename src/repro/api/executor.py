@@ -7,6 +7,12 @@ legacy :meth:`Anonymizer.apply <repro.core.anonymizer.Anonymizer.apply>`
 shim all call it, which is what makes a job expressed once produce
 byte-identical releases no matter which door it enters through.
 
+:func:`run` is a batch of one: it returns ``run_batch([config], table)[0]``.
+So :class:`BatchPlanner` is the only code that builds a job's schema,
+hierarchies, engine cache store and evaluator, and :func:`_attempt_job`
+the only code that arms a job's time budget, and a job's
+``AnonymizationResult.to_dict()`` reads the same whichever door it took.
+
 :func:`run_batch` additionally shares one
 :class:`~repro.core.engine.LatticeEvaluator` across all jobs that agree on
 QI roles and the table environment, and one engine cache store across every
@@ -26,11 +32,10 @@ The grouping is done by :class:`BatchPlanner`: the evaluators of one table
 environment (same dropped columns, hierarchy specs, ``bins`` and
 ``cache_bytes``) get one :class:`~repro.core.cache.EngineCacheStore`
 holding their jobs' own ``cache_bytes`` budget (256 MiB by default), so a
-batch's engine memory is bounded per table environment, exactly as a
-single :func:`run` is, and one identifier-stripped table, which the
-store's one stats context points at. The store also holds the
-environment's hierarchies and QI encodings, which a batch over an injected
-warm store reuses instead of rebuilding.
+batch's engine memory is bounded per table environment, and one
+identifier-stripped table, which the store's one stats context points at.
+The store also holds the environment's hierarchies and QI encodings, which
+a batch over an injected warm store reuses instead of rebuilding.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ import numpy as np
 
 from .._version import __version__
 from ..core.cache import DEFAULT_CACHE_BYTES, EngineCacheStore
-from ..core.deadline import Deadline, check_seconds, current_deadline, deadline_scope, tightest
+from ..core.deadline import Deadline, check_seconds, deadline_scope, tightest
 from ..core.engine import LatticeEvaluator
 from ..core.release import Release
 from ..core.schema import Schema
@@ -357,55 +362,29 @@ def execute(
     )
 
 
-def _build_environment(
-    config: AnonymizationConfig,
-    table: Table,
-    hierarchy_overrides: Mapping[str, Any] | None = None,
-) -> tuple[Schema, dict]:
-    """(schema, hierarchies) materialized from a config against a table."""
-    schema = build_schema(config, table)
-    hierarchies = build_hierarchies(config, table)
-    if hierarchy_overrides:
-        hierarchies.update(hierarchy_overrides)
-    return schema, hierarchies
-
-
-def _resolve(
-    config: AnonymizationConfig,
-    table: Table,
-    hierarchy_overrides: Mapping[str, Any] | None = None,
-    environment: tuple[Schema, dict] | None = None,
-):
-    """(schema, hierarchies, models, algorithm) from a config + table.
-
-    ``environment`` lets batch callers reuse one (schema, hierarchies)
-    build across jobs — hierarchy building decodes every categorical QI
-    (O(n_rows) each), which is pure waste to repeat per job.
-    """
-    if environment is None:
-        environment = _build_environment(config, table, hierarchy_overrides)
-    schema, hierarchies = environment
+def _resolve(config: AnonymizationConfig) -> tuple[list, Any]:
+    """(models, algorithm) from a config, with its suppression budget set."""
     models = [model_registry.from_spec(spec) for spec in config.models]
     algorithm = algorithm_registry.from_spec(config.algorithm)
     if config.max_suppression is not None and hasattr(algorithm, "max_suppression"):
         algorithm.max_suppression = float(config.max_suppression)
-    return schema, hierarchies, models, algorithm
+    return models, algorithm
 
 
 def run(
     config: AnonymizationConfig,
     table: Table,
-    evaluator: LatticeEvaluator | None = None,
     hierarchies: Mapping[str, Any] | None = None,
-    environment: tuple[Schema, dict] | None = None,
 ) -> AnonymizationResult:
-    """Execute one declarative job against a table.
+    """Execute one declarative job against a table: a batch of one.
 
     ``hierarchies`` optionally overrides spec-built hierarchies with live
     objects (curated domain trees that have no JSON spec form); everything
-    else still comes from the config. ``environment`` is a prebuilt
-    (schema, hierarchies) pair — :func:`run_batch` passes it so a sweep
-    materializes each distinct environment once.
+    else still comes from the config. The job takes the path of every
+    :func:`run_batch` job: its store holds the config's ``cache_bytes``
+    (256 MiB by default), a lattice search reports that store's counters
+    as ``engine_cache``, and the config's ``job_timeout`` is its only time
+    budget — a deadline armed around the call does not reach it.
 
     Example (doctested)::
 
@@ -422,50 +401,9 @@ def run(
         >>> result.release.table.column("zip").decode()
         ['130', '130', '148', '148']
         >>> sorted(result.to_dict())  # JSON-safe report for logs/services
-        ['algorithm', 'attempts', 'config', 'metrics', 'models', 'status', 'summary', 'timings', 'version']
+        ['algorithm', 'attempts', 'config', 'engine_cache', 'metrics', 'models', 'status', 'summary', 'timings', 'version']
     """
-    if config.job_timeout is not None and current_deadline() is None:
-        # Single-job entry: arm the config's own budget here. Batch
-        # execution arms the effective (config + policy + batch) deadline
-        # itself before calling in, signalled by an already-active scope.
-        with deadline_scope(Deadline(config.job_timeout, kind="job-timeout")):
-            return run(
-                config,
-                table,
-                evaluator=evaluator,
-                hierarchies=hierarchies,
-                environment=environment,
-            )
-    timings: dict[str, float] = {}
-    start = time.perf_counter()
-    schema, built, models, algorithm = _resolve(
-        config, table, hierarchies, environment
-    )
-    if (
-        evaluator is None
-        and config.cache_bytes is not None
-        and getattr(type(algorithm), "uses_evaluator", False)
-    ):
-        # A config-level engine budget only binds if the evaluator is built
-        # out here — the algorithm's own fallback evaluator would use the
-        # library default.
-        evaluator = LatticeEvaluator(
-            _stripped(table, schema), schema.quasi_identifiers, built,
-            cache=EngineCacheStore(cache_bytes=config.cache_bytes),
-        )
-    timings["prepare"] = time.perf_counter() - start
-    result = execute(
-        table,
-        schema,
-        built,
-        models,
-        algorithm,
-        metrics=config.metrics,
-        evaluator=evaluator,
-        config=config,
-    )
-    result.timings = {**timings, **result.timings}
-    return result
+    return run_batch([config], table, hierarchies=hierarchies)[0]
 
 
 def _effective_deadline(
@@ -488,20 +426,24 @@ def _effective_deadline(
 def _attempt_job(
     config: AnonymizationConfig,
     table: Table,
+    schema: Schema,
+    hierarchies: Mapping[str, Any],
     policy: FailurePolicy,
     batch_deadline: Deadline | None,
     evaluator: LatticeEvaluator | None = None,
-    environment: tuple[Schema, dict] | None = None,
 ) -> "AnonymizationResult | JobFailure":
-    """Run one batch job under the failure policy: deadlines, retries, backoff.
+    """Run one job under the failure policy: deadlines, retries, backoff.
 
-    The shared job runner of both execution paths — the sequential loop
-    and the worker threads funnel through it, so retry/timeout semantics
-    cannot drift between them. Under ``on_error="raise"`` the first
-    failure propagates unchanged (the historic contract); under
-    ``"collect"`` the job's final
-    failure comes back as a :class:`JobFailure` carrying every attempt's
-    timing and error record.
+    The one job runner: the sequential loop and the worker threads of
+    every batch, :func:`run`'s batch of one included, funnel through it,
+    so it is the only code that arms a job's time budget and retry or
+    timeout semantics cannot drift between paths. Each attempt runs
+    :func:`execute` under the tightest of the job's timeouts and the
+    batch deadline; a deadline armed by the caller does not reach it.
+    Under ``on_error="raise"`` the first failure propagates unchanged
+    (the historic contract); under ``"collect"`` the job's final failure
+    comes back as a :class:`JobFailure` carrying every attempt's timing
+    and error record.
     """
     attempts: list[dict[str, Any]] = []
     total = policy.retries + 1
@@ -513,7 +455,13 @@ def _attempt_job(
             with deadline_scope(
                 _effective_deadline(config, policy, batch_deadline)
             ):
-                result = run(config, table, evaluator=evaluator, environment=environment)
+                models, algorithm = _resolve(config)
+                prepared = time.perf_counter()
+                result = execute(
+                    table, schema, hierarchies, models, algorithm,
+                    metrics=config.metrics, evaluator=evaluator, config=config,
+                )
+            result.timings = {"prepare": prepared - started, **result.timings}
         except Exception as exc:  # noqa: BLE001 - isolating a bad job is the point
             record: dict[str, Any] = {
                 "attempt": attempt,
@@ -605,8 +553,8 @@ def run_batch(
     bottoms, is evaluated once, and each column's hierarchy is built once. Results come back in input order, each
     carrying its evaluator on ``.engine``; its ``cache_info()`` counts the
     whole shared store. ``hierarchies`` overrides spec-built hierarchies
-    with live objects for the whole batch, exactly as in :func:`run`; it
-    cannot be combined with ``cache_stores`` (:class:`ConfigError`).
+    with live objects for the whole batch; it cannot be combined with
+    ``cache_stores`` (:class:`ConfigError`).
 
     ``workers`` must be a positive integer (else :class:`ConfigError`);
     ``workers > 1`` runs the jobs on ``min(workers, len(configs))``
@@ -839,14 +787,15 @@ class BatchPlanner:
 
     def _run_job(self, index: int) -> "AnonymizationResult | JobFailure":
         """One job on its group's evaluator under the batch's failure policy."""
-        config, environment, group = self._jobs[index]
+        config, (schema, hierarchies), group = self._jobs[index]
         return _attempt_job(
             config,
             self.table,
+            schema,
+            hierarchies,
             self.policy,
             self._batch_deadline,
             evaluator=group.evaluator,
-            environment=environment,
         )
 
     def execute(self) -> "list[AnonymizationResult | JobFailure]":

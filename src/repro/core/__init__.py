@@ -1,7 +1,7 @@
 """Core substrate: table engine, schema, hierarchies, lattice, partitions."""
 
 from .engine import GroupStats, LatticeEvaluator
-from .generalize import apply_node, apply_partition_recoding, generalized_qi_table
+from .generalize import apply_node, apply_partition_recoding
 from .hierarchy import Hierarchy, IntervalHierarchy, suppression_hierarchy
 from .io import read_csv, write_csv
 from .lattice import GeneralizationLattice
@@ -33,7 +33,6 @@ __all__ = [
     "apply_node",
     "apply_partition_recoding",
     "classes_from_labels",
-    "generalized_qi_table",
     "partition_by_qi",
     "read_csv",
     "suppression_hierarchy",

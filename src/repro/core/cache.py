@@ -99,7 +99,7 @@ class EngineCacheStore:
     ----------
     cache_bytes:
         approximate payload-byte budget (keyword-only). Payload grown
-        lazily after insertion (histograms, row labels, partitions) is
+        lazily after insertion (histograms, row labels, bounds) is
         accounted via :meth:`note_bytes` and can evict older entries.
 
     The store never holds its mutex during a stats computation: the first
@@ -216,7 +216,7 @@ class EngineCacheStore:
 
     def note_bytes(self, stats: Any, n_bytes: int) -> None:
         """Account payload grown after insertion (lazy histograms, lazily
-        resolved row labels, partitions) and evict if the budget is now
+        resolved row labels, bounds) and evict if the budget is now
         exceeded. Growth on stats no longer cached is ignored — their bytes
         were already released at eviction."""
         with self._mutex:
@@ -358,8 +358,6 @@ class EngineCacheStore:
         total = stats.sizes.nbytes + stats.group_codes.nbytes
         if stats._row_labels is not None:
             total += stats._row_labels.nbytes
-        if stats._partition is not None:
-            total += stats.n_rows * 8
         total += sum(hist.nbytes for hist in stats._hists.values())
         total += sum(low.nbytes + high.nbytes for low, high in stats._bounds.values())
         if stats._external is not None:

@@ -48,7 +48,7 @@ Roll-up preserves the canonical group order (ascending signature, i.e. the
 order :func:`partition_by_qi` produces), so the group indices of an
 ``ok_mask`` are the same no matter how the stats were derived. Row-level
 labels are reconstructed lazily through the parent chain only when failing
-rows or a partition need them.
+rows need them.
 
 Group ordering is byte-compatible with the legacy path over the store
 key's columns: groups ascend by packed signature, rows within a group
@@ -56,7 +56,7 @@ ascend by index.
 
 **One order, one context.** :meth:`LatticeEvaluator.stats` returns the
 stored entry to every caller, so its ``names``, ``node``, group order, row
-labels, histogram rows and partition follow the store key whatever order
+labels and histogram rows follow the store key whatever order
 the caller lists the columns in; no verdict and no release depends on
 group order. Every entry grows lazily through its store's one
 :class:`_StatsContext`, which each evaluator built over the store points
@@ -81,7 +81,7 @@ computes outside the lock; any other thread asking for the same store
 key meanwhile blocks on that marker instead of recomputing
 (``cache_info()["coalesced"]`` counts those waits), so no node's stats are
 ever derived twice. Lazily-grown payload (histograms, value bounds, row
-labels, partitions) is serialized per :class:`GroupStats` by its own
+labels) is serialized per :class:`GroupStats` by its own
 re-entrant lock. See ``docs/architecture.md`` for the full design.
 """
 
@@ -101,7 +101,6 @@ from .cache import EngineCacheStore
 from .deadline import check_deadline
 from .generalize import HierarchyLike
 from .hierarchy import Hierarchy
-from .partition import EquivalenceClasses, classes_from_labels
 from .partition_engine import grouped_bounds
 from .table import Column, Table, mixed_radix_fits, pack_code_columns
 
@@ -179,15 +178,14 @@ class GroupStats:
 
     ``group_codes[g, i]`` is the generalized code of QI ``i`` shared by all
     rows of group ``g`` — the ingredient of roll-up and of distinct-value
-    heuristics. Row-level labels and the :class:`EquivalenceClasses`
-    partition are reconstructed lazily (through the roll-up parent chain if
-    the stats were derived by roll-up rather than from rows). ``names`` and
-    ``node`` are the store key: the QI names sorted, the levels permuted
-    to match.
+    heuristics. Row-level labels are reconstructed lazily (through the
+    roll-up parent chain if the stats were derived by roll-up rather than
+    from rows). ``names`` and ``node`` are the store key: the QI names
+    sorted, the levels permuted to match.
 
     The eager fields (sizes, group_codes) are immutable after construction;
     every lazily-grown field is guarded by ``_lock`` so one stats object can
-    serve several worker threads. The lock is re-entrant (``partition()``
+    serve several worker threads. The lock is re-entrant (``value_bounds()``
     resolves ``row_labels`` while holding it) and locks are only ever taken
     child-then-parent along the acyclic roll-up chain, so the order is
     deadlock-free.
@@ -204,7 +202,6 @@ class GroupStats:
     _hists: dict = field(default_factory=dict)
     _bounds: dict = field(default_factory=dict)
     _external: tuple | None = None
-    _partition: EquivalenceClasses | None = None
     _cache_key: tuple | None = None
     _lock: Any = field(default_factory=threading.RLock, repr=False, compare=False)
 
@@ -281,17 +278,6 @@ class GroupStats:
             self._bounds[name] = bounds
             self._context.note_bytes(self, bounds[0].nbytes + bounds[1].nbytes)
             return bounds
-
-    def partition(self) -> EquivalenceClasses:
-        """The node's EC partition, ordered exactly like ``partition_by_qi``."""
-        with self._lock:
-            if self._partition is None:
-                self._partition = classes_from_labels(
-                    self.row_labels, self.names, self.n_rows
-                )
-                # The group arrays are views over one O(n_rows) order array.
-                self._context.note_bytes(self, self.n_rows * 8)
-            return self._partition
 
     def external_counts(self, table: Table) -> np.ndarray:
         """Per-group row counts of an external table at this node (memoized).
@@ -797,13 +783,6 @@ class LatticeEvaluator:
                 enc.published[level] = column
             columns.append(column)
         return table.replace(*columns)
-
-    def partition(
-        self, node: Sequence[int], names: Sequence[str] | None = None
-    ) -> EquivalenceClasses:
-        """EC partition at the node, interchangeable with ``partition_by_qi``
-        over the store key's columns (the names sorted)."""
-        return self.stats(node, names).partition()
 
     def n_groups(self, node: Sequence[int], names: Sequence[str] | None = None) -> int:
         return self.stats(node, names).n_groups

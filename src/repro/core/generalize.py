@@ -21,7 +21,7 @@ from ..errors import HierarchyError
 from .hierarchy import Hierarchy, IntervalHierarchy
 from .table import Column, Table
 
-__all__ = ["apply_node", "apply_partition_recoding", "generalized_qi_table"]
+__all__ = ["apply_node", "apply_partition_recoding"]
 
 HierarchyLike = Hierarchy | IntervalHierarchy
 
@@ -40,16 +40,6 @@ def apply_node(
         hierarchy = hierarchies[name]
         new_columns.append(hierarchy.generalize_column(table.column(name), int(level)))
     return table.replace(*new_columns)
-
-
-def generalized_qi_table(
-    table: Table,
-    hierarchies: Mapping[str, HierarchyLike],
-    attributes: Sequence[str],
-    node: Sequence[int],
-) -> Table:
-    """Like :func:`apply_node` but projected to the QIs only (hot path)."""
-    return apply_node(table.select(list(attributes)), hierarchies, attributes, node)
 
 
 def apply_partition_recoding(

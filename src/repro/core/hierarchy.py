@@ -226,10 +226,6 @@ class Hierarchy:
         self._check_level(level)
         return np.bincount(self._level_maps[level], minlength=len(self._level_labels[level]))
 
-    def fanout(self, level: int) -> np.ndarray:
-        """Alias kept for metric code readability."""
-        return self.leaf_count(level)
-
     def level_of_distinct(self, level: int) -> int:
         """Number of distinct values at a level (domain size after mapping)."""
         self._check_level(level)

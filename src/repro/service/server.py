@@ -32,6 +32,7 @@ import json
 import os
 import re
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
@@ -275,9 +276,11 @@ class _Handler(BaseHTTPRequestHandler):
     disable_nagle_algorithm = True
     #: 16 MiB request-body ceiling — inline CSV is the only large payload.
     max_body = 16 << 20
-    #: Seconds a socket read may stall (``StreamRequestHandler`` sets it on
-    #: the connection), the ``ServiceClient`` default. A client that sends
-    #: less body than its Content-Length gets a 408 and an idle keep-alive
+    #: Seconds a request body may take to arrive in all, and an idle
+    #: keep-alive connection may wait for its next request
+    #: (``StreamRequestHandler`` sets it on the connection); the
+    #: ``ServiceClient`` default. A client that sends less body than its
+    #: Content-Length, or sends it a byte at a time, gets a 408 and an idle
     #: connection closes, instead of either holding a handler thread forever.
     timeout = 30
 
@@ -373,8 +376,26 @@ class _Handler(BaseHTTPRequestHandler):
         if length > self.max_body:
             self._json(413, {"error": f"body exceeds {self.max_body} bytes"})
             return _INVALID
+        # One deadline for the whole body: each read may wait only for the
+        # time left, so a client trickling bytes cannot hold the handler.
+        deadline = time.monotonic() + self.timeout
+        raw = bytearray(length)
+        view = memoryview(raw)
+        received = 0
         try:
-            raw = self.rfile.read(length)
+            try:
+                while received < length:
+                    left = deadline - time.monotonic()
+                    if left <= 0:
+                        raise TimeoutError
+                    self.connection.settimeout(left)
+                    n = self.rfile.readinto1(view[received:])
+                    if not n:  # the client closed early: parse what arrived
+                        raw = raw[:received]
+                        break
+                    received += n
+            finally:
+                self.connection.settimeout(self.timeout)
         except TimeoutError:
             # Whatever part of the body did arrive is lost with the read,
             # so the connection cannot carry another request.

@@ -11,8 +11,10 @@ Pins the api_redesign contracts:
   ``Anonymizer.apply()`` shim;
 * ``run_batch`` over several configs on one table shares the lattice
   engine, so nodes evaluated by one job are cache hits for the next;
-* a caller's evaluator built over the raw table still yields the job's
-  identifier-stripped release.
+* ``run`` is a batch of one: every algorithm publishes and reports the
+  same through ``run`` as through ``run_batch``;
+* a caller's evaluator built over the raw table, handed to ``execute``,
+  still yields the job's identifier-stripped release.
 """
 
 import gc
@@ -35,7 +37,10 @@ from repro.api import (
     run,
     run_batch,
 )
+from repro.api.executor import _resolve, execute
 from repro.cli import main as cli_main
+from repro.core.cache import DEFAULT_CACHE_BYTES
+from repro.core.deadline import Deadline, deadline_scope
 from repro.core.io import format_csv, read_csv
 from repro.core.table import Column, Table
 from repro.errors import ConfigError, InfeasibleError, SchemaError
@@ -410,13 +415,11 @@ class TestExecutor:
         assert out_run.read_bytes() == out_cli.read_bytes()
         assert out_run.read_bytes() == out_apply.read_bytes()
 
-    def test_max_suppression_override(self, table):
-        from repro.api.executor import _resolve
-
+    def test_max_suppression_override(self):
         config = AnonymizationConfig.from_dict(
             {**JOB, "algorithm": {"algorithm": "incognito"}, "max_suppression": 0.25}
         )
-        _, _, _, algorithm = _resolve(config, table)
+        _, algorithm = _resolve(config)
         assert algorithm.max_suppression == 0.25
 
     def test_max_suppression_rejected_for_unbudgeted_algorithm(self):
@@ -434,22 +437,14 @@ class TestExecutor:
             for name in ("incognito", "flash", "ola")
         ]
 
+        solo_results = [run(config, table) for config in configs]
+        # Independent runs: each result's engine counts its own store.
         solo_from_rows = 0
-        solo_results = []
-        for config in configs:
-            result = run(config, table)
-            solo_results.append(result)
-
-        # Independent runs: count node computations with private engines.
-        from repro.core.engine import LatticeEvaluator
-
-        for config in configs:
-            schema = build_schema(config, table)
-            hierarchies = build_hierarchies(config, table)
-            evaluator = LatticeEvaluator(table, schema.quasi_identifiers, hierarchies)
-            run(config, table, evaluator=evaluator)
-            solo_from_rows += evaluator.cache_info()["from_rows"]
-            solo_from_rows += evaluator.cache_info()["rollups"]
+        for result in solo_results:
+            assert result.engine is not None
+            solo_from_rows += result.engine.cache_info()["from_rows"]
+            solo_from_rows += result.engine.cache_info()["rollups"]
+        assert len({id(result.engine) for result in solo_results}) == len(configs)
 
         batch_results = run_batch(configs, table)
         engine = batch_results[0].engine
@@ -558,9 +553,46 @@ class TestExecutor:
         assert homogeneity["exposed_fraction"] == 0.0
 
 
+class TestRunIsABatchOfOne:
+    """``run(config, table)`` is ``run_batch([config], table)[0]``: one
+    planner builds every job's environment, store and evaluator."""
+
+    @pytest.mark.parametrize("name", algorithm_registry.names())
+    def test_every_algorithm_publishes_and_reports_alike(self, name):
+        table = _random_table(400)
+        spec = {"algorithm": name, **{key: 2 for key in algorithm_registry.required(name)}}
+        config = AnonymizationConfig.from_dict({**JOB, "algorithm": spec})
+        alone, batched = run(config, table), run_batch([config], table)[0]
+        assert _fingerprint(alone.release.table) == _fingerprint(batched.release.table)
+        assert alone.node == batched.node
+        assert alone.suppressed == batched.suppressed
+        alone_report, batch_report = alone.to_dict(), batched.to_dict()
+        assert alone_report.keys() == batch_report.keys()
+        # Apart from how long it took, the job's record is the same.
+        assert alone_report.pop("timings").keys() == batch_report.pop("timings").keys()
+        assert alone_report == batch_report
+
+    def test_a_full_domain_run_holds_its_configs_budget(self, table):
+        budgeted = run(AnonymizationConfig.from_dict({**JOB, "cache_bytes": 65536}), table)
+        assert budgeted.engine.cache.cache_bytes == 65536
+        assert "engine_cache" in budgeted.to_dict()
+        default = run(AnonymizationConfig.from_dict(JOB), table)
+        assert default.engine.cache.cache_bytes == DEFAULT_CACHE_BYTES
+
+    def test_an_outer_deadline_does_not_reach_the_job(self, table):
+        """As for every batch job, the config's own ``job_timeout`` is the
+        job's only time budget."""
+        expired = Deadline(1e-9)
+        while expired.remaining() > 0:
+            pass
+        with deadline_scope(expired):
+            result = run(AnonymizationConfig.from_dict(JOB), table)
+        assert result.release.table.n_rows == 8
+
+
 class TestCallerEvaluator:
-    """``run(config, table, evaluator=...)`` with an evaluator built over the
-    raw table, identifier column included: the release is the job's
+    """``execute(..., evaluator=...)`` with an evaluator built over the raw
+    table, identifier column included: the release is the job's
     identifier-stripped table generalized at the chosen node."""
 
     @staticmethod
@@ -575,6 +607,15 @@ class TestCallerEvaluator:
                 "disease": [f"d{v}" for v in rng.integers(0, 4, n)],
             },
             categorical=["name", "zip", "job", "disease"],
+        )
+
+    @staticmethod
+    def _execute(config, table, evaluator):
+        """The job on the caller's evaluator, as ``run`` resolves it."""
+        models, algorithm = _resolve(config)
+        return execute(
+            table, build_schema(config, table), build_hierarchies(config, table),
+            models, algorithm, metrics=config.metrics, evaluator=evaluator, config=config,
         )
 
     @pytest.mark.parametrize("algorithm", ["datafly", "flash", "incognito", "ola"])
@@ -595,7 +636,7 @@ class TestCallerEvaluator:
         evaluator = LatticeEvaluator(
             table, ["zip", "job"], build_hierarchies(config, table)
         )
-        shared = run(config, table, evaluator=evaluator)
+        shared = self._execute(config, table, evaluator)
         plain = run(config, table)
         assert "name" not in shared.release.table.column_names
         assert shared.release.table.column_names == ["zip", "job", "disease"]
@@ -620,7 +661,7 @@ class TestCallerEvaluator:
             subset, ["zip", "job"], build_hierarchies(config, subset)
         )
         with pytest.raises(ConfigError, match="evaluator holds 200 rows"):
-            run(config, table, evaluator=evaluator)
+            self._execute(config, table, evaluator)
 
 
 def _random_table(n_rows, seed=3):

@@ -48,6 +48,7 @@ from repro.core.engine import LatticeEvaluator
 from repro.core.hierarchy import Hierarchy
 from repro.core.io import read_csv
 from repro.core.lattice import GeneralizationLattice
+from repro.core.partition import classes_from_labels
 from repro.core.table import Column, Table
 from repro.data import adult_hierarchies, load_adult
 from repro.data.synthetic import random_scenario
@@ -733,13 +734,16 @@ class TestCrossQISharing:
             assert result.names == tuple(sorted(result.names))
             assert store.info()["evictions"] == 0
             assert store._entries[result._cache_key] is result
-        # A partition asked for in QI order is the stored entry's too.
+        # Stats asked for in QI order are the stored entry's too, whose
+        # classes follow the sorted names.
         evaluator = LatticeEvaluator(
             table, ["zipcode", "job", "age"], build_hierarchies(config, table)
         )
-        partition = evaluator.partition((1, 0, 2))
-        assert partition.qi_names == ("age", "job", "zipcode")
-        assert partition is evaluator.stats((2, 0, 1), ("age", "job", "zipcode")).partition()
+        entry = evaluator.stats((1, 0, 2))
+        classes = classes_from_labels(entry.row_labels, entry.names, entry.n_rows)
+        assert classes.qi_names == ("age", "job", "zipcode")
+        assert entry is evaluator.stats((2, 0, 1), ("age", "job", "zipcode"))
+        assert evaluator.cache._entries[entry._cache_key] is entry
 
     def _delta_setup(self):
         from repro.api import build_hierarchies

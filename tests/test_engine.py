@@ -20,6 +20,7 @@ from repro.core import (
     LatticeEvaluator,
     Table,
     apply_node,
+    classes_from_labels,
     partition_by_qi,
 )
 from repro.core.cache import EngineCacheStore
@@ -39,6 +40,11 @@ from repro.privacy import (
 )
 
 SENSITIVE = "sensitive"
+
+
+def classes_of(stats):
+    """A node's equivalence classes, in its stats' group order."""
+    return classes_from_labels(stats.row_labels, stats.names, stats.n_rows)
 
 
 def fast_models():
@@ -78,7 +84,7 @@ class TestGroupStatsParity:
             stats = evaluator.stats(node)
             assert stats.n_groups == len(legacy)
             assert np.array_equal(stats.sizes, legacy.sizes())
-            engine_partition = evaluator.partition(node)
+            engine_partition = classes_of(stats)
             assert engine_partition.qi_names == legacy.qi_names
             assert len(engine_partition.groups) == len(legacy.groups)
             for mine, theirs in zip(engine_partition.groups, legacy.groups):
@@ -153,9 +159,7 @@ class TestGroupStatsParity:
             )
             for mine, theirs in zip(rolled.value_bounds("num"), fresh.value_bounds("num")):
                 assert np.array_equal(mine, theirs)
-            for mine, theirs in zip(
-                rolled.partition().groups, fresh.partition().groups
-            ):
+            for mine, theirs in zip(classes_of(rolled).groups, classes_of(fresh).groups):
                 assert np.array_equal(mine, theirs)
         assert rolled_up > 0
 
@@ -317,7 +321,7 @@ class TestReviewHardening:
             LatticeEvaluator(table, qi, broken)
 
     def test_cache_accounting_survives_lazy_growth_on_evicted_entries(self):
-        """Lazy histograms/partitions on evicted GroupStats must not leak
+        """Lazy histograms/row labels on evicted GroupStats must not leak
         into the byte budget (which would collapse the cache to one entry),
         and parity must hold under constant eviction pressure."""
         table, qi, hierarchies = scenario(3, n_rows=120)
@@ -327,7 +331,7 @@ class TestReviewHardening:
             stats = evaluator.stats(node)
             stats.histogram(SENSITIVE)
             stats.value_bounds("num")
-            stats.partition()
+            stats.row_labels
             return stats
 
         # Room for four fully grown entries.
@@ -344,6 +348,8 @@ class TestReviewHardening:
             candidate = apply_node(table, hierarchies, qi, node)
             legacy = partition_by_qi(candidate, sorted(qi))
             assert np.array_equal(stats.sizes, legacy.sizes()), node
+            for mine, theirs in zip(classes_of(stats).groups, legacy.groups):
+                assert np.array_equal(mine, theirs), node
         assert store.counters["evictions"] > 0
         assert store._cached_bytes == sum(store._accounted.values())
         assert len(store) > 1, "cache collapsed — accounting leak"
@@ -528,9 +534,9 @@ class TestViews:
             assert np.array_equal(mine.histogram(SENSITIVE), theirs.histogram(SENSITIVE))
             for ours, other in zip(mine.value_bounds("num"), theirs.value_bounds("num")):
                 assert np.array_equal(ours, other)
-            for ours, other in zip(mine.partition().groups, theirs.partition().groups):
+            for ours, other in zip(classes_of(mine).groups, classes_of(theirs).groups):
                 assert np.array_equal(ours, other)
-            assert mine.partition().qi_names == theirs.partition().qi_names == key_names
+            assert classes_of(mine).qi_names == classes_of(theirs).qi_names == key_names
             assert np.array_equal(
                 mine.external_counts(population), theirs.external_counts(population)
             )
@@ -552,7 +558,7 @@ class TestViews:
         try:
             evaluator = LatticeEvaluator(table, qi, hierarchies)
             for node in ((0, 0, 0), (1, 1, 1)):
-                evaluator.partition(node).groups
+                classes_of(evaluator.stats(node)).groups
             del evaluator
             gc.set_debug(gc.DEBUG_SAVEALL)
             gc.collect()

@@ -178,10 +178,6 @@ class TestFacadeAndReprs:
 
 
 class TestHierarchyEdgeCases:
-    def test_fanout_alias(self, tiny_hierarchies):
-        h = tiny_hierarchies["nationality"]
-        assert (h.fanout(1) == h.leaf_count(1)).all()
-
     def test_interval_repr(self, tiny_hierarchies):
         assert "bins=8" in repr(tiny_hierarchies["age"])
 

@@ -1099,6 +1099,43 @@ class TestHTTP:
             assert time.perf_counter() - start < 2
         assert ServiceClient(base).healthz()["status"] == "ok"
 
+    def test_trickled_body_gets_its_408_on_time(self, http_service, monkeypatch):
+        # A byte just inside each read's timeout would restart a per-read
+        # timeout forever; the whole body has one deadline instead.
+        svc, base = http_service
+        monkeypatch.setattr(service_server._Handler, "timeout", 0.5)
+        stop = threading.Event()
+        with socket.create_connection(_host_port(base), timeout=10) as sock:
+
+            def trickle():
+                for _ in range(20):
+                    if stop.wait(0.15):
+                        return
+                    try:
+                        sock.sendall(b" ")
+                    except OSError:  # the server closed the connection
+                        return
+
+            start = time.perf_counter()
+            sock.sendall(b"POST /v1/jobs HTTP/1.1\r\nHost: test\r\nContent-Length: 20\r\n\r\n")
+            trickler = threading.Thread(target=trickle)
+            trickler.start()
+            try:
+                response = http.client.HTTPResponse(sock)
+                response.begin()
+                payload = json.loads(response.read())
+                elapsed = time.perf_counter() - start
+            finally:
+                stop.set()
+                trickler.join(timeout=5)
+        assert not trickler.is_alive()
+        assert response.status == 408
+        assert response.getheader("Connection") == "close"
+        assert "request body" in payload["error"]
+        assert elapsed < 2 * 0.5
+        assert svc._jobs == {}
+        assert ServiceClient(base).healthz()["status"] == "ok"
+
     def test_path_data_that_is_not_utf8_is_400(self, tmp_path):
         raw = CSV_TEXT.encode().replace(b"nurse", b"nurs\xe9", 1)
         (tmp_path / "latin1.csv").write_bytes(raw)
@@ -1165,19 +1202,20 @@ class TestServeCLI:
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
             env=env, cwd=Path(__file__).resolve().parent.parent,
         )
-        try:
-            banner = proc.stdout.readline().strip()
-            match = re.search(r"http://([\d.]+):(\d+)$", banner)
-            assert match, f"unexpected banner: {banner!r}"
-            client = ServiceClient(
-                f"http://{match.group(1)}:{match.group(2)}", tenant="acme"
-            )
-            out = client.submit_job(JOB, DATA)
-            record = client.wait(out["job_id"], timeout=30)
-            assert record["status"] == "done"
-        finally:
-            proc.send_signal(signum)
-            assert proc.wait(timeout=15) == 0
+        with proc:  # leaving it closes the child's stdout pipe
+            try:
+                banner = proc.stdout.readline().strip()
+                match = re.search(r"http://([\d.]+):(\d+)$", banner)
+                assert match, f"unexpected banner: {banner!r}"
+                client = ServiceClient(
+                    f"http://{match.group(1)}:{match.group(2)}", tenant="acme"
+                )
+                out = client.submit_job(JOB, DATA)
+                record = client.wait(out["job_id"], timeout=30)
+                assert record["status"] == "done"
+            finally:
+                proc.send_signal(signum)
+                assert proc.wait(timeout=15) == 0
 
 
 # ---------------------------------------------------------------------------
